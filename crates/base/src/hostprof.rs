@@ -98,10 +98,14 @@ pub enum HostStage {
     MissFill,
     /// One directory transaction for a registered miss.
     DirTxn,
+    /// Registering a miss between eviction and its directory transaction:
+    /// MSHR acquisition, directory-entry resolution, and the re-checks that
+    /// the line is still absent and its set still has room.
+    MissRegister,
 }
 
 /// Number of [`HostStage`] variants (the accumulator table's size).
-pub const NUM_STAGES: usize = 19;
+pub const NUM_STAGES: usize = 20;
 
 impl HostStage {
     /// Every stage, in declaration order (index = discriminant).
@@ -125,6 +129,7 @@ impl HostStage {
         HostStage::NetModel,
         HostStage::MissFill,
         HostStage::DirTxn,
+        HostStage::MissRegister,
     ];
 
     /// The stage's stable dotted name, used for `host.<name>.*` metric keys
@@ -150,6 +155,7 @@ impl HostStage {
             HostStage::NetModel => "mem.net_model",
             HostStage::MissFill => "mem.fill",
             HostStage::DirTxn => "mem.dir_txn",
+            HostStage::MissRegister => "mem.register",
         }
     }
 

@@ -27,6 +27,7 @@
 pub mod blocker;
 pub mod error;
 pub mod hash;
+pub mod hostmem;
 pub mod hostprof;
 pub mod ids;
 pub mod progress;

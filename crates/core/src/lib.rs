@@ -353,6 +353,7 @@ impl SimBuilder {
     /// [`SimError::CkptTruncated`], [`SimError::CkptMissingSegment`]).
     pub fn build(self) -> Result<Sim, SimError> {
         self.cfg.validate()?;
+        graphite_base::hostmem::retain_freed_heap();
         let cfg = self.cfg;
         let n = cfg.target.num_tiles as usize;
         let mut trace = self.trace;
@@ -626,13 +627,7 @@ impl Sim {
             value: exit_value,
         });
         inner.sched.detach(TileId(0));
-        let _ = inner.mcp_tx.send(McpRequest::Shutdown);
-        if let Some(h) = self.mcp_handle.take() {
-            let _ = h.join();
-        }
-        for h in self.lcp_handles.drain(..) {
-            let _ = h.join();
-        }
+        self.shutdown();
         assert!(
             !inner.guest_panicked.load(std::sync::atomic::Ordering::Relaxed),
             "a guest thread panicked during the simulation"
@@ -647,6 +642,32 @@ impl Sim {
         let mut report = report::build_report(&inner);
         report.skew_samples = sampler.samples();
         report
+    }
+
+    /// Stops the MCP (which stops the LCPs) and joins them all. Taking the
+    /// handles makes a second call a no-op, so [`Sim::run`]'s teardown and
+    /// the `Drop` that follows it do not collide.
+    fn shutdown(&mut self) {
+        if let Some(h) = self.mcp_handle.take() {
+            let _ = self.inner.mcp_tx.send(McpRequest::Shutdown);
+            let _ = h.join();
+        }
+        for h in self.lcp_handles.drain(..) {
+            let _ = h.join();
+        }
+    }
+}
+
+/// A simulator that is built but never run still owns its MCP and LCP
+/// threads; dropping it stops and joins them.
+impl Drop for Sim {
+    fn drop(&mut self) {
+        // When `run` unwinds from a guest panic, other guest threads may be
+        // parked on the one that died and the LCPs would wait on them
+        // forever; leave the control threads detached, as they were before.
+        if !std::thread::panicking() {
+            self.shutdown();
+        }
     }
 }
 

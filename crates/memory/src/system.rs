@@ -31,9 +31,9 @@
 //! * **Tile cache locks are leaves**, taken one at a time, never while a
 //!   map lock is held. Read hits can skip the tile lock entirely via a
 //!   seqlock-validated probe ([`Cache::probe_read`]): writers bump the
-//!   tile's [`SeqCount`] around every structural or data mutation, and line
-//!   data boxes are recycled through a per-tile pool instead of being freed,
-//!   so a racing probe reads stale-but-allocated bytes that validation then
+//!   tile's [`SeqCount`] around every structural or data mutation, and a
+//!   cache's line storage never moves or shrinks while the cache lives, so a
+//!   racing probe reads stale-but-allocated bytes that validation then
 //!   rejects.
 //!
 //! A tile's cache only ever gains lines through its own thread(s); remote
@@ -59,7 +59,7 @@ use graphite_trace::{
 use parking_lot::{Mutex, MutexGuard};
 
 use crate::addr::Addr;
-use crate::cache::{Cache, CacheLine, LineState};
+use crate::cache::{Cache, Line, LineState};
 use crate::directory::{DirEntry, DirState, SharerSet};
 use crate::dram::DramController;
 use crate::missclass::{MissClassifier, MissKind};
@@ -119,27 +119,21 @@ struct TileMem {
     l1i: Option<Cache>,
     l1d: Option<Cache>,
     l2: Option<Cache>,
-    /// Line-sized staging buffer for upgrade-path write propagation. Only
-    /// this tile's own thread fills its caches, so the buffer needs no
-    /// synchronization beyond the tile lock it lives under.
-    scratch: Box<[u8]>,
-    /// Free pool of line-sized data boxes. The miss path stages fills here
-    /// and every box freed by a purge/eviction/refill is recycled, so the
-    /// steady-state miss path allocates nothing — and, critically for the
-    /// lock-free probe, a line's data buffer is never deallocated while the
-    /// simulation runs (a stale probe pointer reads garbage from a live
-    /// allocation, which seqlock validation rejects; it never reads freed
-    /// memory).
-    pool: Vec<Box<[u8]>>,
 }
 
 impl TileMem {
-    /// The coherence-level cache: L2 when present, else L1D.
-    fn coh(&mut self) -> &mut Cache {
-        self.l2.as_mut().or(self.l1d.as_mut()).expect("validated: some cache level exists")
+    /// The coherence-level cache (L2 when present, else L1D) and the L1D
+    /// filter in front of it, if there is one.
+    fn levels(&mut self) -> (&mut Cache, Option<&mut Cache>) {
+        match (self.l2.as_mut(), self.l1d.as_mut()) {
+            (Some(l2), l1d) => (l2, l1d),
+            (None, Some(l1d)) => (l1d, None),
+            (None, None) => unreachable!("validated: some cache level exists"),
+        }
     }
 
-    fn coh_ref(&self) -> &Cache {
+    /// The coherence-level cache, read-only.
+    fn coh(&self) -> &Cache {
         self.l2.as_ref().or(self.l1d.as_ref()).expect("validated: some cache level exists")
     }
 
@@ -148,29 +142,24 @@ impl TileMem {
         self.l1d.is_some() && self.l2.is_some()
     }
 
-    /// Removes a line from every level, returning the coherence-level line
-    /// state and data if it was resident. The L1 copy's buffer goes back to
-    /// the pool (never freed — see [`TileMem::pool`]).
-    fn purge(&mut self, line: u64) -> Option<(LineState, Option<Box<[u8]>>)> {
-        if self.has_l1_filter() {
-            if let Some(l1) = self.l1d.as_mut().unwrap().remove(line) {
-                if let Some(d) = l1.data {
-                    self.pool.push(d);
-                }
-            }
+    /// Removes a line from every level, returning the coherence-level
+    /// state and bytes if it was resident.
+    fn purge(&mut self, line: u64) -> Option<(LineState, &[u8])> {
+        let (coh, l1d) = self.levels();
+        if let Some(l1d) = l1d {
+            l1d.remove(line);
         }
-        self.coh().remove(line).map(|l| (l.state, l.data))
+        coh.remove(line)
     }
 
-    /// Takes a line-sized buffer from the pool (or allocates the pool's
-    /// first-ever box for this slot).
-    fn pool_take(&mut self) -> Box<[u8]> {
-        self.pool.pop().unwrap_or_else(|| vec![0u8; self.scratch.len()].into())
-    }
-
-    fn recycle(&mut self, buf: Box<[u8]>) {
-        debug_assert_eq!(buf.len(), self.scratch.len());
-        self.pool.push(buf);
+    /// Functional in-place patch of every copy this tile holds; true when
+    /// the coherence level held one.
+    fn poke(&mut self, line: u64, off: usize, bytes: &[u8]) -> bool {
+        let (coh, l1d) = self.levels();
+        if let Some(l1) = l1d.and_then(|c| c.peek_mut(line)) {
+            l1.data[off..off + bytes.len()].copy_from_slice(bytes);
+        }
+        coh.peek_mut(line).map(|l| l.data[off..off + bytes.len()].copy_from_slice(bytes)).is_some()
     }
 }
 
@@ -365,17 +354,6 @@ fn apply_rmw(data: &mut [u8], off: usize, old: &mut [u8], f: &mut dyn FnMut(&mut
     f(window);
 }
 
-/// Where the bytes for a miss fill come from.
-enum FillSrc {
-    /// The directory's home copy (`DirEntry::data`), still current at fill
-    /// time (the MSHR keeps the entry stable); copied into the fill buffer
-    /// at fill time.
-    Home,
-    /// An owner cache already staged the line into the fill buffer
-    /// (cache-to-cache transfer).
-    Staged,
-}
-
 /// A queued directory-entry resolution: whichever thread holds the shard's
 /// map lock stores the resolved entry pointer into `slot`. The slot lives on
 /// the waiting thread's stack; the enqueuer never returns until the slot is
@@ -565,8 +543,6 @@ impl MemorySystem {
                     l1i: cfg.target.l1i.as_ref().map(|c| Cache::new(c, false)),
                     l1d: cfg.target.l1d.as_ref().map(|c| Cache::new(c, true)),
                     l2: cfg.target.l2.as_ref().map(|c| Cache::new(c, true)),
-                    scratch: vec![0u8; line_size as usize].into(),
-                    pool: Vec::new(),
                 })
             })
             .collect();
@@ -580,14 +556,14 @@ impl MemorySystem {
                     let c = tm.l1d.as_ref().unwrap();
                     ProbeTarget { cache: c as *const Cache, lat: c.access_latency(), is_l1: true }
                 } else {
-                    let c = tm.coh_ref();
+                    let c = tm.coh();
                     ProbeTarget { cache: c as *const Cache, lat: c.access_latency(), is_l1: false }
                 }
             })
             .collect();
         let miss_lookup_lat = {
             let tm = tiles[0].lock();
-            let mut l = tm.coh_ref().access_latency();
+            let mut l = tm.coh().access_latency();
             if tm.has_l1_filter() {
                 l += tm.l1d.as_ref().unwrap().access_latency();
             }
@@ -947,7 +923,7 @@ impl MemorySystem {
             return l1i_lat;
         }
         self.stats.ifetch_misses.incr_owned(lane);
-        l1i.insert(line, LineState::Shared, None);
+        l1i.insert(line, LineState::Shared, &[]);
         let l2_lat = tm.l2.as_ref().map(|c| c.access_latency()).unwrap_or(Cycles(8));
         drop(tm);
         let total = l1i_lat + l2_lat;
@@ -1089,121 +1065,92 @@ impl MemorySystem {
             let _l = self.hostprof.span(HostStage::TileLockWait);
             self.tiles[lane].lock()
         };
-        let TileMem { l1d, l2, pool, .. } = &mut *guard;
+        let TileMem { l1d, l2, .. } = &mut *guard;
         if let (Some(l1d), Some(l2)) = (l1d.as_mut(), l2.as_mut()) {
             let l1_lat = l1d.access_latency();
-            if let Some(l1_line) = l1d.lookup(line) {
-                let state = l1_line.state;
+            if let Some(mut l1_line) = l1d.lookup(line) {
+                let state = l1_line.state();
                 if is_write && !state.writable() {
                     return None; // upgrade required
                 }
                 if let LineOp::Read(buf) = op {
-                    let data = l1_line.data.as_ref().unwrap();
-                    buf.copy_from_slice(&data[off..off + buf.len()]);
+                    buf.copy_from_slice(&l1_line.data[off..off + buf.len()]);
                 } else {
                     if state == LineState::Exclusive {
                         self.stats.silent_upgrades.incr_owned(lane);
                     }
-                    let l2_line = l2.peek_mut(line).expect("inclusion: L1 ⊆ L2");
+                    let mut l2_line = l2.peek_mut(line).expect("inclusion: L1 ⊆ L2");
                     seq.begin_write();
-                    Self::write_through(l1_line, l2_line, off, op);
+                    Self::write_through(&mut l2_line, Some(&mut l1_line), off, op);
                     seq.end_write();
                 }
                 self.stats.l1d_hits.incr_owned(lane);
                 return Some(l1_lat);
             }
             let l2_lat = l2.access_latency();
-            let l2_line = l2.lookup(line)?;
-            let state = l2_line.state;
+            let mut l2_line = l2.lookup(line)?;
+            let state = l2_line.state();
             if is_write && !state.writable() {
                 return None;
             }
             // Apply on the authoritative L2 copy, then refill L1 with the
-            // resulting line (write-through keeps L2 current, so L1
-            // evictions are silent). The refill mutates L1 structurally, so
-            // the whole block is one probe-excluding write section.
+            // resulting line (write-through keeps L2 current, so the L1
+            // victim is dropped silently). The refill mutates L1
+            // structurally, so the whole block is one probe-excluding write
+            // section.
             seq.begin_write();
-            let fill_state = match op {
-                LineOp::Read(buf) => {
-                    let data = l2_line.data.as_ref().unwrap();
-                    buf.copy_from_slice(&data[off..off + buf.len()]);
-                    state
+            if let LineOp::Read(buf) = op {
+                buf.copy_from_slice(&l2_line.data[off..off + buf.len()]);
+            } else {
+                if state == LineState::Exclusive {
+                    self.stats.silent_upgrades.incr_owned(lane);
                 }
-                _ => {
-                    if state == LineState::Exclusive {
-                        self.stats.silent_upgrades.incr_owned(lane);
-                    }
-                    l2_line.state = LineState::Modified;
-                    let data = l2_line.data.as_mut().unwrap();
-                    match op {
-                        LineOp::Write(bytes) => data[off..off + bytes.len()].copy_from_slice(bytes),
-                        LineOp::Rmw { old, f } => apply_rmw(data, off, old, *f),
-                        LineOp::Read(_) => unreachable!("handled above"),
-                    }
-                    LineState::Modified
-                }
-            };
-            let mut bx = pool.pop().unwrap_or_else(|| vec![0u8; self.line_size as usize].into());
-            bx.copy_from_slice(l2_line.data.as_deref().unwrap());
-            debug_assert!(l1d.peek(line).is_none(), "L1 lookup above already missed");
-            if let Some(ev) = l1d.insert(line, fill_state, Some(bx)) {
-                if let Some(d) = ev.data {
-                    pool.push(d); // never free a probe-visible buffer
-                }
+                Self::write_through(&mut l2_line, None, off, op);
             }
+            l1d.insert(line, l2_line.state(), l2_line.data);
             seq.end_write();
             self.stats.l2_hits.incr_owned(lane);
             Some(l1_lat + l2_lat)
         } else {
             let coh = l2.as_mut().or(l1d.as_mut()).expect("validated: some cache level");
             let lat = coh.access_latency();
-            let entry = coh.lookup(line)?;
-            if is_write && !entry.state.writable() {
+            let mut entry = coh.lookup(line)?;
+            let state = entry.state();
+            if is_write && !state.writable() {
                 return None;
             }
-            match op {
-                LineOp::Read(buf) => {
-                    let data = entry.data.as_ref().unwrap();
-                    buf.copy_from_slice(&data[off..off + buf.len()]);
+            if let LineOp::Read(buf) = op {
+                buf.copy_from_slice(&entry.data[off..off + buf.len()]);
+            } else {
+                if state == LineState::Exclusive {
+                    self.stats.silent_upgrades.incr_owned(lane);
                 }
-                LineOp::Write(bytes) => {
-                    if entry.state == LineState::Exclusive {
-                        self.stats.silent_upgrades.incr_owned(lane);
-                    }
-                    seq.begin_write();
-                    entry.state = LineState::Modified;
-                    entry.data.as_mut().unwrap()[off..off + bytes.len()].copy_from_slice(bytes);
-                    seq.end_write();
-                }
-                LineOp::Rmw { old, f } => {
-                    if entry.state == LineState::Exclusive {
-                        self.stats.silent_upgrades.incr_owned(lane);
-                    }
-                    seq.begin_write();
-                    entry.state = LineState::Modified;
-                    apply_rmw(entry.data.as_mut().unwrap(), off, old, *f);
-                    seq.end_write();
-                }
+                seq.begin_write();
+                Self::write_through(&mut entry, None, off, op);
+                seq.end_write();
             }
             self.stats.l2_hits.incr_owned(lane);
             Some(lat)
         }
     }
 
-    /// Applies a write (or RMW) to both copies of a write-through pair: the
-    /// L2 copy is authoritative; the resulting window propagates into L1.
-    fn write_through(l1: &mut CacheLine, l2: &mut CacheLine, off: usize, op: &mut LineOp) {
+    /// Applies a write (or RMW) to the coherence-level copy of a line the
+    /// tile may write, marking it Modified; with an L1 filter the
+    /// coherence-level copy is authoritative and the resulting window
+    /// propagates into the L1 copy (an RMW closure must not run twice).
+    #[inline(always)]
+    fn write_through(coh: &mut Line, l1: Option<&mut Line>, off: usize, op: &mut LineOp) {
         let n = op.len();
-        debug_assert!(l2.state.writable(), "write-through needs write permission");
-        l2.state = LineState::Modified;
-        let l2_data = l2.data.as_mut().unwrap();
+        coh.set_state(LineState::Modified);
         match op {
-            LineOp::Write(bytes) => l2_data[off..off + n].copy_from_slice(bytes),
-            LineOp::Rmw { old, f } => apply_rmw(l2_data, off, old, *f),
-            LineOp::Read(_) => unreachable!("reads are served from L1"),
+            LineOp::Write(bytes) => coh.data[off..off + n].copy_from_slice(bytes),
+            LineOp::Rmw { old, f } => apply_rmw(coh.data, off, old, *f),
+            LineOp::Read(_) => unreachable!("reads never write through"),
         }
-        l1.state = LineState::Modified;
-        l1.data.as_mut().unwrap()[off..off + n].copy_from_slice(&l2_data[off..off + n]);
+        if let Some(l1) = l1 {
+            l1.set_state(LineState::Modified);
+            l1.data[off..off + n].copy_from_slice(&coh.data[off..off + n]);
+        }
     }
 
     /// The slow path: evictions, then one directory transaction. Returns the
@@ -1244,11 +1191,11 @@ impl MemorySystem {
                 let _hp = self.hostprof.span(HostStage::LruScan);
                 loop {
                     let victim = {
-                        let mut tm = {
+                        let tm = {
                             let _l = self.hostprof.span(HostStage::TileLockWait);
                             self.tiles[lane].lock()
                         };
-                        tm.coh().pending_victim(line).map(|l| l.line)
+                        tm.coh().victim_for(line)
                     };
                     match victim {
                         None => break,
@@ -1259,58 +1206,55 @@ impl MemorySystem {
             // Phase 2: register the miss. A secondary miss on a line already
             // in flight blocks here (without inserting) and retries; the
             // retry's local probe coalesces it onto the finished fill.
-            let acquired = {
-                let _hp = self.hostprof.span(HostStage::MshrProbe);
-                self.mshr.try_acquire_or_wait(line, tile)
-            };
-            let guard = match acquired {
-                Ok(g) => g,
-                Err(MshrWait::SameTile) if self.mshr_entries > 0 => {
-                    self.stats.mshr_coalesced.incr_owned(lane);
-                    continue;
-                }
-                Err(_) => {
-                    self.stats.mshr_conflict_waits.incr_owned(lane);
-                    continue;
-                }
-            };
-            if guard.stalled() {
-                self.stats.mshr_stall_full.incr_owned(lane);
-            }
-            // Safety: we hold the line's MSHR entry, so no other transaction
-            // can touch this directory entry until the guard drops.
-            let entry = unsafe { &mut *self.dir_entry_batched(line, lane) };
-            // A same-tile sibling may have filled the line between our probe
-            // and the registration; while we hold the MSHR the directory is
-            // stable ground truth, so release and retry — the re-probe hits.
-            let already_ours = match entry.state {
-                DirState::Owned(o) => o == tile,
-                DirState::Shared => !op.is_write() && entry.sharers.contains(tile),
-                DirState::Uncached => false,
-            };
-            // A sibling fill may also have consumed the way Phase 1 freed.
-            // Staging the fill buffer is part of the fill's host cost.
-            let fill_buf = if already_ours {
-                None
-            } else {
-                let _hp = self.hostprof.span(HostStage::MissFill);
-                let mut tm = {
-                    let _l = self.hostprof.span(HostStage::TileLockWait);
-                    self.tiles[lane].lock()
+            let registered = 'register: {
+                let _hp = self.hostprof.span(HostStage::MissRegister);
+                let acquired = {
+                    let _hp = self.hostprof.span(HostStage::MshrProbe);
+                    self.mshr.try_acquire_or_wait(line, tile)
                 };
-                if tm.coh().pending_victim(line).is_some() {
-                    None
-                } else {
-                    Some(tm.pool_take())
+                let guard = match acquired {
+                    Ok(g) => g,
+                    Err(MshrWait::SameTile) if self.mshr_entries > 0 => {
+                        self.stats.mshr_coalesced.incr_owned(lane);
+                        break 'register None;
+                    }
+                    Err(_) => {
+                        self.stats.mshr_conflict_waits.incr_owned(lane);
+                        break 'register None;
+                    }
+                };
+                if guard.stalled() {
+                    self.stats.mshr_stall_full.incr_owned(lane);
                 }
+                // Safety: we hold the line's MSHR entry, so no other
+                // transaction can touch this directory entry until the guard
+                // drops.
+                let entry = unsafe { &mut *self.dir_entry_batched(line, lane) };
+                // A same-tile sibling may have filled the line between our
+                // probe and the registration; while we hold the MSHR the
+                // directory is stable ground truth, so release and retry —
+                // the re-probe hits.
+                let already_ours = match entry.state {
+                    DirState::Owned(o) => o == tile,
+                    DirState::Shared => !op.is_write() && entry.sharers.contains(tile),
+                    DirState::Uncached => false,
+                };
+                // A sibling fill may also have consumed the way Phase 1
+                // freed. Checking for room is part of the fill's host cost.
+                let has_room = !already_ours && {
+                    let _hp = self.hostprof.span(HostStage::MissFill);
+                    let tm = {
+                        let _l = self.hostprof.span(HostStage::TileLockWait);
+                        self.tiles[lane].lock()
+                    };
+                    tm.coh().victim_for(line).is_none()
+                };
+                has_room.then_some((guard, entry))
             };
-            let Some(fill_buf) = fill_buf else {
-                drop(guard);
-                continue;
-            };
+            let Some((guard, entry)) = registered else { continue };
             let result = {
                 let _hp = self.hostprof.span(HostStage::DirTxn);
-                self.run_directory_transaction(tile, now, line, off, op, entry, fill_buf)
+                self.run_directory_transaction(tile, now, line, off, op, entry)
             };
             {
                 // Releasing the entry wakes coalesced waiters — MSHR work.
@@ -1323,9 +1267,9 @@ impl MemorySystem {
 
     /// Runs one directory transaction for a registered miss. The caller
     /// holds the line's MSHR entry (granting exclusive use of `entry`) and
-    /// has guaranteed room in the requester's coherence cache. `fill_buf`
-    /// stages the line's bytes; the upgrade path returns it to the pool.
-    #[allow(clippy::too_many_arguments)]
+    /// has guaranteed room in the requester's coherence cache. The fill
+    /// copies the home copy `entry.data` straight into the chosen way; a
+    /// dirty owner writes its bytes back into `entry.data` first.
     fn run_directory_transaction(
         &self,
         tile: TileId,
@@ -1334,7 +1278,6 @@ impl MemorySystem {
         off: usize,
         op: &mut LineOp,
         entry: &mut DirEntry,
-        mut fill_buf: Box<[u8]>,
     ) -> (Cycles, Cycles) {
         let home = self.home_of(line);
         let is_write = op.is_write();
@@ -1392,7 +1335,6 @@ impl MemorySystem {
         let est_now = self.network.progress().estimate();
         let mut data_ready = t_home;
         let mut fill_state = if is_write { LineState::Modified } else { LineState::Shared };
-        let mut fill_src: Option<FillSrc> = None;
         let mut resp_bytes = self.line_size + DATA_HDR_BYTES;
         let mut counted_upgrade = false;
 
@@ -1401,7 +1343,6 @@ impl MemorySystem {
                 let dram_lat = self.dram_access(home, est_now);
                 self.stats.dram_reads.incr_owned(tile.index());
                 data_ready = t_home + dram_lat;
-                fill_src = Some(FillSrc::Home);
                 entry.state = if is_write {
                     DirState::Owned(tile)
                 } else if self.protocol == CacheProtocol::Mesi {
@@ -1436,9 +1377,7 @@ impl MemorySystem {
                             let mut vt = self.lock_tile(victim);
                             let seq = &self.tile_seq[victim.index()];
                             seq.begin_write();
-                            if let Some((_, Some(d))) = vt.purge(line) {
-                                vt.recycle(d);
-                            }
+                            vt.purge(line);
                             seq.end_write();
                         }
                         self.classifier.on_departure(victim, line, true);
@@ -1457,7 +1396,6 @@ impl MemorySystem {
                 let dram_lat = self.dram_access(home, est_now);
                 self.stats.dram_reads.incr_owned(tile.index());
                 data_ready = data_ready.max(t_home + dram_lat);
-                fill_src = Some(FillSrc::Home);
                 entry.sharers.insert(tile);
             }
             (DirState::Shared, true) => {
@@ -1471,9 +1409,7 @@ impl MemorySystem {
                         let mut st = self.lock_tile(*s);
                         let seq = &self.tile_seq[s.index()];
                         seq.begin_write();
-                        if let Some((_, Some(d))) = st.purge(line) {
-                            st.recycle(d);
-                        }
+                        st.purge(line);
                         seq.end_write();
                     }
                     self.classifier.on_departure(*s, line, true);
@@ -1499,16 +1435,15 @@ impl MemorySystem {
                     let dram_lat = self.dram_access(home, est_now);
                     self.stats.dram_reads.incr_owned(tile.index());
                     data_ready = t_inv_done.max(t_home + dram_lat);
-                    fill_src = Some(FillSrc::Home);
                 }
             }
             (DirState::Owned(owner), _) => {
                 debug_assert_ne!(owner, tile, "caller filters same-tile ownership");
                 // Forward to owner; owner supplies data (if dirty) and is
-                // downgraded (read) or invalidated (write); home memory is
-                // updated on a dirty transfer. The owner's bytes are staged
-                // directly into the requester's fill buffer at owner-lock
-                // time, so the fill block needs no second copy.
+                // downgraded (read) or invalidated (write). A dirty owner's
+                // bytes go straight into the home copy at owner-lock time; a
+                // clean owner's equal it already. Either way the requester
+                // then fills from the home copy like any other miss.
                 self.stats.remote_fills.incr_owned(tile.index());
                 self.tracer.emit(tile, t_home, || TraceEventKind::DirLeg {
                     leg: "remote_fill",
@@ -1522,32 +1457,32 @@ impl MemorySystem {
                         let seq = &self.tile_seq[owner.index()];
                         seq.begin_write();
                         let (st, data) = ot.purge(line).expect("owner holds the line");
-                        let data = data.expect("coherence cache stores data");
-                        fill_buf.copy_from_slice(&data);
-                        ot.recycle(data);
+                        let was_dirty = st == LineState::Modified;
+                        if was_dirty {
+                            entry.data.copy_from_slice(data);
+                        }
                         seq.end_write();
                         self.classifier.on_departure(owner, line, true);
-                        st == LineState::Modified
+                        was_dirty
                     } else {
                         // Downgrade owner to Shared at every level. State
                         // changes leave data bytes and placement intact, so
                         // no probe-excluding write section is needed.
-                        let coh = ot.coh();
-                        let l = coh.peek_mut(line).expect("owner holds the line");
-                        let was_dirty = l.state == LineState::Modified;
-                        l.state = LineState::Shared;
-                        fill_buf.copy_from_slice(l.data.as_deref().expect("coh stores data"));
-                        if ot.has_l1_filter() {
-                            if let Some(l1) = ot.l1d.as_mut().unwrap().peek_mut(line) {
-                                l1.state = LineState::Shared;
-                            }
+                        let (coh, l1d) = ot.levels();
+                        let mut l = coh.peek_mut(line).expect("owner holds the line");
+                        let was_dirty = l.state() == LineState::Modified;
+                        l.set_state(LineState::Shared);
+                        if was_dirty {
+                            entry.data.copy_from_slice(l.data);
+                        }
+                        if let Some(mut l1) = l1d.and_then(|c| c.peek_mut(line)) {
+                            l1.set_state(LineState::Shared);
                         }
                         was_dirty
                     }
                 };
                 if was_dirty {
                     self.stats.writebacks.incr_owned(tile.index());
-                    entry.data.copy_from_slice(&fill_buf);
                     // Home memory is updated in parallel with the response;
                     // the write occupies the controller off the critical path.
                     let _ = self.dram_access(home, est_now);
@@ -1556,7 +1491,6 @@ impl MemorySystem {
                 let xfer = if was_dirty { self.line_size + DATA_HDR_BYTES } else { CTRL_MSG_BYTES };
                 let t_data = self.route_derived_flow(owner, home, xfer, t_fwd + Cycles(2), flow);
                 data_ready = t_data + DIR_LATENCY;
-                fill_src = Some(FillSrc::Staged);
                 if is_write {
                     entry.state = DirState::Owned(tile);
                 } else {
@@ -1590,26 +1524,18 @@ impl MemorySystem {
                 self.tiles[tile.index()].lock()
             };
             let seq = &self.tile_seq[tile.index()];
+            let (coh, l1d) = tm.levels();
             if counted_upgrade {
-                // Permission upgrade: set Modified at every level.
+                // Permission upgrade: the data is already resident; set
+                // Modified and apply the write at every level. The line
+                // cannot have been invalidated since the directory decided,
+                // because we hold its MSHR entry from the decision to here.
+                let mut resident =
+                    coh.peek_mut(line).expect("upgraded line vanished while MSHR entry held");
+                let mut l1_line = l1d.and_then(|c| c.peek_mut(line));
                 seq.begin_write();
-                let coh = tm.coh();
-                if let Some(l) = coh.peek_mut(line) {
-                    l.state = LineState::Modified;
-                } else {
-                    // Raced with an invalidation after the directory decided;
-                    // cannot happen because we hold the line's MSHR entry
-                    // from the decision to here.
-                    unreachable!("upgraded line vanished while MSHR entry held");
-                }
-                if tm.has_l1_filter() {
-                    if let Some(l1) = tm.l1d.as_mut().unwrap().peek_mut(line) {
-                        l1.state = LineState::Modified;
-                    }
-                }
-                Self::apply_write_everywhere(&mut tm, line, off, op);
+                Self::write_through(&mut resident, l1_line.as_mut(), off, op);
                 seq.end_write();
-                tm.recycle(fill_buf);
             } else {
                 self.stats.misses.incr_owned(tile.index());
                 if let Some(kind) =
@@ -1617,42 +1543,23 @@ impl MemorySystem {
                 {
                     self.stats.record_kind(tile.index(), kind);
                 }
-                // Stage the fill without intermediate allocations: a
-                // home-copy fill copies into the pooled fill buffer here; an
-                // owner-supplied fill was staged into it at owner-lock time.
-                match fill_src.expect("miss path always has data") {
-                    FillSrc::Home => fill_buf.copy_from_slice(&entry.data),
-                    FillSrc::Staged => {}
-                }
+                // Fill in place: the home copy goes straight into the way
+                // the cache chose, the operation applies there, and the L1
+                // filter (if any) copies the result.
+                seq.begin_write();
+                let (filled, evicted) = coh.insert(line, fill_state, &entry.data);
+                assert!(evicted.is_none(), "miss fill found no room (unsupported same-tile race)");
                 match op {
                     LineOp::Write(bytes) => {
-                        fill_buf[off..off + bytes.len()].copy_from_slice(bytes);
+                        filled.data[off..off + bytes.len()].copy_from_slice(bytes);
                     }
-                    LineOp::Rmw { old, f } => apply_rmw(&mut fill_buf, off, old, *f),
-                    LineOp::Read(buf) => buf.copy_from_slice(&fill_buf[off..off + buf.len()]),
+                    LineOp::Rmw { old, f } => apply_rmw(filled.data, off, old, *f),
+                    LineOp::Read(buf) => buf.copy_from_slice(&filled.data[off..off + buf.len()]),
                 }
-                let TileMem { l1d, l2, pool, .. } = &mut *tm;
-                seq.begin_write();
-                if l2.is_some() {
-                    if let Some(l1) = l1d.as_mut() {
-                        if l1.peek(line).is_none() {
-                            let mut bx = pool
-                                .pop()
-                                .unwrap_or_else(|| vec![0u8; self.line_size as usize].into());
-                            bx.copy_from_slice(&fill_buf);
-                            // L1 victim needs no writeback (write-through).
-                            if let Some(ev) = l1.insert(line, fill_state, Some(bx)) {
-                                if let Some(d) = ev.data {
-                                    pool.push(d);
-                                }
-                            }
-                        }
-                    }
+                if let Some(l1) = l1d.filter(|l1| l1.peek(line).is_none()) {
+                    // L1 victim needs no writeback (write-through).
+                    l1.insert(line, fill_state, filled.data);
                 }
-                let coh = l2.as_mut().or(l1d.as_mut()).expect("some cache level");
-                debug_assert!(coh.peek(line).is_none(), "room guaranteed at registration");
-                let evicted = coh.insert(line, fill_state, Some(fill_buf));
-                assert!(evicted.is_none(), "miss fill found no room (unsupported same-tile race)");
                 seq.end_write();
             }
         }
@@ -1663,28 +1570,6 @@ impl MemorySystem {
                 .emit(tile, t_resp, || TraceEventKind::FlowReply { flow, latency: latency.0 });
         }
         (latency, network)
-    }
-
-    fn apply_write_everywhere(tm: &mut TileMem, line: u64, off: usize, op: &mut LineOp) {
-        let n = op.len();
-        let TileMem { l1d, l2, scratch, .. } = tm;
-        let coh = l2.as_mut().or(l1d.as_mut()).expect("validated: some cache level exists");
-        let l = coh.peek_mut(line).expect("upgrade target resident");
-        let data = l.data.as_mut().unwrap();
-        match op {
-            LineOp::Write(bytes) => data[off..off + n].copy_from_slice(bytes),
-            LineOp::Rmw { old, f } => apply_rmw(data, off, old, *f),
-            LineOp::Read(_) => unreachable!("upgrade is always a write"),
-        }
-        // Propagate the resulting window into the L1 copy via the scratch
-        // buffer (an RMW closure must not be applied twice).
-        scratch[..n].copy_from_slice(&data[off..off + n]);
-        if l2.is_some() {
-            if let Some(l1) = l1d.as_mut().and_then(|c| c.peek_mut(line)) {
-                l1.state = LineState::Modified;
-                l1.data.as_mut().unwrap()[off..off + n].copy_from_slice(&scratch[..n]);
-            }
-        }
     }
 
     fn lock_tile(&self, t: TileId) -> MutexGuard<'_, TileMem> {
@@ -1702,30 +1587,34 @@ impl MemorySystem {
             let _hp = self.hostprof.span(HostStage::MshrProbe);
             self.mshr.acquire_service(vline)
         };
-        let (state, data) = {
+        // Safety: the MSHR service entry grants exclusive use of the
+        // directory entry until `guard` drops.
+        let entry = unsafe { &mut *self.dir_entry_batched(vline, lane) };
+        let state = {
             let mut tm = {
                 let _l = self.hostprof.span(HostStage::TileLockWait);
                 self.tiles[lane].lock()
             };
             let seq = &self.tile_seq[lane];
             seq.begin_write();
-            let purged = tm.purge(vline);
+            // A dirty victim's bytes go straight into the home copy.
+            let purged = tm.purge(vline).map(|(state, data)| {
+                if state == LineState::Modified {
+                    entry.data.copy_from_slice(data);
+                }
+                state
+            });
             seq.end_write();
             match purged {
-                Some(p) => p,
+                Some(state) => state,
                 None => return, // invalidated while we waited for the entry
             }
         };
         self.classifier.on_departure(tile, vline, false);
         let home = self.home_of(vline);
-        // Safety: the MSHR service entry grants exclusive use of the
-        // directory entry until `guard` drops.
-        let entry = unsafe { &mut *self.dir_entry_batched(vline, lane) };
-        let leftover = match state {
+        match state {
             LineState::Modified => {
                 debug_assert_eq!(entry.state, DirState::Owned(tile));
-                let d = data.expect("coherence cache stores data");
-                entry.data.copy_from_slice(&d);
                 entry.state = DirState::Uncached;
                 self.stats.writebacks.incr_owned(lane);
                 self.tracer.emit(tile, now, || TraceEventKind::DirLeg {
@@ -1739,14 +1628,12 @@ impl MemorySystem {
                 let _ = self.route(tile, home, self.line_size + DATA_HDR_BYTES, now);
                 let est = self.network.progress().estimate();
                 let _ = self.dram_access(home, est);
-                Some(d)
             }
             LineState::Exclusive => {
                 // Clean sole copy: notify the directory, no data transfer.
                 debug_assert_eq!(entry.state, DirState::Owned(tile));
                 entry.state = DirState::Uncached;
                 let _ = self.route(tile, home, CTRL_MSG_BYTES, now);
-                data
             }
             LineState::Shared => {
                 // Notify the directory so the sharer set stays exact.
@@ -1755,13 +1642,9 @@ impl MemorySystem {
                     entry.state = DirState::Uncached;
                 }
                 let _ = self.route(tile, home, CTRL_MSG_BYTES, now);
-                data
             }
-        };
-        debug_assert!(entry.invariants_hold());
-        if let Some(d) = leftover {
-            self.lock_tile(tile).recycle(d);
         }
+        debug_assert!(entry.invariants_hold());
         drop(guard);
     }
 
@@ -1867,20 +1750,14 @@ impl MemorySystem {
             // Wait out any in-flight transaction on this line, then hold the
             // entry so the owner/home copy cannot move mid-read.
             let _svc = self.mshr.acquire_service(line);
-            match self.dir_entry_get(line) {
-                // Safety: the MSHR service entry grants exclusive use.
-                Some(p) => match unsafe { &*p }.state {
-                    DirState::Owned(owner) => {
-                        let mut ot = self.lock_tile(owner);
-                        let l = ot.coh().peek_mut(line).expect("owner holds line");
-                        let data = l.data.as_ref().unwrap();
-                        buf[done..done + n].copy_from_slice(&data[off..off + n]);
-                    }
-                    _ => {
-                        let entry = unsafe { &*p };
-                        buf[done..done + n].copy_from_slice(&entry.data[off..off + n]);
-                    }
-                },
+            // Safety: the MSHR service entry grants exclusive use.
+            match self.dir_entry_get(line).map(|p| unsafe { &*p }) {
+                Some(DirEntry { state: DirState::Owned(owner), .. }) => {
+                    let ot = self.lock_tile(*owner);
+                    let (_, data) = ot.coh().peek(line).expect("owner holds line");
+                    buf[done..done + n].copy_from_slice(&data[off..off + n]);
+                }
+                Some(entry) => buf[done..done + n].copy_from_slice(&entry.data[off..off + n]),
                 None => buf[done..done + n].fill(0),
             }
             done += n;
@@ -1902,48 +1779,22 @@ impl MemorySystem {
             let _svc = self.mshr.acquire_service(line);
             // Safety: the MSHR service entry grants exclusive use.
             let entry = unsafe { &mut *self.dir_entry_plain(line) };
-            match entry.state {
-                DirState::Owned(owner) => {
-                    let mut ot = self.lock_tile(owner);
-                    let seq = &self.tile_seq[owner.index()];
-                    seq.begin_write();
-                    let has_filter = ot.has_l1_filter();
-                    if has_filter {
-                        if let Some(l1) = ot.l1d.as_mut().unwrap().peek_mut(line) {
-                            l1.data.as_mut().unwrap()[off..off + n]
-                                .copy_from_slice(&bytes[done..done + n]);
-                        }
-                    }
-                    let l = ot.coh().peek_mut(line).expect("owner holds line");
-                    l.data.as_mut().unwrap()[off..off + n].copy_from_slice(&bytes[done..done + n]);
-                    seq.end_write();
-                    // Keep the home copy current too: an Exclusive owner
-                    // evicts silently without a writeback.
-                    entry.data[off..off + n].copy_from_slice(&bytes[done..done + n]);
-                }
-                DirState::Shared => {
-                    entry.data[off..off + n].copy_from_slice(&bytes[done..done + n]);
-                    for s in entry.sharers.iter().collect::<Vec<_>>() {
-                        let mut st = self.lock_tile(s);
-                        let seq = &self.tile_seq[s.index()];
-                        seq.begin_write();
-                        let has_filter = st.has_l1_filter();
-                        if has_filter {
-                            if let Some(l1) = st.l1d.as_mut().unwrap().peek_mut(line) {
-                                l1.data.as_mut().unwrap()[off..off + n]
-                                    .copy_from_slice(&bytes[done..done + n]);
-                            }
-                        }
-                        if let Some(l) = st.coh().peek_mut(line) {
-                            l.data.as_mut().unwrap()[off..off + n]
-                                .copy_from_slice(&bytes[done..done + n]);
-                        }
-                        seq.end_write();
-                    }
-                }
-                DirState::Uncached => {
-                    entry.data[off..off + n].copy_from_slice(&bytes[done..done + n]);
-                }
+            let src = &bytes[done..done + n];
+            // The home copy stays current even under an owner: an Exclusive
+            // owner evicts silently without a writeback.
+            entry.data[off..off + n].copy_from_slice(src);
+            let holders: Vec<TileId> = match entry.state {
+                DirState::Owned(owner) => vec![owner],
+                DirState::Shared => entry.sharers.iter().collect(),
+                DirState::Uncached => Vec::new(),
+            };
+            for t in holders {
+                let mut tm = self.lock_tile(t);
+                let seq = &self.tile_seq[t.index()];
+                seq.begin_write();
+                let held = tm.poke(line, off, src);
+                seq.end_write();
+                debug_assert!(held, "directory lists tile{} for line {line}", t.0);
             }
             done += n;
         }
@@ -1966,8 +1817,8 @@ impl MemorySystem {
                 match entry.state {
                     DirState::Owned(owner) => {
                         for t in 0..self.num_tiles {
-                            let mut tm = self.tiles[t as usize].lock();
-                            let held = tm.coh().peek(line).map(|l| l.state);
+                            let tm = self.tiles[t as usize].lock();
+                            let held = tm.coh().peek(line).map(|(state, _)| state);
                             if TileId(t) == owner {
                                 let ok = match self.protocol {
                                     CacheProtocol::Msi => held == Some(LineState::Modified),
@@ -1992,8 +1843,8 @@ impl MemorySystem {
                     }
                     DirState::Shared => {
                         for t in 0..self.num_tiles {
-                            let mut tm = self.tiles[t as usize].lock();
-                            let held = tm.coh().peek(line).map(|l| l.state);
+                            let tm = self.tiles[t as usize].lock();
+                            let held = tm.coh().peek(line).map(|(state, _)| state);
                             let is_sharer = entry.sharers.contains(TileId(t));
                             match (is_sharer, held) {
                                 (true, Some(LineState::Shared)) => {}
@@ -2009,7 +1860,7 @@ impl MemorySystem {
                     }
                     DirState::Uncached => {
                         for t in 0..self.num_tiles {
-                            let mut tm = self.tiles[t as usize].lock();
+                            let tm = self.tiles[t as usize].lock();
                             if tm.coh().peek(line).is_some() {
                                 return Err(format!(
                                     "line {line}: tile{t} holds copy of Uncached line"

@@ -98,7 +98,8 @@ pub fn read_request(
     Ok(Request { method, path, body, close })
 }
 
-/// Writes one response with a JSON (or other) body and flushes.
+/// Writes one response with a JSON (or other) body in a single write and
+/// flushes.
 /// `extra_headers` are emitted verbatim after the standard ones (used for
 /// `Retry-After` on drain responses).
 pub fn write_response(
@@ -134,8 +135,11 @@ pub fn write_response(
         head.push_str("\r\n");
     }
     head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body)?;
+    // One buffer, one write: a head segment followed by a body segment
+    // stalls the body behind the peer's delayed ACK of the head.
+    let mut reply = head.into_bytes();
+    reply.extend_from_slice(body);
+    stream.write_all(&reply)?;
     stream.flush()
 }
 

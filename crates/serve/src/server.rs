@@ -82,6 +82,9 @@ pub fn serve_on(svc: Arc<Service>, listener: TcpListener) -> std::io::Result<()>
     while !svc.is_shutdown() {
         match listener.accept() {
             Ok((stream, _)) => {
+                // Replies are small and complete; never hold one back for
+                // Nagle coalescing. Failure only costs latency.
+                let _ = stream.set_nodelay(true);
                 let svc = Arc::clone(&svc);
                 conns.push(std::thread::spawn(move || handle_connection(&svc, stream)));
             }

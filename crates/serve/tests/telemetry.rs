@@ -74,8 +74,9 @@ impl KeepAlive {
     }
 
     fn request(&mut self, method: &str, path: &str) -> Reply {
-        write!(self.stream, "{method} {path} HTTP/1.1\r\nHost: t\r\nContent-Length: 0\r\n\r\n")
-            .unwrap();
+        // One write per request, so a slow reply is the server's doing.
+        let request = format!("{method} {path} HTTP/1.1\r\nHost: t\r\nContent-Length: 0\r\n\r\n");
+        self.stream.write_all(request.as_bytes()).unwrap();
         let mut status_line = String::new();
         self.reader.read_line(&mut status_line).unwrap();
         let status: u16 = status_line.split_whitespace().nth(1).unwrap().parse().unwrap();
@@ -98,6 +99,34 @@ impl KeepAlive {
         self.reader.read_exact(&mut body).unwrap();
         Reply { status, headers, body: String::from_utf8(body).unwrap() }
     }
+}
+
+/// Starts a one-worker service in a fresh data directory and serves it on
+/// an ephemeral loopback port.
+fn boot(
+    name: &str,
+) -> (std::path::PathBuf, Arc<Service>, std::net::SocketAddr, std::thread::JoinHandle<()>) {
+    let dir = std::env::temp_dir().join(name);
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = ServeConfig {
+        workers: 1,
+        quantum_ms: 25,
+        queue_depth: 64,
+        max_body_bytes: 1 << 20,
+        drain_ms: 5_000,
+        telemetry: true,
+        log_level: LogLevel::Debug,
+        log_max_bytes: 0,
+        hostprof: false,
+    };
+    let svc = Service::start(cfg, &dir).unwrap();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let server = {
+        let svc = Arc::clone(&svc);
+        std::thread::spawn(move || server::serve_on(svc, listener).unwrap())
+    };
+    (dir, svc, addr, server)
 }
 
 fn submit(client: &Client, tenant: &str, iters: u64, seed: u64) -> u64 {
@@ -141,26 +170,7 @@ fn family_total(text: &str, family: &str) -> f64 {
 
 #[test]
 fn telemetry_surfaces_cover_a_preempted_run() {
-    let dir = std::env::temp_dir().join("graphite-serve-e2e-telemetry");
-    let _ = std::fs::remove_dir_all(&dir);
-    let cfg = ServeConfig {
-        workers: 1,
-        quantum_ms: 25,
-        queue_depth: 64,
-        max_body_bytes: 1 << 20,
-        drain_ms: 5_000,
-        telemetry: true,
-        log_level: LogLevel::Debug,
-        log_max_bytes: 0,
-        hostprof: false,
-    };
-    let svc = Service::start(cfg, &dir).unwrap();
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let server = {
-        let svc = Arc::clone(&svc);
-        std::thread::spawn(move || server::serve_on(svc, listener).unwrap())
-    };
+    let (dir, svc, addr, server) = boot("graphite-serve-e2e-telemetry");
     let client = Client { addr };
 
     // One worker: the long job takes the slot, the short ones force at least
@@ -241,6 +251,25 @@ fn telemetry_surfaces_cover_a_preempted_run() {
     assert!(draining.body.contains(r#""status":"draining""#), "{}", draining.body);
     let retry = Client::header(&draining, "retry-after").expect("Retry-After header");
     assert_eq!(retry, "5", "ceil(drain_ms / 1000)");
+    drop(keepalive);
+    server.join().unwrap();
+}
+
+/// A reply must leave in one segment with `TCP_NODELAY` set: written as head
+/// then body, the body waits for the client's delayed ACK of the head —
+/// ≈40 ms on every request after the connection's first few.
+#[test]
+fn keepalive_requests_do_not_stall() {
+    let (_dir, svc, addr, server) = boot("graphite-serve-e2e-keepalive");
+    let mut keepalive = KeepAlive::open(addr);
+    for i in 0..6 {
+        let t0 = std::time::Instant::now();
+        let reply = keepalive.request("GET", "/healthz");
+        let took = t0.elapsed();
+        assert_eq!(reply.status, 200);
+        assert!(took < Duration::from_millis(20), "request {i} on the connection took {took:?}");
+    }
+    svc.drain();
     drop(keepalive);
     server.join().unwrap();
 }
