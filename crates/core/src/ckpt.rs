@@ -106,7 +106,7 @@ pub(crate) fn write_checkpoint(
     w.segment("cores", cores.finish());
 
     let mut metrics = Enc::new();
-    inner.obs.metrics.snapshot().encode(&mut metrics);
+    inner.metrics_snapshot().encode(&mut metrics);
     w.segment("metrics", metrics.finish());
 
     w.segment("ctrl", ctrl);

@@ -167,6 +167,15 @@ pub(crate) struct SimInner {
     pub guest_panicked: std::sync::atomic::AtomicBool,
 }
 
+impl SimInner {
+    /// A snapshot of the metrics registry, with the gauges that are computed
+    /// at snapshot time brought up to date first.
+    pub(crate) fn metrics_snapshot(&self) -> MetricsSnapshot {
+        self.mem.publish_dir_lines();
+        self.obs.metrics.snapshot()
+    }
+}
+
 /// Which core performance model every tile runs (paper §3.1: swappable).
 #[derive(Debug, Clone)]
 pub enum CoreKind {
@@ -594,7 +603,7 @@ impl Sim {
     /// with a running simulation (counters are relaxed atomics); the final,
     /// consistent snapshot is [`SimReport::metrics`].
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.inner.obs.metrics.snapshot()
+        self.inner.metrics_snapshot()
     }
 
     /// Runs the guest `main` on tile 0 / thread 0 and returns the report.

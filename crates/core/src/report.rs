@@ -456,7 +456,7 @@ pub(crate) fn build_report(inner: &SimInner) -> SimReport {
         None
     };
 
-    let snap = inner.obs.metrics.snapshot();
+    let snap = inner.metrics_snapshot();
     let c = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
     let lanes =
         |name: &str| snap.per_tile.get(name).cloned().unwrap_or_else(|| vec![0; snap.num_tiles]);

@@ -187,14 +187,14 @@ impl Group {
         free.map_or(Slot::Victim(lru.1), Slot::Free)
     }
 
-    /// Overwrites a way with a new resident line.
+    /// Makes a way hold a new resident line; its bytes are the caller's to
+    /// write.
     fn fill(
         &mut self,
         (row, way): (usize, usize),
         line: u64,
         state: LineState,
         stamp: u64,
-        data: &[u8],
     ) -> Line<'_> {
         if self.planes[way].get().is_none() {
             // `set` publishes with release ordering, so a probe that sees
@@ -205,9 +205,7 @@ impl Group {
         self.tags[i].store(line, Relaxed);
         self.stamps[i].store(stamp, Relaxed);
         self.states[i].store(state.code(), Relaxed);
-        let filled = self.line(row, way);
-        filled.data.copy_from_slice(data);
-        filled
+        self.line(row, way)
     }
 
     /// Mutable view of a resident way.
@@ -395,6 +393,14 @@ impl Cache {
         state: LineState,
         data: &[u8],
     ) -> (Line<'_>, Option<Evicted>) {
+        let (filled, evicted) = self.place(line, state);
+        filled.data.copy_from_slice(data);
+        (filled, evicted)
+    }
+
+    /// [`Cache::insert`] for a caller that writes the line's bytes itself:
+    /// the returned line still holds whatever its way held before.
+    pub fn place(&mut self, line: u64, state: LineState) -> (Line<'_>, Option<Evicted>) {
         let stamp = self.bump_stamp();
         let set = self.set_of(line);
         let (group, row) = (self.group_mut(set), set % GROUP_SETS);
@@ -408,7 +414,7 @@ impl Cache {
                 (way, Some(Evicted { line: group.tags[i].load(Relaxed), state }))
             }
         };
-        (group.fill((row, way), line, state, stamp, data), evicted)
+        (group.fill((row, way), line, state, stamp), evicted)
     }
 
     /// Removes a line (invalidation or inclusion enforcement), returning the
@@ -539,7 +545,7 @@ impl Cache {
                 if group.tags[group.row(row)][..way].iter().any(|t| t.load(Relaxed) == line) {
                     return Err(bad());
                 }
-                group.fill((row, way), line, state, stamp, data);
+                group.fill((row, way), line, state, stamp).data.copy_from_slice(data);
             }
         }
         self.next_stamp.store(next_stamp, Relaxed);

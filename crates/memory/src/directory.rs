@@ -1,106 +1,160 @@
 //! Directory state for the distributed cache-coherence engine (paper §3.2).
 //!
 //! The directory is uniformly distributed across all tiles: the *home* of a
-//! cache line is `line mod num_tiles`. Each entry records the MSI directory
-//! state, the sharer set, and — because Graphite's memory system is
+//! cache line is `line mod num_tiles`. Each line's record holds the MSI
+//! directory state, the sharer set, and — because Graphite's memory system is
 //! functional — the line's actual bytes (the DRAM copy).
 //!
 //! All three coherence schemes of the paper's Figure 9 study share this one
-//! entry type; they differ only in how many sharers the "hardware" tracks
+//! record layout; they differ only in how many sharers the "hardware" tracks
 //! and what overflowing costs ([`graphite_config::CoherenceScheme`]).
+//!
+//! ## Storage
+//!
+//! One [`Directory`] arena serves a whole memory system (DESIGN §7). A
+//! record is a fixed stride of `AtomicU64` words — state/owner,
+//! `ceil(tiles / 64)` sharer words, `ceil(line_size / 8)` data words — named
+//! by a `u32` handle in hand-out order. The first chunk holds [`FIRST`]
+//! records, each of the next `RAMP - 1` doubles, every later one holds
+//! [`CAP`]: the tail never handed out is smaller than what is in use and
+//! never larger than one chunk. Chunks, and the doubling tiers of slots that
+//! hold them, are published through `OnceLock`s and neither move nor free
+//! until the directory drops, so a handle stays valid for the directory's
+//! life and teardown frees chunks, not lines. Every word is accessed
+//! `Relaxed`: whoever owns a line's MSHR entry is its record's only writer,
+//! and the MSHR hand-over orders one owner's writes before the next's reads.
+
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering::Relaxed};
+use std::sync::OnceLock;
 
 use graphite_base::TileId;
 
-/// A set of sharer tiles, stored as a bitset sized for the target.
+/// Records in the first chunk.
+const FIRST: usize = 64;
+/// Chunks `0..RAMP` double in size; the rest hold [`CAP`] records.
+const RAMP: usize = 8;
+/// Records per chunk past the ramp (1.25 MiB of 80-byte records).
+const CAP: usize = FIRST << RAMP;
+/// Tier `t` holds the slots of chunks `2^t - 1 .. 2^(t+1) - 1`; 19 tiers
+/// cover every `u32` handle.
+const TIERS: usize = 19;
+
+type Chunk = Box<[AtomicU64]>;
+
+const _: () = assert!(slot(locate(u32::MAX).0).0 == TIERS - 1);
+
+/// The chunk holding record `handle` and the record's index in it.
+const fn locate(handle: u32) -> (usize, usize) {
+    let v = handle as usize + FIRST;
+    if v < CAP {
+        let c = v.ilog2() as usize - FIRST.ilog2() as usize;
+        (c, v - (FIRST << c))
+    } else {
+        (RAMP - 1 + v / CAP, v % CAP)
+    }
+}
+
+/// The tier holding chunk `chunk`'s slot and the slot's index in it.
+const fn slot(chunk: usize) -> (usize, usize) {
+    let tier = (chunk + 1).ilog2() as usize;
+    (tier, chunk + 1 - (1 << tier))
+}
+
+/// The arena of directory records.
 ///
 /// # Examples
 ///
 /// ```
 /// use graphite_base::TileId;
-/// use graphite_memory::directory::SharerSet;
-/// let mut s = SharerSet::new(64);
-/// s.insert(TileId(3));
-/// s.insert(TileId(40));
-/// assert_eq!(s.count(), 2);
-/// assert!(s.contains(TileId(3)));
-/// assert_eq!(s.iter().collect::<Vec<_>>(), vec![TileId(3), TileId(40)]);
+/// use graphite_memory::directory::{DirState, Directory};
+/// let dir = Directory::new(64, 64);
+/// let rec = dir.record(dir.alloc());
+/// assert_eq!(rec.state(), DirState::Uncached);
+/// rec.sharers().insert(TileId(3));
+/// rec.sharers().insert(TileId(40));
+/// assert_eq!(rec.sharers().iter().collect::<Vec<_>>(), vec![TileId(3), TileId(40)]);
+/// rec.write_bytes(6, &[1, 2, 3]);
+/// let mut line = [0u8; 64];
+/// rec.read_bytes(0, &mut line);
+/// assert_eq!(line[5..10], [0, 1, 2, 3, 0]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SharerSet {
-    words: Vec<u64>,
-    count: u32,
+#[derive(Debug)]
+pub struct Directory {
+    tiers: [OnceLock<Box<[OnceLock<Chunk>]>>; TIERS],
+    /// Records handed out; the next handle.
+    next: Frontier,
+    sharer_words: usize,
+    /// Words per record.
+    stride: usize,
 }
 
-impl SharerSet {
-    /// An empty set able to hold tiles `0..tiles`.
-    pub fn new(tiles: u32) -> Self {
-        SharerSet { words: vec![0; tiles.div_ceil(64) as usize], count: 0 }
-    }
+/// The hand-out counter on a host cache line pair of its own: every first
+/// touch writes it, every lookup reads the fields beside it.
+#[derive(Debug)]
+#[repr(align(128))]
+struct Frontier(AtomicU32);
 
-    /// Adds a tile; returns true if it was newly inserted.
-    pub fn insert(&mut self, t: TileId) -> bool {
-        let (w, b) = (t.index() / 64, t.index() % 64);
-        let bit = 1u64 << b;
-        if self.words[w] & bit == 0 {
-            self.words[w] |= bit;
-            self.count += 1;
-            true
-        } else {
-            false
+impl Directory {
+    /// An empty directory for `tiles` tiles and `line_size`-byte lines.
+    pub fn new(tiles: u32, line_size: u32) -> Self {
+        let sharer_words = tiles.div_ceil(64) as usize;
+        Directory {
+            tiers: [const { OnceLock::new() }; TIERS],
+            next: Frontier(AtomicU32::new(0)),
+            sharer_words,
+            stride: 1 + sharer_words + line_size.div_ceil(8) as usize,
         }
     }
 
-    /// Removes a tile; returns true if it was present.
-    pub fn remove(&mut self, t: TileId) -> bool {
-        let (w, b) = (t.index() / 64, t.index() % 64);
-        let bit = 1u64 << b;
-        if self.words[w] & bit != 0 {
-            self.words[w] &= !bit;
-            self.count -= 1;
-            true
-        } else {
-            false
+    /// Hands out a fresh record — `Uncached`, no sharers, zero bytes — and
+    /// returns its handle.
+    ///
+    /// # Panics
+    ///
+    /// Panics once `u32::MAX` records are out.
+    pub fn alloc(&self) -> u32 {
+        let handle = self.next.0.fetch_add(1, Relaxed);
+        assert!(handle != u32::MAX, "directory arena is full");
+        let (chunk, _) = locate(handle);
+        let (tier, i) = slot(chunk);
+        let slots =
+            self.tiers[tier].get_or_init(|| (0..1 << tier).map(|_| OnceLock::new()).collect());
+        // Chunks start zeroed and records never return to the arena, so a
+        // fresh record needs no initialisation.
+        slots[i].get_or_init(|| {
+            let records = if chunk < RAMP { FIRST << chunk } else { CAP };
+            (0..records * self.stride).map(|_| AtomicU64::new(0)).collect()
+        });
+        handle
+    }
+
+    /// The record behind a handle [`Directory::alloc`] returned.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the handle's chunk was never allocated.
+    #[inline]
+    pub fn record(&self, handle: u32) -> Record<'_> {
+        let (chunk, i) = locate(handle);
+        let (tier, s) = slot(chunk);
+        let chunk = self.tiers[tier].get().and_then(|slots| slots[s].get());
+        let chunk = chunk.expect("a handle names an allocated record");
+        Record { words: &chunk[i * self.stride..][..self.stride], sharer_words: self.sharer_words }
+    }
+
+    /// Records handed out.
+    pub fn lines(&self) -> u32 {
+        self.next.0.load(Relaxed)
+    }
+
+    /// Takes every record back, zeroed, keeping the chunks. Handles handed
+    /// out before are void; the caller must hold none.
+    pub fn reset(&self) {
+        let slots = self.tiers.iter().filter_map(OnceLock::get).flat_map(|slots| slots.iter());
+        for chunk in slots.filter_map(OnceLock::get) {
+            chunk.iter().for_each(|w| w.store(0, Relaxed));
         }
-    }
-
-    /// Membership test.
-    pub fn contains(&self, t: TileId) -> bool {
-        let (w, b) = (t.index() / 64, t.index() % 64);
-        self.words[w] & (1u64 << b) != 0
-    }
-
-    /// Number of sharers.
-    pub fn count(&self) -> u32 {
-        self.count
-    }
-
-    /// True when no tile shares the line.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// Iterates sharers in ascending tile order.
-    pub fn iter(&self) -> impl Iterator<Item = TileId> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            (0..64).filter_map(move |b| {
-                if w & (1u64 << b) != 0 {
-                    Some(TileId((wi * 64 + b) as u32))
-                } else {
-                    None
-                }
-            })
-        })
-    }
-
-    /// The lowest-numbered sharer, if any.
-    pub fn first(&self) -> Option<TileId> {
-        self.iter().next()
-    }
-
-    /// Removes every sharer.
-    pub fn clear(&mut self) {
-        self.words.fill(0);
-        self.count = 0;
+        self.next.0.store(0, Relaxed);
     }
 }
 
@@ -117,24 +171,65 @@ pub enum DirState {
     Owned(TileId),
 }
 
-/// One directory entry: protocol state plus the functional memory copy.
-#[derive(Debug, Clone)]
-pub struct DirEntry {
-    /// MSI state.
-    pub state: DirState,
-    /// Sharers (meaningful in `Shared`; kept empty otherwise).
-    pub sharers: SharerSet,
-    /// The DRAM copy of the line. Stale while `Modified`.
-    pub data: Box<[u8]>,
+/// One line's record, borrowed from its [`Directory`]: protocol state plus
+/// the functional memory copy.
+#[derive(Debug, Clone, Copy)]
+pub struct Record<'a> {
+    /// `[state | owner << 32, sharers.., data..]`; all-zero is a fresh line.
+    words: &'a [AtomicU64],
+    sharer_words: usize,
 }
 
-impl DirEntry {
-    /// A fresh, zero-filled, uncached entry.
-    pub fn new(tiles: u32, line_size: u32) -> Self {
-        DirEntry {
-            state: DirState::Uncached,
-            sharers: SharerSet::new(tiles),
-            data: vec![0u8; line_size as usize].into(),
+impl<'a> Record<'a> {
+    /// MSI state.
+    pub fn state(&self) -> DirState {
+        let w = self.words[0].load(Relaxed);
+        match w as u32 {
+            0 => DirState::Uncached,
+            1 => DirState::Shared,
+            _ => DirState::Owned(TileId((w >> 32) as u32)),
+        }
+    }
+
+    /// Changes the MSI state.
+    pub fn set_state(&self, state: DirState) {
+        let w = match state {
+            DirState::Uncached => 0,
+            DirState::Shared => 1,
+            DirState::Owned(t) => 2 | (t.0 as u64) << 32,
+        };
+        self.words[0].store(w, Relaxed);
+    }
+
+    /// Sharers (meaningful in `Shared`; kept empty otherwise).
+    pub fn sharers(&self) -> SharerSet<'a> {
+        SharerSet { words: &self.words[1..1 + self.sharer_words] }
+    }
+
+    /// Copies `out.len()` bytes of the DRAM copy from byte `off` of the line
+    /// into `out`. The copy is stale while some cache holds the line dirty.
+    pub fn read_bytes(&self, mut off: usize, mut out: &mut [u8]) {
+        let data = &self.words[1 + self.sharer_words..];
+        while !out.is_empty() {
+            let at = off % 8;
+            let (head, rest) = out.split_at_mut((8 - at).min(out.len()));
+            head.copy_from_slice(&data[off / 8].load(Relaxed).to_le_bytes()[at..at + head.len()]);
+            off += head.len();
+            out = rest;
+        }
+    }
+
+    /// Overwrites the DRAM copy from byte `off` of the line with `src`.
+    pub fn write_bytes(&self, mut off: usize, mut src: &[u8]) {
+        let data = &self.words[1 + self.sharer_words..];
+        while !src.is_empty() {
+            let at = off % 8;
+            let (head, rest) = src.split_at((8 - at).min(src.len()));
+            let mut word = data[off / 8].load(Relaxed).to_le_bytes();
+            word[at..at + head.len()].copy_from_slice(head);
+            data[off / 8].store(u64::from_le_bytes(word), Relaxed);
+            off += head.len();
+            src = rest;
         }
     }
 
@@ -144,69 +239,70 @@ impl DirEntry {
     /// * `Modified` ⇒ no sharers tracked (owner held separately);
     /// * `Shared` ⇒ at least one sharer.
     pub fn invariants_hold(&self) -> bool {
-        match self.state {
-            DirState::Uncached => self.sharers.is_empty(),
-            DirState::Owned(_) => self.sharers.is_empty(),
-            DirState::Shared => !self.sharers.is_empty(),
-        }
+        (self.state() == DirState::Shared) != self.sharers().is_empty()
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use proptest::prelude::*;
+/// A record's set of sharer tiles: a bitset sized for the target. Updates
+/// are a load and a store, not an atomic read-modify-write: a record has one
+/// writer at a time.
+#[derive(Debug, Clone, Copy)]
+pub struct SharerSet<'a> {
+    words: &'a [AtomicU64],
+}
 
-    #[test]
-    fn sharer_set_basics() {
-        let mut s = SharerSet::new(130);
-        assert!(s.is_empty());
-        assert!(s.insert(TileId(0)));
-        assert!(s.insert(TileId(129)));
-        assert!(!s.insert(TileId(0)), "double insert reports false");
-        assert_eq!(s.count(), 2);
-        assert!(s.contains(TileId(129)));
-        assert_eq!(s.first(), Some(TileId(0)));
-        assert!(s.remove(TileId(0)));
-        assert!(!s.remove(TileId(0)));
-        assert_eq!(s.first(), Some(TileId(129)));
-        s.clear();
-        assert!(s.is_empty());
-        assert_eq!(s.iter().count(), 0);
+impl<'a> SharerSet<'a> {
+    /// Adds a tile; returns true if it was newly inserted.
+    pub fn insert(&self, t: TileId) -> bool {
+        let (word, bit) = (&self.words[t.index() / 64], 1u64 << (t.index() % 64));
+        let old = word.load(Relaxed);
+        word.store(old | bit, Relaxed);
+        old & bit == 0
     }
 
-    #[test]
-    fn entry_invariants() {
-        let mut e = DirEntry::new(8, 64);
-        assert!(e.invariants_hold());
-        assert_eq!(e.data.len(), 64);
-        e.state = DirState::Shared;
-        assert!(!e.invariants_hold(), "shared with no sharers is invalid");
-        e.sharers.insert(TileId(2));
-        assert!(e.invariants_hold());
-        e.state = DirState::Owned(TileId(2));
-        assert!(!e.invariants_hold(), "owned must track no sharers");
-        e.sharers.clear();
-        assert!(e.invariants_hold());
+    /// Removes a tile; returns true if it was present.
+    pub fn remove(&self, t: TileId) -> bool {
+        let (word, bit) = (&self.words[t.index() / 64], 1u64 << (t.index() % 64));
+        let old = word.load(Relaxed);
+        word.store(old & !bit, Relaxed);
+        old & bit != 0
     }
 
-    proptest! {
-        /// SharerSet agrees with a reference HashSet under arbitrary ops.
-        #[test]
-        fn sharer_set_matches_reference(ops in proptest::collection::vec((0u8..2, 0u32..200), 1..200)) {
-            let mut s = SharerSet::new(200);
-            let mut reference = std::collections::BTreeSet::new();
-            for (op, t) in ops {
-                if op == 0 {
-                    prop_assert_eq!(s.insert(TileId(t)), reference.insert(t));
-                } else {
-                    prop_assert_eq!(s.remove(TileId(t)), reference.remove(&t));
-                }
-                prop_assert_eq!(s.count() as usize, reference.len());
-            }
-            let got: Vec<u32> = s.iter().map(|t| t.0).collect();
-            let want: Vec<u32> = reference.into_iter().collect();
-            prop_assert_eq!(got, want);
-        }
+    /// Membership test.
+    pub fn contains(&self, t: TileId) -> bool {
+        self.words[t.index() / 64].load(Relaxed) & (1u64 << (t.index() % 64)) != 0
+    }
+
+    /// Number of sharers.
+    pub fn count(&self) -> u32 {
+        self.words.iter().map(|w| w.load(Relaxed).count_ones()).sum()
+    }
+
+    /// True when no tile shares the line.
+    pub fn is_empty(&self) -> bool {
+        self.words.iter().all(|w| w.load(Relaxed) == 0)
+    }
+
+    /// Iterates sharers in ascending tile order. Each word is read once, as
+    /// the scan reaches it.
+    pub fn iter(&self) -> impl Iterator<Item = TileId> + 'a {
+        self.words.iter().enumerate().flat_map(|(wi, w)| {
+            let mut bits = w.load(Relaxed);
+            std::iter::from_fn(move || {
+                let bit = (bits != 0).then(|| bits.trailing_zeros())?;
+                bits &= bits - 1;
+                Some(TileId(wi as u32 * 64 + bit))
+            })
+        })
+    }
+
+    /// The lowest-numbered sharer, if any.
+    pub fn first(&self) -> Option<TileId> {
+        self.iter().next()
+    }
+
+    /// Removes every sharer.
+    pub fn clear(&self) {
+        self.words.iter().for_each(|w| w.store(0, Relaxed));
     }
 }

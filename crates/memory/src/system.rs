@@ -22,12 +22,12 @@
 //!   MSHR-scoped transactions) before the fill's entry is acquired, and
 //!   MSHR waiters sleep holding nothing, so no cycle can form.
 //! * **Directory shard maps are brief leaf locks.** A transaction resolves
-//!   its `DirEntry` to a stable `Box` pointer under a short map-lock
-//!   critical section and then works on the entry lock-free — the MSHR
-//!   already guarantees per-line exclusivity. Contended resolutions are
-//!   *batched*: a thread that finds the map lock busy queues its request,
-//!   and whichever thread holds the lock retires the queue under the one
-//!   acquisition (flat combining).
+//!   its line to a `u32` handle into the [`Directory`] arena under a short
+//!   map-lock critical section and then works on the record lock-free — the
+//!   MSHR already guarantees per-line exclusivity, and a record never moves.
+//!   Contended resolutions are *batched*: a thread that finds the map lock
+//!   busy queues its request, and whichever thread holds the lock retires
+//!   the queue under the one acquisition (flat combining).
 //! * **Tile cache locks are leaves**, taken one at a time, never while a
 //!   map lock is held. Read hits can skip the tile lock entirely via a
 //!   seqlock-validated probe ([`Cache::probe_read`]): writers bump the
@@ -44,7 +44,7 @@
 //! model's contract.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use graphite_base::{
@@ -54,13 +54,13 @@ use graphite_ckpt::{corrupted, Checkpointable, Dec, Enc};
 use graphite_config::{CacheProtocol, CoherenceScheme, SimConfig};
 use graphite_network::{Network, Packet, TrafficClass};
 use graphite_trace::{
-    Metric, MetricsRegistry, Obs, ShardedHistogram, ShardedMetric, TraceEventKind, Tracer,
+    Gauge, Metric, MetricsRegistry, Obs, ShardedHistogram, ShardedMetric, TraceEventKind, Tracer,
 };
 use parking_lot::{Mutex, MutexGuard};
 
 use crate::addr::Addr;
 use crate::cache::{Cache, Line, LineState};
-use crate::directory::{DirEntry, DirState, SharerSet};
+use crate::directory::{DirState, Directory, Record};
 use crate::dram::DramController;
 use crate::missclass::{MissClassifier, MissKind};
 use crate::mshr::{MshrTable, MshrWait};
@@ -354,26 +354,30 @@ fn apply_rmw(data: &mut [u8], off: usize, old: &mut [u8], f: &mut dyn FnMut(&mut
     f(window);
 }
 
-/// A queued directory-entry resolution: whichever thread holds the shard's
-/// map lock stores the resolved entry pointer into `slot`. The slot lives on
-/// the waiting thread's stack; the enqueuer never returns until the slot is
-/// filled, and every store happens while the map lock is held, so the slot
-/// cannot dangle.
+/// A queued directory resolution: whichever thread holds the shard's map
+/// lock stores the line's handle into `slot`, which lives on the waiting
+/// thread's stack. The enqueuer never returns until the slot is filled, and
+/// every store happens under the map lock, so the slot cannot dangle.
 struct PendingDirReq {
     line: u64,
-    slot: *const AtomicPtr<DirEntry>,
+    slot: *const AtomicU32,
 }
 
-// Safety: the raw slot pointer is only dereferenced under the shard's map
-// lock while the owning thread is provably parked in `dir_entry_batched`.
+/// What a [`PendingDirReq`] slot holds until it is served; the arena never
+/// hands this handle out.
+const UNRESOLVED: u32 = u32::MAX;
+
+/// A shard's line → arena-handle map.
+type HandleMap = HashMap<u64, u32, FxBuildHasher>;
+
+// SAFETY: the raw slot pointer is only dereferenced under the shard's map
+// lock while the owning thread is provably parked in `dir_handle_batched`.
 unsafe impl Send for PendingDirReq {}
 
-/// One directory shard: the entry map plus the flat-combining queue for
-/// contended resolutions. Entries are boxed so their addresses survive map
-/// rehashes; an entry, once inserted, is never removed while the simulation
-/// runs.
+/// One directory shard: the handle map plus the flat-combining queue for
+/// contended resolutions. Lines are never removed while the simulation runs.
 struct DirShard {
-    map: Mutex<HashMap<u64, Box<DirEntry>, FxBuildHasher>>,
+    map: Mutex<HandleMap>,
     pending: Mutex<Vec<PendingDirReq>>,
     /// Cheap hint so the uncontended path can skip locking `pending`.
     pending_count: AtomicUsize,
@@ -468,6 +472,10 @@ pub struct MemorySystem {
     line_mask: u64,
     num_tiles: u32,
     tiles: Vec<Mutex<TileMem>>,
+    /// Every line's directory record; shard maps hold handles into it.
+    dir: Directory,
+    /// `mem.dir.lines`; see [`MemorySystem::publish_dir_lines`].
+    dir_lines: Gauge,
     shards: Vec<DirShard>,
     /// `log2(shards.len())`; the config validates the count is a power of
     /// two, so shard selection is a multiply and a shift.
@@ -582,6 +590,8 @@ impl MemorySystem {
             line_shift: line_size.trailing_zeros(),
             line_mask: line_size as u64 - 1,
             num_tiles: cfg.target.num_tiles,
+            dir: Directory::new(cfg.target.num_tiles, line_size),
+            dir_lines: obs.metrics.gauge("mem.dir.lines"),
             shards: (0..cfg.memory.dir_shards).map(|_| DirShard::new()).collect(),
             shard_bits: cfg.memory.dir_shards.trailing_zeros(),
             mshr: MshrTable::new(cfg.target.num_tiles as usize, cfg.memory.mshr_entries),
@@ -620,6 +630,13 @@ impl MemorySystem {
     /// Aggregate statistics.
     pub fn stats(&self) -> &MemStats {
         &self.stats
+    }
+
+    /// Sets `mem.dir.lines` — lines the directory holds a record (and the
+    /// DRAM bytes) for — from the arena's counter. Call before a snapshot;
+    /// nothing on the access path maintains the gauge.
+    pub fn publish_dir_lines(&self) {
+        self.dir_lines.set(self.dir.lines() as u64);
     }
 
     /// The DRAM controllers (one per tile, or a single one).
@@ -663,28 +680,15 @@ impl MemorySystem {
         &self.shards[self.shard_index(line)]
     }
 
-    /// Get-or-insert under an already-held map lock, returning the entry's
-    /// stable address (entries are boxed and never removed).
-    fn entry_ptr(
-        map: &mut HashMap<u64, Box<DirEntry>, FxBuildHasher>,
-        line: u64,
-        num_tiles: u32,
-        line_size: u32,
-    ) -> *mut DirEntry {
-        let boxed =
-            map.entry(line).or_insert_with(|| Box::new(DirEntry::new(num_tiles, line_size)));
-        &mut **boxed as *mut DirEntry
+    /// Get-or-insert under an already-held map lock.
+    fn handle_in(&self, map: &mut HandleMap, line: u64) -> u32 {
+        *map.entry(line).or_insert_with(|| self.dir.alloc())
     }
 
     /// Retires up to `dir_batch` queued resolutions under the caller's map
     /// lock (flat combining). Every slot store happens while the map lock is
     /// held, so queued stack slots cannot dangle.
-    fn drain_pending(
-        &self,
-        shard: &DirShard,
-        map: &mut HashMap<u64, Box<DirEntry>, FxBuildHasher>,
-        lane: usize,
-    ) {
+    fn drain_pending(&self, shard: &DirShard, map: &mut HandleMap, lane: usize) {
         if shard.pending_count.load(Ordering::Acquire) == 0 {
             return;
         }
@@ -700,16 +704,22 @@ impl MemorySystem {
         }
         self.stats.dir_batch_combined.add_owned(lane, reqs.len() as u64);
         for r in reqs {
-            let p = Self::entry_ptr(map, r.line, self.num_tiles, self.line_size);
-            unsafe { (*r.slot).store(p, Ordering::Release) };
+            let handle = self.handle_in(map, r.line);
+            // SAFETY: see `PendingDirReq` — we hold the map lock and the
+            // slot's owner is parked in `dir_handle_batched`.
+            unsafe { (*r.slot).store(handle, Ordering::Release) };
         }
     }
 
-    /// Resolves the directory entry for `line` to a stable pointer, batching
-    /// under contention. The caller must already hold per-line exclusivity
-    /// (an MSHR entry, or system quiescence) before mutating the entry.
-    fn dir_entry_batched(&self, line: u64, lane: usize) -> *mut DirEntry {
+    /// Resolves the directory record for `line` (a fresh one on first touch),
+    /// batching under contention. The caller must hold per-line exclusivity
+    /// (an MSHR entry, or system quiescence) before changing the record.
+    fn dir_record_batched(&self, line: u64, lane: usize) -> Record<'_> {
         let _hp = self.hostprof.span(HostStage::DirLookup);
+        self.dir.record(self.dir_handle_batched(line, lane))
+    }
+
+    fn dir_handle_batched(&self, line: u64, lane: usize) -> u32 {
         let shard = self.shard_of(line);
         if self.dir_batch == 0 {
             // Combining disabled: plain blocking acquisition.
@@ -717,47 +727,41 @@ impl MemorySystem {
                 let _l = self.hostprof.span(HostStage::DirLockWait);
                 shard.map.lock()
             };
-            return Self::entry_ptr(&mut map, line, self.num_tiles, self.line_size);
+            return self.handle_in(&mut map, line);
         }
         if let Some(mut map) = shard.map.try_lock() {
             self.stats.dir_batch_acquisitions.incr_owned(lane);
-            let p = Self::entry_ptr(&mut map, line, self.num_tiles, self.line_size);
+            let handle = self.handle_in(&mut map, line);
             self.drain_pending(shard, &mut map, lane);
-            return p;
+            return handle;
         }
         // Contended: queue the request; whoever holds the lock serves it.
         // We may not return while the slot is unfilled — the holder owns a
         // raw pointer to it. The wait (spin + possible self-service) counts
         // as directory lock-wait time.
         let _l = self.hostprof.span(HostStage::DirLockWait);
-        let slot = AtomicPtr::new(std::ptr::null_mut());
+        let slot = AtomicU32::new(UNRESOLVED);
         {
             let mut pending = shard.pending.lock();
             pending.push(PendingDirReq { line, slot: &slot });
             shard.pending_count.fetch_add(1, Ordering::Release);
         }
         loop {
-            let p = slot.load(Ordering::Acquire);
-            if !p.is_null() {
-                return p;
+            let handle = slot.load(Ordering::Acquire);
+            if handle != UNRESOLVED {
+                return handle;
             }
             if let Some(mut map) = shard.map.try_lock() {
                 // Lock freed before anyone served us: serve the queue
-                // ourselves (our own request is still in it).
+                // ourselves. A bounded batch may leave our own request
+                // queued, so drain until it is served — no raw pointer to
+                // `slot` may outlive this frame.
                 self.stats.dir_batch_acquisitions.incr_owned(lane);
-                self.drain_pending(shard, &mut map, lane);
-                let p = slot.load(Ordering::Acquire);
-                if !p.is_null() {
-                    return p;
-                }
-                // Bounded batch left our request queued; resolve directly.
-                // (The queue may still hold our slot — serve it too so no
-                // raw pointer outlives this frame.)
                 loop {
                     self.drain_pending(shard, &mut map, lane);
-                    let p = slot.load(Ordering::Acquire);
-                    if !p.is_null() {
-                        return p;
+                    let handle = slot.load(Ordering::Acquire);
+                    if handle != UNRESOLVED {
+                        return handle;
                     }
                 }
             }
@@ -768,16 +772,16 @@ impl MemorySystem {
     /// Plain blocking directory lookup that never inserts, for the
     /// functional peek path — peeking absent memory must not grow the
     /// directory (it would change checkpoint bytes).
-    fn dir_entry_get(&self, line: u64) -> Option<*mut DirEntry> {
-        let mut map = self.shard_of(line).map.lock();
-        map.get_mut(&line).map(|b| &mut **b as *mut DirEntry)
+    fn dir_record_get(&self, line: u64) -> Option<Record<'_>> {
+        let handle = self.shard_of(line).map.lock().get(&line).copied();
+        handle.map(|h| self.dir.record(h))
     }
 
     /// Plain blocking get-or-insert without batching or stats attribution,
     /// for the functional poke path.
-    fn dir_entry_plain(&self, line: u64) -> *mut DirEntry {
-        let mut map = self.shard_of(line).map.lock();
-        Self::entry_ptr(&mut map, line, self.num_tiles, self.line_size)
+    fn dir_record_plain(&self, line: u64) -> Record<'_> {
+        let handle = self.handle_in(&mut self.shard_of(line).map.lock(), line);
+        self.dir.record(handle)
     }
 
     /// Routes a protocol leg stamped with a tile's real clock (requests,
@@ -1226,17 +1230,16 @@ impl MemorySystem {
                 if guard.stalled() {
                     self.stats.mshr_stall_full.incr_owned(lane);
                 }
-                // Safety: we hold the line's MSHR entry, so no other
-                // transaction can touch this directory entry until the guard
-                // drops.
-                let entry = unsafe { &mut *self.dir_entry_batched(line, lane) };
+                // We hold the line's MSHR entry, so no other transaction
+                // touches this record until the guard drops.
+                let entry = self.dir_record_batched(line, lane);
                 // A same-tile sibling may have filled the line between our
                 // probe and the registration; while we hold the MSHR the
                 // directory is stable ground truth, so release and retry —
                 // the re-probe hits.
-                let already_ours = match entry.state {
+                let already_ours = match entry.state() {
                     DirState::Owned(o) => o == tile,
-                    DirState::Shared => !op.is_write() && entry.sharers.contains(tile),
+                    DirState::Shared => !op.is_write() && entry.sharers().contains(tile),
                     DirState::Uncached => false,
                 };
                 // A sibling fill may also have consumed the way Phase 1
@@ -1268,8 +1271,8 @@ impl MemorySystem {
     /// Runs one directory transaction for a registered miss. The caller
     /// holds the line's MSHR entry (granting exclusive use of `entry`) and
     /// has guaranteed room in the requester's coherence cache. The fill
-    /// copies the home copy `entry.data` straight into the chosen way; a
-    /// dirty owner writes its bytes back into `entry.data` first.
+    /// copies the home copy in `entry` straight into the chosen way; a
+    /// dirty owner writes its bytes back into `entry` first.
     fn run_directory_transaction(
         &self,
         tile: TileId,
@@ -1277,7 +1280,7 @@ impl MemorySystem {
         line: u64,
         off: usize,
         op: &mut LineOp,
-        entry: &mut DirEntry,
+        entry: Record<'_>,
     ) -> (Cycles, Cycles) {
         let home = self.home_of(line);
         let is_write = op.is_write();
@@ -1313,10 +1316,7 @@ impl MemorySystem {
 
         // LimitLESS: overflowing the hardware pointers traps to software.
         if let CoherenceScheme::Limitless { sharers: hw, trap_cycles } = self.scheme {
-            let overflowed = match entry.state {
-                DirState::Shared => entry.sharers.count() >= hw,
-                _ => false,
-            };
+            let overflowed = entry.state() == DirState::Shared && entry.sharers().count() >= hw;
             if overflowed {
                 self.stats.limitless_traps.incr_owned(tile.index());
                 t_home += Cycles(trap_cycles);
@@ -1338,12 +1338,13 @@ impl MemorySystem {
         let mut resp_bytes = self.line_size + DATA_HDR_BYTES;
         let mut counted_upgrade = false;
 
-        match (entry.state, is_write) {
+        let sharers = entry.sharers();
+        match (entry.state(), is_write) {
             (DirState::Uncached, _) => {
                 let dram_lat = self.dram_access(home, est_now);
                 self.stats.dram_reads.incr_owned(tile.index());
                 data_ready = t_home + dram_lat;
-                entry.state = if is_write {
+                entry.set_state(if is_write {
                     DirState::Owned(tile)
                 } else if self.protocol == CacheProtocol::Mesi {
                     // MESI: the sole reader takes the line Exclusive and may
@@ -1352,9 +1353,9 @@ impl MemorySystem {
                     fill_state = LineState::Exclusive;
                     DirState::Owned(tile)
                 } else {
-                    entry.sharers.insert(tile);
+                    sharers.insert(tile);
                     DirState::Shared
-                };
+                });
             }
             (DirState::Shared, false) => {
                 // DirNB: a full pointer set forces eviction of one sharer.
@@ -1363,14 +1364,13 @@ impl MemorySystem {
                 // thrash one tile and leave the rest permanently cached,
                 // hiding the protocol's serialization).
                 if let CoherenceScheme::DirNB { sharers: limit } = self.scheme {
-                    if !entry.sharers.contains(tile) && entry.sharers.count() >= limit {
-                        let victim = entry
-                            .sharers
+                    if !sharers.contains(tile) && sharers.count() >= limit {
+                        let victim = sharers
                             .iter()
                             .find(|&s| s > tile)
-                            .or_else(|| entry.sharers.iter().find(|&s| s != tile))
+                            .or_else(|| sharers.iter().find(|&s| s != tile))
                             .expect("non-empty");
-                        entry.sharers.remove(victim);
+                        sharers.remove(victim);
                         self.stats.forced_evictions.incr_owned(tile.index());
                         self.stats.invalidations.incr_owned(tile.index());
                         {
@@ -1396,30 +1396,29 @@ impl MemorySystem {
                 let dram_lat = self.dram_access(home, est_now);
                 self.stats.dram_reads.incr_owned(tile.index());
                 data_ready = data_ready.max(t_home + dram_lat);
-                entry.sharers.insert(tile);
+                sharers.insert(tile);
             }
             (DirState::Shared, true) => {
-                let was_sharer = entry.sharers.contains(tile);
+                let was_sharer = sharers.contains(tile);
                 // Invalidate every other sharer; latency is the slowest ack.
-                let others: Vec<TileId> = entry.sharers.iter().filter(|&s| s != tile).collect();
                 let mut t_inv_done = t_home;
-                for s in &others {
+                for s in sharers.iter().filter(|&s| s != tile) {
                     self.stats.invalidations.incr_owned(tile.index());
                     {
-                        let mut st = self.lock_tile(*s);
+                        let mut st = self.lock_tile(s);
                         let seq = &self.tile_seq[s.index()];
                         seq.begin_write();
                         st.purge(line);
                         seq.end_write();
                     }
-                    self.classifier.on_departure(*s, line, true);
-                    let t_inv = self.route_derived_flow(home, *s, CTRL_MSG_BYTES, t_home, flow);
+                    self.classifier.on_departure(s, line, true);
+                    let t_inv = self.route_derived_flow(home, s, CTRL_MSG_BYTES, t_home, flow);
                     let t_ack =
-                        self.route_derived_flow(*s, home, CTRL_MSG_BYTES, t_inv + Cycles(1), flow);
+                        self.route_derived_flow(s, home, CTRL_MSG_BYTES, t_inv + Cycles(1), flow);
                     t_inv_done = t_inv_done.max(t_ack);
                 }
-                entry.sharers.clear();
-                entry.state = DirState::Owned(tile);
+                sharers.clear();
+                entry.set_state(DirState::Owned(tile));
                 if was_sharer {
                     // Upgrade: data already resident, permission-only reply.
                     self.stats.upgrades.incr_owned(tile.index());
@@ -1459,7 +1458,7 @@ impl MemorySystem {
                         let (st, data) = ot.purge(line).expect("owner holds the line");
                         let was_dirty = st == LineState::Modified;
                         if was_dirty {
-                            entry.data.copy_from_slice(data);
+                            entry.write_bytes(0, data);
                         }
                         seq.end_write();
                         self.classifier.on_departure(owner, line, true);
@@ -1473,7 +1472,7 @@ impl MemorySystem {
                         let was_dirty = l.state() == LineState::Modified;
                         l.set_state(LineState::Shared);
                         if was_dirty {
-                            entry.data.copy_from_slice(l.data);
+                            entry.write_bytes(0, l.data);
                         }
                         if let Some(mut l1) = l1d.and_then(|c| c.peek_mut(line)) {
                             l1.set_state(LineState::Shared);
@@ -1492,11 +1491,11 @@ impl MemorySystem {
                 let t_data = self.route_derived_flow(owner, home, xfer, t_fwd + Cycles(2), flow);
                 data_ready = t_data + DIR_LATENCY;
                 if is_write {
-                    entry.state = DirState::Owned(tile);
+                    entry.set_state(DirState::Owned(tile));
                 } else {
-                    entry.state = DirState::Shared;
-                    entry.sharers.insert(owner);
-                    entry.sharers.insert(tile);
+                    entry.set_state(DirState::Shared);
+                    sharers.insert(owner);
+                    sharers.insert(tile);
                     fill_state = LineState::Shared;
                 }
             }
@@ -1547,8 +1546,9 @@ impl MemorySystem {
                 // the cache chose, the operation applies there, and the L1
                 // filter (if any) copies the result.
                 seq.begin_write();
-                let (filled, evicted) = coh.insert(line, fill_state, &entry.data);
+                let (filled, evicted) = coh.place(line, fill_state);
                 assert!(evicted.is_none(), "miss fill found no room (unsupported same-tile race)");
+                entry.read_bytes(0, filled.data);
                 match op {
                     LineOp::Write(bytes) => {
                         filled.data[off..off + bytes.len()].copy_from_slice(bytes);
@@ -1587,9 +1587,9 @@ impl MemorySystem {
             let _hp = self.hostprof.span(HostStage::MshrProbe);
             self.mshr.acquire_service(vline)
         };
-        // Safety: the MSHR service entry grants exclusive use of the
-        // directory entry until `guard` drops.
-        let entry = unsafe { &mut *self.dir_entry_batched(vline, lane) };
+        // The MSHR service entry grants exclusive use of the directory
+        // record until `guard` drops.
+        let entry = self.dir_record_batched(vline, lane);
         let state = {
             let mut tm = {
                 let _l = self.hostprof.span(HostStage::TileLockWait);
@@ -1600,7 +1600,7 @@ impl MemorySystem {
             // A dirty victim's bytes go straight into the home copy.
             let purged = tm.purge(vline).map(|(state, data)| {
                 if state == LineState::Modified {
-                    entry.data.copy_from_slice(data);
+                    entry.write_bytes(0, data);
                 }
                 state
             });
@@ -1614,8 +1614,8 @@ impl MemorySystem {
         let home = self.home_of(vline);
         match state {
             LineState::Modified => {
-                debug_assert_eq!(entry.state, DirState::Owned(tile));
-                entry.state = DirState::Uncached;
+                debug_assert_eq!(entry.state(), DirState::Owned(tile));
+                entry.set_state(DirState::Uncached);
                 self.stats.writebacks.incr_owned(lane);
                 self.tracer.emit(tile, now, || TraceEventKind::DirLeg {
                     leg: "writeback",
@@ -1631,15 +1631,15 @@ impl MemorySystem {
             }
             LineState::Exclusive => {
                 // Clean sole copy: notify the directory, no data transfer.
-                debug_assert_eq!(entry.state, DirState::Owned(tile));
-                entry.state = DirState::Uncached;
+                debug_assert_eq!(entry.state(), DirState::Owned(tile));
+                entry.set_state(DirState::Uncached);
                 let _ = self.route(tile, home, CTRL_MSG_BYTES, now);
             }
             LineState::Shared => {
                 // Notify the directory so the sharer set stays exact.
-                entry.sharers.remove(tile);
-                if entry.sharers.is_empty() && entry.state == DirState::Shared {
-                    entry.state = DirState::Uncached;
+                entry.sharers().remove(tile);
+                if entry.sharers().is_empty() && entry.state() == DirState::Shared {
+                    entry.set_state(DirState::Uncached);
                 }
                 let _ = self.route(tile, home, CTRL_MSG_BYTES, now);
             }
@@ -1750,15 +1750,17 @@ impl MemorySystem {
             // Wait out any in-flight transaction on this line, then hold the
             // entry so the owner/home copy cannot move mid-read.
             let _svc = self.mshr.acquire_service(line);
-            // Safety: the MSHR service entry grants exclusive use.
-            match self.dir_entry_get(line).map(|p| unsafe { &*p }) {
-                Some(DirEntry { state: DirState::Owned(owner), .. }) => {
-                    let ot = self.lock_tile(*owner);
-                    let (_, data) = ot.coh().peek(line).expect("owner holds line");
-                    buf[done..done + n].copy_from_slice(&data[off..off + n]);
-                }
-                Some(entry) => buf[done..done + n].copy_from_slice(&entry.data[off..off + n]),
-                None => buf[done..done + n].fill(0),
+            let dst = &mut buf[done..done + n];
+            match self.dir_record_get(line) {
+                None => dst.fill(0),
+                Some(entry) => match entry.state() {
+                    DirState::Owned(owner) => {
+                        let ot = self.lock_tile(owner);
+                        let (_, data) = ot.coh().peek(line).expect("owner holds line");
+                        dst.copy_from_slice(&data[off..off + n]);
+                    }
+                    _ => entry.read_bytes(off, dst),
+                },
             }
             done += n;
         }
@@ -1777,24 +1779,23 @@ impl MemorySystem {
             // Hold the line's MSHR entry so no transaction moves copies
             // around while we patch every cached copy in place.
             let _svc = self.mshr.acquire_service(line);
-            // Safety: the MSHR service entry grants exclusive use.
-            let entry = unsafe { &mut *self.dir_entry_plain(line) };
+            let entry = self.dir_record_plain(line);
             let src = &bytes[done..done + n];
             // The home copy stays current even under an owner: an Exclusive
             // owner evicts silently without a writeback.
-            entry.data[off..off + n].copy_from_slice(src);
-            let holders: Vec<TileId> = match entry.state {
-                DirState::Owned(owner) => vec![owner],
-                DirState::Shared => entry.sharers.iter().collect(),
-                DirState::Uncached => Vec::new(),
-            };
-            for t in holders {
+            entry.write_bytes(off, src);
+            let patch = |t: TileId| {
                 let mut tm = self.lock_tile(t);
                 let seq = &self.tile_seq[t.index()];
                 seq.begin_write();
                 let held = tm.poke(line, off, src);
                 seq.end_write();
                 debug_assert!(held, "directory lists tile{} for line {line}", t.0);
+            };
+            match entry.state() {
+                DirState::Owned(owner) => patch(owner),
+                DirState::Shared => entry.sharers().iter().for_each(patch),
+                DirState::Uncached => {}
             }
             done += n;
         }
@@ -1810,63 +1811,28 @@ impl MemorySystem {
     pub fn verify_coherence_invariants(&self) -> Result<(), String> {
         for shard in &self.shards {
             let shard = shard.map.lock();
-            for (&line, entry) in shard.iter() {
+            for (&line, &handle) in shard.iter() {
+                let entry = self.dir.record(handle);
                 if !entry.invariants_hold() {
                     return Err(format!("line {line}: directory invariants violated"));
                 }
-                match entry.state {
-                    DirState::Owned(owner) => {
-                        for t in 0..self.num_tiles {
-                            let tm = self.tiles[t as usize].lock();
-                            let held = tm.coh().peek(line).map(|(state, _)| state);
-                            if TileId(t) == owner {
-                                let ok = match self.protocol {
-                                    CacheProtocol::Msi => held == Some(LineState::Modified),
-                                    CacheProtocol::Mesi => {
-                                        matches!(
-                                            held,
-                                            Some(LineState::Modified | LineState::Exclusive)
-                                        )
-                                    }
-                                };
-                                if !ok {
-                                    return Err(format!(
-                                        "line {line}: owner tile{t} holds {held:?}, want M/E"
-                                    ));
-                                }
-                            } else if held.is_some() {
-                                return Err(format!(
-                                    "line {line}: tile{t} holds copy while Owned elsewhere"
-                                ));
+                let state = entry.state();
+                for t in (0..self.num_tiles).map(TileId) {
+                    let held = self.tiles[t.index()].lock().coh().peek(line).map(|(s, _)| s);
+                    let ok = match state {
+                        DirState::Owned(owner) if t == owner => match self.protocol {
+                            CacheProtocol::Msi => held == Some(LineState::Modified),
+                            CacheProtocol::Mesi => {
+                                matches!(held, Some(LineState::Modified | LineState::Exclusive))
                             }
+                        },
+                        DirState::Shared if entry.sharers().contains(t) => {
+                            held == Some(LineState::Shared)
                         }
-                    }
-                    DirState::Shared => {
-                        for t in 0..self.num_tiles {
-                            let tm = self.tiles[t as usize].lock();
-                            let held = tm.coh().peek(line).map(|(state, _)| state);
-                            let is_sharer = entry.sharers.contains(TileId(t));
-                            match (is_sharer, held) {
-                                (true, Some(LineState::Shared)) => {}
-                                (false, None) => {}
-                                // MSI never leaves E copies; guard it.
-                                other => {
-                                    return Err(format!(
-                                        "line {line}: tile{t} sharer={is_sharer} holds {other:?}"
-                                    ));
-                                }
-                            }
-                        }
-                    }
-                    DirState::Uncached => {
-                        for t in 0..self.num_tiles {
-                            let tm = self.tiles[t as usize].lock();
-                            if tm.coh().peek(line).is_some() {
-                                return Err(format!(
-                                    "line {line}: tile{t} holds copy of Uncached line"
-                                ));
-                            }
-                        }
+                        _ => held.is_none(),
+                    };
+                    if !ok {
+                        return Err(format!("line {line}: {t:?} holds {held:?} while {state:?}"));
                     }
                 }
             }
@@ -1928,14 +1894,17 @@ impl Checkpointable for MemorySystem {
         // shard hash): a checkpoint taken with 256 shards restores into a
         // system configured with 16, and identical states always serialize
         // to identical bytes regardless of HashMap iteration order.
-        let guards: Vec<_> = self.shards.iter().map(|s| s.map.lock()).collect();
-        let mut lines: Vec<(u64, &DirEntry)> =
-            guards.iter().flat_map(|g| g.iter().map(|(&l, e)| (l, &**e))).collect();
+        let mut lines: Vec<(u64, u32)> = Vec::with_capacity(self.dir.lines() as usize);
+        for shard in &self.shards {
+            lines.extend(shard.map.lock().iter().map(|(&line, &handle)| (line, handle)));
+        }
         lines.sort_unstable_by_key(|(l, _)| *l);
-        out.u32(lines.len() as u32);
-        for (line, e) in lines {
+        out.u32(u32::try_from(lines.len()).expect("one line per u32 handle"));
+        let mut data = vec![0u8; self.line_size as usize];
+        for (line, handle) in lines {
+            let e = self.dir.record(handle);
             out.u64(line);
-            match e.state {
+            match e.state() {
                 DirState::Uncached => out.u8(0),
                 DirState::Shared => out.u8(1),
                 DirState::Owned(t) => {
@@ -1943,13 +1912,13 @@ impl Checkpointable for MemorySystem {
                     out.u32(t.0);
                 }
             }
-            out.u32(e.sharers.count());
-            for s in e.sharers.iter() {
+            out.u32(e.sharers().count());
+            for s in e.sharers().iter() {
                 out.u32(s.0);
             }
-            out.bytes(&e.data);
+            e.read_bytes(0, &mut data);
+            out.bytes(&data);
         }
-        drop(guards);
         out.u32(self.dram.len() as u32);
         for c in &self.dram {
             for w in c.export_state() {
@@ -1979,12 +1948,12 @@ impl Checkpointable for MemorySystem {
         // The directory stream is shard-count-independent (see `save`): one
         // strictly line-ordered sequence, redistributed across however many
         // shards this instance is configured with. The system is quiescent,
-        // so dropping the old boxed entries here is safe (no probe can hold
-        // a stale pointer into them).
+        // so nobody holds a handle the reset voids.
         let n = dec.u32()?;
         for shard in &self.shards {
             shard.map.lock().clear();
         }
+        self.dir.reset();
         let mut prev: Option<u64> = None;
         for _ in 0..n {
             let line = dec.u64()?;
@@ -2004,23 +1973,22 @@ impl Checkpointable for MemorySystem {
                 }
                 _ => return Err(bad()),
             };
-            let mut sharers = SharerSet::new(self.num_tiles);
+            let handle = self.dir.alloc();
+            let entry = self.dir.record(handle);
+            entry.set_state(state);
             let ns = dec.u32()?;
             for _ in 0..ns {
                 let t = dec.u32()?;
-                if t >= self.num_tiles || !sharers.insert(TileId(t)) {
+                if t >= self.num_tiles || !entry.sharers().insert(TileId(t)) {
                     return Err(bad());
                 }
             }
             let data = dec.bytes()?;
-            if data.len() != self.line_size as usize {
+            if data.len() != self.line_size as usize || !entry.invariants_hold() {
                 return Err(bad());
             }
-            let entry = DirEntry { state, sharers, data: data.into() };
-            if !entry.invariants_hold() {
-                return Err(bad());
-            }
-            self.shard_of(line).map.lock().insert(line, Box::new(entry));
+            entry.write_bytes(0, data);
+            self.shard_of(line).map.lock().insert(line, handle);
         }
         if dec.u32()? as usize != self.dram.len() {
             return Err(bad());
@@ -2054,83 +2022,6 @@ mod tests {
             Arc::new(GlobalProgress::new(cfg.target.num_tiles as usize)),
         ));
         MemorySystem::new(cfg, net, classify)
-    }
-
-    #[test]
-    #[ignore = "host-perf breakdown, run by hand with --release --nocapture"]
-    fn profile_miss_path_breakdown() {
-        use std::time::Instant;
-        let mut cfg = presets::paper_default(1);
-        if let Some(l2) = cfg.target.l2.as_mut() {
-            l2.size_bytes = 256 * 1024;
-            l2.associativity = 16;
-        }
-        let m = system_with(&cfg, false);
-        const N: u64 = 200_000;
-        let ns = |t0: Instant| t0.elapsed().as_nanos() as f64 / N as f64;
-
-        let t0 = Instant::now();
-        for i in 0..N {
-            drop(m.mshr.try_acquire_or_wait(i % 6144, TileId(0)).unwrap());
-        }
-        println!("mshr acquire+release: {:.0} ns", ns(t0));
-
-        let t0 = Instant::now();
-        for i in 0..N {
-            drop(m.mshr.acquire_service(i % 6144));
-        }
-        println!("mshr service pair:    {:.0} ns", ns(t0));
-
-        let t0 = Instant::now();
-        for i in 0..N {
-            let _ = m.dir_entry_batched(i % 6144, 0);
-        }
-        println!("dir_entry_batched:    {:.0} ns", ns(t0));
-
-        let t0 = Instant::now();
-        for _ in 0..N {
-            let _ = m.network.progress().estimate();
-        }
-        println!("progress estimate:    {:.0} ns", ns(t0));
-
-        let t0 = Instant::now();
-        for i in 0..N {
-            let _ = m.route(TileId(0), TileId(0), CTRL_MSG_BYTES, Cycles(i));
-        }
-        println!("route:                {:.0} ns", ns(t0));
-
-        let t0 = Instant::now();
-        for i in 0..N {
-            let _ = m.controller_of(TileId(0)).access(Cycles(i), 64);
-        }
-        println!("dram access:          {:.0} ns", ns(t0));
-
-        let mut buf = [0u8; 8];
-        let mut now = Cycles::ZERO;
-        let t0 = Instant::now();
-        for i in 0..N {
-            now += m.read(TileId(0), now, Addr((i % 6144) * 64), &mut buf);
-        }
-        println!("full miss access:     {:.0} ns", ns(t0));
-
-        // 16-tile flavor: remote homes, longer XY routes, link counters.
-        let mut cfg16 = presets::paper_default(16);
-        if let Some(l2) = cfg16.target.l2.as_mut() {
-            l2.size_bytes = 256 * 1024;
-            l2.associativity = 16;
-        }
-        let m = system_with(&cfg16, false);
-        let t0 = Instant::now();
-        for i in 0..N {
-            let _ = m.route(TileId(0), TileId((i % 16) as u32), CTRL_MSG_BYTES, Cycles(i));
-        }
-        println!("route 16t remote:     {:.0} ns", ns(t0));
-
-        let t0 = Instant::now();
-        for i in 0..N {
-            now += m.read(TileId(0), now, Addr((i % 6144) * 64), &mut buf);
-        }
-        println!("full miss 16t:        {:.0} ns", ns(t0));
     }
 
     /// Two host threads of the *same tile* racing on the same line: the MSHR
