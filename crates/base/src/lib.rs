@@ -30,6 +30,7 @@ pub mod hash;
 pub mod hostmem;
 pub mod hostprof;
 pub mod ids;
+pub mod padded;
 pub mod progress;
 pub mod queue;
 pub mod rng;
@@ -42,6 +43,7 @@ pub use error::SimError;
 pub use hash::{FxBuildHasher, FxHasher};
 pub use hostprof::{HostEvent, HostProf, HostProfSnapshot, HostSpan, HostStage, StageSnap};
 pub use ids::{MachineId, ProcId, ThreadId, TileId};
+pub use padded::CachePadded;
 pub use progress::GlobalProgress;
 pub use queue::LaxQueue;
 pub use rng::SimRng;

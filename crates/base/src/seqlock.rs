@@ -9,18 +9,25 @@
 
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 
-/// A seqlock sequence counter, cache-line-aligned so per-tile counters in an
-/// array never false-share.
+use crate::CachePadded;
+
+/// A seqlock sequence counter on a padded block of its own, so per-tile
+/// counters in an array never false-share.
 #[derive(Debug, Default)]
-#[repr(align(64))]
 pub struct SeqCount {
-    seq: AtomicU64,
+    seq: CachePadded<AtomicU64>,
 }
 
 impl SeqCount {
     /// A fresh counter in the even (quiescent) state.
     pub fn new() -> Self {
-        SeqCount { seq: AtomicU64::new(0) }
+        SeqCount::default()
+    }
+
+    /// Host address of the counter word, for layout tests.
+    #[doc(hidden)]
+    pub fn addr(&self) -> usize {
+        crate::padded::addr_of(&*self.seq)
     }
 
     /// Marks the start of a write section: the counter becomes odd and every

@@ -133,7 +133,12 @@ impl From<u64> for Cycles {
 ///
 /// All operations are lock-free so that other tiles can sample clocks
 /// concurrently (LaxP2P, skew measurement, progress estimation).
+///
+/// A tile's thread advances its clock on every guest op, so each clock owns a
+/// 128-byte host block (see [`crate::CachePadded`]; the attribute is repeated
+/// here because `Arc<Clock>` appears unwrapped in public signatures).
 #[derive(Debug, Default)]
+#[repr(align(128))]
 pub struct Clock {
     now: AtomicU64,
 }

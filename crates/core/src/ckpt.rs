@@ -38,20 +38,18 @@ use std::collections::BTreeSet;
 use std::path::Path;
 use std::sync::Arc;
 
-use graphite_base::{Clock, Cycles, SimError};
+use graphite_base::{CachePadded, Clock, Cycles, SimError};
 use graphite_ckpt::{corrupted, Checkpointable, CkptReader, CkptWriter, Dec, Enc, ReplayLog};
 use graphite_config::SimConfig;
-use graphite_core_model::CoreModel;
 use graphite_memory::addr::layout;
 use graphite_memory::{MemorySystem, SegmentAllocator};
 use graphite_network::Network;
 use graphite_sync::Synchronizer;
 use graphite_trace::{MetricsRegistry, MetricsSnapshot};
-use parking_lot::Mutex;
 
 use crate::control::CtrlRestore;
 use crate::vfs::Vfs;
-use crate::SimInner;
+use crate::{SimInner, TileState};
 
 /// Serializes every subsystem and writes one checkpoint file. Called from
 /// the MCP service loop (which owns and passes the already-encoded `ctrl`
@@ -97,10 +95,10 @@ pub(crate) fn write_checkpoint(
     w.segment("sync", sync.finish());
 
     let mut cores = Enc::new();
-    cores.u32(inner.cores.len() as u32);
-    for core in &inner.cores {
+    cores.u32(inner.tiles.len() as u32);
+    for tile in &inner.tiles {
         let mut words = Vec::new();
-        core.lock().save_state(&mut words);
+        tile.core.lock().save_state(&mut words);
         cores.words(&words);
     }
     w.segment("cores", cores.finish());
@@ -237,7 +235,7 @@ pub(crate) fn apply_restore(
     mem: &MemorySystem,
     network: &Network,
     sync: &dyn Synchronizer,
-    cores: &[Mutex<Box<dyn CoreModel>>],
+    tiles: &[CachePadded<TileState>],
     metrics: &MetricsRegistry,
 ) -> Result<(), SimError> {
     check_meta(r, cfg, sync.name())?;
@@ -261,12 +259,12 @@ pub(crate) fn apply_restore(
     }
 
     let mut d = Dec::new(r.segment("cores")?);
-    if d.u32()? as usize != cores.len() {
+    if d.u32()? as usize != tiles.len() {
         return Err(corrupted("cores"));
     }
-    for core in cores {
+    for tile in tiles {
         let words = d.words()?;
-        if !core.lock().load_state(&words) {
+        if !tile.core.lock().load_state(&words) {
             return Err(corrupted("cores"));
         }
     }

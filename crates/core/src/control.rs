@@ -297,8 +297,8 @@ fn quiesce_violation(
     if !futexes.is_empty() {
         return Some(format!("{} futex wait queue(s) still hold parked threads", futexes.len()));
     }
-    for (t, inbox) in inner.inboxes.iter().enumerate() {
-        let inbox = inbox.lock();
+    for (t, tile) in inner.tiles.iter().enumerate() {
+        let inbox = tile.inbox.lock();
         if !inbox.mailbox.is_empty() || !inbox.stash.is_empty() {
             return Some(format!("tile {t} has undelivered user messages"));
         }

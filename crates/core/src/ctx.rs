@@ -266,7 +266,7 @@ impl Ctx {
     /// Issues `instr` and charges its whole cost to one CPI class.
     fn execute_as(&mut self, instr: Instruction, class: CpiClass) {
         let clock = &self.sim.clocks[self.tile.index()];
-        let cost = self.sim.cores[self.tile.index()].lock().issue(clock.now(), &instr);
+        let cost = self.sim.tiles[self.tile.index()].core.lock().issue(clock.now(), &instr);
         clock.advance(cost);
         self.sim.cpi.add(self.tile, class, cost);
         self.sim.sync.on_progress(self.tile);
@@ -280,7 +280,7 @@ impl Ctx {
     /// store-buffer stall, not the raw latency).
     fn execute_mem(&mut self, instr: Instruction, mem: MemCost) {
         let clock = &self.sim.clocks[self.tile.index()];
-        let cost = self.sim.cores[self.tile.index()].lock().issue(clock.now(), &instr);
+        let cost = self.sim.tiles[self.tile.index()].core.lock().issue(clock.now(), &instr);
         clock.advance(cost);
         let cpi = &self.sim.cpi;
         if mem.hit {
@@ -596,7 +596,7 @@ impl Ctx {
         // A receive may block: seal the pending trace batch first.
         self.sim.obs.tracer.flush(self.tile);
         let (src, arrival, flow, payload) = {
-            let mut inbox = self.sim.inboxes[self.tile.index()].lock();
+            let mut inbox = self.sim.tiles[self.tile.index()].inbox.lock();
             if let Some(pos) =
                 inbox.stash.iter().position(|(s, _, _, _)| want.is_none_or(|w| *s == w))
             {

@@ -94,7 +94,9 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use crossbeam::channel::{self, Sender};
-use graphite_base::{Clock, Cycles, GlobalProgress, SimError, SimRng, ThreadId, TileId};
+use graphite_base::{
+    CachePadded, Clock, Cycles, GlobalProgress, SimError, SimRng, ThreadId, TileId,
+};
 use graphite_ckpt::CkptReader;
 pub use graphite_ckpt::{ReplayLog, ReplayMode};
 pub use graphite_config::{SimConfig, SyncModel};
@@ -131,7 +133,7 @@ const GUEST_RNG_SALT: u64 = 0x4755_4553_545F_524E;
 pub(crate) struct SimInner {
     pub cfg: SimConfig,
     pub clocks: Arc<Vec<Arc<Clock>>>,
-    pub cores: Vec<Mutex<Box<dyn CoreModel>>>,
+    pub tiles: Vec<CachePadded<TileState>>,
     pub mem: Arc<MemorySystem>,
     pub network: Arc<Network>,
     pub sync: Arc<dyn Synchronizer>,
@@ -139,7 +141,6 @@ pub(crate) struct SimInner {
     /// guest blocking point yields through it.
     pub sched: Arc<sched::GuestScheduler>,
     pub transport: Arc<dyn Transport>,
-    pub inboxes: Vec<Mutex<UserInbox>>,
     pub mcp_tx: Sender<McpRequest>,
     pub ctrl_stats: ControlStats,
     /// User-level messages sent; each tile's thread updates its own lane.
@@ -165,6 +166,13 @@ pub(crate) struct SimInner {
     pub started: Instant,
     /// Set when any guest thread panicked; surfaced by [`Sim::run`].
     pub guest_panicked: std::sync::atomic::AtomicBool,
+}
+
+/// What the simulator core keeps per tile, on a padded block of its own (host
+/// layout rule, DESIGN §7.2): the core lock is taken on every guest op.
+pub(crate) struct TileState {
+    pub core: Mutex<Box<dyn CoreModel>>,
+    pub inbox: Mutex<UserInbox>,
 }
 
 impl SimInner {
@@ -429,18 +437,17 @@ impl SimBuilder {
         } else {
             Arc::new(LocalTransport::with_obs(&cfg, &obs))
         };
-        let inboxes = (0..n)
+        let tiles: Vec<CachePadded<TileState>> = (0..n)
             .map(|i| {
-                Mutex::new(UserInbox::new(transport.register(Endpoint::Tile(TileId(i as u32)))))
-            })
-            .collect();
-        let cores: Vec<Mutex<Box<dyn CoreModel>>> = (0..n)
-            .map(|_| {
-                let model: Box<dyn CoreModel> = match &self.core_kind {
+                let core: Box<dyn CoreModel> = match &self.core_kind {
                     CoreKind::InOrder(p) => Box::new(InOrderCore::new(p.clone())),
                     CoreKind::OutOfOrder(p) => Box::new(OooCore::new(p.clone())),
                 };
-                Mutex::new(model)
+                let endpoint = transport.register(Endpoint::Tile(TileId(i as u32)));
+                CachePadded::new(TileState {
+                    core: Mutex::new(core),
+                    inbox: Mutex::new(UserInbox::new(endpoint)),
+                })
             })
             .collect();
 
@@ -466,7 +473,7 @@ impl SimBuilder {
                 &mem,
                 &network,
                 sync.as_ref(),
-                &cores,
+                &tiles,
                 &obs.metrics,
             )?;
             guest_rng = SimRng::from_state(ckpt::load_guest_rng_state(r)?);
@@ -519,13 +526,12 @@ impl SimBuilder {
         let (mcp_tx, mcp_rx) = channel::unbounded();
         let inner = Arc::new(SimInner {
             clocks,
-            cores,
+            tiles,
             mem,
             network,
             sync,
             sched,
             transport,
-            inboxes,
             mcp_tx: mcp_tx.clone(),
             ctrl_stats,
             user_msgs,
@@ -597,6 +603,25 @@ impl Sim {
     /// while the simulation runs.
     pub fn clock_handles(&self) -> Arc<Vec<Arc<Clock>>> {
         Arc::clone(&self.inner.clocks)
+    }
+
+    /// Host addresses of every word `tile`'s thread writes per guest op or
+    /// per scheduling event, labelled — for layout tests (DESIGN §7.2).
+    #[doc(hidden)]
+    pub fn hot_addrs(&self, tile: TileId) -> Vec<(&'static str, usize)> {
+        use graphite_base::padded::addr_of;
+        let inner = &self.inner;
+        let state = &inner.tiles[tile.index()];
+        let mut words = vec![
+            ("clock", addr_of(&*inner.clocks[tile.index()])),
+            ("core lock", addr_of(&state.core)),
+            ("inbox lock", addr_of(&state.inbox)),
+            ("parker", inner.sched.parker_addr(tile)),
+        ];
+        words.extend(inner.mem.hot_addrs(tile));
+        let slots = inner.obs.metrics.per_tile_slot_addrs(tile.index());
+        words.extend(slots.into_iter().map(|a| ("metric slot", a)));
+        words
     }
 
     /// A live snapshot of the metrics registry. May be called concurrently

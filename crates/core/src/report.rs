@@ -412,8 +412,8 @@ pub(crate) fn build_report(inner: &SimInner) -> SimReport {
     // is idempotent.
     let instr_lanes = inner.obs.metrics.per_tile("core.tile.instructions");
     let cycle_lanes = inner.obs.metrics.per_tile("core.tile.cycles");
-    for (i, core) in inner.cores.iter().enumerate() {
-        let core = core.lock();
+    for (i, tile) in inner.tiles.iter().enumerate() {
+        let core = tile.core.lock();
         let s = core.stats();
         instr_lanes[i].take();
         instr_lanes[i].add(s.instructions.get());

@@ -39,7 +39,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use graphite_base::{Blocker, HostProf, HostStage, TileId};
+use graphite_base::{Blocker, CachePadded, HostProf, HostStage, TileId};
 use graphite_trace::{MetricsRegistry, Obs, ShardedMetric};
 use parking_lot::{Condvar, Mutex};
 
@@ -108,6 +108,32 @@ struct CtxParker {
     cv: Condvar,
 }
 
+impl CtxParker {
+    /// Deposits the slot token and wakes the context. The guard is dropped
+    /// before the notify: a carrier woken under the lock runs straight into
+    /// it and sleeps again.
+    fn grant_slot(&self) {
+        self.lock.lock().slot = true;
+        self.cv.notify_one();
+    }
+}
+
+/// Everything the scheduler keeps per context, on a padded block of its own:
+/// neighbouring contexts park, wake and stamp on different host threads.
+#[derive(Default)]
+struct CtxSlot {
+    parker: CtxParker,
+    /// Deferred start of a context submitted while all slots were held: the
+    /// context has **no carrier thread yet** — it is run-queue state only —
+    /// and the stored closure creates the thread when a slot is granted.
+    /// This is what bounds peak host threads by the pool width (plus
+    /// blocked-but-started contexts) instead of by the tile count.
+    start: Mutex<Option<StartFn>>,
+    /// Slot-occupancy start (ns since the profiler epoch, 0 = not holding a
+    /// slot); feeds the `sched.slot_run` busy accounting.
+    run_start: AtomicU64,
+}
+
 #[derive(Debug, Default)]
 struct CtxTokens {
     slot: bool,
@@ -122,22 +148,13 @@ struct CtxTokens {
 pub struct GuestScheduler {
     workers: usize,
     state: Mutex<SchedState>,
-    parkers: Vec<CtxParker>,
-    /// Deferred starts for contexts submitted while all slots were held: the
-    /// context has **no carrier thread yet** — it is run-queue state only —
-    /// and the stored closure creates the thread when a slot is granted.
-    /// This is what bounds peak host threads by the pool width (plus
-    /// blocked-but-started contexts) instead of by the tile count.
-    starts: Vec<Mutex<Option<StartFn>>>,
+    ctxs: Vec<CachePadded<CtxSlot>>,
     /// Live carrier threads, maintained via [`Self::carrier_started`] /
     /// [`Self::carrier_exited`].
     live_carriers: AtomicU64,
     stats: SchedStats,
     /// Host-cost profiler (`host.sched.*` stages). Disabled by default.
     prof: Arc<HostProf>,
-    /// Per-context slot-occupancy start (ns since the profiler epoch, 0 =
-    /// not holding a slot); feeds the `sched.slot_run` busy accounting.
-    run_start: Vec<AtomicU64>,
 }
 
 impl std::fmt::Debug for GuestScheduler {
@@ -170,12 +187,10 @@ impl GuestScheduler {
                 runqs: (0..workers).map(|_| VecDeque::new()).collect(),
                 queued: 0,
             }),
-            parkers: (0..tiles).map(|_| CtxParker::default()).collect(),
-            starts: (0..tiles).map(|_| Mutex::new(None)).collect(),
+            ctxs: (0..tiles).map(|_| CachePadded::default()).collect(),
             live_carriers: AtomicU64::new(0),
             stats: SchedStats::registered(&obs.metrics),
             prof: Arc::clone(&obs.hostprof),
-            run_start: (0..tiles).map(|_| AtomicU64::new(0)).collect(),
         })
     }
 
@@ -183,7 +198,7 @@ impl GuestScheduler {
     #[inline]
     fn note_slot_acquired(&self, tile: TileId) {
         if self.prof.is_enabled() {
-            self.run_start[tile.index()].store(self.prof.now_ns(), Ordering::Relaxed);
+            self.ctxs[tile.index()].run_start.store(self.prof.now_ns(), Ordering::Relaxed);
         }
     }
 
@@ -191,7 +206,7 @@ impl GuestScheduler {
     #[inline]
     fn note_slot_released(&self, tile: TileId) {
         if self.prof.is_enabled() {
-            let start = self.run_start[tile.index()].swap(0, Ordering::Relaxed);
+            let start = self.ctxs[tile.index()].run_start.swap(0, Ordering::Relaxed);
             if start != 0 {
                 self.prof.record(HostStage::SchedSlotRun, start, self.prof.now_ns());
             }
@@ -208,6 +223,12 @@ impl GuestScheduler {
             workers
         };
         n.min(tiles).max(1) as usize
+    }
+
+    /// Host address of `tile`'s parker lock, for layout tests.
+    #[doc(hidden)]
+    pub fn parker_addr(&self, tile: TileId) -> usize {
+        graphite_base::padded::addr_of(&self.ctxs[tile.index()].parker.lock)
     }
 
     /// Number of execution slots.
@@ -238,7 +259,7 @@ impl GuestScheduler {
                 start();
                 return;
             }
-            *self.starts[tile.index()].lock() = Some(start);
+            *self.ctxs[tile.index()].start.lock() = Some(start);
             s.runqs[me as usize % self.workers].push_back(me);
             s.queued += 1;
             self.stats.parks.incr(tile.index());
@@ -278,7 +299,7 @@ impl GuestScheduler {
         }
         {
             let _w = self.prof.span(HostStage::SchedSlotWait);
-            let p = &self.parkers[tile.index()];
+            let p = &self.ctxs[tile.index()].parker;
             let mut t = p.lock.lock();
             while !t.slot {
                 p.cv.wait(&mut t);
@@ -328,17 +349,14 @@ impl GuestScheduler {
             // A context that never started has no thread to wake: the slot
             // grant *creates* its carrier (lazy start). Otherwise deposit the
             // slot token for the parked thread.
-            let start = self.starts[t as usize].lock().take();
+            let start = self.ctxs[t as usize].start.lock().take();
             if let Some(start) = start {
                 self.note_slot_acquired(TileId(t));
                 let _sp = self.prof.span(HostStage::SchedSpawn);
                 start();
                 return;
             }
-            let p = &self.parkers[t as usize];
-            let mut tok = p.lock.lock();
-            tok.slot = true;
-            p.cv.notify_one();
+            self.ctxs[t as usize].parker.grant_slot();
         }
     }
 
@@ -361,10 +379,7 @@ impl GuestScheduler {
             }
             s.free -= 1;
         }
-        let p = &self.parkers[tile.index()];
-        let mut t = p.lock.lock();
-        t.slot = true;
-        p.cv.notify_one();
+        self.ctxs[tile.index()].parker.grant_slot();
     }
 }
 
@@ -380,7 +395,7 @@ impl Blocker for GuestScheduler {
         self.detach(tile);
         {
             let _w = self.prof.span(HostStage::SchedPark);
-            let p = &self.parkers[tile.index()];
+            let p = &self.ctxs[tile.index()].parker;
             let mut t = p.lock.lock();
             if t.unpark {
                 // Banked unpark (release beat us here): reacquire normally.
@@ -406,7 +421,7 @@ impl Blocker for GuestScheduler {
 
     fn unpark(&self, tile: TileId) {
         let _u = self.prof.span(HostStage::SchedUnpark);
-        let p = &self.parkers[tile.index()];
+        let p = &self.ctxs[tile.index()].parker;
         let mut t = p.lock.lock();
         t.unpark = true;
         if t.slot_parked {
@@ -420,6 +435,8 @@ impl Blocker for GuestScheduler {
             drop(t);
             self.enqueue_for_slot(tile);
         } else {
+            // Not under the lock: see `CtxParker::grant_slot`.
+            drop(t);
             p.cv.notify_one();
         }
     }

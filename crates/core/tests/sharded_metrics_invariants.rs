@@ -70,8 +70,7 @@ fn sharded_lanes_fold_exactly_under_contention() {
 
 fn run_workload(sync: SyncModel) -> SimReport {
     let cfg = SimConfig::builder().tiles(TILES).processes(2).sync(sync).build().unwrap();
-    // Full-width worker pool (thread-per-tile baseline): the sharing probes
-    // below only generate invalidations when guest threads actually
+    // Full-width worker pool (thread-per-tile baseline), so guest threads
     // interleave with the main thread's stores.
     Sim::builder(cfg).workers(TILES).build().unwrap().run(|ctx| {
         let base = ctx.malloc(64 * 1024).unwrap();
@@ -97,6 +96,11 @@ fn run_workload(sync: SyncModel) -> SimReport {
         for t in tids {
             t.join(ctx).unwrap();
         }
+        // The 200 stores above can all retire before any child has read the
+        // line. One more after the joins makes an invalidation certain
+        // instead of likely: every child has read `shared` by now, so either
+        // an earlier store already invalidated a reader or this one does.
+        ctx.store(shared, 200u64);
     })
 }
 
@@ -119,11 +123,11 @@ fn report_totals_consistent_across_sync_models() {
         assert!(doc.contains("\"graphite.metrics.v1\""), "{sync:?}: schema marker missing");
 
         // Every guest thread does 200 stores + 200 loads, plus the shared
-        // probes (main contributes stores only): exact totals survive
+        // probes (main contributes its 201 stores only): exact totals survive
         // sharding — this is what "numerically identical" means.
         let spawned = TILES as u64 - 1;
         let loads = spawned * 200 + spawned * 13;
-        let stores = spawned * 200 + 200;
+        let stores = spawned * 200 + 201;
         assert_eq!(m.counters["mem.loads"], loads, "{sync:?}");
         assert_eq!(m.counters["mem.stores"], stores, "{sync:?}");
 

@@ -27,7 +27,7 @@
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering::Relaxed};
 use std::sync::OnceLock;
 
-use graphite_base::TileId;
+use graphite_base::{CachePadded, TileId};
 
 /// Records in the first chunk.
 const FIRST: usize = 64;
@@ -81,18 +81,13 @@ const fn slot(chunk: usize) -> (usize, usize) {
 #[derive(Debug)]
 pub struct Directory {
     tiers: [OnceLock<Box<[OnceLock<Chunk>]>>; TIERS],
-    /// Records handed out; the next handle.
-    next: Frontier,
+    /// Records handed out; the next handle. On a padded block of its own:
+    /// every first touch writes it, every lookup reads the fields beside it.
+    next: CachePadded<AtomicU32>,
     sharer_words: usize,
     /// Words per record.
     stride: usize,
 }
-
-/// The hand-out counter on a host cache line pair of its own: every first
-/// touch writes it, every lookup reads the fields beside it.
-#[derive(Debug)]
-#[repr(align(128))]
-struct Frontier(AtomicU32);
 
 impl Directory {
     /// An empty directory for `tiles` tiles and `line_size`-byte lines.
@@ -100,7 +95,7 @@ impl Directory {
         let sharer_words = tiles.div_ceil(64) as usize;
         Directory {
             tiers: [const { OnceLock::new() }; TIERS],
-            next: Frontier(AtomicU32::new(0)),
+            next: CachePadded::default(),
             sharer_words,
             stride: 1 + sharer_words + line_size.div_ceil(8) as usize,
         }
@@ -113,7 +108,7 @@ impl Directory {
     ///
     /// Panics once `u32::MAX` records are out.
     pub fn alloc(&self) -> u32 {
-        let handle = self.next.0.fetch_add(1, Relaxed);
+        let handle = self.next.fetch_add(1, Relaxed);
         assert!(handle != u32::MAX, "directory arena is full");
         let (chunk, _) = locate(handle);
         let (tier, i) = slot(chunk);
@@ -144,7 +139,7 @@ impl Directory {
 
     /// Records handed out.
     pub fn lines(&self) -> u32 {
-        self.next.0.load(Relaxed)
+        self.next.load(Relaxed)
     }
 
     /// Takes every record back, zeroed, keeping the chunks. Handles handed
@@ -154,7 +149,7 @@ impl Directory {
         for chunk in slots.filter_map(OnceLock::get) {
             chunk.iter().for_each(|w| w.store(0, Relaxed));
         }
-        self.next.0.store(0, Relaxed);
+        self.next.store(0, Relaxed);
     }
 }
 

@@ -22,7 +22,7 @@ use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex};
 
-use graphite_base::{FxBuildHasher, TileId};
+use graphite_base::{CachePadded, FxBuildHasher, TileId};
 
 /// Sentinel requester for service-side acquisitions ([`MshrTable::acquire_service`]):
 /// checkpoint peeks/pokes that need per-line exclusivity but belong to no tile.
@@ -54,15 +54,11 @@ struct InFlight {
     event: Option<Arc<WaitEvent>>,
 }
 
-#[repr(align(64))]
-#[derive(Default)]
-struct PaddedU32(AtomicU32);
-
 /// The table of in-flight misses, sharded to keep map locks uncontended.
 pub struct MshrTable {
     shards: Box<[Mutex<HashMap<u64, InFlight, FxBuildHasher>>]>,
     /// Outstanding entries per tile, for the `mshr_entries` cap.
-    per_tile: Box<[PaddedU32]>,
+    per_tile: Box<[CachePadded<AtomicU32>]>,
     /// `mshr_entries`; 0 means uncapped.
     cap: u32,
     stalls: AtomicU64,
@@ -83,7 +79,7 @@ impl MshrTable {
     pub fn new(num_tiles: usize, cap: u32) -> Self {
         MshrTable {
             shards: (0..NUM_SHARDS).map(|_| Mutex::new(HashMap::default())).collect(),
-            per_tile: (0..num_tiles).map(|_| PaddedU32::default()).collect(),
+            per_tile: (0..num_tiles).map(|_| CachePadded::default()).collect(),
             cap,
             stalls: AtomicU64::new(0),
         }
@@ -100,7 +96,7 @@ impl MshrTable {
     /// Reserves one of this tile's `cap` outstanding slots, spinning (with
     /// yields) while the tile is at its cap. Returns whether it had to stall.
     fn reserve_slot(&self, tile_idx: usize) -> bool {
-        let ctr = &self.per_tile[tile_idx].0;
+        let ctr = &self.per_tile[tile_idx];
         if self.cap == 0 {
             ctr.fetch_add(1, Ordering::Relaxed);
             return false;
@@ -154,7 +150,7 @@ impl MshrTable {
             }
         };
         // We did not insert: give the reserved slot back before sleeping.
-        self.per_tile[tile_idx].0.fetch_sub(1, Ordering::Relaxed);
+        self.per_tile[tile_idx].fetch_sub(1, Ordering::Relaxed);
         let (kind, ev) = event;
         let mut done = ev.done.lock();
         while !*done {
@@ -194,7 +190,7 @@ impl MshrTable {
             map.remove(&line).expect("MSHR release of absent line").event
         };
         if let Some(i) = tile_idx {
-            self.per_tile[i].0.fetch_sub(1, Ordering::Relaxed);
+            self.per_tile[i].fetch_sub(1, Ordering::Relaxed);
         }
         if let Some(ev) = event {
             // Set the flag under the event mutex so a waiter between its
@@ -203,6 +199,13 @@ impl MshrTable {
             *done = true;
             ev.cv.notify_all();
         }
+    }
+
+    /// Host address of `tile_idx`'s outstanding-miss counter, for layout
+    /// tests.
+    #[doc(hidden)]
+    pub fn slot_addr(&self, tile_idx: usize) -> usize {
+        graphite_base::padded::addr_of(&*self.per_tile[tile_idx])
     }
 
     /// Total entries currently in flight (quiescence checks and tests).

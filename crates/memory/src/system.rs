@@ -48,7 +48,7 @@ use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use graphite_base::{
-    Cycles, FxBuildHasher, HostProf, HostStage, SeqCount, SimError, SimRng, TileId,
+    CachePadded, Cycles, FxBuildHasher, HostProf, HostStage, SeqCount, SimError, SimRng, TileId,
 };
 use graphite_ckpt::{corrupted, Checkpointable, Dec, Enc};
 use graphite_config::{CacheProtocol, CoherenceScheme, SimConfig};
@@ -471,7 +471,9 @@ pub struct MemorySystem {
     /// `line_size - 1`.
     line_mask: u64,
     num_tiles: u32,
-    tiles: Vec<Mutex<TileMem>>,
+    /// Each tile's lock and hierarchy (LRU stamp counters included) on padded
+    /// blocks of its own: the lock word is written on every locked access.
+    tiles: Vec<CachePadded<Mutex<TileMem>>>,
     /// Every line's directory record; shard maps hold handles into it.
     dir: Directory,
     /// `mem.dir.lines`; see [`MemorySystem::publish_dir_lines`].
@@ -497,7 +499,9 @@ pub struct MemorySystem {
     /// (L1-filter + coherence-level access latencies — config constants, so
     /// the miss path doesn't take the tile lock just to read them).
     miss_lookup_lat: Cycles,
-    dram: Vec<DramController>,
+    /// One controller per home tile (or a single one), each on its own
+    /// padded block: misses homed at neighbouring tiles do not share lines.
+    dram: Vec<CachePadded<DramController>>,
     per_tile_dram: bool,
     network: Arc<Network>,
     scheme: CoherenceScheme,
@@ -545,13 +549,13 @@ impl MemorySystem {
     ) -> Self {
         debug_assert_eq!(obs.metrics.num_tiles(), cfg.target.num_tiles as usize);
         let line_size = cfg.target.coherence_line_size();
-        let tiles: Vec<Mutex<TileMem>> = (0..cfg.target.num_tiles)
+        let tiles: Vec<CachePadded<Mutex<TileMem>>> = (0..cfg.target.num_tiles)
             .map(|_| {
-                Mutex::new(TileMem {
+                CachePadded::new(Mutex::new(TileMem {
                     l1i: cfg.target.l1i.as_ref().map(|c| Cache::new(c, false)),
                     l1d: cfg.target.l1d.as_ref().map(|c| Cache::new(c, true)),
                     l2: cfg.target.l2.as_ref().map(|c| Cache::new(c, true)),
-                })
+                }))
             })
             .collect();
         // Probe targets point into `tiles`' heap buffer, which never moves
@@ -582,7 +586,12 @@ impl MemorySystem {
         let bytes_per_cycle =
             cfg.target.dram.total_bandwidth_gbps / cfg.target.clock_ghz / ncontrollers as f64;
         let dram = (0..ncontrollers)
-            .map(|_| DramController::new(bytes_per_cycle, cfg.target.dram.access_latency))
+            .map(|_| {
+                CachePadded::new(DramController::new(
+                    bytes_per_cycle,
+                    cfg.target.dram.access_latency,
+                ))
+            })
             .collect();
         debug_assert!(line_size.is_power_of_two(), "validated by SimConfig");
         MemorySystem {
@@ -622,6 +631,24 @@ impl MemorySystem {
         &self.per_tile
     }
 
+    /// Host addresses of the words `tile`'s accesses write in this struct's
+    /// per-tile arrays (the metric slots are the registry's), for layout
+    /// tests.
+    #[doc(hidden)]
+    pub fn hot_addrs(&self, tile: TileId) -> Vec<(&'static str, usize)> {
+        use graphite_base::padded::addr_of;
+        let t = tile.index();
+        let mut words = vec![
+            ("tile lock", addr_of(&*self.tiles[t])),
+            ("seq counter", self.tile_seq[t].addr()),
+            ("mshr slot", self.mshr.slot_addr(t)),
+        ];
+        if self.per_tile_dram {
+            words.push(("dram controller", addr_of(&*self.dram[t])));
+        }
+        words
+    }
+
     /// Coherence line size in bytes.
     pub fn line_size(&self) -> u32 {
         self.line_size
@@ -640,7 +667,7 @@ impl MemorySystem {
     }
 
     /// The DRAM controllers (one per tile, or a single one).
-    pub fn dram_controllers(&self) -> &[DramController] {
+    pub fn dram_controllers(&self) -> &[CachePadded<DramController>] {
         &self.dram
     }
 
@@ -2408,6 +2435,23 @@ mod tests {
     fn fetch_update_rejects_straddling_access() {
         let m = system(2);
         m.fetch_update_u32(TileId(0), Cycles(0), Addr(62), |v| v);
+    }
+
+    #[test]
+    fn neighbouring_tiles_share_no_hot_block() {
+        for tiles in [4u32, 130] {
+            let m = system(tiles);
+            graphite_base::padded::assert_tiles_isolated((0..tiles).flat_map(|t| {
+                let words = m.hot_addrs(TileId(t)).into_iter();
+                let counters = &m.per_tile_counters()[t as usize];
+                words
+                    .chain([
+                        ("mem.tile.accesses", counters.accesses.addr()),
+                        ("mem.tile.latency_sum", counters.latency_sum.addr()),
+                    ])
+                    .map(move |(label, addr)| (t as usize, label, addr))
+            }));
+        }
     }
 
     #[test]

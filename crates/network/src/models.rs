@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use graphite_base::{Cycles, GlobalProgress, LaxQueue};
+use graphite_base::{CachePadded, Cycles, GlobalProgress, LaxQueue};
 use graphite_config::MeshConfig;
 
 use crate::topology::MeshTopology;
@@ -156,7 +156,10 @@ impl NetworkModel for RingModel {
 pub struct MeshContentionModel {
     topo: MeshTopology,
     cfg: MeshConfig,
-    links: Vec<LaxQueue>,
+    /// Queue clocks of each switch's four outgoing links
+    /// ([`MeshTopology::link_index`] `/ 4`, `% 4`), one padded block per
+    /// switch: routes through neighbouring switches do not share host lines.
+    switches: Vec<CachePadded<[LaxQueue; 4]>>,
     progress: Arc<GlobalProgress>,
 }
 
@@ -164,7 +167,7 @@ impl std::fmt::Debug for MeshContentionModel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MeshContentionModel")
             .field("tiles", &self.topo.tiles())
-            .field("links", &self.links.len())
+            .field("links", &(self.switches.len() * 4))
             .finish()
     }
 }
@@ -173,20 +176,25 @@ impl MeshContentionModel {
     /// Creates the model with idle links.
     pub fn new(tiles: u32, cfg: MeshConfig, progress: Arc<GlobalProgress>) -> Self {
         let topo = MeshTopology::new(tiles);
-        let links = (0..topo.num_link_slots()).map(|_| LaxQueue::new()).collect();
-        MeshContentionModel { topo, cfg, links, progress }
+        let switches = (0..topo.num_link_slots() / 4).map(|_| CachePadded::default()).collect();
+        MeshContentionModel { topo, cfg, switches, progress }
     }
 
     fn serialization(&self, size_bytes: u32) -> Cycles {
         Cycles((size_bytes as u64).div_ceil(self.cfg.link_width_bytes as u64))
     }
 
+    /// Every link's queue, in [`MeshTopology::link_index`] order.
+    fn links(&self) -> impl Iterator<Item = &LaxQueue> {
+        self.switches.iter().flat_map(|s| s.iter())
+    }
+
     /// Mean utilization across all links at the progress estimate (used by
     /// reports and tests).
     pub fn mean_utilization(&self) -> f64 {
         let now = self.progress.estimate();
-        let sum: f64 = self.links.iter().map(|l| l.utilization(now)).sum();
-        sum / self.links.len() as f64
+        let sum: f64 = self.links().map(|l| l.utilization(now)).sum();
+        sum / (self.switches.len() * 4) as f64
     }
 }
 
@@ -204,7 +212,8 @@ impl NetworkModel for MeshContentionModel {
         let now = self.progress.estimate();
         let mut contention = Cycles::ZERO;
         for link in self.topo.xy_route(p.src, p.dst) {
-            let q = &self.links[self.topo.link_index(link)];
+            let slot = self.topo.link_index(link);
+            let q = &self.switches[slot / 4][slot % 4];
             // Each traversal occupies the link for the serialization time.
             contention += q.submit(now + contention, ser);
         }
@@ -213,14 +222,14 @@ impl NetworkModel for MeshContentionModel {
     }
 
     fn save_state(&self) -> Vec<u64> {
-        self.links.iter().map(|l| l.clock().0).collect()
+        self.links().map(|l| l.clock().0).collect()
     }
 
     fn load_state(&self, data: &[u64]) -> bool {
-        if data.len() != self.links.len() {
+        if data.len() != self.switches.len() * 4 {
             return false;
         }
-        for (link, &clock) in self.links.iter().zip(data) {
+        for (link, &clock) in self.links().zip(data) {
             link.set_clock(Cycles(clock));
         }
         true

@@ -26,7 +26,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use graphite_base::{Blocker, Clock, InlineBlocker, SimRng, TileId};
+use graphite_base::{Blocker, CachePadded, Clock, InlineBlocker, SimRng, TileId};
 use graphite_ckpt::{stream, ReplayLog};
 use graphite_config::SyncModel;
 use graphite_trace::{MetricsRegistry, Obs, ShardedMetric, TraceEventKind, Tracer};
@@ -226,6 +226,12 @@ pub struct BarrierSync {
     quantum: u64,
     clocks: Arc<Vec<Arc<Clock>>>,
     state: Mutex<BarrierState>,
+    /// Mirror of `state.target`, stored wherever the target is (under the
+    /// state lock). The target only grows, so a stale read is a lower bound:
+    /// a clock below it is below the target, and `on_progress` — called on
+    /// every guest op — returns without taking the lock. Padded: read per
+    /// op by every tile, it must not share a line with the lock word.
+    target: CachePadded<AtomicU64>,
     blocker: Arc<dyn Blocker>,
     stats: SyncStats,
     tracer: Arc<Tracer>,
@@ -286,6 +292,7 @@ impl BarrierSync {
                 generation: 0,
                 waiters: Vec::new(),
             }),
+            target: CachePadded::new(AtomicU64::new(quantum)),
             blocker,
             stats: SyncStats::registered(&obs.metrics),
             tracer: Arc::clone(&obs.tracer),
@@ -297,6 +304,7 @@ impl BarrierSync {
         s.generation += 1;
         s.arrived = 0;
         s.target += self.quantum;
+        self.target.store(s.target, Ordering::Relaxed);
         // Lane = the acting tile; lane writes are serialized by the barrier
         // mutex held here, so the owned (plain load+store) update is safe.
         self.stats.barrier_releases.incr_owned(tile.index());
@@ -319,6 +327,11 @@ impl Synchronizer for BarrierSync {
 
     fn on_progress(&self, tile: TileId) {
         let clock = &self.clocks[tile.index()];
+        // Under the boundary: exactly the locked path's first return, taken
+        // without the lock every tile would otherwise fight over per op.
+        if clock.now().0 < self.target.load(Ordering::Relaxed) {
+            return;
+        }
         // A long memory stall can cross several quanta in one advance; wait
         // out each boundary in turn.
         loop {
@@ -382,9 +395,17 @@ impl Synchronizer for BarrierSync {
         }
         let mut s = self.state.lock();
         s.target = target;
+        self.target.store(target, Ordering::Relaxed);
         s.generation = generation;
         true
     }
+}
+
+#[derive(Debug, Default)]
+struct P2PTile {
+    active: AtomicBool,
+    /// The tile's clock value at its last check.
+    last_check: AtomicU64,
 }
 
 /// The paper's point-to-point scheme (LaxP2P, §3.6.3): random pairwise clock
@@ -394,9 +415,9 @@ pub struct P2PSync {
     slack: u64,
     check_interval: u64,
     clocks: Arc<Vec<Arc<Clock>>>,
-    active: Vec<AtomicBool>,
-    /// Per-tile clock value at the last check.
-    last_check: Vec<AtomicU64>,
+    /// Per-tile state, each tile's on a padded block of its own: the owner
+    /// reads `last_check` on every guest op.
+    tiles: Vec<CachePadded<P2PTile>>,
     rng: Mutex<SimRng>,
     /// Record/replay of partner picks; [`ReplayLog::off`] when unused.
     replay: Arc<ReplayLog>,
@@ -493,8 +514,7 @@ impl P2PSync {
             slack,
             check_interval,
             clocks,
-            active: (0..n).map(|_| AtomicBool::new(false)).collect(),
-            last_check: (0..n).map(|_| AtomicU64::new(0)).collect(),
+            tiles: (0..n).map(|_| CachePadded::default()).collect(),
             rng: Mutex::new(SimRng::new(seed)),
             replay,
             blocker,
@@ -523,11 +543,11 @@ impl Synchronizer for P2PSync {
     fn on_progress(&self, tile: TileId) {
         let me = tile.index();
         let now = self.clocks[me].now().0;
-        let last = self.last_check[me].load(Ordering::Relaxed);
+        let last = self.tiles[me].last_check.load(Ordering::Relaxed);
         if now.saturating_sub(last) < self.check_interval {
             return;
         }
-        self.last_check[me].store(now, Ordering::Relaxed);
+        self.tiles[me].last_check.store(now, Ordering::Relaxed);
         // Choose a random *other* active tile.
         let n = self.clocks.len();
         if n <= 1 {
@@ -544,7 +564,7 @@ impl Synchronizer for P2PSync {
             }
             p
         };
-        if !self.active[partner].load(Ordering::Relaxed) {
+        if !self.tiles[partner].active.load(Ordering::Relaxed) {
             return;
         }
         // Lane = the acting tile: only tile `me`'s own thread reaches these
@@ -573,11 +593,11 @@ impl Synchronizer for P2PSync {
     }
 
     fn activate(&self, tile: TileId) {
-        self.active[tile.index()].store(true, Ordering::Relaxed);
+        self.tiles[tile.index()].active.store(true, Ordering::Relaxed);
     }
 
     fn deactivate(&self, tile: TileId) {
-        self.active[tile.index()].store(false, Ordering::Relaxed);
+        self.tiles[tile.index()].active.store(false, Ordering::Relaxed);
     }
 
     fn stats(&self) -> &SyncStats {
@@ -586,20 +606,20 @@ impl Synchronizer for P2PSync {
 
     /// `[rng_state, last_check[0], .., last_check[n-1]]`.
     fn save_state(&self) -> Vec<u64> {
-        let mut out = Vec::with_capacity(1 + self.last_check.len());
+        let mut out = Vec::with_capacity(1 + self.tiles.len());
         out.push(self.rng.lock().state());
-        out.extend(self.last_check.iter().map(|c| c.load(Ordering::Relaxed)));
+        out.extend(self.tiles.iter().map(|t| t.last_check.load(Ordering::Relaxed)));
         out
     }
 
     fn load_state(&self, data: &[u64]) -> bool {
         let Some((&rng_state, checks)) = data.split_first() else { return false };
-        if checks.len() != self.last_check.len() {
+        if checks.len() != self.tiles.len() {
             return false;
         }
         *self.rng.lock() = SimRng::from_state(rng_state);
-        for (slot, &v) in self.last_check.iter().zip(checks) {
-            slot.store(v, Ordering::Relaxed);
+        for (tile, &v) in self.tiles.iter().zip(checks) {
+            tile.last_check.store(v, Ordering::Relaxed);
         }
         true
     }
@@ -685,6 +705,70 @@ mod tests {
             max_skew.load(Ordering::Relaxed)
         );
         assert!(b.stats().barrier_waits.get() > 0);
+    }
+
+    /// Calls `on_progress(tile)` on a fresh thread while this thread holds the
+    /// barrier's state lock; true when the call returned without the lock.
+    fn returns_while_state_is_locked(b: &Arc<BarrierSync>, tile: TileId) -> bool {
+        let guard = b.state.lock();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let b2 = Arc::clone(b);
+        let caller = std::thread::spawn(move || {
+            b2.on_progress(tile);
+            let _ = done_tx.send(());
+        });
+        let returned = done_rx.recv_timeout(Duration::from_secs(5)).is_ok();
+        drop(guard);
+        caller.join().unwrap();
+        returned
+    }
+
+    #[test]
+    fn below_target_progress_never_takes_the_state_lock() {
+        let c = clocks(2);
+        let b = Arc::new(BarrierSync::new(1_000, Arc::clone(&c)));
+        b.activate(TileId(0));
+        b.activate(TileId(1));
+        c[0].advance(Cycles(999));
+        assert!(returns_while_state_is_locked(&b, TileId(0)), "clock 999 < target 1000");
+        // At the boundary the call needs the lock (and, with the partner
+        // still behind, would wait at the barrier): it must not return.
+        c[0].advance(Cycles(1));
+        let guard = b.state.lock();
+        let b2 = Arc::clone(&b);
+        let waiter = std::thread::spawn(move || b2.on_progress(TileId(0)));
+        std::thread::sleep(Duration::from_millis(20));
+        assert!(!waiter.is_finished(), "clock 1000 >= target 1000 must reach the locked path");
+        drop(guard);
+        // The partner arrives: release, target and mirror move to 2000.
+        c[1].advance(Cycles(1_000));
+        b.on_progress(TileId(1));
+        waiter.join().unwrap();
+        assert_eq!(b.target.load(Ordering::Relaxed), 2_000);
+        assert_eq!(b.state.lock().target, 2_000);
+        assert!(returns_while_state_is_locked(&b, TileId(0)), "clock 1000 < target 2000");
+    }
+
+    #[test]
+    fn load_state_keeps_the_target_mirror_in_step() {
+        let c = clocks(2);
+        let b = Arc::new(BarrierSync::new(100, Arc::clone(&c)));
+        assert_eq!(b.target.load(Ordering::Relaxed), 100);
+        assert!(b.load_state(&[500, 4]));
+        assert_eq!(b.target.load(Ordering::Relaxed), 500);
+        assert!(!b.load_state(&[150, 1]), "rejected state must not move the mirror");
+        assert_eq!(b.target.load(Ordering::Relaxed), 500);
+        // The restored boundary is the one the lock-free check uses.
+        b.activate(TileId(0));
+        b.activate(TileId(1));
+        c[0].advance(Cycles(450));
+        assert!(returns_while_state_is_locked(&b, TileId(0)), "clock 450 < restored target 500");
+        // A solo thread's lazy releases keep the mirror equal to the target.
+        b.deactivate(TileId(1));
+        c[0].advance(Cycles(400));
+        b.on_progress(TileId(0));
+        assert_eq!(b.state.lock().target, 900);
+        assert_eq!(b.target.load(Ordering::Relaxed), 900);
     }
 
     #[test]

@@ -12,12 +12,17 @@
 //! registry. That keeps stats structs usable in isolation (unit tests,
 //! standalone subsystem construction) while production wiring goes through
 //! [`MetricsRegistry::counter`] and friends.
+//!
+//! Per-tile storage follows the host layout rule (DESIGN §7.2): everything a
+//! tile's thread counts per guest op — its [`MetricsRegistry::per_tile`]
+//! slots, its [`ShardedMetric`] and [`ShardedHistogram`] lanes — sits in
+//! [`CachePadded`] blocks no other tile writes.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use graphite_base::SimError;
+use graphite_base::{CachePadded, SimError};
 use graphite_ckpt::{Dec, Enc};
 use parking_lot::Mutex;
 
@@ -39,13 +44,51 @@ use crate::json;
 /// alias.incr();
 /// assert_eq!(m.get(), 4);
 /// ```
-#[derive(Clone, Default, Debug)]
-pub struct Metric(Arc<AtomicU64>);
+#[derive(Clone, Debug)]
+pub struct Metric(Cell);
+
+/// Where a [`Metric`]'s word lives.
+#[derive(Clone, Debug)]
+enum Cell {
+    /// A heap word of its own: global and detached counters.
+    Own(Arc<AtomicU64>),
+    /// One slot of one tile's block in a registry slab page: the lanes
+    /// [`MetricsRegistry::per_tile`] hands out.
+    Slab { page: SlabPage, tile: u32, slot: u32 },
+}
+
+/// Families per slab page: one [`CachePadded`] block of counters per tile.
+const SLAB_SLOTS: usize = 16;
+
+/// One page of per-tile counter storage, tile-major: element `t` holds tile
+/// `t`'s slot of each of up to [`SLAB_SLOTS`] families, so all of a tile's
+/// per-op counters share host lines with each other and with no other tile.
+type SlabPage = Arc<[CachePadded<[AtomicU64; SLAB_SLOTS]>]>;
+
+impl Default for Metric {
+    fn default() -> Self {
+        Metric(Cell::Own(Arc::default()))
+    }
+}
 
 impl Metric {
     /// Creates a detached counter starting at zero.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    #[inline]
+    fn cell(&self) -> &AtomicU64 {
+        match &self.0 {
+            Cell::Own(word) => word,
+            Cell::Slab { page, tile, slot } => &page[*tile as usize][*slot as usize],
+        }
+    }
+
+    /// Host address of the counter word, for layout tests.
+    #[doc(hidden)]
+    pub fn addr(&self) -> usize {
+        graphite_base::padded::addr_of(self.cell())
     }
 
     /// Adds one.
@@ -57,7 +100,7 @@ impl Metric {
     /// Adds `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
+        self.cell().fetch_add(n, Ordering::Relaxed);
     }
 
     /// Adds one under the single-writer convention (see [`Metric::add_owned`]).
@@ -72,25 +115,25 @@ impl Metric {
     /// increments — use [`Metric::add`] unless this counter is thread-owned.
     #[inline]
     pub fn add_owned(&self, n: u64) {
-        let v = self.0.load(Ordering::Relaxed).wrapping_add(n);
-        self.0.store(v, Ordering::Relaxed);
+        let cell = self.cell();
+        cell.store(cell.load(Ordering::Relaxed).wrapping_add(n), Ordering::Relaxed);
     }
 
     /// Current value.
     #[inline]
     pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
+        self.cell().load(Ordering::Relaxed)
     }
 
     /// Raises the value to `n` if `n` is larger (used for high-water marks).
     #[inline]
     pub fn observe_max(&self, n: u64) {
-        self.0.fetch_max(n, Ordering::Relaxed);
+        self.cell().fetch_max(n, Ordering::Relaxed);
     }
 
     /// Returns the current value and resets to zero.
     pub fn take(&self) -> u64 {
-        self.0.swap(0, Ordering::Relaxed)
+        self.cell().swap(0, Ordering::Relaxed)
     }
 }
 
@@ -171,16 +214,9 @@ pub enum LaneFold {
     Max,
 }
 
-/// One cache-padded counter lane. 128-byte alignment keeps adjacent lanes on
-/// separate cache-line *pairs*, defeating the adjacent-line prefetcher that
-/// would otherwise re-create false sharing between neighbouring tiles.
-#[derive(Debug, Default)]
-#[repr(align(128))]
-struct PaddedLane(AtomicU64);
-
 #[derive(Debug)]
 struct ShardedInner {
-    lanes: Box<[PaddedLane]>,
+    lanes: Box<[CachePadded<AtomicU64>]>,
     /// `lanes.len() - 1`; lane count is a power of two so any caller-supplied
     /// lane index folds in with a mask instead of a division.
     mask: usize,
@@ -229,7 +265,7 @@ impl ShardedMetric {
     pub fn with_fold(lanes: usize, fold: LaneFold) -> Self {
         let n = lanes.max(1).next_power_of_two();
         ShardedMetric(Arc::new(ShardedInner {
-            lanes: (0..n).map(|_| PaddedLane::default()).collect(),
+            lanes: (0..n).map(|_| CachePadded::default()).collect(),
             mask: n - 1,
             fold,
         }))
@@ -237,7 +273,7 @@ impl ShardedMetric {
 
     #[inline]
     fn lane(&self, lane: usize) -> &AtomicU64 {
-        &self.0.lanes[lane & self.0.mask].0
+        &self.0.lanes[lane & self.0.mask]
     }
 
     /// Adds one to `lane`.
@@ -284,7 +320,7 @@ impl ShardedMetric {
 
     /// The folded value across all lanes (sum or max, per construction).
     pub fn get(&self) -> u64 {
-        let it = self.0.lanes.iter().map(|l| l.0.load(Ordering::Relaxed));
+        let it = self.0.lanes.iter().map(|l| l.load(Ordering::Relaxed));
         match self.0.fold {
             LaneFold::Sum => it.fold(0u64, u64::wrapping_add),
             LaneFold::Max => it.max().unwrap_or(0),
@@ -311,18 +347,17 @@ impl ShardedMetric {
     /// (a sum of `[v, 0, ..]` and a max of `[v, 0, ..]` are both `v`).
     fn set_folded(&self, v: u64) {
         for (i, lane) in self.0.lanes.iter().enumerate() {
-            lane.0.store(if i == 0 { v } else { 0 }, Ordering::Relaxed);
+            lane.store(if i == 0 { v } else { 0 }, Ordering::Relaxed);
         }
     }
 }
 
 const HIST_BUCKETS: usize = 65;
 
-/// One cache-padded histogram lane: log₂ buckets plus a running sum. The
-/// sample count is *not* stored — it is the sum of the bucket counts, derived
-/// at snapshot time — so recording costs two relaxed RMWs, not three.
+/// One histogram lane: log₂ buckets plus a running sum. The sample count is
+/// *not* stored — it is the sum of the bucket counts, derived at snapshot
+/// time — so recording costs two relaxed RMWs, not three.
 #[derive(Debug)]
-#[repr(align(128))]
 struct HistLane {
     buckets: [AtomicU64; HIST_BUCKETS],
     sum: AtomicU64,
@@ -336,7 +371,7 @@ impl Default for HistLane {
 
 #[derive(Debug)]
 struct ShardedHistInner {
-    lanes: Box<[HistLane]>,
+    lanes: Box<[CachePadded<HistLane>]>,
     mask: usize,
 }
 
@@ -375,7 +410,7 @@ impl ShardedHistogram {
     pub fn new(lanes: usize) -> Self {
         let n = lanes.max(1).next_power_of_two();
         ShardedHistogram(Arc::new(ShardedHistInner {
-            lanes: (0..n).map(|_| HistLane::default()).collect(),
+            lanes: (0..n).map(|_| CachePadded::default()).collect(),
             mask: n - 1,
         }))
     }
@@ -636,7 +671,9 @@ impl HistogramSnapshot {
 enum Entry {
     Counter(Metric),
     Gauge(Gauge),
-    PerTile(Vec<Metric>),
+    /// The n-th per-tile family registered: slot `n % SLAB_SLOTS` of every
+    /// tile's block in slab page `n / SLAB_SLOTS`.
+    PerTile(usize),
     Histogram(Histogram),
     Sharded(ShardedMetric),
     ShardedHistogram(ShardedHistogram),
@@ -681,13 +718,27 @@ impl Entry {
 #[derive(Debug)]
 pub struct MetricsRegistry {
     num_tiles: usize,
-    entries: Mutex<BTreeMap<String, Entry>>,
+    state: Mutex<Registered>,
+}
+
+#[derive(Debug, Default)]
+struct Registered {
+    entries: BTreeMap<String, Entry>,
+    /// Storage of every per-tile family, [`SLAB_SLOTS`] families to a page.
+    pages: Vec<SlabPage>,
+    /// Per-tile families registered so far.
+    families: usize,
+}
+
+/// `tile`'s word of per-tile family `family`.
+fn slab_word(pages: &[SlabPage], family: usize, tile: usize) -> &AtomicU64 {
+    &pages[family / SLAB_SLOTS][tile][family % SLAB_SLOTS]
 }
 
 impl MetricsRegistry {
     /// Creates an empty registry for a target with `num_tiles` tiles.
     pub fn new(num_tiles: usize) -> Self {
-        MetricsRegistry { num_tiles, entries: Mutex::new(BTreeMap::new()) }
+        MetricsRegistry { num_tiles, state: Mutex::new(Registered::default()) }
     }
 
     /// Number of tiles every per-tile metric is sized for.
@@ -701,8 +752,9 @@ impl MetricsRegistry {
     ///
     /// Panics if `name` is already registered as a different metric kind.
     pub fn counter(&self, name: &str) -> Metric {
-        let mut entries = self.entries.lock();
-        match entries.entry(name.to_string()).or_insert_with(|| Entry::Counter(Metric::new())) {
+        let mut state = self.state.lock();
+        match state.entries.entry(name.to_string()).or_insert_with(|| Entry::Counter(Metric::new()))
+        {
             Entry::Counter(m) => m.clone(),
             other => panic!("metric '{name}' already registered as a {}", other.kind()),
         }
@@ -716,26 +768,41 @@ impl MetricsRegistry {
     ///
     /// Panics if `name` is already registered as a different metric kind.
     pub fn gauge(&self, name: &str) -> Gauge {
-        let mut entries = self.entries.lock();
-        match entries.entry(name.to_string()).or_insert_with(|| Entry::Gauge(Gauge::new())) {
+        let mut state = self.state.lock();
+        match state.entries.entry(name.to_string()).or_insert_with(|| Entry::Gauge(Gauge::new())) {
             Entry::Gauge(g) => g.clone(),
             other => panic!("metric '{name}' already registered as a {}", other.kind()),
         }
     }
 
     /// Returns the per-tile counter lane named `name` (one [`Metric`] per
-    /// tile), registering it on first use.
+    /// tile), registering it on first use. Tile `t`'s counter lives in tile
+    /// `t`'s block of the registry slab, next to its slots of the other
+    /// families and to no other tile's.
     ///
     /// # Panics
     ///
     /// Panics if `name` is already registered as a different metric kind.
     pub fn per_tile(&self, name: &str) -> Vec<Metric> {
-        let mut entries = self.entries.lock();
-        match entries
-            .entry(name.to_string())
-            .or_insert_with(|| Entry::PerTile((0..self.num_tiles).map(|_| Metric::new()).collect()))
-        {
-            Entry::PerTile(v) => v.clone(),
+        let mut state = self.state.lock();
+        let Registered { entries, pages, families } = &mut *state;
+        match entries.entry(name.to_string()).or_insert_with(|| {
+            // A full (or no) last page: one aligned allocation for all tiles.
+            if *families % SLAB_SLOTS == 0 {
+                pages.push((0..self.num_tiles).map(|_| CachePadded::default()).collect());
+            }
+            *families += 1;
+            Entry::PerTile(*families - 1)
+        }) {
+            &mut Entry::PerTile(family) => (0..self.num_tiles as u32)
+                .map(|tile| {
+                    Metric(Cell::Slab {
+                        page: Arc::clone(&pages[family / SLAB_SLOTS]),
+                        tile,
+                        slot: (family % SLAB_SLOTS) as u32,
+                    })
+                })
+                .collect(),
             other => panic!("metric '{name}' already registered as a {}", other.kind()),
         }
     }
@@ -746,8 +813,11 @@ impl MetricsRegistry {
     ///
     /// Panics if `name` is already registered as a different metric kind.
     pub fn histogram(&self, name: &str) -> Histogram {
-        let mut entries = self.entries.lock();
-        match entries.entry(name.to_string()).or_insert_with(|| Entry::Histogram(Histogram::new()))
+        let mut state = self.state.lock();
+        match state
+            .entries
+            .entry(name.to_string())
+            .or_insert_with(|| Entry::Histogram(Histogram::new()))
         {
             Entry::Histogram(h) => h.clone(),
             other => panic!("metric '{name}' already registered as a {}", other.kind()),
@@ -781,8 +851,9 @@ impl MetricsRegistry {
     }
 
     fn sharded(&self, name: &str, fold: LaneFold) -> ShardedMetric {
-        let mut entries = self.entries.lock();
-        match entries
+        let mut state = self.state.lock();
+        match state
+            .entries
             .entry(name.to_string())
             .or_insert_with(|| Entry::Sharded(ShardedMetric::with_fold(self.num_tiles, fold)))
         {
@@ -800,8 +871,9 @@ impl MetricsRegistry {
     ///
     /// Panics if `name` is already registered as a different metric kind.
     pub fn sharded_histogram(&self, name: &str) -> ShardedHistogram {
-        let mut entries = self.entries.lock();
-        match entries
+        let mut state = self.state.lock();
+        match state
+            .entries
             .entry(name.to_string())
             .or_insert_with(|| Entry::ShardedHistogram(ShardedHistogram::new(self.num_tiles)))
         {
@@ -810,9 +882,20 @@ impl MetricsRegistry {
         }
     }
 
+    /// Host addresses of every per-tile family's word for `tile`, in
+    /// registration order — for layout tests.
+    #[doc(hidden)]
+    pub fn per_tile_slot_addrs(&self, tile: usize) -> Vec<usize> {
+        let state = self.state.lock();
+        (0..state.families)
+            .map(|family| graphite_base::padded::addr_of(slab_word(&state.pages, family, tile)))
+            .collect()
+    }
+
     /// Captures the current value of every registered metric.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let entries = self.entries.lock();
+        let state = self.state.lock();
+        let Registered { entries, pages, .. } = &*state;
         let mut snap = MetricsSnapshot {
             num_tiles: self.num_tiles,
             counters: BTreeMap::new(),
@@ -827,8 +910,9 @@ impl MetricsRegistry {
                 Entry::Gauge(g) => {
                     snap.counters.insert(name.clone(), g.get());
                 }
-                Entry::PerTile(v) => {
-                    snap.per_tile.insert(name.clone(), v.iter().map(Metric::get).collect());
+                &Entry::PerTile(family) => {
+                    let lane = |tile| slab_word(pages, family, tile).load(Ordering::Relaxed);
+                    snap.per_tile.insert(name.clone(), (0..self.num_tiles).map(lane).collect());
                 }
                 Entry::Histogram(h) => {
                     snap.histograms.insert(name.clone(), h.snapshot());
@@ -859,7 +943,8 @@ impl MetricsRegistry {
         if snap.num_tiles != self.num_tiles {
             return Err(bad());
         }
-        let entries = self.entries.lock();
+        let state = self.state.lock();
+        let Registered { entries, pages, .. } = &*state;
         for (name, &v) in &snap.counters {
             match entries.get(name) {
                 Some(Entry::Counter(m)) => {
@@ -874,13 +959,12 @@ impl MetricsRegistry {
         }
         for (name, lanes) in &snap.per_tile {
             match entries.get(name) {
-                Some(Entry::PerTile(v)) => {
-                    if v.len() != lanes.len() {
+                Some(&Entry::PerTile(family)) => {
+                    if lanes.len() != self.num_tiles {
                         return Err(bad());
                     }
-                    for (m, &x) in v.iter().zip(lanes) {
-                        m.take();
-                        m.add(x);
+                    for (tile, &x) in lanes.iter().enumerate() {
+                        slab_word(pages, family, tile).store(x, Ordering::Relaxed);
                     }
                 }
                 Some(_) => return Err(bad()),
@@ -1218,6 +1302,80 @@ mod tests {
         let reg = MetricsRegistry::new(1);
         reg.counter("clash");
         reg.histogram("clash");
+    }
+
+    /// More per-tile families than one slab page holds.
+    fn many_families(reg: &MetricsRegistry) -> Vec<Vec<Metric>> {
+        (0..SLAB_SLOTS + 4).map(|f| reg.per_tile(&format!("fam.{f:02}"))).collect()
+    }
+
+    #[test]
+    fn per_tile_lanes_live_in_the_tiles_own_slab_block() {
+        use graphite_base::padded::{assert_tiles_isolated, PAD_BYTES};
+        for tiles in [4usize, 130] {
+            let reg = MetricsRegistry::new(tiles);
+            let families = many_families(&reg);
+            assert_tiles_isolated(families.iter().flat_map(|lanes| {
+                lanes.iter().enumerate().map(|(t, m)| (t, "metric slot", m.addr()))
+            }));
+            for t in 0..tiles {
+                let addrs: Vec<usize> = families.iter().map(|lanes| lanes[t].addr()).collect();
+                assert_eq!(addrs, reg.per_tile_slot_addrs(t));
+                // Contiguous within each page, and a page's slots of one tile
+                // fill exactly one block.
+                for page in addrs.chunks(SLAB_SLOTS) {
+                    assert!(page.windows(2).all(|w| w[1] == w[0] + 8), "tile {t}: {page:x?}");
+                    assert_eq!(page[0] % PAD_BYTES, 0);
+                }
+            }
+            // Asking again hands out the same words, not fresh ones.
+            let again = many_families(&reg);
+            families[SLAB_SLOTS + 1][tiles - 1].add(7);
+            assert_eq!(again[SLAB_SLOTS + 1][tiles - 1].get(), 7);
+            assert_eq!(again[3][0].addr(), families[3][0].addr());
+        }
+    }
+
+    #[test]
+    fn restore_roundtrips_across_slab_pages() {
+        let fill = |reg: &MetricsRegistry, scale: u64| {
+            for (f, lanes) in many_families(reg).iter().enumerate() {
+                for (t, m) in lanes.iter().enumerate() {
+                    m.add(scale * (100 * f as u64 + t as u64));
+                }
+            }
+        };
+        let reg = MetricsRegistry::new(5);
+        fill(&reg, 1);
+        let snap = reg.snapshot();
+        assert_eq!(snap.per_tile["fam.17"], vec![1700, 1701, 1702, 1703, 1704]);
+        let mut e = Enc::new();
+        snap.encode(&mut e);
+        let decoded = MetricsSnapshot::decode(&mut Dec::new(&e.finish())).unwrap();
+
+        let fresh = MetricsRegistry::new(5);
+        fill(&fresh, 3); // dirty: restore must overwrite, not add
+        fresh.restore(&decoded).unwrap();
+        assert_eq!(fresh.snapshot(), snap);
+        assert_eq!(fresh.snapshot().to_json(), snap.to_json());
+    }
+
+    #[test]
+    #[should_panic(expected = "already registered as a per-tile counter")]
+    fn registry_rejects_per_tile_name_as_another_kind() {
+        let reg = MetricsRegistry::new(2);
+        reg.per_tile("clash");
+        reg.counter("clash");
+    }
+
+    #[test]
+    fn rejected_per_tile_registration_takes_no_slab_slot() {
+        let reg = MetricsRegistry::new(2);
+        reg.counter("taken");
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| reg.per_tile("taken")));
+        assert!(r.is_err(), "re-registering a counter as per-tile must panic");
+        reg.per_tile("ok");
+        assert_eq!(reg.per_tile_slot_addrs(0).len(), 1);
     }
 
     #[test]

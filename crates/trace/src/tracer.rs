@@ -25,7 +25,7 @@ use std::cell::UnsafeCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use graphite_base::{Cycles, TileId};
+use graphite_base::{CachePadded, Cycles, TileId};
 
 use crate::json;
 
@@ -401,7 +401,7 @@ pub struct Tracer {
     seq: AtomicU64,
     /// One-shot latch for the first-overflow warning line.
     drop_warned: AtomicBool,
-    lanes: Vec<Lane>,
+    lanes: Vec<CachePadded<Lane>>,
 }
 
 impl Tracer {
@@ -415,7 +415,7 @@ impl Tracer {
     /// threads always have somewhere to land.
     pub fn new(num_tiles: usize, enabled: bool, capacity: usize) -> Self {
         let capacity = capacity.max(1);
-        let lanes = (0..num_tiles.max(1)).map(|_| Lane::new()).collect();
+        let lanes = (0..num_tiles.max(1)).map(|_| CachePadded::new(Lane::new())).collect();
         Tracer {
             enabled: AtomicBool::new(enabled),
             flows: AtomicBool::new(false),
