@@ -82,12 +82,10 @@ pub enum HostStage {
     LocalProbe,
     /// MSHR registration (acquire-or-wait / service acquisition).
     MshrProbe,
-    /// Acquiring a directory shard's map lock (incl. contended spin-wait).
+    /// Acquiring a directory shard's map lock.
     DirLockWait,
     /// Resolving a directory entry (shard selection + map get-or-insert).
     DirLookup,
-    /// Flat-combining drain of a shard's pending request queue.
-    BatchDrain,
     /// Making room in the coherence cache: LRU victim scans + evictions.
     LruScan,
     /// The DRAM controller queue model.
@@ -105,7 +103,7 @@ pub enum HostStage {
 }
 
 /// Number of [`HostStage`] variants (the accumulator table's size).
-pub const NUM_STAGES: usize = 20;
+pub const NUM_STAGES: usize = 19;
 
 impl HostStage {
     /// Every stage, in declaration order (index = discriminant).
@@ -123,7 +121,6 @@ impl HostStage {
         HostStage::MshrProbe,
         HostStage::DirLockWait,
         HostStage::DirLookup,
-        HostStage::BatchDrain,
         HostStage::LruScan,
         HostStage::DramModel,
         HostStage::NetModel,
@@ -149,7 +146,6 @@ impl HostStage {
             HostStage::MshrProbe => "mem.mshr",
             HostStage::DirLockWait => "mem.dir_lock",
             HostStage::DirLookup => "mem.dir_lookup",
-            HostStage::BatchDrain => "mem.batch_drain",
             HostStage::LruScan => "mem.lru_evict",
             HostStage::DramModel => "mem.dram_model",
             HostStage::NetModel => "mem.net_model",

@@ -27,10 +27,7 @@
 //!
 //! Microbench rows drive each tile thread on its own accumulated clock
 //! (`now += latency`), so they report real simulated cycles and a real
-//! wall/simulated slowdown, not placeholders. The `miss_*_nomshr` rows
-//! re-run the miss walk with the pipelined miss path disabled
-//! (`mshr_entries = 1`, `dir_batch = 0`, `read_probe = false`) for a
-//! like-for-like before/after within one binary.
+//! wall/simulated slowdown, not placeholders.
 
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
@@ -81,10 +78,8 @@ fn env_u64(name: &str, default: u64) -> u64 {
     std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
 }
 
-/// Builds the memory system for the microbenches. `pipelined: false` turns
-/// the new miss-path machinery off (one outstanding miss per tile, no
-/// request combining, no lock-free probe) for before/after comparison rows.
-fn build_mem(tiles: u32, small_l2: bool, pipelined: bool) -> (Arc<MemorySystem>, f64) {
+/// Builds the memory system for the microbenches.
+fn build_mem(tiles: u32, small_l2: bool) -> (Arc<MemorySystem>, f64) {
     let mut cfg = presets::paper_default(tiles);
     if small_l2 {
         // Shrink the L2 so the miss workload's working set stays small while
@@ -94,11 +89,6 @@ fn build_mem(tiles: u32, small_l2: bool, pipelined: bool) -> (Arc<MemorySystem>,
             l2.size_bytes = 256 * 1024;
             l2.associativity = 16;
         }
-    }
-    if !pipelined {
-        cfg.memory.mshr_entries = 1;
-        cfg.memory.dir_batch = 0;
-        cfg.memory.read_probe = false;
     }
     let clock_ghz = cfg.target.clock_ghz;
     let net = Arc::new(Network::new(&cfg, Arc::new(GlobalProgress::new(tiles as usize))));
@@ -164,7 +154,7 @@ fn micro_result(name: String, tiles: u32, ops: u64, wall: f64, sim: u64, ghz: f6
 /// measured access is an L1D (or sole-level) hit.
 fn bench_hits(tiles: u32, per_thread: u64) -> CaseResult {
     const SET_BYTES: u64 = 32 * 64;
-    let (mem, ghz) = build_mem(tiles, false, true);
+    let (mem, ghz) = build_mem(tiles, false);
     let addr_of = move |t: u32, i: u64| ((t as u64) << 24) | ((i * 8) % SET_BYTES);
     // Warm: write the whole set so subsequent loads and stores both hit.
     for t in 0..tiles {
@@ -226,15 +216,11 @@ fn bench_hits_flows(tiles: u32, per_thread: u64) -> CaseResult {
 /// Miss-dominated: a cyclic sequential walk over 1.5× the (shrunken) L2
 /// capacity — with LRU replacement every access is a capacity miss running
 /// the full directory + DRAM transaction.
-fn bench_misses(tiles: u32, per_thread: u64, pipelined: bool) -> CaseResult {
-    let (mem, ghz) = build_mem(tiles, true, pipelined);
-    // 256 KiB L2 = 4096 lines; walk 6144 lines (384 KiB) per tile.
-    const WALK_LINES: u64 = 6144;
-    let addr_of = move |t: u32, i: u64| ((t as u64) << 24) | ((i % WALK_LINES) * 64);
-    let (wall, sim) = drive(&mem, tiles, per_thread, addr_of);
+fn bench_misses(tiles: u32, per_thread: u64) -> CaseResult {
+    let (mem, ghz) = build_mem(tiles, true);
+    let (wall, sim) = drive(&mem, tiles, per_thread, miss_addr);
     let ops = tiles as u64 * per_thread;
-    let suffix = if pipelined { "" } else { "_nomshr" };
-    micro_result(format!("miss_{tiles}t{suffix}"), tiles, ops, wall, sim, ghz)
+    micro_result(format!("miss_{tiles}t"), tiles, ops, wall, sim, ghz)
 }
 
 /// One real workload through the full front end: row-banded dense matmul on
@@ -275,6 +261,8 @@ fn build_mem_prof(tiles: u32, prof: &Arc<HostProf>) -> (Arc<MemorySystem>, f64) 
     (Arc::new(MemorySystem::with_obs(&cfg, net, false, &obs)), clock_ghz)
 }
 
+/// 256 KiB L2 = 4096 lines; the miss walk covers 6144 lines (384 KiB) per
+/// tile.
 const WALK_LINES: u64 = 6144;
 
 fn miss_addr(t: u32, i: u64) -> u64 {
@@ -428,12 +416,7 @@ fn main() {
     }
     for tiles in [1u32, 4, 16] {
         if wants(&format!("miss_{tiles}t")) {
-            push(bench_misses(tiles, miss_per_thread, true), &mut results);
-        }
-    }
-    for tiles in [1u32, 16] {
-        if wants(&format!("miss_{tiles}t_nomshr")) {
-            push(bench_misses(tiles, miss_per_thread, false), &mut results);
+            push(bench_misses(tiles, miss_per_thread), &mut results);
         }
     }
     if wants("miss_1t_hostprof") {

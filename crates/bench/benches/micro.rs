@@ -24,7 +24,9 @@ fn memory_benches(c: &mut Criterion) {
         b.iter(|| mem.read(TileId(0), Cycles(0), Addr(0x100), &mut buf))
     });
     c.bench_function("mem_fetch_update_hit", |b| {
-        b.iter(|| mem.fetch_update_u32(TileId(0), Cycles(0), Addr(0x100), |v| v.wrapping_add(1)))
+        b.iter(|| {
+            mem.fetch_update_u32(TileId(0), Cycles(0), Addr(0x100), |v| v.wrapping_add(1)).1.latency
+        })
     });
     let mut next = 0u64;
     c.bench_function("mem_cold_miss_transaction", |b| {

@@ -321,40 +321,6 @@ pub struct TraceConfig {
     pub flows: bool,
 }
 
-/// Memory-system knobs (the `[memory]` section).
-///
-/// These tune the *host-side* execution of the miss path — directory lock
-/// sharding, MSHR miss coalescing, and the batched directory service — and
-/// never change modeled timing: a simulation produces bit-identical
-/// `sim_cycles` for any setting of this section.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(default)]
-pub struct MemoryConfig {
-    /// Number of directory lock shards; must be a power of two so the shard
-    /// index is a multiply + shift, never a modulo.
-    pub dir_shards: u32,
-    /// Per-tile MSHR (miss status holding register) entries. Concurrent
-    /// same-tile accesses to a line with an outstanding miss coalesce onto
-    /// the in-flight entry instead of re-running the directory transaction.
-    /// `0` disables coalescing (secondary misses contend like remote
-    /// conflicts); per-line exclusivity is enforced either way.
-    pub mshr_entries: u32,
-    /// Maximum directory requests retired per shard-lock acquisition by the
-    /// flat-combining batch service. `0` disables batching (every request
-    /// takes the shard lock itself).
-    pub dir_batch: u32,
-    /// Enables the seqlock-style lock-free L1 read-hit probe: read hits in
-    /// the front data cache validate against a per-tile sequence counter
-    /// instead of taking the tile mutex.
-    pub read_probe: bool,
-}
-
-impl Default for MemoryConfig {
-    fn default() -> Self {
-        MemoryConfig { dir_shards: 256, mshr_entries: 8, dir_batch: 64, read_probe: true }
-    }
-}
-
 /// Checkpoint knobs (the `[ckpt]` section).
 ///
 /// Periodic auto-checkpointing takes a system-driven snapshot every
@@ -557,10 +523,6 @@ pub struct SimConfig {
     /// Guest-scheduler knobs; absent sections deserialize to the defaults.
     #[serde(default)]
     pub scheduler: SchedulerConfig,
-    /// Memory-system host-execution knobs; absent sections deserialize to
-    /// the defaults.
-    #[serde(default)]
-    pub memory: MemoryConfig,
     /// Checkpoint knobs; absent sections deserialize to the defaults.
     #[serde(default)]
     pub ckpt: CkptConfig,
@@ -675,15 +637,6 @@ impl SimConfig {
         }
         if self.hostprof.sample == 0 {
             return Err(SimError::InvalidConfig("hostprof.sample must be > 0".into()));
-        }
-        if !self.memory.dir_shards.is_power_of_two() {
-            return Err(SimError::InvalidConfig(format!(
-                "memory.dir_shards must be a power of two, got {}",
-                self.memory.dir_shards
-            )));
-        }
-        if self.memory.dir_shards > 1 << 16 {
-            return Err(SimError::InvalidConfig("memory.dir_shards must be <= 65536".into()));
         }
         Ok(())
     }
@@ -829,34 +782,6 @@ impl SimConfigBuilder {
     /// `0` selects the auto default `min(host parallelism, tiles)`.
     pub fn workers(mut self, n: u32) -> Self {
         self.cfg.scheduler.workers = n;
-        self
-    }
-
-    /// Sets the directory shard count (`[memory] dir_shards`); must be a
-    /// power of two.
-    pub fn dir_shards(mut self, n: u32) -> Self {
-        self.cfg.memory.dir_shards = n;
-        self
-    }
-
-    /// Sets the per-tile MSHR entry count (`[memory] mshr_entries`); `0`
-    /// disables miss coalescing.
-    pub fn mshr_entries(mut self, n: u32) -> Self {
-        self.cfg.memory.mshr_entries = n;
-        self
-    }
-
-    /// Sets the directory batch-service size (`[memory] dir_batch`); `0`
-    /// disables flat-combining batch service.
-    pub fn dir_batch(mut self, n: u32) -> Self {
-        self.cfg.memory.dir_batch = n;
-        self
-    }
-
-    /// Enables or disables the lock-free L1 read-hit probe
-    /// (`[memory] read_probe`).
-    pub fn read_probe(mut self, on: bool) -> Self {
-        self.cfg.memory.read_probe = on;
         self
     }
 
@@ -1074,27 +999,6 @@ mod tests {
     }
 
     #[test]
-    fn memory_section_defaults_and_builder_overrides() {
-        let cfg = SimConfig::builder().build().unwrap();
-        assert_eq!(cfg.memory, MemoryConfig::default());
-        assert_eq!(cfg.memory.dir_shards, 256);
-        assert_eq!(cfg.memory.mshr_entries, 8);
-        assert_eq!(cfg.memory.dir_batch, 64);
-        assert!(cfg.memory.read_probe);
-        let cfg = SimConfig::builder()
-            .dir_shards(64)
-            .mshr_entries(0)
-            .dir_batch(0)
-            .read_probe(false)
-            .build()
-            .unwrap();
-        assert_eq!(cfg.memory.dir_shards, 64);
-        assert_eq!(cfg.memory.mshr_entries, 0);
-        assert_eq!(cfg.memory.dir_batch, 0);
-        assert!(!cfg.memory.read_probe);
-    }
-
-    #[test]
     fn auto_ckpt_defaults_off_and_requires_laxbarrier() {
         let cfg = SimConfig::builder().build().unwrap();
         assert_eq!(cfg.ckpt.auto_quanta, 0, "auto-checkpointing is off by default");
@@ -1161,13 +1065,5 @@ mod tests {
         assert_eq!(cfg.hostprof.sample, 8);
         assert_eq!(cfg.hostprof.max_events, 128);
         assert!(SimConfig::builder().hostprof_sample(0).build().is_err(), "sample 0 rejected");
-    }
-
-    #[test]
-    fn memory_dir_shards_must_be_power_of_two() {
-        assert!(SimConfig::builder().dir_shards(1).build().is_ok());
-        assert!(SimConfig::builder().dir_shards(0).build().is_err());
-        assert!(SimConfig::builder().dir_shards(48).build().is_err());
-        assert!(SimConfig::builder().dir_shards(1 << 17).build().is_err());
     }
 }

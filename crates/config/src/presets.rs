@@ -73,7 +73,6 @@ pub fn paper_default(tiles: u32) -> SimConfig {
         profile: crate::ProfileConfig::default(),
         trace: crate::TraceConfig::default(),
         scheduler: crate::SchedulerConfig::default(),
-        memory: crate::MemoryConfig::default(),
         ckpt: crate::CkptConfig::default(),
         hostprof: crate::HostProfConfig::default(),
     }

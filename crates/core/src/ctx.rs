@@ -345,7 +345,7 @@ impl Ctx {
     /// the previous value.
     pub fn fetch_update_u32<F: FnMut(u32) -> u32>(&mut self, addr: Addr, f: F) -> u32 {
         let now = self.now();
-        let (old, cost) = self.sim.mem.fetch_update_u32_classified(self.tile, now, addr, f);
+        let (old, cost) = self.sim.mem.fetch_update_u32(self.tile, now, addr, f);
         self.execute_mem(Instruction::Generic { cost: cost.latency.max(Cycles(1)) }, cost);
         old
     }
@@ -353,7 +353,7 @@ impl Ctx {
     /// Atomic read-modify-write of a `u64`; returns the previous value.
     pub fn fetch_update_u64<F: FnMut(u64) -> u64>(&mut self, addr: Addr, f: F) -> u64 {
         let now = self.now();
-        let (old, cost) = self.sim.mem.fetch_update_u64_classified(self.tile, now, addr, f);
+        let (old, cost) = self.sim.mem.fetch_update_u64(self.tile, now, addr, f);
         self.execute_mem(Instruction::Generic { cost: cost.latency.max(Cycles(1)) }, cost);
         old
     }

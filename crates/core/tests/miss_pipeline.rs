@@ -1,11 +1,11 @@
-//! Equivalence tests for the pipelined miss path.
+//! Restore equivalence on the miss path.
 //!
-//! The MSHR table, batched directory service, and lock-free read probe are
-//! host-side mechanisms: they change how fast the simulator runs, never what
-//! it computes. These tests pin that contract — simulated cycles, guest
-//! output, and every modeled memory counter must be bit-identical whether
-//! the pipeline knobs are on or off, under every synchronization model, and
-//! across a checkpoint/restore that *changes the knobs mid-run*.
+//! A miss-heavy walk (capacity misses, evictions, dirty writebacks through
+//! the MSHR table, the sharded directory and the read probe) is checkpointed
+//! mid-run and resumed: simulated cycles, guest output, and every modeled
+//! counter must equal the uninterrupted run, under every synchronization
+//! model. (The `_across_knobs` test names predate the removal of the
+//! `[memory]` knobs.)
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -21,15 +21,8 @@ const SLOTS: u64 = 384;
 const N: u64 = 400; // steps before the checkpoint
 const M: u64 = 300; // steps after the checkpoint
 
-/// `pipelined = false` pins the configuration the pipelined miss path
-/// replaced: one MSHR entry per tile, no batched directory service, no
-/// lock-free read probe.
-fn cfg(seed: u64, pipelined: bool) -> SimConfig {
-    let mut b = SimConfig::builder().tiles(2).processes(1).seed(seed);
-    if !pipelined {
-        b = b.mshr_entries(1).dir_batch(0).read_probe(false);
-    }
-    let mut cfg = b.build().unwrap();
+fn cfg(seed: u64) -> SimConfig {
+    let mut cfg = SimConfig::builder().tiles(2).processes(1).seed(seed).build().unwrap();
     if let Some(l2) = cfg.target.l2.as_mut() {
         l2.size_bytes = 16 * 1024;
         l2.associativity = 4;
@@ -59,86 +52,40 @@ fn run_steps(ctx: &mut Ctx, lo: u64, hi: u64) {
 }
 
 /// The modeled-behaviour fingerprint of a run: everything in the metrics
-/// snapshot except the host-side pipeline diagnostics (`mem.mshr.*`,
-/// `mem.dir.batch.*`, `mem.probe_hits`), which legitimately differ when the
-/// knobs differ.
+/// snapshot except the host-side miss-path diagnostics (`mem.mshr.*`,
+/// `mem.probe_hits`), which depend on host thread interleaving.
 fn modeled_counters(r: &SimReport) -> BTreeMap<String, u64> {
     r.metrics
         .counters
         .iter()
-        .filter(|(k, _)| {
-            !k.starts_with("mem.mshr.")
-                && !k.starts_with("mem.dir.batch.")
-                && *k != "mem.probe_hits"
-        })
+        .filter(|(k, _)| !k.starts_with("mem.mshr.") && *k != "mem.probe_hits")
         .map(|(k, v)| (k.clone(), *v))
         .collect()
-}
-
-fn timing_invariance_for(sync: SyncModel, name: &str) {
-    let pipelined = Sim::builder(cfg(7, true)).sync_model(sync).build().unwrap().run(|ctx| {
-        run_steps(ctx, 0, N + M);
-    });
-    let unpipelined = Sim::builder(cfg(7, false)).sync_model(sync).build().unwrap().run(|ctx| {
-        run_steps(ctx, 0, N + M);
-    });
-
-    assert_eq!(
-        pipelined.simulated_cycles, unpipelined.simulated_cycles,
-        "{name}: pipeline knobs changed the simulated clock"
-    );
-    assert_eq!(pipelined.stdout, unpipelined.stdout, "{name}: guest output diverged");
-    assert_eq!(
-        modeled_counters(&pipelined),
-        modeled_counters(&unpipelined),
-        "{name}: pipeline knobs changed modeled counters"
-    );
-    // The workload must actually exercise the miss path for the comparison
-    // to mean anything.
-    assert!(
-        pipelined.metrics.counters["mem.misses"] > (N + M) * 3 / 4,
-        "{name}: workload failed to generate steady misses"
-    );
-}
-
-#[test]
-fn timing_invariance_lax() {
-    timing_invariance_for(SyncModel::Lax, "lax");
-}
-
-#[test]
-fn timing_invariance_lax_barrier() {
-    timing_invariance_for(SyncModel::LaxBarrier { quantum: 1_000 }, "barrier");
-}
-
-#[test]
-fn timing_invariance_lax_p2p() {
-    timing_invariance_for(SyncModel::LaxP2P { slack: 100_000, check_interval: 500 }, "p2p");
 }
 
 fn restore_equivalence_for(sync: SyncModel, name: &str) {
     let path = tmp(&format!("miss-eq-{name}.ckpt"));
 
-    // Golden: uninterrupted, default (pipelined) configuration.
-    let golden = Sim::builder(cfg(11, true)).sync_model(sync).build().unwrap().run(|ctx| {
+    // Golden: uninterrupted.
+    let golden = Sim::builder(cfg(11)).sync_model(sync).build().unwrap().run(|ctx| {
         run_steps(ctx, 0, N + M);
     });
+    // The walk must actually exercise the miss path for the comparison to
+    // mean anything.
+    assert!(
+        golden.metrics.counters["mem.misses"] > (N + M) * 3 / 4,
+        "{name}: workload failed to generate steady misses"
+    );
 
-    // Interrupted: checkpoint mid-run under the pipelined configuration...
+    // Interrupted: checkpoint mid-run, then resume into a fresh simulation,
+    // which must land exactly where the golden run does.
     let p = path.clone();
-    Sim::builder(cfg(11, true)).sync_model(sync).build().unwrap().run(move |ctx| {
+    Sim::builder(cfg(11)).sync_model(sync).build().unwrap().run(move |ctx| {
         run_steps(ctx, 0, N);
         ctx.checkpoint(&p).expect("checkpoint at a quiesce point");
     });
-
-    // ...and resume with the pipeline OFF and a different directory shard
-    // count. The v4 checkpoint serializes the directory as one
-    // shard-count-independent stream, and the knobs are host-side only, so
-    // the resumed run must land exactly where the golden run does.
-    let mut resume_cfg = cfg(11, false);
-    resume_cfg.memory.dir_shards = 8;
     let resumed =
-        Sim::builder(resume_cfg).sync_model(sync).resume(&path).build().unwrap().run(|ctx| {
+        Sim::builder(cfg(11)).sync_model(sync).resume(&path).build().unwrap().run(|ctx| {
             run_steps(ctx, N, N + M);
         });
 
@@ -147,7 +94,7 @@ fn restore_equivalence_for(sync: SyncModel, name: &str) {
     assert_eq!(
         modeled_counters(&golden),
         modeled_counters(&resumed),
-        "{name}: modeled counters diverged across a knob-changing restore"
+        "{name}: modeled counters diverged across a restore"
     );
 }
 

@@ -17,12 +17,11 @@
 //! table can never participate in a deadlock cycle.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex};
 
-use graphite_base::{CachePadded, FxBuildHasher, TileId};
+use graphite_base::{FxBuildHasher, TileId};
 
 /// Sentinel requester for service-side acquisitions ([`MshrTable::acquire_service`]):
 /// checkpoint peeks/pokes that need per-line exclusivity but belong to no tile.
@@ -57,68 +56,27 @@ struct InFlight {
 /// The table of in-flight misses, sharded to keep map locks uncontended.
 pub struct MshrTable {
     shards: Box<[Mutex<HashMap<u64, InFlight, FxBuildHasher>>]>,
-    /// Outstanding entries per tile, for the `mshr_entries` cap.
-    per_tile: Box<[CachePadded<AtomicU32>]>,
-    /// `mshr_entries`; 0 means uncapped.
-    cap: u32,
-    stalls: AtomicU64,
 }
 
 impl std::fmt::Debug for MshrTable {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MshrTable")
-            .field("cap", &self.cap)
-            .field("in_flight", &self.in_flight())
-            .finish()
+        f.debug_struct("MshrTable").field("in_flight", &self.in_flight()).finish()
+    }
+}
+
+impl Default for MshrTable {
+    fn default() -> Self {
+        MshrTable { shards: (0..NUM_SHARDS).map(|_| Mutex::new(HashMap::default())).collect() }
     }
 }
 
 impl MshrTable {
-    /// Builds a table for `num_tiles` tiles with an outstanding-miss cap of
-    /// `cap` per tile (0 = uncapped).
-    pub fn new(num_tiles: usize, cap: u32) -> Self {
-        MshrTable {
-            shards: (0..NUM_SHARDS).map(|_| Mutex::new(HashMap::default())).collect(),
-            per_tile: (0..num_tiles).map(|_| CachePadded::default()).collect(),
-            cap,
-            stalls: AtomicU64::new(0),
-        }
-    }
-
     #[inline]
     fn shard_of(&self, line: u64) -> &Mutex<HashMap<u64, InFlight, FxBuildHasher>> {
         // Golden-ratio multiply decorrelates the aligned, sequential line
         // indices workloads produce; the top bits pick the shard.
         let idx = (line.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - SHARD_BITS)) as usize;
         &self.shards[idx]
-    }
-
-    /// Reserves one of this tile's `cap` outstanding slots, spinning (with
-    /// yields) while the tile is at its cap. Returns whether it had to stall.
-    fn reserve_slot(&self, tile_idx: usize) -> bool {
-        let ctr = &self.per_tile[tile_idx];
-        if self.cap == 0 {
-            ctr.fetch_add(1, Ordering::Relaxed);
-            return false;
-        }
-        let mut stalled = false;
-        loop {
-            let cur = ctr.load(Ordering::Relaxed);
-            if cur < self.cap {
-                if ctr
-                    .compare_exchange_weak(cur, cur + 1, Ordering::Relaxed, Ordering::Relaxed)
-                    .is_ok()
-                {
-                    return stalled;
-                }
-            } else {
-                if !stalled {
-                    stalled = true;
-                    self.stalls.fetch_add(1, Ordering::Relaxed);
-                }
-                std::thread::yield_now();
-            }
-        }
     }
 
     /// Tries to register a miss on `line` for `tile`.
@@ -131,14 +89,12 @@ impl MshrTable {
     ///   the caller must re-probe its own cache and, on a miss, retry the
     ///   whole sequence.
     pub fn try_acquire_or_wait(&self, line: u64, tile: TileId) -> Result<MshrGuard<'_>, MshrWait> {
-        let tile_idx = tile.0 as usize;
-        let stalled = self.reserve_slot(tile_idx);
-        let event = {
+        let (kind, ev) = {
             let mut map = self.shard_of(line).lock();
             match map.entry(line) {
                 std::collections::hash_map::Entry::Vacant(v) => {
                     v.insert(InFlight { tile, event: None });
-                    return Ok(MshrGuard { table: self, line, tile_idx: Some(tile_idx), stalled });
+                    return Ok(MshrGuard { table: self, line });
                 }
                 std::collections::hash_map::Entry::Occupied(mut o) => {
                     let holder = o.get().tile;
@@ -149,9 +105,6 @@ impl MshrTable {
                 }
             }
         };
-        // We did not insert: give the reserved slot back before sleeping.
-        self.per_tile[tile_idx].fetch_sub(1, Ordering::Relaxed);
-        let (kind, ev) = event;
         let mut done = ev.done.lock();
         while !*done {
             ev.cv.wait(&mut done);
@@ -162,7 +115,7 @@ impl MshrTable {
     /// Acquires per-line exclusivity for a service-side operation (checkpoint
     /// peek/poke), waiting out any in-flight miss. Unlike
     /// [`MshrTable::try_acquire_or_wait`] this never returns until it owns
-    /// the slot, and it bypasses the per-tile cap.
+    /// the slot.
     pub fn acquire_service(&self, line: u64) -> MshrGuard<'_> {
         loop {
             let event = {
@@ -170,7 +123,7 @@ impl MshrTable {
                 match map.entry(line) {
                     std::collections::hash_map::Entry::Vacant(v) => {
                         v.insert(InFlight { tile: SERVICE_TILE, event: None });
-                        return MshrGuard { table: self, line, tile_idx: None, stalled: false };
+                        return MshrGuard { table: self, line };
                     }
                     std::collections::hash_map::Entry::Occupied(mut o) => Arc::clone(
                         o.get_mut().event.get_or_insert_with(|| Arc::new(WaitEvent::default())),
@@ -184,14 +137,11 @@ impl MshrTable {
         }
     }
 
-    fn release(&self, line: u64, tile_idx: Option<usize>) {
+    fn release(&self, line: u64) {
         let event = {
             let mut map = self.shard_of(line).lock();
             map.remove(&line).expect("MSHR release of absent line").event
         };
-        if let Some(i) = tile_idx {
-            self.per_tile[i].fetch_sub(1, Ordering::Relaxed);
-        }
         if let Some(ev) = event {
             // Set the flag under the event mutex so a waiter between its
             // `done` check and `cv.wait` cannot miss the wakeup.
@@ -201,21 +151,9 @@ impl MshrTable {
         }
     }
 
-    /// Host address of `tile_idx`'s outstanding-miss counter, for layout
-    /// tests.
-    #[doc(hidden)]
-    pub fn slot_addr(&self, tile_idx: usize) -> usize {
-        graphite_base::padded::addr_of(&*self.per_tile[tile_idx])
-    }
-
     /// Total entries currently in flight (quiescence checks and tests).
     pub fn in_flight(&self) -> usize {
         self.shards.iter().map(|s| s.lock().len()).sum()
-    }
-
-    /// Cumulative count of acquisitions that stalled on the per-tile cap.
-    pub fn stall_events(&self) -> u64 {
-        self.stalls.load(Ordering::Relaxed)
     }
 }
 
@@ -225,44 +163,34 @@ impl MshrTable {
 pub struct MshrGuard<'a> {
     table: &'a MshrTable,
     line: u64,
-    /// `None` for service acquisitions (exempt from the per-tile cap).
-    tile_idx: Option<usize>,
-    stalled: bool,
-}
-
-impl MshrGuard<'_> {
-    /// Whether acquiring this entry stalled on the tile's outstanding cap.
-    pub fn stalled(&self) -> bool {
-        self.stalled
-    }
 }
 
 impl Drop for MshrGuard<'_> {
     fn drop(&mut self) {
-        self.table.release(self.line, self.tile_idx);
+        self.table.release(self.line);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicBool;
+    use std::sync::atomic::{AtomicBool, Ordering};
     use std::time::Duration;
 
     #[test]
     fn acquire_release_reacquire() {
-        let t = MshrTable::new(4, 8);
+        let t = MshrTable::default();
         let g = t.try_acquire_or_wait(42, TileId(0)).unwrap();
         assert_eq!(t.in_flight(), 1);
         drop(g);
         assert_eq!(t.in_flight(), 0);
-        let g2 = t.try_acquire_or_wait(42, TileId(1)).unwrap();
-        assert!(!g2.stalled());
+        let _g2 = t.try_acquire_or_wait(42, TileId(1)).unwrap();
+        assert_eq!(t.in_flight(), 1);
     }
 
     #[test]
     fn different_lines_do_not_conflict() {
-        let t = MshrTable::new(4, 8);
+        let t = MshrTable::default();
         let _a = t.try_acquire_or_wait(1, TileId(0)).unwrap();
         let _b = t.try_acquire_or_wait(2, TileId(0)).unwrap();
         assert_eq!(t.in_flight(), 2);
@@ -270,7 +198,7 @@ mod tests {
 
     #[test]
     fn waiter_blocks_until_release_and_sees_kind() {
-        let t = Arc::new(MshrTable::new(4, 8));
+        let t = Arc::new(MshrTable::default());
         let released = Arc::new(AtomicBool::new(false));
         let g = t.try_acquire_or_wait(7, TileId(2)).unwrap();
         let same = {
@@ -298,32 +226,8 @@ mod tests {
     }
 
     #[test]
-    fn per_tile_cap_stalls_extra_misses() {
-        let t = Arc::new(MshrTable::new(2, 1));
-        let g = t.try_acquire_or_wait(10, TileId(0)).unwrap();
-        let released = Arc::new(AtomicBool::new(false));
-        let h = {
-            let (t, released) = (Arc::clone(&t), Arc::clone(&released));
-            std::thread::spawn(move || {
-                // Different line, same tile: blocked by the cap, not the line.
-                let g2 = t.try_acquire_or_wait(11, TileId(0)).unwrap();
-                assert!(released.load(Ordering::SeqCst), "cap did not stall");
-                assert!(g2.stalled());
-            })
-        };
-        std::thread::sleep(Duration::from_millis(50));
-        // Another tile is unaffected by tile 0's cap.
-        let other = t.try_acquire_or_wait(12, TileId(1)).unwrap();
-        assert!(!other.stalled());
-        released.store(true, Ordering::SeqCst);
-        drop(g);
-        h.join().unwrap();
-        assert!(t.stall_events() >= 1);
-    }
-
-    #[test]
     fn service_acquire_waits_out_misses() {
-        let t = Arc::new(MshrTable::new(2, 0));
+        let t = Arc::new(MshrTable::default());
         let g = t.try_acquire_or_wait(5, TileId(0)).unwrap();
         let released = Arc::new(AtomicBool::new(false));
         let h = {
@@ -342,7 +246,7 @@ mod tests {
 
     #[test]
     fn hammering_one_line_always_converges() {
-        let t = Arc::new(MshrTable::new(8, 4));
+        let t = Arc::new(MshrTable::default());
         let mut handles = Vec::new();
         for tid in 0..8u32 {
             let t = Arc::clone(&t);

@@ -25,9 +25,6 @@
 //!   its line to a `u32` handle into the [`Directory`] arena under a short
 //!   map-lock critical section and then works on the record lock-free — the
 //!   MSHR already guarantees per-line exclusivity, and a record never moves.
-//!   Contended resolutions are *batched*: a thread that finds the map lock
-//!   busy queues its request, and whichever thread holds the lock retires
-//!   the queue under the one acquisition (flat combining).
 //! * **Tile cache locks are leaves**, taken one at a time, never while a
 //!   map lock is held. Read hits can skip the tile lock entirely via a
 //!   seqlock-validated probe ([`Cache::probe_read`]): writers bump the
@@ -44,7 +41,6 @@
 //! model's contract.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use graphite_base::{
@@ -71,6 +67,9 @@ const DIR_LATENCY: Cycles = Cycles(10);
 const CTRL_MSG_BYTES: u32 = 8;
 /// Header bytes added to a data-carrying packet.
 const DATA_HDR_BYTES: u32 = 8;
+/// Directory shard maps; a power of two, so shard selection is a multiply
+/// and a shift.
+const DIR_SHARDS: usize = 256;
 
 /// How one modeled memory access spent its latency — the memory system's
 /// contribution to per-tile cycle attribution (CPI stacks).
@@ -225,15 +224,6 @@ pub struct MemStats {
     /// Misses that waited for a *different* tile's in-flight transaction on
     /// the same line before proceeding.
     pub mshr_conflict_waits: ShardedMetric,
-    /// Miss registrations that stalled because the tile was at its
-    /// `mshr_entries` outstanding cap.
-    pub mshr_stall_full: ShardedMetric,
-    /// Directory shard-map lock acquisitions on the batched path.
-    pub dir_batch_acquisitions: ShardedMetric,
-    /// Queued directory requests retired under someone else's shard-map
-    /// acquisition (flat combining). `requests_combined / acquisitions`
-    /// measures how much the batching collapses lock traffic.
-    pub dir_batch_combined: ShardedMetric,
     /// Read hits served by the lock-free seqlock probe (no tile lock).
     pub probe_hits: ShardedMetric,
 }
@@ -269,9 +259,6 @@ impl MemStats {
             silent_upgrades: metrics.sharded_counter("mem.silent_upgrades"),
             mshr_coalesced: metrics.sharded_counter("mem.mshr.coalesced"),
             mshr_conflict_waits: metrics.sharded_counter("mem.mshr.conflict_waits"),
-            mshr_stall_full: metrics.sharded_counter("mem.mshr.stall_full"),
-            dir_batch_acquisitions: metrics.sharded_counter("mem.dir.batch.acquisitions"),
-            dir_batch_combined: metrics.sharded_counter("mem.dir.batch.requests_combined"),
             probe_hits: metrics.sharded_counter("mem.probe_hits"),
         }
     }
@@ -354,44 +341,9 @@ fn apply_rmw(data: &mut [u8], off: usize, old: &mut [u8], f: &mut dyn FnMut(&mut
     f(window);
 }
 
-/// A queued directory resolution: whichever thread holds the shard's map
-/// lock stores the line's handle into `slot`, which lives on the waiting
-/// thread's stack. The enqueuer never returns until the slot is filled, and
-/// every store happens under the map lock, so the slot cannot dangle.
-struct PendingDirReq {
-    line: u64,
-    slot: *const AtomicU32,
-}
-
-/// What a [`PendingDirReq`] slot holds until it is served; the arena never
-/// hands this handle out.
-const UNRESOLVED: u32 = u32::MAX;
-
-/// A shard's line → arena-handle map.
+/// A directory shard: its lines' arena handles. Lines are never removed
+/// while the simulation runs.
 type HandleMap = HashMap<u64, u32, FxBuildHasher>;
-
-// SAFETY: the raw slot pointer is only dereferenced under the shard's map
-// lock while the owning thread is provably parked in `dir_handle_batched`.
-unsafe impl Send for PendingDirReq {}
-
-/// One directory shard: the handle map plus the flat-combining queue for
-/// contended resolutions. Lines are never removed while the simulation runs.
-struct DirShard {
-    map: Mutex<HandleMap>,
-    pending: Mutex<Vec<PendingDirReq>>,
-    /// Cheap hint so the uncontended path can skip locking `pending`.
-    pending_count: AtomicUsize,
-}
-
-impl DirShard {
-    fn new() -> Self {
-        DirShard {
-            map: Mutex::new(HashMap::default()),
-            pending: Mutex::new(Vec::new()),
-            pending_count: AtomicUsize::new(0),
-        }
-    }
-}
 
 /// Raw pointer to a tile's front data cache for the lock-free read probe,
 /// with the latency/attribution a locked hit would have produced.
@@ -478,19 +430,10 @@ pub struct MemorySystem {
     dir: Directory,
     /// `mem.dir.lines`; see [`MemorySystem::publish_dir_lines`].
     dir_lines: Gauge,
-    shards: Vec<DirShard>,
-    /// `log2(shards.len())`; the config validates the count is a power of
-    /// two, so shard selection is a multiply and a shift.
-    shard_bits: u32,
+    /// `DIR_SHARDS` line → handle maps.
+    shards: Vec<Mutex<HandleMap>>,
     /// In-flight miss registry (per-line exclusivity + coalescing).
     mshr: MshrTable,
-    /// `[memory] mshr_entries`; 0 records same-tile waits as conflicts
-    /// rather than coalesced secondaries.
-    mshr_entries: u32,
-    /// Max queued directory resolutions retired per map-lock acquisition.
-    dir_batch: u32,
-    /// `[memory] read_probe`: gate for the lock-free read-hit fast path.
-    read_probe: bool,
     /// Per-tile seqlock counters; bumped (under the tile lock) around every
     /// structural or data mutation of that tile's caches.
     tile_seq: Vec<SeqCount>,
@@ -601,12 +544,8 @@ impl MemorySystem {
             num_tiles: cfg.target.num_tiles,
             dir: Directory::new(cfg.target.num_tiles, line_size),
             dir_lines: obs.metrics.gauge("mem.dir.lines"),
-            shards: (0..cfg.memory.dir_shards).map(|_| DirShard::new()).collect(),
-            shard_bits: cfg.memory.dir_shards.trailing_zeros(),
-            mshr: MshrTable::new(cfg.target.num_tiles as usize, cfg.memory.mshr_entries),
-            mshr_entries: cfg.memory.mshr_entries,
-            dir_batch: cfg.memory.dir_batch,
-            read_probe: cfg.memory.read_probe,
+            shards: (0..DIR_SHARDS).map(|_| Mutex::default()).collect(),
+            mshr: MshrTable::default(),
             tile_seq: (0..cfg.target.num_tiles).map(|_| SeqCount::new()).collect(),
             probes,
             miss_lookup_lat,
@@ -638,11 +577,8 @@ impl MemorySystem {
     pub fn hot_addrs(&self, tile: TileId) -> Vec<(&'static str, usize)> {
         use graphite_base::padded::addr_of;
         let t = tile.index();
-        let mut words = vec![
-            ("tile lock", addr_of(&*self.tiles[t])),
-            ("seq counter", self.tile_seq[t].addr()),
-            ("mshr slot", self.mshr.slot_addr(t)),
-        ];
+        let mut words =
+            vec![("tile lock", addr_of(&*self.tiles[t])), ("seq counter", self.tile_seq[t].addr())];
         if self.per_tile_dram {
             words.push(("dram controller", addr_of(&*self.dram[t])));
         }
@@ -691,124 +627,35 @@ impl MemorySystem {
         self.controller_of(home).access(est_now, self.line_size)
     }
 
-    fn shard_index(&self, line: u64) -> usize {
+    fn shard_of(&self, line: u64) -> &Mutex<HandleMap> {
         // Golden-ratio multiply, top bits select: sequential / aligned line
         // indices (the common access pattern) decorrelate across shards
-        // instead of convoying onto one. shard_bits == 0 (one shard) shifts
-        // by 64, which is UB — special-case it.
-        if self.shard_bits == 0 {
-            0
-        } else {
-            (line.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - self.shard_bits)) as usize
-        }
+        // instead of convoying onto one.
+        let bits = DIR_SHARDS.trailing_zeros();
+        &self.shards[(line.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - bits)) as usize]
     }
 
-    fn shard_of(&self, line: u64) -> &DirShard {
-        &self.shards[self.shard_index(line)]
-    }
-
-    /// Get-or-insert under an already-held map lock.
-    fn handle_in(&self, map: &mut HandleMap, line: u64) -> u32 {
-        *map.entry(line).or_insert_with(|| self.dir.alloc())
-    }
-
-    /// Retires up to `dir_batch` queued resolutions under the caller's map
-    /// lock (flat combining). Every slot store happens while the map lock is
-    /// held, so queued stack slots cannot dangle.
-    fn drain_pending(&self, shard: &DirShard, map: &mut HandleMap, lane: usize) {
-        if shard.pending_count.load(Ordering::Acquire) == 0 {
-            return;
-        }
-        let _hp = self.hostprof.span(HostStage::BatchDrain);
-        let reqs: Vec<PendingDirReq> = {
-            let mut pending = shard.pending.lock();
-            let n = pending.len().min(self.dir_batch as usize);
-            shard.pending_count.fetch_sub(n, Ordering::Release);
-            pending.drain(..n).collect()
-        };
-        if reqs.is_empty() {
-            return;
-        }
-        self.stats.dir_batch_combined.add_owned(lane, reqs.len() as u64);
-        for r in reqs {
-            let handle = self.handle_in(map, r.line);
-            // SAFETY: see `PendingDirReq` — we hold the map lock and the
-            // slot's owner is parked in `dir_handle_batched`.
-            unsafe { (*r.slot).store(handle, Ordering::Release) };
-        }
-    }
-
-    /// Resolves the directory record for `line` (a fresh one on first touch),
-    /// batching under contention. The caller must hold per-line exclusivity
-    /// (an MSHR entry, or system quiescence) before changing the record.
-    fn dir_record_batched(&self, line: u64, lane: usize) -> Record<'_> {
+    /// Resolves the directory record for `line` (a fresh one on first
+    /// touch). The caller must hold per-line exclusivity (an MSHR entry, or
+    /// system quiescence) before changing the record.
+    fn dir_record(&self, line: u64) -> Record<'_> {
         let _hp = self.hostprof.span(HostStage::DirLookup);
-        self.dir.record(self.dir_handle_batched(line, lane))
-    }
-
-    fn dir_handle_batched(&self, line: u64, lane: usize) -> u32 {
-        let shard = self.shard_of(line);
-        if self.dir_batch == 0 {
-            // Combining disabled: plain blocking acquisition.
+        let handle = {
             let mut map = {
                 let _l = self.hostprof.span(HostStage::DirLockWait);
-                shard.map.lock()
+                self.shard_of(line).lock()
             };
-            return self.handle_in(&mut map, line);
-        }
-        if let Some(mut map) = shard.map.try_lock() {
-            self.stats.dir_batch_acquisitions.incr_owned(lane);
-            let handle = self.handle_in(&mut map, line);
-            self.drain_pending(shard, &mut map, lane);
-            return handle;
-        }
-        // Contended: queue the request; whoever holds the lock serves it.
-        // We may not return while the slot is unfilled — the holder owns a
-        // raw pointer to it. The wait (spin + possible self-service) counts
-        // as directory lock-wait time.
-        let _l = self.hostprof.span(HostStage::DirLockWait);
-        let slot = AtomicU32::new(UNRESOLVED);
-        {
-            let mut pending = shard.pending.lock();
-            pending.push(PendingDirReq { line, slot: &slot });
-            shard.pending_count.fetch_add(1, Ordering::Release);
-        }
-        loop {
-            let handle = slot.load(Ordering::Acquire);
-            if handle != UNRESOLVED {
-                return handle;
-            }
-            if let Some(mut map) = shard.map.try_lock() {
-                // Lock freed before anyone served us: serve the queue
-                // ourselves. A bounded batch may leave our own request
-                // queued, so drain until it is served — no raw pointer to
-                // `slot` may outlive this frame.
-                self.stats.dir_batch_acquisitions.incr_owned(lane);
-                loop {
-                    self.drain_pending(shard, &mut map, lane);
-                    let handle = slot.load(Ordering::Acquire);
-                    if handle != UNRESOLVED {
-                        return handle;
-                    }
-                }
-            }
-            std::thread::yield_now();
-        }
+            *map.entry(line).or_insert_with(|| self.dir.alloc())
+        };
+        self.dir.record(handle)
     }
 
     /// Plain blocking directory lookup that never inserts, for the
     /// functional peek path — peeking absent memory must not grow the
     /// directory (it would change checkpoint bytes).
     fn dir_record_get(&self, line: u64) -> Option<Record<'_>> {
-        let handle = self.shard_of(line).map.lock().get(&line).copied();
+        let handle = self.shard_of(line).lock().get(&line).copied();
         handle.map(|h| self.dir.record(h))
-    }
-
-    /// Plain blocking get-or-insert without batching or stats attribution,
-    /// for the functional poke path.
-    fn dir_record_plain(&self, line: u64) -> Record<'_> {
-        let handle = self.handle_in(&mut self.shard_of(line).map.lock(), line);
-        self.dir.record(handle)
     }
 
     /// Routes a protocol leg stamped with a tile's real clock (requests,
@@ -986,36 +833,34 @@ impl MemorySystem {
         // Lock-free read-hit probe: a seqlock-validated scan of the front
         // data cache. Counters, latency, and LRU effect are identical to the
         // locked read-hit path; `false` only ever means "take the slow path".
-        if self.read_probe && !is_write {
-            if let LineOp::Read(buf) = &mut op {
-                let pt = &self.probes[lane];
-                if unsafe { Cache::probe_read(pt.cache, &self.tile_seq[lane], line, off, buf) } {
-                    self.stats.probe_hits.incr_owned(lane);
-                    if pt.is_l1 {
-                        self.stats.l1d_hits.incr_owned(lane);
-                    } else {
-                        self.stats.l2_hits.incr_owned(lane);
-                    }
-                    if tracing {
-                        self.tracer.emit_pair(tile, now, || {
-                            (
-                                TraceEventKind::MemOpStart { op: op_name, addr: addr.0 },
-                                TraceEventKind::MemOpDone {
-                                    op: op_name,
-                                    addr: addr.0,
-                                    latency: pt.lat.0,
-                                    hit: true,
-                                },
-                            )
-                        });
-                    }
-                    let lat = pt.lat;
-                    self.stats.latency_sum.add_owned(lane, lat.0);
-                    self.per_tile[lane].latency_sum.add_owned(lat.0);
-                    self.stats.max_latency.observe_max(lane, lat.0);
-                    self.latency_hist.record_owned(lane, lat.0);
-                    return MemCost::hit(lat);
+        if let LineOp::Read(buf) = &mut op {
+            let pt = &self.probes[lane];
+            if unsafe { Cache::probe_read(pt.cache, &self.tile_seq[lane], line, off, buf) } {
+                self.stats.probe_hits.incr_owned(lane);
+                if pt.is_l1 {
+                    self.stats.l1d_hits.incr_owned(lane);
+                } else {
+                    self.stats.l2_hits.incr_owned(lane);
                 }
+                if tracing {
+                    self.tracer.emit_pair(tile, now, || {
+                        (
+                            TraceEventKind::MemOpStart { op: op_name, addr: addr.0 },
+                            TraceEventKind::MemOpDone {
+                                op: op_name,
+                                addr: addr.0,
+                                latency: pt.lat.0,
+                                hit: true,
+                            },
+                        )
+                    });
+                }
+                let lat = pt.lat;
+                self.stats.latency_sum.add_owned(lane, lat.0);
+                self.per_tile[lane].latency_sum.add_owned(lat.0);
+                self.stats.max_latency.observe_max(lane, lat.0);
+                self.latency_hist.record_owned(lane, lat.0);
+                return MemCost::hit(lat);
             }
         }
         // Fast path: local hit with sufficient permission. Hits and misses
@@ -1245,21 +1090,18 @@ impl MemorySystem {
                 };
                 let guard = match acquired {
                     Ok(g) => g,
-                    Err(MshrWait::SameTile) if self.mshr_entries > 0 => {
+                    Err(MshrWait::SameTile) => {
                         self.stats.mshr_coalesced.incr_owned(lane);
                         break 'register None;
                     }
-                    Err(_) => {
+                    Err(MshrWait::CrossTile) => {
                         self.stats.mshr_conflict_waits.incr_owned(lane);
                         break 'register None;
                     }
                 };
-                if guard.stalled() {
-                    self.stats.mshr_stall_full.incr_owned(lane);
-                }
                 // We hold the line's MSHR entry, so no other transaction
                 // touches this record until the guard drops.
-                let entry = self.dir_record_batched(line, lane);
+                let entry = self.dir_record(line);
                 // A same-tile sibling may have filled the line between our
                 // probe and the registration; while we hold the MSHR the
                 // directory is stable ground truth, so release and retry —
@@ -1616,7 +1458,7 @@ impl MemorySystem {
         };
         // The MSHR service entry grants exclusive use of the directory
         // record until `guard` drops.
-        let entry = self.dir_record_batched(vline, lane);
+        let entry = self.dir_record(vline);
         let state = {
             let mut tm = {
                 let _l = self.hostprof.span(HostStage::TileLockWait);
@@ -1678,28 +1520,15 @@ impl MemorySystem {
     /// Atomically reads a little-endian `u32` at `addr` and replaces it with
     /// `f(old)`, holding the line with write permission for the whole
     /// operation — the simulated equivalent of a locked RMW instruction.
-    /// Returns the previous value and the modeled latency.
+    /// Returns the previous value and the modeled cost (latency plus its
+    /// network share, for CPI attribution).
     ///
     /// Used by the futex emulation and the guest synchronization primitives.
     ///
     /// # Panics
     ///
     /// Panics if the access crosses a cache-line boundary.
-    pub fn fetch_update_u32<F>(&self, tile: TileId, now: Cycles, addr: Addr, f: F) -> (u32, Cycles)
-    where
-        F: FnMut(u32) -> u32,
-    {
-        let (old, cost) = self.fetch_update_u32_classified(tile, now, addr, f);
-        (old, cost.latency)
-    }
-
-    /// Like [`MemorySystem::fetch_update_u32`], but reports the latency split
-    /// (for CPI attribution).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the access crosses a cache-line boundary.
-    pub fn fetch_update_u32_classified<F>(
+    pub fn fetch_update_u32<F>(
         &self,
         tile: TileId,
         now: Cycles,
@@ -1727,21 +1556,7 @@ impl MemorySystem {
     /// # Panics
     ///
     /// Panics if the access crosses a cache-line boundary.
-    pub fn fetch_update_u64<F>(&self, tile: TileId, now: Cycles, addr: Addr, f: F) -> (u64, Cycles)
-    where
-        F: FnMut(u64) -> u64,
-    {
-        let (old, cost) = self.fetch_update_u64_classified(tile, now, addr, f);
-        (old, cost.latency)
-    }
-
-    /// Like [`MemorySystem::fetch_update_u64`], but reports the latency split
-    /// (for CPI attribution).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the access crosses a cache-line boundary.
-    pub fn fetch_update_u64_classified<F>(
+    pub fn fetch_update_u64<F>(
         &self,
         tile: TileId,
         now: Cycles,
@@ -1806,7 +1621,7 @@ impl MemorySystem {
             // Hold the line's MSHR entry so no transaction moves copies
             // around while we patch every cached copy in place.
             let _svc = self.mshr.acquire_service(line);
-            let entry = self.dir_record_plain(line);
+            let entry = self.dir_record(line);
             let src = &bytes[done..done + n];
             // The home copy stays current even under an owner: an Exclusive
             // owner evicts silently without a writeback.
@@ -1837,7 +1652,7 @@ impl MemorySystem {
     /// Returns a description of the first violated invariant.
     pub fn verify_coherence_invariants(&self) -> Result<(), String> {
         for shard in &self.shards {
-            let shard = shard.map.lock();
+            let shard = shard.lock();
             for (&line, &handle) in shard.iter() {
                 let entry = self.dir.record(handle);
                 if !entry.invariants_hold() {
@@ -1917,13 +1732,12 @@ impl Checkpointable for MemorySystem {
             }
         }
         // The directory serializes as ONE globally line-sorted stream so the
-        // bytes are independent of the configured shard count (and of the
-        // shard hash): a checkpoint taken with 256 shards restores into a
-        // system configured with 16, and identical states always serialize
-        // to identical bytes regardless of HashMap iteration order.
+        // bytes are independent of the shard count, the shard hash and
+        // HashMap iteration order: identical states always serialize to
+        // identical bytes.
         let mut lines: Vec<(u64, u32)> = Vec::with_capacity(self.dir.lines() as usize);
         for shard in &self.shards {
-            lines.extend(shard.map.lock().iter().map(|(&line, &handle)| (line, handle)));
+            lines.extend(shard.lock().iter().map(|(&line, &handle)| (line, handle)));
         }
         lines.sort_unstable_by_key(|(l, _)| *l);
         out.u32(u32::try_from(lines.len()).expect("one line per u32 handle"));
@@ -1972,13 +1786,12 @@ impl Checkpointable for MemorySystem {
                 }
             }
         }
-        // The directory stream is shard-count-independent (see `save`): one
-        // strictly line-ordered sequence, redistributed across however many
-        // shards this instance is configured with. The system is quiescent,
+        // The directory stream is one strictly line-ordered sequence (see
+        // `save`), redistributed across the shards. The system is quiescent,
         // so nobody holds a handle the reset voids.
         let n = dec.u32()?;
         for shard in &self.shards {
-            shard.map.lock().clear();
+            shard.lock().clear();
         }
         self.dir.reset();
         let mut prev: Option<u64> = None;
@@ -2015,7 +1828,7 @@ impl Checkpointable for MemorySystem {
                 return Err(bad());
             }
             entry.write_bytes(0, data);
-            self.shard_of(line).map.lock().insert(line, handle);
+            self.shard_of(line).lock().insert(line, handle);
         }
         if dec.u32()? as usize != self.dram.len() {
             return Err(bad());
@@ -2127,6 +1940,8 @@ mod tests {
             + s.miss_true_sharing.get()
             + s.miss_false_sharing.get();
         assert_eq!(classified, s.misses.get());
+        // Racing first touches of one line resolve to one directory record.
+        assert_eq!(u64::from(m.dir.lines()), LINES, "one record per line");
         m.verify_coherence_invariants().unwrap();
     }
 
@@ -2422,9 +2237,9 @@ mod tests {
         let m = system(2);
         let a = Addr(0x80);
         m.write(TileId(0), Cycles(0), a, &7u32.to_le_bytes());
-        let (old, lat) = m.fetch_update_u32(TileId(0), Cycles(0), a, |v| v * 2);
+        let (old, cost) = m.fetch_update_u32(TileId(0), Cycles(0), a, |v| v * 2);
         assert_eq!(old, 7);
-        assert_eq!(lat, Cycles(1), "local Modified hit");
+        assert_eq!(cost.latency, Cycles(1), "local Modified hit");
         let mut buf = [0u8; 4];
         m.peek_bytes(a, &mut buf);
         assert_eq!(u32::from_le_bytes(buf), 14);
