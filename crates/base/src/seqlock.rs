@@ -6,6 +6,10 @@
 //! counter, copy the data out, and accept the copy only if the counter was
 //! even and unchanged across the copy. The memory-system hit path uses one
 //! per tile so read hits can skip the tile mutex.
+//!
+//! The caller's lock serialises writers, so the writer side is a plain load
+//! and store of the counter (no locked read-modify-write); the release
+//! fences still order the counter against the guarded data.
 
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 
@@ -32,18 +36,25 @@ impl SeqCount {
 
     /// Marks the start of a write section: the counter becomes odd and every
     /// optimistic read started before the matching [`SeqCount::end_write`]
-    /// will fail validation. Call only while holding the writer-side lock.
+    /// will fail validation. Call only while holding the writer-side lock:
+    /// that lock is what serialises writers, and the bump is a plain store.
     #[inline]
     pub fn begin_write(&self) {
-        self.seq.fetch_add(1, Ordering::Relaxed);
+        self.bump();
         fence(Ordering::Release);
     }
 
-    /// Marks the end of a write section (counter returns to even).
+    /// Marks the end of a write section (counter returns to even). Same
+    /// locking rule as [`SeqCount::begin_write`].
     #[inline]
     pub fn end_write(&self) {
         fence(Ordering::Release);
-        self.seq.fetch_add(1, Ordering::Relaxed);
+        self.bump();
+    }
+
+    #[inline]
+    fn bump(&self) {
+        self.seq.store(self.seq.load(Ordering::Relaxed).wrapping_add(1), Ordering::Relaxed);
     }
 
     /// Snapshots the counter before an optimistic read. Returns `None` when

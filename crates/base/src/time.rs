@@ -131,8 +131,14 @@ impl From<u64> for Cycles {
 /// occurred. If the event occurred earlier in simulated time, then no updates
 /// take place"* (§3.6.1).
 ///
-/// All operations are lock-free so that other tiles can sample clocks
-/// concurrently (LaxP2P, skew measurement, progress estimation).
+/// Reads are lock-free so that other tiles can sample clocks concurrently
+/// (LaxP2P, skew measurement, progress estimation).
+///
+/// **Single writer.** Only the context running on the tile calls
+/// [`Clock::advance`] and [`Clock::forward_to`], so both are a relaxed load
+/// and store — no locked read-modify-write on the per-op path.
+/// [`Clock::reset_to`] runs only while no context runs on the tile (spawn,
+/// restore). A second concurrent writer would lose updates.
 ///
 /// A tile's thread advances its clock on every guest op, so each clock owns a
 /// 128-byte host block (see [`crate::CachePadded`]; the attribute is repeated
@@ -161,22 +167,24 @@ impl Clock {
         Cycles(self.now.load(Ordering::Relaxed))
     }
 
-    /// Advances the clock by `delta` and returns the new time.
+    /// Advances the clock by `delta` and returns the new time. Called only by
+    /// the tile's running context (the single writer).
     #[inline]
     pub fn advance(&self, delta: Cycles) -> Cycles {
-        Cycles(self.now.fetch_add(delta.0, Ordering::Relaxed) + delta.0)
+        let now = self.now.load(Ordering::Relaxed) + delta.0;
+        self.now.store(now, Ordering::Relaxed);
+        Cycles(now)
     }
 
     /// Forwards the clock to `t` if `t` is in the future; stale timestamps
-    /// are ignored. Returns the resulting time.
+    /// are ignored. Returns the resulting time. Called only by the tile's
+    /// running context (the single writer).
     #[inline]
     pub fn forward_to(&self, t: Cycles) -> Cycles {
-        let mut cur = self.now.load(Ordering::Relaxed);
-        while t.0 > cur {
-            match self.now.compare_exchange_weak(cur, t.0, Ordering::Relaxed, Ordering::Relaxed) {
-                Ok(_) => return t,
-                Err(seen) => cur = seen,
-            }
+        let cur = self.now.load(Ordering::Relaxed);
+        if t.0 > cur {
+            self.now.store(t.0, Ordering::Relaxed);
+            return t;
         }
         Cycles(cur)
     }
@@ -223,21 +231,37 @@ mod tests {
 
     #[test]
     fn clock_concurrent_forward_is_monotone() {
+        // The contract: one writer (the tile's context) advances and
+        // forwards, any number of readers sample concurrently.
         let c = Arc::new(Clock::new());
-        let handles: Vec<_> = (0..4)
-            .map(|k| {
-                let c = Arc::clone(&c);
+        let done = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let readers: Vec<_> = (0..2)
+            .map(|_| {
+                let (c, done) = (Arc::clone(&c), Arc::clone(&done));
                 std::thread::spawn(move || {
-                    for i in 0..1000u64 {
-                        c.forward_to(Cycles(i * 4 + k));
+                    let mut last = Cycles::ZERO;
+                    while !done.load(Ordering::Acquire) {
+                        let now = c.now();
+                        assert!(now >= last, "clock went backwards: {last} -> {now}");
+                        last = now;
                     }
                 })
             })
             .collect();
-        for h in handles {
-            h.join().unwrap();
+        let mut expect = 0u64;
+        for i in 0..20_000u64 {
+            expect += 3;
+            assert_eq!(c.advance(Cycles(3)), Cycles(expect));
+            // Every other forward is stale and must be ignored.
+            let t = if i % 2 == 0 { expect + 5 } else { expect / 2 };
+            expect = expect.max(t);
+            assert_eq!(c.forward_to(Cycles(t)), Cycles(expect));
         }
-        assert_eq!(c.now(), Cycles(999 * 4 + 3));
+        done.store(true, Ordering::Release);
+        for r in readers {
+            r.join().unwrap();
+        }
+        assert_eq!(c.now(), Cycles(expect));
     }
 
     #[test]

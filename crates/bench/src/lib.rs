@@ -96,7 +96,7 @@ static CKPT_SEQ: AtomicU32 = AtomicU32::new(0);
 /// keeps only every `n`-th numbered request (`step`). Returns the written
 /// path. A refused checkpoint (not quiesced) warns instead of failing the
 /// harness.
-pub fn maybe_checkpoint(ctx: &Ctx, label: &str, step: u64) -> Option<PathBuf> {
+pub fn maybe_checkpoint(ctx: &mut Ctx, label: &str, step: u64) -> Option<PathBuf> {
     let dir = std::env::var("GRAPHITE_CKPT_DIR").ok().filter(|d| !d.is_empty())?;
     let every = std::env::var("GRAPHITE_CKPT_EVERY")
         .ok()

@@ -28,12 +28,12 @@
 //! clock += core.issue(clock, &Instruction::IntAlu { count: 10 });
 //! clock += core.issue(clock, &Instruction::Load { latency: Cycles(50) });
 //! assert!(clock >= Cycles(60));
-//! assert_eq!(core.stats().instructions.get(), 11);
+//! assert_eq!(core.stats().instructions, 11);
 //! ```
 
 use std::collections::VecDeque;
 
-use graphite_base::{Counter, Cycles};
+use graphite_base::Cycles;
 
 pub mod bpred;
 pub mod ooo;
@@ -220,77 +220,80 @@ impl Default for CoreParams {
     }
 }
 
-/// Statistics kept by the core model.
+/// Statistics kept by the core model. Plain integers: a core model has one
+/// writer, the context running on its tile (`issue` takes `&mut self`).
 #[derive(Debug, Default)]
 pub struct CoreStats {
     /// Instructions retired (batch members counted individually).
-    pub instructions: Counter,
+    pub instructions: u64,
     /// Branches retired.
-    pub branches: Counter,
+    pub branches: u64,
     /// Mispredicted branches.
-    pub mispredicts: Counter,
+    pub mispredicts: u64,
     /// Loads retired.
-    pub loads: Counter,
+    pub loads: u64,
     /// Stores retired.
-    pub stores: Counter,
+    pub stores: u64,
     /// Cycles spent stalled on a full store buffer.
-    pub store_stall_cycles: Counter,
+    pub store_stall_cycles: u64,
     /// Cycles spent waiting for loads.
-    pub load_cycles: Counter,
+    pub load_cycles: u64,
     /// Cycles spent blocked on message receive.
-    pub recv_wait_cycles: Counter,
+    pub recv_wait_cycles: u64,
     /// Total cycles accumulated by this core.
-    pub cycles: Counter,
+    pub cycles: u64,
 }
 
 impl CoreStats {
     /// Instructions per cycle so far (0 when no cycles have elapsed).
     pub fn ipc(&self) -> f64 {
-        let c = self.cycles.get();
-        if c == 0 {
+        if self.cycles == 0 {
             0.0
         } else {
-            self.instructions.get() as f64 / c as f64
+            self.instructions as f64 / self.cycles as f64
         }
     }
 
     /// Misprediction rate over retired branches.
     pub fn mispredict_rate(&self) -> f64 {
-        let b = self.branches.get();
-        if b == 0 {
+        if self.branches == 0 {
             0.0
         } else {
-            self.mispredicts.get() as f64 / b as f64
+            self.mispredicts as f64 / self.branches as f64
         }
-    }
-
-    fn all(&self) -> [&Counter; 9] {
-        [
-            &self.instructions,
-            &self.branches,
-            &self.mispredicts,
-            &self.loads,
-            &self.stores,
-            &self.store_stall_cycles,
-            &self.load_cycles,
-            &self.recv_wait_cycles,
-            &self.cycles,
-        ]
     }
 
     pub(crate) fn export(&self, out: &mut Vec<u64>) {
-        out.extend(self.all().iter().map(|c| c.get()));
+        out.extend([
+            self.instructions,
+            self.branches,
+            self.mispredicts,
+            self.loads,
+            self.stores,
+            self.store_stall_cycles,
+            self.load_cycles,
+            self.recv_wait_cycles,
+            self.cycles,
+        ]);
     }
 
-    pub(crate) fn import(&self, vals: &[u64]) -> bool {
-        let counters = self.all();
-        if vals.len() != counters.len() {
+    pub(crate) fn import(&mut self, vals: &[u64]) -> bool {
+        let Ok(words) = <[u64; STAT_WORDS]>::try_from(vals) else {
             return false;
-        }
-        for (c, &v) in counters.iter().zip(vals) {
-            c.take();
-            c.add(v);
-        }
+        };
+        let [instructions, branches, mispredicts, loads, stores, store_stall_cycles, load_cycles, recv_wait_cycles, cycles] =
+            words;
+        *self = CoreStats {
+            instructions,
+            branches,
+            mispredicts,
+            loads,
+            stores,
+            store_stall_cycles,
+            load_cycles,
+            recv_wait_cycles,
+            cycles,
+        };
         true
     }
 }
@@ -418,49 +421,49 @@ impl InOrderCore {
             Instruction::FpMul { count } => self.batch(count, self.params.fp_mul),
             Instruction::FpDiv { count } => self.batch(count, self.params.fp_div),
             Instruction::Branch { pc, taken } => {
-                self.stats.instructions.incr();
-                self.stats.branches.incr();
+                self.stats.instructions += 1;
+                self.stats.branches += 1;
                 let predicted = self.bpred.predict_and_update(pc, taken);
                 if predicted {
                     self.params.branch
                 } else {
-                    self.stats.mispredicts.incr();
+                    self.stats.mispredicts += 1;
                     self.params.branch + self.params.mispredict_penalty
                 }
             }
             Instruction::Load { latency } => {
-                self.stats.instructions.incr();
-                self.stats.loads.incr();
-                self.stats.load_cycles.add(latency.0);
+                self.stats.instructions += 1;
+                self.stats.loads += 1;
+                self.stats.load_cycles += latency.0;
                 latency.max(Cycles(1))
             }
             Instruction::Store { latency } => {
-                self.stats.instructions.incr();
-                self.stats.stores.incr();
+                self.stats.instructions += 1;
+                self.stats.stores += 1;
                 let stall = self.store_buffer.push(now, latency);
-                self.stats.store_stall_cycles.add(stall.0);
+                self.stats.store_stall_cycles += stall.0;
                 Cycles(1) + stall
             }
             Instruction::Generic { cost } => {
-                self.stats.instructions.incr();
+                self.stats.instructions += 1;
                 cost
             }
             Instruction::Recv { wait } => {
-                self.stats.instructions.incr();
-                self.stats.recv_wait_cycles.add(wait.0);
+                self.stats.instructions += 1;
+                self.stats.recv_wait_cycles += wait.0;
                 Cycles(1) + wait
             }
             Instruction::Spawn => {
-                self.stats.instructions.incr();
+                self.stats.instructions += 1;
                 self.params.spawn_cost
             }
         };
-        self.stats.cycles.add(cost.0);
+        self.stats.cycles += cost.0;
         cost
     }
 
-    fn batch(&self, count: u32, each: Cycles) -> Cycles {
-        self.stats.instructions.add(count as u64);
+    fn batch(&mut self, count: u32, each: Cycles) -> Cycles {
+        self.stats.instructions += count as u64;
         Cycles(count as u64 * each.0)
     }
 }
@@ -519,7 +522,7 @@ mod tests {
         let mut c = core();
         assert_eq!(c.issue(Cycles(0), &Instruction::IntAlu { count: 7 }), Cycles(7));
         assert_eq!(c.issue(Cycles(0), &Instruction::FpMul { count: 2 }), Cycles(10));
-        assert_eq!(c.stats().instructions.get(), 9);
+        assert_eq!(c.stats().instructions, 9);
     }
 
     #[test]
@@ -527,7 +530,7 @@ mod tests {
         let mut c = core();
         assert_eq!(c.issue(Cycles(0), &Instruction::Load { latency: Cycles(55) }), Cycles(55));
         assert_eq!(c.issue(Cycles(0), &Instruction::Load { latency: Cycles(0) }), Cycles(1));
-        assert_eq!(c.stats().loads.get(), 2);
+        assert_eq!(c.stats().loads, 2);
     }
 
     #[test]
@@ -544,7 +547,7 @@ mod tests {
         // The 9th store stalls until the oldest completes (at ~cycle 100).
         let cost = c.issue(now, &Instruction::Store { latency: Cycles(100) });
         assert!(cost > Cycles(50), "store should stall, got {cost}");
-        assert!(c.stats().store_stall_cycles.get() > 0);
+        assert!(c.stats().store_stall_cycles > 0);
     }
 
     #[test]
@@ -584,7 +587,7 @@ mod tests {
         let mut c = core();
         assert_eq!(c.issue(Cycles(0), &Instruction::Recv { wait: Cycles(500) }), Cycles(501));
         assert_eq!(c.issue(Cycles(0), &Instruction::Spawn), Cycles(1_000));
-        assert_eq!(c.stats().recv_wait_cycles.get(), 500);
+        assert_eq!(c.stats().recv_wait_cycles, 500);
     }
 
     #[test]
@@ -619,8 +622,8 @@ mod tests {
         CoreModel::save_state(&a, &mut words);
         let mut b = core();
         assert!(b.load_state(&words));
-        assert_eq!(b.stats().instructions.get(), a.stats().instructions.get());
-        assert_eq!(b.stats().cycles.get(), a.stats().cycles.get());
+        assert_eq!(b.stats().instructions, a.stats().instructions);
+        assert_eq!(b.stats().cycles, a.stats().cycles);
         assert_eq!(b.store_buffer_occupancy(), a.store_buffer_occupancy());
 
         // Both copies must now behave identically, instruction for instruction.

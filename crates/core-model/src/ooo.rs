@@ -127,72 +127,72 @@ impl CoreModel for OooCore {
         let p = self.params.base.clone();
         let cost = match *instr {
             Instruction::IntAlu { count } => {
-                self.stats.instructions.add(count as u64);
+                self.stats.instructions += count as u64;
                 self.issue_ops(now, count, p.int_alu)
             }
             Instruction::IntMul { count } => {
-                self.stats.instructions.add(count as u64);
+                self.stats.instructions += count as u64;
                 self.issue_ops(now, count, p.int_mul)
             }
             Instruction::IntDiv { count } => {
-                self.stats.instructions.add(count as u64);
+                self.stats.instructions += count as u64;
                 self.issue_ops(now, count, p.int_div)
             }
             Instruction::FpAdd { count } => {
-                self.stats.instructions.add(count as u64);
+                self.stats.instructions += count as u64;
                 self.issue_ops(now, count, p.fp_add)
             }
             Instruction::FpMul { count } => {
-                self.stats.instructions.add(count as u64);
+                self.stats.instructions += count as u64;
                 self.issue_ops(now, count, p.fp_mul)
             }
             Instruction::FpDiv { count } => {
-                self.stats.instructions.add(count as u64);
+                self.stats.instructions += count as u64;
                 self.issue_ops(now, count, p.fp_div)
             }
             Instruction::Branch { pc, taken } => {
-                self.stats.instructions.incr();
-                self.stats.branches.incr();
+                self.stats.instructions += 1;
+                self.stats.branches += 1;
                 if self.bpred.predict_and_update(pc, taken) {
                     self.issue_ops(now, 1, p.branch)
                 } else {
                     // Mispredict: the pipeline refills; treat as a drain of
                     // the front-end plus the penalty.
-                    self.stats.mispredicts.incr();
+                    self.stats.mispredicts += 1;
                     let d = self.issue_ops(now, 1, p.branch);
                     d + p.mispredict_penalty
                 }
             }
             Instruction::Load { latency } => {
-                self.stats.instructions.incr();
-                self.stats.loads.incr();
-                self.stats.load_cycles.add(latency.0);
+                self.stats.instructions += 1;
+                self.stats.loads += 1;
+                self.stats.load_cycles += latency.0;
                 // Loads overlap inside the window (out-of-order memory).
                 self.issue_ops(now, 1, latency.max(Cycles(1)))
             }
             Instruction::Store { latency } => {
-                self.stats.instructions.incr();
-                self.stats.stores.incr();
+                self.stats.instructions += 1;
+                self.stats.stores += 1;
                 self.issue_ops(now, 1, latency.max(Cycles(1)))
             }
             Instruction::Generic { cost } => {
-                self.stats.instructions.incr();
+                self.stats.instructions += 1;
                 self.issue_ops(now, 1, cost.max(Cycles(1)))
             }
             Instruction::Recv { wait } => {
-                self.stats.instructions.incr();
-                self.stats.recv_wait_cycles.add(wait.0);
+                self.stats.instructions += 1;
+                self.stats.recv_wait_cycles += wait.0;
                 // A receive is a visible synchronization point: drain.
                 let drain = self.drain(now);
                 drain + Cycles(1) + wait
             }
             Instruction::Spawn => {
-                self.stats.instructions.incr();
+                self.stats.instructions += 1;
                 let drain = self.drain(now);
                 drain + p.spawn_cost
             }
         };
-        self.stats.cycles.add(cost.0);
+        self.stats.cycles += cost.0;
         cost
     }
 
@@ -252,7 +252,7 @@ mod tests {
             now += c.issue(now, &Instruction::Load { latency: Cycles(100) });
         }
         assert!(now < Cycles(50), "loads should overlap, got {now}");
-        assert_eq!(c.stats().loads.get(), 16);
+        assert_eq!(c.stats().loads, 16);
     }
 
     #[test]
@@ -318,7 +318,7 @@ mod tests {
         a.save_state(&mut words);
         let mut b = core();
         assert!(b.load_state(&words));
-        assert_eq!(b.stats().cycles.get(), a.stats().cycles.get());
+        assert_eq!(b.stats().cycles, a.stats().cycles);
         assert_eq!(b.window_occupancy(), a.window_occupancy());
         for i in 0..20u64 {
             let instr = Instruction::Load { latency: Cycles(80) };

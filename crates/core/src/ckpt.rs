@@ -98,7 +98,8 @@ pub(crate) fn write_checkpoint(
     cores.u32(inner.tiles.len() as u32);
     for tile in &inner.tiles {
         let mut words = Vec::new();
-        tile.core.lock().save_state(&mut words);
+        let core = tile.core.lock();
+        core.as_ref().expect("quiesced: every core model is home").save_state(&mut words);
         cores.words(&words);
     }
     w.segment("cores", cores.finish());
@@ -264,7 +265,8 @@ pub(crate) fn apply_restore(
     }
     for tile in tiles {
         let words = d.words()?;
-        if !tile.core.lock().load_state(&words) {
+        let mut core = tile.core.lock();
+        if !core.as_mut().expect("restore runs before any context").load_state(&words) {
             return Err(corrupted("cores"));
         }
     }

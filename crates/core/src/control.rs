@@ -580,7 +580,9 @@ fn guest_thread_main(
     inner.sync.activate(tile);
     // Even if the guest panics, the thread must exit through the MCP —
     // otherwise joiners and barrier peers deadlock and the whole simulation
-    // hangs instead of reporting the failure.
+    // hangs instead of reporting the failure. The context drops (handing the
+    // core model home) inside the closure, on the panic path too, so the
+    // exit below is only announced once the tile's core model is back.
     let mut exit_value = 0u64;
     let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         let mut ctx = Ctx::new(Arc::clone(&inner), tile, thread);

@@ -57,7 +57,7 @@ use std::sync::Arc;
 use crossbeam::channel;
 use graphite_base::{Blocker, Cycles, SimError, ThreadId, TileId};
 use graphite_ckpt::stream;
-use graphite_core_model::{CostClass, Instruction};
+use graphite_core_model::{CoreModel, CostClass, Instruction};
 use graphite_memory::{Addr, MemCost};
 use graphite_network::{Packet, TrafficClass};
 use graphite_prof::CpiClass;
@@ -165,12 +165,21 @@ impl GuestHandle {
 
 /// The execution context of one guest thread, bound to one target tile for
 /// the thread's lifetime (paper §3.5: threads are long-living).
+///
+/// A context owns its tile's core model while it runs (paper §3.1: the core
+/// model belongs to the one thread running the tile): it takes the model from
+/// the tile when created and puts it back when dropped — on the panic path
+/// too — and around [`Ctx::checkpoint`], so issuing an instruction takes no
+/// lock.
 pub struct Ctx {
     sim: Arc<SimInner>,
     tile: TileId,
     thread: ThreadId,
     /// The pthread-style exit value handed to the joiner.
     exit_value: u64,
+    /// This tile's core model; `None` only while handed back for a
+    /// checkpoint.
+    core: Option<Box<dyn CoreModel>>,
 }
 
 impl std::fmt::Debug for Ctx {
@@ -179,9 +188,36 @@ impl std::fmt::Debug for Ctx {
     }
 }
 
+/// Puts the core model back in its tile, so joiners, checkpoints and the
+/// report find it there.
+impl Drop for Ctx {
+    fn drop(&mut self) {
+        self.put_core_home();
+    }
+}
+
 impl Ctx {
+    /// Binds a context to `tile`, taking the tile's core model.
+    ///
+    /// # Panics
+    ///
+    /// Panics if another context still holds the tile's core model.
     pub(crate) fn new(sim: Arc<SimInner>, tile: TileId, thread: ThreadId) -> Self {
-        Ctx { sim, tile, thread, exit_value: 0 }
+        let mut ctx = Ctx { sim, tile, thread, exit_value: 0, core: None };
+        ctx.take_core_home();
+        ctx
+    }
+
+    fn take_core_home(&mut self) {
+        let core = self.sim.tiles[self.tile.index()].core.lock().take();
+        assert!(core.is_some(), "{}'s core model is held by another context", self.tile);
+        self.core = core;
+    }
+
+    fn put_core_home(&mut self) {
+        if let Some(core) = self.core.take() {
+            *self.sim.tiles[self.tile.index()].core.lock() = Some(core);
+        }
     }
 
     /// Sets this thread's exit value, returned to the joiner by
@@ -263,11 +299,20 @@ impl Ctx {
         self.execute_as(instr, class);
     }
 
+    /// Feeds `instr` to the tile's core model and advances the clock by the
+    /// cost. The context owns both, so this is lock-free and RMW-free.
+    #[inline]
+    fn issue(&mut self, instr: &Instruction) -> Cycles {
+        let clock = &self.sim.clocks[self.tile.index()];
+        let core = self.core.as_mut().expect("a running context holds its core model");
+        let cost = core.issue(clock.now(), instr);
+        clock.advance(cost);
+        cost
+    }
+
     /// Issues `instr` and charges its whole cost to one CPI class.
     fn execute_as(&mut self, instr: Instruction, class: CpiClass) {
-        let clock = &self.sim.clocks[self.tile.index()];
-        let cost = self.sim.tiles[self.tile.index()].core.lock().issue(clock.now(), &instr);
-        clock.advance(cost);
+        let cost = self.issue(&instr);
         self.sim.cpi.add(self.tile, class, cost);
         self.sim.sync.on_progress(self.tile);
     }
@@ -279,9 +324,7 @@ impl Ctx {
     /// cycles the core model actually charged (a store's cost is its
     /// store-buffer stall, not the raw latency).
     fn execute_mem(&mut self, instr: Instruction, mem: MemCost) {
-        let clock = &self.sim.clocks[self.tile.index()];
-        let cost = self.sim.tiles[self.tile.index()].core.lock().issue(clock.now(), &instr);
-        clock.advance(cost);
+        let cost = self.issue(&instr);
         let cpi = &self.sim.cpi;
         if mem.hit {
             cpi.add(self.tile, CpiClass::MemL1, cost);
@@ -786,10 +829,15 @@ impl Ctx {
     /// Returns [`SimError::CkptNotQuiesced`] naming the violation,
     /// [`SimError::CkptIo`] when the file cannot be written, or
     /// [`SimError::TransportClosed`] if the control plane is gone.
-    pub fn checkpoint(&self, path: impl Into<PathBuf>) -> Result<(), SimError> {
+    pub fn checkpoint(&mut self, path: impl Into<PathBuf>) -> Result<(), SimError> {
+        // The MCP saves every tile's core model from its tile: hand this
+        // context's back for the save and take it again afterwards.
+        self.put_core_home();
         let (tx, rx) = channel::bounded(1);
         self.send_mcp(McpRequest::Checkpoint { path: path.into(), thread: self.thread, reply: tx });
-        rx.recv().map_err(|_| SimError::TransportClosed("mcp".into()))?
+        let saved = rx.recv().map_err(|_| SimError::TransportClosed("mcp".into()));
+        self.take_core_home();
+        saved?
     }
 
     /// A cooperative checkpoint safepoint: services any armed external
@@ -816,7 +864,9 @@ impl Ctx {
         if self.thread != ThreadId(0) {
             return false;
         }
-        let hook = &self.sim.ckpt_hook;
+        // A handle of its own: `checkpoint` below borrows the whole context.
+        let sim = Arc::clone(&self.sim);
+        let hook = &sim.ckpt_hook;
         if let Some(req) = &hook.request {
             if let Some(path) = req.pending_path() {
                 let t0 = std::time::Instant::now();

@@ -169,9 +169,12 @@ pub(crate) struct SimInner {
 }
 
 /// What the simulator core keeps per tile, on a padded block of its own (host
-/// layout rule, DESIGN §7.2): the core lock is taken on every guest op.
+/// layout rule, DESIGN §7.2).
 pub(crate) struct TileState {
-    pub core: Mutex<Box<dyn CoreModel>>,
+    /// The tile's core model while no context runs on the tile. A running
+    /// [`Ctx`] owns the model outright (taken in `Ctx::new`, put back when the
+    /// context drops and around a checkpoint), so a guest op takes no lock.
+    pub core: Mutex<Option<Box<dyn CoreModel>>>,
     pub inbox: Mutex<UserInbox>,
 }
 
@@ -445,7 +448,7 @@ impl SimBuilder {
                 };
                 let endpoint = transport.register(Endpoint::Tile(TileId(i as u32)));
                 CachePadded::new(TileState {
-                    core: Mutex::new(core),
+                    core: Mutex::new(Some(core)),
                     inbox: Mutex::new(UserInbox::new(endpoint)),
                 })
             })
@@ -614,7 +617,6 @@ impl Sim {
         let state = &inner.tiles[tile.index()];
         let mut words = vec![
             ("clock", addr_of(&*inner.clocks[tile.index()])),
-            ("core lock", addr_of(&state.core)),
             ("inbox lock", addr_of(&state.inbox)),
             ("parker", inner.sched.parker_addr(tile)),
         ];
@@ -653,6 +655,9 @@ impl Sim {
         main_fn(&mut ctx);
         let end_time = inner.clocks[0].now();
         let exit_value = ctx.take_exit_value();
+        // Hands tile 0's core model home before the exit is announced, so the
+        // report finds every core model in its tile.
+        drop(ctx);
         inner.sync.deactivate(TileId(0));
         let _ = inner.mcp_tx.send(McpRequest::ThreadExit {
             thread: ThreadId(0),
@@ -1015,6 +1020,65 @@ mod tests {
         assert_eq!(snap.num_tiles, 2);
         assert_eq!(snap.counters["mem.loads"], 0);
         s.run(|_| {});
+    }
+
+    #[test]
+    fn guest_ops_take_no_core_lock() {
+        // The test thread holds tile 0's core-model home while the guest
+        // issues loads, stores and instructions: with the context owning its
+        // core model none of them may wait on it.
+        let s = sim(1, 1);
+        let inner = Arc::clone(&s.inner);
+        let (first_tx, first_rx) = channel::bounded(0);
+        let (locked_tx, locked_rx) = channel::bounded(0);
+        let (done_tx, done_rx) = channel::bounded(1);
+        let run = std::thread::spawn(move || {
+            s.run(move |ctx| {
+                let a = ctx.malloc(64).unwrap();
+                ctx.store(a, 0u64);
+                first_tx.send(()).unwrap();
+                locked_rx.recv().unwrap();
+                for i in 0..10_000u64 {
+                    let v: u64 = ctx.load(a);
+                    ctx.store(a, v + i);
+                    ctx.alu(1);
+                    ctx.branch(0x40, i % 3 == 0);
+                }
+                done_tx.send(()).unwrap();
+            })
+        });
+        first_rx.recv().unwrap();
+        let home = inner.tiles[0].core.lock();
+        locked_tx.send(()).unwrap();
+        let finished = done_rx.recv_timeout(std::time::Duration::from_secs(10)).is_ok();
+        drop(home);
+        let r = run.join().unwrap();
+        assert!(finished, "guest ops waited on the tile's core lock");
+        assert_eq!(r.mem.loads, 10_000);
+    }
+
+    #[test]
+    fn core_model_comes_home_on_tile_reuse() {
+        // Two threads in turn on tile 1: the second issues into the model the
+        // first handed back (predictor, store buffer and stats carry over).
+        let r = sim(2, 1).run(|ctx| {
+            let a = ctx.malloc(64).unwrap();
+            let entry: GuestEntry = Arc::new(move |ctx, arg| {
+                ctx.alu(100 * arg as u32);
+                for i in 0..8 {
+                    ctx.branch(0x40, i % 2 == 0);
+                    ctx.store(Addr(a.0 + 8 * i), arg);
+                }
+                ctx.set_exit_value(ctx.tile().0 as u64);
+            });
+            for arg in 1..=2 {
+                let child = ctx.spawn(Arc::clone(&entry), arg).unwrap();
+                assert_eq!(child.join(ctx).unwrap(), 1, "both threads run on tile 1");
+            }
+        });
+        let lane = |name: &str| r.metrics.per_tile[name][1];
+        assert_eq!(lane("core.tile.instructions"), 334);
+        assert_eq!(lane("core.tile.cycles"), 2492);
     }
 
     #[test]

@@ -406,19 +406,19 @@ impl fmt::Display for SimReport {
 /// report is by construction consistent with [`SimReport::metrics`] (and
 /// with the exported `metrics.json`).
 pub(crate) fn build_report(inner: &SimInner) -> SimReport {
-    // The core models keep their own counters (they are per-tile objects
-    // behind locks, not shared atomics); mirror them into registry lanes so
-    // the snapshot covers the whole simulation. `take` first so rebuilding
-    // is idempotent.
+    // The core models keep their own counters (plain integers in per-tile
+    // objects, owned by the running context and home again once it drops);
+    // mirror them into registry lanes so the snapshot covers the whole
+    // simulation. `take` first so rebuilding is idempotent.
     let instr_lanes = inner.obs.metrics.per_tile("core.tile.instructions");
     let cycle_lanes = inner.obs.metrics.per_tile("core.tile.cycles");
     for (i, tile) in inner.tiles.iter().enumerate() {
         let core = tile.core.lock();
-        let s = core.stats();
+        let s = core.as_ref().expect("every context has dropped: core models are home").stats();
         instr_lanes[i].take();
-        instr_lanes[i].add(s.instructions.get());
+        instr_lanes[i].add(s.instructions);
         cycle_lanes[i].take();
-        cycle_lanes[i].add(s.cycles.get());
+        cycle_lanes[i].add(s.cycles);
     }
 
     // Ring-wrap losses live inside the tracer; mirror them the same way so

@@ -22,7 +22,7 @@ fn no_two_tiles_share_a_hot_block() {
         let words: Vec<_> = (0..tiles)
             .flat_map(|t| {
                 let labelled = sim.hot_addrs(TileId(t));
-                for label in ["clock", "core lock", "tile lock", "seq counter", "parker"] {
+                for label in ["clock", "tile lock", "seq counter", "parker"] {
                     assert!(labelled.iter().any(|(l, _)| *l == label), "{label} not reported");
                 }
                 labelled.into_iter().map(move |(label, addr)| (t as usize, label, addr))

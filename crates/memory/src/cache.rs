@@ -337,8 +337,13 @@ impl Cache {
         let _ = self.groups[g].set(Group::new(self.assoc, self.stride));
     }
 
-    fn bump_stamp(&self) -> u64 {
-        self.next_stamp.fetch_add(1, Relaxed) + 1
+    /// The next LRU stamp. Only the owning tile's thread bumps stamps (its
+    /// locked lookups and fills here, its lock-free probe in
+    /// [`Cache::probe_read`]), so a bump is never a locked read-modify-write.
+    fn bump_stamp(&mut self) -> u64 {
+        let next = self.next_stamp.get_mut();
+        *next += 1;
+        *next
     }
 
     /// Looks a line up, refreshing its LRU stamp on hit.
@@ -431,7 +436,8 @@ impl Cache {
     /// refreshes the line's LRU stamp, all without taking the tile lock.
     /// Returns `false` on a miss, a tag-only cache, or when a concurrent
     /// mutation raced the copy — callers fall back to the locked path, so a
-    /// `false` is never wrong, only slow.
+    /// `false` is never wrong, only slow. Only the cache's owning tile thread
+    /// may probe: it is the LRU stamp counter's single writer.
     ///
     /// # Safety
     ///
@@ -470,8 +476,11 @@ impl Cache {
             return false;
         }
         // Validated hit: refresh recency exactly as the locked lookup would
-        // have.
-        group.stamps[group.at(row, way)].store(c.bump_stamp(), Relaxed);
+        // have. The probing thread is the stamp counter's only writer, so the
+        // bump is a plain load + store.
+        let stamp = c.next_stamp.load(Relaxed) + 1;
+        c.next_stamp.store(stamp, Relaxed);
+        group.stamps[group.at(row, way)].store(stamp, Relaxed);
         true
     }
 
