@@ -25,6 +25,7 @@
 //! ```
 
 pub mod blocker;
+pub mod coro;
 pub mod error;
 pub mod hash;
 pub mod hostmem;

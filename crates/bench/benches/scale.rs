@@ -3,10 +3,10 @@
 //!
 //! Both modes run the same deterministic workloads; the *scheduled* mode
 //! uses the default (auto) worker pool — `min(host cores, tiles)` execution
-//! slots multiplexing tile contexts with lazily-created carrier threads —
-//! and the *baseline* pins `workers = tiles`, which is exact thread-per-tile
-//! execution: every context gets a host thread at spawn and holds a slot for
-//! its whole life.
+//! slots multiplexing tile contexts, each a coroutine run by one of a few
+//! carrier threads — and the *baseline* pins `workers = tiles`, which is
+//! exact thread-per-tile execution: every context gets a carrier of its own
+//! at spawn and holds a slot for its whole life.
 //!
 //! Two studies per size:
 //!
@@ -16,10 +16,11 @@
 //!   `sim_cycles` must match thread-per-tile bit-for-bit.
 //! * **lax run-to-completion** — ungated children that compute and exit
 //!   under `Lax`: proves the resource claim. Spawned-but-unscheduled
-//!   contexts are run-queue entries with **no host thread**, so the
-//!   scheduled mode's peak thread count is bounded by the pool width plus
-//!   blocked contexts (a handful), while thread-per-tile needs one host
-//!   thread per tile — the thing that stops scaling at thousands of tiles.
+//!   contexts are run-queue entries with **no host thread**, and a finished
+//!   context's carrier runs the next one, so the scheduled mode's peak
+//!   thread count is bounded by the pool width plus contexts blocked in a
+//!   self-bounded wait, while thread-per-tile needs one host thread per
+//!   tile — the thing that stops scaling at thousands of tiles.
 //!
 //! Results go to `BENCH_scale.json` at the repo root (override with
 //! `GRAPHITE_SCALE_OUT`). `GRAPHITE_SCALE_TILES` (comma list) and

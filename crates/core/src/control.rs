@@ -240,12 +240,7 @@ pub enum LcpCmd {
         /// Starting clock (the spawner's time).
         start_time: Cycles,
     },
-    /// A lazily-created carrier thread reporting in for reaping: the
-    /// scheduler start closure runs on whatever thread granted the slot, so
-    /// it mails the [`JoinHandle`](std::thread::JoinHandle) back to the LCP
-    /// that owns this process's guest threads.
-    Reap(std::thread::JoinHandle<()>),
-    /// Join all worker threads and exit.
+    /// Stop accepting spawns and exit.
     Shutdown,
 }
 
@@ -512,54 +507,21 @@ pub(crate) fn mcp_main(
     }
 }
 
-/// The LCP service loop: spawns this process's guest threads (paper §3.5:
+/// The LCP service loop: starts this process's guest threads (paper §3.5:
 /// "the MCP forwards the spawn request to the LCP on the machine that holds
-/// the chosen tile") and reaps them at shutdown.
-pub(crate) fn lcp_main(inner: Arc<SimInner>, rx: Receiver<LcpCmd>, tx: Sender<LcpCmd>) {
-    let mut workers = Vec::new();
-    let mut submitted = 0usize;
-    let mut reaped = 0usize;
-    let mut shutdown = false;
-    // Spawns are *submitted* to the M:N scheduler, which defers carrier
-    // creation until the context is first granted an execution slot; every
-    // submitted context eventually starts (slot releases always hand off to
-    // the run-queue first), so at shutdown this loop drains until each
-    // carrier has reported in for reaping.
-    while !(shutdown && reaped == submitted) {
-        let Ok(cmd) = rx.recv() else { break };
-        match cmd {
-            LcpCmd::Spawn { tile, thread, entry, arg, start_time } => {
-                submitted += 1;
-                let inner2 = Arc::clone(&inner);
-                let reap_tx = tx.clone();
-                inner.sched.submit(
-                    tile,
-                    Box::new(move || {
-                        let sched = Arc::clone(&inner2.sched);
-                        sched.carrier_started(tile);
-                        let handle = std::thread::Builder::new()
-                            .name(format!("graphite-{tile}"))
-                            .spawn(move || {
-                                guest_thread_main(inner2, tile, thread, entry, arg, start_time)
-                            })
-                            .expect("spawn guest thread");
-                        let _ = reap_tx.send(LcpCmd::Reap(handle));
-                    }),
-                );
-            }
-            LcpCmd::Reap(handle) => {
-                reaped += 1;
-                workers.push(handle);
-            }
-            LcpCmd::Shutdown => shutdown = true,
-        }
-    }
-    for w in workers {
-        let _ = w.join();
+/// the chosen tile"). Each one is submitted to the M:N scheduler as a
+/// coroutine body; the scheduler's carriers run it, and `Sim` shutdown
+/// joins the carriers.
+pub(crate) fn lcp_main(inner: Arc<SimInner>, rx: Receiver<LcpCmd>) {
+    while let Ok(LcpCmd::Spawn { tile, thread, entry, arg, start_time }) = rx.recv() {
+        let inner2 = Arc::clone(&inner);
+        inner
+            .sched
+            .submit(tile, move || guest_thread_main(inner2, tile, thread, entry, arg, start_time));
     }
 }
 
-/// Body of every spawned guest thread.
+/// Body of every spawned guest thread (a coroutine run by a carrier).
 fn guest_thread_main(
     inner: Arc<SimInner>,
     tile: TileId,
@@ -574,9 +536,9 @@ fn guest_thread_main(
     // the cycles up to `start_time` were spent waiting to exist.
     inner.clocks[tile.index()].reset_to(start_time);
     inner.cpi.reset_tile(tile, start_time);
-    // This thread exists because the M:N scheduler granted the context an
-    // execution slot (lazy carrier creation): it starts *owning* the slot,
-    // so no attach here — becoming sync-active is the first act.
+    // A carrier resumes this coroutine for the first time on an execution
+    // slot it holds: the context starts *owning* the slot, so no attach
+    // here — becoming sync-active is the first act.
     inner.sync.activate(tile);
     // Even if the guest panics, the thread must exit through the MCP —
     // otherwise joiners and barrier peers deadlock and the whole simulation
@@ -584,28 +546,27 @@ fn guest_thread_main(
     // core model home) inside the closure, on the panic path too, so the
     // exit below is only announced once the tile's core model is back.
     let mut exit_value = 0u64;
-    let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+    let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         let mut ctx = Ctx::new(Arc::clone(&inner), tile, thread);
         ctx.execute(Instruction::Spawn);
         entry(&mut ctx, arg);
         exit_value = ctx.take_exit_value();
     }))
-    .err();
+    .is_err();
     let end = inner.clocks[tile.index()].now();
     // Thread exit: seal the tile's trace batch so everything it emitted is
     // orderable against later users of the tile.
     inner.obs.tracer.flush(tile);
     inner.sync.deactivate(tile);
+    if panicked {
+        inner.guest_panicked.store(true, std::sync::atomic::Ordering::Relaxed);
+    }
     let _ =
         inner.mcp_tx.send(McpRequest::ThreadExit { thread, tile, time: end, value: exit_value });
-    // Hand the execution slot on — even on the panic path, or the pool
-    // leaks a slot and the simulation wedges.
-    inner.sched.detach(tile);
-    inner.sched.carrier_exited();
-    if let Some(p) = panic {
-        inner.guest_panicked.store(true, std::sync::atomic::Ordering::Relaxed);
-        std::panic::resume_unwind(p);
-    }
+    // Returning finishes the coroutine; its carrier keeps the execution slot
+    // for the next context — on the panic path too. The panic is not
+    // re-raised: it has been reported, and unwinding must stop here, above
+    // the stack switch.
 }
 
 /// Per-tile inbox for the user-level messaging API: the transport mailbox

@@ -555,12 +555,12 @@ impl SimBuilder {
         let mut lcp_handles = Vec::new();
         for p in 0..inner.cfg.num_processes {
             let (tx, rx) = channel::unbounded::<LcpCmd>();
-            lcp_txs.push(tx.clone());
+            lcp_txs.push(tx);
             let inner2 = Arc::clone(&inner);
             lcp_handles.push(
                 std::thread::Builder::new()
                     .name(format!("graphite-lcp{p}"))
-                    .spawn(move || lcp_main(inner2, rx, tx))
+                    .spawn(move || lcp_main(inner2, rx))
                     .expect("spawn LCP"),
             );
         }
@@ -683,9 +683,10 @@ impl Sim {
         report
     }
 
-    /// Stops the MCP (which stops the LCPs) and joins them all. Taking the
-    /// handles makes a second call a no-op, so [`Sim::run`]'s teardown and
-    /// the `Drop` that follows it do not collide.
+    /// Stops the MCP (which stops the LCPs) and joins them all, then retires
+    /// and joins the scheduler's carrier threads once every one is idle.
+    /// Taking the handles makes a second call a no-op, so [`Sim::run`]'s
+    /// teardown and the `Drop` that follows it do not collide.
     fn shutdown(&mut self) {
         if let Some(h) = self.mcp_handle.take() {
             let _ = self.inner.mcp_tx.send(McpRequest::Shutdown);
@@ -694,11 +695,12 @@ impl Sim {
         for h in self.lcp_handles.drain(..) {
             let _ = h.join();
         }
+        self.inner.sched.retire_carriers();
     }
 }
 
 /// A simulator that is built but never run still owns its MCP and LCP
-/// threads; dropping it stops and joins them.
+/// threads; dropping it stops and joins them (and any carriers).
 impl Drop for Sim {
     fn drop(&mut self) {
         // When `run` unwinds from a guest panic, other guest threads may be

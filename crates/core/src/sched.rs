@@ -8,54 +8,57 @@
 //! broadcast makes every waiter runnable at once, to be trickled through the
 //! cores a context switch at a time.
 //!
-//! [`GuestScheduler`] inverts this. A *started* guest context owns a
-//! dedicated host thread as its stack carrier (resumable stacks without
-//! unsafe code), but only `workers` contexts hold an *execution slot* at any
-//! instant; the rest sit in per-worker run-queues, unknown to the host
-//! kernel's run queue. Carrier threads are created **lazily**, at the first
-//! slot grant ([`GuestScheduler::submit`]): a spawned-but-not-yet-scheduled
-//! context is pure run-queue state, so peak host threads are bounded by
-//! `workers` plus the contexts blocked mid-execution — not by the tile
-//! count. A thousand-tile run-to-completion workload over a 2-slot pool
-//! peaks at a handful of host threads where thread-per-tile needs a
-//! thousand. Every guest blocking point — join, futex wait, message receive,
+//! [`GuestScheduler`] inverts this. Only `workers` contexts hold an
+//! *execution slot* at any instant; the rest sit in per-worker run-queues,
+//! unknown to the host kernel's run queue. Every spawned context runs as a
+//! stackful [`Coroutine`] on a **carrier**: a host thread that holds a slot
+//! and loops — resume the next runnable coroutine; when it suspends or
+//! finishes, pass the slot to the next queued context. Carriers are created
+//! on demand, when a slot goes to a coroutine and no carrier is idle, so a
+//! thousand-tile workload over a 2-slot pool runs on a handful of host
+//! threads. Every guest blocking point — join, futex wait, message receive,
 //! sync-model quanta — routes through the [`Blocker`] seam and yields its
-//! slot cooperatively, so a LaxBarrier release or LaxP2P rendezvous *drives*
-//! which context runs next instead of waking a thundering herd:
+//! slot cooperatively, so a LaxBarrier release or LaxP2P rendezvous
+//! *drives* which context runs next instead of waking a thundering herd:
 //!
-//! * [`Blocker::blocking`] brackets a self-bounded wait (channel receive,
-//!   timed sleep): release the slot, wait, reacquire.
 //! * [`Blocker::park`] / [`Blocker::unpark`] serve externally-released
-//!   waits: a barrier release unparks exactly the recorded waiters, each of
-//!   which re-queues for a slot in arrival order.
+//!   waits. A coroutine parks by suspending: its carrier stores it and runs
+//!   the next queued context, and the unpark queues it again — no host
+//!   thread sleeps or wakes.
+//! * [`Blocker::blocking`] brackets a self-bounded wait (channel receive,
+//!   timed sleep) on the thread it is called on: release the slot, wait,
+//!   reacquire. A coroutine waits on its carrier, which stays with it; the
+//!   slot goes to the next queued context (on an idle or new carrier if that
+//!   is a coroutine).
+//!
+//! The main context (tile 0, which runs [`crate::Sim::run`]'s closure on the
+//! caller's thread) and external [`GuestScheduler::attach`] /
+//! [`GuestScheduler::detach`] callers are plain threads: they queue for a
+//! slot and sleep until one is handed to them. A run-queue entry is
+//! therefore either a coroutine to resume or a thread to wake; one flag per
+//! context says which.
 //!
 //! With `workers >= tiles` no context ever waits for a slot and the machine
-//! degenerates to exact thread-per-tile behaviour — the baseline every
-//! scheduled run is measured against. Simulated time is unaffected either
-//! way: slots gate only *host* execution order, which the lax models already
-//! tolerate by design (paper §3.6).
+//! degenerates to thread-per-tile behaviour — the baseline every scheduled
+//! run is measured against. Simulated time is unaffected either way: slots
+//! gate only *host* execution order, which the lax models already tolerate
+//! by design (paper §3.6).
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Weak};
 
+use graphite_base::coro::{self, Coroutine};
 use graphite_base::{Blocker, CachePadded, HostProf, HostStage, TileId};
 use graphite_trace::{MetricsRegistry, Obs, ShardedMetric};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
-/// Deferred context start: runs once, when the context is first granted an
-/// execution slot, and is expected to create the context's carrier thread.
-type StartFn = Box<dyn FnOnce() + Send>;
-
-/// Scheduler event counters (`sched.*`), one cache-padded lane per tile —
-/// attach/detach run on every blocking operation, so updates land in the
-/// acting tile's own lane (single writer: only the tile's host thread
-/// reaches it).
+/// Scheduler event counters (`sched.*`), one cache-padded lane per tile.
 #[derive(Debug, Default)]
 pub struct SchedStats {
     /// Cooperative slot releases through [`Blocker::blocking`].
     pub yields: ShardedMetric,
-    /// Times a context had to queue for a slot (no slot free on attach).
+    /// Times a context had to queue for a slot (no slot free).
     pub parks: ShardedMetric,
     /// Slot handoffs directly to a queued context on release.
     pub handoffs: ShardedMetric,
@@ -65,10 +68,11 @@ pub struct SchedStats {
     /// (`runq_depth / parks` = mean run-queue depth seen by a parking
     /// context).
     pub runq_depth: ShardedMetric,
-    /// Carrier threads created (lazily, at first slot grant).
+    /// Carrier threads created (on demand, when a slot goes to a coroutine
+    /// and no carrier is idle).
     pub threads_spawned: ShardedMetric,
-    /// Peak simultaneously-live carrier threads (guest contexts only; the
-    /// driver thread is not counted).
+    /// Peak simultaneously-live carrier threads (the driver thread is not
+    /// counted).
     pub threads_peak: ShardedMetric,
 }
 
@@ -87,7 +91,7 @@ impl SchedStats {
     }
 }
 
-/// Which runnable contexts are waiting for a slot, per worker lane.
+/// Slots, run-queues and carriers, under one lock.
 #[derive(Debug)]
 struct SchedState {
     /// Execution slots not currently held by any context.
@@ -96,12 +100,49 @@ struct SchedState {
     runqs: Vec<VecDeque<u32>>,
     /// Total contexts across all run-queues.
     queued: usize,
+    /// Every live carrier's mailbox, by carrier index.
+    carriers: Vec<Arc<Mailbox>>,
+    /// Carriers holding no slot and waiting for work. A carrier registers
+    /// here under the same lock as the slot release that idles it, so a
+    /// dispatch never spawns a carrier while one is about to go idle.
+    idle: Vec<usize>,
 }
 
-/// Per-context wakeup channel. Two independent one-shot tokens share the
-/// mutex: `slot` (granted by a slot handoff) and `unpark` (granted by
-/// [`Blocker::unpark`]); a context only ever waits on one of them at a time
-/// because it owns exactly one host thread.
+/// What an idle carrier is woken for.
+#[derive(Debug)]
+enum Work {
+    /// Run `tile`'s coroutine on the slot that comes with it.
+    Run(u32),
+    /// The simulation is over: exit.
+    Retire,
+}
+
+/// An idle carrier's wake-up channel.
+#[derive(Debug, Default)]
+struct Mailbox {
+    work: Mutex<Option<Work>>,
+    cv: Condvar,
+}
+
+impl Mailbox {
+    fn post(&self, work: Work) {
+        *self.work.lock() = Some(work);
+        self.cv.notify_one();
+    }
+
+    fn wait(&self) -> Work {
+        let mut w = self.work.lock();
+        loop {
+            if let Some(work) = w.take() {
+                return work;
+            }
+            self.cv.wait(&mut w);
+        }
+    }
+}
+
+/// Per-context wakeup channel: the two one-shot tokens a thread context
+/// sleeps on, and the stored coroutine of a coroutine context.
 #[derive(Debug, Default)]
 struct CtxParker {
     lock: Mutex<CtxTokens>,
@@ -109,9 +150,9 @@ struct CtxParker {
 }
 
 impl CtxParker {
-    /// Deposits the slot token and wakes the context. The guard is dropped
-    /// before the notify: a carrier woken under the lock runs straight into
-    /// it and sleeps again.
+    /// Deposits the slot token and wakes the context's thread. The guard is
+    /// dropped before the notify: a thread woken under the lock runs
+    /// straight into it and sleeps again.
     fn grant_slot(&self) {
         self.lock.lock().slot = true;
         self.cv.notify_one();
@@ -123,12 +164,11 @@ impl CtxParker {
 #[derive(Default)]
 struct CtxSlot {
     parker: CtxParker,
-    /// Deferred start of a context submitted while all slots were held: the
-    /// context has **no carrier thread yet** — it is run-queue state only —
-    /// and the stored closure creates the thread when a slot is granted.
-    /// This is what bounds peak host threads by the pool width (plus
-    /// blocked-but-started contexts) instead of by the tile count.
-    start: Mutex<Option<StartFn>>,
+    /// Whether a dispatch of this context resumes the coroutine stored in
+    /// its parker (`true`) or wakes a thread waiting for a slot token.
+    /// Written under the parker lock, read under the state lock: the one
+    /// flag that tells the two kinds of run-queue entry apart.
+    resumable: AtomicBool,
     /// Slot-occupancy start (ns since the profiler epoch, 0 = not holding a
     /// slot); feeds the `sched.slot_run` busy accounting.
     run_start: AtomicU64,
@@ -138,20 +178,25 @@ struct CtxSlot {
 struct CtxTokens {
     slot: bool,
     unpark: bool,
-    /// The context is asleep inside [`Blocker::park`]: an arriving unpark
-    /// re-queues it for a slot directly (one wake when the slot arrives)
-    /// instead of waking the thread just so it can sleep again in attach.
+    /// The context is parked without a slot: an arriving unpark queues it
+    /// for a slot directly. For a thread that means one wake, when the slot
+    /// arrives, instead of waking just to sleep again in attach.
     slot_parked: bool,
+    /// A coroutine context that is suspended or not yet started.
+    stack: Option<Coroutine>,
 }
 
 /// The M:N guest scheduler (see the module docs for the execution model).
 pub struct GuestScheduler {
     workers: usize,
     state: Mutex<SchedState>,
+    /// Signalled whenever a carrier goes idle (see [`Self::retire_carriers`]).
+    carrier_idle: Condvar,
     ctxs: Vec<CachePadded<CtxSlot>>,
-    /// Live carrier threads, maintained via [`Self::carrier_started`] /
-    /// [`Self::carrier_exited`].
-    live_carriers: AtomicU64,
+    /// Carrier threads to join at retirement.
+    joins: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    /// This scheduler, for the carriers it spawns.
+    me: Weak<GuestScheduler>,
     stats: SchedStats,
     /// Host-cost profiler (`host.sched.*` stages). Disabled by default.
     prof: Arc<HostProf>,
@@ -164,6 +209,7 @@ impl std::fmt::Debug for GuestScheduler {
             .field("workers", &self.workers)
             .field("free", &s.free)
             .field("queued", &s.queued)
+            .field("carriers", &s.carriers.len())
             .finish()
     }
 }
@@ -180,15 +226,19 @@ impl GuestScheduler {
     pub fn new(workers: u32, tiles: u32, obs: &Obs) -> Arc<Self> {
         assert!(tiles > 0, "scheduler needs at least one context");
         let workers = Self::resolve_workers(workers, tiles);
-        Arc::new(GuestScheduler {
+        Arc::new_cyclic(|me| GuestScheduler {
             workers,
             state: Mutex::new(SchedState {
                 free: workers,
                 runqs: (0..workers).map(|_| VecDeque::new()).collect(),
                 queued: 0,
+                carriers: Vec::new(),
+                idle: Vec::new(),
             }),
+            carrier_idle: Condvar::new(),
             ctxs: (0..tiles).map(|_| CachePadded::default()).collect(),
-            live_carriers: AtomicU64::new(0),
+            joins: Mutex::new(Vec::new()),
+            me: me.clone(),
             stats: SchedStats::registered(&obs.metrics),
             prof: Arc::clone(&obs.hostprof),
         })
@@ -241,49 +291,196 @@ impl GuestScheduler {
         &self.stats
     }
 
-    /// Submits a **new** context whose carrier thread has not been created
-    /// yet. If a slot is free the context starts immediately (`start` runs on
-    /// the calling thread and must create the carrier, which begins execution
-    /// *owning* the slot — it must not call [`Self::attach`] first). If all
-    /// slots are held the start is deferred: the context occupies only a
-    /// run-queue entry — no host thread — until a slot handoff reaches it.
-    pub fn submit(&self, tile: TileId, start: StartFn) {
-        let me = tile.0;
+    /// Submits a **new** context: `body` becomes a coroutine that starts
+    /// owning a slot — on an idle or new carrier right away if a slot is
+    /// free, otherwise when a slot handoff reaches its run-queue entry. It
+    /// must not call [`Self::attach`] first, and it passes its slot on by
+    /// finishing.
+    pub fn submit(&self, tile: TileId, body: impl FnOnce() + Send + 'static) {
+        let slot = &self.ctxs[tile.index()];
         {
-            let mut s = self.state.lock();
-            if s.free > 0 {
-                s.free -= 1;
-                drop(s);
-                self.note_slot_acquired(tile);
-                let _sp = self.prof.span(HostStage::SchedSpawn);
-                start();
-                return;
+            let mut p = slot.parker.lock.lock();
+            p.stack = Some(Coroutine::new(body));
+            slot.resumable.store(true, Ordering::Relaxed);
+        }
+        let mut s = self.state.lock();
+        if s.free > 0 {
+            s.free -= 1;
+            let _sp = self.prof.span(HostStage::SchedSpawn);
+            self.hand_slot(s, tile.0);
+            return;
+        }
+        self.enqueue(&mut s, tile);
+    }
+
+    /// Puts `tile` on its run-queue lane. The counters are written from
+    /// whichever thread queues the context, so they use the shared
+    /// (atomic) increment.
+    fn enqueue(&self, s: &mut SchedState, tile: TileId) {
+        s.runqs[tile.index() % self.workers].push_back(tile.0);
+        s.queued += 1;
+        self.stats.parks.incr(tile.index());
+        self.stats.runq_depth.add(tile.index(), s.queued as u64);
+    }
+
+    /// Pops the context a slot released by `tile` goes to: `tile`'s own
+    /// worker lane first, then a steal scan over the other lanes.
+    fn pop_next(&self, s: &mut SchedState, tile: TileId) -> Option<u32> {
+        let lane = tile.index() % self.workers;
+        let mut stolen = false;
+        let mut next = s.runqs[lane].pop_front();
+        if next.is_none() {
+            let _st = self.prof.span(HostStage::SchedSteal);
+            for off in 1..self.workers {
+                if let Some(t) = s.runqs[(lane + off) % self.workers].pop_front() {
+                    next = Some(t);
+                    stolen = true;
+                    break;
+                }
             }
-            *self.ctxs[tile.index()].start.lock() = Some(start);
-            s.runqs[me as usize % self.workers].push_back(me);
-            s.queued += 1;
-            self.stats.parks.incr(tile.index());
-            self.stats.runq_depth.add(tile.index(), s.queued as u64);
+        }
+        if next.is_some() {
+            s.queued -= 1;
+            // Shared increments: a carrier counts here on behalf of a
+            // context that may already run again on another carrier.
+            self.stats.handoffs.incr(tile.index());
+            if stolen {
+                self.stats.steals.incr(tile.index());
+            }
+        }
+        next
+    }
+
+    /// Gives the slot the caller has claimed for `t` (popped from a
+    /// run-queue, or taken from `free`) to `t`: a coroutine goes to an idle
+    /// carrier — or a new one — and a thread gets its slot token.
+    fn hand_slot(&self, mut s: MutexGuard<'_, SchedState>, t: u32) {
+        if !self.ctxs[t as usize].resumable.load(Ordering::Relaxed) {
+            drop(s);
+            self.ctxs[t as usize].parker.grant_slot();
+            return;
+        }
+        if let Some(c) = s.idle.pop() {
+            let mailbox = Arc::clone(&s.carriers[c]);
+            drop(s);
+            mailbox.post(Work::Run(t));
+            return;
+        }
+        let mailbox = Arc::new(Mailbox::default());
+        s.carriers.push(Arc::clone(&mailbox));
+        let (id, live) = (s.carriers.len() - 1, s.carriers.len() as u64);
+        drop(s);
+        self.stats.threads_spawned.incr(t as usize);
+        self.stats.threads_peak.observe_max(t as usize, live);
+        let me = self.me.upgrade().expect("a scheduler handing out slots is alive");
+        let handle = std::thread::Builder::new()
+            .name(format!("graphite-carrier{id}"))
+            .spawn(move || me.carrier_main(id, &mailbox, t))
+            .expect("spawn carrier thread");
+        self.joins.lock().push(handle);
+    }
+
+    /// A carrier's loop: run the coroutine it was started or woken for, keep
+    /// the slot for the next queued coroutine while there is one, then wait
+    /// idle for more work.
+    fn carrier_main(&self, id: usize, mailbox: &Mailbox, first: u32) {
+        let mut next = Some(first);
+        loop {
+            let tile = match next {
+                Some(t) => t,
+                None => match mailbox.wait() {
+                    Work::Run(t) => t,
+                    Work::Retire => return,
+                },
+            };
+            next = self.run_coroutine(id, TileId(tile));
         }
     }
 
-    /// Records a carrier thread coming alive (called by the start closure).
-    pub fn carrier_started(&self, tile: TileId) {
-        let live = self.live_carriers.fetch_add(1, Ordering::Relaxed) + 1;
-        self.stats.threads_spawned.incr(tile.index());
-        self.stats.threads_peak.observe_max(tile.index(), live);
+    /// Resumes `tile`'s coroutine on this carrier's slot until it parks or
+    /// finishes, then passes the slot on. Returns the next coroutine to run
+    /// on the same slot, or `None` once the carrier is registered idle.
+    fn run_coroutine(&self, id: usize, tile: TileId) -> Option<u32> {
+        let slot = &self.ctxs[tile.index()];
+        let mut co = {
+            let mut p = slot.parker.lock.lock();
+            slot.resumable.store(false, Ordering::Relaxed);
+            p.stack.take().expect("a dispatched coroutine context has a stored stack")
+        };
+        loop {
+            self.note_slot_acquired(tile);
+            let finished = co.resume();
+            self.note_slot_released(tile);
+            if finished {
+                // A finished context does not detach: this carrier keeps the
+                // slot for whatever runs next.
+                drop(co);
+                break;
+            }
+            // Parked. Store the coroutine *before* advertising the park, in
+            // one critical section: an unpark that sees `slot_parked` queues
+            // the context, and whoever dispatches it must find the stack.
+            let mut p = slot.parker.lock.lock();
+            if p.unpark {
+                // The release landed between the waiter's check and its
+                // suspend: consume it and keep running.
+                p.unpark = false;
+                continue;
+            }
+            p.stack = Some(co);
+            slot.resumable.store(true, Ordering::Relaxed);
+            p.slot_parked = true;
+            break;
+        }
+        let mut s = self.state.lock();
+        match self.pop_next(&mut s, tile) {
+            Some(t) if self.ctxs[t as usize].resumable.load(Ordering::Relaxed) => Some(t),
+            Some(t) => {
+                self.go_idle(&mut s, id);
+                drop(s);
+                self.ctxs[t as usize].parker.grant_slot();
+                None
+            }
+            None => {
+                s.free += 1;
+                self.go_idle(&mut s, id);
+                None
+            }
+        }
     }
 
-    /// Records a carrier thread finishing (its context exited).
-    pub fn carrier_exited(&self) {
-        self.live_carriers.fetch_sub(1, Ordering::Relaxed);
+    fn go_idle(&self, s: &mut SchedState, id: usize) {
+        s.idle.push(id);
+        if s.idle.len() == s.carriers.len() {
+            self.carrier_idle.notify_all();
+        }
     }
 
-    /// Acquires an execution slot for `tile`, queueing until one is handed
-    /// over if all are held. Called when a context starts and after every
-    /// blocking operation completes.
+    /// Waits until every carrier is idle, then retires and joins them all.
+    /// Called once the simulation is over (every context has exited), so
+    /// the process's thread count returns to what it was before the run.
+    pub fn retire_carriers(&self) {
+        let mailboxes = {
+            let mut s = self.state.lock();
+            while s.idle.len() < s.carriers.len() {
+                self.carrier_idle.wait(&mut s);
+            }
+            s.idle.clear();
+            std::mem::take(&mut s.carriers)
+        };
+        for m in mailboxes {
+            m.post(Work::Retire);
+        }
+        let joins = std::mem::take(&mut *self.joins.lock());
+        for h in joins {
+            let _ = h.join();
+        }
+    }
+
+    /// Acquires an execution slot for `tile` on the calling thread, queueing
+    /// until one is handed over if all are held. Called by thread contexts
+    /// when they start and after every blocking operation completes.
     pub fn attach(&self, tile: TileId) {
-        let me = tile.0;
         {
             let mut s = self.state.lock();
             if s.free > 0 {
@@ -292,10 +489,7 @@ impl GuestScheduler {
                 self.note_slot_acquired(tile);
                 return;
             }
-            s.runqs[me as usize % self.workers].push_back(me);
-            s.queued += 1;
-            self.stats.parks.incr_owned(tile.index());
-            self.stats.runq_depth.add_owned(tile.index(), s.queued as u64);
+            self.enqueue(&mut s, tile);
         }
         {
             let _w = self.prof.span(HostStage::SchedSlotWait);
@@ -309,77 +503,28 @@ impl GuestScheduler {
         self.note_slot_acquired(tile);
     }
 
-    /// Releases `tile`'s execution slot, handing it directly to a queued
-    /// context if any: the departing context's own worker lane first, then a
-    /// steal scan over the other lanes.
+    /// Releases `tile`'s execution slot from the calling thread, handing it
+    /// directly to a queued context if any.
     pub fn detach(&self, tile: TileId) {
         self.note_slot_released(tile);
         let _h = self.prof.span(HostStage::SchedHandoff);
-        let next = {
-            let mut s = self.state.lock();
-            let lane = tile.0 as usize % self.workers;
-            let mut stolen = false;
-            let mut next = s.runqs[lane].pop_front();
-            if next.is_none() {
-                let _st = self.prof.span(HostStage::SchedSteal);
-                for off in 1..self.workers {
-                    if let Some(t) = s.runqs[(lane + off) % self.workers].pop_front() {
-                        next = Some(t);
-                        stolen = true;
-                        break;
-                    }
-                }
-            }
-            match next {
-                Some(t) => {
-                    s.queued -= 1;
-                    self.stats.handoffs.incr_owned(tile.index());
-                    if stolen {
-                        self.stats.steals.incr_owned(tile.index());
-                    }
-                    Some(t)
-                }
-                None => {
-                    s.free += 1;
-                    None
-                }
-            }
-        };
-        if let Some(t) = next {
-            // A context that never started has no thread to wake: the slot
-            // grant *creates* its carrier (lazy start). Otherwise deposit the
-            // slot token for the parked thread.
-            let start = self.ctxs[t as usize].start.lock().take();
-            if let Some(start) = start {
-                self.note_slot_acquired(TileId(t));
-                let _sp = self.prof.span(HostStage::SchedSpawn);
-                start();
-                return;
-            }
-            self.ctxs[t as usize].parker.grant_slot();
+        let mut s = self.state.lock();
+        match self.pop_next(&mut s, tile) {
+            Some(t) => self.hand_slot(s, t),
+            None => s.free += 1,
         }
     }
 
-    /// Queues an unparked-but-sleeping context for a slot on its waker's
-    /// behalf, granting immediately if one is free. Part of the fused
-    /// unpark path: the context's own thread stays asleep until the slot
-    /// token arrives.
+    /// Queues an unparked context for a slot on its waker's behalf, handing
+    /// it one immediately if one is free.
     fn enqueue_for_slot(&self, tile: TileId) {
-        let me = tile.0;
-        {
-            let mut s = self.state.lock();
-            if s.free == 0 {
-                s.runqs[me as usize % self.workers].push_back(me);
-                s.queued += 1;
-                // Counter writes come from the waking thread, not the tile's
-                // own: use the shared (atomic) increment.
-                self.stats.parks.incr(tile.index());
-                self.stats.runq_depth.add(tile.index(), s.queued as u64);
-                return;
-            }
-            s.free -= 1;
+        let mut s = self.state.lock();
+        if s.free == 0 {
+            self.enqueue(&mut s, tile);
+            return;
         }
-        self.ctxs[tile.index()].parker.grant_slot();
+        s.free -= 1;
+        self.hand_slot(s, tile.0);
     }
 }
 
@@ -392,10 +537,26 @@ impl Blocker for GuestScheduler {
     }
 
     fn park(&self, tile: TileId) {
+        let p = &self.ctxs[tile.index()].parker;
+        if coro::in_coroutine() {
+            // A banked unpark (the release beat us here) is consumed and the
+            // context keeps running with its slot. Otherwise suspend: the
+            // carrier stores the coroutine, passes the slot on, and the
+            // unpark queues the context again. No span may stay open across
+            // the suspend (hostprof frames are per host thread).
+            {
+                let mut t = p.lock.lock();
+                if t.unpark {
+                    t.unpark = false;
+                    return;
+                }
+            }
+            coro::suspend();
+            return;
+        }
         self.detach(tile);
         {
             let _w = self.prof.span(HostStage::SchedPark);
-            let p = &self.ctxs[tile.index()].parker;
             let mut t = p.lock.lock();
             if t.unpark {
                 // Banked unpark (release beat us here): reacquire normally.
@@ -423,18 +584,20 @@ impl Blocker for GuestScheduler {
         let _u = self.prof.span(HostStage::SchedUnpark);
         let p = &self.ctxs[tile.index()].parker;
         let mut t = p.lock.lock();
-        t.unpark = true;
         if t.slot_parked {
-            // Fused wake: put the sleeping context straight on the run-queue
-            // (or hand it a free slot) without waking its thread; it gets
-            // one wake, when the slot token lands. Callers may hold their
-            // own model lock (barrier release): the scheduler state lock is
-            // taken only after the parker lock is dropped, and no scheduler
-            // path holds the state lock while taking a model lock.
+            // Put the parked context straight on the run-queue (or hand it a
+            // free slot). A suspended coroutine needs nothing else; a
+            // sleeping thread also gets its unpark token and wakes once,
+            // when the slot token lands. Callers may hold their own model
+            // lock (barrier release): the scheduler state lock is taken only
+            // after the parker lock is dropped, and no scheduler path holds
+            // the state lock while taking a model lock.
             t.slot_parked = false;
+            t.unpark = t.stack.is_none();
             drop(t);
             self.enqueue_for_slot(tile);
         } else {
+            t.unpark = true;
             // Not under the lock: see `CtxParker::grant_slot`.
             drop(t);
             p.cv.notify_one();

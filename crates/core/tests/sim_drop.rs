@@ -1,9 +1,12 @@
 //! A built simulator that is never run must not leak its MCP and LCP
-//! threads. Alone in this file: the thread count is process-wide, and tests
+//! threads, and a run must not leak its carrier threads. Alone in this file: the thread count is process-wide, and tests
 //! of one binary share a process.
 #![cfg(target_os = "linux")]
 
-use graphite::{Sim, SimConfig};
+use std::sync::Arc;
+
+use graphite::{GuestEntry, Sim, SimConfig, SyncModel};
+use graphite_base::TileId;
 
 fn host_threads() -> usize {
     let status = std::fs::read_to_string("/proc/self/status").expect("procfs");
@@ -22,6 +25,28 @@ fn dropping_unrun_sims_joins_their_control_threads() {
     }
     assert_eq!(host_threads(), before, "control threads outlived their simulators");
     // Running still tears down exactly once.
-    Sim::builder(cfg).build().unwrap().run(|ctx| ctx.alu(10));
+    Sim::builder(cfg.clone()).build().unwrap().run(|ctx| ctx.alu(10));
     assert_eq!(host_threads(), before);
+    // Spawned contexts run on carrier threads, which shutdown retires and
+    // joins: quantum parks, joins and a blocking receive leave none behind.
+    let barrier = SimConfig { sync: SyncModel::LaxBarrier { quantum: 500 }, ..cfg };
+    for workers in [1, 2, 4] {
+        Sim::builder(barrier.clone()).workers(workers).build().unwrap().run(|ctx| {
+            let entry: GuestEntry = Arc::new(|ctx, arg| {
+                ctx.alu(5_000 * arg as u32);
+                if arg == 1 {
+                    ctx.recv_msg().unwrap();
+                }
+            });
+            let kids: Vec<_> = (1..4).map(|a| ctx.spawn(Arc::clone(&entry), a).unwrap()).collect();
+            ctx.alu(2_000);
+            // The first spawn lands on tile 1 (all tiles free), and that
+            // child cannot exit before this message arrives.
+            ctx.send_msg(TileId(1), b"go").unwrap();
+            for k in kids {
+                k.join(ctx).unwrap();
+            }
+        });
+        assert_eq!(host_threads(), before, "carriers outlived a {workers}-worker run");
+    }
 }
