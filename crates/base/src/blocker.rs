@@ -1,15 +1,18 @@
 //! Host-thread blocking abstraction for guest execution scheduling.
 //!
-//! Guest contexts block in a handful of places — joins, futex waits, message
-//! receives, sync-model quanta. Under thread-per-tile execution those waits
-//! can simply park the calling OS thread. Under an M:N scheduler the wait
-//! must first *release the tile's execution slot* so another runnable
-//! context can use the host core, and reacquire a slot afterwards.
+//! Guest contexts wait in a handful of places — joins, futex waits, message
+//! receives, sync-model quanta, catch-up sleeps. Under thread-per-tile
+//! execution those waits can simply block the calling OS thread. Under an
+//! M:N scheduler the wait must first *release the tile's execution slot* so
+//! another runnable context can use the host core, and reacquire a slot
+//! afterwards.
 //!
-//! [`Blocker`] is that seam. The sync models and control plane call it at
-//! every blocking point; the implementation decides whether the wait is a
-//! plain park ([`InlineBlocker`], the thread-per-tile degenerate case) or a
-//! cooperative yield into a run-queue (the core crate's `GuestScheduler`).
+//! [`Blocker`] is that seam. The sync models call it at every blocking
+//! point; the implementation decides whether the wait is a plain park
+//! ([`InlineBlocker`], the thread-per-tile degenerate case) or a cooperative
+//! yield into a run-queue (the core crate's `GuestScheduler`).
+
+use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
 
@@ -17,31 +20,29 @@ use crate::ids::TileId;
 
 /// A policy for how a guest context blocks its host thread.
 ///
-/// Two styles of blocking point exist:
+/// Every wait is completed by exactly one other party — the releaser names
+/// each waiter explicitly, so a scheduler can requeue exactly the tiles that
+/// became runnable instead of broadcasting:
 ///
-/// * **Self-bounded waits** — the caller has its own wakeup mechanism (a
-///   channel `recv`, a timed sleep). These go through [`Blocker::blocking`],
-///   which brackets the caller-supplied wait closure with slot release /
-///   reacquire.
-/// * **Externally-released waits** — another tile decides when the waiter
-///   resumes (a sync-model barrier). These use [`Blocker::park`] /
-///   [`Blocker::unpark`]: the releaser names each waiter explicitly, so a
-///   scheduler can requeue exactly the tiles that became runnable instead of
-///   broadcasting.
+/// * [`Blocker::park`] / [`Blocker::unpark`] — another tile (a barrier
+///   release) or a service (the MCP's reply, a mailbox delivery) decides
+///   when the waiter resumes;
+/// * [`Blocker::sleep`] — the deadline does.
 pub trait Blocker: Send + Sync {
-    /// Runs `wait` — which may block the calling OS thread — outside the
-    /// tile's execution slot. Returns once `wait` has returned and the tile
-    /// holds a slot again.
-    fn blocking(&self, tile: TileId, wait: &mut dyn FnMut());
-
     /// Releases the tile's slot and blocks until [`Blocker::unpark`] is
     /// called for this tile, then reacquires a slot. A token handed to
     /// `unpark` before `park` is not lost: the next `park` consumes it and
-    /// returns immediately (futex-style one-shot semantics).
+    /// returns immediately (futex-style one-shot semantics). Callers issue
+    /// exactly one `unpark` per `park`: a stray token would end the tile's
+    /// next, unrelated wait early.
     fn park(&self, tile: TileId);
 
     /// Grants `tile` a wakeup token, rousing a current or future `park`.
     fn unpark(&self, tile: TileId);
+
+    /// Releases the tile's slot for `dur` of wall-clock time, then
+    /// reacquires a slot.
+    fn sleep(&self, tile: TileId, dur: Duration);
 }
 
 /// One park/unpark token per tile.
@@ -68,10 +69,6 @@ impl InlineBlocker {
 }
 
 impl Blocker for InlineBlocker {
-    fn blocking(&self, _tile: TileId, wait: &mut dyn FnMut()) {
-        wait();
-    }
-
     fn park(&self, tile: TileId) {
         let t = &self.tokens[tile.0 as usize];
         let mut granted = t.lock.lock();
@@ -86,6 +83,10 @@ impl Blocker for InlineBlocker {
         *t.lock.lock() = true;
         t.cv.notify_one();
     }
+
+    fn sleep(&self, _tile: TileId, dur: Duration) {
+        std::thread::sleep(dur);
+    }
 }
 
 #[cfg(test)]
@@ -95,11 +96,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn blocking_is_passthrough() {
+    fn sleep_blocks_in_place() {
         let b = InlineBlocker::new(2);
-        let mut ran = false;
-        b.blocking(TileId(1), &mut || ran = true);
-        assert!(ran);
+        let t0 = std::time::Instant::now();
+        b.sleep(TileId(1), Duration::from_millis(2));
+        assert!(t0.elapsed() >= Duration::from_millis(2));
     }
 
     #[test]

@@ -30,10 +30,10 @@
 //! thread-local borrow or a thread-affine guard across the call. The type
 //! system does not check this (`Coroutine` is `Send` whatever its body keeps
 //! on its stack), so it is a contract on callers: in this workspace the only
-//! caller is the scheduler's `Blocker::park`, reached from a sync model's
-//! quantum boundary with no lock held, and guest code holds at most
-//! `std`/`parking_lot` mutex guards, which on Linux are futex words with no
-//! owner thread.
+//! callers are the scheduler's park and sleep, reached from a sync model's
+//! quantum boundary, an MCP call or a receive with no scheduler or inbox
+//! lock held, and guest code holds at most `std`/`parking_lot` mutex
+//! guards, which on Linux are futex words with no owner thread.
 //!
 //! Only x86_64 Linux has a switch routine; other targets fail to compile.
 //!

@@ -68,12 +68,18 @@ pub enum HostStage {
     SchedHandoff,
     /// The work-stealing scan inside a handoff.
     SchedSteal,
-    /// A guest context parked on its blocker (futex/barrier wait).
+    /// A thread context (tile 0, an external `attach` caller) parked on the
+    /// OS path until its unpark and a slot arrive.
     SchedPark,
     /// Waking a parked context.
     SchedUnpark,
     /// Spawning a lazy carrier thread for a queued context.
     SchedSpawn,
+    /// A carrier switching contexts: storing the one that stopped, picking
+    /// the next and passing the slot on.
+    SchedSwitch,
+    /// An execution slot held by no context (recorded per free interval).
+    SchedIdle,
     /// One whole `miss_transaction` (evictions + directory transaction).
     MissTotal,
     /// Acquiring a tile's `TileMem` mutex.
@@ -103,7 +109,7 @@ pub enum HostStage {
 }
 
 /// Number of [`HostStage`] variants (the accumulator table's size).
-pub const NUM_STAGES: usize = 19;
+pub const NUM_STAGES: usize = 21;
 
 impl HostStage {
     /// Every stage, in declaration order (index = discriminant).
@@ -115,6 +121,8 @@ impl HostStage {
         HostStage::SchedPark,
         HostStage::SchedUnpark,
         HostStage::SchedSpawn,
+        HostStage::SchedSwitch,
+        HostStage::SchedIdle,
         HostStage::MissTotal,
         HostStage::TileLockWait,
         HostStage::LocalProbe,
@@ -140,6 +148,8 @@ impl HostStage {
             HostStage::SchedPark => "sched.park",
             HostStage::SchedUnpark => "sched.unpark",
             HostStage::SchedSpawn => "sched.spawn",
+            HostStage::SchedSwitch => "sched.switch",
+            HostStage::SchedIdle => "sched.idle",
             HostStage::MissTotal => "mem.miss_total",
             HostStage::TileLockWait => "mem.tile_lock",
             HostStage::LocalProbe => "mem.local_probe",
@@ -163,7 +173,7 @@ impl HostStage {
 
     /// Whether this stage belongs to the guest scheduler.
     pub fn is_sched(self) -> bool {
-        (self as u8) <= HostStage::SchedSpawn as u8
+        (self as u8) <= HostStage::SchedIdle as u8
     }
 }
 

@@ -13,14 +13,16 @@
 //! * **barrier** — a gated spawn/compute/join burst under `LaxBarrier`
 //!   (every quantum boundary is a full rendezvous, the worst case for the
 //!   pool): proves multiplexing is invisible in simulated time —
-//!   `sim_cycles` must match thread-per-tile bit-for-bit.
+//!   `sim_cycles` must match thread-per-tile bit-for-bit — and that every
+//!   guest wait (the go-gate receive, main's joins, the quantum parks) is a
+//!   suspend: the scheduled mode must stay within `pool + 1` carriers.
 //! * **lax run-to-completion** — ungated children that compute and exit
 //!   under `Lax`: proves the resource claim. Spawned-but-unscheduled
 //!   contexts are run-queue entries with **no host thread**, and a finished
 //!   context's carrier runs the next one, so the scheduled mode's peak
-//!   thread count is bounded by the pool width plus contexts blocked in a
-//!   self-bounded wait, while thread-per-tile needs one host thread per
-//!   tile — the thing that stops scaling at thousands of tiles.
+//!   thread count is bounded by the pool width, while thread-per-tile needs
+//!   one host thread per tile — the thing that stops scaling at thousands
+//!   of tiles.
 //!
 //! Results go to `BENCH_scale.json` at the repo root (override with
 //! `GRAPHITE_SCALE_OUT`). `GRAPHITE_SCALE_TILES` (comma list) and
@@ -167,6 +169,13 @@ fn main() {
                 "  {study:<8} {tiles:>5}t scheduled({pool:>2}w): {:>8.3}s, {} sim cycles, \
                  peak {} threads",
                 sched.wall, sched.report.simulated_cycles.0, sched.report.sched.threads_peak
+            );
+            // A waiting context is a run-queue entry: a carrier beyond the
+            // pool (plus one in flight) means some wait held its carrier.
+            let peak = sched.report.sched.threads_peak;
+            assert!(
+                peak <= pool as u64 + 1,
+                "{study} {tiles}t: {peak} carriers for {pool} slots — a guest wait held a carrier"
             );
             let base = if skip_baseline {
                 None

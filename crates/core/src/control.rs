@@ -13,13 +13,21 @@
 //! segments (paper §3.2.1), and the virtual file system backing the
 //! consistent-OS-interface syscalls (paper §3.4: file descriptors must mean
 //! the same thing in every process, so file I/O funnels through the MCP).
+//!
+//! Every request names its requesting tile. The MCP answers by writing an
+//! [`McpReply`] into that tile's reply cell and unparking it — exactly once
+//! per request, whether the answer is immediate (a malloc, a mismatched
+//! futex wait) or deferred (a futex wait until its wake, a join until the
+//! exit). Its futex queues and join lists therefore hold tiles, and a
+//! waiting guest is a suspended context, not a host thread blocked on a
+//! channel.
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use crossbeam::channel::{Receiver, Sender};
-use graphite_base::{Cycles, SimError, ThreadId, TileId};
+use graphite_base::{Blocker, Cycles, SimError, ThreadId, TileId};
 use graphite_ckpt::Enc;
 use graphite_core_model::Instruction;
 use graphite_memory::addr::layout;
@@ -84,28 +92,24 @@ pub enum FutexWaitOutcome {
 /// File-system syscalls forwarded to the MCP.
 #[derive(Debug)]
 pub enum FileReq {
-    /// Opens (creating if needed) a file in the simulation-private VFS.
+    /// Opens (creating if needed) a file in the simulation-private VFS;
+    /// replies the new descriptor.
     Open {
         /// Path within the virtual file system.
         path: String,
-        /// Receives the new file descriptor.
-        reply: Sender<i32>,
     },
     /// Closes a descriptor; replies 0 on success, −1 otherwise.
     Close {
         /// Descriptor to close.
         fd: i32,
-        /// Receives the result code.
-        reply: Sender<i32>,
     },
-    /// Reads up to `max` bytes at the descriptor's offset.
+    /// Reads up to `max` bytes at the descriptor's offset; replies the data
+    /// (possibly shorter than `max`).
     Read {
         /// Descriptor to read.
         fd: i32,
         /// Maximum bytes.
         max: usize,
-        /// Receives the data (possibly shorter than `max`).
-        reply: Sender<Vec<u8>>,
     },
     /// Writes bytes at the descriptor's offset; replies bytes written.
     Write {
@@ -113,8 +117,6 @@ pub enum FileReq {
         fd: i32,
         /// The data.
         data: Vec<u8>,
-        /// Receives the count.
-        reply: Sender<usize>,
     },
     /// Repositions a descriptor; replies the new offset or −1.
     Seek {
@@ -122,9 +124,35 @@ pub enum FileReq {
         fd: i32,
         /// Absolute offset.
         pos: u64,
-        /// Receives the new offset.
-        reply: Sender<i64>,
     },
+}
+
+/// The MCP's answer to one request, written into the requester's reply
+/// cell before the requester is unparked.
+#[derive(Debug)]
+pub enum McpReply {
+    /// [`McpRequest::Spawn`]: the new thread id, or [`SimError::NoFreeTile`].
+    Spawn(Result<ThreadId, SimError>),
+    /// [`McpRequest::Join`]: `(exit time, exit value)`, or
+    /// [`SimError::UnknownThread`] for a never-spawned id.
+    Join(Result<(Cycles, u64), SimError>),
+    /// [`McpRequest::FutexWait`]: how the wait ended.
+    FutexWait(FutexWaitOutcome),
+    /// [`McpRequest::FutexWake`]: the number of waiters woken.
+    FutexWake(u32),
+    /// [`McpRequest::Malloc`] / [`McpRequest::Mmap`]: the block's address.
+    Alloc(Result<Addr, SimError>),
+    /// [`McpRequest::Free`] / [`McpRequest::Munmap`] /
+    /// [`McpRequest::Checkpoint`]: success or the failure.
+    Done(Result<(), SimError>),
+    /// Open / close / seek: a descriptor, result code or offset.
+    Int(i64),
+    /// Write: bytes written.
+    Count(usize),
+    /// Read: the bytes read.
+    Data(Vec<u8>),
+    /// The control plane shut down before answering.
+    Closed,
 }
 
 /// Requests serviced by the MCP.
@@ -139,16 +167,15 @@ pub enum McpRequest {
         arg: u64,
         /// Spawner's clock; the child's clock starts here.
         parent_time: Cycles,
-        /// Receives the new thread id, or [`SimError::NoFreeTile`].
-        reply: Sender<Result<ThreadId, SimError>>,
+        /// The requesting tile (receives the reply).
+        tile: TileId,
     },
     /// Wait for a thread to exit; replies with its exit time and exit value.
     Join {
         /// Thread to join.
         thread: ThreadId,
-        /// Receives `(exit time, exit value)`, or
-        /// [`SimError::UnknownThread`] for a never-spawned id.
-        reply: Sender<Result<(Cycles, u64), SimError>>,
+        /// The requesting tile (receives the reply).
+        tile: TileId,
     },
     /// A guest thread finished.
     ThreadExit {
@@ -167,8 +194,8 @@ pub enum McpRequest {
         addr: Addr,
         /// Value the caller saw; mismatches fail immediately.
         expected: u32,
-        /// Receives the outcome.
-        reply: Sender<FutexWaitOutcome>,
+        /// The requesting tile (receives the reply).
+        tile: TileId,
     },
     /// Emulated `futex(FUTEX_WAKE)`.
     FutexWake {
@@ -178,48 +205,54 @@ pub enum McpRequest {
         max: u32,
         /// The waker's clock (propagated to woken threads).
         time: Cycles,
-        /// Receives the number woken.
-        reply: Sender<u32>,
+        /// The requesting tile (receives the number woken).
+        tile: TileId,
     },
     /// Heap allocation (intercepted `brk`-style allocation, §3.2.1).
     Malloc {
         /// Requested bytes.
         size: u64,
-        /// Receives the address.
-        reply: Sender<Result<Addr, SimError>>,
+        /// The requesting tile (receives the address).
+        tile: TileId,
     },
     /// Frees a heap allocation.
     Free {
         /// Block start address.
         addr: Addr,
-        /// Receives success or an error for invalid frees.
-        reply: Sender<Result<(), SimError>>,
+        /// The requesting tile (receives success or an error for invalid
+        /// frees).
+        tile: TileId,
     },
     /// Allocation from the mmap segment (intercepted `mmap`).
     Mmap {
         /// Requested bytes.
         size: u64,
-        /// Receives the address.
-        reply: Sender<Result<Addr, SimError>>,
+        /// The requesting tile (receives the address).
+        tile: TileId,
     },
     /// Releases an mmap region (intercepted `munmap`).
     Munmap {
         /// Region start.
         addr: Addr,
-        /// Receives success or an error.
-        reply: Sender<Result<(), SimError>>,
+        /// The requesting tile (receives success or an error).
+        tile: TileId,
     },
     /// File-system syscalls.
-    File(FileReq),
+    File {
+        /// The syscall.
+        req: FileReq,
+        /// The requesting tile (receives the result).
+        tile: TileId,
+    },
     /// Snapshot the quiesced simulation to disk (see `crate::ckpt`).
     Checkpoint {
         /// Destination file.
         path: PathBuf,
         /// The requesting thread — must be the main thread (0).
         thread: ThreadId,
-        /// Receives success or [`SimError::CkptNotQuiesced`] /
-        /// [`SimError::CkptIo`].
-        reply: Sender<Result<(), SimError>>,
+        /// The requesting tile (receives success or
+        /// [`SimError::CkptNotQuiesced`] / [`SimError::CkptIo`]).
+        tile: TileId,
     },
     /// Ends the control plane (sent once by [`crate::Simulator::run`]).
     Shutdown,
@@ -252,7 +285,8 @@ enum ThreadState {
 
 struct ThreadRecord {
     state: ThreadState,
-    joiners: Vec<Sender<Result<(Cycles, u64), SimError>>>,
+    /// Tiles waiting in a join of this thread.
+    joiners: Vec<TileId>,
 }
 
 /// MCP-owned control state parsed from a checkpoint's `ctrl` segment,
@@ -278,7 +312,7 @@ pub(crate) struct CtrlRestore {
 fn quiesce_violation(
     thread: ThreadId,
     threads: &[ThreadRecord],
-    futexes: &HashMap<u64, VecDeque<Sender<FutexWaitOutcome>>>,
+    futexes: &HashMap<u64, VecDeque<TileId>>,
     inner: &SimInner,
 ) -> Option<String> {
     if thread != ThreadId(0) {
@@ -301,6 +335,30 @@ fn quiesce_violation(
     None
 }
 
+/// Completes `tile`'s MCP wait: the reply goes into its cell, then the one
+/// unpark for the request.
+fn answer(inner: &SimInner, tile: TileId, reply: McpReply) {
+    *inner.tiles[tile.index()].reply.lock() = Some(reply);
+    inner.sched.unpark(tile);
+}
+
+/// The tile waiting on `req`'s reply, if it has one.
+fn requester(req: &McpRequest) -> Option<TileId> {
+    match *req {
+        McpRequest::Spawn { tile, .. }
+        | McpRequest::Join { tile, .. }
+        | McpRequest::FutexWait { tile, .. }
+        | McpRequest::FutexWake { tile, .. }
+        | McpRequest::Malloc { tile, .. }
+        | McpRequest::Free { tile, .. }
+        | McpRequest::Mmap { tile, .. }
+        | McpRequest::Munmap { tile, .. }
+        | McpRequest::File { tile, .. }
+        | McpRequest::Checkpoint { tile, .. } => Some(tile),
+        McpRequest::ThreadExit { .. } | McpRequest::Shutdown => None,
+    }
+}
+
 /// The MCP service loop. Runs on its own host thread; single-threaded
 /// processing makes futex and thread-table updates atomic.
 pub(crate) fn mcp_main(
@@ -311,7 +369,7 @@ pub(crate) fn mcp_main(
     let mut free_tiles: BTreeSet<u32> = (1..inner.cfg.target.num_tiles).collect();
     let mut threads: Vec<ThreadRecord> =
         vec![ThreadRecord { state: ThreadState::Running, joiners: Vec::new() }];
-    let mut futexes: HashMap<u64, VecDeque<Sender<FutexWaitOutcome>>> = HashMap::new();
+    let mut futexes: HashMap<u64, VecDeque<TileId>> = HashMap::new();
     let mut heap =
         SegmentAllocator::new(layout::HEAP_BASE, layout::HEAP_LIMIT.0 - layout::HEAP_BASE.0);
     let mut mmap =
@@ -340,9 +398,9 @@ pub(crate) fn mcp_main(
 
     while let Ok(req) = rx.recv() {
         match req {
-            McpRequest::Spawn { entry, arg, parent_time, reply } => {
+            McpRequest::Spawn { entry, arg, parent_time, tile: requester } => {
                 let Some(tile) = free_tiles.pop_first() else {
-                    let _ = reply.send(Err(SimError::NoFreeTile));
+                    answer(&inner, requester, McpReply::Spawn(Err(SimError::NoFreeTile)));
                     continue;
                 };
                 let thread = ThreadId(threads.len() as u32);
@@ -359,21 +417,22 @@ pub(crate) fn mcp_main(
                     arg,
                     start_time: parent_time,
                 });
-                let _ = reply.send(Ok(thread));
+                answer(&inner, requester, McpReply::Spawn(Ok(thread)));
             }
-            McpRequest::Join { thread, reply } => {
+            McpRequest::Join { thread, tile } => {
                 inner.ctrl_stats.joins.incr_owned(MCP_LANE);
                 match threads.get_mut(thread.index()) {
                     Some(rec) => match rec.state {
                         ThreadState::Exited(t, v) => {
-                            let _ = reply.send(Ok((t, v)));
+                            answer(&inner, tile, McpReply::Join(Ok((t, v))))
                         }
-                        ThreadState::Running => rec.joiners.push(reply),
+                        ThreadState::Running => rec.joiners.push(tile),
                     },
+                    // Unknown thread: reply immediately so the caller is not
+                    // stranded (join of a never-spawned id).
                     None => {
-                        // Unknown thread: reply immediately so the caller is
-                        // not stranded (join of a never-spawned id).
-                        let _ = reply.send(Err(SimError::UnknownThread(thread)));
+                        let err = Err(SimError::UnknownThread(thread));
+                        answer(&inner, tile, McpReply::Join(err));
                     }
                 }
             }
@@ -385,82 +444,76 @@ pub(crate) fn mcp_main(
                 if let Some(rec) = threads.get_mut(thread.index()) {
                     rec.state = ThreadState::Exited(time, value);
                     for j in rec.joiners.drain(..) {
-                        let _ = j.send(Ok((time, value)));
+                        answer(&inner, j, McpReply::Join(Ok((time, value))));
                     }
                 }
                 if tile.0 != 0 {
                     free_tiles.insert(tile.0);
                 }
             }
-            McpRequest::FutexWait { addr, expected, reply } => {
+            McpRequest::FutexWait { addr, expected, tile } => {
                 let mut cur = [0u8; 4];
                 inner.mem.peek_bytes(addr, &mut cur);
                 if u32::from_le_bytes(cur) != expected {
-                    let _ = reply.send(FutexWaitOutcome::ValueMismatch);
+                    answer(&inner, tile, McpReply::FutexWait(FutexWaitOutcome::ValueMismatch));
                 } else {
                     inner.ctrl_stats.futex_waits.incr_owned(MCP_LANE);
-                    futexes.entry(addr.0).or_default().push_back(reply);
+                    futexes.entry(addr.0).or_default().push_back(tile);
                 }
             }
-            McpRequest::FutexWake { addr, max, time, reply } => {
+            McpRequest::FutexWake { addr, max, time, tile } => {
                 inner.ctrl_stats.futex_wakes.incr_owned(MCP_LANE);
                 let mut woken = 0u32;
                 if let Some(q) = futexes.get_mut(&addr.0) {
                     while woken < max {
                         let Some(waiter) = q.pop_front() else { break };
-                        let _ = waiter.send(FutexWaitOutcome::Woken { waker_time: time });
+                        let outcome = FutexWaitOutcome::Woken { waker_time: time };
+                        answer(&inner, waiter, McpReply::FutexWait(outcome));
                         woken += 1;
                     }
                     if q.is_empty() {
                         futexes.remove(&addr.0);
                     }
                 }
-                let _ = reply.send(woken);
+                answer(&inner, tile, McpReply::FutexWake(woken));
             }
-            McpRequest::Malloc { size, reply } => {
+            McpRequest::Malloc { size, tile } => {
                 inner.ctrl_stats.syscalls.incr_owned(MCP_LANE);
-                let _ = reply.send(heap.alloc(size));
+                answer(&inner, tile, McpReply::Alloc(heap.alloc(size)));
             }
-            McpRequest::Free { addr, reply } => {
+            McpRequest::Free { addr, tile } => {
                 inner.ctrl_stats.syscalls.incr_owned(MCP_LANE);
-                let _ = reply.send(heap.free(addr));
+                answer(&inner, tile, McpReply::Done(heap.free(addr)));
             }
-            McpRequest::Mmap { size, reply } => {
+            McpRequest::Mmap { size, tile } => {
                 inner.ctrl_stats.syscalls.incr_owned(MCP_LANE);
-                let _ = reply.send(mmap.alloc(size));
+                answer(&inner, tile, McpReply::Alloc(mmap.alloc(size)));
             }
-            McpRequest::Munmap { addr, reply } => {
+            McpRequest::Munmap { addr, tile } => {
                 inner.ctrl_stats.syscalls.incr_owned(MCP_LANE);
-                let _ = reply.send(mmap.free(addr));
+                answer(&inner, tile, McpReply::Done(mmap.free(addr)));
             }
-            McpRequest::File(f) => {
+            McpRequest::File { req, tile } => {
                 inner.ctrl_stats.syscalls.incr_owned(MCP_LANE);
-                match f {
-                    FileReq::Open { path, reply } => {
-                        let _ = reply.send(vfs.open(&path));
-                    }
-                    FileReq::Close { fd, reply } => {
-                        let _ = reply.send(vfs.close(fd));
-                    }
-                    FileReq::Read { fd, max, reply } => {
-                        let _ = reply.send(vfs.read(fd, max));
-                    }
-                    FileReq::Write { fd, data, reply } => {
+                let reply = match req {
+                    FileReq::Open { path } => McpReply::Int(vfs.open(&path).into()),
+                    FileReq::Close { fd } => McpReply::Int(vfs.close(fd).into()),
+                    FileReq::Read { fd, max } => McpReply::Data(vfs.read(fd, max)),
+                    FileReq::Write { fd, data } => {
                         if fd == 1 || fd == 2 {
                             inner.stdout.lock().extend_from_slice(&data);
-                            let _ = reply.send(data.len());
+                            McpReply::Count(data.len())
                         } else {
-                            let _ = reply.send(vfs.write(fd, &data));
+                            McpReply::Count(vfs.write(fd, &data))
                         }
                     }
-                    FileReq::Seek { fd, pos, reply } => {
-                        let _ = reply.send(vfs.seek(fd, pos));
-                    }
-                }
+                    FileReq::Seek { fd, pos } => McpReply::Int(vfs.seek(fd, pos)),
+                };
+                answer(&inner, tile, reply);
             }
-            McpRequest::Checkpoint { path, thread, reply } => {
+            McpRequest::Checkpoint { path, thread, tile } => {
                 if let Some(why) = quiesce_violation(thread, &threads, &futexes, &inner) {
-                    let _ = reply.send(Err(SimError::CkptNotQuiesced(why)));
+                    answer(&inner, tile, McpReply::Done(Err(SimError::CkptNotQuiesced(why))));
                     continue;
                 }
                 let mut ctrl = Enc::new();
@@ -486,7 +539,8 @@ pub(crate) fn mcp_main(
                 ctrl.words(&heap.export_state());
                 ctrl.words(&mmap.export_state());
                 vfs.save(&mut ctrl);
-                let _ = reply.send(crate::ckpt::write_checkpoint(&inner, ctrl.finish(), &path));
+                let saved = crate::ckpt::write_checkpoint(&inner, ctrl.finish(), &path);
+                answer(&inner, tile, McpReply::Done(saved));
             }
             McpRequest::Shutdown => break,
         }
@@ -496,10 +550,23 @@ pub(crate) fn mcp_main(
     // so each simulated process's events — including flow spans — land in
     // the rings before the merged report drains them.
     inner.obs.tracer.flush_all();
-    // Wake anything still parked so worker threads can exit, then stop LCPs.
+    // Nothing may stay suspended on the MCP: complete every wait it still
+    // holds — parked futex waiters see a mismatch, joiners and requests
+    // queued behind the shutdown see the control plane closed — then stop
+    // the LCPs. A request sent after this drain fails to send.
     for (_, q) in futexes.drain() {
         for w in q {
-            let _ = w.send(FutexWaitOutcome::ValueMismatch);
+            answer(&inner, w, McpReply::FutexWait(FutexWaitOutcome::ValueMismatch));
+        }
+    }
+    for rec in &mut threads {
+        for j in rec.joiners.drain(..) {
+            answer(&inner, j, McpReply::Closed);
+        }
+    }
+    while let Ok(req) = rx.try_recv() {
+        if let Some(tile) = requester(&req) {
+            answer(&inner, tile, McpReply::Closed);
         }
     }
     for tx in &lcp_txs {

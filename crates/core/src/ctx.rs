@@ -22,10 +22,11 @@
 //! (the plain-old-data types `u8`, `u16`, `u32`, `u64`, `i64`, `f32`, `f64`
 //! with a fixed little-endian guest representation).
 //!
-//! Every blocking operation (join, futex wait, message receive) yields the
-//! tile's execution slot to the M:N guest scheduler
-//! ([`crate::GuestScheduler`]) for the duration of the wait, so a blocked
-//! context never occupies a host core.
+//! Every operation that waits — each MCP call (spawn, join, futex, memory
+//! and file syscalls) and a message receive — parks the context in the M:N
+//! guest scheduler ([`crate::GuestScheduler`]) until the one party that
+//! completes the wait unparks it: the MCP's reply or the mailbox delivery.
+//! A waiting context is a run-queue entry, not a blocked host thread.
 //!
 //! ## Panics versus errors
 //!
@@ -54,17 +55,16 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use crossbeam::channel;
-use graphite_base::{Blocker, Cycles, SimError, ThreadId, TileId};
+use graphite_base::{Cycles, SimError, ThreadId, TileId};
 use graphite_ckpt::stream;
 use graphite_core_model::{CoreModel, CostClass, Instruction};
 use graphite_memory::{Addr, MemCost};
 use graphite_network::{Packet, TrafficClass};
 use graphite_prof::CpiClass;
 use graphite_trace::TraceEventKind;
-use graphite_transport::{Endpoint, MsgClass};
+use graphite_transport::{Endpoint, Msg, MsgClass};
 
-use crate::control::{FileReq, FutexWaitOutcome, McpRequest};
+use crate::control::{FileReq, FutexWaitOutcome, McpReply, McpRequest};
 use crate::{SimInner, FUTEX_WAKE_LATENCY, SYSCALL_COST};
 
 /// A guest thread's entry point: receives its context and a `u64` argument
@@ -440,9 +440,10 @@ impl Ctx {
     pub fn malloc(&mut self, size: u64) -> Result<Addr, SimError> {
         self.execute_as(Instruction::Generic { cost: SYSCALL_COST }, CpiClass::SpawnCtrl);
         self.trace(|| TraceEventKind::Syscall { name: "malloc" });
-        let (tx, rx) = channel::bounded(1);
-        self.send_mcp(McpRequest::Malloc { size, reply: tx });
-        rx.recv().map_err(|_| SimError::TransportClosed("mcp".into()))?
+        match self.mcp_call(McpRequest::Malloc { size, tile: self.tile })? {
+            McpReply::Alloc(r) => r,
+            r => mismatched(r),
+        }
     }
 
     /// Frees simulated heap memory.
@@ -453,9 +454,10 @@ impl Ctx {
     pub fn free(&mut self, addr: Addr) -> Result<(), SimError> {
         self.execute_as(Instruction::Generic { cost: SYSCALL_COST }, CpiClass::SpawnCtrl);
         self.trace(|| TraceEventKind::Syscall { name: "free" });
-        let (tx, rx) = channel::bounded(1);
-        self.send_mcp(McpRequest::Free { addr, reply: tx });
-        rx.recv().map_err(|_| SimError::TransportClosed("mcp".into()))?
+        match self.mcp_call(McpRequest::Free { addr, tile: self.tile })? {
+            McpReply::Done(r) => r,
+            r => mismatched(r),
+        }
     }
 
     /// Allocates from the mmap segment.
@@ -466,9 +468,10 @@ impl Ctx {
     pub fn mmap(&mut self, size: u64) -> Result<Addr, SimError> {
         self.execute_as(Instruction::Generic { cost: SYSCALL_COST }, CpiClass::SpawnCtrl);
         self.trace(|| TraceEventKind::Syscall { name: "mmap" });
-        let (tx, rx) = channel::bounded(1);
-        self.send_mcp(McpRequest::Mmap { size, reply: tx });
-        rx.recv().map_err(|_| SimError::TransportClosed("mcp".into()))?
+        match self.mcp_call(McpRequest::Mmap { size, tile: self.tile })? {
+            McpReply::Alloc(r) => r,
+            r => mismatched(r),
+        }
     }
 
     /// Releases an mmap region.
@@ -479,9 +482,10 @@ impl Ctx {
     pub fn munmap(&mut self, addr: Addr) -> Result<(), SimError> {
         self.execute_as(Instruction::Generic { cost: SYSCALL_COST }, CpiClass::SpawnCtrl);
         self.trace(|| TraceEventKind::Syscall { name: "munmap" });
-        let (tx, rx) = channel::bounded(1);
-        self.send_mcp(McpRequest::Munmap { addr, reply: tx });
-        rx.recv().map_err(|_| SimError::TransportClosed("mcp".into()))?
+        match self.mcp_call(McpRequest::Munmap { addr, tile: self.tile })? {
+            McpReply::Done(r) => r,
+            r => mismatched(r),
+        }
     }
 
     // ---- threading (intercepted pthread spawn/join, §3.5) ---------------
@@ -496,29 +500,28 @@ impl Ctx {
     /// thread (the paper's limit: threads ≤ tiles).
     pub fn spawn(&mut self, entry: GuestEntry, arg: u64) -> Result<GuestHandle, SimError> {
         self.execute_as(Instruction::Generic { cost: SYSCALL_COST }, CpiClass::SpawnCtrl);
-        let (tx, rx) = channel::bounded(1);
-        self.send_mcp(McpRequest::Spawn { entry, arg, parent_time: self.now(), reply: tx });
-        let thread = rx.recv().map_err(|_| SimError::TransportClosed("mcp".into()))??;
-        Ok(GuestHandle { thread })
+        let req = McpRequest::Spawn { entry, arg, parent_time: self.now(), tile: self.tile };
+        match self.mcp_call(req)? {
+            McpReply::Spawn(r) => Ok(GuestHandle { thread: r? }),
+            r => mismatched(r),
+        }
     }
 
     /// Blocks until `thread` exits, then forwards this tile's clock to the
     /// exit time (thread join is a true synchronization event, §3.6.1).
     fn join_thread(&mut self, thread: ThreadId) -> Result<u64, SimError> {
         self.execute_as(Instruction::Generic { cost: SYSCALL_COST }, CpiClass::SpawnCtrl);
-        let (tx, rx) = channel::bounded(1);
-        self.send_mcp(McpRequest::Join { thread, reply: tx });
         // About to block: seal this tile's pending trace batch so its events
-        // stay orderable against the joined thread's.
+        // stay orderable against the joined thread's, and stop counting
+        // toward the barrier until the thread's exit releases the join.
         self.sim.obs.tracer.flush(self.tile);
         self.sim.sync.deactivate(self.tile);
-        // Yield the execution slot while blocked: the join wait is a
-        // cooperative scheduling point under the M:N guest scheduler.
-        let mut got = None;
-        self.sim.sched.blocking(self.tile, &mut || got = rx.recv().ok());
+        let got = self.mcp_call(McpRequest::Join { thread, tile: self.tile });
         self.sim.sync.activate(self.tile);
-        let (exit_time, value) =
-            got.unwrap_or_else(|| Err(SimError::TransportClosed("mcp".into())))?;
+        let (exit_time, value) = match got? {
+            McpReply::Join(r) => r?,
+            r => mismatched(r),
+        };
         self.forward_charged(exit_time, CpiClass::SyncWait);
         self.execute_as(Instruction::Generic { cost: Cycles(1) }, CpiClass::SpawnCtrl);
         Ok(value)
@@ -531,15 +534,15 @@ impl Ctx {
     pub fn futex_wait(&mut self, addr: Addr, expected: u32) {
         self.execute_as(Instruction::Generic { cost: SYSCALL_COST }, CpiClass::SpawnCtrl);
         self.trace(|| TraceEventKind::FutexWait { addr: addr.0 });
-        let (tx, rx) = channel::bounded(1);
-        self.send_mcp(McpRequest::FutexWait { addr, expected, reply: tx });
         // Seal the pending trace batch before parking this thread.
         self.sim.obs.tracer.flush(self.tile);
         self.sim.sync.deactivate(self.tile);
-        // The futex wait yields this tile's execution slot until the reply.
-        let mut got = None;
-        self.sim.sched.blocking(self.tile, &mut || got = rx.recv().ok());
-        let outcome = got.unwrap_or(FutexWaitOutcome::ValueMismatch);
+        let outcome = match self.mcp_call(McpRequest::FutexWait { addr, expected, tile: self.tile })
+        {
+            Ok(McpReply::FutexWait(o)) => o,
+            Ok(r) => mismatched(r),
+            Err(_) => FutexWaitOutcome::ValueMismatch,
+        };
         self.sim.sync.activate(self.tile);
         if let FutexWaitOutcome::Woken { waker_time } = outcome {
             self.forward_charged(waker_time + FUTEX_WAKE_LATENCY, CpiClass::SyncWait);
@@ -551,9 +554,12 @@ impl Ctx {
     /// number woken.
     pub fn futex_wake(&mut self, addr: Addr, max: u32) -> u32 {
         self.execute_as(Instruction::Generic { cost: SYSCALL_COST }, CpiClass::SpawnCtrl);
-        let (tx, rx) = channel::bounded(1);
-        self.send_mcp(McpRequest::FutexWake { addr, max, time: self.now(), reply: tx });
-        let woken = rx.recv().unwrap_or(0);
+        let req = McpRequest::FutexWake { addr, max, time: self.now(), tile: self.tile };
+        let woken = match self.mcp_call(req) {
+            Ok(McpReply::FutexWake(n)) => n,
+            Ok(r) => mismatched(r),
+            Err(_) => 0,
+        };
         self.trace(|| TraceEventKind::FutexWake { addr: addr.0, woken: woken as u64 });
         woken
     }
@@ -638,36 +644,32 @@ impl Ctx {
         let want = want.or(replayed_src);
         // A receive may block: seal the pending trace batch first.
         self.sim.obs.tracer.flush(self.tile);
-        let (src, arrival, flow, payload) = {
+        let stashed = {
             let mut inbox = self.sim.tiles[self.tile.index()].inbox.lock();
-            if let Some(pos) =
-                inbox.stash.iter().position(|(s, _, _, _)| want.is_none_or(|w| *s == w))
-            {
-                inbox.stash.remove(pos).expect("position just found")
-            } else {
-                loop {
-                    self.sim.sync.deactivate(self.tile);
-                    // A blocking receive is a scheduling point: give up the
-                    // execution slot until a message lands in the mailbox.
-                    let mut got = None;
-                    self.sim.sched.blocking(self.tile, &mut || got = Some(inbox.mailbox.recv()));
-                    let msg = got.expect("blocking closure always runs");
-                    self.sim.sync.activate(self.tile);
-                    let msg =
-                        msg.map_err(|_| SimError::TransportClosed("user message receive".into()))?;
-                    let Endpoint::Tile(src) = msg.src else {
-                        continue; // control endpoints never send user messages
-                    };
-                    let arrival = Cycles(u64::from_le_bytes(
-                        msg.payload[..8].try_into().expect("8-byte timestamp header"),
-                    ));
-                    let data = msg.payload[8..].to_vec();
-                    if want.is_none_or(|w| src == w) {
-                        break (src, arrival, msg.flow, data);
-                    }
-                    inbox.stash.push_back((src, arrival, msg.flow, data));
+            let pos = inbox.stash.iter().position(|(s, _, _, _)| want.is_none_or(|w| *s == w));
+            pos.map(|p| inbox.stash.remove(p).expect("position just found"))
+        };
+        let (src, arrival, flow, payload) = match stashed {
+            Some(m) => m,
+            None => loop {
+                self.sim.sync.deactivate(self.tile);
+                let msg = self.next_msg();
+                self.sim.sync.activate(self.tile);
+                let msg =
+                    msg.map_err(|_| SimError::TransportClosed("user message receive".into()))?;
+                let Endpoint::Tile(src) = msg.src else {
+                    continue; // control endpoints never send user messages
+                };
+                let arrival = Cycles(u64::from_le_bytes(
+                    msg.payload[..8].try_into().expect("8-byte timestamp header"),
+                ));
+                let data = msg.payload[8..].to_vec();
+                if want.is_none_or(|w| src == w) {
+                    break (src, arrival, msg.flow, data);
                 }
-            }
+                let mut inbox = self.sim.tiles[self.tile.index()].inbox.lock();
+                inbox.stash.push_back((src, arrival, msg.flow, data));
+            },
         };
         self.sim.replay.record_u64(stream::msg_arrival(self.tile.0), src.0 as u64);
         // The receive pseudo-instruction advances the clock by the blocking
@@ -688,6 +690,34 @@ impl Ctx {
         Ok((src, payload))
     }
 
+    /// Takes the next message from this tile's mailbox, parking until a
+    /// delivery if it is empty. The inbox lock is never held across the
+    /// park: a context must not carry a thread-affine guard across a
+    /// suspend (it may resume on another carrier).
+    fn next_msg(&mut self) -> Result<Msg, SimError> {
+        let inbox = &self.sim.tiles[self.tile.index()].inbox;
+        let sched = &self.sim.sched;
+        loop {
+            let got = inbox.lock().mailbox.poll();
+            if let Some(msg) = got? {
+                return Ok(msg);
+            }
+            // Arm before the final emptiness re-check: a delivery that lands
+            // after the re-check finds the flag up and unparks this tile.
+            sched.arm_delivery(self.tile);
+            let got = inbox.lock().mailbox.poll();
+            match got {
+                Ok(None) => sched.wait(self.tile),
+                ready => {
+                    sched.disarm_delivery(self.tile);
+                    if let Some(msg) = ready? {
+                        return Ok(msg);
+                    }
+                }
+            }
+        }
+    }
+
     // ---- consistent OS interface: file I/O via the MCP (§3.4) -----------
 
     /// Opens a file in the simulation-wide virtual file system; returns a
@@ -700,13 +730,11 @@ impl Ctx {
     pub fn sys_open(&mut self, path: &str) -> Result<i32, SimError> {
         self.execute_as(Instruction::Generic { cost: SYSCALL_COST }, CpiClass::SpawnCtrl);
         self.trace(|| TraceEventKind::Syscall { name: "open" });
-        let (tx, rx) = channel::bounded(1);
-        self.send_mcp(McpRequest::File(FileReq::Open { path: path.to_owned(), reply: tx }));
-        let fd = rx.recv().map_err(|_| SimError::TransportClosed("mcp".into()))?;
+        let fd = self.file_int(FileReq::Open { path: path.to_owned() })?;
         if fd < 0 {
             return Err(SimError::Syscall(format!("open({path:?}) failed")));
         }
-        Ok(fd)
+        Ok(fd as i32)
     }
 
     /// Writes `len` bytes from simulated memory at `addr` to `fd`; returns
@@ -726,9 +754,12 @@ impl Ctx {
         self.trace(|| TraceEventKind::Syscall { name: "write" });
         let mut data = vec![0u8; len];
         self.sim.mem.peek_bytes(addr, &mut data);
-        let (tx, rx) = channel::bounded(1);
-        self.send_mcp(McpRequest::File(FileReq::Write { fd, data, reply: tx }));
-        let written = rx.recv().map_err(|_| SimError::TransportClosed("mcp".into()))?;
+        let written = match self
+            .mcp_call(McpRequest::File { req: FileReq::Write { fd, data }, tile: self.tile })?
+        {
+            McpReply::Count(n) => n,
+            r => mismatched(r),
+        };
         if written == 0 && len > 0 {
             return Err(SimError::Syscall(format!("write(fd={fd}) wrote nothing")));
         }
@@ -747,9 +778,12 @@ impl Ctx {
             CpiClass::SpawnCtrl,
         );
         self.trace(|| TraceEventKind::Syscall { name: "read" });
-        let (tx, rx) = channel::bounded(1);
-        self.send_mcp(McpRequest::File(FileReq::Read { fd, max: len, reply: tx }));
-        let data = rx.recv().map_err(|_| SimError::TransportClosed("mcp".into()))?;
+        let data = match self
+            .mcp_call(McpRequest::File { req: FileReq::Read { fd, max: len }, tile: self.tile })?
+        {
+            McpReply::Data(d) => d,
+            r => mismatched(r),
+        };
         self.sim.mem.poke_bytes(addr, &data);
         Ok(data.len())
     }
@@ -763,9 +797,7 @@ impl Ctx {
     pub fn sys_seek(&mut self, fd: i32, pos: u64) -> Result<u64, SimError> {
         self.execute_as(Instruction::Generic { cost: SYSCALL_COST }, CpiClass::SpawnCtrl);
         self.trace(|| TraceEventKind::Syscall { name: "seek" });
-        let (tx, rx) = channel::bounded(1);
-        self.send_mcp(McpRequest::File(FileReq::Seek { fd, pos, reply: tx }));
-        let off = rx.recv().map_err(|_| SimError::TransportClosed("mcp".into()))?;
+        let off = self.file_int(FileReq::Seek { fd, pos })?;
         if off < 0 {
             return Err(SimError::Syscall(format!("seek(fd={fd}) failed")));
         }
@@ -781,9 +813,7 @@ impl Ctx {
     pub fn sys_close(&mut self, fd: i32) -> Result<(), SimError> {
         self.execute_as(Instruction::Generic { cost: SYSCALL_COST }, CpiClass::SpawnCtrl);
         self.trace(|| TraceEventKind::Syscall { name: "close" });
-        let (tx, rx) = channel::bounded(1);
-        self.send_mcp(McpRequest::File(FileReq::Close { fd, reply: tx }));
-        let rc = rx.recv().map_err(|_| SimError::TransportClosed("mcp".into()))?;
+        let rc = self.file_int(FileReq::Close { fd })?;
         if rc != 0 {
             return Err(SimError::Syscall(format!("close(fd={fd}) failed")));
         }
@@ -833,11 +863,14 @@ impl Ctx {
         // The MCP saves every tile's core model from its tile: hand this
         // context's back for the save and take it again afterwards.
         self.put_core_home();
-        let (tx, rx) = channel::bounded(1);
-        self.send_mcp(McpRequest::Checkpoint { path: path.into(), thread: self.thread, reply: tx });
-        let saved = rx.recv().map_err(|_| SimError::TransportClosed("mcp".into()));
+        let req =
+            McpRequest::Checkpoint { path: path.into(), thread: self.thread, tile: self.tile };
+        let saved = self.mcp_call(req);
         self.take_core_home();
-        saved?
+        match saved? {
+            McpReply::Done(r) => r,
+            r => mismatched(r),
+        }
     }
 
     /// A cooperative checkpoint safepoint: services any armed external
@@ -910,16 +943,39 @@ impl Ctx {
     pub fn print(&mut self, text: &str) {
         self.execute_as(Instruction::Generic { cost: SYSCALL_COST }, CpiClass::SpawnCtrl);
         self.trace(|| TraceEventKind::Syscall { name: "print" });
-        let (tx, rx) = channel::bounded(1);
-        self.send_mcp(McpRequest::File(FileReq::Write {
-            fd: 1,
-            data: text.as_bytes().to_vec(),
-            reply: tx,
-        }));
-        let _ = rx.recv();
+        let req = FileReq::Write { fd: 1, data: text.as_bytes().to_vec() };
+        let _ = self.mcp_call(McpRequest::File { req, tile: self.tile });
     }
 
-    fn send_mcp(&self, req: McpRequest) {
+    /// Sends `req` to the MCP and waits for its reply. The wait is exactly
+    /// one park, ended by the MCP's one unpark; a reply that is already in
+    /// just consumes the banked token — skipping the park would leave the
+    /// token to end this context's next, unrelated wait early.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::TransportClosed`] if the control plane shut down
+    /// before answering.
+    fn mcp_call(&mut self, req: McpRequest) -> Result<McpReply, SimError> {
         self.sim.mcp_tx.send(req).expect("MCP alive for the simulation's duration");
+        self.sim.sched.wait(self.tile);
+        let reply = self.sim.tiles[self.tile.index()].reply.lock().take();
+        match reply.expect("an MCP wait ends with its reply") {
+            McpReply::Closed => Err(SimError::TransportClosed("mcp".into())),
+            r => Ok(r),
+        }
     }
+
+    /// A file syscall whose reply is a descriptor, result code or offset.
+    fn file_int(&mut self, req: FileReq) -> Result<i64, SimError> {
+        match self.mcp_call(McpRequest::File { req, tile: self.tile })? {
+            McpReply::Int(v) => Ok(v),
+            r => mismatched(r),
+        }
+    }
+}
+
+/// A reply of the wrong kind for its request: a control-plane bug.
+fn mismatched(reply: McpReply) -> ! {
+    unreachable!("MCP answered with a mismatched reply: {reply:?}")
 }

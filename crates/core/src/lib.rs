@@ -119,7 +119,7 @@ pub use preempt::CkptRequest;
 pub use report::{LinkUtilization, SchedReport, SimReport};
 pub use sched::{GuestScheduler, SchedStats};
 
-use control::{lcp_main, mcp_main, ControlStats, LcpCmd, McpRequest, UserInbox};
+use control::{lcp_main, mcp_main, ControlStats, LcpCmd, McpReply, McpRequest, UserInbox};
 
 /// Cycles charged for a system call intercepted and forwarded to the MCP.
 pub(crate) const SYSCALL_COST: Cycles = Cycles(300);
@@ -138,7 +138,7 @@ pub(crate) struct SimInner {
     pub network: Arc<Network>,
     pub sync: Arc<dyn Synchronizer>,
     /// The M:N guest scheduler gating contexts onto execution slots; every
-    /// guest blocking point yields through it.
+    /// guest wait parks through it.
     pub sched: Arc<sched::GuestScheduler>,
     pub transport: Arc<dyn Transport>,
     pub mcp_tx: Sender<McpRequest>,
@@ -176,6 +176,9 @@ pub(crate) struct TileState {
     /// context drops and around a checkpoint), so a guest op takes no lock.
     pub core: Mutex<Option<Box<dyn CoreModel>>>,
     pub inbox: Mutex<UserInbox>,
+    /// The MCP's answer to the request the tile's context waits on, written
+    /// by the MCP just before it unparks the context.
+    pub reply: Mutex<Option<McpReply>>,
 }
 
 impl SimInner {
@@ -440,6 +443,14 @@ impl SimBuilder {
         } else {
             Arc::new(LocalTransport::with_obs(&cfg, &obs))
         };
+        // A delivery completes a receive: it unparks the receiver if (and
+        // only if) the receiver armed its flag before parking.
+        let notify = Arc::clone(&sched);
+        transport.set_delivery_hook(Arc::new(move |dst| {
+            if let Endpoint::Tile(t) = dst {
+                notify.notify_delivery(t);
+            }
+        }));
         let tiles: Vec<CachePadded<TileState>> = (0..n)
             .map(|i| {
                 let core: Box<dyn CoreModel> = match &self.core_kind {
@@ -450,6 +461,7 @@ impl SimBuilder {
                 CachePadded::new(TileState {
                     core: Mutex::new(Some(core)),
                     inbox: Mutex::new(UserInbox::new(endpoint)),
+                    reply: Mutex::new(None),
                 })
             })
             .collect();

@@ -16,27 +16,34 @@
 //! finishes, pass the slot to the next queued context. Carriers are created
 //! on demand, when a slot goes to a coroutine and no carrier is idle, so a
 //! thousand-tile workload over a 2-slot pool runs on a handful of host
-//! threads. Every guest blocking point — join, futex wait, message receive,
-//! sync-model quanta — routes through the [`Blocker`] seam and yields its
-//! slot cooperatively, so a LaxBarrier release or LaxP2P rendezvous
-//! *drives* which context runs next instead of waking a thundering herd:
+//! threads.
 //!
-//! * [`Blocker::park`] / [`Blocker::unpark`] serve externally-released
-//!   waits. A coroutine parks by suspending: its carrier stores it and runs
-//!   the next queued context, and the unpark queues it again — no host
-//!   thread sleeps or wakes.
-//! * [`Blocker::blocking`] brackets a self-bounded wait (channel receive,
-//!   timed sleep) on the thread it is called on: release the slot, wait,
-//!   reacquire. A coroutine waits on its carrier, which stays with it; the
-//!   slot goes to the next queued context (on an idle or new carrier if that
-//!   is a coroutine).
+//! **Every guest wait is a suspend, completed by its waker.** A waiting
+//! coroutine suspends; its carrier stores it and runs the next queued
+//! context. Exactly one party ends each wait, and it `unpark`s the waiter,
+//! which queues it again — no carrier ever waits on a context's behalf:
+//!
+//! * a LaxBarrier release unparks the quantum's waiters;
+//! * the MCP writes its reply into the requester's reply cell and unparks
+//!   it (spawn, join, futex wait/wake, memory and file syscalls);
+//! * a mailbox delivery unparks a receiver that armed its delivery flag
+//!   (`arm_delivery` before its last emptiness check; the transport's
+//!   delivery hook calls `notify_delivery`);
+//! * a deadline unparks a LaxP2P catch-up sleeper ([`Blocker::sleep`]): the
+//!   sleeper is a timer entry, fired by the next carrier that switches
+//!   contexts or by an idle carrier waiting for the earliest deadline.
+//!
+//! The waiter always parks exactly once per wait, even when the result is
+//! already in: the park then consumes the banked token and returns at once.
+//! A token left unconsumed would end the context's *next* wait early — a
+//! quantum park that returns before its release weakens the barrier.
 //!
 //! The main context (tile 0, which runs [`crate::Sim::run`]'s closure on the
 //! caller's thread) and external [`GuestScheduler::attach`] /
-//! [`GuestScheduler::detach`] callers are plain threads: they queue for a
-//! slot and sleep until one is handed to them. A run-queue entry is
-//! therefore either a coroutine to resume or a thread to wake; one flag per
-//! context says which.
+//! [`GuestScheduler::detach`] callers are plain threads: they wait on the OS
+//! path, releasing the slot, sleeping until both their unpark and a slot
+//! token are in. A run-queue entry is therefore either a coroutine to resume
+//! or a thread to wake; one flag per context says which.
 //!
 //! With `workers >= tiles` no context ever waits for a slot and the machine
 //! degenerates to thread-per-tile behaviour — the baseline every scheduled
@@ -44,9 +51,11 @@
 //! gate only *host* execution order, which the lax models already tolerate
 //! by design (paper §3.6).
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
+use std::time::{Duration, Instant};
 
 use graphite_base::coro::{self, Coroutine};
 use graphite_base::{Blocker, CachePadded, HostProf, HostStage, TileId};
@@ -56,7 +65,8 @@ use parking_lot::{Condvar, Mutex, MutexGuard};
 /// Scheduler event counters (`sched.*`), one cache-padded lane per tile.
 #[derive(Debug, Default)]
 pub struct SchedStats {
-    /// Cooperative slot releases through [`Blocker::blocking`].
+    /// Guest waits (MCP calls, receives, catch-up sleeps) that gave up
+    /// their slot.
     pub yields: ShardedMetric,
     /// Times a context had to queue for a slot (no slot free).
     pub parks: ShardedMetric,
@@ -91,11 +101,14 @@ impl SchedStats {
     }
 }
 
-/// Slots, run-queues and carriers, under one lock.
+/// Slots, run-queues, carriers and sleep deadlines, under one lock.
 #[derive(Debug)]
 struct SchedState {
     /// Execution slots not currently held by any context.
     free: usize,
+    /// When each free slot was freed (ns since the profiler epoch), feeding
+    /// the `sched.idle` accounting; empty unless host profiling is on.
+    free_since: Vec<u64>,
     /// Per-worker run-queues; context `t` enqueues on lane `t % workers`.
     runqs: Vec<VecDeque<u32>>,
     /// Total contexts across all run-queues.
@@ -106,6 +119,8 @@ struct SchedState {
     /// here under the same lock as the slot release that idles it, so a
     /// dispatch never spawns a carrier while one is about to go idle.
     idle: Vec<usize>,
+    /// Suspended sleepers by wake-up deadline, earliest first.
+    timers: BinaryHeap<Reverse<(Instant, u32)>>,
 }
 
 /// What an idle carrier is woken for.
@@ -113,6 +128,8 @@ struct SchedState {
 enum Work {
     /// Run `tile`'s coroutine on the slot that comes with it.
     Run(u32),
+    /// A sleeper was queued: re-read the earliest deadline.
+    Tick,
     /// The simulation is over: exit.
     Retire,
 }
@@ -125,18 +142,30 @@ struct Mailbox {
 }
 
 impl Mailbox {
+    /// Posts `work`. A `Tick` goes only to a carrier on the idle list and a
+    /// `Run` only to one just taken off it, so a `Run` is never overwritten.
     fn post(&self, work: Work) {
         *self.work.lock() = Some(work);
         self.cv.notify_one();
     }
 
-    fn wait(&self) -> Work {
+    /// Waits for work until `deadline`; `None` once it has passed.
+    fn wait(&self, deadline: Option<Instant>) -> Option<Work> {
         let mut w = self.work.lock();
         loop {
             if let Some(work) = w.take() {
-                return work;
+                return Some(work);
             }
-            self.cv.wait(&mut w);
+            match deadline {
+                None => self.cv.wait(&mut w),
+                Some(d) => {
+                    let now = Instant::now();
+                    if now >= d {
+                        return None;
+                    }
+                    self.cv.wait_for(&mut w, d - now);
+                }
+            }
         }
     }
 }
@@ -172,6 +201,9 @@ struct CtxSlot {
     /// Slot-occupancy start (ns since the profiler epoch, 0 = not holding a
     /// slot); feeds the `sched.slot_run` busy accounting.
     run_start: AtomicU64,
+    /// The context is about to park in a receive: the next delivery to its
+    /// mailbox unparks it (see `GuestScheduler::arm_delivery`).
+    delivery_armed: AtomicBool,
 }
 
 #[derive(Debug, Default)]
@@ -182,6 +214,9 @@ struct CtxTokens {
     /// for a slot directly. For a thread that means one wake, when the slot
     /// arrives, instead of waking just to sleep again in attach.
     slot_parked: bool,
+    /// A suspending sleeper's wake-up time, moved onto the timer heap by
+    /// its carrier once the coroutine is stored.
+    deadline: Option<Instant>,
     /// A coroutine context that is suspended or not yet started.
     stack: Option<Coroutine>,
 }
@@ -210,6 +245,7 @@ impl std::fmt::Debug for GuestScheduler {
             .field("free", &s.free)
             .field("queued", &s.queued)
             .field("carriers", &s.carriers.len())
+            .field("sleepers", &s.timers.len())
             .finish()
     }
 }
@@ -226,21 +262,25 @@ impl GuestScheduler {
     pub fn new(workers: u32, tiles: u32, obs: &Obs) -> Arc<Self> {
         assert!(tiles > 0, "scheduler needs at least one context");
         let workers = Self::resolve_workers(workers, tiles);
+        let prof = Arc::clone(&obs.hostprof);
+        let free_since = if prof.is_enabled() { vec![prof.now_ns(); workers] } else { Vec::new() };
         Arc::new_cyclic(|me| GuestScheduler {
             workers,
             state: Mutex::new(SchedState {
                 free: workers,
+                free_since,
                 runqs: (0..workers).map(|_| VecDeque::new()).collect(),
                 queued: 0,
                 carriers: Vec::new(),
                 idle: Vec::new(),
+                timers: BinaryHeap::new(),
             }),
             carrier_idle: Condvar::new(),
             ctxs: (0..tiles).map(|_| CachePadded::default()).collect(),
             joins: Mutex::new(Vec::new()),
             me: me.clone(),
             stats: SchedStats::registered(&obs.metrics),
-            prof: Arc::clone(&obs.hostprof),
+            prof,
         })
     }
 
@@ -260,6 +300,22 @@ impl GuestScheduler {
             if start != 0 {
                 self.prof.record(HostStage::SchedSlotRun, start, self.prof.now_ns());
             }
+        }
+    }
+
+    /// Claims a free slot, closing its `sched.idle` interval.
+    fn take_slot(&self, s: &mut SchedState) {
+        s.free -= 1;
+        if let Some(since) = s.free_since.pop() {
+            self.prof.record(HostStage::SchedIdle, since, self.prof.now_ns());
+        }
+    }
+
+    /// Returns a slot to the free pool, opening a `sched.idle` interval.
+    fn put_slot(&self, s: &mut SchedState) {
+        s.free += 1;
+        if self.prof.is_enabled() {
+            s.free_since.push(self.prof.now_ns());
         }
     }
 
@@ -305,7 +361,7 @@ impl GuestScheduler {
         }
         let mut s = self.state.lock();
         if s.free > 0 {
-            s.free -= 1;
+            self.take_slot(&mut s);
             let _sp = self.prof.span(HostStage::SchedSpawn);
             self.hand_slot(s, tile.0);
             return;
@@ -351,6 +407,33 @@ impl GuestScheduler {
         next
     }
 
+    /// Locks the scheduler state with every sleeper whose deadline has
+    /// passed unparked first, so a slot being passed on can go to it.
+    fn lock_firing_timers(&self) -> MutexGuard<'_, SchedState> {
+        let mut s = self.state.lock();
+        while !s.timers.is_empty() {
+            let now = Instant::now();
+            let mut due = Vec::new();
+            while let Some(&Reverse((d, t))) = s.timers.peek() {
+                if d > now {
+                    break;
+                }
+                s.timers.pop();
+                due.push(t);
+            }
+            if due.is_empty() {
+                break;
+            }
+            // `unpark` takes the state lock itself.
+            drop(s);
+            for t in due {
+                self.unpark(TileId(t));
+            }
+            s = self.state.lock();
+        }
+        s
+    }
+
     /// Gives the slot the caller has claimed for `t` (popped from a
     /// run-queue, or taken from `free`) to `t`: a coroutine goes to an idle
     /// carrier — or a new one — and a thread gets its slot token.
@@ -366,32 +449,52 @@ impl GuestScheduler {
             mailbox.post(Work::Run(t));
             return;
         }
+        self.spawn_carrier(s, t as usize, Some(t));
+    }
+
+    /// Starts a carrier thread: one running `first` on the slot claimed for
+    /// it, or (`None`) an idle one that waits for sleepers' deadlines.
+    /// `lane` is the metrics lane to count the spawn on.
+    fn spawn_carrier(&self, mut s: MutexGuard<'_, SchedState>, lane: usize, first: Option<u32>) {
         let mailbox = Arc::new(Mailbox::default());
         s.carriers.push(Arc::clone(&mailbox));
         let (id, live) = (s.carriers.len() - 1, s.carriers.len() as u64);
+        if first.is_none() {
+            s.idle.push(id);
+        }
         drop(s);
-        self.stats.threads_spawned.incr(t as usize);
-        self.stats.threads_peak.observe_max(t as usize, live);
+        self.stats.threads_spawned.incr(lane);
+        self.stats.threads_peak.observe_max(lane, live);
         let me = self.me.upgrade().expect("a scheduler handing out slots is alive");
         let handle = std::thread::Builder::new()
             .name(format!("graphite-carrier{id}"))
-            .spawn(move || me.carrier_main(id, &mailbox, t))
+            .spawn(move || me.carrier_main(id, &mailbox, first))
             .expect("spawn carrier thread");
         self.joins.lock().push(handle);
     }
 
     /// A carrier's loop: run the coroutine it was started or woken for, keep
     /// the slot for the next queued coroutine while there is one, then wait
-    /// idle for more work.
-    fn carrier_main(&self, id: usize, mailbox: &Mailbox, first: u32) {
-        let mut next = Some(first);
+    /// idle for more work — until the earliest sleeper's deadline, if any,
+    /// so a free slot never sits next to an expired sleeper.
+    fn carrier_main(&self, id: usize, mailbox: &Mailbox, first: Option<u32>) {
+        let mut next = first;
         loop {
             let tile = match next {
                 Some(t) => t,
-                None => match mailbox.wait() {
-                    Work::Run(t) => t,
-                    Work::Retire => return,
-                },
+                None => {
+                    let deadline = self.state.lock().timers.peek().map(|Reverse((d, _))| *d);
+                    match mailbox.wait(deadline) {
+                        Some(Work::Run(t)) => t,
+                        Some(Work::Retire) => return,
+                        Some(Work::Tick) | None => {
+                            // Expired sleepers take the free slot (maybe
+                            // via this carrier's own mailbox).
+                            drop(self.lock_firing_timers());
+                            continue;
+                        }
+                    }
+                }
             };
             next = self.run_coroutine(id, TileId(tile));
         }
@@ -407,7 +510,7 @@ impl GuestScheduler {
             slot.resumable.store(false, Ordering::Relaxed);
             p.stack.take().expect("a dispatched coroutine context has a stored stack")
         };
-        loop {
+        let deadline = loop {
             self.note_slot_acquired(tile);
             let finished = co.resume();
             self.note_slot_released(tile);
@@ -415,24 +518,36 @@ impl GuestScheduler {
                 // A finished context does not detach: this carrier keeps the
                 // slot for whatever runs next.
                 drop(co);
-                break;
+                break None;
             }
             // Parked. Store the coroutine *before* advertising the park, in
             // one critical section: an unpark that sees `slot_parked` queues
             // the context, and whoever dispatches it must find the stack.
             let mut p = slot.parker.lock.lock();
-            if p.unpark {
+            let deadline = p.deadline.take();
+            if p.unpark && deadline.is_none() {
                 // The release landed between the waiter's check and its
                 // suspend: consume it and keep running.
                 p.unpark = false;
                 continue;
             }
+            debug_assert!(!p.unpark, "{tile} slept holding an unconsumed unpark");
             p.stack = Some(co);
             slot.resumable.store(true, Ordering::Relaxed);
             p.slot_parked = true;
-            break;
+            break deadline;
+        };
+        let _sw = self.prof.span(HostStage::SchedSwitch);
+        if let Some(d) = deadline {
+            // The sleeper is stored: its deadline may fire from now on. An
+            // idle carrier may be waiting for a later deadline (or none).
+            let mut s = self.state.lock();
+            s.timers.push(Reverse((d, tile.0)));
+            if let Some(&c) = s.idle.last() {
+                s.carriers[c].post(Work::Tick);
+            }
         }
-        let mut s = self.state.lock();
+        let mut s = self.lock_firing_timers();
         match self.pop_next(&mut s, tile) {
             Some(t) if self.ctxs[t as usize].resumable.load(Ordering::Relaxed) => Some(t),
             Some(t) => {
@@ -442,7 +557,7 @@ impl GuestScheduler {
                 None
             }
             None => {
-                s.free += 1;
+                self.put_slot(&mut s);
                 self.go_idle(&mut s, id);
                 None
             }
@@ -479,12 +594,12 @@ impl GuestScheduler {
 
     /// Acquires an execution slot for `tile` on the calling thread, queueing
     /// until one is handed over if all are held. Called by thread contexts
-    /// when they start and after every blocking operation completes.
+    /// when they start and after a wait on the OS path.
     pub fn attach(&self, tile: TileId) {
         {
             let mut s = self.state.lock();
             if s.free > 0 {
-                s.free -= 1;
+                self.take_slot(&mut s);
                 drop(s);
                 self.note_slot_acquired(tile);
                 return;
@@ -508,10 +623,22 @@ impl GuestScheduler {
     pub fn detach(&self, tile: TileId) {
         self.note_slot_released(tile);
         let _h = self.prof.span(HostStage::SchedHandoff);
-        let mut s = self.state.lock();
+        let mut s = self.lock_firing_timers();
         match self.pop_next(&mut s, tile) {
             Some(t) => self.hand_slot(s, t),
-            None => s.free += 1,
+            None => {
+                self.put_slot(&mut s);
+                if !s.timers.is_empty() {
+                    // No carrier is switching, so none would fire the
+                    // sleepers' deadlines onto this free slot: have an idle
+                    // one wait for them, or start one that does.
+                    let idle = s.idle.last().copied();
+                    match idle {
+                        Some(c) => s.carriers[c].post(Work::Tick),
+                        None => self.spawn_carrier(s, tile.index(), None),
+                    }
+                }
+            }
         }
     }
 
@@ -523,23 +650,16 @@ impl GuestScheduler {
             self.enqueue(&mut s, tile);
             return;
         }
-        s.free -= 1;
+        self.take_slot(&mut s);
         self.hand_slot(s, tile.0);
     }
-}
 
-impl Blocker for GuestScheduler {
-    fn blocking(&self, tile: TileId, wait: &mut dyn FnMut()) {
-        self.stats.yields.incr_owned(tile.index());
-        self.detach(tile);
-        wait();
-        self.attach(tile);
-    }
-
-    fn park(&self, tile: TileId) {
+    /// Parks `tile` until its one unpark; returns whether the wait gave up
+    /// the slot (a banked token lets a coroutine keep it).
+    fn park_once(&self, tile: TileId) -> bool {
         let p = &self.ctxs[tile.index()].parker;
         if coro::in_coroutine() {
-            // A banked unpark (the release beat us here) is consumed and the
+            // A banked unpark (the waker beat us here) is consumed and the
             // context keeps running with its slot. Otherwise suspend: the
             // carrier stores the coroutine, passes the slot on, and the
             // unpark queues the context again. No span may stay open across
@@ -548,26 +668,26 @@ impl Blocker for GuestScheduler {
                 let mut t = p.lock.lock();
                 if t.unpark {
                     t.unpark = false;
-                    return;
+                    return false;
                 }
             }
             coro::suspend();
-            return;
+            return true;
         }
         self.detach(tile);
         {
             let _w = self.prof.span(HostStage::SchedPark);
             let mut t = p.lock.lock();
             if t.unpark {
-                // Banked unpark (release beat us here): reacquire normally.
+                // Banked unpark (the waker beat us here): reacquire normally.
                 t.unpark = false;
                 drop(t);
                 drop(_w);
                 self.attach(tile);
-                return;
+                return true;
             }
             // Advertise the fused path: the unparker re-queues this context
-            // for a slot itself, so this thread sleeps through the release
+            // for a slot itself, so this thread sleeps through the wake-up
             // and wakes exactly once — when both the unpark and a slot token
             // are in.
             t.slot_parked = true;
@@ -578,6 +698,56 @@ impl Blocker for GuestScheduler {
             t.slot = false;
         }
         self.note_slot_acquired(tile);
+        true
+    }
+
+    /// A guest wait: parks `tile` until the one party that completes the
+    /// wait (the MCP's reply, a mailbox delivery) unparks it. Call it
+    /// exactly once per request, even when the result is already in — the
+    /// park then consumes the banked token. Counts `sched.yields` when the
+    /// slot was given up.
+    pub(crate) fn wait(&self, tile: TileId) {
+        if self.park_once(tile) {
+            self.stats.yields.incr_owned(tile.index());
+        }
+    }
+
+    /// Announces that `tile` is about to wait for a delivery to its
+    /// mailbox. Call it *before* the final emptiness re-check of the
+    /// mailbox; then either [`Self::wait`] (still empty: the delivery's
+    /// [`Self::notify_delivery`] unparks the waiter) or
+    /// [`Self::disarm_delivery`] (a message or a disconnect is in).
+    pub(crate) fn arm_delivery(&self, tile: TileId) {
+        self.ctxs[tile.index()].delivery_armed.store(true, Ordering::Relaxed);
+        // Pairs with the fence in `notify_delivery`: either the re-check
+        // that follows sees the message, or the deliverer sees the flag.
+        fence(Ordering::SeqCst);
+    }
+
+    /// Withdraws an [`Self::arm_delivery`] whose re-check found the mailbox
+    /// ready. If a delivery already claimed the flag, its unpark is on the
+    /// way and is consumed here, so no token outlives this receive.
+    pub(crate) fn disarm_delivery(&self, tile: TileId) {
+        if !self.ctxs[tile.index()].delivery_armed.swap(false, Ordering::AcqRel) {
+            self.park_once(tile);
+        }
+    }
+
+    /// A delivery hook: called by the transport after it enqueued a message
+    /// for `tile` (or disconnected its mailbox). Unparks the tile only if it
+    /// armed the flag — never a tile that is not waiting.
+    pub(crate) fn notify_delivery(&self, tile: TileId) {
+        let armed = &self.ctxs[tile.index()].delivery_armed;
+        fence(Ordering::SeqCst);
+        if armed.load(Ordering::Relaxed) && armed.swap(false, Ordering::AcqRel) {
+            self.unpark(tile);
+        }
+    }
+}
+
+impl Blocker for GuestScheduler {
+    fn park(&self, tile: TileId) {
+        self.park_once(tile);
     }
 
     fn unpark(&self, tile: TileId) {
@@ -602,6 +772,21 @@ impl Blocker for GuestScheduler {
             drop(t);
             p.cv.notify_one();
         }
+    }
+
+    /// A coroutine suspends with its deadline and becomes a timer entry;
+    /// the carrier runs other contexts meanwhile. A thread context sleeps
+    /// on the OS path, outside its slot.
+    fn sleep(&self, tile: TileId, dur: Duration) {
+        self.stats.yields.incr_owned(tile.index());
+        if coro::in_coroutine() {
+            self.ctxs[tile.index()].parker.lock.lock().deadline = Some(Instant::now() + dur);
+            coro::suspend();
+            return;
+        }
+        self.detach(tile);
+        std::thread::sleep(dur);
+        self.attach(tile);
     }
 }
 
@@ -658,28 +843,115 @@ mod tests {
     }
 
     #[test]
-    fn blocking_releases_the_slot_for_others() {
-        // One slot, two contexts: context 0 blocks on a condition only
-        // context 1 can set — progress proves `blocking` released the slot.
+    fn wait_releases_the_slot_for_others() {
+        // One slot, two contexts: context 0 waits for an unpark only
+        // context 1 can issue — progress proves `wait` released the slot.
         let s = sched(1, 2);
-        let flag = Arc::new(AtomicUsize::new(0));
         let s0 = Arc::clone(&s);
-        let f0 = Arc::clone(&flag);
         let h = std::thread::spawn(move || {
             s0.attach(TileId(0));
-            s0.blocking(TileId(0), &mut || {
-                while f0.load(Ordering::SeqCst) == 0 {
-                    std::thread::sleep(Duration::from_micros(50));
-                }
-            });
+            s0.wait(TileId(0));
             s0.detach(TileId(0));
         });
         std::thread::sleep(Duration::from_millis(5));
         s.attach(TileId(1)); // acquires the slot context 0 released
-        flag.store(1, Ordering::SeqCst);
+        s.unpark(TileId(0));
         s.detach(TileId(1));
         h.join().unwrap();
-        assert!(s.stats().yields.get() >= 1);
+        assert_eq!(s.stats().yields.get(), 1);
+    }
+
+    #[test]
+    fn delivery_unparks_only_an_armed_waiter() {
+        // Tile 0 arms, finds nothing, waits; the delivery unparks it. A
+        // second delivery finds the flag down and leaves no stray token,
+        // so the next, unrelated wait still blocks until its own unpark.
+        let s = sched(2, 2);
+        let flag = Arc::new(AtomicUsize::new(0));
+        let (s0, f0) = (Arc::clone(&s), Arc::clone(&flag));
+        let h = std::thread::spawn(move || {
+            s0.attach(TileId(0));
+            s0.arm_delivery(TileId(0));
+            if f0.load(Ordering::SeqCst) == 0 {
+                s0.wait(TileId(0));
+            } else {
+                s0.disarm_delivery(TileId(0));
+            }
+            f0.store(2, Ordering::SeqCst);
+            s0.wait(TileId(0));
+            s0.detach(TileId(0));
+        });
+        std::thread::sleep(Duration::from_millis(5));
+        flag.store(1, Ordering::SeqCst);
+        s.notify_delivery(TileId(0));
+        while flag.load(Ordering::SeqCst) != 2 {
+            std::thread::yield_now();
+        }
+        s.notify_delivery(TileId(0)); // not armed: no token
+        std::thread::sleep(Duration::from_millis(5));
+        assert!(!h.is_finished(), "a delivery to an unarmed tile must not unpark it");
+        s.unpark(TileId(0));
+        h.join().unwrap();
+    }
+
+    #[test]
+    fn thread_sleep_releases_the_slot() {
+        let s = sched(1, 2);
+        s.attach(TileId(0));
+        let s1 = Arc::clone(&s);
+        let h = std::thread::spawn(move || {
+            s1.attach(TileId(1)); // gets the slot only while tile 0 sleeps
+            s1.detach(TileId(1));
+        });
+        s.sleep(TileId(0), Duration::from_millis(20));
+        h.join().unwrap();
+        s.detach(TileId(0));
+        assert_eq!(s.stats().yields.get(), 1);
+    }
+
+    #[test]
+    fn a_freed_slot_serves_an_expired_sleeper() {
+        // Two slots: tile 0 (a thread) holds one; a carrier holds the other
+        // and runs tile 1, which sleeps, then tile 2, which spins until tile
+        // 1 has woken — so that carrier never switches again. When tile 0
+        // frees its slot before the deadline, no carrier is switching or
+        // idle; the deadline must still fire onto the free slot.
+        let s = sched(2, 3);
+        s.attach(TileId(0));
+        let (go, woke, spinning) = (
+            Arc::new(AtomicUsize::new(0)),
+            Arc::new(AtomicUsize::new(0)),
+            Arc::new(AtomicUsize::new(0)),
+        );
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        {
+            let (s1, go, woke) = (Arc::clone(&s), Arc::clone(&go), Arc::clone(&woke));
+            s.submit(TileId(1), move || {
+                while go.load(Ordering::SeqCst) == 0 {
+                    std::hint::spin_loop();
+                }
+                s1.sleep(TileId(1), Duration::from_millis(100));
+                woke.store(1, Ordering::SeqCst);
+            });
+        }
+        {
+            let (woke, spinning) = (Arc::clone(&woke), Arc::clone(&spinning));
+            s.submit(TileId(2), move || {
+                spinning.store(1, Ordering::SeqCst);
+                while woke.load(Ordering::SeqCst) == 0 {
+                    std::hint::spin_loop();
+                }
+                done_tx.send(()).unwrap();
+            });
+        }
+        go.store(1, Ordering::SeqCst); // tile 2 is queued: tile 1 may sleep
+        while spinning.load(Ordering::SeqCst) == 0 {
+            std::thread::yield_now();
+        }
+        s.detach(TileId(0));
+        let fired = done_rx.recv_timeout(Duration::from_secs(20));
+        assert!(fired.is_ok(), "the sleeper's deadline never fired onto the free slot");
+        s.retire_carriers();
     }
 
     #[test]

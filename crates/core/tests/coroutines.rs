@@ -1,12 +1,15 @@
-//! Spawned guest contexts run as coroutines on carrier threads: a LaxBarrier
-//! quantum park is a stack switch, not a host thread sleeping and waking.
+//! Spawned guest contexts run as coroutines on carrier threads, and every
+//! guest wait is a suspend: a LaxBarrier quantum park, an MCP call, a
+//! receive and a LaxP2P catch-up sleep are stack switches, not a host thread
+//! sleeping and waking — so the carrier count stays at the pool width.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
-use graphite::{GuestEntry, GuestScheduler, Sim, SimConfig, SimReport, SyncModel};
+use graphite::{Ctx, GBarrier, GuestEntry, GuestScheduler, Sim, SimConfig, SimReport, SyncModel};
 use graphite_base::{Blocker, TileId};
+use graphite_memory::Addr;
 use graphite_trace::Obs;
 use parking_lot::Mutex;
 
@@ -125,4 +128,117 @@ fn racing_unparker_loses_no_wakeup() {
     sched.retire_carriers();
     assert!(finished.iter().all(|&r| r == ROUNDS), "{finished:?}");
     assert!(sched.stats().threads_spawned.get() <= 3, "2 slots need at most 2 busy carriers");
+}
+
+fn cfg(tiles: u32, sync: SyncModel) -> SimConfig {
+    SimConfig::builder().tiles(tiles).processes(1).sync(sync).build().unwrap()
+}
+
+/// Runs `work(ctx, i)` on `threads` guest threads (main is thread 0) and
+/// joins them.
+fn fork_join(ctx: &mut Ctx, threads: u32, work: impl Fn(&mut Ctx, u32) + Send + Sync + 'static) {
+    let work = Arc::new(work);
+    let kids: Vec<_> = (1..threads)
+        .map(|i| {
+            let w = Arc::clone(&work);
+            let entry: GuestEntry = Arc::new(move |ctx, _| w(ctx, i));
+            ctx.spawn(entry, 0).unwrap()
+        })
+        .collect();
+    work(ctx, 0);
+    for k in kids {
+        k.join(ctx).unwrap();
+    }
+}
+
+/// The `ocean_barrier` shape: 64 threads under LaxBarrier that meet in a
+/// guest barrier (futex waits and wakes through the MCP) between sweeps and
+/// receive one message each from main. Every one of those waits is a
+/// suspend, so two slots need at most three carriers.
+#[test]
+fn guest_waits_keep_carriers_at_pool_width() {
+    const WORKERS: u32 = 2;
+    let run = |workers: u32| {
+        let sim = Sim::builder(cfg(TILES, SyncModel::LaxBarrier { quantum: 1_000 }));
+        sim.workers(workers).build().unwrap().run(|ctx| {
+            let bar = GBarrier::create(ctx, TILES);
+            fork_join(ctx, TILES, move |ctx, who| {
+                if who == 0 {
+                    for t in 1..TILES {
+                        ctx.send_msg(TileId(t), &[t as u8]).unwrap();
+                    }
+                } else {
+                    assert_eq!(ctx.recv_msg_from(TileId(0)).unwrap(), [who as u8]);
+                }
+                for sweep in 0..4u32 {
+                    ctx.alu(1_500 + (who * 7 + sweep) % 13 * 40);
+                    bar.wait(ctx);
+                }
+            });
+        })
+    };
+    let r = run(WORKERS);
+    assert!(r.ctrl.futex_waits > 0, "the guest barrier must wait in the MCP");
+    assert!(
+        r.sched.threads_spawned <= WORKERS as u64 + 1,
+        "{} carriers for {WORKERS} slots: a guest wait held a carrier",
+        r.sched.threads_spawned
+    );
+    assert!(r.sched.yields > 0, "guest waits that gave up their slot are counted");
+}
+
+/// A LaxP2P run whose main thread races ahead and must sleep while the
+/// others catch up: the sleeps are timed requeues on the run-queue, not
+/// carriers sleeping, and the deadlines fire.
+#[test]
+fn p2p_sleeps_are_timed_requeues() {
+    const WORKERS: u32 = 2;
+    let sync = SyncModel::LaxP2P { slack: 1_000, check_interval: 500 };
+    let r = Sim::builder(cfg(16, sync)).workers(WORKERS).build().unwrap().run(|ctx| {
+        fork_join(ctx, 16, |ctx, who| {
+            // Thread 0 does ten times the work per step: it runs ahead.
+            let per_step = if who == 0 { 500 } else { 50 };
+            for i in 0..400u64 {
+                ctx.alu(per_step);
+                ctx.branch(0x80, i % 2 == 0);
+            }
+        });
+    });
+    assert!(r.sync.p2p_sleeps >= 1, "the leader never slept");
+    assert!(
+        r.sched.threads_spawned <= WORKERS as u64 + 1,
+        "{} carriers for {WORKERS} slots: a catch-up sleep held a carrier",
+        r.sched.threads_spawned
+    );
+}
+
+/// Every MCP wait parks exactly once, even when the reply is already in:
+/// a reply polled without the park would leave the MCP's unpark banked, and
+/// the tile's next quantum park would return before its release — counting
+/// the tile's arrival twice (`BarrierSync` asserts against that in debug
+/// builds). Compute that crosses quantum boundaries is interleaved with
+/// calls the MCP answers at once.
+#[test]
+fn immediately_answered_mcp_calls_leave_no_token() {
+    const THREADS: u32 = 8;
+    let sim = Sim::builder(cfg(16, SyncModel::LaxBarrier { quantum: 1_000 }));
+    let r = sim.workers(2).build().unwrap().run(|ctx| {
+        let word = ctx.malloc(8).unwrap();
+        ctx.store(word, 7u32);
+        fork_join(ctx, THREADS, move |ctx, who| {
+            let noop: GuestEntry = Arc::new(|_, _| {});
+            for i in 0..30u32 {
+                ctx.alu(400 + who * 11);
+                ctx.futex_wait(word, 0); // the word holds 7: a mismatch
+                ctx.alu(400);
+                let block: Addr = ctx.malloc(64).unwrap();
+                ctx.free(block).unwrap();
+                ctx.alu(400);
+                if i % 5 == 0 {
+                    ctx.spawn(Arc::clone(&noop), 0).unwrap().join(ctx).unwrap();
+                }
+            }
+        });
+    });
+    assert!(r.sync.barrier_waits > 0, "the compute must park at quantum boundaries");
 }

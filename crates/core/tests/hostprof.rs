@@ -138,3 +138,41 @@ fn profiling_never_changes_modeled_behavior() {
     };
     assert_eq!(modeled(&on), modeled(&off), "profiler changed modeled counters");
 }
+
+/// The utilization fractions partition the pool's slot capacity: a slot is
+/// running guest code, in transit between contexts, or held by nobody — so
+/// busy + overhead + idle never exceeds 1. Tile 0 parks on the OS path in
+/// every join here; its wait is context time and must not count as idle
+/// slot time.
+#[test]
+fn utilization_fractions_partition_pool_capacity() {
+    /// Sampled span estimates and interval stamps may each be off by a
+    /// clock read; 2 % of capacity covers that, not a double count.
+    const TOLERANCE: f64 = 0.02;
+    let cfg = SimConfig::builder()
+        .tiles(64)
+        .processes(1)
+        .sync(graphite::SyncModel::LaxBarrier { quantum: 1_000 })
+        .hostprof(true)
+        .hostprof_sample(1)
+        .build()
+        .unwrap();
+    let report = Sim::builder(cfg).workers(2).build().unwrap().run(|ctx| {
+        let entry: graphite::GuestEntry = std::sync::Arc::new(|ctx, arg| {
+            for i in 0..2_000u64 {
+                ctx.alu(10);
+                ctx.branch(0x40, (i + arg) % 3 == 0);
+            }
+        });
+        let kids: Vec<_> =
+            (1..64).map(|t| ctx.spawn(std::sync::Arc::clone(&entry), t).unwrap()).collect();
+        entry(ctx, 0);
+        for k in kids {
+            k.join(ctx).unwrap();
+        }
+    });
+    let u = report.host_profile().expect("profiler on").utilization;
+    assert!(u.busy_frac > 0.0 && u.overhead_frac > 0.0, "{u:?}");
+    let sum = u.busy_frac + u.overhead_frac + u.idle_frac;
+    assert!(sum <= 1.0 + TOLERANCE, "fractions sum to {sum:.3} of pool capacity: {u:?}");
+}

@@ -10,8 +10,9 @@
 //!
 //! * a per-stage table — exact operation counts, sampled ns/op, and
 //!   count-extrapolated total host time, sorted by estimated self time;
-//! * worker utilization — the fraction of worker-thread wall time spent
-//!   running guest slots vs. stealing/parking overhead;
+//! * worker utilization — how the pool's slot capacity (`workers × wall`)
+//!   splits into slots running guest code, slots in transit between
+//!   contexts (scheduler overhead) and slots held by no context (idle);
 //! * the most contended locks (tile mutexes, directory shards) by estimated
 //!   wait time;
 //! * the miss-path attribution ratio: how much of `mem.miss_total`'s host
@@ -44,26 +45,32 @@ pub struct HostStageRow {
     pub est_total_ns: f64,
 }
 
-/// Worker-thread utilization derived from the scheduler stages.
+/// Worker utilization derived from the scheduler stages. The three
+/// fractions partition the pool's slot capacity (`workers × wall_ns`), so
+/// they sum to at most 1; the remainder is slots in flight that no stage
+/// times (a woken carrier or thread on its way to the slot).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct WorkerUtilization {
     /// Carrier-pool width the fractions are normalized by.
     pub workers: u64,
     /// Profiled wall-clock nanoseconds.
     pub wall_ns: u64,
-    /// Estimated ns spent running guest slots (busy).
+    /// Estimated ns of slot time spent running guest code (busy).
     pub busy_ns: f64,
-    /// Estimated ns spent in slot handoff + steal scans.
+    /// Estimated ns spent passing slots on: thread handoffs (with their
+    /// steal scans), carrier context switches and carrier spawns.
     pub handoff_ns: f64,
-    /// Estimated ns spent parked or waiting for a slot.
+    /// Estimated ns thread contexts spent parked or waiting for a slot on
+    /// the OS path — time *contexts* waited, not slot time.
     pub park_ns: f64,
+    /// Slot time held by no context.
+    pub idle_ns: f64,
     /// `busy_ns / (workers × wall_ns)` — the fraction of the pool's
     /// capacity that ran guest code.
     pub busy_frac: f64,
-    /// Scheduler-overhead fraction of pool capacity (handoff + steal +
-    /// unpark + spawn).
+    /// Scheduler-overhead fraction of pool capacity (`handoff_ns`).
     pub overhead_frac: f64,
-    /// Idle/blocked fraction of pool capacity (parked or slot-waiting).
+    /// Fraction of pool capacity held by no context (`idle_ns`).
     pub idle_frac: f64,
 }
 
@@ -118,11 +125,15 @@ impl HostProfile {
         });
 
         let est_total = |st: HostStage| snap.stage(st).est_total_ns();
+        // Disjoint slot intervals only: a steal scan runs inside a handoff
+        // or a switch (their totals include it), and an unpark runs on the
+        // waker's own slot or on a service thread.
         let busy_ns = est_total(HostStage::SchedSlotRun);
-        let handoff_ns = est_total(HostStage::SchedHandoff) + est_total(HostStage::SchedSteal);
+        let handoff_ns = est_total(HostStage::SchedHandoff)
+            + est_total(HostStage::SchedSwitch)
+            + est_total(HostStage::SchedSpawn);
         let park_ns = est_total(HostStage::SchedPark) + est_total(HostStage::SchedSlotWait);
-        let overhead_ns =
-            handoff_ns + est_total(HostStage::SchedUnpark) + est_total(HostStage::SchedSpawn);
+        let idle_ns = est_total(HostStage::SchedIdle);
         let capacity = (workers.max(1) * snap.wall_ns.max(1)) as f64;
         let utilization = WorkerUtilization {
             workers: workers.max(1),
@@ -130,9 +141,10 @@ impl HostProfile {
             busy_ns,
             handoff_ns,
             park_ns,
+            idle_ns,
             busy_frac: busy_ns / capacity,
-            overhead_frac: overhead_ns / capacity,
-            idle_frac: park_ns / capacity,
+            overhead_frac: handoff_ns / capacity,
+            idle_frac: idle_ns / capacity,
         };
 
         Some(HostProfile {
@@ -193,7 +205,7 @@ impl fmt::Display for HostProfile {
         let u = &self.utilization;
         writeln!(
             f,
-            "workers: {} | busy {:.1}% | sched overhead {:.1}% | idle/blocked {:.1}%",
+            "workers: {} | busy {:.1}% | sched overhead {:.1}% | idle {:.1}%",
             u.workers,
             u.busy_frac * 100.0,
             u.overhead_frac * 100.0,
@@ -234,6 +246,11 @@ mod tests {
             let _t = p.span(HostStage::DirTxn);
         }
         p.record(HostStage::SchedSlotRun, 0, 1000);
+        p.record(HostStage::SchedIdle, 1000, 1200);
+        {
+            // A thread's OS-path park is context time, not slot time.
+            let _p = p.span(HostStage::SchedPark);
+        }
         p.snapshot()
     }
 
@@ -267,6 +284,10 @@ mod tests {
         assert!((u.busy_ns - 1000.0).abs() < 1e-6);
         let expect = 1000.0 / (2.0 * snap.wall_ns.max(1) as f64);
         assert!((u.busy_frac - expect).abs() < 1e-9);
+        // Idle is free-slot time only.
+        assert!((u.idle_ns - 200.0).abs() < 1e-6);
+        assert!(u.park_ns > 0.0);
+        assert!((u.idle_frac - 200.0 / (2.0 * snap.wall_ns.max(1) as f64)).abs() < 1e-9);
     }
 
     #[test]

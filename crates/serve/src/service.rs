@@ -1002,14 +1002,29 @@ mod tests {
         svc.drain();
     }
 
+    /// `spin` iterations this build runs in `secs` of wall time, measured
+    /// on an unpreempted run: an optimized build is an order of magnitude
+    /// faster than a debug one, so a job meant to outlast a quantum is sized
+    /// from this, not from a fixed count.
+    fn spin_iters_for(secs: f64) -> u64 {
+        let probe = spec("probe", 20_000);
+        let sim = crate::workload::build_sim(&probe).unwrap().build().unwrap();
+        let t0 = Instant::now();
+        sim.run(|ctx| crate::workload::run(&probe, ctx));
+        (probe.iters as f64 * secs / t0.elapsed().as_secs_f64()) as u64
+    }
+
     #[test]
     fn preemption_cost_is_accounted_per_job_and_in_stats() {
         let dir = std::env::temp_dir().join("graphite-serve-svc-cost");
         let _ = std::fs::remove_dir_all(&dir);
         // One worker, 25ms quantum: the long job must be parked at least once
-        // to let the short jobs through, then resumed to completion.
+        // to let the short jobs through, then resumed to completion. Sized to
+        // ≈ 20 quanta of work on this build, so it cannot finish inside the
+        // first one under any profile.
+        let long_iters = spin_iters_for(0.5).max(100_000);
         let svc = Service::start(test_cfg(1, 25), &dir).unwrap();
-        let long = svc.submit(spec("slow", 100_000)).unwrap();
+        let long = svc.submit(spec("slow", long_iters)).unwrap();
         let mut shorts = Vec::new();
         for _ in 0..3 {
             shorts.push(svc.submit(spec("fast", 100)).unwrap());

@@ -344,6 +344,9 @@ impl Synchronizer for BarrierSync {
                 }
                 return;
             }
+            // A quantum park that returned before its release (a stray
+            // unpark token) would count this tile's arrival twice.
+            debug_assert!(!s.waiters.contains(&tile), "{tile} arrived while still waiting");
             s.arrived += 1;
             if s.arrived >= s.active {
                 self.release_locked(tile, &mut s);
@@ -588,8 +591,9 @@ impl Synchronizer for P2PSync {
         });
         // Sleep outside the execution slot: the whole point of the sleep is
         // to let tiles that are behind run, which under an M:N scheduler
-        // requires handing them the slot.
-        self.blocker.blocking(tile, &mut || std::thread::sleep(s));
+        // requires handing them the slot (the sleeper becomes a timer entry,
+        // its carrier runs other contexts until the deadline).
+        self.blocker.sleep(tile, s);
     }
 
     fn activate(&self, tile: TileId) {

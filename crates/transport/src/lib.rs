@@ -43,6 +43,7 @@
 pub mod tcp;
 
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use bytes::Bytes;
@@ -166,6 +167,23 @@ impl Mailbox {
         self.rx.try_recv().ok()
     }
 
+    /// Non-blocking receive that tells an empty mailbox (`Ok(None)`) from
+    /// a disconnected one.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::TransportClosed`] when the mailbox is empty and
+    /// every sender has shut down.
+    pub fn poll(&self) -> Result<Option<Msg>, SimError> {
+        match self.rx.try_recv() {
+            Ok(m) => Ok(Some(m)),
+            Err(channel::TryRecvError::Empty) => Ok(None),
+            Err(channel::TryRecvError::Disconnected) => {
+                Err(SimError::TransportClosed(self.endpoint.to_string()))
+            }
+        }
+    }
+
     /// Receive with a timeout; `None` on timeout.
     ///
     /// # Errors
@@ -192,13 +210,24 @@ impl Mailbox {
     }
 }
 
+/// Called with an endpoint after a message was enqueued in its mailbox, or
+/// after its mailbox was disconnected by a re-registration — the moment a
+/// receiver waiting on that mailbox can make progress.
+pub type DeliveryHook = Arc<dyn Fn(Endpoint) + Send + Sync>;
+
 /// A transport backend: endpoint registration plus fire-and-forget sends.
 ///
 /// This trait is object-safe; the simulator holds a `dyn Transport`.
 pub trait Transport: Send + Sync {
     /// Creates (or replaces) the mailbox for `endpoint` and returns the
-    /// receiving half.
+    /// receiving half. Replacing one disconnects the old mailbox and runs
+    /// the delivery hook for `endpoint`.
     fn register(&self, endpoint: Endpoint) -> Mailbox;
+
+    /// Installs the hook every delivery runs (see [`DeliveryHook`]); the
+    /// simulator uses it to wake a receiver parked without a host thread.
+    /// Only the first installation takes effect.
+    fn set_delivery_hook(&self, hook: DeliveryHook);
 
     /// Sends a message from `src` to `dst`, not attached to any tracked
     /// flow (flow 0). Equivalent to `send_flow(src, dst, class, payload, 0)`.
@@ -269,6 +298,7 @@ enum Locality {
 pub struct LocalTransport {
     cfg: SimConfig,
     senders: RwLock<std::collections::HashMap<Endpoint, Sender<Msg>>>,
+    hook: OnceLock<DeliveryHook>,
     stats: TransportStats,
 }
 
@@ -287,6 +317,7 @@ impl LocalTransport {
         LocalTransport {
             cfg: cfg.clone(),
             senders: RwLock::new(std::collections::HashMap::new()),
+            hook: OnceLock::new(),
             stats: TransportStats::default(),
         }
     }
@@ -297,16 +328,32 @@ impl LocalTransport {
         LocalTransport {
             cfg: cfg.clone(),
             senders: RwLock::new(std::collections::HashMap::new()),
+            hook: OnceLock::new(),
             stats: TransportStats::registered(&obs.metrics),
         }
+    }
+}
+
+/// Runs `hook` (if installed) for `dst`.
+fn delivered(hook: &OnceLock<DeliveryHook>, dst: Endpoint) {
+    if let Some(h) = hook.get() {
+        h(dst);
     }
 }
 
 impl Transport for LocalTransport {
     fn register(&self, endpoint: Endpoint) -> Mailbox {
         let (tx, rx) = channel::unbounded();
-        self.senders.write().insert(endpoint, tx);
+        let old = self.senders.write().insert(endpoint, tx);
+        if old.is_some() {
+            drop(old);
+            delivered(&self.hook, endpoint);
+        }
         Mailbox { endpoint, rx }
+    }
+
+    fn set_delivery_hook(&self, hook: DeliveryHook) {
+        let _ = self.hook.set(hook);
     }
 
     fn send_flow(
@@ -328,7 +375,9 @@ impl Transport for LocalTransport {
         }
         self.stats.bytes.add(payload.len() as u64);
         let msg = Msg { src, dst, class, flow, payload: Bytes::from(payload) };
-        tx.send(msg).map_err(|_| SimError::TransportClosed(dst.to_string()))
+        tx.send(msg).map_err(|_| SimError::TransportClosed(dst.to_string()))?;
+        delivered(&self.hook, dst);
+        Ok(())
     }
 
     fn stats(&self) -> &TransportStats {
@@ -470,6 +519,27 @@ mod tests {
             n += 1;
         }
         assert_eq!(n, 2000);
+    }
+
+    #[test]
+    fn delivery_hook_runs_after_enqueue_and_on_replace() {
+        use std::sync::Mutex;
+        let hub = LocalTransport::new(&cfg(2, 1, 1));
+        let mb = Arc::new(hub.register(Endpoint::Tile(TileId(1))));
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let (mb2, seen2) = (Arc::clone(&mb), Arc::clone(&seen));
+        hub.set_delivery_hook(Arc::new(move |dst| {
+            // The message is already in the mailbox when the hook runs.
+            seen2.lock().unwrap().push((dst, !mb2.is_empty()));
+        }));
+        hub.send(Endpoint::Mcp, Endpoint::Tile(TileId(1)), MsgClass::User, vec![1]).unwrap();
+        assert_eq!(mb.len(), 1);
+        assert_eq!(*seen.lock().unwrap(), vec![(Endpoint::Tile(TileId(1)), true)]);
+        // Re-registering disconnects the old mailbox and wakes its receiver.
+        let _fresh = hub.register(Endpoint::Tile(TileId(1)));
+        assert_eq!(seen.lock().unwrap().len(), 2);
+        assert!(mb.poll().unwrap().is_some(), "queued message survives the disconnect");
+        assert!(mb.poll().is_err(), "then the old mailbox reads as closed");
     }
 
     #[test]

@@ -17,7 +17,7 @@ use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use bytes::Bytes;
 use crossbeam::channel::{self, Sender};
@@ -25,7 +25,7 @@ use graphite_base::{ProcId, SimError, SimRng, TileId};
 use graphite_config::SimConfig;
 use parking_lot::{Mutex, RwLock};
 
-use crate::{Endpoint, Mailbox, Msg, MsgClass, Transport, TransportStats};
+use crate::{delivered, DeliveryHook, Endpoint, Mailbox, Msg, MsgClass, Transport, TransportStats};
 
 /// Maximum connect attempts before a send gives up.
 const MAX_CONNECT_ATTEMPTS: u32 = 8;
@@ -140,6 +140,8 @@ fn decode(body: &[u8]) -> Option<Msg> {
 pub struct TcpTransport {
     cfg: SimConfig,
     senders: Arc<RwLock<HashMap<Endpoint, Sender<Msg>>>>,
+    /// The delivery hook, shared with the reader threads.
+    hook: Arc<OnceLock<DeliveryHook>>,
     /// One lazily-connected outbound stream per destination process.
     outbound: Vec<Mutex<Option<TcpStream>>>,
     addrs: Vec<SocketAddr>,
@@ -182,22 +184,24 @@ impl TcpTransport {
     fn build(cfg: &SimConfig, stats: TransportStats) -> Result<Self, SimError> {
         let senders: Arc<RwLock<HashMap<Endpoint, Sender<Msg>>>> =
             Arc::new(RwLock::new(HashMap::new()));
+        let hook: Arc<OnceLock<DeliveryHook>> = Arc::new(OnceLock::new());
         let shutdown = Arc::new(AtomicBool::new(false));
         let mut addrs = Vec::new();
         for _ in 0..cfg.num_processes {
             let listener = TcpListener::bind("127.0.0.1:0")
                 .map_err(|e| SimError::TransportClosed(format!("bind: {e}")))?;
             addrs.push(listener.local_addr().unwrap());
-            let senders = Arc::clone(&senders);
+            let inbound = Inbound { senders: Arc::clone(&senders), hook: Arc::clone(&hook) };
             let shutdown = Arc::clone(&shutdown);
             std::thread::Builder::new()
                 .name("graphite-tcp-accept".into())
-                .spawn(move || acceptor_loop(listener, senders, shutdown))
+                .spawn(move || acceptor_loop(listener, inbound, shutdown))
                 .expect("spawn acceptor");
         }
         Ok(TcpTransport {
             cfg: cfg.clone(),
             senders,
+            hook,
             outbound: (0..cfg.num_processes).map(|_| Mutex::new(None)).collect(),
             addrs,
             rng: Mutex::new(SimRng::new(cfg.seed ^ 0x7C9_7C9)),
@@ -215,11 +219,14 @@ impl TcpTransport {
     }
 }
 
-fn acceptor_loop(
-    listener: TcpListener,
+/// What a reader thread delivers into: the mailboxes and the delivery hook.
+#[derive(Clone)]
+struct Inbound {
     senders: Arc<RwLock<HashMap<Endpoint, Sender<Msg>>>>,
-    shutdown: Arc<AtomicBool>,
-) {
+    hook: Arc<OnceLock<DeliveryHook>>,
+}
+
+fn acceptor_loop(listener: TcpListener, inbound: Inbound, shutdown: Arc<AtomicBool>) {
     let mut consecutive_errors = 0u32;
     loop {
         match listener.accept() {
@@ -228,10 +235,10 @@ fn acceptor_loop(
                     return;
                 }
                 consecutive_errors = 0;
-                let senders = Arc::clone(&senders);
+                let inbound = inbound.clone();
                 std::thread::Builder::new()
                     .name("graphite-tcp-read".into())
-                    .spawn(move || reader_loop(stream, senders))
+                    .spawn(move || reader_loop(stream, inbound))
                     .expect("spawn reader");
             }
             Err(_) => {
@@ -251,7 +258,7 @@ fn acceptor_loop(
     }
 }
 
-fn reader_loop(mut stream: TcpStream, senders: Arc<RwLock<HashMap<Endpoint, Sender<Msg>>>>) {
+fn reader_loop(mut stream: TcpStream, inbound: Inbound) {
     let mut len_buf = [0u8; 4];
     loop {
         if stream.read_exact(&mut len_buf).is_err() {
@@ -263,9 +270,12 @@ fn reader_loop(mut stream: TcpStream, senders: Arc<RwLock<HashMap<Endpoint, Send
             return;
         }
         if let Some(msg) = decode(&body) {
-            let tx = senders.read().get(&msg.dst).cloned();
+            let dst = msg.dst;
+            let tx = inbound.senders.read().get(&dst).cloned();
             if let Some(tx) = tx {
-                let _ = tx.send(msg);
+                if tx.send(msg).is_ok() {
+                    delivered(&inbound.hook, dst);
+                }
             }
         }
     }
@@ -274,8 +284,16 @@ fn reader_loop(mut stream: TcpStream, senders: Arc<RwLock<HashMap<Endpoint, Send
 impl Transport for TcpTransport {
     fn register(&self, endpoint: Endpoint) -> Mailbox {
         let (tx, rx) = channel::unbounded();
-        self.senders.write().insert(endpoint, tx);
+        let old = self.senders.write().insert(endpoint, tx);
+        if old.is_some() {
+            drop(old);
+            delivered(&self.hook, endpoint);
+        }
         Mailbox { endpoint, rx }
+    }
+
+    fn set_delivery_hook(&self, hook: DeliveryHook) {
+        let _ = self.hook.set(hook);
     }
 
     fn send_flow(
@@ -299,7 +317,9 @@ impl Transport for TcpTransport {
                 .cloned()
                 .ok_or_else(|| SimError::TransportClosed(dst.to_string()))?;
             let msg = Msg { src, dst, class, flow, payload: Bytes::from(payload) };
-            return tx.send(msg).map_err(|_| SimError::TransportClosed(dst.to_string()));
+            tx.send(msg).map_err(|_| SimError::TransportClosed(dst.to_string()))?;
+            delivered(&self.hook, dst);
+            return Ok(());
         }
         if self.cfg.machine_of_process(sp) == self.cfg.machine_of_process(dp) {
             self.stats.inter_process.incr();
@@ -455,6 +475,33 @@ mod tests {
         let rng = Mutex::new(SimRng::new(7));
         let err = connect_with_backoff(addr, Endpoint::Mcp, &rng).unwrap_err();
         assert!(matches!(err, SimError::TransportClosed(s) if s.contains("giving up")));
+    }
+
+    #[test]
+    fn delivery_hook_runs_on_both_paths() {
+        use std::sync::atomic::AtomicUsize;
+        let hub = TcpTransport::new(&cfg(4, 2, 1)).unwrap();
+        let mb1 = hub.register(Endpoint::Tile(TileId(1)));
+        let _mb2 = hub.register(Endpoint::Tile(TileId(2)));
+        let hits = Arc::new([AtomicUsize::new(0), AtomicUsize::new(0), AtomicUsize::new(0)]);
+        let h = Arc::clone(&hits);
+        hub.set_delivery_hook(Arc::new(move |dst| {
+            if let Endpoint::Tile(t) = dst {
+                h[t.index()].fetch_add(1, Ordering::SeqCst);
+            }
+        }));
+        let (t0, t1, t2) =
+            (Endpoint::Tile(TileId(0)), Endpoint::Tile(TileId(1)), Endpoint::Tile(TileId(2)));
+        hub.send(t0, t2, MsgClass::User, vec![1]).unwrap(); // same process: memory
+        assert_eq!(hits[2].load(Ordering::SeqCst), 1);
+        hub.send(t0, t1, MsgClass::User, vec![2]).unwrap(); // across the socket
+        mb1.recv_timeout(Duration::from_secs(5)).unwrap().expect("delivered");
+        // The reader thread enqueues, then runs the hook.
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while hits[1].load(Ordering::SeqCst) == 0 {
+            assert!(std::time::Instant::now() < deadline, "reader never ran the hook");
+            std::thread::yield_now();
+        }
     }
 
     #[test]
