@@ -31,8 +31,8 @@
 //! `GRAPHITE_SCALE_CASES` (comma-separated `study_tiles` name prefixes, e.g.
 //! `barrier_64,lax_rtc`) restricts which cases run, and
 //! `GRAPHITE_SCALE_BUDGET_S` makes the binary exit non-zero when total wall
-//! time exceeds the budget — same contract as the hotpath bench, so CI can
-//! catch a scheduler perf regression as a red job instead of a slow one.
+//! time exceeds the budget — so CI can catch a scheduler perf regression as
+//! a red job instead of a slow one.
 
 use std::sync::Arc;
 use std::time::Instant;

@@ -510,7 +510,7 @@ impl GuestScheduler {
             slot.resumable.store(false, Ordering::Relaxed);
             p.stack.take().expect("a dispatched coroutine context has a stored stack")
         };
-        let deadline = loop {
+        let (parked, deadline) = loop {
             self.note_slot_acquired(tile);
             let finished = co.resume();
             self.note_slot_released(tile);
@@ -518,11 +518,11 @@ impl GuestScheduler {
                 // A finished context does not detach: this carrier keeps the
                 // slot for whatever runs next.
                 drop(co);
-                break None;
+                break (false, None);
             }
-            // Parked. Store the coroutine *before* advertising the park, in
-            // one critical section: an unpark that sees `slot_parked` queues
-            // the context, and whoever dispatches it must find the stack.
+            // Parked. Store the coroutine; it is advertised as parked only
+            // once its slot has been passed on (below), so an unpark never
+            // finds it parked while it still counts as holding a slot.
             let mut p = slot.parker.lock.lock();
             let deadline = p.deadline.take();
             if p.unpark && deadline.is_none() {
@@ -534,8 +534,7 @@ impl GuestScheduler {
             debug_assert!(!p.unpark, "{tile} slept holding an unconsumed unpark");
             p.stack = Some(co);
             slot.resumable.store(true, Ordering::Relaxed);
-            p.slot_parked = true;
-            break deadline;
+            break (true, deadline);
         };
         let _sw = self.prof.span(HostStage::SchedSwitch);
         if let Some(d) = deadline {
@@ -547,21 +546,36 @@ impl GuestScheduler {
                 s.carriers[c].post(Work::Tick);
             }
         }
-        let mut s = self.lock_firing_timers();
-        match self.pop_next(&mut s, tile) {
-            Some(t) if self.ctxs[t as usize].resumable.load(Ordering::Relaxed) => Some(t),
-            Some(t) => {
-                self.go_idle(&mut s, id);
-                drop(s);
-                self.ctxs[t as usize].parker.grant_slot();
-                None
+        let next = {
+            let mut s = self.lock_firing_timers();
+            match self.pop_next(&mut s, tile) {
+                Some(t) if self.ctxs[t as usize].resumable.load(Ordering::Relaxed) => Some(t),
+                Some(t) => {
+                    self.go_idle(&mut s, id);
+                    drop(s);
+                    self.ctxs[t as usize].parker.grant_slot();
+                    None
+                }
+                None => {
+                    self.put_slot(&mut s);
+                    self.go_idle(&mut s, id);
+                    None
+                }
             }
-            None => {
-                self.put_slot(&mut s);
-                self.go_idle(&mut s, id);
-                None
+        };
+        if parked {
+            // An unpark that arrived while the slot was being passed on was
+            // banked: queue the context now. Otherwise advertise the park,
+            // and the unpark queues it.
+            let mut p = slot.parker.lock.lock();
+            if std::mem::take(&mut p.unpark) {
+                drop(p);
+                self.enqueue_for_slot(tile);
+            } else {
+                p.slot_parked = true;
             }
         }
+        next
     }
 
     fn go_idle(&self, s: &mut SchedState, id: usize) {

@@ -1,10 +1,10 @@
 //! Acceptance tests for the host-cost attribution profiler (`hostprof`).
 //!
 //! A cache-hostile workload keeps the miss path hot while the profiler is
-//! on at `sample = 1` (every span timed), then the tests check the three
-//! surfaces: the typed snapshot on the report, the `host.*` gauges in the
-//! metrics snapshot, and the `graphite-host` thread tracks in the Perfetto
-//! export — plus the two contracts that make the profiler safe to ship
+//! on at `sample = 1` (every span timed, and once at the default 1-in-64),
+//! then the tests check the three surfaces: the typed snapshot on the
+//! report, the `host.*` gauges in the metrics snapshot, and the
+//! `graphite-host` thread tracks in the Perfetto export — plus the two contracts that make the profiler safe to ship
 //! enabled: attribution covers ≥90% of miss-path host time, and turning it
 //! on changes nothing the simulator models.
 
@@ -20,12 +20,13 @@ use graphite_prof::validate_chrome_trace;
 const SLOTS: u64 = 384;
 const STEPS: u64 = 600;
 
-fn cfg(hostprof: bool) -> SimConfig {
+/// The profiler at `sample` (`None`: off).
+fn cfg(sample: Option<u32>) -> SimConfig {
     let mut b = SimConfig::builder().tiles(2).processes(1).seed(3);
-    if hostprof {
-        // sample=1 times every span; the big event buffer keeps the whole
-        // run's timeline so the Perfetto assertions see late scheduler spans.
-        b = b.hostprof(true).hostprof_sample(1).hostprof_max_events(1 << 20);
+    if let Some(sample) = sample {
+        // The big event buffer keeps the whole run's timeline so the
+        // Perfetto assertions see late scheduler spans.
+        b = b.hostprof(true).hostprof_sample(sample).hostprof_max_events(1 << 20);
     }
     let mut cfg = b.build().unwrap();
     if let Some(l2) = cfg.target.l2.as_mut() {
@@ -34,6 +35,21 @@ fn cfg(hostprof: bool) -> SimConfig {
     }
     cfg
 }
+
+/// The stages a run of [`run_missy`] must enter.
+const MISS_STAGES: [HostStage; 11] = [
+    HostStage::MissTotal,
+    HostStage::LocalProbe,
+    HostStage::MshrProbe,
+    HostStage::MissRegister,
+    HostStage::LruScan,
+    HostStage::DirTxn,
+    HostStage::DirLookup,
+    HostStage::DramModel,
+    HostStage::MissFill,
+    HostStage::TileLockWait,
+    HostStage::SchedSlotRun,
+];
 
 fn run_missy(ctx: &mut Ctx) {
     for i in 0..STEPS {
@@ -51,7 +67,7 @@ fn miss_path_time_lands_in_named_stages() {
     // bar applies to the best of three runs.
     let attribution = |r: &graphite::SimReport| r.host.as_ref()?.miss_attribution();
     let report = (0..3)
-        .map(|_| Sim::builder(cfg(true)).build().unwrap().run(run_missy))
+        .map(|_| Sim::builder(cfg(Some(1))).build().unwrap().run(run_missy))
         .max_by(|a, b| attribution(a).partial_cmp(&attribution(b)).expect("finite ratios"))
         .expect("three runs");
     assert!(report.metrics.counters["mem.misses"] > STEPS / 2, "workload must miss steadily");
@@ -60,19 +76,7 @@ fn miss_path_time_lands_in_named_stages() {
 
     // Every stage of the miss pipeline saw traffic, and per-stage accounting
     // is internally consistent.
-    for stage in [
-        HostStage::MissTotal,
-        HostStage::LocalProbe,
-        HostStage::MshrProbe,
-        HostStage::MissRegister,
-        HostStage::LruScan,
-        HostStage::DirTxn,
-        HostStage::DirLookup,
-        HostStage::DramModel,
-        HostStage::MissFill,
-        HostStage::TileLockWait,
-        HostStage::SchedSlotRun,
-    ] {
+    for stage in MISS_STAGES {
         let s = h.stage(stage);
         assert!(s.count > 0, "stage {} never entered", stage.name());
         assert!(s.timed <= s.count, "stage {} timed more ops than ran", stage.name());
@@ -103,7 +107,7 @@ fn miss_path_time_lands_in_named_stages() {
 
 #[test]
 fn perfetto_export_carries_host_thread_tracks() {
-    let report = Sim::builder(cfg(true)).build().unwrap().run(run_missy);
+    let report = Sim::builder(cfg(Some(1))).build().unwrap().run(run_missy);
     let json = report.perfetto_json();
     validate_chrome_trace(&json).expect("host tracks keep the trace valid");
     assert!(json.contains("graphite-host"), "host process track present");
@@ -113,7 +117,7 @@ fn perfetto_export_carries_host_thread_tracks() {
 
 #[test]
 fn disabled_profiler_leaves_no_trace_of_itself() {
-    let report = Sim::builder(cfg(false)).build().unwrap().run(run_missy);
+    let report = Sim::builder(cfg(None)).build().unwrap().run(run_missy);
     assert!(report.host.is_none(), "no snapshot by default");
     assert!(report.host_profile().is_none());
     assert!(!report.metrics.counters.keys().any(|k| k.starts_with("host.")), "no host gauges");
@@ -124,8 +128,8 @@ fn disabled_profiler_leaves_no_trace_of_itself() {
 
 #[test]
 fn profiling_never_changes_modeled_behavior() {
-    let on = Sim::builder(cfg(true)).build().unwrap().run(run_missy);
-    let off = Sim::builder(cfg(false)).build().unwrap().run(run_missy);
+    let on = Sim::builder(cfg(Some(1))).build().unwrap().run(run_missy);
+    let off = Sim::builder(cfg(None)).build().unwrap().run(run_missy);
     assert_eq!(on.simulated_cycles, off.simulated_cycles, "profiler moved the simulated clock");
     assert_eq!(on.stdout, off.stdout, "profiler changed guest output");
     let modeled = |r: &graphite::SimReport| {
@@ -137,6 +141,24 @@ fn profiling_never_changes_modeled_behavior() {
             .collect::<std::collections::BTreeMap<_, _>>()
     };
     assert_eq!(modeled(&on), modeled(&off), "profiler changed modeled counters");
+}
+
+/// At the default 1-in-64 sampling only a few misses are timed, yet they
+/// still attribute most of the miss path; the bar is looser than the
+/// `sample = 1` one because so few samples make the ratio noisy.
+#[test]
+fn sampled_attribution_covers_the_miss_path() {
+    let sample = graphite_config::HostProfConfig::default().sample;
+    assert_eq!(sample, 64);
+    let report = Sim::builder(cfg(Some(sample))).build().unwrap().run(run_missy);
+    let h = report.host.as_ref().expect("enabled profiler attaches a snapshot");
+    for stage in MISS_STAGES {
+        assert!(h.stage(stage).count > 0, "stage {} never entered", stage.name());
+    }
+    let miss = h.stage(HostStage::MissTotal);
+    assert!(miss.timed > 0 && miss.timed < miss.count, "1-in-{sample} sampling: {miss:?}");
+    let attr = h.miss_attribution().expect("a miss was sampled");
+    assert!(attr >= 0.75, "only {:.1}% of sampled miss time attributed", attr * 100.0);
 }
 
 /// The utilization fractions partition the pool's slot capacity: a slot is

@@ -4,7 +4,8 @@
 //! worker — before per-tile hot state was padded (DESIGN §7.2) it took 1.7×
 //! *longer*, because every guest op stole cache lines from the other worker.
 //!
-//! Wall-clock, so release-only and `#[ignore]`d; CI's `miss-smoke` job runs it.
+//! Wall-clock, so release-only and `#[ignore]`d; CI's `build-and-test` job
+//! runs it with `--ignored`.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};

@@ -240,6 +240,12 @@ fn racing_probes_never_accept_torn_or_stale_bytes() {
             }
             seq.end_write();
             published[line as usize].store(version, Release);
+            // A real owner spends most of its time outside write sections.
+            // Without a gap here the readers almost never see the sequence
+            // even and stable, and the race goes untested.
+            for _ in 0..64 {
+                std::hint::spin_loop();
+            }
         }
         stop.store(true, Release);
         readers.into_iter().map(|r| r.join().expect("reader panicked")).sum()

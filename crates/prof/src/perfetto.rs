@@ -23,15 +23,16 @@
 //!
 //! The workspace builds offline (no serde_json), so the document is built
 //! with [`graphite_trace::json::quote`] and checked by
-//! [`validate_chrome_trace`], a strict validator the CI smoke job uses to
-//! prove a run produced a loadable trace with at least one event per tile.
+//! [`validate_chrome_trace`], a strict validator the tests and the traced
+//! examples use to prove a run produced a loadable trace with at least one
+//! event per tile.
 
 use std::collections::BTreeMap;
 use std::fmt::Write;
 
 use graphite_base::HostProfSnapshot;
 use graphite_sync::SkewSample;
-use graphite_trace::json;
+use graphite_trace::json::{self, Json};
 use graphite_trace::{MetricsSnapshot, TraceEvent, TraceEventKind};
 
 use crate::cpi::CpiStack;
@@ -292,186 +293,82 @@ pub struct ChromeTraceSummary {
 
 impl ChromeTraceSummary {
     /// True when every tile in `0..num_tiles` has at least one timeline
-    /// event on its thread track — the CI smoke criterion.
+    /// event on its thread track — the criterion `profiler_demo` asserts.
     pub fn covers_tiles(&self, num_tiles: usize) -> bool {
         (0..num_tiles as u64).all(|t| self.events_per_tid.get(&t).copied().unwrap_or(0) > 0)
     }
 }
 
 /// Validates a Chrome trace-event document: strict JSON syntax (via
-/// [`graphite_trace::json::validate`]) plus the structural rules the
-/// trace UIs rely on (a `traceEvents` array; every event carries `ph` and
-/// `pid`; timeline events carry `ts`; `"X"` events carry `dur`; flow
-/// arrows `"s"`/`"f"` carry `ts`, `tid`, and a binding `id`).
+/// [`Json::parse`]) plus the structural rules the trace UIs rely on (a
+/// `traceEvents` array; every event carries `ph` and `pid`; timeline events
+/// carry `ts`; `"X"` events carry `dur`; flow arrows `"s"`/`"f"` carry `ts`,
+/// `tid`, and a binding `id`, and every `id` has as many starts as
+/// finishes).
 ///
 /// # Errors
 ///
 /// Returns a human-readable description of the first problem found.
 pub fn validate_chrome_trace(doc: &str) -> Result<ChromeTraceSummary, String> {
-    json::validate(doc)?;
-    let key =
-        doc.find("\"traceEvents\"").ok_or_else(|| "missing \"traceEvents\" key".to_string())?;
-    let rel = doc[key..].find('[').ok_or_else(|| "\"traceEvents\" is not an array".to_string())?;
-    let body = &doc[key + rel + 1..];
+    let root = Json::parse(doc)?;
+    let events = root
+        .get("traceEvents")
+        .ok_or("missing \"traceEvents\" key")?
+        .as_arr()
+        .ok_or("\"traceEvents\" is not an array")?;
 
     let mut summary = ChromeTraceSummary::default();
-    for obj in split_top_level_objects(body)? {
+    // Per flow id: starts minus finishes.
+    let mut open_flows: BTreeMap<String, i64> = BTreeMap::new();
+    for ev in events {
         summary.total_events += 1;
-        let fields = top_level_fields(obj);
-        let get = |k: &str| fields.iter().find(|(key, _)| key == k).map(|(_, v)| v.as_str());
-        let ph = get("ph")
-            .map(|v| v.trim_matches('"'))
-            .ok_or_else(|| format!("event without \"ph\": {obj}"))?;
-        if get("pid").is_none() {
-            return Err(format!("event without \"pid\": {obj}"));
+        let has = |k: &str| ev.get(k).is_some();
+        let bad = |what: &str| format!("{what}: {}", ev.encode());
+        let ph = ev.get("ph").and_then(Json::as_str).ok_or_else(|| bad("event without \"ph\""))?;
+        if !has("pid") {
+            return Err(bad("event without \"pid\""));
         }
-        let tid = get("tid").and_then(|v| v.parse::<u64>().ok());
+        let tid = ev.get("tid").and_then(Json::as_u64);
         match ph {
             "M" => {
-                if get("name").map(|n| n.trim_matches('"')) == Some("thread_name") {
+                if ev.get("name").and_then(Json::as_str) == Some("thread_name") {
                     summary.thread_tracks += 1;
                 }
             }
             "C" => {
-                if get("ts").is_none() {
-                    return Err(format!("counter event without \"ts\": {obj}"));
+                if !has("ts") {
+                    return Err(bad("counter event without \"ts\""));
                 }
                 summary.counter_events += 1;
             }
             "s" | "f" => {
-                if get("ts").is_none() {
-                    return Err(format!("flow event without \"ts\": {obj}"));
+                if !has("ts") {
+                    return Err(bad("flow event without \"ts\""));
                 }
                 if tid.is_none() {
-                    return Err(format!("flow event without \"tid\": {obj}"));
+                    return Err(bad("flow event without \"tid\""));
                 }
-                if get("id").is_none() {
-                    return Err(format!("flow event without \"id\": {obj}"));
-                }
+                let id = ev.get("id").ok_or_else(|| bad("flow event without \"id\""))?;
+                *open_flows.entry(id.encode()).or_insert(0) += if ph == "s" { 1 } else { -1 };
                 summary.flow_events += 1;
             }
             "X" | "i" => {
-                if get("ts").is_none() {
-                    return Err(format!("timeline event without \"ts\": {obj}"));
+                if !has("ts") {
+                    return Err(bad("timeline event without \"ts\""));
                 }
-                if ph == "X" && get("dur").is_none() {
-                    return Err(format!("complete event without \"dur\": {obj}"));
+                if ph == "X" && !has("dur") {
+                    return Err(bad("complete event without \"dur\""));
                 }
-                let tid = tid.ok_or_else(|| format!("timeline event without \"tid\": {obj}"))?;
+                let tid = tid.ok_or_else(|| bad("timeline event without \"tid\""))?;
                 *summary.events_per_tid.entry(tid).or_insert(0) += 1;
             }
-            other => return Err(format!("unsupported event phase {other:?}: {obj}")),
+            other => return Err(bad(&format!("unsupported event phase {other:?}"))),
         }
+    }
+    if let Some((id, open)) = open_flows.iter().find(|(_, open)| **open != 0) {
+        return Err(format!("flow id {id}: starts minus finishes is {open}"));
     }
     Ok(summary)
-}
-
-/// Splits the body of a (syntactically valid) JSON array into its top-level
-/// object elements; `body` starts just past the `[`.
-fn split_top_level_objects(body: &str) -> Result<Vec<&str>, String> {
-    let bytes = body.as_bytes();
-    let mut objects = Vec::new();
-    let mut depth = 0usize;
-    let mut start = 0usize;
-    let mut in_string = false;
-    let mut escaped = false;
-    for (i, &b) in bytes.iter().enumerate() {
-        if in_string {
-            if escaped {
-                escaped = false;
-            } else if b == b'\\' {
-                escaped = true;
-            } else if b == b'"' {
-                in_string = false;
-            }
-            continue;
-        }
-        match b {
-            b'"' => in_string = true,
-            b'{' => {
-                if depth == 0 {
-                    start = i;
-                }
-                depth += 1;
-            }
-            b'}' => {
-                depth -= 1;
-                if depth == 0 {
-                    objects.push(&body[start..=i]);
-                }
-            }
-            b']' if depth == 0 => return Ok(objects),
-            _ => {}
-        }
-    }
-    Err("unterminated traceEvents array".to_string())
-}
-
-/// Extracts `(key, raw value)` pairs at the top level of one JSON object
-/// that has already passed syntax validation.
-fn top_level_fields(obj: &str) -> Vec<(String, String)> {
-    let bytes = obj.as_bytes();
-    let mut fields = Vec::new();
-    let mut i = 1; // past '{'
-    while i < bytes.len() {
-        // Find the next key.
-        while i < bytes.len() && bytes[i] != b'"' && bytes[i] != b'}' {
-            i += 1;
-        }
-        if i >= bytes.len() || bytes[i] == b'}' {
-            break;
-        }
-        let (key, after) = read_string(bytes, i);
-        i = after;
-        while i < bytes.len() && bytes[i] != b':' {
-            i += 1;
-        }
-        i += 1;
-        while i < bytes.len() && (bytes[i] as char).is_whitespace() {
-            i += 1;
-        }
-        // Capture the raw value up to the next top-level ',' or '}'.
-        let vstart = i;
-        let mut depth = 0usize;
-        while i < bytes.len() {
-            match bytes[i] {
-                b'"' => {
-                    let (_, after) = read_string(bytes, i);
-                    i = after;
-                    continue;
-                }
-                b'{' | b'[' => depth += 1,
-                b'}' | b']' if depth > 0 => depth -= 1,
-                b'}' | b',' if depth == 0 => break,
-                _ => {}
-            }
-            i += 1;
-        }
-        fields.push((key, obj[vstart..i].trim().to_string()));
-        if i < bytes.len() && bytes[i] == b',' {
-            i += 1;
-        }
-    }
-    fields
-}
-
-/// Reads the JSON string starting at `bytes[at] == b'"'`; returns its
-/// unescaped-enough content (escapes left as-is, quotes stripped) and the
-/// index just past the closing quote.
-fn read_string(bytes: &[u8], at: usize) -> (String, usize) {
-    let mut i = at + 1;
-    let mut escaped = false;
-    while i < bytes.len() {
-        if escaped {
-            escaped = false;
-        } else if bytes[i] == b'\\' {
-            escaped = true;
-        } else if bytes[i] == b'"' {
-            break;
-        }
-        i += 1;
-    }
-    (String::from_utf8_lossy(&bytes[at + 1..i]).into_owned(), i + 1)
 }
 
 #[cfg(test)]
@@ -617,6 +514,22 @@ mod tests {
         let doc = "{\"traceEvents\":[{\"ph\":\"s\",\"pid\":0,\"tid\":1,\"ts\":3}]}";
         let err = validate_chrome_trace(doc).unwrap_err();
         assert!(err.contains("id"), "{err}");
+    }
+
+    #[test]
+    fn unbalanced_flow_arrows_are_rejected() {
+        let arrow = |ph: &str, id: u64| {
+            format!("{{\"ph\":\"{ph}\",\"pid\":0,\"tid\":1,\"ts\":3,\"id\":{id}}}")
+        };
+        let doc = |arrows: &[String]| format!("{{\"traceEvents\":[{}]}}", arrows.join(","));
+        let balanced = doc(&[arrow("s", 7), arrow("s", 9), arrow("f", 9), arrow("f", 7)]);
+        assert_eq!(validate_chrome_trace(&balanced).expect("balanced").flow_events, 4);
+        // Same total count, but id 7 has two starts and id 9 two finishes.
+        let crossed = doc(&[arrow("s", 7), arrow("s", 7), arrow("f", 9), arrow("f", 9)]);
+        let err = validate_chrome_trace(&crossed).unwrap_err();
+        assert!(err.contains("flow id 7"), "{err}");
+        let dangling = doc(&[arrow("s", 7), arrow("f", 7), arrow("s", 7)]);
+        assert!(validate_chrome_trace(&dangling).is_err());
     }
 
     #[test]

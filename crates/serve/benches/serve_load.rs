@@ -9,7 +9,7 @@
 //! * `GRAPHITE_SERVE_WORKERS` — worker pool width (default 2)
 //! * `GRAPHITE_SERVE_SHORT_ITERS` / `GRAPHITE_SERVE_LONG_ITERS` — job sizes
 //! * `GRAPHITE_SERVE_BUDGET_S` — exit non-zero when total wall time exceeds
-//!   the budget (same contract as the hotpath/scale benches)
+//!   the budget (same contract as the scale bench)
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};

@@ -4,7 +4,7 @@
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use crate::json::{obj, Json};
+use graphite_trace::json::{obj, Json};
 
 /// A job submission: which workload to simulate, on what machine shape, for
 /// which tenant. Parsed from the `POST /jobs` body.

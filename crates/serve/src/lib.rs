@@ -11,7 +11,6 @@
 
 pub mod http;
 pub mod job;
-pub mod json;
 pub mod log;
 pub mod queue;
 pub mod server;
@@ -19,8 +18,8 @@ pub mod service;
 pub mod telemetry;
 pub mod workload;
 
+pub use graphite_trace::json::{obj, Json};
 pub use job::{Job, JobSpec, JobState, PreemptCost};
-pub use json::Json;
 pub use log::Logger;
 pub use queue::FairQueue;
 pub use server::serve;

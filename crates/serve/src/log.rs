@@ -21,7 +21,7 @@ use std::time::{SystemTime, UNIX_EPOCH};
 use graphite_config::LogLevel;
 use parking_lot::Mutex;
 
-use crate::json::Json;
+use graphite_trace::json::Json;
 
 /// The open sink plus what rotation needs: the path (to rename and reopen)
 /// and a running byte count (so the size check costs no `metadata` call).

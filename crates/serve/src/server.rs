@@ -29,8 +29,8 @@ use std::time::{Duration, Instant};
 
 use crate::http::{read_request, write_response, ParseError, Request};
 use crate::job::JobSpec;
-use crate::json::{obj, Json};
 use crate::service::{Service, SubmitError};
+use graphite_trace::json::{obj, Json};
 
 /// Content type of the Prometheus exposition.
 const PROM_CONTENT_TYPE: &str = "text/plain; version=0.0.4; charset=utf-8";

@@ -26,10 +26,10 @@ use graphite_config::ServeConfig;
 use parking_lot::{Condvar, Mutex};
 
 use crate::job::{Artifacts, Job, JobSpec, JobState};
-use crate::json::{obj, Json};
 use crate::log::Logger;
 use crate::queue::FairQueue;
 use crate::telemetry::{LiveStats, Telemetry};
+use graphite_trace::json::{obj, Json};
 
 /// Why a submission was refused.
 #[derive(Debug, PartialEq, Eq)]

@@ -28,7 +28,7 @@ use graphite_trace::metrics::HistogramSnapshot;
 use graphite_trace::{MetricsRegistry, PromText};
 
 use crate::job::JobState;
-use crate::json::{obj, Json};
+use graphite_trace::json::{obj, Json};
 
 /// Point-in-time service state sampled under the scheduler lock at scrape
 /// time and rendered as Prometheus gauges. These are *live* values — queue

@@ -226,13 +226,13 @@ fn http_api_round_trip() {
 
     let (status, metrics) = client.request("GET", &format!("/jobs/{id}/metrics"), "");
     assert_eq!(status, 200);
-    graphite_trace::json::validate(&metrics).expect("metrics must be valid JSON");
+    graphite_trace::json::Json::parse(&metrics).expect("metrics must be valid JSON");
     let (status, trace) = client.request("GET", &format!("/jobs/{id}/trace"), "");
     assert_eq!(status, 200, "tracing was requested");
-    graphite_trace::json::validate(&trace).expect("trace must be valid JSON");
+    graphite_trace::json::Json::parse(&trace).expect("trace must be valid JSON");
     let (status, flows) = client.request("GET", &format!("/jobs/{id}/flows"), "");
     assert_eq!(status, 200);
-    graphite_trace::json::validate(&flows).expect("flows must be valid JSON");
+    graphite_trace::json::Json::parse(&flows).expect("flows must be valid JSON");
 
     // Error paths: bad body, unknown job, unknown route, wrong method.
     assert_eq!(client.request("POST", "/jobs", "not json").0, 400);
@@ -260,4 +260,28 @@ fn http_api_round_trip() {
     assert_eq!(status, 202);
     server.join().unwrap();
     assert!(svc.is_shutdown());
+}
+
+/// A body nested deeper than the JSON parser's cap is a 400 and the server
+/// keeps answering. The parser recurses once per level: uncapped, 10 000
+/// `[`s overflow the connection thread's stack and abort the process.
+#[test]
+fn deeply_nested_body_is_a_bad_request() {
+    let dir = std::env::temp_dir().join("graphite-serve-e2e-nesting");
+    let _ = std::fs::remove_dir_all(&dir);
+    let svc = Service::start(cfg(1, 50), &dir).unwrap();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let client = Client { addr: listener.local_addr().unwrap() };
+    let server = {
+        let svc = Arc::clone(&svc);
+        std::thread::spawn(move || server::serve_on(svc, listener).unwrap())
+    };
+
+    let (status, body) = client.request("POST", "/jobs", &"[".repeat(10_000));
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("nesting"), "{body}");
+    assert_eq!(client.request("GET", "/healthz", "").0, 200);
+
+    assert_eq!(client.request("POST", "/shutdown", "").0, 202);
+    server.join().unwrap();
 }

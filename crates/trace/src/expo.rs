@@ -1,6 +1,6 @@
 //! Prometheus text exposition (format version 0.0.4).
 //!
-//! Two halves, used together by `graphite-serve` and its CI smoke job:
+//! Two halves, used together by `graphite-serve` and its tests:
 //!
 //! * [`PromText`] — a small builder that renders metric families: `# TYPE`
 //!   headers, labeled samples, and histograms expanded into the *cumulative*
@@ -11,8 +11,8 @@
 //! * [`validate`] — a dependency-free checker for the invariants scrapers
 //!   rely on: every sample belongs to a declared family, histogram bucket
 //!   series are cumulative and monotone, `_count` equals the `+Inf` bucket,
-//!   and `_sum`/`_count` agree with the bucket series. Tests and the
-//!   `obs-smoke` CI job run it against live `/metrics` output.
+//!   and `_sum`/`_count` agree with the bucket series. The serve telemetry
+//!   tests run it against live `/metrics` output.
 //!
 //! Nothing here depends on the rest of the crate beyond
 //! [`HistogramSnapshot`], so any subsystem with a registry snapshot can

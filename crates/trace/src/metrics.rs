@@ -1271,7 +1271,7 @@ mod tests {
         assert_eq!(snap.histograms["mem.lat"].count, 1);
         assert_eq!(snap.histograms["mem.lat"].sum, 100);
         let doc = snap.to_json();
-        json::validate(&doc).unwrap_or_else(|e| panic!("{e}\n{doc}"));
+        json::Json::parse(&doc).unwrap_or_else(|e| panic!("{e}\n{doc}"));
     }
 
     #[test]
@@ -1404,7 +1404,7 @@ mod tests {
         reg.per_tile("c\"tricky")[1].add(3);
         reg.histogram("lat").record(9);
         let doc = reg.snapshot().to_json();
-        json::validate(&doc).unwrap_or_else(|e| panic!("{e}\n{doc}"));
+        json::Json::parse(&doc).unwrap_or_else(|e| panic!("{e}\n{doc}"));
         assert!(doc.contains("\"graphite.metrics.v1\""));
         assert!(doc.contains("\"total\": 3"));
     }
@@ -1412,7 +1412,7 @@ mod tests {
     #[test]
     fn empty_snapshot_json_is_well_formed() {
         let doc = MetricsRegistry::new(0).snapshot().to_json();
-        json::validate(&doc).unwrap_or_else(|e| panic!("{e}\n{doc}"));
+        json::Json::parse(&doc).unwrap_or_else(|e| panic!("{e}\n{doc}"));
     }
 
     /// A registry exercising every metric kind, for restore tests.

@@ -848,7 +848,7 @@ mod tests {
         let lines: Vec<&str> = jsonl.lines().collect();
         assert_eq!(lines.len(), kinds.len());
         for line in &lines {
-            crate::json::validate(line).unwrap_or_else(|e| panic!("{e}\n{line}"));
+            crate::json::Json::parse(line).unwrap_or_else(|e| panic!("{e}\n{line}"));
             assert!(line.contains("\"seq\":"));
             assert!(line.contains("\"event\":"));
         }
