@@ -86,11 +86,13 @@ pub enum HostStage {
     TileLockWait,
     /// Re-probing the local hierarchy after losing a miss race.
     LocalProbe,
-    /// MSHR registration (acquire-or-wait / service acquisition).
+    /// Claiming a line in the directory's line table, waiting out its
+    /// holder if it has one, and releasing the claim after the transaction.
     MshrProbe,
-    /// Acquiring a directory shard's map lock.
+    /// Acquiring a line-table shard's map lock (a claim or a release).
     DirLockWait,
-    /// Resolving a directory entry (shard selection + map get-or-insert).
+    /// A claim's map work: shard selection, get-or-insert of the line's
+    /// record and slot, and taking the slot if it is free.
     DirLookup,
     /// Making room in the coherence cache: LRU victim scans + evictions.
     LruScan,
@@ -103,8 +105,8 @@ pub enum HostStage {
     /// One directory transaction for a registered miss.
     DirTxn,
     /// Registering a miss between eviction and its directory transaction:
-    /// MSHR acquisition, directory-entry resolution, and the re-checks that
-    /// the line is still absent and its set still has room.
+    /// the line claim (which resolves the directory record), and the
+    /// re-checks that the line is still absent and its set still has room.
     MissRegister,
 }
 

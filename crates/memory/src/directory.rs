@@ -21,13 +21,27 @@
 //! hold them, are published through `OnceLock`s and neither move nor free
 //! until the directory drops, so a handle stays valid for the directory's
 //! life and teardown frees chunks, not lines. Every word is accessed
-//! `Relaxed`: whoever owns a line's MSHR entry is its record's only writer,
-//! and the MSHR hand-over orders one owner's writes before the next's reads.
+//! `Relaxed`: whoever holds a line in the line table is its record's only
+//! writer, and the shard lock that hands the line over orders one holder's
+//! writes before the next's reads.
+//!
+//! ## The line table
+//!
+//! The crate-private `LineTable` owns the arena and maps each line to a
+//! slot in one of `DIR_SHARDS` shard maps: the record's handle and the
+//! line's holder. So the map that finds a line's record also lets at most
+//! one transaction per line run at a time, as an MSHR would. A claim is one
+//! critical section under the shard lock (get-or-insert the slot, take it
+//! if free) and a release is a second. A thread that finds the line held
+//! sets the slot's waiter bit under the lock and sleeps on the shard's
+//! `Condvar`; a release notifies only when that bit is set.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering::Relaxed};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
-use graphite_base::{CachePadded, TileId};
+use graphite_base::{CachePadded, FxBuildHasher, HostProf, HostStage, TileId};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
 /// Records in the first chunk.
 const FIRST: usize = 64;
@@ -299,5 +313,311 @@ impl<'a> SharerSet<'a> {
     /// Removes every sharer.
     pub fn clear(&self) {
         self.words.iter().for_each(|w| w.store(0, Relaxed));
+    }
+}
+
+/// Line-table shards; a power of two, so shard selection is a multiply and a
+/// shift.
+const DIR_SHARDS: usize = 256;
+
+/// [`Slot::holder`] of a line nobody holds. Tile `t` holds as `t + 1`.
+const FREE: u32 = 0;
+/// [`Slot::holder`] bit: some thread sleeps until the line is released.
+const WAITERS: u32 = 1 << 31;
+/// [`Slot::holder`] of a claim that belongs to no tile: an eviction, or a
+/// functional peek/poke.
+const SERVICE: u32 = WAITERS - 1;
+
+/// A line's map entry: its record and who holds the line. With its `u64`
+/// key a bucket is 16 bytes, as a bare `u32` handle's was.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    handle: u32,
+    /// [`FREE`], a tile id plus one, or [`SERVICE`]; [`WAITERS`] on top.
+    holder: u32,
+}
+
+type Map = HashMap<u64, Slot, FxBuildHasher>;
+
+#[derive(Debug, Default)]
+struct Shard {
+    map: Mutex<Map>,
+    /// Where threads wait out a held line of this shard.
+    released: Condvar,
+}
+
+/// Why a miss's claim waited instead of taking the line.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum LineWait {
+    /// Another thread of the *same* tile held the line: a coalesced
+    /// secondary miss, which the retry usually turns into a local hit.
+    SameTile,
+    /// A different tile's transaction held the line.
+    CrossTile,
+}
+
+/// Every line's directory record, and which lines have a transaction in
+/// flight (see the module docs). Lines are never removed while the
+/// simulation runs; [`LineTable::reset`] drops them all at once.
+#[derive(Debug)]
+pub(crate) struct LineTable {
+    dir: Directory,
+    shards: Box<[Shard]>,
+    /// Times the shard-map work (`mem.dir_lookup`, `mem.dir_lock`).
+    hostprof: Arc<HostProf>,
+}
+
+impl LineTable {
+    /// An empty table for `tiles` tiles and `line_size`-byte lines.
+    pub(crate) fn new(tiles: u32, line_size: u32, hostprof: Arc<HostProf>) -> Self {
+        LineTable {
+            dir: Directory::new(tiles, line_size),
+            shards: (0..DIR_SHARDS).map(|_| Shard::default()).collect(),
+            hostprof,
+        }
+    }
+
+    fn shard(&self, line: u64) -> &Shard {
+        // Golden-ratio multiply, top bits select: sequential / aligned line
+        // indices (the common access pattern) decorrelate across shards
+        // instead of convoying onto one.
+        let bits = DIR_SHARDS.trailing_zeros();
+        &self.shards[(line.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - bits)) as usize]
+    }
+
+    /// Claims `line` for a miss of `tile`, creating its record on first
+    /// touch. `Err(kind)` means another thread held the line: the call
+    /// **blocked until the line was free** and claimed nothing, and the
+    /// caller re-probes its own cache and, on a miss, retries.
+    pub(crate) fn claim(&self, line: u64, tile: TileId) -> Result<Claim<'_>, LineWait> {
+        debug_assert!(tile.0 + 1 < SERVICE, "tile id collides with the service holder");
+        self.attempt(line, tile.0 + 1, true).map(|c| c.expect("claims insert"))
+    }
+
+    /// Claims `line` for an eviction or a functional poke, waiting out any
+    /// holder; creates the record on first touch.
+    pub(crate) fn claim_service(&self, line: u64) -> Claim<'_> {
+        loop {
+            if let Ok(Some(claim)) = self.attempt(line, SERVICE, true) {
+                return claim;
+            }
+        }
+    }
+
+    /// Like [`LineTable::claim_service`], but a line without a record stays
+    /// without one and yields `None`: peeking untouched memory must not
+    /// grow the directory (it would change checkpoint bytes).
+    pub(crate) fn claim_existing(&self, line: u64) -> Option<Claim<'_>> {
+        loop {
+            if let Ok(claim) = self.attempt(line, SERVICE, false) {
+                return claim;
+            }
+        }
+    }
+
+    /// One claim attempt for `holder`: `Ok(None)` only when `insert` is
+    /// false and the line has no record.
+    fn attempt(&self, line: u64, holder: u32, insert: bool) -> Result<Option<Claim<'_>>, LineWait> {
+        let shard = self.shard(line);
+        let lookup = self.hostprof.span(HostStage::DirLookup);
+        let mut map = self.lock(shard);
+        let slot = if insert {
+            map.entry(line).or_insert_with(|| Slot { handle: self.dir.alloc(), holder: FREE })
+        } else {
+            match map.get_mut(&line) {
+                Some(slot) => slot,
+                None => return Ok(None),
+            }
+        };
+        let held = slot.holder & !WAITERS;
+        if held == FREE {
+            slot.holder = holder;
+            return Ok(Some(Claim { table: self, line, record: self.dir.record(slot.handle) }));
+        }
+        drop(lookup);
+        let kind = if held == holder { LineWait::SameTile } else { LineWait::CrossTile };
+        // The waiter bit goes in under the shard lock that `wait` releases
+        // atomically, so a release cannot slip between the two and skip the
+        // notification. Notifications for other lines of the shard, and
+        // re-claims that beat this thread to the lock, just wait again.
+        loop {
+            map.get_mut(&line).expect("held lines stay in the table").holder |= WAITERS;
+            shard.released.wait(&mut map);
+            if map[&line].holder == FREE {
+                return Err(kind);
+            }
+        }
+    }
+
+    fn lock<'s>(&self, shard: &'s Shard) -> MutexGuard<'s, Map> {
+        let _l = self.hostprof.span(HostStage::DirLockWait);
+        shard.map.lock()
+    }
+
+    fn release(&self, line: u64) {
+        let shard = self.shard(line);
+        let waiters = {
+            let mut map = self.lock(shard);
+            let slot = map.get_mut(&line).expect("a claimed line is in the table");
+            debug_assert_ne!(slot.holder & !WAITERS, FREE, "release of a free line");
+            std::mem::replace(&mut slot.holder, FREE) & WAITERS != 0
+        };
+        if waiters {
+            shard.released.notify_all();
+        }
+    }
+
+    /// Records handed out: lines the directory holds.
+    pub(crate) fn lines(&self) -> u32 {
+        self.dir.lines()
+    }
+
+    /// Held lines. Walks every map: for quiescence checks and tests.
+    pub(crate) fn in_flight(&self) -> usize {
+        let held = |map: &Map| map.values().filter(|s| s.holder & !WAITERS != FREE).count();
+        self.shards.iter().map(|s| held(&s.map.lock())).sum()
+    }
+
+    /// Every line with a record and that record, in ascending line order.
+    /// For a quiescent system: nothing stops a transaction from changing a
+    /// record while the caller reads it.
+    pub(crate) fn sorted(&self) -> impl Iterator<Item = (u64, Record<'_>)> {
+        let mut lines: Vec<(u64, u32)> = Vec::with_capacity(self.lines() as usize);
+        for shard in self.shards.iter() {
+            lines.extend(shard.map.lock().iter().map(|(&line, slot)| (line, slot.handle)));
+        }
+        lines.sort_unstable_by_key(|&(line, _)| line);
+        lines.into_iter().map(|(line, handle)| (line, self.dir.record(handle)))
+    }
+
+    /// Drops every line and takes every record back. The caller must hold
+    /// no claim and no record.
+    pub(crate) fn reset(&self) {
+        for shard in self.shards.iter() {
+            shard.map.lock().clear();
+        }
+        self.dir.reset();
+    }
+
+    /// A fresh record for `line`, which must have none. For a quiescent
+    /// restore.
+    pub(crate) fn insert(&self, line: u64) -> Record<'_> {
+        let handle = self.dir.alloc();
+        let old = self.lock(self.shard(line)).insert(line, Slot { handle, holder: FREE });
+        debug_assert!(old.is_none(), "line {line} inserted twice");
+        self.dir.record(handle)
+    }
+}
+
+/// A held line and its record; dropping it releases the line and wakes
+/// whoever waits for it.
+#[must_use = "dropping the claim releases the line"]
+pub(crate) struct Claim<'a> {
+    table: &'a LineTable,
+    line: u64,
+    /// The line's record, for this thread alone to change until the claim
+    /// drops.
+    pub(crate) record: Record<'a>,
+}
+
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        self.table.release(self.line);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::time::Duration;
+
+    fn table() -> LineTable {
+        LineTable::new(4, 64, HostProf::disabled())
+    }
+
+    #[test]
+    fn acquire_release_reacquire() {
+        let t = table();
+        let g = t.claim(42, TileId(0)).unwrap();
+        assert_eq!(t.in_flight(), 1);
+        drop(g);
+        assert_eq!(t.in_flight(), 0);
+        let _g2 = t.claim(42, TileId(1)).unwrap();
+        assert_eq!(t.in_flight(), 1);
+        assert_eq!(t.lines(), 1, "the second claim found the first one's record");
+    }
+
+    #[test]
+    fn different_lines_do_not_conflict() {
+        let t = table();
+        let _a = t.claim(1, TileId(0)).unwrap();
+        let _b = t.claim(2, TileId(0)).unwrap();
+        assert_eq!(t.in_flight(), 2);
+    }
+
+    #[test]
+    fn waiter_blocks_until_release_and_sees_kind() {
+        let t = Arc::new(table());
+        let released = Arc::new(AtomicBool::new(false));
+        let g = t.claim(7, TileId(2)).unwrap();
+        let waiter = |tile: u32, kind: LineWait| {
+            let (t, released) = (Arc::clone(&t), Arc::clone(&released));
+            std::thread::spawn(move || {
+                let r = t.claim(7, TileId(tile)).map(|_| ());
+                assert!(released.load(Ordering::SeqCst), "waiter returned before release");
+                assert_eq!(r, Err(kind));
+            })
+        };
+        let same = waiter(2, LineWait::SameTile);
+        let cross = waiter(3, LineWait::CrossTile);
+        std::thread::sleep(Duration::from_millis(50));
+        released.store(true, Ordering::SeqCst);
+        drop(g);
+        same.join().unwrap();
+        cross.join().unwrap();
+        assert_eq!(t.in_flight(), 0);
+    }
+
+    #[test]
+    fn service_acquire_waits_out_misses() {
+        let t = Arc::new(table());
+        let g = t.claim(5, TileId(0)).unwrap();
+        let released = Arc::new(AtomicBool::new(false));
+        let h = {
+            let (t, released) = (Arc::clone(&t), Arc::clone(&released));
+            std::thread::spawn(move || {
+                let _svc = t.claim_service(5);
+                assert!(released.load(Ordering::SeqCst));
+                assert!(t.claim_existing(6).is_none(), "line 6 has no record");
+            })
+        };
+        std::thread::sleep(Duration::from_millis(50));
+        released.store(true, Ordering::SeqCst);
+        drop(g);
+        h.join().unwrap();
+        assert_eq!(t.in_flight(), 0);
+        assert_eq!(t.lines(), 1, "peeking an absent line created no record");
+    }
+
+    #[test]
+    fn hammering_one_line_always_converges() {
+        let t = Arc::new(table());
+        let mut handles = Vec::new();
+        for tid in 0..8u32 {
+            let t = Arc::clone(&t);
+            handles.push(std::thread::spawn(move || {
+                let mut wins = 0u32;
+                for _ in 0..200 {
+                    // A failed claim stands in for re-probe-and-retry.
+                    while t.claim(99, TileId(tid)).is_err() {}
+                    wins += 1;
+                }
+                wins
+            }));
+        }
+        let total: u32 = handles.into_iter().map(|h| h.join().unwrap()).sum();
+        assert_eq!(total, 8 * 200);
+        assert_eq!(t.in_flight(), 0);
     }
 }

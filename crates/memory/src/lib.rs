@@ -23,7 +23,6 @@ pub mod cache;
 pub mod directory;
 pub mod dram;
 pub mod missclass;
-pub mod mshr;
 pub mod system;
 
 pub use addr::{Addr, SegmentAllocator};

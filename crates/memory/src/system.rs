@@ -13,20 +13,17 @@
 //! ("remote access with modeled message timing"). The miss path is a
 //! pipeline, not a lock-step RPC:
 //!
-//! * **MSHRs are the top-level per-line resource.** A miss registers the
-//!   line in the [`MshrTable`](crate::mshr::MshrTable); at most one
-//!   transaction per line is in flight. Losers wait *without registering*,
-//!   then re-probe their own cache and retry — a secondary miss from the
-//!   same tile usually resolves as a local hit (coalescing). A thread holds
-//!   at most one MSHR entry at a time: evictions complete (as their own
-//!   MSHR-scoped transactions) before the fill's entry is acquired, and
-//!   MSHR waiters sleep holding nothing, so no cycle can form.
-//! * **Directory shard maps are brief leaf locks.** A transaction resolves
-//!   its line to a `u32` handle into the [`Directory`] arena under a short
-//!   map-lock critical section and then works on the record lock-free — the
-//!   MSHR already guarantees per-line exclusivity, and a record never moves.
+//! * **A line's slot in the directory's line table is the top-level
+//!   per-line resource.** A transaction finds (or creates) its line's
+//!   record and claims the line in one shard-lock critical section, works
+//!   on the record lock-free, and releases the line in a second. Losers
+//!   wait *without claiming*, then re-probe their own cache and retry — a
+//!   secondary miss from the same tile usually resolves as a local hit
+//!   (coalescing). A thread holds at most one line at a time: evictions
+//!   complete (as their own claimed transactions) before the fill claims
+//!   its line, and waiters sleep holding nothing, so no cycle can form.
 //! * **Tile cache locks are leaves**, taken one at a time, never while a
-//!   map lock is held. Read hits can skip the tile lock entirely via a
+//!   shard lock is held. Read hits can skip the tile lock entirely via a
 //!   seqlock-validated probe ([`Cache::probe_read`]): writers bump the
 //!   tile's [`SeqCount`] around every structural or data mutation, and a
 //!   cache's line storage never moves or shrinks while the cache lives, so a
@@ -35,17 +32,15 @@
 //!
 //! A tile's cache only ever gains lines through its own thread(s); remote
 //! transactions can only remove or downgrade lines. Concurrent threads *of
-//! the same tile* are supported for races on the same line (the MSHR
+//! the same tile* are supported for races on the same line (the line claim
 //! coalesces them); like the lock-step design this replaces, simultaneous
 //! same-tile fills of distinct lines in one cache set remain outside the
 //! model's contract.
 
-use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
-use graphite_base::{
-    CachePadded, Cycles, FxBuildHasher, HostProf, HostStage, SeqCount, SimError, SimRng, TileId,
-};
+use graphite_base::{CachePadded, Cycles, HostProf, HostStage, SeqCount, SimError, SimRng, TileId};
 use graphite_ckpt::{corrupted, Checkpointable, Dec, Enc};
 use graphite_config::{CacheProtocol, CoherenceScheme, SimConfig};
 use graphite_network::{Network, Packet, TrafficClass};
@@ -56,10 +51,9 @@ use parking_lot::{Mutex, MutexGuard};
 
 use crate::addr::Addr;
 use crate::cache::{Cache, Line, LineState};
-use crate::directory::{DirState, Directory, Record};
+use crate::directory::{Claim, DirState, LineTable, LineWait, Record};
 use crate::dram::DramController;
 use crate::missclass::{MissClassifier, MissKind};
-use crate::mshr::{MshrTable, MshrWait};
 
 /// Directory processing latency per request (cycles).
 const DIR_LATENCY: Cycles = Cycles(10);
@@ -67,9 +61,6 @@ const DIR_LATENCY: Cycles = Cycles(10);
 const CTRL_MSG_BYTES: u32 = 8;
 /// Header bytes added to a data-carrying packet.
 const DATA_HDR_BYTES: u32 = 8;
-/// Directory shard maps; a power of two, so shard selection is a multiply
-/// and a shift.
-const DIR_SHARDS: usize = 256;
 
 /// How one modeled memory access spent its latency — the memory system's
 /// contribution to per-tile cycle attribution (CPI stacks).
@@ -134,11 +125,6 @@ impl TileMem {
     /// The coherence-level cache, read-only.
     fn coh(&self) -> &Cache {
         self.l2.as_ref().or(self.l1d.as_ref()).expect("validated: some cache level exists")
-    }
-
-    /// True when L1D filters in front of a coherent L2.
-    fn has_l1_filter(&self) -> bool {
-        self.l1d.is_some() && self.l2.is_some()
     }
 
     /// Removes a line from every level, returning the coherence-level
@@ -217,8 +203,8 @@ pub struct MemStats {
     /// Writes satisfied by a silent Exclusive→Modified upgrade (MESI only):
     /// no directory transaction needed.
     pub silent_upgrades: ShardedMetric,
-    /// Secondary misses coalesced onto an in-flight MSHR entry of the same
-    /// tile (the waiter re-probed and hit instead of re-running the
+    /// Secondary misses coalesced onto the same tile's in-flight claim of
+    /// their line (the waiter re-probed and hit instead of re-running the
     /// transaction).
     pub mshr_coalesced: ShardedMetric,
     /// Misses that waited for a *different* tile's in-flight transaction on
@@ -270,22 +256,12 @@ impl MemStats {
 
     /// Overall miss rate (misses / accesses), in [0, 1].
     pub fn miss_rate(&self) -> f64 {
-        let a = self.accesses();
-        if a == 0 {
-            0.0
-        } else {
-            self.misses.get() as f64 / a as f64
-        }
+        self.misses.get() as f64 / self.accesses().max(1) as f64
     }
 
     /// Mean memory-access latency in cycles.
     pub fn mean_latency(&self) -> f64 {
-        let a = self.accesses();
-        if a == 0 {
-            0.0
-        } else {
-            self.latency_sum.get() as f64 / a as f64
-        }
+        self.latency_sum.get() as f64 / self.accesses().max(1) as f64
     }
 
     /// Miss count for one classified kind.
@@ -340,10 +316,6 @@ fn apply_rmw(data: &mut [u8], off: usize, old: &mut [u8], f: &mut dyn FnMut(&mut
     old.copy_from_slice(window);
     f(window);
 }
-
-/// A directory shard: its lines' arena handles. Lines are never removed
-/// while the simulation runs.
-type HandleMap = HashMap<u64, u32, FxBuildHasher>;
 
 /// Raw pointer to a tile's front data cache for the lock-free read probe,
 /// with the latency/attribution a locked hit would have produced.
@@ -426,14 +398,11 @@ pub struct MemorySystem {
     /// Each tile's lock and hierarchy (LRU stamp counters included) on padded
     /// blocks of its own: the lock word is written on every locked access.
     tiles: Vec<CachePadded<Mutex<TileMem>>>,
-    /// Every line's directory record; shard maps hold handles into it.
-    dir: Directory,
+    /// Every line's directory record, and which lines have a transaction in
+    /// flight (per-line exclusivity + coalescing).
+    dir: LineTable,
     /// `mem.dir.lines`; see [`MemorySystem::publish_dir_lines`].
     dir_lines: Gauge,
-    /// `DIR_SHARDS` line → handle maps.
-    shards: Vec<Mutex<HandleMap>>,
-    /// In-flight miss registry (per-line exclusivity + coalescing).
-    mshr: MshrTable,
     /// Per-tile seqlock counters; bumped (under the tile lock) around every
     /// structural or data mutation of that tile's caches.
     tile_seq: Vec<SeqCount>,
@@ -507,23 +476,16 @@ impl MemorySystem {
             .iter()
             .map(|t| {
                 let tm = t.lock();
-                if tm.has_l1_filter() {
-                    let c = tm.l1d.as_ref().unwrap();
-                    ProbeTarget { cache: c as *const Cache, lat: c.access_latency(), is_l1: true }
-                } else {
-                    let c = tm.coh();
-                    ProbeTarget { cache: c as *const Cache, lat: c.access_latency(), is_l1: false }
-                }
+                let (c, is_l1) = match (&tm.l1d, &tm.l2) {
+                    (Some(l1d), Some(_)) => (l1d, true),
+                    _ => (tm.coh(), false),
+                };
+                ProbeTarget { cache: c, lat: c.access_latency(), is_l1 }
             })
             .collect();
-        let miss_lookup_lat = {
-            let tm = tiles[0].lock();
-            let mut l = tm.coh().access_latency();
-            if tm.has_l1_filter() {
-                l += tm.l1d.as_ref().unwrap().access_latency();
-            }
-            l
-        };
+        // A miss pays the coherence level's lookup, behind the L1 filter's.
+        let filter_lat = if probes[0].is_l1 { probes[0].lat } else { Cycles::ZERO };
+        let miss_lookup_lat = tiles[0].lock().coh().access_latency() + filter_lat;
         let ncontrollers =
             if cfg.target.dram.per_tile_controllers { cfg.target.num_tiles } else { 1 };
         let bytes_per_cycle =
@@ -542,10 +504,8 @@ impl MemorySystem {
             line_shift: line_size.trailing_zeros(),
             line_mask: line_size as u64 - 1,
             num_tiles: cfg.target.num_tiles,
-            dir: Directory::new(cfg.target.num_tiles, line_size),
+            dir: LineTable::new(cfg.target.num_tiles, line_size, Arc::clone(&obs.hostprof)),
             dir_lines: obs.metrics.gauge("mem.dir.lines"),
-            shards: (0..DIR_SHARDS).map(|_| Mutex::default()).collect(),
-            mshr: MshrTable::default(),
             tile_seq: (0..cfg.target.num_tiles).map(|_| SeqCount::new()).collect(),
             probes,
             miss_lookup_lat,
@@ -627,37 +587,6 @@ impl MemorySystem {
         self.controller_of(home).access(est_now, self.line_size)
     }
 
-    fn shard_of(&self, line: u64) -> &Mutex<HandleMap> {
-        // Golden-ratio multiply, top bits select: sequential / aligned line
-        // indices (the common access pattern) decorrelate across shards
-        // instead of convoying onto one.
-        let bits = DIR_SHARDS.trailing_zeros();
-        &self.shards[(line.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - bits)) as usize]
-    }
-
-    /// Resolves the directory record for `line` (a fresh one on first
-    /// touch). The caller must hold per-line exclusivity (an MSHR entry, or
-    /// system quiescence) before changing the record.
-    fn dir_record(&self, line: u64) -> Record<'_> {
-        let _hp = self.hostprof.span(HostStage::DirLookup);
-        let handle = {
-            let mut map = {
-                let _l = self.hostprof.span(HostStage::DirLockWait);
-                self.shard_of(line).lock()
-            };
-            *map.entry(line).or_insert_with(|| self.dir.alloc())
-        };
-        self.dir.record(handle)
-    }
-
-    /// Plain blocking directory lookup that never inserts, for the
-    /// functional peek path — peeking absent memory must not grow the
-    /// directory (it would change checkpoint bytes).
-    fn dir_record_get(&self, line: u64) -> Option<Record<'_>> {
-        let handle = self.shard_of(line).lock().get(&line).copied();
-        handle.map(|h| self.dir.record(h))
-    }
-
     /// Routes a protocol leg stamped with a tile's real clock (requests,
     /// writebacks); feeds the global-progress window.
     fn route(&self, src: TileId, dst: TileId, bytes: u32, t: Cycles) -> Cycles {
@@ -722,26 +651,7 @@ impl MemorySystem {
         if len > 0 && (addr.0 & self.line_mask) as usize + len <= self.line_size as usize {
             return self.access_line(tile, now, addr, LineOp::Read(buf));
         }
-        self.read_multi(tile, now, addr, buf)
-    }
-
-    fn read_multi(&self, tile: TileId, now: Cycles, addr: Addr, buf: &mut [u8]) -> MemCost {
-        let mut total = MemCost::folded_start();
-        let ls = self.line_size as usize;
-        let mut done = 0usize;
-        while done < buf.len() {
-            let a = addr.offset(done as u64);
-            let in_line = ls - (a.0 & self.line_mask) as usize;
-            let n = in_line.min(buf.len() - done);
-            total.fold(self.access_line(
-                tile,
-                now + total.latency,
-                a,
-                LineOp::Read(&mut buf[done..done + n]),
-            ));
-            done += n;
-        }
-        total
+        self.access_multi(tile, now, addr, LineOp::Read(buf))
     }
 
     /// Writes `bytes` at `addr` on behalf of `tile`, returning the modeled
@@ -760,26 +670,37 @@ impl MemorySystem {
         if len > 0 && (addr.0 & self.line_mask) as usize + len <= self.line_size as usize {
             return self.access_line(tile, now, addr, LineOp::Write(bytes));
         }
-        self.write_multi(tile, now, addr, bytes)
+        self.access_multi(tile, now, addr, LineOp::Write(bytes))
     }
 
-    fn write_multi(&self, tile: TileId, now: Cycles, addr: Addr, bytes: &[u8]) -> MemCost {
+    /// Splits a read or write that spans lines into one access per line
+    /// segment, each starting when the one before it finished.
+    fn access_multi(&self, tile: TileId, now: Cycles, addr: Addr, mut op: LineOp) -> MemCost {
         let mut total = MemCost::folded_start();
-        let ls = self.line_size as usize;
-        let mut done = 0usize;
-        while done < bytes.len() {
-            let a = addr.offset(done as u64);
-            let in_line = ls - (a.0 & self.line_mask) as usize;
-            let n = in_line.min(bytes.len() - done);
-            total.fold(self.access_line(
-                tile,
-                now + total.latency,
-                a,
-                LineOp::Write(&bytes[done..done + n]),
-            ));
-            done += n;
+        for (a, r) in self.segments(addr, op.len()) {
+            let seg = match &mut op {
+                LineOp::Read(buf) => LineOp::Read(&mut buf[r]),
+                LineOp::Write(bytes) => LineOp::Write(&bytes[r]),
+                LineOp::Rmw { .. } => unreachable!("an atomic access stays within one line"),
+            };
+            total.fold(self.access_line(tile, now + total.latency, a, seg));
         }
         total
+    }
+
+    /// Splits the `len` bytes at `addr` at line boundaries into each
+    /// segment's address and its byte range within the access.
+    fn segments(&self, addr: Addr, len: usize) -> impl Iterator<Item = (Addr, Range<usize>)> {
+        let (line_size, line_mask) = (self.line_size as usize, self.line_mask);
+        let mut done = 0;
+        std::iter::from_fn(move || {
+            (done < len).then(|| {
+                let a = addr.offset(done as u64);
+                let n = (line_size - (a.0 & line_mask) as usize).min(len - done);
+                done += n;
+                (a, done - n..done)
+            })
+        })
     }
 
     /// Models an instruction fetch through the (tag-only) L1I; misses charge
@@ -788,10 +709,7 @@ impl MemorySystem {
     pub fn ifetch(&self, tile: TileId, now: Cycles, addr: Addr) -> Cycles {
         let lane = tile.index();
         self.stats.ifetches.incr_owned(lane);
-        let mut tm = {
-            let _l = self.hostprof.span(HostStage::TileLockWait);
-            self.tiles[lane].lock()
-        };
+        let mut tm = self.lock_tile(tile);
         let Some(l1i) = tm.l1i.as_mut() else {
             return Cycles(1);
         };
@@ -833,46 +751,31 @@ impl MemorySystem {
         // Lock-free read-hit probe: a seqlock-validated scan of the front
         // data cache. Counters, latency, and LRU effect are identical to the
         // locked read-hit path; `false` only ever means "take the slow path".
-        if let LineOp::Read(buf) = &mut op {
-            let pt = &self.probes[lane];
-            if unsafe { Cache::probe_read(pt.cache, &self.tile_seq[lane], line, off, buf) } {
-                self.stats.probe_hits.incr_owned(lane);
-                if pt.is_l1 {
-                    self.stats.l1d_hits.incr_owned(lane);
-                } else {
-                    self.stats.l2_hits.incr_owned(lane);
-                }
-                if tracing {
-                    self.tracer.emit_pair(tile, now, || {
-                        (
-                            TraceEventKind::MemOpStart { op: op_name, addr: addr.0 },
-                            TraceEventKind::MemOpDone {
-                                op: op_name,
-                                addr: addr.0,
-                                latency: pt.lat.0,
-                                hit: true,
-                            },
-                        )
-                    });
-                }
-                let lat = pt.lat;
-                self.stats.latency_sum.add_owned(lane, lat.0);
-                self.per_tile[lane].latency_sum.add_owned(lat.0);
-                self.stats.max_latency.observe_max(lane, lat.0);
-                self.latency_hist.record_owned(lane, lat.0);
-                return MemCost::hit(lat);
+        let pt = &self.probes[lane];
+        let probe_hit = match &mut op {
+            LineOp::Read(buf) => unsafe {
+                Cache::probe_read(pt.cache, &self.tile_seq[lane], line, off, buf)
+            },
+            _ => false,
+        };
+        let probed = if probe_hit {
+            self.stats.probe_hits.incr_owned(lane);
+            if pt.is_l1 {
+                self.stats.l1d_hits.incr_owned(lane);
+            } else {
+                self.stats.l2_hits.incr_owned(lane);
             }
-        }
-        // Fast path: local hit with sufficient permission. Hits and misses
-        // record the same metric set (latency sum, per-tile latency, max,
-        // histogram), so per-tile means cover every access, not just misses.
-        // Hits emit their start/done pair under one tracer-lane acquisition;
-        // misses keep separate endpoint events so directory legs traced
-        // during the transaction land between them.
-        let probed = {
+            Some(pt.lat)
+        } else {
+            // Fast path: local hit with sufficient permission.
             let _hp = self.hostprof.span(HostStage::LocalProbe);
             self.try_local_hit(tile, line, off, &mut op)
         };
+        // Hits and misses record the same metric set (latency sum, per-tile
+        // latency, max, histogram), so per-tile means cover every access,
+        // not just misses. Hits emit their start/done pair under one
+        // tracer-lane acquisition; misses keep separate endpoint events so
+        // directory legs traced during the transaction land between them.
         let cost = match probed {
             Some(lat) => {
                 if tracing {
@@ -937,10 +840,7 @@ impl MemorySystem {
         let lane = tile.index();
         let is_write = op.is_write();
         let seq = &self.tile_seq[lane];
-        let mut guard = {
-            let _l = self.hostprof.span(HostStage::TileLockWait);
-            self.tiles[lane].lock()
-        };
+        let mut guard = self.lock_tile(tile);
         let TileMem { l1d, l2, .. } = &mut *guard;
         if let (Some(l1d), Some(l2)) = (l1d.as_mut(), l2.as_mut()) {
             let l1_lat = l1d.access_latency();
@@ -1059,18 +959,14 @@ impl MemorySystem {
             }
             first_attempt = false;
             // Phase 1: make room in the coherence cache. Each eviction is
-            // its own MSHR-scoped transaction, run *before* this line's
-            // registration — holding two in-flight entries at once could
-            // deadlock (tile A fills X evicting Y while tile B fills Y
-            // evicting X).
+            // its own claimed transaction, run *before* this line's claim —
+            // holding two lines at once could deadlock (tile A fills X
+            // evicting Y while tile B fills Y evicting X).
             {
                 let _hp = self.hostprof.span(HostStage::LruScan);
                 loop {
                     let victim = {
-                        let tm = {
-                            let _l = self.hostprof.span(HostStage::TileLockWait);
-                            self.tiles[lane].lock()
-                        };
+                        let tm = self.lock_tile(tile);
                         tm.coh().victim_for(line)
                     };
                     match victim {
@@ -1079,33 +975,33 @@ impl MemorySystem {
                     }
                 }
             }
-            // Phase 2: register the miss. A secondary miss on a line already
-            // in flight blocks here (without inserting) and retries; the
+            // Phase 2: claim the line. A secondary miss on a line already
+            // in flight blocks here (without claiming) and retries; the
             // retry's local probe coalesces it onto the finished fill.
             let registered = 'register: {
                 let _hp = self.hostprof.span(HostStage::MissRegister);
                 let acquired = {
                     let _hp = self.hostprof.span(HostStage::MshrProbe);
-                    self.mshr.try_acquire_or_wait(line, tile)
+                    self.dir.claim(line, tile)
                 };
-                let guard = match acquired {
-                    Ok(g) => g,
-                    Err(MshrWait::SameTile) => {
+                let claim = match acquired {
+                    Ok(c) => c,
+                    Err(LineWait::SameTile) => {
                         self.stats.mshr_coalesced.incr_owned(lane);
                         break 'register None;
                     }
-                    Err(MshrWait::CrossTile) => {
+                    Err(LineWait::CrossTile) => {
                         self.stats.mshr_conflict_waits.incr_owned(lane);
                         break 'register None;
                     }
                 };
-                // We hold the line's MSHR entry, so no other transaction
-                // touches this record until the guard drops.
-                let entry = self.dir_record(line);
+                // We hold the line, so no other transaction touches this
+                // record until the claim drops.
+                let entry = claim.record;
                 // A same-tile sibling may have filled the line between our
-                // probe and the registration; while we hold the MSHR the
-                // directory is stable ground truth, so release and retry —
-                // the re-probe hits.
+                // probe and the claim; while we hold the line the directory
+                // is stable ground truth, so release and retry — the
+                // re-probe hits.
                 let already_ours = match entry.state() {
                     DirState::Owned(o) => o == tile,
                     DirState::Shared => !op.is_write() && entry.sharers().contains(tile),
@@ -1115,30 +1011,23 @@ impl MemorySystem {
                 // freed. Checking for room is part of the fill's host cost.
                 let has_room = !already_ours && {
                     let _hp = self.hostprof.span(HostStage::MissFill);
-                    let tm = {
-                        let _l = self.hostprof.span(HostStage::TileLockWait);
-                        self.tiles[lane].lock()
-                    };
+                    let tm = self.lock_tile(tile);
                     tm.coh().victim_for(line).is_none()
                 };
-                has_room.then_some((guard, entry))
+                has_room.then_some(claim)
             };
-            let Some((guard, entry)) = registered else { continue };
+            let Some(claim) = registered else { continue };
             let result = {
                 let _hp = self.hostprof.span(HostStage::DirTxn);
-                self.run_directory_transaction(tile, now, line, off, op, entry)
+                self.run_directory_transaction(tile, now, line, off, op, claim.record)
             };
-            {
-                // Releasing the entry wakes coalesced waiters — MSHR work.
-                let _hp = self.hostprof.span(HostStage::MshrProbe);
-                drop(guard);
-            }
+            self.release(claim);
             return result;
         }
     }
 
     /// Runs one directory transaction for a registered miss. The caller
-    /// holds the line's MSHR entry (granting exclusive use of `entry`) and
+    /// holds the line (granting exclusive use of `entry`) and
     /// has guaranteed room in the requester's coherence cache. The fill
     /// copies the home copy in `entry` straight into the chosen way; a
     /// dirty owner writes its bytes back into `entry` first.
@@ -1177,11 +1066,7 @@ impl MemorySystem {
         // Request travels tile -> home.
         let t_req = self.route_flow(tile, home, CTRL_MSG_BYTES, t0, flow);
         let mut t_home = t_req + DIR_LATENCY;
-        self.tracer.emit(tile, t0, || TraceEventKind::DirLeg {
-            leg: "request",
-            addr: line * self.line_size as u64,
-            home: home.0,
-        });
+        self.trace_leg(tile, t0, "request", line);
 
         // LimitLESS: overflowing the hardware pointers traps to software.
         if let CoherenceScheme::Limitless { sharers: hw, trap_cycles } = self.scheme {
@@ -1189,11 +1074,7 @@ impl MemorySystem {
             if overflowed {
                 self.stats.limitless_traps.incr_owned(tile.index());
                 t_home += Cycles(trap_cycles);
-                self.tracer.emit(tile, t_home, || TraceEventKind::DirLeg {
-                    leg: "limitless_trap",
-                    addr: line * self.line_size as u64,
-                    home: home.0,
-                });
+                self.trace_leg(tile, t_home, "limitless_trap", line);
             }
         }
 
@@ -1241,24 +1122,7 @@ impl MemorySystem {
                             .expect("non-empty");
                         sharers.remove(victim);
                         self.stats.forced_evictions.incr_owned(tile.index());
-                        self.stats.invalidations.incr_owned(tile.index());
-                        {
-                            let mut vt = self.lock_tile(victim);
-                            let seq = &self.tile_seq[victim.index()];
-                            seq.begin_write();
-                            vt.purge(line);
-                            seq.end_write();
-                        }
-                        self.classifier.on_departure(victim, line, true);
-                        let t_inv =
-                            self.route_derived_flow(home, victim, CTRL_MSG_BYTES, t_home, flow);
-                        let t_ack = self.route_derived_flow(
-                            victim,
-                            home,
-                            CTRL_MSG_BYTES,
-                            t_inv + Cycles(1),
-                            flow,
-                        );
+                        let t_ack = self.invalidate(tile, victim, line, t_home, flow);
                         data_ready = data_ready.max(t_ack);
                     }
                 }
@@ -1272,30 +1136,14 @@ impl MemorySystem {
                 // Invalidate every other sharer; latency is the slowest ack.
                 let mut t_inv_done = t_home;
                 for s in sharers.iter().filter(|&s| s != tile) {
-                    self.stats.invalidations.incr_owned(tile.index());
-                    {
-                        let mut st = self.lock_tile(s);
-                        let seq = &self.tile_seq[s.index()];
-                        seq.begin_write();
-                        st.purge(line);
-                        seq.end_write();
-                    }
-                    self.classifier.on_departure(s, line, true);
-                    let t_inv = self.route_derived_flow(home, s, CTRL_MSG_BYTES, t_home, flow);
-                    let t_ack =
-                        self.route_derived_flow(s, home, CTRL_MSG_BYTES, t_inv + Cycles(1), flow);
-                    t_inv_done = t_inv_done.max(t_ack);
+                    t_inv_done = t_inv_done.max(self.invalidate(tile, s, line, t_home, flow));
                 }
                 sharers.clear();
                 entry.set_state(DirState::Owned(tile));
                 if was_sharer {
                     // Upgrade: data already resident, permission-only reply.
                     self.stats.upgrades.incr_owned(tile.index());
-                    self.tracer.emit(tile, t_home, || TraceEventKind::DirLeg {
-                        leg: "upgrade",
-                        addr: line * self.line_size as u64,
-                        home: home.0,
-                    });
+                    self.trace_leg(tile, t_home, "upgrade", line);
                     counted_upgrade = true;
                     resp_bytes = CTRL_MSG_BYTES;
                     data_ready = t_inv_done;
@@ -1313,11 +1161,7 @@ impl MemorySystem {
                 // clean owner's equal it already. Either way the requester
                 // then fills from the home copy like any other miss.
                 self.stats.remote_fills.incr_owned(tile.index());
-                self.tracer.emit(tile, t_home, || TraceEventKind::DirLeg {
-                    leg: "remote_fill",
-                    addr: line * self.line_size as u64,
-                    home: home.0,
-                });
+                self.trace_leg(tile, t_home, "remote_fill", line);
                 let was_dirty = {
                     let mut ot = self.lock_tile(owner);
                     if is_write {
@@ -1387,19 +1231,16 @@ impl MemorySystem {
         let t_resp = self.route_derived_flow(home, tile, resp_bytes, data_ready, flow);
         {
             let _fill = self.hostprof.span(HostStage::MissFill);
-            let mut tm = {
-                let _l = self.hostprof.span(HostStage::TileLockWait);
-                self.tiles[tile.index()].lock()
-            };
+            let mut tm = self.lock_tile(tile);
             let seq = &self.tile_seq[tile.index()];
             let (coh, l1d) = tm.levels();
             if counted_upgrade {
                 // Permission upgrade: the data is already resident; set
                 // Modified and apply the write at every level. The line
                 // cannot have been invalidated since the directory decided,
-                // because we hold its MSHR entry from the decision to here.
+                // because we hold the line from the decision to here.
                 let mut resident =
-                    coh.peek_mut(line).expect("upgraded line vanished while MSHR entry held");
+                    coh.peek_mut(line).expect("upgraded line vanished while claimed");
                 let mut l1_line = l1d.and_then(|c| c.peek_mut(line));
                 seq.begin_write();
                 Self::write_through(&mut resident, l1_line.as_mut(), off, op);
@@ -1441,29 +1282,58 @@ impl MemorySystem {
         (latency, network)
     }
 
+    /// Traces directory leg `leg` of `tile`'s transaction on `line`.
+    fn trace_leg(&self, tile: TileId, t: Cycles, leg: &'static str, line: u64) {
+        let addr = line * self.line_size as u64;
+        self.tracer.emit(tile, t, || TraceEventKind::DirLeg {
+            leg,
+            addr,
+            home: self.home_of(line).0,
+        });
+    }
+
+    /// Drops `sharer`'s copy of `line` for `tile`'s transaction and prices
+    /// the invalidation leaving the home at `t`; returns when its ack is
+    /// back at the home.
+    fn invalidate(&self, tile: TileId, sharer: TileId, line: u64, t: Cycles, flow: u64) -> Cycles {
+        self.stats.invalidations.incr_owned(tile.index());
+        {
+            let mut st = self.lock_tile(sharer);
+            let seq = &self.tile_seq[sharer.index()];
+            seq.begin_write();
+            st.purge(line);
+            seq.end_write();
+        }
+        self.classifier.on_departure(sharer, line, true);
+        let home = self.home_of(line);
+        let t_inv = self.route_derived_flow(home, sharer, CTRL_MSG_BYTES, t, flow);
+        self.route_derived_flow(sharer, home, CTRL_MSG_BYTES, t_inv + Cycles(1), flow)
+    }
+
     fn lock_tile(&self, t: TileId) -> MutexGuard<'_, TileMem> {
         let _hp = self.hostprof.span(HostStage::TileLockWait);
         self.tiles[t.index()].lock()
     }
 
+    /// Releases a transaction's line, waking whoever waits for it.
+    fn release(&self, claim: Claim<'_>) {
+        let _hp = self.hostprof.span(HostStage::MshrProbe);
+        drop(claim);
+    }
+
     /// Evicts `vline` from `tile`'s hierarchy as its own directory
     /// transaction (writeback if dirty, sharer removal otherwise). Waits out
-    /// any in-flight transaction on the victim line, then owns it for the
-    /// duration via an MSHR service entry.
+    /// any in-flight transaction on the victim line, then holds it for the
+    /// duration as a service claim.
     fn evict_line(&self, tile: TileId, now: Cycles, vline: u64) {
         let lane = tile.index();
-        let guard = {
+        let claim = {
             let _hp = self.hostprof.span(HostStage::MshrProbe);
-            self.mshr.acquire_service(vline)
+            self.dir.claim_service(vline)
         };
-        // The MSHR service entry grants exclusive use of the directory
-        // record until `guard` drops.
-        let entry = self.dir_record(vline);
-        let state = {
-            let mut tm = {
-                let _l = self.hostprof.span(HostStage::TileLockWait);
-                self.tiles[lane].lock()
-            };
+        let entry = claim.record;
+        let purged = {
+            let mut tm = self.lock_tile(tile);
             let seq = &self.tile_seq[lane];
             seq.begin_write();
             // A dirty victim's bytes go straight into the home copy.
@@ -1474,10 +1344,10 @@ impl MemorySystem {
                 state
             });
             seq.end_write();
-            match purged {
-                Some(state) => state,
-                None => return, // invalidated while we waited for the entry
-            }
+            purged
+        };
+        let Some(state) = purged else {
+            return self.release(claim); // invalidated while we waited
         };
         self.classifier.on_departure(tile, vline, false);
         let home = self.home_of(vline);
@@ -1486,11 +1356,7 @@ impl MemorySystem {
                 debug_assert_eq!(entry.state(), DirState::Owned(tile));
                 entry.set_state(DirState::Uncached);
                 self.stats.writebacks.incr_owned(lane);
-                self.tracer.emit(tile, now, || TraceEventKind::DirLeg {
-                    leg: "writeback",
-                    addr: vline * self.line_size as u64,
-                    home: home.0,
-                });
+                self.trace_leg(tile, now, "writeback", vline);
                 // Writeback traffic: data to home, then a DRAM write. Off the
                 // requester's critical path, but it loads the network links
                 // and the controller queue.
@@ -1514,7 +1380,7 @@ impl MemorySystem {
             }
         }
         debug_assert!(entry.invariants_hold());
-        drop(guard);
+        self.release(claim);
     }
 
     /// Atomically reads a little-endian `u32` at `addr` and replaces it with
@@ -1538,16 +1404,8 @@ impl MemorySystem {
     where
         F: FnMut(u32) -> u32,
     {
-        assert!(
-            addr.0 % self.line_size as u64 + 4 <= self.line_size as u64,
-            "atomic access must not cross a line boundary"
-        );
-        let mut old = [0u8; 4];
-        let mut apply = |window: &mut [u8]| {
-            let cur = u32::from_le_bytes(window.try_into().expect("4-byte window"));
-            window.copy_from_slice(&f(cur).to_le_bytes());
-        };
-        let cost = self.access_line(tile, now, addr, LineOp::Rmw { old: &mut old, f: &mut apply });
+        let (old, cost) =
+            self.fetch_update_le(tile, now, addr, |w| f(u32::from_le_bytes(w)).to_le_bytes());
         (u32::from_le_bytes(old), cost)
     }
 
@@ -1566,63 +1424,65 @@ impl MemorySystem {
     where
         F: FnMut(u64) -> u64,
     {
+        let (old, cost) =
+            self.fetch_update_le(tile, now, addr, |w| f(u64::from_le_bytes(w)).to_le_bytes());
+        (u64::from_le_bytes(old), cost)
+    }
+
+    /// The body of the `fetch_update_*` family: an atomic read-modify-write
+    /// of the `N` little-endian bytes at `addr`.
+    fn fetch_update_le<const N: usize>(
+        &self,
+        tile: TileId,
+        now: Cycles,
+        addr: Addr,
+        mut f: impl FnMut([u8; N]) -> [u8; N],
+    ) -> ([u8; N], MemCost) {
         assert!(
-            addr.0 % self.line_size as u64 + 8 <= self.line_size as u64,
+            (addr.0 & self.line_mask) as usize + N <= self.line_size as usize,
             "atomic access must not cross a line boundary"
         );
-        let mut old = [0u8; 8];
+        let mut old = [0u8; N];
         let mut apply = |window: &mut [u8]| {
-            let cur = u64::from_le_bytes(window.try_into().expect("8-byte window"));
-            window.copy_from_slice(&f(cur).to_le_bytes());
+            let new = f(window.try_into().expect("an N-byte window"));
+            window.copy_from_slice(&new);
         };
         let cost = self.access_line(tile, now, addr, LineOp::Rmw { old: &mut old, f: &mut apply });
-        (u64::from_le_bytes(old), cost)
+        (old, cost)
     }
 
     /// Functional read bypassing all timing (used by the MCP for syscall
     /// emulation and by tests). Returns zeros for untouched memory.
     pub fn peek_bytes(&self, addr: Addr, buf: &mut [u8]) {
-        let ls = self.line_size as u64;
-        let mut done = 0usize;
-        while done < buf.len() {
-            let a = addr.offset(done as u64);
-            let line = a.line(self.line_size);
-            let off = (a.0 % ls) as usize;
-            let n = ((ls as usize) - off).min(buf.len() - done);
-            // Wait out any in-flight transaction on this line, then hold the
-            // entry so the owner/home copy cannot move mid-read.
-            let _svc = self.mshr.acquire_service(line);
-            let dst = &mut buf[done..done + n];
-            match self.dir_record_get(line) {
+        for (a, r) in self.segments(addr, buf.len()) {
+            let (line, off) = (a.line(self.line_size), (a.0 & self.line_mask) as usize);
+            let dst = &mut buf[r];
+            // Wait out any in-flight transaction on this line, then hold it
+            // so the owner/home copy cannot move mid-read.
+            match self.dir.claim_existing(line) {
                 None => dst.fill(0),
-                Some(entry) => match entry.state() {
+                Some(claim) => match claim.record.state() {
                     DirState::Owned(owner) => {
                         let ot = self.lock_tile(owner);
                         let (_, data) = ot.coh().peek(line).expect("owner holds line");
-                        dst.copy_from_slice(&data[off..off + n]);
+                        dst.copy_from_slice(&data[off..off + dst.len()]);
                     }
-                    _ => entry.read_bytes(off, dst),
+                    _ => claim.record.read_bytes(off, dst),
                 },
             }
-            done += n;
         }
     }
 
     /// Functional write bypassing all timing; keeps every cached copy
     /// coherent by updating sharers in place.
     pub fn poke_bytes(&self, addr: Addr, bytes: &[u8]) {
-        let ls = self.line_size as u64;
-        let mut done = 0usize;
-        while done < bytes.len() {
-            let a = addr.offset(done as u64);
-            let line = a.line(self.line_size);
-            let off = (a.0 % ls) as usize;
-            let n = ((ls as usize) - off).min(bytes.len() - done);
-            // Hold the line's MSHR entry so no transaction moves copies
-            // around while we patch every cached copy in place.
-            let _svc = self.mshr.acquire_service(line);
-            let entry = self.dir_record(line);
-            let src = &bytes[done..done + n];
+        for (a, r) in self.segments(addr, bytes.len()) {
+            let (line, off) = (a.line(self.line_size), (a.0 & self.line_mask) as usize);
+            // Hold the line so no transaction moves copies around while we
+            // patch every cached copy in place.
+            let claim = self.dir.claim_service(line);
+            let entry = claim.record;
+            let src = &bytes[r];
             // The home copy stays current even under an owner: an Exclusive
             // owner evicts silently without a writeback.
             entry.write_bytes(off, src);
@@ -1639,7 +1499,6 @@ impl MemorySystem {
                 DirState::Shared => entry.sharers().iter().for_each(patch),
                 DirState::Uncached => {}
             }
-            done += n;
         }
     }
 
@@ -1651,31 +1510,27 @@ impl MemorySystem {
     ///
     /// Returns a description of the first violated invariant.
     pub fn verify_coherence_invariants(&self) -> Result<(), String> {
-        for shard in &self.shards {
-            let shard = shard.lock();
-            for (&line, &handle) in shard.iter() {
-                let entry = self.dir.record(handle);
-                if !entry.invariants_hold() {
-                    return Err(format!("line {line}: directory invariants violated"));
-                }
-                let state = entry.state();
-                for t in (0..self.num_tiles).map(TileId) {
-                    let held = self.tiles[t.index()].lock().coh().peek(line).map(|(s, _)| s);
-                    let ok = match state {
-                        DirState::Owned(owner) if t == owner => match self.protocol {
-                            CacheProtocol::Msi => held == Some(LineState::Modified),
-                            CacheProtocol::Mesi => {
-                                matches!(held, Some(LineState::Modified | LineState::Exclusive))
-                            }
-                        },
-                        DirState::Shared if entry.sharers().contains(t) => {
-                            held == Some(LineState::Shared)
+        for (line, entry) in self.dir.sorted() {
+            if !entry.invariants_hold() {
+                return Err(format!("line {line}: directory invariants violated"));
+            }
+            let state = entry.state();
+            for t in (0..self.num_tiles).map(TileId) {
+                let held = self.tiles[t.index()].lock().coh().peek(line).map(|(s, _)| s);
+                let ok = match state {
+                    DirState::Owned(owner) if t == owner => match self.protocol {
+                        CacheProtocol::Msi => held == Some(LineState::Modified),
+                        CacheProtocol::Mesi => {
+                            matches!(held, Some(LineState::Modified | LineState::Exclusive))
                         }
-                        _ => held.is_none(),
-                    };
-                    if !ok {
-                        return Err(format!("line {line}: {t:?} holds {held:?} while {state:?}"));
+                    },
+                    DirState::Shared if entry.sharers().contains(t) => {
+                        held == Some(LineState::Shared)
                     }
+                    _ => held.is_none(),
+                };
+                if !ok {
+                    return Err(format!("line {line}: {t:?} holds {held:?} while {state:?}"));
                 }
             }
         }
@@ -1708,7 +1563,8 @@ impl MemorySystem {
 /// identical timing.
 ///
 /// The system must be quiescent (no in-flight transactions) during both save
-/// and restore; the core orchestrator guarantees this. A failed restore may
+/// and restore; the core orchestrator guarantees this, and debug builds
+/// check that no line is claimed. A failed restore may
 /// leave the system partially overwritten — callers discard the instance on
 /// error.
 impl Checkpointable for MemorySystem {
@@ -1717,6 +1573,7 @@ impl Checkpointable for MemorySystem {
     }
 
     fn save(&self, out: &mut Enc) {
+        debug_assert_eq!(self.dir.in_flight(), 0, "checkpoint save during a transaction");
         out.u32(self.line_size);
         out.u32(self.num_tiles);
         for tile in &self.tiles {
@@ -1735,15 +1592,9 @@ impl Checkpointable for MemorySystem {
         // bytes are independent of the shard count, the shard hash and
         // HashMap iteration order: identical states always serialize to
         // identical bytes.
-        let mut lines: Vec<(u64, u32)> = Vec::with_capacity(self.dir.lines() as usize);
-        for shard in &self.shards {
-            lines.extend(shard.lock().iter().map(|(&line, &handle)| (line, handle)));
-        }
-        lines.sort_unstable_by_key(|(l, _)| *l);
-        out.u32(u32::try_from(lines.len()).expect("one line per u32 handle"));
+        out.u32(self.dir.lines());
         let mut data = vec![0u8; self.line_size as usize];
-        for (line, handle) in lines {
-            let e = self.dir.record(handle);
+        for (line, e) in self.dir.sorted() {
             out.u64(line);
             match e.state() {
                 DirState::Uncached => out.u8(0),
@@ -1770,6 +1621,7 @@ impl Checkpointable for MemorySystem {
     }
 
     fn restore(&self, dec: &mut Dec<'_>) -> Result<(), SimError> {
+        debug_assert_eq!(self.dir.in_flight(), 0, "checkpoint restore during a transaction");
         let bad = || corrupted("mem");
         if dec.u32()? != self.line_size || dec.u32()? != self.num_tiles {
             return Err(bad());
@@ -1788,11 +1640,8 @@ impl Checkpointable for MemorySystem {
         }
         // The directory stream is one strictly line-ordered sequence (see
         // `save`), redistributed across the shards. The system is quiescent,
-        // so nobody holds a handle the reset voids.
+        // so nobody holds a record the reset voids.
         let n = dec.u32()?;
-        for shard in &self.shards {
-            shard.lock().clear();
-        }
         self.dir.reset();
         let mut prev: Option<u64> = None;
         for _ in 0..n {
@@ -1813,8 +1662,7 @@ impl Checkpointable for MemorySystem {
                 }
                 _ => return Err(bad()),
             };
-            let handle = self.dir.alloc();
-            let entry = self.dir.record(handle);
+            let entry = self.dir.insert(line);
             entry.set_state(state);
             let ns = dec.u32()?;
             for _ in 0..ns {
@@ -1828,7 +1676,6 @@ impl Checkpointable for MemorySystem {
                 return Err(bad());
             }
             entry.write_bytes(0, data);
-            self.shard_of(line).lock().insert(line, handle);
         }
         if dec.u32()? as usize != self.dram.len() {
             return Err(bad());
@@ -2069,6 +1916,82 @@ mod tests {
         m.read(TileId(1), Cycles(0), Addr(0x200), &mut buf);
         assert_eq!(u64::from_le_bytes(buf), 12);
         m.verify_coherence_invariants().unwrap();
+    }
+
+    /// Four tiles storm 8 lines through a 4-line L2 (so misses and evictions
+    /// run all the time) while a fifth thread pokes tagged words and peeks
+    /// whole lines back. Every word anyone reads must be zero or a whole
+    /// word some thread wrote.
+    fn peek_poke_race_misses_and_evictions(protocol: CacheProtocol) {
+        const LINES: u64 = 8;
+        const POKER: u64 = 0xFF;
+        // Tag in the top byte, the sequence number twice below it: a word
+        // torn between two writes fails `valid`.
+        fn word(tag: u64, i: u64) -> u64 {
+            tag << 56 | i << 28 | i
+        }
+        fn valid(w: u64) -> bool {
+            let (tag, i) = (w >> 56, w & 0x0FFF_FFFF);
+            w == 0 || ((1..=4).contains(&tag) || tag == POKER) && w == word(tag, i)
+        }
+        let mut cfg = presets::paper_default(4);
+        cfg.target.protocol = protocol;
+        cfg.target.l1i = None;
+        cfg.target.l1d = None;
+        cfg.target.l2 = Some(graphite_config::CacheConfig {
+            size_bytes: 256,
+            associativity: 2,
+            line_size: 64,
+            access_latency: Cycles(2),
+        });
+        let m = Arc::new(system_with(&cfg, false));
+        let tiles: Vec<_> = (0..4u32)
+            .map(|t| {
+                let m = Arc::clone(&m);
+                std::thread::spawn(move || {
+                    let mut rng = SimRng::new(u64::from(t) + 11);
+                    let mut now = Cycles::ZERO;
+                    for i in 0..20_000 {
+                        let addr = Addr(rng.gen_range(LINES * 64) & !7);
+                        if rng.gen_bool(0.5) {
+                            let w = word(u64::from(t) + 1, i);
+                            now += m.write(TileId(t), now, addr, &w.to_le_bytes());
+                        } else {
+                            let mut buf = [0u8; 8];
+                            now += m.read(TileId(t), now, addr, &mut buf);
+                            let w = u64::from_le_bytes(buf);
+                            assert!(valid(w), "tile {t} read {w:#x} at {addr:?}");
+                        }
+                    }
+                })
+            })
+            .collect();
+        let mut rng = SimRng::new(5);
+        for i in 0..10_000 {
+            let line = rng.gen_range(LINES);
+            let addr = Addr(line * 64 + (rng.gen_range(64) & !7));
+            m.poke_bytes(addr, &word(POKER, i).to_le_bytes());
+            let mut bytes = [0u8; 64];
+            m.peek_bytes(Addr(line * 64), &mut bytes);
+            for w in bytes.chunks_exact(8).map(|c| u64::from_le_bytes(c.try_into().unwrap())) {
+                assert!(valid(w), "peek read {w:#x} in line {line}");
+            }
+        }
+        for t in tiles {
+            t.join().unwrap();
+        }
+        assert!(m.stats().writebacks.get() > 0, "the storm evicted nothing");
+        m.verify_coherence_invariants().unwrap();
+    }
+
+    #[test]
+    fn peek_poke_race_misses_and_evictions_msi() {
+        peek_poke_race_misses_and_evictions(CacheProtocol::Msi);
+    }
+
+    #[test]
+    fn peek_poke_race_misses_and_evictions_mesi() {
+        peek_poke_race_misses_and_evictions(CacheProtocol::Mesi);
     }
 
     #[test]
@@ -2400,6 +2323,15 @@ mod tests {
         let mut enc2 = Enc::new();
         fresh.save(&mut enc2);
         assert_eq!(buf, enc2.finish(), "re-saved checkpoint differs");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "checkpoint save during a transaction")]
+    fn checkpoint_save_while_a_line_is_claimed_panics() {
+        let m = system(4);
+        let _claim = m.dir.claim_service(7);
+        m.save(&mut Enc::new());
     }
 
     #[test]
