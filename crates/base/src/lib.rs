@@ -49,5 +49,5 @@ pub use progress::GlobalProgress;
 pub use queue::LaxQueue;
 pub use rng::SimRng;
 pub use seqlock::SeqCount;
-pub use stats::{Counter, RunStats};
+pub use stats::RunStats;
 pub use time::{Clock, Cycles};

@@ -1,69 +1,11 @@
-//! Statistics utilities: lock-free event counters and run-statistics
-//! (mean, standard deviation, coefficient of variation, percent error).
+//! Run statistics: mean, standard deviation, coefficient of variation and
+//! percent error.
 //!
 //! The paper's accuracy studies (Table 3, Figure 6) report simulated-time
 //! *error* relative to a LaxBarrier baseline and the run-to-run *coefficient
 //! of variation* over ten runs; [`RunStats`] computes both.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// A lock-free event counter used throughout the simulator back-end
-/// (cache hits, packets routed, futex waits, …).
-///
-/// # Examples
-///
-/// ```
-/// use graphite_base::Counter;
-/// let c = Counter::new();
-/// c.add(3);
-/// c.incr();
-/// assert_eq!(c.get(), 4);
-/// ```
-#[derive(Debug, Default)]
-pub struct Counter(AtomicU64);
-
-impl Counter {
-    /// Creates a counter at zero.
-    pub fn new() -> Self {
-        Counter(AtomicU64::new(0))
-    }
-
-    /// Adds one.
-    #[inline]
-    pub fn incr(&self) {
-        self.0.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Adds `n`.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    #[inline]
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-
-    /// Resets to zero, returning the previous value.
-    pub fn take(&self) -> u64 {
-        self.0.swap(0, Ordering::Relaxed)
-    }
-}
-
-impl Clone for Counter {
-    fn clone(&self) -> Self {
-        Counter(AtomicU64::new(self.get()))
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.get())
-    }
-}
 
 /// Accumulates samples of a scalar quantity (for example, simulated run-time
 /// over repeated runs) and reports mean, standard deviation, coefficient of
@@ -231,27 +173,6 @@ impl FromIterator<f64> for RunStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_basics() {
-        let c = Counter::new();
-        c.incr();
-        c.add(9);
-        assert_eq!(c.get(), 10);
-        assert_eq!(c.take(), 10);
-        assert_eq!(c.get(), 0);
-        assert_eq!(c.to_string(), "0");
-    }
-
-    #[test]
-    fn counter_clone_snapshots_value() {
-        let c = Counter::new();
-        c.add(5);
-        let d = c.clone();
-        c.add(1);
-        assert_eq!(d.get(), 5);
-        assert_eq!(c.get(), 6);
-    }
 
     #[test]
     fn runstats_known_values() {

@@ -308,19 +308,6 @@ impl Default for ProfileConfig {
     }
 }
 
-/// Tracing knobs (the `[trace]` section).
-///
-/// Causal flow tracing stamps every network-borne message with a flow ID and
-/// records span events (send, hop, directory service, reply) so the profiler
-/// can decompose remote-access latency. It is off by default because each
-/// traced miss emits several events into the per-tile rings.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(default)]
-pub struct TraceConfig {
-    /// Enables causal flow tracing (implies event tracing itself is on).
-    pub flows: bool,
-}
-
 /// Checkpoint knobs (the `[ckpt]` section).
 ///
 /// Periodic auto-checkpointing takes a system-driven snapshot every
@@ -517,9 +504,6 @@ pub struct SimConfig {
     /// Profiler knobs; absent sections deserialize to the defaults.
     #[serde(default)]
     pub profile: ProfileConfig,
-    /// Tracing knobs; absent sections deserialize to the defaults.
-    #[serde(default)]
-    pub trace: TraceConfig,
     /// Guest-scheduler knobs; absent sections deserialize to the defaults.
     #[serde(default)]
     pub scheduler: SchedulerConfig,
@@ -772,12 +756,6 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Enables or disables causal flow tracing (`[trace] flows`).
-    pub fn flows(mut self, on: bool) -> Self {
-        self.cfg.trace.flows = on;
-        self
-    }
-
     /// Sets the guest-scheduler worker count (`[scheduler] workers`);
     /// `0` selects the auto default `min(host parallelism, tiles)`.
     pub fn workers(mut self, n: u32) -> Self {
@@ -988,14 +966,6 @@ mod tests {
         assert_eq!(cfg.scheduler, SchedulerConfig::default());
         let cfg = SimConfig::builder().tiles(1024).workers(8).build().unwrap();
         assert_eq!(cfg.scheduler.workers, 8);
-    }
-
-    #[test]
-    fn flow_tracing_defaults_off_and_builder_enables() {
-        let cfg = SimConfig::builder().build().unwrap();
-        assert!(!cfg.trace.flows);
-        let cfg = SimConfig::builder().flows(true).build().unwrap();
-        assert!(cfg.trace.flows);
     }
 
     #[test]

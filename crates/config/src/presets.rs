@@ -71,7 +71,6 @@ pub fn paper_default(tiles: u32) -> SimConfig {
         progress_window: tiles.max(1),
         seed: 0xC0FFEE,
         profile: crate::ProfileConfig::default(),
-        trace: crate::TraceConfig::default(),
         scheduler: crate::SchedulerConfig::default(),
         ckpt: crate::CkptConfig::default(),
         hostprof: crate::HostProfConfig::default(),

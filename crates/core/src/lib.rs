@@ -354,9 +354,9 @@ impl SimBuilder {
         self
     }
 
-    /// Switches causal flow tracing on or off (off by default; also settable
-    /// via `[trace] flows = true` in the configuration). Enabling flows
-    /// implies [`SimBuilder::tracing`], since flow spans are trace events.
+    /// Switches causal flow tracing on or off (off by default). Enabling
+    /// flows implies [`SimBuilder::tracing`], since flow spans are trace
+    /// events.
     pub fn flows(mut self, on: bool) -> Self {
         self.trace.flows = on;
         if on {
@@ -379,11 +379,6 @@ impl SimBuilder {
         graphite_base::hostmem::retain_freed_heap();
         let cfg = self.cfg;
         let n = cfg.target.num_tiles as usize;
-        let mut trace = self.trace;
-        if cfg.trace.flows {
-            trace.flows = true;
-            trace.enabled = true;
-        }
 
         // A resume opens and fully validates the checkpoint (magic, version,
         // checksums) before anything is constructed.
@@ -392,7 +387,7 @@ impl SimBuilder {
             None => None,
         };
 
-        let obs = Obs::new(n, trace).with_hostprof(match self.hostprof {
+        let obs = Obs::new(n, self.trace).with_hostprof(match self.hostprof {
             Some(shared) => shared,
             None if cfg.hostprof.enabled => {
                 graphite_base::HostProf::new(cfg.hostprof.sample, cfg.hostprof.max_events as usize)
@@ -633,9 +628,15 @@ impl Sim {
             ("parker", inner.sched.parker_addr(tile)),
         ];
         words.extend(inner.mem.hot_addrs(tile));
-        let slots = inner.obs.metrics.per_tile_slot_addrs(tile.index());
-        words.extend(slots.into_iter().map(|a| ("metric slot", a)));
+        words.extend(self.metric_slot_addrs(tile).into_iter().map(|(_, a)| ("metric slot", a)));
         words
+    }
+
+    /// Host address of `tile`'s word of every per-tile counter family, by
+    /// family name — for layout tests (DESIGN §7.2).
+    #[doc(hidden)]
+    pub fn metric_slot_addrs(&self, tile: TileId) -> Vec<(String, usize)> {
+        self.inner.obs.metrics.per_tile_slot_addrs(tile.index())
     }
 
     /// A live snapshot of the metrics registry. May be called concurrently

@@ -409,25 +409,22 @@ pub(crate) fn build_report(inner: &SimInner) -> SimReport {
     // The core models keep their own counters (plain integers in per-tile
     // objects, owned by the running context and home again once it drops);
     // mirror them into registry lanes so the snapshot covers the whole
-    // simulation. `take` first so rebuilding is idempotent.
-    let instr_lanes = inner.obs.metrics.per_tile("core.tile.instructions");
-    let cycle_lanes = inner.obs.metrics.per_tile("core.tile.cycles");
+    // simulation. Lanes are overwritten, so rebuilding is idempotent.
+    let instructions = inner.obs.metrics.per_tile("core.tile.instructions");
+    let cycles = inner.obs.metrics.per_tile("core.tile.cycles");
     for (i, tile) in inner.tiles.iter().enumerate() {
         let core = tile.core.lock();
         let s = core.as_ref().expect("every context has dropped: core models are home").stats();
-        instr_lanes[i].take();
-        instr_lanes[i].add(s.instructions);
-        cycle_lanes[i].take();
-        cycle_lanes[i].add(s.cycles);
+        instructions.lane_set(i, s.instructions);
+        cycles.lane_set(i, s.cycles);
     }
 
     // Ring-wrap losses live inside the tracer; mirror them the same way so
     // `trace.dropped` appears in metrics.json next to everything else.
     let trace_dropped = inner.obs.tracer.dropped_per_tile();
-    let drop_lanes = inner.obs.metrics.per_tile("trace.tile.dropped");
-    for (lane, &d) in drop_lanes.iter().zip(&trace_dropped) {
-        lane.take();
-        lane.add(d);
+    let dropped = inner.obs.metrics.per_tile("trace.tile.dropped");
+    for (i, &d) in trace_dropped.iter().enumerate() {
+        dropped.lane_set(i, d);
     }
     let drop_total = inner.obs.metrics.counter("trace.dropped");
     drop_total.take();

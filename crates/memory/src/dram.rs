@@ -7,7 +7,8 @@
 //! the global clock [and] the queue clock is incremented by the processing
 //! time of the packet".
 
-use graphite_base::{Counter, Cycles, LaxQueue};
+use graphite_base::{Cycles, LaxQueue};
+use graphite_trace::Metric;
 
 /// One memory controller: fixed access latency plus bandwidth-derived
 /// service time with lax queueing.
@@ -30,9 +31,9 @@ pub struct DramController {
     bytes_per_cycle: f64,
     access_latency: Cycles,
     /// Number of requests served.
-    pub requests: Counter,
+    pub requests: Metric,
     /// Sum of queueing delays (cycles), for mean-queueing reports.
-    pub queue_delay_sum: Counter,
+    pub queue_delay_sum: Metric,
 }
 
 impl DramController {
@@ -47,8 +48,8 @@ impl DramController {
             queue: LaxQueue::new(),
             bytes_per_cycle,
             access_latency,
-            requests: Counter::new(),
-            queue_delay_sum: Counter::new(),
+            requests: Metric::new(),
+            queue_delay_sum: Metric::new(),
         }
     }
 

@@ -27,4 +27,4 @@ pub mod system;
 
 pub use addr::{Addr, SegmentAllocator};
 pub use missclass::MissKind;
-pub use system::{MemCost, MemStats, MemorySystem, PerTileMemCounters};
+pub use system::{MemCost, MemStats, MemorySystem};

@@ -45,7 +45,7 @@ use graphite_ckpt::{corrupted, Checkpointable, Dec, Enc};
 use graphite_config::{CacheProtocol, CoherenceScheme, SimConfig};
 use graphite_network::{Network, Packet, TrafficClass};
 use graphite_trace::{
-    Gauge, Metric, MetricsRegistry, Obs, ShardedHistogram, ShardedMetric, TraceEventKind, Tracer,
+    Gauge, MetricsRegistry, Obs, ShardedHistogram, ShardedMetric, TraceEventKind, Tracer,
 };
 use parking_lot::{Mutex, MutexGuard};
 
@@ -333,36 +333,30 @@ struct ProbeTarget {
 unsafe impl Send for ProbeTarget {}
 unsafe impl Sync for ProbeTarget {}
 
-/// Per-requesting-tile counters consumed by the host performance model.
-#[derive(Debug, Default)]
-pub struct PerTileMemCounters {
-    /// Line-segment accesses issued by this tile.
-    pub accesses: Metric,
-    /// Directory transactions (misses + upgrades) by this tile.
-    pub transactions: Metric,
+/// Per-requesting-tile counters consumed by the host performance model: one
+/// lane per tile in each `mem.tile.*` family.
+#[derive(Debug)]
+struct PerTileMemCounters {
+    /// Line-segment accesses issued by each tile.
+    accesses: ShardedMetric,
+    /// Directory transactions (misses + upgrades) by each tile.
+    transactions: ShardedMetric,
     /// Transactions whose home tile lives in a different simulated host
     /// process (these cross process boundaries on a real cluster).
-    pub remote_home_transactions: Metric,
-    /// Total modeled memory latency charged to this tile (cycles).
-    pub latency_sum: Metric,
+    remote_home_transactions: ShardedMetric,
+    /// Total modeled memory latency charged to each tile (cycles).
+    latency_sum: ShardedMetric,
 }
 
 impl PerTileMemCounters {
-    /// Builds one counter set per tile, registered as `mem.tile.*` per-tile
-    /// lanes in `metrics`.
-    pub fn registered_lanes(metrics: &MetricsRegistry) -> Vec<Self> {
-        let accesses = metrics.per_tile("mem.tile.accesses");
-        let transactions = metrics.per_tile("mem.tile.transactions");
-        let remote = metrics.per_tile("mem.tile.remote_home_transactions");
-        let latency = metrics.per_tile("mem.tile.latency_sum");
-        (0..metrics.num_tiles())
-            .map(|i| PerTileMemCounters {
-                accesses: accesses[i].clone(),
-                transactions: transactions[i].clone(),
-                remote_home_transactions: remote[i].clone(),
-                latency_sum: latency[i].clone(),
-            })
-            .collect()
+    /// The `mem.tile.*` per-tile families of `metrics`.
+    fn registered(metrics: &MetricsRegistry) -> Self {
+        PerTileMemCounters {
+            accesses: metrics.per_tile("mem.tile.accesses"),
+            transactions: metrics.per_tile("mem.tile.transactions"),
+            remote_home_transactions: metrics.per_tile("mem.tile.remote_home_transactions"),
+            latency_sum: metrics.per_tile("mem.tile.latency_sum"),
+        }
     }
 }
 
@@ -421,7 +415,7 @@ pub struct MemorySystem {
     /// Miss classifier (enabled for the Figure 8 study).
     pub classifier: MissClassifier,
     stats: MemStats,
-    per_tile: Vec<PerTileMemCounters>,
+    per_tile: PerTileMemCounters,
     /// Simulated host process of each tile, for locality classification.
     proc_of_tile: Vec<u32>,
     /// Distribution of per-access modeled latency (per-tile lanes, folded at
@@ -517,17 +511,12 @@ impl MemorySystem {
             protocol: cfg.target.protocol,
             classifier: MissClassifier::new(classify_misses, line_size),
             stats: MemStats::registered(&obs.metrics),
-            per_tile: PerTileMemCounters::registered_lanes(&obs.metrics),
+            per_tile: PerTileMemCounters::registered(&obs.metrics),
             proc_of_tile: (0..cfg.target.num_tiles).map(|t| cfg.process_of_tile(t)).collect(),
             latency_hist: obs.metrics.sharded_histogram("mem.latency_cycles"),
             tracer: Arc::clone(&obs.tracer),
             hostprof: Arc::clone(&obs.hostprof),
         }
-    }
-
-    /// Per-tile counters for the host performance model.
-    pub fn per_tile_counters(&self) -> &[PerTileMemCounters] {
-        &self.per_tile
     }
 
     /// Host addresses of the words `tile`'s accesses write in this struct's
@@ -723,7 +712,7 @@ impl MemorySystem {
         let l2_lat = tm.l2.as_ref().map(|c| c.access_latency()).unwrap_or(Cycles(8));
         drop(tm);
         let total = l1i_lat + l2_lat;
-        self.per_tile[lane].latency_sum.add_owned(total.0);
+        self.per_tile.latency_sum.add_owned(lane, total.0);
         self.tracer.emit(tile, now, || TraceEventKind::MemOpDone {
             op: "ifetch",
             addr: addr.0,
@@ -744,7 +733,7 @@ impl MemorySystem {
         } else {
             self.stats.loads.incr_owned(lane);
         }
-        self.per_tile[lane].accesses.incr_owned();
+        self.per_tile.accesses.incr_owned(lane);
         // One tracer gate for both endpoint events; disabled tracing costs a
         // single predictable branch per access.
         let tracing = self.tracer.is_enabled();
@@ -817,7 +806,7 @@ impl MemorySystem {
         }
         let lat = cost.latency;
         self.stats.latency_sum.add_owned(lane, lat.0);
-        self.per_tile[lane].latency_sum.add_owned(lat.0);
+        self.per_tile.latency_sum.add_owned(lane, lat.0);
         self.stats.max_latency.observe_max(lane, lat.0);
         self.latency_hist.record_owned(lane, lat.0);
         cost
@@ -1042,9 +1031,9 @@ impl MemorySystem {
     ) -> (Cycles, Cycles) {
         let home = self.home_of(line);
         let is_write = op.is_write();
-        self.per_tile[tile.index()].transactions.incr_owned();
+        self.per_tile.transactions.incr_owned(tile.index());
         if self.proc_of_tile[tile.index()] != self.proc_of_tile[home.index()] {
-            self.per_tile[tile.index()].remote_home_transactions.incr_owned();
+            self.per_tile.remote_home_transactions.incr_owned(tile.index());
         }
         let lookup_lat = self.miss_lookup_lat;
         let t0 = now + lookup_lat;
@@ -2181,14 +2170,43 @@ mod tests {
             let m = system(tiles);
             graphite_base::padded::assert_tiles_isolated((0..tiles).flat_map(|t| {
                 let words = m.hot_addrs(TileId(t)).into_iter();
-                let counters = &m.per_tile_counters()[t as usize];
+                let counters = &m.per_tile;
                 words
                     .chain([
-                        ("mem.tile.accesses", counters.accesses.addr()),
-                        ("mem.tile.latency_sum", counters.latency_sum.addr()),
+                        ("mem.tile.accesses", counters.accesses.lane_addr(t as usize)),
+                        ("mem.tile.latency_sum", counters.latency_sum.lane_addr(t as usize)),
                     ])
                     .map(move |(label, addr)| (t as usize, label, addr))
             }));
+        }
+    }
+
+    #[test]
+    fn link_lanes_share_no_block_with_per_op_counters() {
+        // Link lanes are indexed by packet source but written by the
+        // requester's thread on derived legs: they must live in `net` pages,
+        // away from the `mem.*` slots a tile's own accesses write.
+        use graphite_base::padded::PAD_BYTES;
+        let tiles = 16u32;
+        let cfg = presets::paper_default(tiles);
+        let obs = Obs::detached(tiles as usize);
+        let net = Arc::new(Network::with_obs(&cfg, Arc::new(GlobalProgress::new(16)), &obs));
+        let m = MemorySystem::with_obs(&cfg, net, false, &obs);
+        let mut buf = [0u8; 8];
+        for t in 0..tiles {
+            for home in 0..tiles {
+                let line = u64::from(home) + u64::from(tiles) * (1 + u64::from(t));
+                m.read(TileId(t), Cycles(0), Addr(line * 64), &mut buf);
+            }
+        }
+        for t in 0..tiles as usize {
+            let slots = obs.metrics.per_tile_slot_addrs(t);
+            assert!(slots.iter().any(|(n, _)| n.starts_with("net.link.")), "links registered");
+            let blocks = |prefix: &str| -> std::collections::BTreeSet<usize> {
+                let of_prefix = slots.iter().filter(|(n, _)| n.starts_with(prefix));
+                of_prefix.map(|(_, a)| a / PAD_BYTES).collect()
+            };
+            assert!(blocks("net.").is_disjoint(&blocks("mem.")), "tile {t}");
         }
     }
 
@@ -2199,10 +2217,10 @@ mod tests {
         // Tile 1 makes two accesses; one is a miss (directory transaction).
         m.read(TileId(1), Cycles(0), Addr(0x40), &mut buf);
         m.read(TileId(1), Cycles(0), Addr(0x40), &mut buf);
-        let pt = &m.per_tile_counters()[1];
-        assert_eq!(pt.accesses.get(), 2);
-        assert_eq!(pt.transactions.get(), 1);
-        assert_eq!(m.per_tile_counters()[0].accesses.get(), 0);
+        let pt = &m.per_tile;
+        assert_eq!(pt.accesses.lane_get(1), 2);
+        assert_eq!(pt.transactions.lane_get(1), 1);
+        assert_eq!(pt.accesses.lane_get(0), 0);
     }
 
     #[test]

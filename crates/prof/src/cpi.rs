@@ -14,7 +14,7 @@
 //! thread.
 
 use graphite_base::{Cycles, TileId};
-use graphite_trace::{Metric, MetricsRegistry, MetricsSnapshot};
+use graphite_trace::{MetricsRegistry, MetricsSnapshot, ShardedMetric};
 
 /// One attribution class for simulated cycles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -81,8 +81,8 @@ impl CpiClass {
 
 /// Per-tile CPI accounting over metric lanes.
 ///
-/// Cloning is cheap (the lanes are shared `Metric` handles), so the stack
-/// can be handed to every subsystem that charges cycles.
+/// Cloning is cheap (the lanes are shared [`ShardedMetric`] handles), so the
+/// stack can be handed to every subsystem that charges cycles.
 ///
 /// # Examples
 ///
@@ -98,8 +98,8 @@ impl CpiClass {
 /// ```
 #[derive(Clone)]
 pub struct CpiStack {
-    /// `lanes[class][tile]`, indexed by [`CpiClass::index`].
-    lanes: Vec<Vec<Metric>>,
+    /// One per-tile family per class, indexed by [`CpiClass::index`].
+    lanes: [ShardedMetric; 6],
 }
 
 impl std::fmt::Debug for CpiStack {
@@ -113,9 +113,7 @@ impl CpiStack {
     /// `prof.cpi.<class>` family per class. Registering twice returns
     /// handles to the same lanes.
     pub fn registered(registry: &MetricsRegistry) -> Self {
-        CpiStack {
-            lanes: CpiClass::ALL.iter().map(|c| registry.per_tile(&c.metric_name())).collect(),
-        }
+        CpiStack { lanes: CpiClass::ALL.map(|c| registry.per_tile(&c.metric_name())) }
     }
 
     /// Builds a stack over a private throwaway registry — for tests and for
@@ -126,16 +124,15 @@ impl CpiStack {
 
     /// Number of tiles accounted.
     pub fn num_tiles(&self) -> usize {
-        self.lanes[0].len()
+        self.lanes[0].num_lanes()
     }
 
+    /// `class`'s family and `tile`'s lane in it. Out-of-range tiles fold into
+    /// the last lane, mirroring the tracer: never panic on the hot path.
     #[inline]
-    fn lane(&self, tile: TileId, class: CpiClass) -> &Metric {
+    fn lane(&self, tile: TileId, class: CpiClass) -> (&ShardedMetric, usize) {
         let lanes = &self.lanes[class.index()];
-        // Out-of-range tiles fold into the last lane, mirroring the tracer:
-        // never panic on the hot path.
-        let idx = (tile.0 as usize).min(lanes.len() - 1);
-        &lanes[idx]
+        (lanes, (tile.0 as usize).min(lanes.num_lanes() - 1))
     }
 
     /// Charges `cycles` on `tile` to `class`. Single-writer add: each tile's
@@ -143,13 +140,15 @@ impl CpiStack {
     #[inline]
     pub fn add(&self, tile: TileId, class: CpiClass, cycles: Cycles) {
         if cycles.0 != 0 {
-            self.lane(tile, class).add_owned(cycles.0);
+            let (lanes, t) = self.lane(tile, class);
+            lanes.add_owned(t, cycles.0);
         }
     }
 
     /// Current value of one class on one tile.
     pub fn get(&self, tile: TileId, class: CpiClass) -> u64 {
-        self.lane(tile, class).get()
+        let (lanes, t) = self.lane(tile, class);
+        lanes.lane_get(t)
     }
 
     /// Sum of all classes on one tile. Equals the tile's clock when the
@@ -164,10 +163,10 @@ impl CpiStack {
     /// `start`). Keeps the sum-to-clock invariant across guest-thread
     /// re-seeding.
     pub fn reset_tile(&self, tile: TileId, start: Cycles) {
-        for &class in CpiClass::ALL.iter() {
-            self.lane(tile, class).take();
+        for class in CpiClass::ALL {
+            let (lanes, t) = self.lane(tile, class);
+            lanes.lane_set(t, if class == CpiClass::SyncWait { start.0 } else { 0 });
         }
-        self.add(tile, CpiClass::SyncWait, start);
     }
 
     /// Extracts per-tile stacks from a metrics snapshot: one

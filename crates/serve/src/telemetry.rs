@@ -159,6 +159,12 @@ impl Telemetry {
         format!("serve.tenant.{tenant}.{leaf}")
     }
 
+    /// Records `v` into the histogram `name`: the registry has one tile, so
+    /// every recording thread shares the one lane.
+    fn record_hist(&self, name: &str, v: u64) {
+        self.reg.sharded_histogram(name).record(0, v);
+    }
+
     /// A job was accepted into the queue.
     pub fn record_submit(&self, tenant: &str) {
         if !self.enabled {
@@ -176,10 +182,10 @@ impl Telemetry {
             return;
         }
         let w = us(wait);
-        self.reg.histogram("serve.queue_wait_us").record(w);
-        self.reg.histogram(&Self::tkey(tenant, "queue_wait_us")).record(w);
+        self.record_hist("serve.queue_wait_us", w);
+        self.record_hist(&Self::tkey(tenant, "queue_wait_us"), w);
         if resumed {
-            self.reg.histogram("serve.preempt.requeue_gap_us").record(w);
+            self.record_hist("serve.preempt.requeue_gap_us", w);
             self.reg.counter("serve.preempt.requeue_gap_us_total").add(w);
             self.reg.counter(&Self::tkey(tenant, "preempt.requeue_gap_us_total")).add(w);
         }
@@ -195,8 +201,8 @@ impl Telemetry {
         self.reg.counter("serve.preempt.count").incr();
         self.reg.counter("serve.preempt.serialize_us_total").add(s);
         self.reg.counter("serve.preempt.ckpt_bytes_total").add(bytes);
-        self.reg.histogram("serve.preempt.serialize_us").record(s);
-        self.reg.histogram("serve.preempt.ckpt_bytes").record(bytes);
+        self.record_hist("serve.preempt.serialize_us", s);
+        self.record_hist("serve.preempt.ckpt_bytes", bytes);
         self.reg.counter(&Self::tkey(tenant, "preemptions")).incr();
         self.reg.counter(&Self::tkey(tenant, "preempt.serialize_us_total")).add(s);
         self.reg.counter(&Self::tkey(tenant, "preempt.ckpt_bytes_total")).add(bytes);
@@ -210,7 +216,7 @@ impl Telemetry {
         let r = us(restore);
         self.reg.counter("serve.preempt.resumes").incr();
         self.reg.counter("serve.preempt.restore_us_total").add(r);
-        self.reg.histogram("serve.preempt.restore_us").record(r);
+        self.record_hist("serve.preempt.restore_us", r);
         self.reg.counter(&Self::tkey(tenant, "preempt.restore_us_total")).add(r);
     }
 
@@ -221,9 +227,9 @@ impl Telemetry {
         if !self.enabled {
             return;
         }
-        self.reg.histogram("serve.slice_us").record(us(slice));
+        self.record_hist("serve.slice_us", us(slice));
         if let Some(o) = overrun {
-            self.reg.histogram("serve.slice_overrun_us").record(us(o));
+            self.record_hist("serve.slice_overrun_us", us(o));
         }
     }
 
@@ -242,8 +248,8 @@ impl Telemetry {
         self.reg.counter(&format!("serve.jobs.{leaf}")).incr();
         self.reg.counter(&Self::tkey(tenant, leaf)).incr();
         for (key, v) in [("e2e_us", us(e2e)), ("run_us", us(run))] {
-            self.reg.histogram(&format!("serve.{key}")).record(v);
-            self.reg.histogram(&Self::tkey(tenant, key)).record(v);
+            self.record_hist(&format!("serve.{key}"), v);
+            self.record_hist(&Self::tkey(tenant, key), v);
         }
     }
 
@@ -254,7 +260,7 @@ impl Telemetry {
             return;
         }
         self.reg.counter(&format!("serve.http.req.{route}.{status}")).incr();
-        self.reg.histogram("serve.http.request_us").record(us(dur));
+        self.record_hist("serve.http.request_us", us(dur));
     }
 
     /// Mirrors queue depth and running-slice count into registry gauges so

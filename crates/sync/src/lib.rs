@@ -109,40 +109,20 @@ pub fn build_synchronizer(
     clocks: Arc<Vec<Arc<Clock>>>,
     seed: u64,
 ) -> Arc<dyn Synchronizer> {
-    let obs = Obs::detached(clocks.len());
-    build_synchronizer_obs(model, clocks, seed, &obs)
-}
-
-/// Like [`build_synchronizer`], but with counters registered under `sync.*`
-/// in `obs.metrics` and barrier/P2P activity traced through `obs.tracer`.
-pub fn build_synchronizer_obs(
-    model: SyncModel,
-    clocks: Arc<Vec<Arc<Clock>>>,
-    seed: u64,
-    obs: &Obs,
-) -> Arc<dyn Synchronizer> {
-    build_synchronizer_replay(model, clocks, seed, obs, Arc::new(ReplayLog::off()))
-}
-
-/// Like [`build_synchronizer_obs`], additionally threading a [`ReplayLog`]
-/// through the model's nondeterministic choices (the LaxP2P partner pick) so
-/// a recorded run can be replayed bit-identically.
-pub fn build_synchronizer_replay(
-    model: SyncModel,
-    clocks: Arc<Vec<Arc<Clock>>>,
-    seed: u64,
-    obs: &Obs,
-    replay: Arc<ReplayLog>,
-) -> Arc<dyn Synchronizer> {
     let tiles = clocks.len() as u32;
-    build_synchronizer_sched(model, clocks, seed, obs, replay, Arc::new(InlineBlocker::new(tiles)))
+    let obs = Obs::detached(tiles as usize);
+    let replay = Arc::new(ReplayLog::off());
+    build_synchronizer_sched(model, clocks, seed, &obs, replay, Arc::new(InlineBlocker::new(tiles)))
 }
 
-/// Like [`build_synchronizer_replay`], additionally threading a [`Blocker`]
-/// through the models' blocking points (barrier waits, P2P sleeps) so an M:N
-/// guest scheduler can reclaim the execution slot while a tile waits. The
-/// other builders default to [`InlineBlocker`], which blocks in place
-/// (thread-per-tile semantics).
+/// Builds the configured synchronization model with counters registered
+/// under `sync.*` in `obs.metrics`, barrier/P2P activity traced through
+/// `obs.tracer`, the model's nondeterministic choices (the LaxP2P partner
+/// pick) threaded through `replay` so a recorded run can be replayed
+/// bit-identically, and its blocking points (barrier waits, P2P sleeps)
+/// threaded through `blocker` so an M:N guest scheduler can reclaim the
+/// execution slot while a tile waits. [`build_synchronizer`] uses
+/// [`InlineBlocker`], which blocks in place (thread-per-tile semantics).
 pub fn build_synchronizer_sched(
     model: SyncModel,
     clocks: Arc<Vec<Arc<Clock>>>,
@@ -255,22 +235,14 @@ impl BarrierSync {
     ///
     /// Panics if `quantum` is zero.
     pub fn new(quantum: u64, clocks: Arc<Vec<Arc<Clock>>>) -> Self {
-        let obs = Obs::detached(clocks.len());
-        Self::with_obs(quantum, clocks, &obs)
-    }
-
-    /// Like [`BarrierSync::new`], with observability wiring.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `quantum` is zero.
-    pub fn with_obs(quantum: u64, clocks: Arc<Vec<Arc<Clock>>>, obs: &Obs) -> Self {
         let tiles = clocks.len() as u32;
-        Self::with_blocker(quantum, clocks, obs, Arc::new(InlineBlocker::new(tiles)))
+        let obs = Obs::detached(tiles as usize);
+        Self::with_blocker(quantum, clocks, &obs, Arc::new(InlineBlocker::new(tiles)))
     }
 
-    /// Like [`BarrierSync::with_obs`], parking waiters through `blocker` so
-    /// an M:N guest scheduler can reclaim their execution slots.
+    /// Like [`BarrierSync::new`], with observability wiring, parking waiters
+    /// through `blocker` so an M:N guest scheduler can reclaim their
+    /// execution slots.
     ///
     /// # Panics
     ///
@@ -449,54 +421,18 @@ impl P2PSync {
     ///
     /// Panics if `check_interval` is zero.
     pub fn new(slack: u64, check_interval: u64, clocks: Arc<Vec<Arc<Clock>>>, seed: u64) -> Self {
-        let obs = Obs::detached(clocks.len());
-        Self::with_obs(slack, check_interval, clocks, seed, &obs)
-    }
-
-    /// Like [`P2PSync::new`], with observability wiring.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `check_interval` is zero.
-    pub fn with_obs(
-        slack: u64,
-        check_interval: u64,
-        clocks: Arc<Vec<Arc<Clock>>>,
-        seed: u64,
-        obs: &Obs,
-    ) -> Self {
-        Self::with_replay(slack, check_interval, clocks, seed, obs, Arc::new(ReplayLog::off()))
-    }
-
-    /// Like [`P2PSync::with_obs`], routing partner picks through `replay` so
-    /// a recorded run's pairing decisions can be reproduced exactly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `check_interval` is zero.
-    pub fn with_replay(
-        slack: u64,
-        check_interval: u64,
-        clocks: Arc<Vec<Arc<Clock>>>,
-        seed: u64,
-        obs: &Obs,
-        replay: Arc<ReplayLog>,
-    ) -> Self {
         let tiles = clocks.len() as u32;
-        Self::with_blocker(
-            slack,
-            check_interval,
-            clocks,
-            seed,
-            obs,
-            replay,
-            Arc::new(InlineBlocker::new(tiles)),
-        )
+        let obs = Obs::detached(tiles as usize);
+        let replay = Arc::new(ReplayLog::off());
+        let blocker = Arc::new(InlineBlocker::new(tiles));
+        Self::with_blocker(slack, check_interval, clocks, seed, &obs, replay, blocker)
     }
 
-    /// Like [`P2PSync::with_replay`], running catch-up sleeps through
-    /// `blocker` so an M:N guest scheduler can reclaim the sleeper's
-    /// execution slot for a tile that is behind.
+    /// Like [`P2PSync::new`], with observability wiring, routing partner
+    /// picks through `replay` so a recorded run's pairing decisions can be
+    /// reproduced exactly, and running catch-up sleeps through `blocker` so
+    /// an M:N guest scheduler can reclaim the sleeper's execution slot for a
+    /// tile that is behind.
     ///
     /// # Panics
     ///
@@ -912,7 +848,8 @@ mod tests {
         let run = |seed: u64, log: Arc<ReplayLog>| {
             let obs = Obs::detached(4);
             let c = clocks(4);
-            let p = P2PSync::with_replay(u64::MAX, 1, Arc::clone(&c), seed, &obs, log);
+            let blocker = Arc::new(InlineBlocker::new(4));
+            let p = P2PSync::with_blocker(u64::MAX, 1, Arc::clone(&c), seed, &obs, log, blocker);
             p.activate(TileId(0));
             p.activate(TileId(2));
             for _ in 0..8 {

@@ -381,7 +381,7 @@ pub fn validate(text: &str) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::Histogram;
+    use crate::metrics::ShardedHistogram;
 
     #[test]
     fn sanitizes_names_and_escapes_labels() {
@@ -393,9 +393,9 @@ mod tests {
 
     #[test]
     fn rendered_document_passes_validation() {
-        let h = Histogram::new();
+        let h = ShardedHistogram::default();
         for v in [0, 1, 3, 3, 900, u64::MAX] {
-            h.record(v);
+            h.record(0, v);
         }
         let mut doc = PromText::new();
         doc.family("jobs_total", "counter", "jobs accepted");
@@ -415,9 +415,9 @@ mod tests {
 
     #[test]
     fn histogram_series_is_cumulative() {
-        let h = Histogram::new();
+        let h = ShardedHistogram::default();
         for v in [1u64, 2, 2, 8] {
-            h.record(v);
+            h.record(0, v);
         }
         let mut doc = PromText::new();
         doc.family("w", "histogram", "w");

@@ -6,7 +6,8 @@
 //! reporting in two cooperating pieces:
 //!
 //! * **Metrics** — a per-tile [`MetricsRegistry`] of named lock-free counters
-//!   ([`Metric`]) and log₂ [`Histogram`]s. Subsystems register once at
+//!   ([`Metric`], per-tile [`ShardedMetric`] lanes) and log₂
+//!   [`ShardedHistogram`]s. Subsystems register once at
 //!   construction and update on hot paths with relaxed atomics; a
 //!   [`MetricsSnapshot`] serializes the registry as `metrics.json`. Because
 //!   the snapshot reads the same atomics the subsystems increment, any report
@@ -49,8 +50,8 @@ pub mod tracer;
 
 pub use expo::PromText;
 pub use metrics::{
-    Gauge, Histogram, HistogramSnapshot, LaneFold, Metric, MetricsRegistry, MetricsSnapshot,
-    ShardedHistogram, ShardedMetric,
+    Gauge, HistogramSnapshot, LaneFold, Metric, MetricsRegistry, MetricsSnapshot, ShardedHistogram,
+    ShardedMetric,
 };
 pub use tracer::{export_jsonl, TraceEvent, TraceEventKind, Tracer};
 

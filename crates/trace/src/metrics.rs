@@ -14,9 +14,9 @@
 //! [`MetricsRegistry::counter`] and friends.
 //!
 //! Per-tile storage follows the host layout rule (DESIGN §7.2): everything a
-//! tile's thread counts per guest op — its [`MetricsRegistry::per_tile`]
-//! slots, its [`ShardedMetric`] and [`ShardedHistogram`] lanes — sits in
-//! [`CachePadded`] blocks no other tile writes.
+//! tile's thread counts per guest op — its [`ShardedMetric`] slab slots and
+//! its [`ShardedHistogram`] lanes — sits in [`CachePadded`] blocks no other
+//! tile writes.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -30,9 +30,8 @@ use crate::json;
 
 /// A shared, lock-free `u64` counter.
 ///
-/// Unlike `graphite_base::stats::Counter`, cloning a `Metric` shares the
-/// underlying cell instead of snapshotting it — a clone held by the registry
-/// observes every increment made through any other clone.
+/// Cloning a `Metric` shares the underlying cell — a clone held by the
+/// registry observes every increment made through any other clone.
 ///
 /// # Examples
 ///
@@ -44,51 +43,13 @@ use crate::json;
 /// alias.incr();
 /// assert_eq!(m.get(), 4);
 /// ```
-#[derive(Clone, Debug)]
-pub struct Metric(Cell);
-
-/// Where a [`Metric`]'s word lives.
-#[derive(Clone, Debug)]
-enum Cell {
-    /// A heap word of its own: global and detached counters.
-    Own(Arc<AtomicU64>),
-    /// One slot of one tile's block in a registry slab page: the lanes
-    /// [`MetricsRegistry::per_tile`] hands out.
-    Slab { page: SlabPage, tile: u32, slot: u32 },
-}
-
-/// Families per slab page: one [`CachePadded`] block of counters per tile.
-const SLAB_SLOTS: usize = 16;
-
-/// One page of per-tile counter storage, tile-major: element `t` holds tile
-/// `t`'s slot of each of up to [`SLAB_SLOTS`] families, so all of a tile's
-/// per-op counters share host lines with each other and with no other tile.
-type SlabPage = Arc<[CachePadded<[AtomicU64; SLAB_SLOTS]>]>;
-
-impl Default for Metric {
-    fn default() -> Self {
-        Metric(Cell::Own(Arc::default()))
-    }
-}
+#[derive(Clone, Default, Debug)]
+pub struct Metric(Arc<AtomicU64>);
 
 impl Metric {
     /// Creates a detached counter starting at zero.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    #[inline]
-    fn cell(&self) -> &AtomicU64 {
-        match &self.0 {
-            Cell::Own(word) => word,
-            Cell::Slab { page, tile, slot } => &page[*tile as usize][*slot as usize],
-        }
-    }
-
-    /// Host address of the counter word, for layout tests.
-    #[doc(hidden)]
-    pub fn addr(&self) -> usize {
-        graphite_base::padded::addr_of(self.cell())
     }
 
     /// Adds one.
@@ -100,40 +61,24 @@ impl Metric {
     /// Adds `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        self.cell().fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Adds one under the single-writer convention (see [`Metric::add_owned`]).
-    #[inline]
-    pub fn incr_owned(&self) {
-        self.add_owned(1);
-    }
-
-    /// Adds `n` to a counter only ever written by the calling thread: a plain
-    /// load + store instead of a locked read-modify-write. Concurrent readers
-    /// ([`Metric::get`]) stay race-free, but racing *writers* would lose
-    /// increments — use [`Metric::add`] unless this counter is thread-owned.
-    #[inline]
-    pub fn add_owned(&self, n: u64) {
-        let cell = self.cell();
-        cell.store(cell.load(Ordering::Relaxed).wrapping_add(n), Ordering::Relaxed);
+        self.0.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Current value.
     #[inline]
     pub fn get(&self) -> u64 {
-        self.cell().load(Ordering::Relaxed)
+        self.0.load(Ordering::Relaxed)
     }
 
     /// Raises the value to `n` if `n` is larger (used for high-water marks).
     #[inline]
     pub fn observe_max(&self, n: u64) {
-        self.cell().fetch_max(n, Ordering::Relaxed);
+        self.0.fetch_max(n, Ordering::Relaxed);
     }
 
     /// Returns the current value and resets to zero.
     pub fn take(&self) -> u64 {
-        self.cell().swap(0, Ordering::Relaxed)
+        self.0.swap(0, Ordering::Relaxed)
     }
 }
 
@@ -214,26 +159,32 @@ pub enum LaneFold {
     Max,
 }
 
-#[derive(Debug)]
-struct ShardedInner {
-    lanes: Box<[CachePadded<AtomicU64>]>,
-    /// `lanes.len() - 1`; lane count is a power of two so any caller-supplied
-    /// lane index folds in with a mask instead of a division.
-    mask: usize,
-    fold: LaneFold,
+/// Families per slab page: one [`CachePadded`] block of counters per tile.
+const SLAB_SLOTS: usize = 16;
+
+/// One page of per-tile counter storage, tile-major: element `t` holds tile
+/// `t`'s slot of each of up to [`SLAB_SLOTS`] families, so a tile's counters
+/// share host lines with each other and with no other tile's.
+type SlabPage = Arc<[CachePadded<[AtomicU64; SLAB_SLOTS]>]>;
+
+fn slab_page(tiles: usize) -> SlabPage {
+    (0..tiles.max(1)).map(|_| CachePadded::default()).collect()
 }
 
-/// A shared `u64` counter split into cache-padded per-tile lanes.
+/// A shared `u64` counter with one lane per tile: one slot of every tile's
+/// block in a slab page.
 ///
-/// The contention-free counterpart of [`Metric`]: writers update *their own*
-/// lane (`incr`/`add`/`observe_max` take a lane index, by convention the
-/// requesting tile), so concurrent tiles never touch a shared-writable cache
-/// line. Readers fold the lanes at read time ([`ShardedMetric::get`]), which
-/// is exact — relaxed per-lane loads of values only ever written with
-/// relaxed RMWs — but O(lanes) instead of O(1).
+/// Writers update *their own* lane (`incr`/`add`/`observe_max` take a lane
+/// index, by convention the requesting tile), so concurrent tiles never touch
+/// a shared-writable cache line. Readers fold the lanes at read time
+/// ([`ShardedMetric::get`]), which is exact — relaxed per-lane loads of
+/// values only ever written with relaxed RMWs — but O(lanes) instead of O(1).
+/// The handle holds its page and slot inline, so an update costs no load
+/// beyond the handle itself.
 ///
-/// Lane indices out of range fold in with a mask, so a detached counter
-/// (`Default`, one lane) accepts any tile id and still sums correctly.
+/// Out-of-range lane indices fold in modulo the lane count, so a detached
+/// counter (`Default`, one lane) accepts any tile id and still sums
+/// correctly.
 ///
 /// # Examples
 ///
@@ -246,7 +197,11 @@ struct ShardedInner {
 /// assert_eq!(m.lane_get(3), 1);
 /// ```
 #[derive(Clone, Debug)]
-pub struct ShardedMetric(Arc<ShardedInner>);
+pub struct ShardedMetric {
+    page: SlabPage,
+    slot: u32,
+    fold: LaneFold,
+}
 
 impl Default for ShardedMetric {
     fn default() -> Self {
@@ -263,17 +218,14 @@ impl ShardedMetric {
 
     /// Creates a detached counter with an explicit fold.
     pub fn with_fold(lanes: usize, fold: LaneFold) -> Self {
-        let n = lanes.max(1).next_power_of_two();
-        ShardedMetric(Arc::new(ShardedInner {
-            lanes: (0..n).map(|_| CachePadded::default()).collect(),
-            mask: n - 1,
-            fold,
-        }))
+        ShardedMetric { page: slab_page(lanes.max(1).next_power_of_two()), slot: 0, fold }
     }
 
     #[inline]
     fn lane(&self, lane: usize) -> &AtomicU64 {
-        &self.0.lanes[lane & self.0.mask]
+        let n = self.page.len();
+        let tile = if lane < n { lane } else { lane % n };
+        &self.page[tile][self.slot as usize % SLAB_SLOTS]
     }
 
     /// Adds one to `lane`.
@@ -318,18 +270,25 @@ impl ShardedMetric {
         }
     }
 
+    /// Overwrites `lane` with `v` (mirroring a value kept elsewhere, or a
+    /// reset). Single-writer, like [`ShardedMetric::add_owned`].
+    pub fn lane_set(&self, lane: usize, v: u64) {
+        self.lane(lane).store(v, Ordering::Relaxed);
+    }
+
     /// The folded value across all lanes (sum or max, per construction).
     pub fn get(&self) -> u64 {
-        let it = self.0.lanes.iter().map(|l| l.load(Ordering::Relaxed));
-        match self.0.fold {
+        let it = (0..self.num_lanes()).map(|l| self.lane_get(l));
+        match self.fold {
             LaneFold::Sum => it.fold(0u64, u64::wrapping_add),
             LaneFold::Max => it.max().unwrap_or(0),
         }
     }
 
-    /// Number of lanes (a power of two).
+    /// Number of lanes: the registry's tile count, or a power of two for a
+    /// detached counter.
     pub fn num_lanes(&self) -> usize {
-        self.0.lanes.len()
+        self.page.len()
     }
 
     /// Raw value of one lane (for invariant tests and lane-level reporting).
@@ -337,17 +296,23 @@ impl ShardedMetric {
         self.lane(lane).load(Ordering::Relaxed)
     }
 
+    /// Host address of one lane's word, for layout tests.
+    #[doc(hidden)]
+    pub fn lane_addr(&self, lane: usize) -> usize {
+        graphite_base::padded::addr_of(self.lane(lane))
+    }
+
     /// How the lanes fold.
     pub fn fold(&self) -> LaneFold {
-        self.0.fold
+        self.fold
     }
 
     /// Overwrites the lanes with a previously folded value: the whole value
     /// goes into lane 0, every other lane is zeroed. Correct for both folds
     /// (a sum of `[v, 0, ..]` and a max of `[v, 0, ..]` are both `v`).
     fn set_folded(&self, v: u64) {
-        for (i, lane) in self.0.lanes.iter().enumerate() {
-            lane.store(if i == 0 { v } else { 0 }, Ordering::Relaxed);
+        for lane in 0..self.num_lanes() {
+            self.lane_set(lane, if lane == 0 { v } else { 0 });
         }
     }
 }
@@ -359,6 +324,8 @@ const HIST_BUCKETS: usize = 65;
 /// time — so recording costs two relaxed RMWs, not three.
 #[derive(Debug)]
 struct HistLane {
+    /// `buckets[0]` counts zero samples; `buckets[i]` (i ≥ 1) counts samples
+    /// whose bit length is `i`, i.e. values in `[2^(i-1), 2^i - 1]`.
     buckets: [AtomicU64; HIST_BUCKETS],
     sum: AtomicU64,
 }
@@ -375,25 +342,29 @@ struct ShardedHistInner {
     mask: usize,
 }
 
-/// A log₂-bucketed histogram split into cache-padded per-tile lanes.
+/// A log₂-bucketed histogram of `u64` samples, split into cache-padded
+/// per-tile lanes.
 ///
-/// The contention-free counterpart of [`Histogram`]: each recording tile
-/// updates only its own lane, and [`ShardedHistogram::snapshot`] folds the
-/// lanes into the same [`HistogramSnapshot`] shape a plain histogram
-/// produces — bucket-for-bucket identical counts, so downstream consumers
-/// (reports, `metrics.json`) cannot tell the two apart.
+/// Latency distributions in a simulator span orders of magnitude (an L1 hit
+/// is ~1 cycle, a cross-machine DRAM fill is thousands), so fixed-width bins
+/// waste space while power-of-two bins stay informative at every scale. Each
+/// recording tile updates only its own lane, and
+/// [`ShardedHistogram::snapshot`] folds the lanes into one
+/// [`HistogramSnapshot`]. A one-lane histogram is the plain, shared one.
 ///
 /// # Examples
 ///
 /// ```
 /// use graphite_trace::ShardedHistogram;
 /// let h = ShardedHistogram::new(4);
+/// h.record(0, 0);
 /// h.record(0, 5);
 /// h.record(3, 6);
 /// let snap = h.snapshot();
-/// assert_eq!(snap.count, 2);
+/// assert_eq!(snap.count, 3);
 /// assert_eq!(snap.sum, 11);
-/// assert_eq!(snap.buckets, vec![(7, 2)]);
+/// // 5 and 6 share the [4, 7] bucket.
+/// assert_eq!(snap.buckets, vec![(0, 1), (7, 2)]);
 /// ```
 #[derive(Clone, Debug)]
 pub struct ShardedHistogram(Arc<ShardedHistInner>);
@@ -464,8 +435,7 @@ impl ShardedHistogram {
         self.0.lanes.iter().map(|l| l.sum.load(Ordering::Relaxed)).fold(0u64, u64::wrapping_add)
     }
 
-    /// Folds all lanes into one distribution, shaped exactly like
-    /// [`Histogram::snapshot`].
+    /// Folds all lanes into one distribution.
     pub fn snapshot(&self) -> HistogramSnapshot {
         let mut folded = [0u64; HIST_BUCKETS];
         let mut sum = 0u64;
@@ -495,101 +465,6 @@ impl ShardedHistogram {
             }
             lane.sum.store(if li == 0 { snap.sum } else { 0 }, Ordering::Relaxed);
         }
-        true
-    }
-}
-
-#[derive(Debug)]
-struct HistInner {
-    /// `buckets[0]` counts zero samples; `buckets[i]` (i ≥ 1) counts samples
-    /// whose bit length is `i`, i.e. values in `[2^(i-1), 2^i - 1]`.
-    buckets: [AtomicU64; HIST_BUCKETS],
-    count: AtomicU64,
-    sum: AtomicU64,
-}
-
-/// A shared, lock-free log₂-bucketed histogram of `u64` samples.
-///
-/// Latency distributions in a simulator span orders of magnitude (an L1 hit
-/// is ~1 cycle, a cross-machine DRAM fill is thousands), so fixed-width bins
-/// waste space while power-of-two bins stay informative at every scale.
-///
-/// # Examples
-///
-/// ```
-/// use graphite_trace::Histogram;
-/// let h = Histogram::new();
-/// h.record(0);
-/// h.record(5);
-/// h.record(6);
-/// let snap = h.snapshot();
-/// assert_eq!(snap.count, 3);
-/// assert_eq!(snap.sum, 11);
-/// // 5 and 6 share the [4, 7] bucket.
-/// assert_eq!(snap.buckets, vec![(0, 1), (7, 2)]);
-/// ```
-#[derive(Clone, Debug)]
-pub struct Histogram(Arc<HistInner>);
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram(Arc::new(HistInner {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-        }))
-    }
-}
-
-impl Histogram {
-    /// Creates a detached histogram.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one sample.
-    #[inline]
-    pub fn record(&self, v: u64) {
-        let idx = (64 - v.leading_zeros()) as usize;
-        self.0.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.0.count.fetch_add(1, Ordering::Relaxed);
-        self.0.sum.fetch_add(v, Ordering::Relaxed);
-    }
-
-    /// Number of samples recorded.
-    pub fn count(&self) -> u64 {
-        self.0.count.load(Ordering::Relaxed)
-    }
-
-    /// Sum of all samples (wraps on overflow, like the counters it joins).
-    pub fn sum(&self) -> u64 {
-        self.0.sum.load(Ordering::Relaxed)
-    }
-
-    /// Captures the current distribution.
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        let buckets = self
-            .0
-            .buckets
-            .iter()
-            .enumerate()
-            .filter_map(|(i, b)| {
-                let n = b.load(Ordering::Relaxed);
-                (n > 0).then(|| (bucket_upper(i), n))
-            })
-            .collect();
-        HistogramSnapshot { count: self.count(), sum: self.sum(), buckets }
-    }
-
-    /// Overwrites the distribution with a snapshot's contents. Returns
-    /// `false` when a bucket bound is not a valid boundary.
-    fn restore_from(&self, snap: &HistogramSnapshot) -> bool {
-        let Some(buckets) = unpack_buckets(snap) else { return false };
-        for (cell, v) in self.0.buckets.iter().zip(buckets) {
-            cell.store(v, Ordering::Relaxed);
-        }
-        self.0.count.store(snap.count, Ordering::Relaxed);
-        self.0.sum.store(snap.sum, Ordering::Relaxed);
         true
     }
 }
@@ -626,7 +501,7 @@ fn unpack_buckets(snap: &HistogramSnapshot) -> Option<[u64; HIST_BUCKETS]> {
     Some(buckets)
 }
 
-/// Point-in-time copy of one [`Histogram`]'s distribution.
+/// Point-in-time copy of one [`ShardedHistogram`]'s distribution.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Total samples.
@@ -671,11 +546,12 @@ impl HistogramSnapshot {
 enum Entry {
     Counter(Metric),
     Gauge(Gauge),
-    /// The n-th per-tile family registered: slot `n % SLAB_SLOTS` of every
-    /// tile's block in slab page `n / SLAB_SLOTS`.
-    PerTile(usize),
-    Histogram(Histogram),
-    Sharded(ShardedMetric),
+    /// A family of per-tile lanes in the slab: reported lane by lane
+    /// (`per_tile`) or folded into one value under `counters`.
+    Lanes {
+        lanes: ShardedMetric,
+        per_tile: bool,
+    },
     ShardedHistogram(ShardedHistogram),
 }
 
@@ -684,9 +560,8 @@ impl Entry {
         match self {
             Entry::Counter(_) => "counter",
             Entry::Gauge(_) => "gauge",
-            Entry::PerTile(_) => "per-tile counter",
-            Entry::Histogram(_) => "histogram",
-            Entry::Sharded(m) => match m.fold() {
+            Entry::Lanes { per_tile: true, .. } => "per-tile counter",
+            Entry::Lanes { lanes, .. } => match lanes.fold {
                 LaneFold::Sum => "sharded counter",
                 LaneFold::Max => "sharded max counter",
             },
@@ -702,6 +577,13 @@ impl Entry {
 /// share a metric. Asking for an existing name with a *different* kind is a
 /// wiring bug and panics.
 ///
+/// Every per-tile counter — [`MetricsRegistry::per_tile`],
+/// [`MetricsRegistry::sharded_counter`], [`MetricsRegistry::sharded_max`] —
+/// is one slot of a slab page: 8 bytes per tile. A page holds families of one
+/// top-level namespace (`net`, `mem`, `sched`, …) only, so lanes that other
+/// threads write (a packet's source lane, the MCP's lane 0) never share a
+/// tile's block with that tile's per-op counters.
+///
 /// # Examples
 ///
 /// ```
@@ -710,7 +592,7 @@ impl Entry {
 /// let sends = reg.counter("net.sends");
 /// sends.add(5);
 /// let per_tile = reg.per_tile("mem.accesses");
-/// per_tile[1].incr();
+/// per_tile.incr(1);
 /// let snap = reg.snapshot();
 /// assert_eq!(snap.counters["net.sends"], 5);
 /// assert_eq!(snap.per_tile["mem.accesses"], vec![0, 1]);
@@ -724,15 +606,8 @@ pub struct MetricsRegistry {
 #[derive(Debug, Default)]
 struct Registered {
     entries: BTreeMap<String, Entry>,
-    /// Storage of every per-tile family, [`SLAB_SLOTS`] families to a page.
-    pages: Vec<SlabPage>,
-    /// Per-tile families registered so far.
-    families: usize,
-}
-
-/// `tile`'s word of per-tile family `family`.
-fn slab_word(pages: &[SlabPage], family: usize, tile: usize) -> &AtomicU64 {
-    &pages[family / SLAB_SLOTS][tile][family % SLAB_SLOTS]
+    /// Each namespace's newest slab page and how many of its slots are taken.
+    pages: BTreeMap<String, (SlabPage, usize)>,
 }
 
 impl MetricsRegistry {
@@ -775,57 +650,18 @@ impl MetricsRegistry {
         }
     }
 
-    /// Returns the per-tile counter lane named `name` (one [`Metric`] per
-    /// tile), registering it on first use. Tile `t`'s counter lives in tile
-    /// `t`'s block of the registry slab, next to its slots of the other
-    /// families and to no other tile's.
+    /// Returns the per-tile counter named `name`, registering it on first
+    /// use. Snapshots report it lane by lane under `per_tile`.
     ///
     /// # Panics
     ///
     /// Panics if `name` is already registered as a different metric kind.
-    pub fn per_tile(&self, name: &str) -> Vec<Metric> {
-        let mut state = self.state.lock();
-        let Registered { entries, pages, families } = &mut *state;
-        match entries.entry(name.to_string()).or_insert_with(|| {
-            // A full (or no) last page: one aligned allocation for all tiles.
-            if *families % SLAB_SLOTS == 0 {
-                pages.push((0..self.num_tiles).map(|_| CachePadded::default()).collect());
-            }
-            *families += 1;
-            Entry::PerTile(*families - 1)
-        }) {
-            &mut Entry::PerTile(family) => (0..self.num_tiles as u32)
-                .map(|tile| {
-                    Metric(Cell::Slab {
-                        page: Arc::clone(&pages[family / SLAB_SLOTS]),
-                        tile,
-                        slot: (family % SLAB_SLOTS) as u32,
-                    })
-                })
-                .collect(),
-            other => panic!("metric '{name}' already registered as a {}", other.kind()),
-        }
-    }
-
-    /// Returns the histogram named `name`, registering it on first use.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` is already registered as a different metric kind.
-    pub fn histogram(&self, name: &str) -> Histogram {
-        let mut state = self.state.lock();
-        match state
-            .entries
-            .entry(name.to_string())
-            .or_insert_with(|| Entry::Histogram(Histogram::new()))
-        {
-            Entry::Histogram(h) => h.clone(),
-            other => panic!("metric '{name}' already registered as a {}", other.kind()),
-        }
+    pub fn per_tile(&self, name: &str) -> ShardedMetric {
+        self.lanes(name, true, LaneFold::Sum)
     }
 
     /// Returns the sharded (per-tile-lane, sum-folded) counter named `name`,
-    /// registering it on first use with one lane per tile.
+    /// registering it on first use.
     ///
     /// Snapshots report the *folded* value under `counters` — the name lives
     /// in the same namespace and JSON section as [`MetricsRegistry::counter`],
@@ -836,7 +672,7 @@ impl MetricsRegistry {
     /// Panics if `name` is already registered as a different metric kind
     /// (including a max-folded sharded counter).
     pub fn sharded_counter(&self, name: &str) -> ShardedMetric {
-        self.sharded(name, LaneFold::Sum)
+        self.lanes(name, false, LaneFold::Sum)
     }
 
     /// Returns the sharded max-folded counter named `name` (a high-water mark
@@ -847,25 +683,35 @@ impl MetricsRegistry {
     /// Panics if `name` is already registered as a different metric kind
     /// (including a sum-folded sharded counter).
     pub fn sharded_max(&self, name: &str) -> ShardedMetric {
-        self.sharded(name, LaneFold::Max)
+        self.lanes(name, false, LaneFold::Max)
     }
 
-    fn sharded(&self, name: &str, fold: LaneFold) -> ShardedMetric {
+    fn lanes(&self, name: &str, per_tile: bool, fold: LaneFold) -> ShardedMetric {
         let mut state = self.state.lock();
-        match state
-            .entries
-            .entry(name.to_string())
-            .or_insert_with(|| Entry::Sharded(ShardedMetric::with_fold(self.num_tiles, fold)))
-        {
-            Entry::Sharded(m) if m.fold() == fold => m.clone(),
+        let Registered { entries, pages } = &mut *state;
+        match entries.entry(name.to_string()).or_insert_with(|| {
+            let namespace = name.split('.').next().unwrap_or_default();
+            let (page, used) = pages
+                .entry(namespace.to_string())
+                .or_insert_with(|| (slab_page(self.num_tiles), 0));
+            if *used == SLAB_SLOTS {
+                *page = slab_page(self.num_tiles);
+                *used = 0;
+            }
+            *used += 1;
+            let lanes = ShardedMetric { page: Arc::clone(page), slot: *used as u32 - 1, fold };
+            Entry::Lanes { lanes, per_tile }
+        }) {
+            Entry::Lanes { lanes, per_tile: p } if *p == per_tile && lanes.fold == fold => {
+                lanes.clone()
+            }
             other => panic!("metric '{name}' already registered as a {}", other.kind()),
         }
     }
 
     /// Returns the sharded histogram named `name`, registering it on first
     /// use with one lane per tile. Snapshots fold the lanes and report the
-    /// result under `histograms`, indistinguishable from a plain
-    /// [`Histogram`] with the same samples.
+    /// result under `histograms`.
     ///
     /// # Panics
     ///
@@ -882,27 +728,28 @@ impl MetricsRegistry {
         }
     }
 
-    /// Host addresses of every per-tile family's word for `tile`, in
-    /// registration order — for layout tests.
+    /// Host address of `tile`'s word of every per-tile counter family, by
+    /// name — for layout tests.
     #[doc(hidden)]
-    pub fn per_tile_slot_addrs(&self, tile: usize) -> Vec<usize> {
+    pub fn per_tile_slot_addrs(&self, tile: usize) -> Vec<(String, usize)> {
         let state = self.state.lock();
-        (0..state.families)
-            .map(|family| graphite_base::padded::addr_of(slab_word(&state.pages, family, tile)))
-            .collect()
+        let lanes = state.entries.iter().filter_map(|(name, entry)| match entry {
+            Entry::Lanes { lanes, .. } => Some((name.clone(), lanes.lane_addr(tile))),
+            _ => None,
+        });
+        lanes.collect()
     }
 
     /// Captures the current value of every registered metric.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let state = self.state.lock();
-        let Registered { entries, pages, .. } = &*state;
         let mut snap = MetricsSnapshot {
             num_tiles: self.num_tiles,
             counters: BTreeMap::new(),
             per_tile: BTreeMap::new(),
             histograms: BTreeMap::new(),
         };
-        for (name, entry) in entries.iter() {
+        for (name, entry) in state.entries.iter() {
             match entry {
                 Entry::Counter(m) => {
                     snap.counters.insert(name.clone(), m.get());
@@ -910,15 +757,12 @@ impl MetricsRegistry {
                 Entry::Gauge(g) => {
                     snap.counters.insert(name.clone(), g.get());
                 }
-                &Entry::PerTile(family) => {
-                    let lane = |tile| slab_word(pages, family, tile).load(Ordering::Relaxed);
-                    snap.per_tile.insert(name.clone(), (0..self.num_tiles).map(lane).collect());
+                Entry::Lanes { lanes, per_tile: true } => {
+                    let tiles = (0..self.num_tiles).map(|t| lanes.lane_get(t));
+                    snap.per_tile.insert(name.clone(), tiles.collect());
                 }
-                Entry::Histogram(h) => {
-                    snap.histograms.insert(name.clone(), h.snapshot());
-                }
-                Entry::Sharded(m) => {
-                    snap.counters.insert(name.clone(), m.get());
+                Entry::Lanes { lanes, .. } => {
+                    snap.counters.insert(name.clone(), lanes.get());
                 }
                 Entry::ShardedHistogram(h) => {
                     snap.histograms.insert(name.clone(), h.snapshot());
@@ -944,27 +788,23 @@ impl MetricsRegistry {
             return Err(bad());
         }
         let state = self.state.lock();
-        let Registered { entries, pages, .. } = &*state;
         for (name, &v) in &snap.counters {
-            match entries.get(name) {
+            match state.entries.get(name) {
                 Some(Entry::Counter(m)) => {
                     m.take();
                     m.add(v);
                 }
                 Some(Entry::Gauge(g)) => g.set(v),
-                Some(Entry::Sharded(m)) => m.set_folded(v),
+                Some(Entry::Lanes { lanes, per_tile: false }) => lanes.set_folded(v),
                 Some(_) => return Err(bad()),
                 None => {}
             }
         }
-        for (name, lanes) in &snap.per_tile {
-            match entries.get(name) {
-                Some(&Entry::PerTile(family)) => {
-                    if lanes.len() != self.num_tiles {
-                        return Err(bad());
-                    }
-                    for (tile, &x) in lanes.iter().enumerate() {
-                        slab_word(pages, family, tile).store(x, Ordering::Relaxed);
+        for (name, tiles) in &snap.per_tile {
+            match state.entries.get(name) {
+                Some(Entry::Lanes { lanes, per_tile: true }) if tiles.len() == self.num_tiles => {
+                    for (tile, &x) in tiles.iter().enumerate() {
+                        lanes.lane_set(tile, x);
                     }
                 }
                 Some(_) => return Err(bad()),
@@ -972,8 +812,7 @@ impl MetricsRegistry {
             }
         }
         for (name, h) in &snap.histograms {
-            let ok = match entries.get(name) {
-                Some(Entry::Histogram(hist)) => hist.restore_from(h),
+            let ok = match state.entries.get(name) {
                 Some(Entry::ShardedHistogram(hist)) => hist.restore_from(h),
                 Some(_) => false,
                 None => true,
@@ -1177,13 +1016,13 @@ mod tests {
 
     #[test]
     fn histogram_quantiles_return_bucket_uppers() {
-        let h = Histogram::new();
+        let h = ShardedHistogram::default();
         assert_eq!(h.snapshot().quantile(0.5), 0, "empty histogram");
         for _ in 0..90 {
-            h.record(3); // bucket [2, 3]
+            h.record(0, 3); // bucket [2, 3]
         }
         for _ in 0..10 {
-            h.record(1000); // bucket [512, 1023]
+            h.record(0, 1000); // bucket [512, 1023]
         }
         let snap = h.snapshot();
         assert_eq!(snap.quantile(0.0), 3);
@@ -1195,13 +1034,10 @@ mod tests {
 
     #[test]
     fn histogram_buckets_by_bit_length() {
-        let h = Histogram::new();
-        h.record(0);
-        h.record(1);
-        h.record(2);
-        h.record(3);
-        h.record(1024);
-        h.record(u64::MAX);
+        let h = ShardedHistogram::default();
+        for v in [0, 1, 2, 3, 1024, u64::MAX] {
+            h.record(0, v);
+        }
         let snap = h.snapshot();
         assert_eq!(snap.count, 6);
         assert_eq!(snap.buckets, vec![(0, 1), (1, 1), (3, 2), (2047, 1), (u64::MAX, 1)]);
@@ -1239,10 +1075,10 @@ mod tests {
 
     #[test]
     fn sharded_histogram_matches_plain_histogram() {
-        let plain = Histogram::new();
+        let plain = ShardedHistogram::default();
         let sharded = ShardedHistogram::new(4);
         for (lane, v) in [(0u64, 0u64), (1, 1), (2, 2), (3, 3), (0, 1024), (1, u64::MAX)] {
-            plain.record(v);
+            plain.record(lane as usize, v); // one lane: every tile id folds into it
             sharded.record(lane as usize, v);
         }
         assert_eq!(sharded.snapshot(), plain.snapshot());
@@ -1291,9 +1127,9 @@ mod tests {
         assert_eq!(b.get(), 2);
         let lane1 = reg.per_tile("y");
         let lane2 = reg.per_tile("y");
-        lane1[3].incr();
-        assert_eq!(lane2[3].get(), 1);
-        assert_eq!(lane1.len(), 4);
+        lane1.incr(3);
+        assert_eq!(lane2.lane_get(3), 1);
+        assert_eq!(lane1.num_lanes(), 4);
     }
 
     #[test]
@@ -1301,12 +1137,18 @@ mod tests {
     fn registry_rejects_kind_mismatch() {
         let reg = MetricsRegistry::new(1);
         reg.counter("clash");
-        reg.histogram("clash");
+        reg.sharded_histogram("clash");
     }
 
-    /// More per-tile families than one slab page holds.
-    fn many_families(reg: &MetricsRegistry) -> Vec<Vec<Metric>> {
-        (0..SLAB_SLOTS + 4).map(|f| reg.per_tile(&format!("fam.{f:02}"))).collect()
+    /// More per-tile families than one slab page holds, of all three kinds.
+    fn many_families(reg: &MetricsRegistry) -> Vec<ShardedMetric> {
+        (0..SLAB_SLOTS + 4)
+            .map(|f| match f % 3 {
+                0 => reg.per_tile(&format!("fam.{f:02}")),
+                1 => reg.sharded_counter(&format!("fam.{f:02}")),
+                _ => reg.sharded_max(&format!("fam.{f:02}")),
+            })
+            .collect()
     }
 
     #[test]
@@ -1315,12 +1157,15 @@ mod tests {
         for tiles in [4usize, 130] {
             let reg = MetricsRegistry::new(tiles);
             let families = many_families(&reg);
-            assert_tiles_isolated(families.iter().flat_map(|lanes| {
-                lanes.iter().enumerate().map(|(t, m)| (t, "metric slot", m.addr()))
-            }));
+            assert_tiles_isolated(
+                families
+                    .iter()
+                    .flat_map(|lanes| (0..tiles).map(|t| (t, "metric slot", lanes.lane_addr(t)))),
+            );
             for t in 0..tiles {
-                let addrs: Vec<usize> = families.iter().map(|lanes| lanes[t].addr()).collect();
-                assert_eq!(addrs, reg.per_tile_slot_addrs(t));
+                let addrs: Vec<usize> = families.iter().map(|lanes| lanes.lane_addr(t)).collect();
+                let by_name = reg.per_tile_slot_addrs(t);
+                assert_eq!(addrs, by_name.iter().map(|w| w.1).collect::<Vec<_>>());
                 // Contiguous within each page, and a page's slots of one tile
                 // fill exactly one block.
                 for page in addrs.chunks(SLAB_SLOTS) {
@@ -1330,9 +1175,29 @@ mod tests {
             }
             // Asking again hands out the same words, not fresh ones.
             let again = many_families(&reg);
-            families[SLAB_SLOTS + 1][tiles - 1].add(7);
-            assert_eq!(again[SLAB_SLOTS + 1][tiles - 1].get(), 7);
-            assert_eq!(again[3][0].addr(), families[3][0].addr());
+            families[SLAB_SLOTS + 1].add(tiles - 1, 7);
+            assert_eq!(again[SLAB_SLOTS + 1].lane_get(tiles - 1), 7);
+            assert_eq!(again[3].lane_addr(0), families[3].lane_addr(0));
+            assert!(families.iter().all(|f| f.num_lanes() == tiles), "linear in tiles");
+        }
+    }
+
+    #[test]
+    fn a_slab_page_holds_one_namespace() {
+        use graphite_base::padded::PAD_BYTES;
+        let reg = MetricsRegistry::new(3);
+        let net_a = reg.sharded_counter("net.a");
+        let mem_b = reg.sharded_counter("mem.b");
+        let net_c = reg.sharded_counter("net.link.0.1.flits");
+        let mem_d = reg.per_tile("mem.tile.d");
+        let ctrl = reg.sharded_max("ctrl.e");
+        for t in 0..3 {
+            let block = |m: &ShardedMetric| m.lane_addr(t) / PAD_BYTES;
+            assert_eq!(net_c.lane_addr(t), net_a.lane_addr(t) + 8, "net packs together");
+            assert_eq!(mem_d.lane_addr(t), mem_b.lane_addr(t) + 8, "mem packs together");
+            assert_ne!(block(&net_a), block(&mem_b));
+            assert_ne!(block(&ctrl), block(&mem_b));
+            assert_ne!(block(&ctrl), block(&net_a));
         }
     }
 
@@ -1340,15 +1205,17 @@ mod tests {
     fn restore_roundtrips_across_slab_pages() {
         let fill = |reg: &MetricsRegistry, scale: u64| {
             for (f, lanes) in many_families(reg).iter().enumerate() {
-                for (t, m) in lanes.iter().enumerate() {
-                    m.add(scale * (100 * f as u64 + t as u64));
+                for t in 0..5 {
+                    lanes.add(t, scale * (100 * f as u64 + t as u64));
                 }
             }
         };
         let reg = MetricsRegistry::new(5);
         fill(&reg, 1);
         let snap = reg.snapshot();
-        assert_eq!(snap.per_tile["fam.17"], vec![1700, 1701, 1702, 1703, 1704]);
+        assert_eq!(snap.per_tile["fam.18"], vec![1800, 1801, 1802, 1803, 1804]);
+        assert_eq!(snap.counters["fam.16"], 5 * 1600 + 10, "sum fold");
+        assert_eq!(snap.counters["fam.17"], 1704, "max fold");
         let mut e = Enc::new();
         snap.encode(&mut e);
         let decoded = MetricsSnapshot::decode(&mut Dec::new(&e.finish())).unwrap();
@@ -1371,11 +1238,13 @@ mod tests {
     #[test]
     fn rejected_per_tile_registration_takes_no_slab_slot() {
         let reg = MetricsRegistry::new(2);
-        reg.counter("taken");
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| reg.per_tile("taken")));
+        reg.counter("fam.taken");
+        let r =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| reg.per_tile("fam.taken")));
         assert!(r.is_err(), "re-registering a counter as per-tile must panic");
-        reg.per_tile("ok");
-        assert_eq!(reg.per_tile_slot_addrs(0).len(), 1);
+        let ok = reg.per_tile("fam.ok");
+        assert_eq!(reg.per_tile_slot_addrs(0), vec![("fam.ok".to_string(), ok.lane_addr(0))]);
+        assert_eq!(ok.lane_addr(0) % graphite_base::padded::PAD_BYTES, 0, "it took slot 0");
     }
 
     #[test]
@@ -1383,11 +1252,11 @@ mod tests {
         let reg = MetricsRegistry::new(2);
         let c = reg.counter("total");
         let lane = reg.per_tile("per");
-        let h = reg.histogram("lat");
+        let h = reg.sharded_histogram("lat");
         c.add(5);
-        lane[0].add(1);
-        lane[1].add(2);
-        h.record(100);
+        lane.add(0, 1);
+        lane.add(1, 2);
+        h.record(1, 100);
         let snap = reg.snapshot();
         assert_eq!(snap.counters["total"], 5);
         assert_eq!(snap.per_tile["per"], vec![1, 2]);
@@ -1401,8 +1270,8 @@ mod tests {
     fn snapshot_json_is_well_formed() {
         let reg = MetricsRegistry::new(2);
         reg.counter("a.b").add(1);
-        reg.per_tile("c\"tricky")[1].add(3);
-        reg.histogram("lat").record(9);
+        reg.per_tile("c\"tricky").add(1, 3);
+        reg.sharded_histogram("lat").record(0, 9);
         let doc = reg.snapshot().to_json();
         json::Json::parse(&doc).unwrap_or_else(|e| panic!("{e}\n{doc}"));
         assert!(doc.contains("\"graphite.metrics.v1\""));
@@ -1420,10 +1289,10 @@ mod tests {
         let reg = MetricsRegistry::new(4);
         reg.counter("plain").add(17);
         let pt = reg.per_tile("per");
-        pt[1].add(3);
-        pt[3].add(9);
-        reg.histogram("lat").record(0);
-        reg.histogram("lat").record(1000);
+        pt.add(1, 3);
+        pt.add(3, 9);
+        reg.sharded_histogram("lat").record(0, 0);
+        reg.sharded_histogram("lat").record(2, 1000);
         reg.sharded_counter("hot").add(2, 44);
         reg.sharded_max("peak").observe_max(1, 31);
         reg.sharded_histogram("shlat").record(3, 77);
@@ -1501,9 +1370,9 @@ mod tests {
 
     #[test]
     fn quantile_of_single_bucket_returns_its_bound_for_every_q() {
-        let h = Histogram::new();
+        let h = ShardedHistogram::default();
         for _ in 0..5 {
-            h.record(9); // all five land in the (7, 15] bucket
+            h.record(0, 9); // all five land in the (7, 15] bucket
         }
         let snap = h.snapshot();
         assert_eq!(snap.buckets, vec![(15, 5)]);
@@ -1514,10 +1383,10 @@ mod tests {
 
     #[test]
     fn quantile_extremes_clamp_to_first_and_last_samples() {
-        let h = Histogram::new();
-        h.record(1); // bucket (.., 1]
-        h.record(100); // bucket (63, 127]
-        h.record(5000); // bucket (4095, 8191]
+        let h = ShardedHistogram::default();
+        h.record(0, 1); // bucket (.., 1]
+        h.record(0, 100); // bucket (63, 127]
+        h.record(0, 5000); // bucket (4095, 8191]
         let snap = h.snapshot();
         // q=0 clamps the rank to the first sample, not "before" it.
         assert_eq!(snap.quantile(0.0), 1);
@@ -1531,9 +1400,9 @@ mod tests {
 
     #[test]
     fn quantile_reaches_the_open_top_bucket() {
-        let h = Histogram::new();
-        h.record(2);
-        h.record(u64::MAX); // the open +Inf bucket
+        let h = ShardedHistogram::default();
+        h.record(0, 2);
+        h.record(0, u64::MAX); // the open +Inf bucket
         let snap = h.snapshot();
         assert_eq!(snap.quantile(0.5), 3);
         assert_eq!(snap.quantile(1.0), u64::MAX);

@@ -6,27 +6,27 @@
 use std::sync::Arc;
 use std::thread;
 
-use graphite_trace::{Histogram, MetricsRegistry, ShardedHistogram, ShardedMetric};
+use graphite_trace::{MetricsRegistry, ShardedHistogram, ShardedMetric};
 
 const WRITERS: usize = 8;
 const OPS: u64 = 20_000;
 
 #[test]
 fn histogram_loses_nothing_under_parallel_writers() {
-    let h = Histogram::new();
+    // One lane: every writer shares it, as serve's 1-tile registry does.
+    let h = ShardedHistogram::default();
     thread::scope(|s| {
         for t in 0..WRITERS {
             let h = &h;
             s.spawn(move || {
                 for i in 0..OPS {
-                    h.record((t as u64) * 1_000 + (i % 100));
+                    h.record(t, (t as u64) * 1_000 + (i % 100));
                 }
             });
         }
         // Concurrent snapshots must never tear past the true totals. (A
-        // writer sits between its bucket and count increments at any
-        // moment, so bucketed-vs-count can transiently disagree by the
-        // number of in-flight writers — only the upper bound is exact.)
+        // writer sits between its bucket and sum increments at any moment,
+        // so a mid-run snapshot is only bounded from above.)
         let ceiling = (WRITERS as u64) * OPS;
         for _ in 0..50 {
             let snap = h.snapshot();
@@ -96,19 +96,19 @@ fn registry_snapshot_under_parallel_writers_is_exact_after_join() {
     let reg = Arc::new(MetricsRegistry::new(WRITERS));
     let lanes = reg.per_tile("stress.tile.ops");
     let total = reg.counter("stress.ops");
-    let hist = reg.histogram("stress.latency");
+    let hist = reg.sharded_histogram("stress.latency");
     let sharded = reg.sharded_counter("stress.sharded");
     thread::scope(|s| {
-        for (t, lane) in lanes.iter().enumerate() {
-            let lane = lane.clone();
+        for t in 0..WRITERS {
+            let lane = lanes.clone();
             let total = total.clone();
             let hist = hist.clone();
             let sharded = sharded.clone();
             s.spawn(move || {
                 for i in 0..OPS {
-                    lane.add_owned(1);
+                    lane.add_owned(t, 1);
                     total.add(1);
-                    hist.record(i & 0xFF);
+                    hist.record(t, i & 0xFF);
                     sharded.incr(t);
                 }
             });
