@@ -3,9 +3,9 @@
 //! receive and a LaxP2P catch-up sleep are stack switches, not a host thread
 //! sleeping and waking — so the carrier count stays at the pool width.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{mpsc, Arc};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use graphite::{Ctx, GBarrier, GuestEntry, GuestScheduler, Sim, SimConfig, SimReport, SyncModel};
 use graphite_base::{Blocker, TileId};
@@ -17,27 +17,57 @@ const TILES: u32 = 64;
 
 /// 64 contexts of pure compute under LaxBarrier(1000): ≈40 quantum parks
 /// each, and no guest blocking operation besides main's final joins.
+///
+/// A context is sync-active from its first resume, so on a loaded host the
+/// children could otherwise run one after another, each alone at every
+/// boundary, and never park. Main therefore holds a quantum open until
+/// every child has entered its body: it steps just past the boundary its
+/// spawns left it under (a child's 1,000-cycle spawn instruction parks it
+/// there, so main must release that one), then waits on the host without
+/// advancing its clock. No child can finish a quantum ahead of main, and
+/// from then on all 64 are active until they exit. Both steps add the same
+/// simulated time on every run.
 fn barrier_kernel(workers: u32) -> SimReport {
+    const QUANTUM: u64 = 1_000;
     let cfg = SimConfig::builder()
         .tiles(TILES)
         .processes(1)
-        .sync(SyncModel::LaxBarrier { quantum: 1_000 })
+        .sync(SyncModel::LaxBarrier { quantum: QUANTUM })
         .build()
         .unwrap();
     Sim::builder(cfg).workers(workers).build().unwrap().run(|ctx| {
-        let entry: GuestEntry = Arc::new(|ctx, arg| {
-            for i in 0..4_000u64 {
-                ctx.alu(10);
-                ctx.branch(0x100, (i + arg) % 3 == 0);
-            }
-        });
+        let started = Arc::new(AtomicU32::new(0));
+        let entry: GuestEntry = {
+            let started = Arc::clone(&started);
+            Arc::new(move |ctx, arg| {
+                started.fetch_add(1, Ordering::Release);
+                for i in 0..4_000u64 {
+                    ctx.alu(10);
+                    ctx.branch(0x100, (i + arg) % 3 == 0);
+                }
+            })
+        };
         let kids: Vec<_> =
             (1..TILES as u64).map(|t| ctx.spawn(Arc::clone(&entry), t).unwrap()).collect();
+        let boundary = (ctx.now().0 / QUANTUM + 1) * QUANTUM;
+        while ctx.now().0 < boundary {
+            ctx.alu(1);
+        }
+        host_wait_until(|| started.load(Ordering::Acquire) == TILES - 1);
         entry(ctx, 0);
         for k in kids {
             k.join(ctx).unwrap();
         }
     })
+}
+
+/// Blocks the calling host thread until `done` holds (or a minute passes,
+/// so a broken kernel fails its assertions instead of hanging the test).
+fn host_wait_until(done: impl Fn() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while !done() && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_micros(200));
+    }
 }
 
 #[test]
@@ -190,17 +220,35 @@ fn guest_waits_keep_carriers_at_pool_width() {
 /// A LaxP2P run whose main thread races ahead and must sleep while the
 /// others catch up: the sleeps are timed requeues on the run-queue, not
 /// carriers sleeping, and the deadlines fire.
+///
+/// A sleep needs an active partner that is behind, and on a loaded host the
+/// short threads could all start and finish before main gets going. So
+/// main waits on the host until thread 1 has started, and thread 1 waits on
+/// the host — active, its clock standing still — until main is done.
 #[test]
 fn p2p_sleeps_are_timed_requeues() {
     const WORKERS: u32 = 2;
     let sync = SyncModel::LaxP2P { slack: 1_000, check_interval: 500 };
+    let laggard_started = Arc::new(AtomicBool::new(false));
+    let leader_done = Arc::new(AtomicBool::new(false));
     let r = Sim::builder(cfg(16, sync)).workers(WORKERS).build().unwrap().run(|ctx| {
-        fork_join(ctx, 16, |ctx, who| {
+        fork_join(ctx, 16, move |ctx, who| {
+            match who {
+                0 => host_wait_until(|| laggard_started.load(Ordering::Acquire)),
+                1 => {
+                    laggard_started.store(true, Ordering::Release);
+                    host_wait_until(|| leader_done.load(Ordering::Acquire));
+                }
+                _ => {}
+            }
             // Thread 0 does ten times the work per step: it runs ahead.
             let per_step = if who == 0 { 500 } else { 50 };
             for i in 0..400u64 {
                 ctx.alu(per_step);
                 ctx.branch(0x80, i % 2 == 0);
+            }
+            if who == 0 {
+                leader_done.store(true, Ordering::Release);
             }
         });
     });

@@ -4,6 +4,7 @@
 #![cfg(target_os = "linux")]
 
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use graphite::{GuestEntry, Sim, SimConfig, SyncModel};
 use graphite_base::TileId;
@@ -12,6 +13,20 @@ fn host_threads() -> usize {
     let status = std::fs::read_to_string("/proc/self/status").expect("procfs");
     let line = status.lines().find(|l| l.starts_with("Threads:")).expect("Threads: line");
     line["Threads:".len()..].trim().parse().expect("thread count")
+}
+
+/// The host thread count once it is back to `want`, or after a second. A
+/// joined thread has stopped running, but the kernel takes it off the
+/// count only when it reaps it, a moment after the join returns.
+fn host_threads_settled(want: usize) -> usize {
+    let deadline = Instant::now() + Duration::from_secs(1);
+    loop {
+        let n = host_threads();
+        if n == want || Instant::now() >= deadline {
+            return n;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
 }
 
 #[test]
@@ -23,10 +38,10 @@ fn dropping_unrun_sims_joins_their_control_threads() {
         assert!(host_threads() >= before + 3, "one MCP and two LCPs are running");
         drop(sim);
     }
-    assert_eq!(host_threads(), before, "control threads outlived their simulators");
+    assert_eq!(host_threads_settled(before), before, "control threads outlived their simulators");
     // Running still tears down exactly once.
     Sim::builder(cfg.clone()).build().unwrap().run(|ctx| ctx.alu(10));
-    assert_eq!(host_threads(), before);
+    assert_eq!(host_threads_settled(before), before);
     // Spawned contexts run on carrier threads, which shutdown retires and
     // joins: quantum parks, joins and a blocking receive leave none behind.
     let barrier = SimConfig { sync: SyncModel::LaxBarrier { quantum: 500 }, ..cfg };
@@ -47,6 +62,10 @@ fn dropping_unrun_sims_joins_their_control_threads() {
                 k.join(ctx).unwrap();
             }
         });
-        assert_eq!(host_threads(), before, "carriers outlived a {workers}-worker run");
+        assert_eq!(
+            host_threads_settled(before),
+            before,
+            "carriers outlived a {workers}-worker run"
+        );
     }
 }
