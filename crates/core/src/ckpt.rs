@@ -3,7 +3,7 @@
 //!
 //! A checkpoint captures a **quiesced** simulation — only the main thread
 //! running, no futex waiter parked, no user message in flight (the MCP
-//! verifies this before serializing; see `control::quiesce_violation`). What
+//! verifies this under its lock before serializing; see `Mcp::checkpoint`). What
 //! is saved is the simulated machine, not the host: simulated DRAM, cache
 //! arrays and directory state, per-tile clocks, core-model state,
 //! synchronization-model state, the control plane (thread table, free tiles,
@@ -24,15 +24,14 @@
 //! | `sync`    | model name + [`Synchronizer::save_state`] words           |
 //! | `cores`   | per-tile core performance-model state                     |
 //! | `metrics` | full metrics snapshot (restored into the registry)        |
-//! | `ctrl`    | MCP locals: threads, free tiles, heap/mmap, VFS           |
+//! | `ctrl`    | MCP state: threads, free tiles, heap/mmap, VFS            |
 //! | `replay`  | [`ReplayLog`] streams and cursors                         |
 //! | `stdout`  | guest stdout captured so far                              |
 //!
 //! Restore runs inside [`crate::SimBuilder::build`]: the checkpoint is
-//! opened and validated *before* the service threads start, component state
-//! is applied to the freshly built subsystems, and the parsed control state
-//! is stashed for the MCP thread to adopt before it services its first
-//! request.
+//! opened and validated *before* anything runs, component state is applied
+//! to the freshly built subsystems, and the `ctrl` segment is decoded
+//! straight into the MCP's state.
 
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -41,19 +40,18 @@ use std::sync::Arc;
 use graphite_base::{CachePadded, Clock, Cycles, SimError};
 use graphite_ckpt::{corrupted, Checkpointable, CkptReader, CkptWriter, Dec, Enc, ReplayLog};
 use graphite_config::SimConfig;
-use graphite_memory::addr::layout;
-use graphite_memory::{MemorySystem, SegmentAllocator};
+use graphite_memory::MemorySystem;
 use graphite_network::Network;
 use graphite_sync::Synchronizer;
 use graphite_trace::{MetricsRegistry, MetricsSnapshot};
 
-use crate::control::CtrlRestore;
+use crate::control::{Mcp, ThreadRecord};
 use crate::vfs::Vfs;
 use crate::{SimInner, TileState};
 
-/// Serializes every subsystem and writes one checkpoint file. Called from
-/// the MCP service loop (which owns and passes the already-encoded `ctrl`
-/// segment) after the quiesce checks pass.
+/// Serializes every subsystem and writes one checkpoint file. Called under
+/// the MCP lock (which passes the already-encoded `ctrl` segment) after the
+/// quiesce checks pass.
 ///
 /// # Errors
 ///
@@ -147,16 +145,40 @@ pub(crate) fn check_meta(r: &CkptReader, cfg: &SimConfig, sync_name: &str) -> Re
     Ok(())
 }
 
-/// Parses and validates the `ctrl` segment into the state the MCP adopts on
-/// resume: per-thread exit times, free-tile pool, heap/mmap allocators and
-/// the VFS.
+/// Encodes the MCP's state as the `ctrl` segment: per-thread exit records,
+/// the free-tile pool, the heap/mmap allocators and the VFS.
+pub(crate) fn encode_ctrl(mcp: &Mcp) -> Vec<u8> {
+    let mut ctrl = Enc::new();
+    ctrl.u32(mcp.threads.len() as u32);
+    for rec in &mcp.threads {
+        let (tag, (time, value)) = match rec.exit {
+            None => (0, (Cycles::ZERO, 0)),
+            Some(exit) => (1, exit),
+        };
+        ctrl.u8(tag);
+        ctrl.u64(time.0);
+        ctrl.u64(value);
+    }
+    ctrl.u32(mcp.free_tiles.len() as u32);
+    for &t in &mcp.free_tiles {
+        ctrl.u32(t);
+    }
+    ctrl.words(&mcp.heap.export_state());
+    ctrl.words(&mcp.mmap.export_state());
+    mcp.vfs.save(&mut ctrl);
+    ctrl.finish()
+}
+
+/// Decodes and validates the `ctrl` segment into a resumed simulation's
+/// fresh MCP: per-thread exit records, free-tile pool, heap/mmap allocators
+/// and the VFS.
 ///
 /// # Errors
 ///
 /// [`SimError::CkptCorrupted`] for a decodable-but-inconsistent segment
 /// (a running worker thread, an out-of-range or duplicate free tile,
 /// allocator maps that do not fit the segment layout).
-pub(crate) fn parse_ctrl(r: &CkptReader, cfg: &SimConfig) -> Result<CtrlRestore, SimError> {
+pub(crate) fn parse_ctrl(r: &CkptReader, cfg: &SimConfig, mcp: &mut Mcp) -> Result<(), SimError> {
     let bad = || corrupted("ctrl");
     let mut d = Dec::new(r.segment("ctrl")?);
     let n_threads = d.u32()? as usize;
@@ -169,37 +191,31 @@ pub(crate) fn parse_ctrl(r: &CkptReader, cfg: &SimConfig) -> Result<CtrlRestore,
         let exit = d.u64()?;
         let value = d.u64()?;
         // Quiesce guarantees: only thread 0 may be running in a checkpoint.
-        match tag {
-            0 if i == 0 => threads.push(None),
-            1 if i > 0 => threads.push(Some((Cycles(exit), value))),
+        let exit = match tag {
+            0 if i == 0 => None,
+            1 if i > 0 => Some((Cycles(exit), value)),
             _ => return Err(bad()),
-        }
+        };
+        threads.push(ThreadRecord { exit, joiners: Vec::new() });
     }
     let n_free = d.u32()? as usize;
-    let mut free_tiles = Vec::with_capacity(n_free);
-    let mut seen = BTreeSet::new();
+    let mut free_tiles = BTreeSet::new();
     for _ in 0..n_free {
         let t = d.u32()?;
-        if t == 0 || t >= cfg.target.num_tiles || !seen.insert(t) {
+        if t == 0 || t >= cfg.target.num_tiles || !free_tiles.insert(t) {
             return Err(bad());
         }
-        free_tiles.push(t);
     }
-    let mut heap =
-        SegmentAllocator::new(layout::HEAP_BASE, layout::HEAP_LIMIT.0 - layout::HEAP_BASE.0);
-    if !heap.import_state(&d.words()?) {
+    if !mcp.heap.import_state(&d.words()?) || !mcp.mmap.import_state(&d.words()?) {
         return Err(bad());
     }
-    let mut mmap =
-        SegmentAllocator::new(layout::MMAP_BASE, layout::MMAP_LIMIT.0 - layout::MMAP_BASE.0);
-    if !mmap.import_state(&d.words()?) {
-        return Err(bad());
-    }
-    let vfs = Vfs::restore(&mut d)?;
+    mcp.vfs = Vfs::restore(&mut d)?;
     if !d.is_empty() {
         return Err(bad());
     }
-    Ok(CtrlRestore { threads, free_tiles, heap, mmap, vfs })
+    mcp.threads = threads;
+    mcp.free_tiles = free_tiles;
+    Ok(())
 }
 
 /// Loads the record/replay log, preserving its recorded mode and cursors so
@@ -220,8 +236,7 @@ pub(crate) fn load_stdout(r: &CkptReader) -> Result<Vec<u8>, SimError> {
 
 /// Applies the checkpoint to freshly built subsystems: clocks, memory,
 /// network, synchronization model, core models and the metrics registry.
-/// Runs before the MCP/LCP threads start, so nothing observes half-restored
-/// state.
+/// Runs before the guest starts, so nothing observes half-restored state.
 ///
 /// # Errors
 ///

@@ -6,585 +6,431 @@
 //! functional correctness of the simulation by providing services for
 //! synchronization, system call execution and thread management."
 //!
-//! The MCP here is a single service thread processing request messages in
-//! arrival order — which is also what makes its futex emulation atomic. It
-//! owns the thread-to-tile mapping (tiles striped across processes), the
-//! futex wait queues, the dynamic memory manager for the heap and mmap
-//! segments (paper §3.2.1), and the virtual file system backing the
+//! The paper needs service threads because its processes run on different
+//! machines. Here every simulated process shares one host address space, so
+//! the MCP is its state behind one lock: `Mcp` owns the thread-to-tile
+//! mapping, the futex wait queues, the dynamic memory manager for the heap
+//! and mmap segments (paper §3.2.1) and the virtual file system backing the
 //! consistent-OS-interface syscalls (paper §3.4: file descriptors must mean
 //! the same thing in every process, so file I/O funnels through the MCP).
+//! Every control request runs on the context that makes it, under that lock
+//! — which is also what makes the futex emulation atomic. The LCP's one job,
+//! starting a spawned thread, is a direct scheduler submit.
 //!
-//! Every request names its requesting tile. The MCP answers by writing an
-//! [`McpReply`] into that tile's reply cell and unparking it — exactly once
-//! per request, whether the answer is immediate (a malloc, a mismatched
-//! futex wait) or deferred (a futex wait until its wake, a join until the
-//! exit). Its futex queues and join lists therefore hold tiles, and a
-//! waiting guest is a suspended context, not a host thread blocked on a
-//! channel.
+//! Most requests are answered at once. A futex wait that blocks and a join
+//! of a running thread are *deferred*: the waiter queues its tile under the
+//! lock, drops the guard and parks once; its waker (a futex wake, the
+//! thread's exit, shutdown) changes the tables under the lock, then — guard
+//! dropped — writes each waiter's `McpReply` into its reply cell and
+//! unparks it. A waiting guest is a suspended context, not a host thread.
+//!
+//! Two rules keep this sound: the MCP guard is never held across a suspend
+//! (a context may resume on another carrier), and never while calling the
+//! scheduler's `unpark` or `submit` — the lock order is MCP before
+//! scheduler, never the reverse.
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
-use std::path::PathBuf;
+use std::path::Path;
 use std::sync::Arc;
 
-use crossbeam::channel::{Receiver, Sender};
 use graphite_base::{Blocker, Cycles, SimError, ThreadId, TileId};
-use graphite_ckpt::Enc;
+use graphite_config::SimConfig;
 use graphite_core_model::Instruction;
 use graphite_memory::addr::layout;
-use graphite_memory::{Addr, SegmentAllocator};
-use graphite_trace::{MetricsRegistry, ShardedMetric, TraceEventKind};
+use graphite_memory::{Addr, MemorySystem, SegmentAllocator};
+use graphite_trace::{Metric, MetricsRegistry, TraceEventKind};
 use graphite_transport::Mailbox;
+use parking_lot::{Mutex, MutexGuard};
 
 use crate::ctx::{Ctx, GuestEntry};
 use crate::vfs::Vfs;
 use crate::SimInner;
 
 /// Counters for control-plane activity, consumed by reports and the host
-/// performance model.
-///
-/// Backed by [`ShardedMetric`] lanes. The MCP is a single service thread, so
-/// every update uses the owned (plain load+store) lane-0 fast path — the
-/// shared metrics cache line never bounces between the MCP and tile threads.
+/// performance model. Updated under the MCP lock.
 #[derive(Debug, Default)]
 pub struct ControlStats {
     /// Threads spawned.
-    pub spawns: ShardedMetric,
+    pub spawns: Metric,
     /// Joins completed.
-    pub joins: ShardedMetric,
+    pub joins: Metric,
     /// Futex waits that actually blocked.
-    pub futex_waits: ShardedMetric,
+    pub futex_waits: Metric,
     /// Futex wake calls.
-    pub futex_wakes: ShardedMetric,
+    pub futex_wakes: Metric,
     /// System calls serviced by the MCP (file I/O, memory management).
-    pub syscalls: ShardedMetric,
+    pub syscalls: Metric,
 }
 
 impl ControlStats {
     /// Counters bound to the metrics registry under `ctrl.*`.
     pub fn registered(metrics: &MetricsRegistry) -> Self {
         ControlStats {
-            spawns: metrics.sharded_counter("ctrl.spawns"),
-            joins: metrics.sharded_counter("ctrl.joins"),
-            futex_waits: metrics.sharded_counter("ctrl.futex_waits"),
-            futex_wakes: metrics.sharded_counter("ctrl.futex_wakes"),
-            syscalls: metrics.sharded_counter("ctrl.syscalls"),
+            spawns: metrics.counter("ctrl.spawns"),
+            joins: metrics.counter("ctrl.joins"),
+            futex_waits: metrics.counter("ctrl.futex_waits"),
+            futex_wakes: metrics.counter("ctrl.futex_wakes"),
+            syscalls: metrics.counter("ctrl.syscalls"),
         }
     }
 }
 
-/// Lane used by the MCP service thread for its `ctrl.*` counters. All MCP
-/// updates are serialized by the single service loop, so the owned
-/// (unsynchronized) lane writes are safe.
-const MCP_LANE: usize = 0;
-
-/// Result of a futex wait request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FutexWaitOutcome {
-    /// The thread blocked and was woken by a waker at the given time.
-    Woken {
-        /// The waker's simulated time, for clock forwarding.
-        waker_time: Cycles,
-    },
-    /// The futex word no longer held the expected value; no blocking.
-    ValueMismatch,
-}
-
-/// File-system syscalls forwarded to the MCP.
+/// How a deferred MCP wait ended, written into the waiter's reply cell by
+/// its waker just before the wait's one unpark.
 #[derive(Debug)]
-pub enum FileReq {
-    /// Opens (creating if needed) a file in the simulation-private VFS;
-    /// replies the new descriptor.
-    Open {
-        /// Path within the virtual file system.
-        path: String,
-    },
-    /// Closes a descriptor; replies 0 on success, −1 otherwise.
-    Close {
-        /// Descriptor to close.
-        fd: i32,
-    },
-    /// Reads up to `max` bytes at the descriptor's offset; replies the data
-    /// (possibly shorter than `max`).
-    Read {
-        /// Descriptor to read.
-        fd: i32,
-        /// Maximum bytes.
-        max: usize,
-    },
-    /// Writes bytes at the descriptor's offset; replies bytes written.
-    Write {
-        /// Descriptor to write.
-        fd: i32,
-        /// The data.
-        data: Vec<u8>,
-    },
-    /// Repositions a descriptor; replies the new offset or −1.
-    Seek {
-        /// Descriptor.
-        fd: i32,
-        /// Absolute offset.
-        pos: u64,
-    },
-}
-
-/// The MCP's answer to one request, written into the requester's reply
-/// cell before the requester is unparked.
-#[derive(Debug)]
-pub enum McpReply {
-    /// [`McpRequest::Spawn`]: the new thread id, or [`SimError::NoFreeTile`].
-    Spawn(Result<ThreadId, SimError>),
-    /// [`McpRequest::Join`]: `(exit time, exit value)`, or
-    /// [`SimError::UnknownThread`] for a never-spawned id.
-    Join(Result<(Cycles, u64), SimError>),
-    /// [`McpRequest::FutexWait`]: how the wait ended.
-    FutexWait(FutexWaitOutcome),
-    /// [`McpRequest::FutexWake`]: the number of waiters woken.
-    FutexWake(u32),
-    /// [`McpRequest::Malloc`] / [`McpRequest::Mmap`]: the block's address.
-    Alloc(Result<Addr, SimError>),
-    /// [`McpRequest::Free`] / [`McpRequest::Munmap`] /
-    /// [`McpRequest::Checkpoint`]: success or the failure.
-    Done(Result<(), SimError>),
-    /// Open / close / seek: a descriptor, result code or offset.
-    Int(i64),
-    /// Write: bytes written.
-    Count(usize),
-    /// Read: the bytes read.
-    Data(Vec<u8>),
-    /// The control plane shut down before answering.
+pub(crate) enum McpReply {
+    /// A futex wake, at the waker's simulated time.
+    Woken(Cycles),
+    /// The joined thread exited: its exit time and exit value.
+    Exited(Cycles, u64),
+    /// Shutdown closed the control plane first.
     Closed,
 }
 
-/// Requests serviced by the MCP.
-pub enum McpRequest {
-    /// Spawn a guest thread on a free tile (paper §3.5: "the spawn calls are
-    /// forwarded to the MCP to ensure a consistent view of the
-    /// thread-to-tile mapping").
-    Spawn {
-        /// Guest entry function.
-        entry: GuestEntry,
-        /// Argument passed to the entry.
-        arg: u64,
-        /// Spawner's clock; the child's clock starts here.
-        parent_time: Cycles,
-        /// The requesting tile (receives the reply).
-        tile: TileId,
-    },
-    /// Wait for a thread to exit; replies with its exit time and exit value.
-    Join {
-        /// Thread to join.
-        thread: ThreadId,
-        /// The requesting tile (receives the reply).
-        tile: TileId,
-    },
-    /// A guest thread finished.
-    ThreadExit {
-        /// The exiting thread.
-        thread: ThreadId,
-        /// Its tile, returned to the free pool.
-        tile: TileId,
-        /// Its final clock.
-        time: Cycles,
-        /// Its pthread-style exit value (see `Ctx::set_exit_value`).
-        value: u64,
-    },
-    /// Emulated `futex(FUTEX_WAIT)` (paper §3.4).
-    FutexWait {
-        /// Futex word address in the simulated address space.
-        addr: Addr,
-        /// Value the caller saw; mismatches fail immediately.
-        expected: u32,
-        /// The requesting tile (receives the reply).
-        tile: TileId,
-    },
-    /// Emulated `futex(FUTEX_WAKE)`.
-    FutexWake {
-        /// Futex word address.
-        addr: Addr,
-        /// Maximum waiters to wake.
-        max: u32,
-        /// The waker's clock (propagated to woken threads).
-        time: Cycles,
-        /// The requesting tile (receives the number woken).
-        tile: TileId,
-    },
-    /// Heap allocation (intercepted `brk`-style allocation, §3.2.1).
-    Malloc {
-        /// Requested bytes.
-        size: u64,
-        /// The requesting tile (receives the address).
-        tile: TileId,
-    },
-    /// Frees a heap allocation.
-    Free {
-        /// Block start address.
-        addr: Addr,
-        /// The requesting tile (receives success or an error for invalid
-        /// frees).
-        tile: TileId,
-    },
-    /// Allocation from the mmap segment (intercepted `mmap`).
-    Mmap {
-        /// Requested bytes.
-        size: u64,
-        /// The requesting tile (receives the address).
-        tile: TileId,
-    },
-    /// Releases an mmap region (intercepted `munmap`).
-    Munmap {
-        /// Region start.
-        addr: Addr,
-        /// The requesting tile (receives success or an error).
-        tile: TileId,
-    },
-    /// File-system syscalls.
-    File {
-        /// The syscall.
-        req: FileReq,
-        /// The requesting tile (receives the result).
-        tile: TileId,
-    },
-    /// Snapshot the quiesced simulation to disk (see `crate::ckpt`).
-    Checkpoint {
-        /// Destination file.
-        path: PathBuf,
-        /// The requesting thread — must be the main thread (0).
-        thread: ThreadId,
-        /// The requesting tile (receives success or
-        /// [`SimError::CkptNotQuiesced`] / [`SimError::CkptIo`]).
-        tile: TileId,
-    },
-    /// Ends the control plane (sent once by [`crate::Simulator::run`]).
-    Shutdown,
-}
-
-/// Commands from the MCP to a process's LCP.
-pub enum LcpCmd {
-    /// Start a guest thread on a tile owned by this process.
-    Spawn {
-        /// Target tile.
-        tile: TileId,
-        /// Thread id assigned by the MCP.
-        thread: ThreadId,
-        /// Entry function.
-        entry: GuestEntry,
-        /// Entry argument.
-        arg: u64,
-        /// Starting clock (the spawner's time).
-        start_time: Cycles,
-    },
-    /// Stop accepting spawns and exit.
-    Shutdown,
-}
-
-#[derive(Debug)]
-enum ThreadState {
-    Running,
-    Exited(Cycles, u64),
-}
-
-struct ThreadRecord {
-    state: ThreadState,
+/// One guest thread's entry in the MCP's thread table.
+#[derive(Debug, Default)]
+pub(crate) struct ThreadRecord {
+    /// `(exit time, exit value)` once the thread has exited; `None` while it
+    /// runs.
+    pub(crate) exit: Option<(Cycles, u64)>,
     /// Tiles waiting in a join of this thread.
-    joiners: Vec<TileId>,
+    pub(crate) joiners: Vec<TileId>,
 }
 
-/// MCP-owned control state parsed from a checkpoint's `ctrl` segment,
-/// stashed on [`SimInner`] by the builder for the MCP thread to consume
-/// before it services its first request (see `crate::ckpt`).
-pub(crate) struct CtrlRestore {
-    /// Per-thread `(exit time, exit value)`; `None` means the thread was
-    /// recorded as running (only thread 0 may be).
-    pub(crate) threads: Vec<Option<(Cycles, u64)>>,
-    /// Tiles available for future spawns.
-    pub(crate) free_tiles: Vec<u32>,
-    /// Heap allocator with imported free/live maps.
+/// The MCP's state, behind [`SimInner::mcp`]'s lock, with one method per
+/// request. A resumed simulation starts from the state `ckpt::parse_ctrl`
+/// decodes; `ckpt::encode_ctrl` writes it back out.
+#[derive(Debug)]
+pub(crate) struct Mcp {
+    /// Tiles available for spawns (tile 0 belongs to the main thread).
+    pub(crate) free_tiles: BTreeSet<u32>,
+    /// Every thread ever spawned, by id; thread 0 is the main thread.
+    pub(crate) threads: Vec<ThreadRecord>,
+    /// Futex wait queues by word address.
+    pub(crate) futexes: HashMap<u64, VecDeque<TileId>>,
     pub(crate) heap: SegmentAllocator,
-    /// Mmap allocator with imported free/live maps.
     pub(crate) mmap: SegmentAllocator,
-    /// The virtual file system contents and descriptor table.
     pub(crate) vfs: Vfs,
+    /// Set by shutdown: every later request gets
+    /// [`SimError::TransportClosed`].
+    closed: bool,
+    stats: ControlStats,
 }
 
-/// A checkpoint may only capture a quiesced simulation: no guest thread
-/// other than the requester (thread 0) running, no futex waiter parked, no
-/// user message in flight. Returns a human-readable violation, if any.
-fn quiesce_violation(
-    thread: ThreadId,
-    threads: &[ThreadRecord],
-    futexes: &HashMap<u64, VecDeque<TileId>>,
-    inner: &SimInner,
-) -> Option<String> {
-    if thread != ThreadId(0) {
-        return Some(format!("checkpoint requested by thread {}, not the main thread", thread.0));
-    }
-    for (i, rec) in threads.iter().enumerate().skip(1) {
-        if matches!(rec.state, ThreadState::Running) {
-            return Some(format!("thread {i} is still running (join it first)"));
+impl Mcp {
+    /// A fresh control plane: only the main thread, every other tile free,
+    /// empty allocators and file system.
+    pub(crate) fn new(cfg: &SimConfig, stats: ControlStats) -> Self {
+        Mcp {
+            free_tiles: (1..cfg.target.num_tiles).collect(),
+            threads: vec![ThreadRecord::default()],
+            futexes: HashMap::new(),
+            heap: SegmentAllocator::new(
+                layout::HEAP_BASE,
+                layout::HEAP_LIMIT.0 - layout::HEAP_BASE.0,
+            ),
+            mmap: SegmentAllocator::new(
+                layout::MMAP_BASE,
+                layout::MMAP_LIMIT.0 - layout::MMAP_BASE.0,
+            ),
+            vfs: Vfs::new(),
+            closed: false,
+            stats,
         }
-    }
-    if !futexes.is_empty() {
-        return Some(format!("{} futex wait queue(s) still hold parked threads", futexes.len()));
-    }
-    for (t, tile) in inner.tiles.iter().enumerate() {
-        let inbox = tile.inbox.lock();
-        if !inbox.mailbox.is_empty() || !inbox.stash.is_empty() {
-            return Some(format!("tile {t} has undelivered user messages"));
-        }
-    }
-    None
-}
-
-/// Completes `tile`'s MCP wait: the reply goes into its cell, then the one
-/// unpark for the request.
-fn answer(inner: &SimInner, tile: TileId, reply: McpReply) {
-    *inner.tiles[tile.index()].reply.lock() = Some(reply);
-    inner.sched.unpark(tile);
-}
-
-/// The tile waiting on `req`'s reply, if it has one.
-fn requester(req: &McpRequest) -> Option<TileId> {
-    match *req {
-        McpRequest::Spawn { tile, .. }
-        | McpRequest::Join { tile, .. }
-        | McpRequest::FutexWait { tile, .. }
-        | McpRequest::FutexWake { tile, .. }
-        | McpRequest::Malloc { tile, .. }
-        | McpRequest::Free { tile, .. }
-        | McpRequest::Mmap { tile, .. }
-        | McpRequest::Munmap { tile, .. }
-        | McpRequest::File { tile, .. }
-        | McpRequest::Checkpoint { tile, .. } => Some(tile),
-        McpRequest::ThreadExit { .. } | McpRequest::Shutdown => None,
-    }
-}
-
-/// The MCP service loop. Runs on its own host thread; single-threaded
-/// processing makes futex and thread-table updates atomic.
-pub(crate) fn mcp_main(
-    inner: Arc<SimInner>,
-    rx: Receiver<McpRequest>,
-    lcp_txs: Vec<Sender<LcpCmd>>,
-) {
-    let mut free_tiles: BTreeSet<u32> = (1..inner.cfg.target.num_tiles).collect();
-    let mut threads: Vec<ThreadRecord> =
-        vec![ThreadRecord { state: ThreadState::Running, joiners: Vec::new() }];
-    let mut futexes: HashMap<u64, VecDeque<TileId>> = HashMap::new();
-    let mut heap =
-        SegmentAllocator::new(layout::HEAP_BASE, layout::HEAP_LIMIT.0 - layout::HEAP_BASE.0);
-    let mut mmap =
-        SegmentAllocator::new(layout::MMAP_BASE, layout::MMAP_LIMIT.0 - layout::MMAP_BASE.0);
-    let mut vfs = Vfs::new();
-
-    // A resumed simulation replaces the control state the MCP owns as locals
-    // with the state parsed (and validated) from the checkpoint.
-    if let Some(r) = inner.ckpt_restore.lock().take() {
-        free_tiles = r.free_tiles.into_iter().collect();
-        threads = r
-            .threads
-            .into_iter()
-            .map(|exit| ThreadRecord {
-                state: match exit {
-                    None => ThreadState::Running,
-                    Some((t, v)) => ThreadState::Exited(t, v),
-                },
-                joiners: Vec::new(),
-            })
-            .collect();
-        heap = r.heap;
-        mmap = r.mmap;
-        vfs = r.vfs;
     }
 
-    while let Ok(req) = rx.recv() {
-        match req {
-            McpRequest::Spawn { entry, arg, parent_time, tile: requester } => {
-                let Some(tile) = free_tiles.pop_first() else {
-                    answer(&inner, requester, McpReply::Spawn(Err(SimError::NoFreeTile)));
-                    continue;
-                };
-                let thread = ThreadId(threads.len() as u32);
-                threads.push(ThreadRecord { state: ThreadState::Running, joiners: Vec::new() });
-                inner.ctrl_stats.spawns.incr_owned(MCP_LANE);
-                inner.obs.tracer.emit(TileId(tile), parent_time, || TraceEventKind::ThreadSpawn {
-                    thread: thread.0,
-                });
-                let proc = inner.cfg.process_of_tile(tile) as usize;
-                let _ = lcp_txs[proc].send(LcpCmd::Spawn {
-                    tile: TileId(tile),
-                    thread,
-                    entry,
-                    arg,
-                    start_time: parent_time,
-                });
-                answer(&inner, requester, McpReply::Spawn(Ok(thread)));
-            }
-            McpRequest::Join { thread, tile } => {
-                inner.ctrl_stats.joins.incr_owned(MCP_LANE);
-                match threads.get_mut(thread.index()) {
-                    Some(rec) => match rec.state {
-                        ThreadState::Exited(t, v) => {
-                            answer(&inner, tile, McpReply::Join(Ok((t, v))))
-                        }
-                        ThreadState::Running => rec.joiners.push(tile),
-                    },
-                    // Unknown thread: reply immediately so the caller is not
-                    // stranded (join of a never-spawned id).
-                    None => {
-                        let err = Err(SimError::UnknownThread(thread));
-                        answer(&inner, tile, McpReply::Join(err));
-                    }
-                }
-            }
-            McpRequest::ThreadExit { thread, tile, time, value } => {
-                inner
-                    .obs
-                    .tracer
-                    .emit(tile, time, || TraceEventKind::ThreadExit { thread: thread.0 });
-                if let Some(rec) = threads.get_mut(thread.index()) {
-                    rec.state = ThreadState::Exited(time, value);
-                    for j in rec.joiners.drain(..) {
-                        answer(&inner, j, McpReply::Join(Ok((time, value))));
-                    }
-                }
-                if tile.0 != 0 {
-                    free_tiles.insert(tile.0);
-                }
-            }
-            McpRequest::FutexWait { addr, expected, tile } => {
-                let mut cur = [0u8; 4];
-                inner.mem.peek_bytes(addr, &mut cur);
-                if u32::from_le_bytes(cur) != expected {
-                    answer(&inner, tile, McpReply::FutexWait(FutexWaitOutcome::ValueMismatch));
-                } else {
-                    inner.ctrl_stats.futex_waits.incr_owned(MCP_LANE);
-                    futexes.entry(addr.0).or_default().push_back(tile);
-                }
-            }
-            McpRequest::FutexWake { addr, max, time, tile } => {
-                inner.ctrl_stats.futex_wakes.incr_owned(MCP_LANE);
-                let mut woken = 0u32;
-                if let Some(q) = futexes.get_mut(&addr.0) {
-                    while woken < max {
-                        let Some(waiter) = q.pop_front() else { break };
-                        let outcome = FutexWaitOutcome::Woken { waker_time: time };
-                        answer(&inner, waiter, McpReply::FutexWait(outcome));
-                        woken += 1;
-                    }
-                    if q.is_empty() {
-                        futexes.remove(&addr.0);
-                    }
-                }
-                answer(&inner, tile, McpReply::FutexWake(woken));
-            }
-            McpRequest::Malloc { size, tile } => {
-                inner.ctrl_stats.syscalls.incr_owned(MCP_LANE);
-                answer(&inner, tile, McpReply::Alloc(heap.alloc(size)));
-            }
-            McpRequest::Free { addr, tile } => {
-                inner.ctrl_stats.syscalls.incr_owned(MCP_LANE);
-                answer(&inner, tile, McpReply::Done(heap.free(addr)));
-            }
-            McpRequest::Mmap { size, tile } => {
-                inner.ctrl_stats.syscalls.incr_owned(MCP_LANE);
-                answer(&inner, tile, McpReply::Alloc(mmap.alloc(size)));
-            }
-            McpRequest::Munmap { addr, tile } => {
-                inner.ctrl_stats.syscalls.incr_owned(MCP_LANE);
-                answer(&inner, tile, McpReply::Done(mmap.free(addr)));
-            }
-            McpRequest::File { req, tile } => {
-                inner.ctrl_stats.syscalls.incr_owned(MCP_LANE);
-                let reply = match req {
-                    FileReq::Open { path } => McpReply::Int(vfs.open(&path).into()),
-                    FileReq::Close { fd } => McpReply::Int(vfs.close(fd).into()),
-                    FileReq::Read { fd, max } => McpReply::Data(vfs.read(fd, max)),
-                    FileReq::Write { fd, data } => {
-                        if fd == 1 || fd == 2 {
-                            inner.stdout.lock().extend_from_slice(&data);
-                            McpReply::Count(data.len())
-                        } else {
-                            McpReply::Count(vfs.write(fd, &data))
-                        }
-                    }
-                    FileReq::Seek { fd, pos } => McpReply::Int(vfs.seek(fd, pos)),
-                };
-                answer(&inner, tile, reply);
-            }
-            McpRequest::Checkpoint { path, thread, tile } => {
-                if let Some(why) = quiesce_violation(thread, &threads, &futexes, &inner) {
-                    answer(&inner, tile, McpReply::Done(Err(SimError::CkptNotQuiesced(why))));
-                    continue;
-                }
-                let mut ctrl = Enc::new();
-                ctrl.u32(threads.len() as u32);
-                for rec in &threads {
-                    match rec.state {
-                        ThreadState::Running => {
-                            ctrl.u8(0);
-                            ctrl.u64(0);
-                            ctrl.u64(0);
-                        }
-                        ThreadState::Exited(t, v) => {
-                            ctrl.u8(1);
-                            ctrl.u64(t.0);
-                            ctrl.u64(v);
-                        }
-                    }
-                }
-                ctrl.u32(free_tiles.len() as u32);
-                for &t in &free_tiles {
-                    ctrl.u32(t);
-                }
-                ctrl.words(&heap.export_state());
-                ctrl.words(&mmap.export_state());
-                vfs.save(&mut ctrl);
-                let saved = crate::ckpt::write_checkpoint(&inner, ctrl.finish(), &path);
-                answer(&inner, tile, McpReply::Done(saved));
-            }
-            McpRequest::Shutdown => break,
+    /// Claims a free tile and a thread id for a spawn.
+    fn spawn(&mut self) -> Result<(TileId, ThreadId), SimError> {
+        let tile = self.free_tiles.pop_first().ok_or(SimError::NoFreeTile)?;
+        let thread = ThreadId(self.threads.len() as u32);
+        self.threads.push(ThreadRecord::default());
+        self.stats.spawns.incr();
+        Ok((TileId(tile), thread))
+    }
+
+    /// A join of `thread` from `tile`: its `(exit time, exit value)` if it
+    /// has exited, [`SimError::UnknownThread`] for a never-spawned id, or
+    /// `None` once `tile` is queued until the exit.
+    pub(crate) fn join(
+        &mut self,
+        thread: ThreadId,
+        tile: TileId,
+    ) -> Option<Result<(Cycles, u64), SimError>> {
+        self.stats.joins.incr();
+        let Some(rec) = self.threads.get_mut(thread.index()) else {
+            return Some(Err(SimError::UnknownThread(thread)));
+        };
+        if rec.exit.is_none() {
+            rec.joiners.push(tile);
+        }
+        rec.exit.map(Ok)
+    }
+
+    /// Records `thread`'s exit and frees its tile; returns the joiners to
+    /// complete.
+    fn thread_exit(
+        &mut self,
+        thread: ThreadId,
+        tile: TileId,
+        time: Cycles,
+        value: u64,
+    ) -> Vec<TileId> {
+        if tile.0 != 0 {
+            self.free_tiles.insert(tile.0);
+        }
+        self.threads.get_mut(thread.index()).map_or_else(Vec::new, |rec| {
+            rec.exit = Some((time, value));
+            std::mem::take(&mut rec.joiners)
+        })
+    }
+
+    /// Emulated `futex(FUTEX_WAIT)` (paper §3.4): queues `tile` on `addr`
+    /// and returns `true` if the word still holds `expected`; a mismatch
+    /// returns `false` at once. The word is read under the lock, so a wake
+    /// that follows the store it waits for cannot slip in between.
+    pub(crate) fn futex_wait(
+        &mut self,
+        mem: &MemorySystem,
+        addr: Addr,
+        expected: u32,
+        tile: TileId,
+    ) -> bool {
+        let mut cur = [0u8; 4];
+        mem.peek_bytes(addr, &mut cur);
+        if u32::from_le_bytes(cur) != expected {
+            return false;
+        }
+        self.stats.futex_waits.incr();
+        self.futexes.entry(addr.0).or_default().push_back(tile);
+        true
+    }
+
+    /// Emulated `futex(FUTEX_WAKE)`: dequeues up to `max` waiters on
+    /// `addr`, for the caller to complete.
+    pub(crate) fn futex_wake(&mut self, addr: Addr, max: u32) -> Vec<TileId> {
+        self.stats.futex_wakes.incr();
+        let Some(q) = self.futexes.get_mut(&addr.0) else {
+            return Vec::new();
+        };
+        let woken: Vec<TileId> = q.drain(..q.len().min(max as usize)).collect();
+        if q.is_empty() {
+            self.futexes.remove(&addr.0);
+        }
+        woken
+    }
+
+    /// Heap allocation (intercepted `brk`-style allocation, §3.2.1).
+    pub(crate) fn malloc(&mut self, size: u64) -> Result<Addr, SimError> {
+        self.stats.syscalls.incr();
+        self.heap.alloc(size)
+    }
+
+    /// Frees a heap allocation.
+    pub(crate) fn free(&mut self, addr: Addr) -> Result<(), SimError> {
+        self.stats.syscalls.incr();
+        self.heap.free(addr)
+    }
+
+    /// Allocation from the mmap segment (intercepted `mmap`).
+    pub(crate) fn mmap(&mut self, size: u64) -> Result<Addr, SimError> {
+        self.stats.syscalls.incr();
+        self.mmap.alloc(size)
+    }
+
+    /// Releases an mmap region (intercepted `munmap`).
+    pub(crate) fn munmap(&mut self, addr: Addr) -> Result<(), SimError> {
+        self.stats.syscalls.incr();
+        self.mmap.free(addr)
+    }
+
+    /// Opens (creating if needed) a VFS file; the descriptor, or −1.
+    pub(crate) fn open(&mut self, path: &str) -> i32 {
+        self.stats.syscalls.incr();
+        self.vfs.open(path)
+    }
+
+    /// Closes a descriptor; 0 on success, −1 otherwise.
+    pub(crate) fn close(&mut self, fd: i32) -> i32 {
+        self.stats.syscalls.incr();
+        self.vfs.close(fd)
+    }
+
+    /// Reads up to `max` bytes at the descriptor's offset.
+    pub(crate) fn read(&mut self, fd: i32, max: usize) -> Vec<u8> {
+        self.stats.syscalls.incr();
+        self.vfs.read(fd, max)
+    }
+
+    /// Writes `data` at the descriptor's offset — fds 1 and 2 append to the
+    /// captured guest `stdout` — and returns the bytes written.
+    pub(crate) fn write(&mut self, stdout: &Mutex<Vec<u8>>, fd: i32, data: &[u8]) -> usize {
+        self.stats.syscalls.incr();
+        if fd == 1 || fd == 2 {
+            stdout.lock().extend_from_slice(data);
+            data.len()
+        } else {
+            self.vfs.write(fd, data)
         }
     }
-    // Cross-process telemetry collection (paper §3.5: the MCP is the single
-    // simulation-wide control point): seal every tile's pending trace batch
-    // so each simulated process's events — including flow spans — land in
-    // the rings before the merged report drains them.
-    inner.obs.tracer.flush_all();
-    // Nothing may stay suspended on the MCP: complete every wait it still
-    // holds — parked futex waiters see a mismatch, joiners and requests
-    // queued behind the shutdown see the control plane closed — then stop
-    // the LCPs. A request sent after this drain fails to send.
-    for (_, q) in futexes.drain() {
-        for w in q {
-            answer(&inner, w, McpReply::FutexWait(FutexWaitOutcome::ValueMismatch));
-        }
+
+    /// Repositions a descriptor; the new offset, or −1.
+    pub(crate) fn seek(&mut self, fd: i32, pos: u64) -> i64 {
+        self.stats.syscalls.incr();
+        self.vfs.seek(fd, pos)
     }
-    for rec in &mut threads {
-        for j in rec.joiners.drain(..) {
-            answer(&inner, j, McpReply::Closed);
+
+    /// Snapshots the quiesced simulation to `path` for `thread` (see
+    /// `crate::ckpt`). A checkpoint may only capture a quiesced simulation:
+    /// no guest thread other than the requester (thread 0) running, no
+    /// futex waiter parked, no user message in flight.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::CkptNotQuiesced`] naming the violation, or
+    /// [`SimError::CkptIo`] when the file cannot be written.
+    pub(crate) fn checkpoint(
+        &self,
+        inner: &SimInner,
+        thread: ThreadId,
+        path: &Path,
+    ) -> Result<(), SimError> {
+        if let Some(why) = self.quiesce_violation(thread, inner) {
+            return Err(SimError::CkptNotQuiesced(why));
         }
+        crate::ckpt::write_checkpoint(inner, crate::ckpt::encode_ctrl(self), path)
     }
-    while let Ok(req) = rx.try_recv() {
-        if let Some(tile) = requester(&req) {
-            answer(&inner, tile, McpReply::Closed);
+
+    /// The first quiesce rule a checkpoint by `thread` would break, if any.
+    fn quiesce_violation(&self, thread: ThreadId, inner: &SimInner) -> Option<String> {
+        if thread != ThreadId(0) {
+            return Some(format!(
+                "checkpoint requested by thread {}, not the main thread",
+                thread.0
+            ));
         }
+        for (i, rec) in self.threads.iter().enumerate().skip(1) {
+            if rec.exit.is_none() {
+                return Some(format!("thread {i} is still running (join it first)"));
+            }
+        }
+        if !self.futexes.is_empty() {
+            let n = self.futexes.len();
+            return Some(format!("{n} futex wait queue(s) still hold parked threads"));
+        }
+        for (t, tile) in inner.tiles.iter().enumerate() {
+            let inbox = tile.inbox.lock();
+            if !inbox.mailbox.is_empty() || !inbox.stash.is_empty() {
+                return Some(format!("tile {t} has undelivered user messages"));
+            }
+        }
+        None
     }
-    for tx in &lcp_txs {
-        let _ = tx.send(LcpCmd::Shutdown);
+
+    /// Closes the control plane and returns every tile still waiting on it
+    /// (futex waiters and joiners), or `None` if it was already closed.
+    fn shutdown(&mut self) -> Option<Vec<TileId>> {
+        if std::mem::replace(&mut self.closed, true) {
+            return None;
+        }
+        let futex_waiters = self.futexes.drain().flat_map(|(_, q)| q);
+        let joiners = self.threads.iter_mut().flat_map(|rec| std::mem::take(&mut rec.joiners));
+        Some(futex_waiters.chain(joiners).collect())
     }
 }
 
-/// The LCP service loop: starts this process's guest threads (paper §3.5:
-/// "the MCP forwards the spawn request to the LCP on the machine that holds
-/// the chosen tile"). Each one is submitted to the M:N scheduler as a
-/// coroutine body; the scheduler's carriers run it, and `Sim` shutdown
-/// joins the carriers.
-pub(crate) fn lcp_main(inner: Arc<SimInner>, rx: Receiver<LcpCmd>) {
-    while let Ok(LcpCmd::Spawn { tile, thread, entry, arg, start_time }) = rx.recv() {
-        let inner2 = Arc::clone(&inner);
-        inner
-            .sched
-            .submit(tile, move || guest_thread_main(inner2, tile, thread, entry, arg, start_time));
+impl SimInner {
+    /// Locks the MCP for one request.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::TransportClosed`] once shutdown has closed the control
+    /// plane.
+    pub(crate) fn mcp(&self) -> Result<MutexGuard<'_, Mcp>, SimError> {
+        let mcp = self.mcp.lock();
+        if mcp.closed {
+            return Err(SimError::TransportClosed("mcp".into()));
+        }
+        Ok(mcp)
+    }
+
+    /// Completes `tile`'s deferred MCP wait: the reply goes into its cell,
+    /// then the wait's one unpark. Never called under the MCP guard.
+    pub(crate) fn complete_wait(&self, tile: TileId, reply: McpReply) {
+        *self.tiles[tile.index()].reply.lock() = Some(reply);
+        self.sched.unpark(tile);
+    }
+
+    /// Spawns a guest thread on a free tile (paper §3.5: "the spawn calls
+    /// are forwarded to the MCP to ensure a consistent view of the
+    /// thread-to-tile mapping") and starts it: its body is submitted to the
+    /// M:N scheduler as a coroutine, with the guard dropped — the LCP's job
+    /// in the paper. The scheduler's carriers run it, and `Sim` shutdown
+    /// joins the carriers.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::NoFreeTile`] when every tile runs a thread, or
+    /// [`SimError::TransportClosed`] after shutdown.
+    pub(crate) fn spawn(
+        self: &Arc<Self>,
+        entry: GuestEntry,
+        arg: u64,
+        parent_time: Cycles,
+    ) -> Result<ThreadId, SimError> {
+        let (tile, thread) = {
+            let mut mcp = self.mcp()?;
+            let (tile, thread) = mcp.spawn()?;
+            self.obs
+                .tracer
+                .emit(tile, parent_time, || TraceEventKind::ThreadSpawn { thread: thread.0 });
+            (tile, thread)
+        };
+        // Thread creation is a true synchronization event: the child's clock
+        // starts at the spawner's time (§3.6.1). The CPI stack mirrors the
+        // reset: the cycles up to it were spent waiting to exist. The child
+        // counts toward the quantum from here, not from its first resume,
+        // so a spawner cannot run through quanta alone while its children
+        // wait for a carrier.
+        self.clocks[tile.index()].reset_to(parent_time);
+        self.cpi.reset_tile(tile, parent_time);
+        self.sync.activate(tile);
+        let inner = Arc::clone(self);
+        self.sched.submit(tile, move || guest_thread_main(inner, tile, thread, entry, arg));
+        Ok(thread)
+    }
+
+    /// A guest thread finished: its tile goes back to the pool and its
+    /// joiners are released at its exit time. The last thing a context
+    /// does, after its core model has gone home. After shutdown nothing is
+    /// recorded.
+    pub(crate) fn thread_exit(&self, thread: ThreadId, tile: TileId, time: Cycles, value: u64) {
+        let joiners = {
+            let Ok(mut mcp) = self.mcp() else {
+                return;
+            };
+            self.obs.tracer.emit(tile, time, || TraceEventKind::ThreadExit { thread: thread.0 });
+            mcp.thread_exit(thread, tile, time, value)
+        };
+        for j in joiners {
+            self.complete_wait(j, McpReply::Exited(time, value));
+        }
+    }
+
+    /// Shuts the control plane down: later requests fail at once, and
+    /// nothing stays suspended on it — parked futex waiters see a mismatch,
+    /// joiners see the control plane closed. Also seals every tile's
+    /// pending trace batch (paper §3.5: the MCP is the single
+    /// simulation-wide control point), so each simulated process's events —
+    /// flow spans included — land in the rings before the merged report
+    /// drains them. A second call does nothing.
+    pub(crate) fn close_control(&self) {
+        let Some(waiters) = self.mcp.lock().shutdown() else {
+            return;
+        };
+        self.obs.tracer.flush_all();
+        for w in waiters {
+            self.complete_wait(w, McpReply::Closed);
+        }
     }
 }
 
@@ -595,18 +441,12 @@ fn guest_thread_main(
     thread: ThreadId,
     entry: GuestEntry,
     arg: u64,
-    start_time: Cycles,
 ) {
-    // Thread creation is a true synchronization event: the child's clock
-    // starts at the spawner's time (§3.6.1), then pays the spawn cost via
-    // the spawn pseudo-instruction (§3.1). The CPI stack mirrors the reset:
-    // the cycles up to `start_time` were spent waiting to exist.
-    inner.clocks[tile.index()].reset_to(start_time);
-    inner.cpi.reset_tile(tile, start_time);
     // A carrier resumes this coroutine for the first time on an execution
     // slot it holds: the context starts *owning* the slot, so no attach
-    // here — becoming sync-active is the first act.
-    inner.sync.activate(tile);
+    // here. Its first act is to pay the spawn cost via the spawn
+    // pseudo-instruction (§3.1).
+    //
     // Even if the guest panics, the thread must exit through the MCP —
     // otherwise joiners and barrier peers deadlock and the whole simulation
     // hangs instead of reporting the failure. The context drops (handing the
@@ -628,8 +468,7 @@ fn guest_thread_main(
     if panicked {
         inner.guest_panicked.store(true, std::sync::atomic::Ordering::Relaxed);
     }
-    let _ =
-        inner.mcp_tx.send(McpRequest::ThreadExit { thread, tile, time: end, value: exit_value });
+    inner.thread_exit(thread, tile, end, exit_value);
     // Returning finishes the coroutine; its carrier keeps the execution slot
     // for the next context — on the panic path too. The panic is not
     // re-raised: it has been reported, and unwinding must stop here, above

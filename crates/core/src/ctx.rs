@@ -22,11 +22,14 @@
 //! (the plain-old-data types `u8`, `u16`, `u32`, `u64`, `i64`, `f32`, `f64`
 //! with a fixed little-endian guest representation).
 //!
-//! Every operation that waits — each MCP call (spawn, join, futex, memory
-//! and file syscalls) and a message receive — parks the context in the M:N
-//! guest scheduler ([`crate::GuestScheduler`]) until the one party that
-//! completes the wait unparks it: the MCP's reply or the mailbox delivery.
-//! A waiting context is a run-queue entry, not a blocked host thread.
+//! MCP requests (spawn, join, futex, memory and file syscalls) run on the
+//! calling context under the MCP lock and mostly return at once. Every
+//! operation that waits — a futex wait that blocks, a join of a running
+//! thread, a message receive — parks the context in the M:N guest
+//! scheduler ([`crate::GuestScheduler`]) until the one party that completes
+//! the wait unparks it: the futex wake, the thread's exit or the mailbox
+//! delivery. A waiting context is a run-queue entry, not a blocked host
+//! thread.
 //!
 //! ## Panics versus errors
 //!
@@ -62,9 +65,9 @@ use graphite_memory::{Addr, MemCost};
 use graphite_network::{Packet, TrafficClass};
 use graphite_prof::CpiClass;
 use graphite_trace::TraceEventKind;
-use graphite_transport::{Endpoint, Msg, MsgClass};
+use graphite_transport::Msg;
 
-use crate::control::{FileReq, FutexWaitOutcome, McpReply, McpRequest};
+use crate::control::McpReply;
 use crate::{SimInner, FUTEX_WAKE_LATENCY, SYSCALL_COST};
 
 /// A guest thread's entry point: receives its context and a `u64` argument
@@ -156,8 +159,8 @@ impl GuestHandle {
     /// # Errors
     ///
     /// Returns [`SimError::UnknownThread`] if the control plane has no
-    /// record of the thread, or [`SimError::TransportClosed`] if the MCP is
-    /// gone.
+    /// record of the thread, or [`SimError::TransportClosed`] if the
+    /// simulation shut down first.
     pub fn join(self, ctx: &mut Ctx) -> Result<u64, SimError> {
         ctx.join_thread(self.thread)
     }
@@ -440,10 +443,7 @@ impl Ctx {
     pub fn malloc(&mut self, size: u64) -> Result<Addr, SimError> {
         self.execute_as(Instruction::Generic { cost: SYSCALL_COST }, CpiClass::SpawnCtrl);
         self.trace(|| TraceEventKind::Syscall { name: "malloc" });
-        match self.mcp_call(McpRequest::Malloc { size, tile: self.tile })? {
-            McpReply::Alloc(r) => r,
-            r => mismatched(r),
-        }
+        self.sim.mcp()?.malloc(size)
     }
 
     /// Frees simulated heap memory.
@@ -454,10 +454,7 @@ impl Ctx {
     pub fn free(&mut self, addr: Addr) -> Result<(), SimError> {
         self.execute_as(Instruction::Generic { cost: SYSCALL_COST }, CpiClass::SpawnCtrl);
         self.trace(|| TraceEventKind::Syscall { name: "free" });
-        match self.mcp_call(McpRequest::Free { addr, tile: self.tile })? {
-            McpReply::Done(r) => r,
-            r => mismatched(r),
-        }
+        self.sim.mcp()?.free(addr)
     }
 
     /// Allocates from the mmap segment.
@@ -468,10 +465,7 @@ impl Ctx {
     pub fn mmap(&mut self, size: u64) -> Result<Addr, SimError> {
         self.execute_as(Instruction::Generic { cost: SYSCALL_COST }, CpiClass::SpawnCtrl);
         self.trace(|| TraceEventKind::Syscall { name: "mmap" });
-        match self.mcp_call(McpRequest::Mmap { size, tile: self.tile })? {
-            McpReply::Alloc(r) => r,
-            r => mismatched(r),
-        }
+        self.sim.mcp()?.mmap(size)
     }
 
     /// Releases an mmap region.
@@ -482,10 +476,7 @@ impl Ctx {
     pub fn munmap(&mut self, addr: Addr) -> Result<(), SimError> {
         self.execute_as(Instruction::Generic { cost: SYSCALL_COST }, CpiClass::SpawnCtrl);
         self.trace(|| TraceEventKind::Syscall { name: "munmap" });
-        match self.mcp_call(McpRequest::Munmap { addr, tile: self.tile })? {
-            McpReply::Done(r) => r,
-            r => mismatched(r),
-        }
+        self.sim.mcp()?.munmap(addr)
     }
 
     // ---- threading (intercepted pthread spawn/join, §3.5) ---------------
@@ -500,11 +491,7 @@ impl Ctx {
     /// thread (the paper's limit: threads ≤ tiles).
     pub fn spawn(&mut self, entry: GuestEntry, arg: u64) -> Result<GuestHandle, SimError> {
         self.execute_as(Instruction::Generic { cost: SYSCALL_COST }, CpiClass::SpawnCtrl);
-        let req = McpRequest::Spawn { entry, arg, parent_time: self.now(), tile: self.tile };
-        match self.mcp_call(req)? {
-            McpReply::Spawn(r) => Ok(GuestHandle { thread: r? }),
-            r => mismatched(r),
-        }
+        Ok(GuestHandle { thread: self.sim.spawn(entry, arg, self.now())? })
     }
 
     /// Blocks until `thread` exits, then forwards this tile's clock to the
@@ -516,12 +503,17 @@ impl Ctx {
         // toward the barrier until the thread's exit releases the join.
         self.sim.obs.tracer.flush(self.tile);
         self.sim.sync.deactivate(self.tile);
-        let got = self.mcp_call(McpRequest::Join { thread, tile: self.tile });
-        self.sim.sync.activate(self.tile);
-        let (exit_time, value) = match got? {
-            McpReply::Join(r) => r?,
-            r => mismatched(r),
+        let joined = self.sim.mcp().map(|mut mcp| mcp.join(thread, self.tile));
+        let got = match joined {
+            Ok(Some(done)) => done,
+            Ok(None) => match self.await_reply() {
+                McpReply::Exited(time, value) => Ok((time, value)),
+                _ => Err(SimError::TransportClosed("mcp".into())),
+            },
+            Err(e) => Err(e),
         };
+        self.sim.sync.activate(self.tile);
+        let (exit_time, value) = got?;
         self.forward_charged(exit_time, CpiClass::SyncWait);
         self.execute_as(Instruction::Generic { cost: Cycles(1) }, CpiClass::SpawnCtrl);
         Ok(value)
@@ -537,14 +529,17 @@ impl Ctx {
         // Seal the pending trace batch before parking this thread.
         self.sim.obs.tracer.flush(self.tile);
         self.sim.sync.deactivate(self.tile);
-        let outcome = match self.mcp_call(McpRequest::FutexWait { addr, expected, tile: self.tile })
-        {
-            Ok(McpReply::FutexWait(o)) => o,
-            Ok(r) => mismatched(r),
-            Err(_) => FutexWaitOutcome::ValueMismatch,
+        let blocked = self
+            .sim
+            .mcp()
+            .is_ok_and(|mut mcp| mcp.futex_wait(&self.sim.mem, addr, expected, self.tile));
+        // Shutdown ends a blocked wait like a value mismatch: no forwarding.
+        let woken = match blocked.then(|| self.await_reply()) {
+            Some(McpReply::Woken(waker_time)) => Some(waker_time),
+            _ => None,
         };
         self.sim.sync.activate(self.tile);
-        if let FutexWaitOutcome::Woken { waker_time } = outcome {
+        if let Some(waker_time) = woken {
             self.forward_charged(waker_time + FUTEX_WAKE_LATENCY, CpiClass::SyncWait);
             self.execute_as(Instruction::Generic { cost: Cycles(1) }, CpiClass::SpawnCtrl);
         }
@@ -554,13 +549,14 @@ impl Ctx {
     /// number woken.
     pub fn futex_wake(&mut self, addr: Addr, max: u32) -> u32 {
         self.execute_as(Instruction::Generic { cost: SYSCALL_COST }, CpiClass::SpawnCtrl);
-        let req = McpRequest::FutexWake { addr, max, time: self.now(), tile: self.tile };
-        let woken = match self.mcp_call(req) {
-            Ok(McpReply::FutexWake(n)) => n,
-            Ok(r) => mismatched(r),
-            Err(_) => 0,
-        };
-        self.trace(|| TraceEventKind::FutexWake { addr: addr.0, woken: woken as u64 });
+        let waiters =
+            self.sim.mcp().map_or_else(|_| Vec::new(), |mut mcp| mcp.futex_wake(addr, max));
+        let now = self.now();
+        for &w in &waiters {
+            self.sim.complete_wait(w, McpReply::Woken(now));
+        }
+        let woken = waiters.len() as u32;
+        self.trace(|| TraceEventKind::FutexWake { addr: addr.0, woken: woken.into() });
         woken
     }
 
@@ -603,7 +599,7 @@ impl Ctx {
         framed.extend_from_slice(payload);
         self.sim
             .transport
-            .send_flow(Endpoint::Tile(self.tile), Endpoint::Tile(to), MsgClass::User, framed, flow)
+            .send_flow(self.tile, to, framed, flow)
             .map_err(|_| SimError::TransportClosed(format!("user message to {to}")))?;
         // Lane = the sending tile: only this tile's thread writes it.
         self.sim.user_msgs.incr_owned(self.tile.index());
@@ -657,9 +653,7 @@ impl Ctx {
                 self.sim.sync.activate(self.tile);
                 let msg =
                     msg.map_err(|_| SimError::TransportClosed("user message receive".into()))?;
-                let Endpoint::Tile(src) = msg.src else {
-                    continue; // control endpoints never send user messages
-                };
+                let src = msg.src;
                 let arrival = Cycles(u64::from_le_bytes(
                     msg.payload[..8].try_into().expect("8-byte timestamp header"),
                 ));
@@ -726,26 +720,26 @@ impl Ctx {
     /// # Errors
     ///
     /// Returns [`SimError::Syscall`] if the VFS rejects the open, or
-    /// [`SimError::TransportClosed`] if the MCP is gone.
+    /// [`SimError::TransportClosed`] after shutdown.
     pub fn sys_open(&mut self, path: &str) -> Result<i32, SimError> {
         self.execute_as(Instruction::Generic { cost: SYSCALL_COST }, CpiClass::SpawnCtrl);
         self.trace(|| TraceEventKind::Syscall { name: "open" });
-        let fd = self.file_int(FileReq::Open { path: path.to_owned() })?;
+        let fd = self.sim.mcp()?.open(path);
         if fd < 0 {
             return Err(SimError::Syscall(format!("open({path:?}) failed")));
         }
-        Ok(fd as i32)
+        Ok(fd)
     }
 
     /// Writes `len` bytes from simulated memory at `addr` to `fd`; returns
     /// bytes written. The data is fetched from the single shared address
-    /// space and shipped to the MCP, like the paper's argument-marshalling
+    /// space and handed to the MCP, like the paper's argument-marshalling
     /// for syscalls with memory operands.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::Syscall`] for a bad descriptor, or
-    /// [`SimError::TransportClosed`] if the MCP is gone.
+    /// [`SimError::TransportClosed`] after shutdown.
     pub fn sys_write(&mut self, fd: i32, addr: Addr, len: usize) -> Result<usize, SimError> {
         self.execute_as(
             Instruction::Generic { cost: SYSCALL_COST + Cycles(len as u64 / 8) },
@@ -754,12 +748,7 @@ impl Ctx {
         self.trace(|| TraceEventKind::Syscall { name: "write" });
         let mut data = vec![0u8; len];
         self.sim.mem.peek_bytes(addr, &mut data);
-        let written = match self
-            .mcp_call(McpRequest::File { req: FileReq::Write { fd, data }, tile: self.tile })?
-        {
-            McpReply::Count(n) => n,
-            r => mismatched(r),
-        };
+        let written = self.sim.mcp()?.write(&self.sim.stdout, fd, &data);
         if written == 0 && len > 0 {
             return Err(SimError::Syscall(format!("write(fd={fd}) wrote nothing")));
         }
@@ -771,19 +760,14 @@ impl Ctx {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::TransportClosed`] if the MCP is gone.
+    /// Returns [`SimError::TransportClosed`] after shutdown.
     pub fn sys_read(&mut self, fd: i32, addr: Addr, len: usize) -> Result<usize, SimError> {
         self.execute_as(
             Instruction::Generic { cost: SYSCALL_COST + Cycles(len as u64 / 8) },
             CpiClass::SpawnCtrl,
         );
         self.trace(|| TraceEventKind::Syscall { name: "read" });
-        let data = match self
-            .mcp_call(McpRequest::File { req: FileReq::Read { fd, max: len }, tile: self.tile })?
-        {
-            McpReply::Data(d) => d,
-            r => mismatched(r),
-        };
+        let data = self.sim.mcp()?.read(fd, len);
         self.sim.mem.poke_bytes(addr, &data);
         Ok(data.len())
     }
@@ -793,11 +777,11 @@ impl Ctx {
     /// # Errors
     ///
     /// Returns [`SimError::Syscall`] for a bad descriptor, or
-    /// [`SimError::TransportClosed`] if the MCP is gone.
+    /// [`SimError::TransportClosed`] after shutdown.
     pub fn sys_seek(&mut self, fd: i32, pos: u64) -> Result<u64, SimError> {
         self.execute_as(Instruction::Generic { cost: SYSCALL_COST }, CpiClass::SpawnCtrl);
         self.trace(|| TraceEventKind::Syscall { name: "seek" });
-        let off = self.file_int(FileReq::Seek { fd, pos })?;
+        let off = self.sim.mcp()?.seek(fd, pos);
         if off < 0 {
             return Err(SimError::Syscall(format!("seek(fd={fd}) failed")));
         }
@@ -809,11 +793,11 @@ impl Ctx {
     /// # Errors
     ///
     /// Returns [`SimError::Syscall`] for a bad descriptor, or
-    /// [`SimError::TransportClosed`] if the MCP is gone.
+    /// [`SimError::TransportClosed`] after shutdown.
     pub fn sys_close(&mut self, fd: i32) -> Result<(), SimError> {
         self.execute_as(Instruction::Generic { cost: SYSCALL_COST }, CpiClass::SpawnCtrl);
         self.trace(|| TraceEventKind::Syscall { name: "close" });
-        let rc = self.file_int(FileReq::Close { fd })?;
+        let rc = self.sim.mcp()?.close(fd);
         if rc != 0 {
             return Err(SimError::Syscall(format!("close(fd={fd}) failed")));
         }
@@ -858,19 +842,15 @@ impl Ctx {
     ///
     /// Returns [`SimError::CkptNotQuiesced`] naming the violation,
     /// [`SimError::CkptIo`] when the file cannot be written, or
-    /// [`SimError::TransportClosed`] if the control plane is gone.
+    /// [`SimError::TransportClosed`] after shutdown.
     pub fn checkpoint(&mut self, path: impl Into<PathBuf>) -> Result<(), SimError> {
-        // The MCP saves every tile's core model from its tile: hand this
+        let path = path.into();
+        // The save reads every tile's core model from its tile: hand this
         // context's back for the save and take it again afterwards.
         self.put_core_home();
-        let req =
-            McpRequest::Checkpoint { path: path.into(), thread: self.thread, tile: self.tile };
-        let saved = self.mcp_call(req);
+        let saved = self.sim.mcp().and_then(|mcp| mcp.checkpoint(&self.sim, self.thread, &path));
         self.take_core_home();
-        match saved? {
-            McpReply::Done(r) => r,
-            r => mismatched(r),
-        }
+        saved
     }
 
     /// A cooperative checkpoint safepoint: services any armed external
@@ -939,43 +919,24 @@ impl Ctx {
     }
 
     /// Writes text to the simulation's captured stdout (fd 1). Best-effort:
-    /// output during control-plane shutdown is silently dropped.
+    /// output after control-plane shutdown is silently dropped.
     pub fn print(&mut self, text: &str) {
         self.execute_as(Instruction::Generic { cost: SYSCALL_COST }, CpiClass::SpawnCtrl);
         self.trace(|| TraceEventKind::Syscall { name: "print" });
-        let req = FileReq::Write { fd: 1, data: text.as_bytes().to_vec() };
-        let _ = self.mcp_call(McpRequest::File { req, tile: self.tile });
+        if let Ok(mut mcp) = self.sim.mcp() {
+            mcp.write(&self.sim.stdout, 1, text.as_bytes());
+        }
     }
 
-    /// Sends `req` to the MCP and waits for its reply. The wait is exactly
-    /// one park, ended by the MCP's one unpark; a reply that is already in
-    /// just consumes the banked token — skipping the park would leave the
-    /// token to end this context's next, unrelated wait early.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::TransportClosed`] if the control plane shut down
-    /// before answering.
-    fn mcp_call(&mut self, req: McpRequest) -> Result<McpReply, SimError> {
-        self.sim.mcp_tx.send(req).expect("MCP alive for the simulation's duration");
+    /// Parks this context until the waker of its deferred MCP wait (a futex
+    /// wake, the joined thread's exit, shutdown) completes it, and returns
+    /// how the wait ended. The wait is exactly one park, ended by the
+    /// waker's one unpark; a reply that is already in just consumes the
+    /// banked token — skipping the park would leave the token to end this
+    /// context's next, unrelated wait early.
+    fn await_reply(&mut self) -> McpReply {
         self.sim.sched.wait(self.tile);
         let reply = self.sim.tiles[self.tile.index()].reply.lock().take();
-        match reply.expect("an MCP wait ends with its reply") {
-            McpReply::Closed => Err(SimError::TransportClosed("mcp".into())),
-            r => Ok(r),
-        }
+        reply.expect("a deferred MCP wait ends with its reply")
     }
-
-    /// A file syscall whose reply is a descriptor, result code or offset.
-    fn file_int(&mut self, req: FileReq) -> Result<i64, SimError> {
-        match self.mcp_call(McpRequest::File { req, tile: self.tile })? {
-            McpReply::Int(v) => Ok(v),
-            r => mismatched(r),
-        }
-    }
-}
-
-/// A reply of the wrong kind for its request: a control-plane bug.
-fn mismatched(reply: McpReply) -> ! {
-    unreachable!("MCP answered with a mismatched reply: {reply:?}")
 }

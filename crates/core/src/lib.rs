@@ -64,8 +64,10 @@
 //!   node; one application thread per tile, striped across simulated host
 //!   processes;
 //! * the **MCP** (Master Control Program) provides thread management, futex
-//!   emulation, dynamic memory management and a consistent OS interface; one
-//!   **LCP** per process spawns that process's threads;
+//!   emulation, dynamic memory management and a consistent OS interface —
+//!   here one lock over its state, each request served by the context that
+//!   makes it; the **LCP**'s job, starting a spawned thread, is a direct
+//!   submit to the guest scheduler;
 //! * the **memory system** is functional *and* modeled: caches hold real
 //!   bytes and a directory-MSI protocol moves them (crate
 //!   [`graphite_memory`]);
@@ -93,7 +95,6 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
-use crossbeam::channel::{self, Sender};
 use graphite_base::{
     CachePadded, Clock, Cycles, GlobalProgress, SimError, SimRng, ThreadId, TileId,
 };
@@ -110,7 +111,7 @@ pub use graphite_prof::{
 use graphite_sync::{build_synchronizer_sched, SkewSampler, Synchronizer};
 pub use graphite_trace::{MetricsSnapshot, TraceEvent, TraceEventKind};
 use graphite_trace::{Obs, ShardedMetric, TraceOptions};
-use graphite_transport::{Endpoint, LocalTransport, Transport};
+use graphite_transport::{LocalTransport, Transport};
 use parking_lot::Mutex;
 
 pub use ctx::{Ctx, GuestEntry, GuestHandle, GuestValue};
@@ -119,7 +120,7 @@ pub use preempt::CkptRequest;
 pub use report::{LinkUtilization, SchedReport, SimReport};
 pub use sched::{GuestScheduler, SchedStats};
 
-use control::{lcp_main, mcp_main, ControlStats, LcpCmd, McpReply, McpRequest, UserInbox};
+use control::{ControlStats, Mcp, McpReply, UserInbox};
 
 /// Cycles charged for a system call intercepted and forwarded to the MCP.
 pub(crate) const SYSCALL_COST: Cycles = Cycles(300);
@@ -129,7 +130,7 @@ pub(crate) const FUTEX_WAKE_LATENCY: Cycles = Cycles(100);
 /// consumers (sync-model partner picks, transport backoff jitter).
 const GUEST_RNG_SALT: u64 = 0x4755_4553_545F_524E;
 
-/// Everything shared between guest threads, the MCP and the LCPs.
+/// Everything shared between guest threads and [`Sim::run`].
 pub(crate) struct SimInner {
     pub cfg: SimConfig,
     pub clocks: Arc<Vec<Arc<Clock>>>,
@@ -141,8 +142,9 @@ pub(crate) struct SimInner {
     /// guest wait parks through it.
     pub sched: Arc<sched::GuestScheduler>,
     pub transport: Arc<dyn Transport>,
-    pub mcp_tx: Sender<McpRequest>,
-    pub ctrl_stats: ControlStats,
+    /// The MCP's state: every control request locks it on the requesting
+    /// context (see [`control`]). Padded: it is written on every request.
+    pub mcp: CachePadded<Mutex<Mcp>>,
     /// User-level messages sent; each tile's thread updates its own lane.
     pub user_msgs: ShardedMetric,
     /// The simulation's observability spine: metrics registry + tracer.
@@ -155,9 +157,6 @@ pub(crate) struct SimInner {
     pub replay: Arc<ReplayLog>,
     /// Guest-visible RNG ([`Ctx::rand_u64`]); checkpointed and replayable.
     pub guest_rng: Mutex<SimRng>,
-    /// Control-plane state parsed from a checkpoint, adopted (and cleared)
-    /// by the MCP thread before it services its first request.
-    pub ckpt_restore: Mutex<Option<control::CtrlRestore>>,
     pub stdout: Mutex<Vec<u8>>,
     /// System-driven checkpoint state: the external preemption request and
     /// the periodic auto-checkpoint schedule, serviced at
@@ -176,8 +175,8 @@ pub(crate) struct TileState {
     /// context drops and around a checkpoint), so a guest op takes no lock.
     pub core: Mutex<Option<Box<dyn CoreModel>>>,
     pub inbox: Mutex<UserInbox>,
-    /// The MCP's answer to the request the tile's context waits on, written
-    /// by the MCP just before it unparks the context.
+    /// How the tile's deferred MCP wait ended, written by its waker just
+    /// before it unparks the context.
     pub reply: Mutex<Option<McpReply>>,
 }
 
@@ -280,8 +279,8 @@ impl SimBuilder {
     /// Resumes from a checkpoint written by [`Ctx::checkpoint`]. The
     /// configuration must match the one that wrote the file (tile and
     /// process counts, seed, sync model, cache line size); [`SimBuilder::build`]
-    /// validates the file and restores every subsystem before any service
-    /// thread starts. The guest `main` passed to [`Sim::run`] is then
+    /// validates the file and restores every subsystem before the guest
+    /// `main` starts. The guest `main` passed to [`Sim::run`] is then
     /// responsible for performing the *remaining* work — the simulated
     /// machine (clocks, caches, DRAM, metrics, allocators) continues exactly
     /// where the checkpoint left it.
@@ -365,7 +364,8 @@ impl SimBuilder {
         self
     }
 
-    /// Builds the simulator, spawning the MCP and LCP service threads.
+    /// Builds the simulator. Apart from the TCP transport's acceptor
+    /// threads, it owns no host thread until [`Sim::run`].
     ///
     /// # Errors
     ///
@@ -441,18 +441,14 @@ impl SimBuilder {
         // A delivery completes a receive: it unparks the receiver if (and
         // only if) the receiver armed its flag before parking.
         let notify = Arc::clone(&sched);
-        transport.set_delivery_hook(Arc::new(move |dst| {
-            if let Endpoint::Tile(t) = dst {
-                notify.notify_delivery(t);
-            }
-        }));
+        transport.set_delivery_hook(Arc::new(move |dst| notify.notify_delivery(dst)));
         let tiles: Vec<CachePadded<TileState>> = (0..n)
             .map(|i| {
                 let core: Box<dyn CoreModel> = match &self.core_kind {
                     CoreKind::InOrder(p) => Box::new(InOrderCore::new(p.clone())),
                     CoreKind::OutOfOrder(p) => Box::new(OooCore::new(p.clone())),
                 };
-                let endpoint = transport.register(Endpoint::Tile(TileId(i as u32)));
+                let endpoint = transport.register(TileId(i as u32));
                 CachePadded::new(TileState {
                     core: Mutex::new(Some(core)),
                     inbox: Mutex::new(UserInbox::new(endpoint)),
@@ -464,17 +460,16 @@ impl SimBuilder {
         // Register the control-plane counters before a potential metrics
         // restore: MetricsRegistry::restore skips names with no registered
         // counterpart, so late registration would silently drop them.
-        let ctrl_stats = ControlStats::registered(&obs.metrics);
+        let mut mcp = Mcp::new(&cfg, ControlStats::registered(&obs.metrics));
         let user_msgs = obs.metrics.sharded_counter("ctrl.user_msgs");
         let auto_taken = obs.metrics.counter("ckpt.auto.taken");
         let cpi = CpiStack::registered(&obs.metrics);
 
         // Restore the simulated machine into the freshly built subsystems
-        // before any service thread starts, so nothing can observe
-        // half-restored state.
+        // before the guest starts, so nothing can observe half-restored
+        // state.
         let mut guest_rng = SimRng::new(cfg.seed ^ GUEST_RNG_SALT);
         let mut stdout = Vec::new();
-        let mut ctrl_restore = None;
         if let Some(r) = &reader {
             ckpt::apply_restore(
                 r,
@@ -488,7 +483,7 @@ impl SimBuilder {
             )?;
             guest_rng = SimRng::from_state(ckpt::load_guest_rng_state(r)?);
             stdout = ckpt::load_stdout(r)?;
-            ctrl_restore = Some(ckpt::parse_ctrl(r, &cfg)?);
+            ckpt::parse_ctrl(r, &cfg, &mut mcp)?;
             // Checkpoints written before CPI accounting existed restore
             // clocks but no `prof.cpi.*` lanes; re-seed the shortfall as
             // sync-wait so the stacks keep summing to each tile's clock.
@@ -533,7 +528,6 @@ impl SimBuilder {
             auto_errors: std::sync::atomic::AtomicU64::new(0),
         };
 
-        let (mcp_tx, mcp_rx) = channel::unbounded();
         let inner = Arc::new(SimInner {
             clocks,
             tiles,
@@ -542,14 +536,12 @@ impl SimBuilder {
             sync,
             sched,
             transport,
-            mcp_tx: mcp_tx.clone(),
-            ctrl_stats,
+            mcp: CachePadded::new(Mutex::new(mcp)),
             user_msgs,
             obs,
             cpi,
             replay,
             guest_rng: Mutex::new(guest_rng),
-            ckpt_restore: Mutex::new(ctrl_restore),
             stdout: Mutex::new(stdout),
             ckpt_hook,
             started: Instant::now(),
@@ -557,27 +549,7 @@ impl SimBuilder {
             cfg,
         });
 
-        // One LCP per simulated host process, plus the MCP in "process 0".
-        let mut lcp_txs = Vec::new();
-        let mut lcp_handles = Vec::new();
-        for p in 0..inner.cfg.num_processes {
-            let (tx, rx) = channel::unbounded::<LcpCmd>();
-            lcp_txs.push(tx);
-            let inner2 = Arc::clone(&inner);
-            lcp_handles.push(
-                std::thread::Builder::new()
-                    .name(format!("graphite-lcp{p}"))
-                    .spawn(move || lcp_main(inner2, rx))
-                    .expect("spawn LCP"),
-            );
-        }
-        let inner2 = Arc::clone(&inner);
-        let mcp_handle = std::thread::Builder::new()
-            .name("graphite-mcp".into())
-            .spawn(move || mcp_main(inner2, mcp_rx, lcp_txs))
-            .expect("spawn MCP");
-
-        Ok(Sim { inner, mcp_handle: Some(mcp_handle), lcp_handles })
+        Ok(Sim { inner })
     }
 }
 
@@ -588,8 +560,6 @@ impl SimBuilder {
 /// crate-level example.
 pub struct Sim {
     inner: Arc<SimInner>,
-    mcp_handle: Option<std::thread::JoinHandle<()>>,
-    lcp_handles: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for Sim {
@@ -651,7 +621,7 @@ impl Sim {
     /// The guest may spawn up to `tiles − 1` further threads; like a real
     /// pthread application it must join them before returning (the paper's
     /// model: threads are long-living and run to completion).
-    pub fn run<F>(mut self, main_fn: F) -> SimReport
+    pub fn run<F>(self, main_fn: F) -> SimReport
     where
         F: FnOnce(&mut Ctx),
     {
@@ -672,12 +642,7 @@ impl Sim {
         // report finds every core model in its tile.
         drop(ctx);
         inner.sync.deactivate(TileId(0));
-        let _ = inner.mcp_tx.send(McpRequest::ThreadExit {
-            thread: ThreadId(0),
-            tile: TileId(0),
-            time: end_time,
-            value: exit_value,
-        });
+        inner.thread_exit(ThreadId(0), TileId(0), end_time, exit_value);
         inner.sched.detach(TileId(0));
         self.shutdown();
         assert!(
@@ -696,29 +661,22 @@ impl Sim {
         report
     }
 
-    /// Stops the MCP (which stops the LCPs) and joins them all, then retires
-    /// and joins the scheduler's carrier threads once every one is idle.
-    /// Taking the handles makes a second call a no-op, so [`Sim::run`]'s
-    /// teardown and the `Drop` that follows it do not collide.
-    fn shutdown(&mut self) {
-        if let Some(h) = self.mcp_handle.take() {
-            let _ = self.inner.mcp_tx.send(McpRequest::Shutdown);
-            let _ = h.join();
-        }
-        for h in self.lcp_handles.drain(..) {
-            let _ = h.join();
-        }
+    /// Closes the control plane — completing every wait still on it — then
+    /// retires and joins the scheduler's carrier threads once every one is
+    /// idle. A second call finds nothing to do, so [`Sim::run`]'s teardown
+    /// and the `Drop` that follows it do not collide.
+    fn shutdown(&self) {
+        self.inner.close_control();
         self.inner.sched.retire_carriers();
     }
 }
 
-/// A simulator that is built but never run still owns its MCP and LCP
-/// threads; dropping it stops and joins them (and any carriers).
+/// Dropping a simulator shuts it down (a no-op after [`Sim::run`]).
 impl Drop for Sim {
     fn drop(&mut self) {
         // When `run` unwinds from a guest panic, other guest threads may be
-        // parked on the one that died and the LCPs would wait on them
-        // forever; leave the control threads detached, as they were before.
+        // parked on the one that died and their carriers would never go
+        // idle; leave the carriers detached instead of waiting for them.
         if !std::thread::panicking() {
             self.shutdown();
         }
@@ -830,6 +788,47 @@ mod tests {
             ctx.futex_wake(Addr(0x9000), u32::MAX);
             t1.join(ctx).unwrap();
         });
+    }
+
+    #[test]
+    fn shutdown_completes_every_control_wait() {
+        // Main returns while a spawned thread is parked in a futex wait
+        // nobody will wake. Shutdown releases it as a mismatch; after that
+        // its print is dropped, its malloc fails, and the run returns. The
+        // run is on a host thread of its own so a hang fails the test.
+        let s = Sim::builder(cfg(2, 1)).workers(2).build().unwrap();
+        let inner = Arc::clone(&s.inner);
+        let late_malloc = Arc::new(Mutex::new(None));
+        let late = Arc::clone(&late_malloc);
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let r = s.run(move |ctx| {
+                let word = ctx.malloc(8).unwrap();
+                ctx.store(word, 0u32);
+                let entry: GuestEntry = Arc::new(move |ctx, arg| {
+                    ctx.futex_wait(Addr(arg), 0);
+                    ctx.print("after shutdown\n");
+                    *late.lock() = Some(ctx.malloc(8));
+                });
+                let _never_joined = ctx.spawn(entry, word.0).unwrap();
+                let deadline = Instant::now() + std::time::Duration::from_secs(60);
+                while inner.metrics_snapshot().counters["ctrl.futex_waits"] == 0 {
+                    assert!(Instant::now() < deadline, "the child never parked");
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                }
+            });
+            let _ = done_tx.send(r);
+        });
+        let r = done_rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("the run hung or panicked in shutdown");
+        assert!(r.stdout.is_empty(), "a print after shutdown is dropped");
+        let late_malloc = late_malloc.lock().take();
+        assert!(
+            matches!(late_malloc, Some(Err(SimError::TransportClosed(_)))),
+            "a malloc after shutdown fails: {late_malloc:?}"
+        );
+        assert_eq!(r.ctrl.futex_waits, 1);
     }
 
     #[test]
@@ -1044,9 +1043,9 @@ mod tests {
         // core model none of them may wait on it.
         let s = sim(1, 1);
         let inner = Arc::clone(&s.inner);
-        let (first_tx, first_rx) = channel::bounded(0);
-        let (locked_tx, locked_rx) = channel::bounded(0);
-        let (done_tx, done_rx) = channel::bounded(1);
+        let (first_tx, first_rx) = std::sync::mpsc::sync_channel(0);
+        let (locked_tx, locked_rx) = std::sync::mpsc::sync_channel(0);
+        let (done_tx, done_rx) = std::sync::mpsc::sync_channel(1);
         let run = std::thread::spawn(move || {
             s.run(move |ctx| {
                 let a = ctx.malloc(64).unwrap();

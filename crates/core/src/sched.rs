@@ -24,8 +24,10 @@
 //! which queues it again — no carrier ever waits on a context's behalf:
 //!
 //! * a LaxBarrier release unparks the quantum's waiters;
-//! * the MCP writes its reply into the requester's reply cell and unparks
-//!   it (spawn, join, futex wait/wake, memory and file syscalls);
+//! * the waker of a deferred MCP wait — a futex wake, the joined thread's
+//!   exit, shutdown — writes the reply into the waiter's reply cell and
+//!   unparks it (every other MCP request is answered on the requesting
+//!   context without a wait);
 //! * a mailbox delivery unparks a receiver that armed its delivery flag
 //!   (`arm_delivery` before its last emptiness check; the transport's
 //!   delivery hook calls `notify_delivery`);
@@ -65,8 +67,8 @@ use parking_lot::{Condvar, Mutex, MutexGuard};
 /// Scheduler event counters (`sched.*`), one cache-padded lane per tile.
 #[derive(Debug, Default)]
 pub struct SchedStats {
-    /// Guest waits (MCP calls, receives, catch-up sleeps) that gave up
-    /// their slot.
+    /// Guest waits (blocked futex waits, joins of running threads,
+    /// receives, catch-up sleeps) that gave up their slot.
     pub yields: ShardedMetric,
     /// Times a context had to queue for a slot (no slot free).
     pub parks: ShardedMetric,
@@ -716,10 +718,10 @@ impl GuestScheduler {
     }
 
     /// A guest wait: parks `tile` until the one party that completes the
-    /// wait (the MCP's reply, a mailbox delivery) unparks it. Call it
-    /// exactly once per request, even when the result is already in — the
-    /// park then consumes the banked token. Counts `sched.yields` when the
-    /// slot was given up.
+    /// wait (a futex wake, a thread exit, a mailbox delivery) unparks it.
+    /// Call it exactly once per wait, even when the result is already in —
+    /// the park then consumes the banked token. Counts `sched.yields` when
+    /// the slot was given up.
     pub(crate) fn wait(&self, tile: TileId) {
         if self.park_once(tile) {
             self.stats.yields.incr_owned(tile.index());

@@ -15,11 +15,10 @@ fn padding_type_is_two_cache_lines() {
 }
 
 /// Families whose lanes other threads write: `net.*` lanes are indexed by
-/// packet source but written by the requester's thread on derived legs, the
-/// MCP writes `ctrl.*` lane 0, and peers and carriers write these `sched.*`.
+/// packet source but written by the requester's thread on derived legs, and
+/// peers and carriers write these `sched.*`.
 fn foreign_written(family: &str) -> bool {
     family.starts_with("net.")
-        || family.starts_with("ctrl.")
         || ["sched.parks", "sched.runq_depth", "sched.handoffs", "sched.steals"].contains(&family)
 }
 
@@ -59,7 +58,7 @@ fn no_two_tiles_share_a_hot_block() {
                 "net.memory.packets",
                 "sync.barrier_waits",
                 "sched.parks",
-                "ctrl.spawns",
+                "ctrl.user_msgs",
             ] {
                 assert!(slots.iter().any(|(n, _)| n == family), "{family} has no slot");
             }

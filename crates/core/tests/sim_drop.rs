@@ -1,6 +1,6 @@
-//! A built simulator that is never run must not leak its MCP and LCP
-//! threads, and a run must not leak its carrier threads. Alone in this file: the thread count is process-wide, and tests
-//! of one binary share a process.
+//! A built simulator owns no host thread until it runs, and a run must not
+//! leak its carrier threads. Alone in this file: the thread count is
+//! process-wide, and tests of one binary share a process.
 #![cfg(target_os = "linux")]
 
 use std::sync::Arc;
@@ -30,15 +30,15 @@ fn host_threads_settled(want: usize) -> usize {
 }
 
 #[test]
-fn dropping_unrun_sims_joins_their_control_threads() {
+fn sims_leave_no_host_thread_behind() {
     let cfg = SimConfig::builder().tiles(4).processes(2).build().unwrap();
     let before = host_threads();
     for _ in 0..50 {
         let sim = Sim::builder(cfg.clone()).build().unwrap();
-        assert!(host_threads() >= before + 3, "one MCP and two LCPs are running");
+        assert_eq!(host_threads(), before, "a built, unrun simulator owns no host thread");
         drop(sim);
     }
-    assert_eq!(host_threads_settled(before), before, "control threads outlived their simulators");
+    assert_eq!(host_threads_settled(before), before);
     // Running still tears down exactly once.
     Sim::builder(cfg.clone()).build().unwrap().run(|ctx| ctx.alu(10));
     assert_eq!(host_threads_settled(before), before);

@@ -76,10 +76,13 @@ fn multi_tenant_preemption_is_fair_and_bit_identical() {
 
     let svc = Service::start(cfg(2, 25), &dir).unwrap();
     let long_id = svc.submit(long_spec.clone()).unwrap();
+    // The shorts together run several quanta on one worker, so some are
+    // still queued when the long job's first quantum expires — however
+    // fast the host builds and runs a job.
     let mut short_ids = Vec::new();
     for (t, tenant) in ["acme", "globex", "initech"].iter().enumerate() {
         for j in 0..6u64 {
-            let s = spec(tenant, "spin", 10_000, 100 + t as u64 * 10 + j);
+            let s = spec(tenant, "spin", 100_000, 100 + t as u64 * 10 + j);
             short_ids.push(svc.submit(s).unwrap());
         }
     }

@@ -5,10 +5,10 @@
 //! communication required for distributed support goes through this
 //! communication channel."
 //!
-//! Endpoints are the addressable entities of a simulation: every target tile,
-//! the MCP (Master Control Program) and each process's LCP (Local Control
-//! Program). A [`TransportHub`] routes framed messages between endpoints.
-//! Two backends implement the same [`Transport`] trait:
+//! The endpoints are the target tiles: only the user-level messaging API
+//! travels here (the control plane is a lock in the one host address space;
+//! see `graphite::control`). A transport routes framed messages between
+//! tiles, and two backends implement the same [`Transport`] trait:
 //!
 //! * [`LocalTransport`] — lock-free in-memory channels (the common case:
 //!   simulated host processes share one OS process);
@@ -23,21 +23,15 @@
 //!
 //! ```
 //! use graphite_base::TileId;
-//! use graphite_transport::{Endpoint, LocalTransport, MsgClass, Transport};
+//! use graphite_transport::{LocalTransport, Transport};
 //!
 //! let cfg = graphite_config::presets::paper_default(4);
 //! let hub = LocalTransport::new(&cfg);
-//! let mailbox = hub.register(Endpoint::Tile(TileId(1)));
-//! hub.send(
-//!     Endpoint::Tile(TileId(0)),
-//!     Endpoint::Tile(TileId(1)),
-//!     MsgClass::User,
-//!     b"hello".to_vec(),
-//! )
-//! .unwrap();
+//! let mailbox = hub.register(TileId(1));
+//! hub.send(TileId(0), TileId(1), b"hello".to_vec()).unwrap();
 //! let msg = mailbox.recv().unwrap();
 //! assert_eq!(msg.payload.as_ref(), b"hello");
-//! assert_eq!(msg.src, Endpoint::Tile(TileId(0)));
+//! assert_eq!(msg.src, TileId(0));
 //! ```
 
 pub mod tcp;
@@ -48,55 +42,18 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use crossbeam::channel::{self, Receiver, Sender};
-use graphite_base::{ProcId, SimError, TileId};
+use graphite_base::{SimError, TileId};
 use graphite_config::SimConfig;
 use graphite_trace::{Metric, MetricsRegistry, Obs};
 use parking_lot::RwLock;
 
-/// An addressable entity on the transport fabric.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum Endpoint {
-    /// A target tile.
-    Tile(TileId),
-    /// The simulation-wide Master Control Program (lives in process 0).
-    Mcp,
-    /// The Local Control Program of one simulated host process.
-    Lcp(ProcId),
-}
-
-impl fmt::Display for Endpoint {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Endpoint::Tile(t) => write!(f, "{t}"),
-            Endpoint::Mcp => write!(f, "mcp"),
-            Endpoint::Lcp(p) => write!(f, "lcp@{p}"),
-        }
-    }
-}
-
-/// Traffic class of a message; higher layers multiplex different protocols
-/// over one endpoint mailbox (paper §3.3: the network model used by a message
-/// is determined by its type).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum MsgClass {
-    /// Simulator-internal control traffic (spawn, syscalls, futex) — carried
-    /// by the zero-latency system network model.
-    System,
-    /// Application-level messages sent through the user messaging API.
-    User,
-    /// Memory-subsystem coherence traffic.
-    Memory,
-}
-
 /// A framed transport message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Msg {
-    /// Sending endpoint.
-    pub src: Endpoint,
-    /// Receiving endpoint.
-    pub dst: Endpoint,
-    /// Traffic class.
-    pub class: MsgClass,
+    /// Sending tile.
+    pub src: TileId,
+    /// Receiving tile.
+    pub dst: TileId,
     /// Causal flow ID minted at injection; 0 means the message is not part
     /// of a tracked flow. Preserved verbatim across every hop, including the
     /// TCP wire format.
@@ -140,17 +97,17 @@ impl TransportStats {
     }
 }
 
-/// A receiving endpoint's FIFO mailbox.
+/// A receiving tile's FIFO mailbox.
 #[derive(Debug)]
 pub struct Mailbox {
-    endpoint: Endpoint,
+    tile: TileId,
     rx: Receiver<Msg>,
 }
 
 impl Mailbox {
-    /// The endpoint this mailbox belongs to.
-    pub fn endpoint(&self) -> Endpoint {
-        self.endpoint
+    /// The tile this mailbox belongs to.
+    pub fn tile(&self) -> TileId {
+        self.tile
     }
 
     /// Blocks until a message arrives.
@@ -159,7 +116,7 @@ impl Mailbox {
     ///
     /// Returns [`SimError::TransportClosed`] when every sender has shut down.
     pub fn recv(&self) -> Result<Msg, SimError> {
-        self.rx.recv().map_err(|_| SimError::TransportClosed(self.endpoint.to_string()))
+        self.rx.recv().map_err(|_| SimError::TransportClosed(self.tile.to_string()))
     }
 
     /// Non-blocking receive.
@@ -179,7 +136,7 @@ impl Mailbox {
             Ok(m) => Ok(Some(m)),
             Err(channel::TryRecvError::Empty) => Ok(None),
             Err(channel::TryRecvError::Disconnected) => {
-                Err(SimError::TransportClosed(self.endpoint.to_string()))
+                Err(SimError::TransportClosed(self.tile.to_string()))
             }
         }
     }
@@ -194,7 +151,7 @@ impl Mailbox {
             Ok(m) => Ok(Some(m)),
             Err(channel::RecvTimeoutError::Timeout) => Ok(None),
             Err(channel::RecvTimeoutError::Disconnected) => {
-                Err(SimError::TransportClosed(self.endpoint.to_string()))
+                Err(SimError::TransportClosed(self.tile.to_string()))
             }
         }
     }
@@ -210,19 +167,19 @@ impl Mailbox {
     }
 }
 
-/// Called with an endpoint after a message was enqueued in its mailbox, or
-/// after its mailbox was disconnected by a re-registration — the moment a
-/// receiver waiting on that mailbox can make progress.
-pub type DeliveryHook = Arc<dyn Fn(Endpoint) + Send + Sync>;
+/// Called with a tile after a message was enqueued in its mailbox, or after
+/// its mailbox was disconnected by a re-registration — the moment a receiver
+/// waiting on that mailbox can make progress.
+pub type DeliveryHook = Arc<dyn Fn(TileId) + Send + Sync>;
 
-/// A transport backend: endpoint registration plus fire-and-forget sends.
+/// A transport backend: mailbox registration plus fire-and-forget sends.
 ///
 /// This trait is object-safe; the simulator holds a `dyn Transport`.
 pub trait Transport: Send + Sync {
-    /// Creates (or replaces) the mailbox for `endpoint` and returns the
+    /// Creates (or replaces) the mailbox for `tile` and returns the
     /// receiving half. Replacing one disconnects the old mailbox and runs
-    /// the delivery hook for `endpoint`.
-    fn register(&self, endpoint: Endpoint) -> Mailbox;
+    /// the delivery hook for `tile`.
+    fn register(&self, tile: TileId) -> Mailbox;
 
     /// Installs the hook every delivery runs (see [`DeliveryHook`]); the
     /// simulator uses it to wake a receiver parked without a host thread.
@@ -230,20 +187,14 @@ pub trait Transport: Send + Sync {
     fn set_delivery_hook(&self, hook: DeliveryHook);
 
     /// Sends a message from `src` to `dst`, not attached to any tracked
-    /// flow (flow 0). Equivalent to `send_flow(src, dst, class, payload, 0)`.
+    /// flow (flow 0). Equivalent to `send_flow(src, dst, payload, 0)`.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::TransportClosed`] if `dst` was never registered or
     /// its mailbox has been dropped.
-    fn send(
-        &self,
-        src: Endpoint,
-        dst: Endpoint,
-        class: MsgClass,
-        payload: Vec<u8>,
-    ) -> Result<(), SimError> {
-        self.send_flow(src, dst, class, payload, 0)
+    fn send(&self, src: TileId, dst: TileId, payload: Vec<u8>) -> Result<(), SimError> {
+        self.send_flow(src, dst, payload, 0)
     }
 
     /// Sends a message carrying a causal flow ID; the receiver observes it
@@ -256,9 +207,8 @@ pub trait Transport: Send + Sync {
     /// its mailbox has been dropped.
     fn send_flow(
         &self,
-        src: Endpoint,
-        dst: Endpoint,
-        class: MsgClass,
+        src: TileId,
+        dst: TileId,
         payload: Vec<u8>,
         flow: u64,
     ) -> Result<(), SimError>;
@@ -267,16 +217,10 @@ pub trait Transport: Send + Sync {
     fn stats(&self) -> &TransportStats;
 }
 
-/// Where an endpoint physically lives, for traffic classification.
-fn locality(cfg: &SimConfig, a: Endpoint, b: Endpoint) -> Locality {
-    let proc_of = |e: Endpoint| -> u32 {
-        match e {
-            Endpoint::Tile(t) => cfg.process_of_tile(t.0),
-            Endpoint::Mcp => 0,
-            Endpoint::Lcp(p) => p.0,
-        }
-    };
-    let (pa, pb) = (proc_of(a), proc_of(b));
+/// Where two tiles physically live relative to each other, for traffic
+/// classification.
+fn locality(cfg: &SimConfig, a: TileId, b: TileId) -> Locality {
+    let (pa, pb) = (cfg.process_of_tile(a.0), cfg.process_of_tile(b.0));
     if pa == pb {
         Locality::IntraProcess
     } else if cfg.machine_of_process(pa) == cfg.machine_of_process(pb) {
@@ -293,11 +237,11 @@ enum Locality {
     InterMachine,
 }
 
-/// In-memory channel transport: every endpoint gets an unbounded MPSC
-/// channel. This is the default backend.
+/// In-memory channel transport: every tile gets an unbounded MPSC channel.
+/// This is the default backend.
 pub struct LocalTransport {
     cfg: SimConfig,
-    senders: RwLock<std::collections::HashMap<Endpoint, Sender<Msg>>>,
+    senders: RwLock<std::collections::HashMap<TileId, Sender<Msg>>>,
     hook: OnceLock<DeliveryHook>,
     stats: TransportStats,
 }
@@ -335,21 +279,21 @@ impl LocalTransport {
 }
 
 /// Runs `hook` (if installed) for `dst`.
-fn delivered(hook: &OnceLock<DeliveryHook>, dst: Endpoint) {
+fn delivered(hook: &OnceLock<DeliveryHook>, dst: TileId) {
     if let Some(h) = hook.get() {
         h(dst);
     }
 }
 
 impl Transport for LocalTransport {
-    fn register(&self, endpoint: Endpoint) -> Mailbox {
+    fn register(&self, tile: TileId) -> Mailbox {
         let (tx, rx) = channel::unbounded();
-        let old = self.senders.write().insert(endpoint, tx);
+        let old = self.senders.write().insert(tile, tx);
         if old.is_some() {
             drop(old);
-            delivered(&self.hook, endpoint);
+            delivered(&self.hook, tile);
         }
-        Mailbox { endpoint, rx }
+        Mailbox { tile, rx }
     }
 
     fn set_delivery_hook(&self, hook: DeliveryHook) {
@@ -358,9 +302,8 @@ impl Transport for LocalTransport {
 
     fn send_flow(
         &self,
-        src: Endpoint,
-        dst: Endpoint,
-        class: MsgClass,
+        src: TileId,
+        dst: TileId,
         payload: Vec<u8>,
         flow: u64,
     ) -> Result<(), SimError> {
@@ -374,7 +317,7 @@ impl Transport for LocalTransport {
             Locality::InterMachine => self.stats.inter_machine.incr(),
         }
         self.stats.bytes.add(payload.len() as u64);
-        let msg = Msg { src, dst, class, flow, payload: Bytes::from(payload) };
+        let msg = Msg { src, dst, flow, payload: Bytes::from(payload) };
         tx.send(msg).map_err(|_| SimError::TransportClosed(dst.to_string()))?;
         delivered(&self.hook, dst);
         Ok(())
@@ -403,12 +346,10 @@ mod tests {
     #[test]
     fn send_and_recv_roundtrip() {
         let hub = LocalTransport::new(&cfg(4, 1, 1));
-        let mb = hub.register(Endpoint::Tile(TileId(2)));
-        hub.send(Endpoint::Mcp, Endpoint::Tile(TileId(2)), MsgClass::System, vec![1, 2, 3])
-            .unwrap();
+        let mb = hub.register(TileId(2));
+        hub.send(TileId(0), TileId(2), vec![1, 2, 3]).unwrap();
         let m = mb.recv().unwrap();
-        assert_eq!(m.src, Endpoint::Mcp);
-        assert_eq!(m.class, MsgClass::System);
+        assert_eq!((m.src, m.dst), (TileId(0), TileId(2)));
         assert_eq!(m.payload.as_ref(), &[1, 2, 3]);
         assert_eq!(m.flow, 0); // plain send is flow-untracked
     }
@@ -416,10 +357,9 @@ mod tests {
     #[test]
     fn flow_id_round_trips_local() {
         let hub = LocalTransport::new(&cfg(4, 1, 1));
-        let mb = hub.register(Endpoint::Tile(TileId(3)));
+        let mb = hub.register(TileId(3));
         for flow in [1u64, 42, u64::MAX] {
-            hub.send_flow(Endpoint::Mcp, Endpoint::Tile(TileId(3)), MsgClass::Memory, vec![], flow)
-                .unwrap();
+            hub.send_flow(TileId(0), TileId(3), vec![], flow).unwrap();
             assert_eq!(mb.recv().unwrap().flow, flow);
         }
     }
@@ -427,18 +367,16 @@ mod tests {
     #[test]
     fn send_to_unregistered_fails() {
         let hub = LocalTransport::new(&cfg(4, 1, 1));
-        let err = hub
-            .send(Endpoint::Mcp, Endpoint::Tile(TileId(0)), MsgClass::System, vec![])
-            .unwrap_err();
+        let err = hub.send(TileId(1), TileId(0), vec![]).unwrap_err();
         assert!(matches!(err, SimError::TransportClosed(_)));
     }
 
     #[test]
     fn fifo_order_per_endpoint() {
         let hub = LocalTransport::new(&cfg(2, 1, 1));
-        let mb = hub.register(Endpoint::Tile(TileId(0)));
+        let mb = hub.register(TileId(0));
         for i in 0..10u8 {
-            hub.send(Endpoint::Mcp, Endpoint::Tile(TileId(0)), MsgClass::User, vec![i]).unwrap();
+            hub.send(TileId(1), TileId(0), vec![i]).unwrap();
         }
         for i in 0..10u8 {
             assert_eq!(mb.recv().unwrap().payload.as_ref(), &[i]);
@@ -449,32 +387,29 @@ mod tests {
     fn locality_classification() {
         // 4 tiles striped over 2 processes on 2 machines.
         let hub = LocalTransport::new(&cfg(4, 2, 2));
-        let _mb0 = hub.register(Endpoint::Tile(TileId(0)));
-        let _mb1 = hub.register(Endpoint::Tile(TileId(1)));
-        let _mb2 = hub.register(Endpoint::Tile(TileId(2)));
+        let _mb0 = hub.register(TileId(0));
+        let _mb1 = hub.register(TileId(1));
+        let _mb2 = hub.register(TileId(2));
         // tile0 (proc0/m0) -> tile2 (proc0/m0): intra-process.
-        hub.send(Endpoint::Tile(TileId(0)), Endpoint::Tile(TileId(2)), MsgClass::User, vec![])
-            .unwrap();
+        hub.send(TileId(0), TileId(2), vec![]).unwrap();
         // tile0 (proc0/m0) -> tile1 (proc1/m1): inter-machine.
-        hub.send(Endpoint::Tile(TileId(0)), Endpoint::Tile(TileId(1)), MsgClass::User, vec![])
-            .unwrap();
+        hub.send(TileId(0), TileId(1), vec![]).unwrap();
         assert_eq!(hub.stats().intra_process.get(), 1);
         assert_eq!(hub.stats().inter_machine.get(), 1);
         assert_eq!(hub.stats().inter_process.get(), 0);
 
         // Same processes, one machine: the cross-process hop is inter-process.
         let hub1 = LocalTransport::new(&cfg(4, 2, 1));
-        let _mb = hub1.register(Endpoint::Tile(TileId(1)));
-        hub1.send(Endpoint::Tile(TileId(0)), Endpoint::Tile(TileId(1)), MsgClass::User, vec![])
-            .unwrap();
+        let _mb = hub1.register(TileId(1));
+        hub1.send(TileId(0), TileId(1), vec![]).unwrap();
         assert_eq!(hub1.stats().inter_process.get(), 1);
     }
 
     #[test]
     fn bytes_counted() {
         let hub = LocalTransport::new(&cfg(2, 1, 1));
-        let _mb = hub.register(Endpoint::Lcp(ProcId(0)));
-        hub.send(Endpoint::Mcp, Endpoint::Lcp(ProcId(0)), MsgClass::System, vec![0; 42]).unwrap();
+        let _mb = hub.register(TileId(1));
+        hub.send(TileId(0), TileId(1), vec![0; 42]).unwrap();
         assert_eq!(hub.stats().bytes.get(), 42);
         assert_eq!(hub.stats().total_messages(), 1);
     }
@@ -482,11 +417,11 @@ mod tests {
     #[test]
     fn try_recv_and_timeout() {
         let hub = LocalTransport::new(&cfg(2, 1, 1));
-        let mb = hub.register(Endpoint::Mcp);
+        let mb = hub.register(TileId(1));
         assert!(mb.try_recv().is_none());
         assert!(mb.is_empty());
         assert_eq!(mb.recv_timeout(Duration::from_millis(5)).unwrap(), None);
-        hub.send(Endpoint::Tile(TileId(0)), Endpoint::Mcp, MsgClass::System, vec![9]).unwrap();
+        hub.send(TileId(0), TileId(1), vec![9]).unwrap();
         assert_eq!(mb.len(), 1);
         assert!(mb.try_recv().is_some());
     }
@@ -494,19 +429,13 @@ mod tests {
     #[test]
     fn concurrent_senders_all_delivered() {
         let hub = Arc::new(LocalTransport::new(&cfg(8, 1, 1)));
-        let mb = hub.register(Endpoint::Mcp);
+        let mb = hub.register(TileId(7));
         let handles: Vec<_> = (0..4)
             .map(|t| {
                 let hub = Arc::clone(&hub);
                 std::thread::spawn(move || {
                     for _ in 0..500 {
-                        hub.send(
-                            Endpoint::Tile(TileId(t)),
-                            Endpoint::Mcp,
-                            MsgClass::User,
-                            vec![t as u8],
-                        )
-                        .unwrap();
+                        hub.send(TileId(t), TileId(7), vec![t as u8]).unwrap();
                     }
                 })
             })
@@ -525,27 +454,20 @@ mod tests {
     fn delivery_hook_runs_after_enqueue_and_on_replace() {
         use std::sync::Mutex;
         let hub = LocalTransport::new(&cfg(2, 1, 1));
-        let mb = Arc::new(hub.register(Endpoint::Tile(TileId(1))));
+        let mb = Arc::new(hub.register(TileId(1)));
         let seen = Arc::new(Mutex::new(Vec::new()));
         let (mb2, seen2) = (Arc::clone(&mb), Arc::clone(&seen));
         hub.set_delivery_hook(Arc::new(move |dst| {
             // The message is already in the mailbox when the hook runs.
             seen2.lock().unwrap().push((dst, !mb2.is_empty()));
         }));
-        hub.send(Endpoint::Mcp, Endpoint::Tile(TileId(1)), MsgClass::User, vec![1]).unwrap();
+        hub.send(TileId(0), TileId(1), vec![1]).unwrap();
         assert_eq!(mb.len(), 1);
-        assert_eq!(*seen.lock().unwrap(), vec![(Endpoint::Tile(TileId(1)), true)]);
+        assert_eq!(*seen.lock().unwrap(), vec![(TileId(1), true)]);
         // Re-registering disconnects the old mailbox and wakes its receiver.
-        let _fresh = hub.register(Endpoint::Tile(TileId(1)));
+        let _fresh = hub.register(TileId(1));
         assert_eq!(seen.lock().unwrap().len(), 2);
         assert!(mb.poll().unwrap().is_some(), "queued message survives the disconnect");
         assert!(mb.poll().is_err(), "then the old mailbox reads as closed");
-    }
-
-    #[test]
-    fn endpoint_display() {
-        assert_eq!(Endpoint::Tile(TileId(3)).to_string(), "tile3");
-        assert_eq!(Endpoint::Mcp.to_string(), "mcp");
-        assert_eq!(Endpoint::Lcp(ProcId(1)).to_string(), "lcp@proc1");
     }
 }

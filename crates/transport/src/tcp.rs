@@ -9,9 +9,9 @@
 //! through memory, exactly as shared-memory delivery does in Graphite.
 //!
 //! The framing is a length-prefixed binary header:
-//! `len:u32 | src:(tag u8, id u32) | dst:(tag u8, id u32) | class:u8 |
-//! flow:u64 | payload`. The flow word carries the causal flow ID end-to-end
-//! so cross-process hops stay attributable to the flow that caused them.
+//! `len:u32 | src tile:u32 | dst tile:u32 | flow:u64 | payload`. The flow
+//! word carries the causal flow ID end-to-end so cross-process hops stay
+//! attributable to the flow that caused them.
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -21,23 +21,25 @@ use std::sync::{Arc, OnceLock};
 
 use bytes::Bytes;
 use crossbeam::channel::{self, Sender};
-use graphite_base::{ProcId, SimError, SimRng, TileId};
+use graphite_base::{SimError, SimRng, TileId};
 use graphite_config::SimConfig;
 use parking_lot::{Mutex, RwLock};
 
-use crate::{delivered, DeliveryHook, Endpoint, Mailbox, Msg, MsgClass, Transport, TransportStats};
+use crate::{delivered, DeliveryHook, Mailbox, Msg, Transport, TransportStats};
 
 /// Maximum connect attempts before a send gives up.
 const MAX_CONNECT_ATTEMPTS: u32 = 8;
 /// Base delay of the exponential backoff between connect attempts.
 const BACKOFF_BASE: std::time::Duration = std::time::Duration::from_millis(1);
+/// Frame body header: source tile, destination tile, flow ID.
+const HEADER: usize = 4 + 4 + 8;
 
 /// Connects with bounded retries: exponential backoff (`BACKOFF_BASE * 2^n`)
 /// plus uniform jitter drawn from `rng` so competing senders do not retry in
 /// lock-step.
 fn connect_with_backoff(
     addr: SocketAddr,
-    dst: Endpoint,
+    dst: TileId,
     rng: &Mutex<SimRng>,
 ) -> Result<TcpStream, SimError> {
     let mut last_err = None;
@@ -61,61 +63,25 @@ fn connect_with_backoff(
     )))
 }
 
-fn encode(src: Endpoint, dst: Endpoint, class: MsgClass, flow: u64, payload: &[u8]) -> Vec<u8> {
-    fn put_ep(buf: &mut Vec<u8>, e: Endpoint) {
-        match e {
-            Endpoint::Tile(TileId(i)) => {
-                buf.push(0);
-                buf.extend_from_slice(&i.to_le_bytes());
-            }
-            Endpoint::Mcp => {
-                buf.push(1);
-                buf.extend_from_slice(&0u32.to_le_bytes());
-            }
-            Endpoint::Lcp(ProcId(p)) => {
-                buf.push(2);
-                buf.extend_from_slice(&p.to_le_bytes());
-            }
-        }
-    }
-    let body_len = 5 + 5 + 1 + 8 + payload.len();
+fn encode(src: TileId, dst: TileId, flow: u64, payload: &[u8]) -> Vec<u8> {
+    let body_len = HEADER + payload.len();
     let mut buf = Vec::with_capacity(4 + body_len);
     buf.extend_from_slice(&(body_len as u32).to_le_bytes());
-    put_ep(&mut buf, src);
-    put_ep(&mut buf, dst);
-    buf.push(match class {
-        MsgClass::System => 0,
-        MsgClass::User => 1,
-        MsgClass::Memory => 2,
-    });
+    buf.extend_from_slice(&src.0.to_le_bytes());
+    buf.extend_from_slice(&dst.0.to_le_bytes());
     buf.extend_from_slice(&flow.to_le_bytes());
     buf.extend_from_slice(payload);
     buf
 }
 
 fn decode(body: &[u8]) -> Option<Msg> {
-    fn get_ep(b: &[u8]) -> Option<Endpoint> {
-        let id = u32::from_le_bytes(b[1..5].try_into().ok()?);
-        Some(match b[0] {
-            0 => Endpoint::Tile(TileId(id)),
-            1 => Endpoint::Mcp,
-            2 => Endpoint::Lcp(ProcId(id)),
-            _ => return None,
-        })
-    }
-    if body.len() < 19 {
+    let word = |at: usize| u32::from_le_bytes(body[at..at + 4].try_into().expect("4 bytes"));
+    if body.len() < HEADER {
         return None;
     }
-    let src = get_ep(&body[0..5])?;
-    let dst = get_ep(&body[5..10])?;
-    let class = match body[10] {
-        0 => MsgClass::System,
-        1 => MsgClass::User,
-        2 => MsgClass::Memory,
-        _ => return None,
-    };
-    let flow = u64::from_le_bytes(body[11..19].try_into().ok()?);
-    Some(Msg { src, dst, class, flow, payload: Bytes::copy_from_slice(&body[19..]) })
+    let flow = u64::from_le_bytes(body[8..HEADER].try_into().ok()?);
+    let payload = Bytes::copy_from_slice(&body[HEADER..]);
+    Some(Msg { src: TileId(word(0)), dst: TileId(word(4)), flow, payload })
 }
 
 /// A transport whose inter-process hops travel over real loopback TCP
@@ -125,21 +91,20 @@ fn decode(body: &[u8]) -> Option<Msg> {
 ///
 /// ```
 /// use graphite_base::TileId;
-/// use graphite_transport::{tcp::TcpTransport, Endpoint, MsgClass, Transport};
+/// use graphite_transport::{tcp::TcpTransport, Transport};
 ///
 /// let mut cfg = graphite_config::presets::paper_default(4);
 /// cfg.num_processes = 2;
 /// let hub = TcpTransport::new(&cfg).unwrap();
-/// let mb = hub.register(Endpoint::Tile(TileId(1))); // tile1 lives in process 1
+/// let mb = hub.register(TileId(1)); // tile1 lives in process 1
 /// // tile0 lives in process 0, so this send crosses a real socket.
-/// hub.send(Endpoint::Tile(TileId(0)), Endpoint::Tile(TileId(1)), MsgClass::User, vec![7])
-///     .unwrap();
+/// hub.send(TileId(0), TileId(1), vec![7]).unwrap();
 /// assert_eq!(hub.stats().inter_process.get() + hub.stats().inter_machine.get(), 1);
 /// assert_eq!(mb.recv().unwrap().payload.as_ref(), &[7]);
 /// ```
 pub struct TcpTransport {
     cfg: SimConfig,
-    senders: Arc<RwLock<HashMap<Endpoint, Sender<Msg>>>>,
+    senders: Arc<RwLock<HashMap<TileId, Sender<Msg>>>>,
     /// The delivery hook, shared with the reader threads.
     hook: Arc<OnceLock<DeliveryHook>>,
     /// One lazily-connected outbound stream per destination process.
@@ -182,7 +147,7 @@ impl TcpTransport {
     }
 
     fn build(cfg: &SimConfig, stats: TransportStats) -> Result<Self, SimError> {
-        let senders: Arc<RwLock<HashMap<Endpoint, Sender<Msg>>>> =
+        let senders: Arc<RwLock<HashMap<TileId, Sender<Msg>>>> =
             Arc::new(RwLock::new(HashMap::new()));
         let hook: Arc<OnceLock<DeliveryHook>> = Arc::new(OnceLock::new());
         let shutdown = Arc::new(AtomicBool::new(false));
@@ -209,20 +174,12 @@ impl TcpTransport {
             shutdown,
         })
     }
-
-    fn proc_of(&self, e: Endpoint) -> u32 {
-        match e {
-            Endpoint::Tile(t) => self.cfg.process_of_tile(t.0),
-            Endpoint::Mcp => 0,
-            Endpoint::Lcp(p) => p.0,
-        }
-    }
 }
 
 /// What a reader thread delivers into: the mailboxes and the delivery hook.
 #[derive(Clone)]
 struct Inbound {
-    senders: Arc<RwLock<HashMap<Endpoint, Sender<Msg>>>>,
+    senders: Arc<RwLock<HashMap<TileId, Sender<Msg>>>>,
     hook: Arc<OnceLock<DeliveryHook>>,
 }
 
@@ -282,14 +239,14 @@ fn reader_loop(mut stream: TcpStream, inbound: Inbound) {
 }
 
 impl Transport for TcpTransport {
-    fn register(&self, endpoint: Endpoint) -> Mailbox {
+    fn register(&self, tile: TileId) -> Mailbox {
         let (tx, rx) = channel::unbounded();
-        let old = self.senders.write().insert(endpoint, tx);
+        let old = self.senders.write().insert(tile, tx);
         if old.is_some() {
             drop(old);
-            delivered(&self.hook, endpoint);
+            delivered(&self.hook, tile);
         }
-        Mailbox { endpoint, rx }
+        Mailbox { tile, rx }
     }
 
     fn set_delivery_hook(&self, hook: DeliveryHook) {
@@ -298,13 +255,12 @@ impl Transport for TcpTransport {
 
     fn send_flow(
         &self,
-        src: Endpoint,
-        dst: Endpoint,
-        class: MsgClass,
+        src: TileId,
+        dst: TileId,
         payload: Vec<u8>,
         flow: u64,
     ) -> Result<(), SimError> {
-        let (sp, dp) = (self.proc_of(src), self.proc_of(dst));
+        let (sp, dp) = (self.cfg.process_of_tile(src.0), self.cfg.process_of_tile(dst.0));
         self.stats.bytes.add(payload.len() as u64);
         if sp == dp {
             // Intra-process: deliver through memory, like Graphite's
@@ -316,7 +272,7 @@ impl Transport for TcpTransport {
                 .get(&dst)
                 .cloned()
                 .ok_or_else(|| SimError::TransportClosed(dst.to_string()))?;
-            let msg = Msg { src, dst, class, flow, payload: Bytes::from(payload) };
+            let msg = Msg { src, dst, flow, payload: Bytes::from(payload) };
             tx.send(msg).map_err(|_| SimError::TransportClosed(dst.to_string()))?;
             delivered(&self.hook, dst);
             return Ok(());
@@ -326,7 +282,7 @@ impl Transport for TcpTransport {
         } else {
             self.stats.inter_machine.incr();
         }
-        let frame = encode(src, dst, class, flow, &payload);
+        let frame = encode(src, dst, flow, &payload);
         let mut guard = self.outbound[dp as usize].lock();
         if guard.is_none() {
             *guard = Some(connect_with_backoff(self.addrs[dp as usize], dst, &self.rng)?);
@@ -376,21 +332,15 @@ mod tests {
 
     #[test]
     fn encode_decode_roundtrip() {
-        for (src, dst) in [
-            (Endpoint::Tile(TileId(5)), Endpoint::Mcp),
-            (Endpoint::Mcp, Endpoint::Lcp(ProcId(3))),
-            (Endpoint::Lcp(ProcId(0)), Endpoint::Tile(TileId(1000))),
-        ] {
-            for class in [MsgClass::System, MsgClass::User, MsgClass::Memory] {
-                for flow in [0u64, 1, u64::MAX] {
-                    let frame = encode(src, dst, class, flow, b"payload!");
-                    let body = &frame[4..];
-                    let msg = decode(body).unwrap();
-                    assert_eq!(msg.src, src);
-                    assert_eq!(msg.dst, dst);
-                    assert_eq!(msg.class, class);
-                    assert_eq!(msg.flow, flow);
-                    assert_eq!(msg.payload.as_ref(), b"payload!");
+        for (src, dst) in [(5, 0), (0, 3), (7, 1000), (u32::MAX, 0)] {
+            let (src, dst) = (TileId(src), TileId(dst));
+            for flow in [0u64, 1, u64::MAX] {
+                for payload in [&b"payload!"[..], &[]] {
+                    let frame = encode(src, dst, flow, payload);
+                    assert_eq!(frame[..4], ((frame.len() - 4) as u32).to_le_bytes());
+                    let msg = decode(&frame[4..]).unwrap();
+                    assert_eq!((msg.src, msg.dst, msg.flow), (src, dst, flow));
+                    assert_eq!(msg.payload.as_ref(), payload);
                 }
             }
         }
@@ -400,21 +350,15 @@ mod tests {
     fn decode_rejects_garbage() {
         assert!(decode(&[]).is_none());
         assert!(decode(&[0; 11]).is_none()); // too short for the flow word
-        assert!(decode(&[9; 19]).is_none());
+        assert!(decode(&[9; HEADER - 1]).is_none()); // one byte short of a header
+        assert!(decode(&[9; HEADER]).is_some(), "a bare header is an empty message");
     }
 
     #[test]
     fn cross_process_message_travels_socket() {
         let hub = TcpTransport::new(&cfg(4, 2, 1)).unwrap();
-        let mb = hub.register(Endpoint::Tile(TileId(1)));
-        hub.send_flow(
-            Endpoint::Tile(TileId(0)),
-            Endpoint::Tile(TileId(1)),
-            MsgClass::Memory,
-            vec![42],
-            777,
-        )
-        .unwrap();
+        let mb = hub.register(TileId(1));
+        hub.send_flow(TileId(0), TileId(1), vec![42], 777).unwrap();
         let msg = mb.recv_timeout(Duration::from_secs(5)).unwrap().expect("delivered");
         assert_eq!(msg.payload.as_ref(), &[42]);
         assert_eq!(msg.flow, 777);
@@ -424,16 +368,9 @@ mod tests {
     #[test]
     fn intra_process_shortcuts_memory() {
         let hub = TcpTransport::new(&cfg(4, 2, 1)).unwrap();
-        let mb = hub.register(Endpoint::Tile(TileId(2)));
+        let mb = hub.register(TileId(2));
         // tiles 0 and 2 both map to process 0.
-        hub.send_flow(
-            Endpoint::Tile(TileId(0)),
-            Endpoint::Tile(TileId(2)),
-            MsgClass::User,
-            vec![1],
-            5,
-        )
-        .unwrap();
+        hub.send_flow(TileId(0), TileId(2), vec![1], 5).unwrap();
         let msg = mb.try_recv().expect("delivered");
         assert_eq!(msg.flow, 5);
         assert_eq!(hub.stats().intra_process.get(), 1);
@@ -443,21 +380,14 @@ mod tests {
     #[test]
     fn dead_cached_stream_reconnects_and_delivers() {
         let hub = TcpTransport::new(&cfg(4, 2, 1)).unwrap();
-        let mb = hub.register(Endpoint::Tile(TileId(1)));
+        let mb = hub.register(TileId(1));
         // Plant a half-dead outbound stream for process 1: connected to the
         // real listener, then shut down on our side so the next write fails.
         let dead = TcpStream::connect(hub.addrs[1]).unwrap();
         dead.shutdown(std::net::Shutdown::Both).unwrap();
         *hub.outbound[1].lock() = Some(dead);
 
-        hub.send_flow(
-            Endpoint::Tile(TileId(0)),
-            Endpoint::Tile(TileId(1)),
-            MsgClass::User,
-            vec![9],
-            31,
-        )
-        .unwrap();
+        hub.send_flow(TileId(0), TileId(1), vec![9], 31).unwrap();
         let msg = mb.recv_timeout(Duration::from_secs(5)).unwrap().expect("delivered");
         assert_eq!(msg.payload.as_ref(), &[9]);
         assert_eq!(msg.flow, 31);
@@ -473,7 +403,7 @@ mod tests {
             l.local_addr().unwrap()
         };
         let rng = Mutex::new(SimRng::new(7));
-        let err = connect_with_backoff(addr, Endpoint::Mcp, &rng).unwrap_err();
+        let err = connect_with_backoff(addr, TileId(1), &rng).unwrap_err();
         assert!(matches!(err, SimError::TransportClosed(s) if s.contains("giving up")));
     }
 
@@ -481,20 +411,17 @@ mod tests {
     fn delivery_hook_runs_on_both_paths() {
         use std::sync::atomic::AtomicUsize;
         let hub = TcpTransport::new(&cfg(4, 2, 1)).unwrap();
-        let mb1 = hub.register(Endpoint::Tile(TileId(1)));
-        let _mb2 = hub.register(Endpoint::Tile(TileId(2)));
+        let mb1 = hub.register(TileId(1));
+        let _mb2 = hub.register(TileId(2));
         let hits = Arc::new([AtomicUsize::new(0), AtomicUsize::new(0), AtomicUsize::new(0)]);
         let h = Arc::clone(&hits);
         hub.set_delivery_hook(Arc::new(move |dst| {
-            if let Endpoint::Tile(t) = dst {
-                h[t.index()].fetch_add(1, Ordering::SeqCst);
-            }
+            h[dst.index()].fetch_add(1, Ordering::SeqCst);
         }));
-        let (t0, t1, t2) =
-            (Endpoint::Tile(TileId(0)), Endpoint::Tile(TileId(1)), Endpoint::Tile(TileId(2)));
-        hub.send(t0, t2, MsgClass::User, vec![1]).unwrap(); // same process: memory
+        let (t0, t1, t2) = (TileId(0), TileId(1), TileId(2));
+        hub.send(t0, t2, vec![1]).unwrap(); // same process: memory
         assert_eq!(hits[2].load(Ordering::SeqCst), 1);
-        hub.send(t0, t1, MsgClass::User, vec![2]).unwrap(); // across the socket
+        hub.send(t0, t1, vec![2]).unwrap(); // across the socket
         mb1.recv_timeout(Duration::from_secs(5)).unwrap().expect("delivered");
         // The reader thread enqueues, then runs the hook.
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
@@ -507,10 +434,9 @@ mod tests {
     #[test]
     fn many_messages_in_order_across_socket() {
         let hub = TcpTransport::new(&cfg(2, 2, 2)).unwrap();
-        let mb = hub.register(Endpoint::Tile(TileId(1)));
+        let mb = hub.register(TileId(1));
         for i in 0..100u8 {
-            hub.send(Endpoint::Tile(TileId(0)), Endpoint::Tile(TileId(1)), MsgClass::User, vec![i])
-                .unwrap();
+            hub.send(TileId(0), TileId(1), vec![i]).unwrap();
         }
         for i in 0..100u8 {
             let m = mb.recv_timeout(Duration::from_secs(5)).unwrap().expect("msg");
