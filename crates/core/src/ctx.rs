@@ -653,11 +653,11 @@ impl Ctx {
                 self.sim.sync.activate(self.tile);
                 let msg =
                     msg.map_err(|_| SimError::TransportClosed("user message receive".into()))?;
-                let src = msg.src;
+                let (src, mut data) = (msg.src, msg.payload);
                 let arrival = Cycles(u64::from_le_bytes(
-                    msg.payload[..8].try_into().expect("8-byte timestamp header"),
+                    data[..8].try_into().expect("8-byte timestamp header"),
                 ));
-                let data = msg.payload[8..].to_vec();
+                data.drain(..8);
                 if want.is_none_or(|w| src == w) {
                     break (src, arrival, msg.flow, data);
                 }

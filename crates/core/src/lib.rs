@@ -364,8 +364,9 @@ impl SimBuilder {
         self
     }
 
-    /// Builds the simulator. Apart from the TCP transport's acceptor
-    /// threads, it owns no host thread until [`Sim::run`].
+    /// Builds the simulator. It owns no host thread until [`Sim::run`],
+    /// whichever transport it uses: the TCP backend's sockets are read by the
+    /// scheduler's carriers, and its connections are made by the first send.
     ///
     /// # Errors
     ///
@@ -434,14 +435,21 @@ impl SimBuilder {
             Arc::clone(&sched) as Arc<dyn graphite_base::Blocker>,
         );
         let transport: Arc<dyn Transport> = if self.tcp_transport {
-            Arc::new(graphite_transport::tcp::TcpTransport::with_obs(&cfg, &obs)?)
+            let tcp = Arc::new(graphite_transport::tcp::TcpTransport::with_obs(&cfg, &obs)?);
+            sched.attach_wire(Arc::clone(&tcp));
+            tcp
         } else {
             Arc::new(LocalTransport::with_obs(&cfg, &obs))
         };
         // A delivery completes a receive: it unparks the receiver if (and
-        // only if) the receiver armed its flag before parking.
-        let notify = Arc::clone(&sched);
-        transport.set_delivery_hook(Arc::new(move |dst| notify.notify_delivery(dst)));
+        // only if) the receiver armed its flag before parking. The hook holds
+        // the scheduler weakly: the scheduler holds the TCP transport.
+        let notify = Arc::downgrade(&sched);
+        transport.set_delivery_hook(Arc::new(move |dst| {
+            if let Some(sched) = notify.upgrade() {
+                sched.notify_delivery(dst);
+            }
+        }));
         let tiles: Vec<CachePadded<TileState>> = (0..n)
             .map(|i| {
                 let core: Box<dyn CoreModel> = match &self.core_kind {

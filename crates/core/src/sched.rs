@@ -35,6 +35,15 @@
 //!   sleeper is a timer entry, fired by the next carrier that switches
 //!   contexts or by an idle carrier waiting for the earliest deadline.
 //!
+//! **Carriers read the TCP wire.** The TCP transport has no thread of its
+//! own: the scheduler reads its inbound sockets. Each time a
+//! carrier passes its slot on, it first sweeps the wire without blocking,
+//! and a receiver woken by a frame it finds is queued for that very slot —
+//! so a cross-process hop between two coroutines costs no host wake. An
+//! idle carrier waits in `poll(2)` on its wake pipe; while a slot is free,
+//! one idle carrier (the *poller*) also watches the wire, and a receiver
+//! woken by what it reads runs on the poller itself.
+//!
 //! The waiter always parks exactly once per wait, even when the result is
 //! already in: the park then consumes the banked token and returns at once.
 //! A token left unconsumed would end the context's *next* wait early — a
@@ -55,13 +64,16 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+use std::io::{PipeReader, PipeWriter, Read, Write};
+use std::os::fd::AsFd;
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
 use graphite_base::coro::{self, Coroutine};
 use graphite_base::{Blocker, CachePadded, HostProf, HostStage, TileId};
 use graphite_trace::{MetricsRegistry, Obs, ShardedMetric};
+use graphite_transport::tcp::TcpTransport;
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
 /// Scheduler event counters (`sched.*`), one cache-padded lane per tile.
@@ -123,6 +135,11 @@ struct SchedState {
     idle: Vec<usize>,
     /// Suspended sleepers by wake-up deadline, earliest first.
     timers: BinaryHeap<Reverse<(Instant, u32)>>,
+    /// The idle carrier that watches the wire, if any. While a wire is
+    /// attached and a slot is free, some idle carrier holds this role, so a
+    /// frame never waits for a carrier to switch (one may be running a guest
+    /// that spins on memory, or none may be running at all).
+    poller: Option<usize>,
 }
 
 /// What an idle carrier is woken for.
@@ -130,45 +147,75 @@ struct SchedState {
 enum Work {
     /// Run `tile`'s coroutine on the slot that comes with it.
     Run(u32),
-    /// A sleeper was queued: re-read the earliest deadline.
+    /// A sleeper was queued, or the poller role came to this carrier:
+    /// re-read the earliest deadline and the role.
     Tick,
     /// The simulation is over: exit.
     Retire,
 }
 
-/// An idle carrier's wake-up channel.
-#[derive(Debug, Default)]
+/// An idle carrier's wake-up channel: the posted work, and a pipe that a
+/// post writes only while the carrier sleeps in `poll`, so posting to a
+/// carrier that is awake costs no system call.
+#[derive(Debug)]
 struct Mailbox {
-    work: Mutex<Option<Work>>,
-    cv: Condvar,
+    posted: Mutex<Posted>,
+    rx: PipeReader,
+    tx: PipeWriter,
+}
+
+#[derive(Debug, Default)]
+struct Posted {
+    work: Option<Work>,
+    /// The carrier is blocked (or about to block) in `poll` on the pipe.
+    sleeping: bool,
+    /// A wake byte is in the pipe.
+    signalled: bool,
 }
 
 impl Mailbox {
+    fn new() -> Self {
+        let (rx, tx) = std::io::pipe().expect("create a carrier's wake pipe");
+        Mailbox { posted: Mutex::new(Posted::default()), rx, tx }
+    }
+
     /// Posts `work`. A `Tick` goes only to a carrier on the idle list and a
     /// `Run` only to one just taken off it, so a `Run` is never overwritten.
     fn post(&self, work: Work) {
-        *self.work.lock() = Some(work);
-        self.cv.notify_one();
+        let wake = {
+            let mut p = self.posted.lock();
+            p.work = Some(work);
+            let wake = p.sleeping && !p.signalled;
+            p.signalled |= wake;
+            wake
+        };
+        // Written after the lock is dropped: a carrier woken under it would
+        // run straight into it and sleep again (as `CtxParker::grant_slot`).
+        if wake {
+            (&self.tx).write_all(&[1]).expect("write a carrier's wake pipe");
+        }
     }
 
-    /// Waits for work until `deadline`; `None` once it has passed.
-    fn wait(&self, deadline: Option<Instant>) -> Option<Work> {
-        let mut w = self.work.lock();
-        loop {
-            if let Some(work) = w.take() {
-                return Some(work);
-            }
-            match deadline {
-                None => self.cv.wait(&mut w),
-                Some(d) => {
-                    let now = Instant::now();
-                    if now >= d {
-                        return None;
-                    }
-                    self.cv.wait_for(&mut w, d - now);
-                }
-            }
+    /// Takes the posted work; with none, marks the carrier asleep, so a
+    /// later post writes the pipe.
+    fn take_or_sleep(&self) -> Option<Work> {
+        let mut p = self.posted.lock();
+        let work = p.work.take();
+        p.sleeping = work.is_none();
+        work
+    }
+
+    /// Marks the carrier awake after its `poll` and takes the posted work.
+    /// The wake byte is read only once `poll` saw it (`pipe_ready`): one
+    /// still on its way stays `signalled` and ends the next `poll` at once.
+    fn awake(&self, pipe_ready: bool) -> Option<Work> {
+        let mut p = self.posted.lock();
+        p.sleeping = false;
+        if pipe_ready {
+            (&self.rx).read_exact(&mut [0]).expect("read a carrier's wake pipe");
+            p.signalled = false;
         }
+        p.work.take()
     }
 }
 
@@ -237,6 +284,8 @@ pub struct GuestScheduler {
     stats: SchedStats,
     /// Host-cost profiler (`host.sched.*` stages). Disabled by default.
     prof: Arc<HostProf>,
+    /// The TCP transport whose inbound sockets the carriers read, if any.
+    wire: OnceLock<Arc<TcpTransport>>,
 }
 
 impl std::fmt::Debug for GuestScheduler {
@@ -276,6 +325,7 @@ impl GuestScheduler {
                 carriers: Vec::new(),
                 idle: Vec::new(),
                 timers: BinaryHeap::new(),
+                poller: None,
             }),
             carrier_idle: Condvar::new(),
             ctxs: (0..tiles).map(|_| CachePadded::default()).collect(),
@@ -283,7 +333,25 @@ impl GuestScheduler {
             me: me.clone(),
             stats: SchedStats::registered(&obs.metrics),
             prof,
+            wire: OnceLock::new(),
         })
+    }
+
+    /// Makes the carriers read `wire` (see the module docs). Call it before
+    /// the first context is submitted; only the first call takes effect.
+    pub(crate) fn attach_wire(&self, wire: Arc<TcpTransport>) {
+        // The poller's poll set lacks a stream accepted after it was built
+        // (a sweep, a blocked write or an old poller won the accept): a tick
+        // makes it poll again with the stream in.
+        let me = self.me.clone();
+        wire.set_accept_hook(Box::new(move || {
+            let Some(sched) = me.upgrade() else { return };
+            let s = sched.state.lock();
+            if let Some(c) = s.poller {
+                s.carriers[c].post(Work::Tick);
+            }
+        }));
+        let _ = self.wire.set(wire);
     }
 
     /// Stamps `tile` as holding a slot from now (host profiling only).
@@ -447,22 +515,49 @@ impl GuestScheduler {
         }
         if let Some(c) = s.idle.pop() {
             let mailbox = Arc::clone(&s.carriers[c]);
-            drop(s);
+            if s.poller == Some(c) {
+                // The poller leaves the idle list: another idle carrier
+                // takes over the wire if a slot is still free.
+                s.poller = None;
+                self.watch_free_slot(s, t as usize);
+            } else {
+                drop(s);
+            }
             mailbox.post(Work::Run(t));
             return;
         }
         self.spawn_carrier(s, t as usize, Some(t));
     }
 
+    /// If a slot is free that no switching carrier may pass on, makes sure
+    /// an idle carrier waits for whatever could claim it: the wire, when no
+    /// carrier polls it yet, and the earliest sleeper's deadline. Nudges the
+    /// most recently idled carrier, or starts one.
+    fn watch_free_slot(&self, mut s: MutexGuard<'_, SchedState>, lane: usize) {
+        let wire = self.wire.get().is_some() && s.poller.is_none();
+        if s.free == 0 || (!wire && s.timers.is_empty()) {
+            return;
+        }
+        match s.idle.last().copied() {
+            Some(c) => {
+                if wire {
+                    s.poller = Some(c);
+                }
+                s.carriers[c].post(Work::Tick);
+            }
+            None => self.spawn_carrier(s, lane, None),
+        }
+    }
+
     /// Starts a carrier thread: one running `first` on the slot claimed for
-    /// it, or (`None`) an idle one that waits for sleepers' deadlines.
-    /// `lane` is the metrics lane to count the spawn on.
+    /// it, or (`None`) an idle one that waits for sleepers' deadlines and
+    /// the wire. `lane` is the metrics lane to count the spawn on.
     fn spawn_carrier(&self, mut s: MutexGuard<'_, SchedState>, lane: usize, first: Option<u32>) {
-        let mailbox = Arc::new(Mailbox::default());
+        let mailbox = Arc::new(Mailbox::new());
         s.carriers.push(Arc::clone(&mailbox));
         let (id, live) = (s.carriers.len() - 1, s.carriers.len() as u64);
         if first.is_none() {
-            s.idle.push(id);
+            self.go_idle(&mut s, id);
         }
         drop(s);
         self.stats.threads_spawned.incr(lane);
@@ -477,28 +572,75 @@ impl GuestScheduler {
 
     /// A carrier's loop: run the coroutine it was started or woken for, keep
     /// the slot for the next queued coroutine while there is one, then wait
-    /// idle for more work — until the earliest sleeper's deadline, if any,
-    /// so a free slot never sits next to an expired sleeper.
+    /// idle for more work.
     fn carrier_main(&self, id: usize, mailbox: &Mailbox, first: Option<u32>) {
         let mut next = first;
         loop {
             let tile = match next {
                 Some(t) => t,
-                None => {
-                    let deadline = self.state.lock().timers.peek().map(|Reverse((d, _))| *d);
-                    match mailbox.wait(deadline) {
-                        Some(Work::Run(t)) => t,
-                        Some(Work::Retire) => return,
-                        Some(Work::Tick) | None => {
-                            // Expired sleepers take the free slot (maybe
-                            // via this carrier's own mailbox).
-                            drop(self.lock_firing_timers());
-                            continue;
-                        }
-                    }
-                }
+                None => match self.idle_wait(id, mailbox) {
+                    Some(t) => t,
+                    None => return,
+                },
             };
             next = self.run_coroutine(id, TileId(tile));
+        }
+    }
+
+    /// An idle carrier's wait: returns the tile it is handed, or `None` once
+    /// retired. It sleeps in `poll` on its wake pipe — and on the wire, while
+    /// it is the poller, so its poll doubles as its sweep before blocking —
+    /// until the earliest sleeper's deadline, so a free slot never sits next
+    /// to an expired sleeper or an unread frame.
+    fn idle_wait(&self, id: usize, mailbox: &Mailbox) -> Option<u32> {
+        loop {
+            let (deadline, poller) = {
+                let s = self.state.lock();
+                (s.timers.peek().map(|Reverse((d, _))| *d), s.poller == Some(id))
+            };
+            let work = match mailbox.take_or_sleep() {
+                Some(work) => Some(work),
+                None => {
+                    let timeout = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+                    let mut ready = Vec::new();
+                    let pipe_ready = match self.wire.get() {
+                        Some(wire) if poller => {
+                            wire.wait(mailbox.rx.as_fd(), timeout, &mut |dst| {
+                                self.collect_delivery(dst, &mut ready)
+                            })
+                        }
+                        _ => graphite_transport::wait_readable(mailbox.rx.as_fd(), timeout),
+                    };
+                    let work = mailbox.awake(pipe_ready);
+                    if !ready.is_empty() {
+                        // The receivers this carrier woke take free slots
+                        // from the top of the idle stack: this carrier first
+                        // (its `Run` is taken on the next pass).
+                        {
+                            let mut s = self.state.lock();
+                            if let Some(at) = s.idle.iter().position(|&c| c == id) {
+                                s.idle.remove(at);
+                                s.idle.push(id);
+                            }
+                        }
+                        for t in ready {
+                            self.enqueue_for_slot(TileId(t));
+                        }
+                    }
+                    work
+                }
+            };
+            match work {
+                Some(Work::Run(t)) => return Some(t),
+                Some(Work::Retire) => return None,
+                // Expired sleepers take the free slot (maybe via this
+                // carrier's own mailbox).
+                Some(Work::Tick) => drop(self.lock_firing_timers()),
+                None if deadline.is_some_and(|d| Instant::now() >= d) => {
+                    drop(self.lock_firing_timers())
+                }
+                None => {}
+            }
         }
     }
 
@@ -539,6 +681,12 @@ impl GuestScheduler {
             break (true, deadline);
         };
         let _sw = self.prof.span(HostStage::SchedSwitch);
+        // Frames already on the wire: their woken receivers queue for the
+        // slot this carrier is about to pass on.
+        let mut ready = Vec::new();
+        if let Some(wire) = self.wire.get() {
+            wire.sweep(&mut |dst| self.collect_delivery(dst, &mut ready));
+        }
         if let Some(d) = deadline {
             // The sleeper is stored: its deadline may fire from now on. An
             // idle carrier may be waiting for a later deadline (or none).
@@ -550,20 +698,33 @@ impl GuestScheduler {
         }
         let next = {
             let mut s = self.lock_firing_timers();
-            match self.pop_next(&mut s, tile) {
-                Some(t) if self.ctxs[t as usize].resumable.load(Ordering::Relaxed) => Some(t),
+            for &t in &ready {
+                self.enqueue(&mut s, TileId(t));
+            }
+            let (next, thread) = match self.pop_next(&mut s, tile) {
+                Some(t) if self.ctxs[t as usize].resumable.load(Ordering::Relaxed) => {
+                    (Some(t), None)
+                }
                 Some(t) => {
                     self.go_idle(&mut s, id);
-                    drop(s);
-                    self.ctxs[t as usize].parker.grant_slot();
-                    None
+                    (None, Some(t))
                 }
                 None => {
                     self.put_slot(&mut s);
                     self.go_idle(&mut s, id);
-                    None
+                    (None, None)
                 }
+            };
+            if ready.is_empty() {
+                drop(s);
+            } else {
+                // More than one receiver woke: the others take free slots.
+                self.fill_free_slots(s, tile);
             }
+            if let Some(t) = thread {
+                self.ctxs[t as usize].parker.grant_slot();
+            }
+            next
         };
         if parked {
             // An unpark that arrived while the slot was being passed on was
@@ -580,8 +741,24 @@ impl GuestScheduler {
         next
     }
 
+    /// Hands free slots to queued contexts while both exist, which only a
+    /// sweep's woken receivers make happen.
+    fn fill_free_slots<'a>(&'a self, mut s: MutexGuard<'a, SchedState>, tile: TileId) {
+        while s.free > 0 {
+            let Some(t) = self.pop_next(&mut s, tile) else { return };
+            self.take_slot(&mut s);
+            self.hand_slot(s, t);
+            s = self.state.lock();
+        }
+    }
+
+    /// Registers carrier `id` as idle (on top of the LIFO idle stack). With
+    /// a wire attached and no poller yet, it becomes the poller.
     fn go_idle(&self, s: &mut SchedState, id: usize) {
         s.idle.push(id);
+        if self.wire.get().is_some() && s.poller.is_none() {
+            s.poller = Some(id);
+        }
         if s.idle.len() == s.carriers.len() {
             self.carrier_idle.notify_all();
         }
@@ -597,6 +774,7 @@ impl GuestScheduler {
                 self.carrier_idle.wait(&mut s);
             }
             s.idle.clear();
+            s.poller = None;
             std::mem::take(&mut s.carriers)
         };
         for m in mailboxes {
@@ -643,17 +821,10 @@ impl GuestScheduler {
         match self.pop_next(&mut s, tile) {
             Some(t) => self.hand_slot(s, t),
             None => {
+                // No carrier is switching, so none would fire the sleepers'
+                // deadlines or read the wire onto this free slot.
                 self.put_slot(&mut s);
-                if !s.timers.is_empty() {
-                    // No carrier is switching, so none would fire the
-                    // sleepers' deadlines onto this free slot: have an idle
-                    // one wait for them, or start one that does.
-                    let idle = s.idle.last().copied();
-                    match idle {
-                        Some(c) => s.carriers[c].post(Work::Tick),
-                        None => self.spawn_carrier(s, tile.index(), None),
-                    }
-                }
+                self.watch_free_slot(s, tile.index());
             }
         }
     }
@@ -750,14 +921,50 @@ impl GuestScheduler {
     }
 
     /// A delivery hook: called by the transport after it enqueued a message
-    /// for `tile` (or disconnected its mailbox). Unparks the tile only if it
+    /// for `tile` (or closed its mailbox). Unparks the tile only if it
     /// armed the flag — never a tile that is not waiting.
     pub(crate) fn notify_delivery(&self, tile: TileId) {
-        let armed = &self.ctxs[tile.index()].delivery_armed;
-        fence(Ordering::SeqCst);
-        if armed.load(Ordering::Relaxed) && armed.swap(false, Ordering::AcqRel) {
+        if self.claim_delivery(tile) {
             self.unpark(tile);
         }
+    }
+
+    /// Takes down `tile`'s delivery flag; true if it was up, and the caller
+    /// now owes the receiver its one unpark.
+    fn claim_delivery(&self, tile: TileId) -> bool {
+        let armed = &self.ctxs[tile.index()].delivery_armed;
+        fence(Ordering::SeqCst);
+        armed.load(Ordering::Relaxed) && armed.swap(false, Ordering::AcqRel)
+    }
+
+    /// A delivery read off the wire: like [`Self::notify_delivery`], but a
+    /// receiver that now needs a slot is collected into `ready` rather than
+    /// queued, so the carrier that read the frame decides where it runs.
+    fn collect_delivery(&self, tile: TileId, ready: &mut Vec<u32>) {
+        if self.claim_delivery(tile) && self.wake(tile) {
+            ready.push(tile.0);
+        }
+    }
+
+    /// Delivers `tile`'s unpark. Returns whether the context was parked
+    /// without a slot and must now be queued for one; otherwise the token is
+    /// banked for its park to consume.
+    fn wake(&self, tile: TileId) -> bool {
+        let p = &self.ctxs[tile.index()].parker;
+        let mut t = p.lock.lock();
+        if t.slot_parked {
+            // A suspended coroutine needs nothing else; a sleeping thread
+            // also gets its unpark token and wakes once, when the slot token
+            // lands.
+            t.slot_parked = false;
+            t.unpark = t.stack.is_none();
+            return true;
+        }
+        t.unpark = true;
+        // Not under the lock: see `CtxParker::grant_slot`.
+        drop(t);
+        p.cv.notify_one();
+        false
     }
 }
 
@@ -768,25 +975,13 @@ impl Blocker for GuestScheduler {
 
     fn unpark(&self, tile: TileId) {
         let _u = self.prof.span(HostStage::SchedUnpark);
-        let p = &self.ctxs[tile.index()].parker;
-        let mut t = p.lock.lock();
-        if t.slot_parked {
+        if self.wake(tile) {
             // Put the parked context straight on the run-queue (or hand it a
-            // free slot). A suspended coroutine needs nothing else; a
-            // sleeping thread also gets its unpark token and wakes once,
-            // when the slot token lands. Callers may hold their own model
-            // lock (barrier release): the scheduler state lock is taken only
-            // after the parker lock is dropped, and no scheduler path holds
-            // the state lock while taking a model lock.
-            t.slot_parked = false;
-            t.unpark = t.stack.is_none();
-            drop(t);
+            // free slot). Callers may hold their own model lock (barrier
+            // release): the scheduler state lock is taken only after the
+            // parker lock is dropped, and no scheduler path holds the state
+            // lock while taking a model lock.
             self.enqueue_for_slot(tile);
-        } else {
-            t.unpark = true;
-            // Not under the lock: see `CtxParker::grant_slot`.
-            drop(t);
-            p.cv.notify_one();
         }
     }
 

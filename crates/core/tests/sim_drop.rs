@@ -1,5 +1,5 @@
-//! A built simulator owns no host thread until it runs, and a run must not
-//! leak its carrier threads. Alone in this file: the thread count is
+//! A built simulator owns no host thread until it runs, on either
+//! transport, and a run must not leak its carrier threads. Alone in this file: the thread count is
 //! process-wide, and tests of one binary share a process.
 #![cfg(target_os = "linux")]
 
@@ -66,6 +66,42 @@ fn sims_leave_no_host_thread_behind() {
             host_threads_settled(before),
             before,
             "carriers outlived a {workers}-worker run"
+        );
+    }
+    // The TCP transport owns no thread either: carriers read its sockets,
+    // and connections are made by the first send.
+    let tcp = SimConfig::builder().tiles(8).processes(4).build().unwrap();
+    for _ in 0..20 {
+        let sim = Sim::builder(tcp.clone()).tcp_transport(true).build().unwrap();
+        assert_eq!(host_threads(), before, "a built, unrun TCP simulator owns no host thread");
+        drop(sim);
+    }
+    for workers in [1, 2] {
+        let r =
+            Sim::builder(tcp.clone()).tcp_transport(true).workers(workers).build().unwrap().run(
+                |ctx| {
+                    let echo: GuestEntry = Arc::new(|ctx, _| {
+                        let (from, bytes) = ctx.recv_msg().unwrap();
+                        ctx.send_msg(from, &bytes).unwrap();
+                    });
+                    let kids: Vec<_> =
+                        (1..8).map(|_| ctx.spawn(Arc::clone(&echo), 0).unwrap()).collect();
+                    for t in 1..8 {
+                        ctx.send_msg(TileId(t), b"ping").unwrap();
+                    }
+                    for _ in 1..8 {
+                        ctx.recv_msg().unwrap();
+                    }
+                    for k in kids {
+                        k.join(ctx).unwrap();
+                    }
+                },
+            );
+        assert!(r.transport.inter_process > 0, "the run crossed sockets");
+        assert_eq!(
+            host_threads_settled(before),
+            before,
+            "a {workers}-worker TCP run left a thread behind"
         );
     }
 }

@@ -10,11 +10,13 @@
 //! see `graphite::control`). A transport routes framed messages between
 //! tiles, and two backends implement the same [`Transport`] trait:
 //!
-//! * [`LocalTransport`] — lock-free in-memory channels (the common case:
-//!   simulated host processes share one OS process);
+//! * [`LocalTransport`] — a send enqueues straight into the receiver's
+//!   mailbox, a plain per-tile queue (the common case: simulated host
+//!   processes share one OS process);
 //! * [`tcp::TcpTransport`] — real length-prefixed TCP sockets over loopback,
 //!   exercising the paper's actual wire path ("the current transport layer
-//!   uses TCP/IP sockets").
+//!   uses TCP/IP sockets"). It owns no thread: the simulator's scheduler
+//!   carriers read its sockets.
 //!
 //! The hub counts intra-process, inter-process and inter-machine traffic;
 //! the host performance model consumes those counters.
@@ -29,23 +31,23 @@
 //! let hub = LocalTransport::new(&cfg);
 //! let mailbox = hub.register(TileId(1));
 //! hub.send(TileId(0), TileId(1), b"hello".to_vec()).unwrap();
-//! let msg = mailbox.recv().unwrap();
-//! assert_eq!(msg.payload.as_ref(), b"hello");
+//! let msg = mailbox.try_recv().unwrap();
+//! assert_eq!(msg.payload, b"hello");
 //! assert_eq!(msg.src, TileId(0));
 //! ```
 
 pub mod tcp;
 
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
+use std::os::fd::{AsRawFd, BorrowedFd, RawFd};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-use bytes::Bytes;
-use crossbeam::channel::{self, Receiver, Sender};
 use graphite_base::{SimError, TileId};
 use graphite_config::SimConfig;
 use graphite_trace::{Metric, MetricsRegistry, Obs};
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 
 /// A framed transport message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -59,7 +61,7 @@ pub struct Msg {
     /// TCP wire format.
     pub flow: u64,
     /// Opaque payload owned by the higher layer.
-    pub payload: Bytes,
+    pub payload: Vec<u8>,
 }
 
 /// Traffic counters kept by every transport backend.
@@ -76,6 +78,10 @@ pub struct TransportStats {
     pub bytes: Metric,
     /// Socket reconnects after a failed write (TCP backend only).
     pub reconnects: Metric,
+    /// Inbound frames dropped as malformed (TCP backend only): shorter than
+    /// their header, or announcing more than [`tcp::MAX_FRAME`] bytes, which
+    /// also closes the stream.
+    pub rejected_frames: Metric,
 }
 
 impl TransportStats {
@@ -88,6 +94,7 @@ impl TransportStats {
             inter_machine: metrics.counter("transport.inter_machine"),
             bytes: metrics.counter("transport.bytes"),
             reconnects: metrics.counter("transport.reconnects"),
+            rejected_frames: metrics.counter("transport.rejected_frames"),
         }
     }
 
@@ -95,13 +102,37 @@ impl TransportStats {
     pub fn total_messages(&self) -> u64 {
         self.intra_process.get() + self.inter_process.get() + self.inter_machine.get()
     }
+
+    /// Counts one message of `bytes` payload bytes from `src` to `dst`, by
+    /// where the two tiles live relative to each other.
+    fn count(&self, cfg: &SimConfig, src: TileId, dst: TileId, bytes: usize) {
+        let (sp, dp) = (cfg.process_of_tile(src.0), cfg.process_of_tile(dst.0));
+        let locality = if sp == dp {
+            &self.intra_process
+        } else if cfg.machine_of_process(sp) == cfg.machine_of_process(dp) {
+            &self.inter_process
+        } else {
+            &self.inter_machine
+        };
+        locality.incr();
+        self.bytes.add(bytes as u64);
+    }
 }
 
-/// A receiving tile's FIFO mailbox.
+/// One tile's queued messages; `closed` once its mailbox is replaced or
+/// dropped.
+#[derive(Debug, Default)]
+struct Queue {
+    msgs: VecDeque<Msg>,
+    closed: bool,
+}
+
+/// A receiving tile's FIFO mailbox. Receiving never blocks: a receiver that
+/// finds it empty waits in the scheduler, which the delivery hook wakes.
 #[derive(Debug)]
 pub struct Mailbox {
     tile: TileId,
-    rx: Receiver<Msg>,
+    queue: Arc<Mutex<Queue>>,
 }
 
 impl Mailbox {
@@ -110,75 +141,94 @@ impl Mailbox {
         self.tile
     }
 
-    /// Blocks until a message arrives.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::TransportClosed`] when every sender has shut down.
-    pub fn recv(&self) -> Result<Msg, SimError> {
-        self.rx.recv().map_err(|_| SimError::TransportClosed(self.tile.to_string()))
-    }
-
     /// Non-blocking receive.
     pub fn try_recv(&self) -> Option<Msg> {
-        self.rx.try_recv().ok()
+        self.queue.lock().msgs.pop_front()
     }
 
     /// Non-blocking receive that tells an empty mailbox (`Ok(None)`) from
-    /// a disconnected one.
+    /// a closed one.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::TransportClosed`] when the mailbox is empty and
-    /// every sender has shut down.
+    /// its tile has been registered again.
     pub fn poll(&self) -> Result<Option<Msg>, SimError> {
-        match self.rx.try_recv() {
-            Ok(m) => Ok(Some(m)),
-            Err(channel::TryRecvError::Empty) => Ok(None),
-            Err(channel::TryRecvError::Disconnected) => {
-                Err(SimError::TransportClosed(self.tile.to_string()))
-            }
+        let mut q = self.queue.lock();
+        match q.msgs.pop_front() {
+            None if q.closed => Err(SimError::TransportClosed(self.tile.to_string())),
+            m => Ok(m),
         }
     }
 
-    /// Receive with a timeout; `None` on timeout.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::TransportClosed`] when every sender has shut down.
-    pub fn recv_timeout(&self, dur: Duration) -> Result<Option<Msg>, SimError> {
-        match self.rx.recv_timeout(dur) {
-            Ok(m) => Ok(Some(m)),
-            Err(channel::RecvTimeoutError::Timeout) => Ok(None),
-            Err(channel::RecvTimeoutError::Disconnected) => {
-                Err(SimError::TransportClosed(self.tile.to_string()))
-            }
-        }
-    }
-
-    /// Number of queued messages (approximate under concurrency).
+    /// Number of queued messages.
     pub fn len(&self) -> usize {
-        self.rx.len()
+        self.queue.lock().msgs.len()
     }
 
     /// True when no message is queued.
     pub fn is_empty(&self) -> bool {
-        self.rx.is_empty()
+        self.len() == 0
+    }
+}
+
+/// A dropped mailbox refuses further sends.
+impl Drop for Mailbox {
+    fn drop(&mut self) {
+        self.queue.lock().closed = true;
     }
 }
 
 /// Called with a tile after a message was enqueued in its mailbox, or after
-/// its mailbox was disconnected by a re-registration — the moment a receiver
+/// its mailbox was closed by a re-registration — the moment a receiver
 /// waiting on that mailbox can make progress.
 pub type DeliveryHook = Arc<dyn Fn(TileId) + Send + Sync>;
+
+/// Every tile's queue and the delivery hook, shared by both backends.
+#[derive(Default)]
+struct Mailboxes {
+    queues: RwLock<HashMap<TileId, Arc<Mutex<Queue>>>>,
+    hook: OnceLock<DeliveryHook>,
+}
+
+impl Mailboxes {
+    fn register(&self, tile: TileId) -> Mailbox {
+        let queue = Arc::new(Mutex::new(Queue::default()));
+        if let Some(old) = self.queues.write().insert(tile, Arc::clone(&queue)) {
+            old.lock().closed = true;
+            self.notify(tile);
+        }
+        Mailbox { tile, queue }
+    }
+
+    /// Enqueues `msg` in its destination's mailbox. The caller then runs the
+    /// hook, or reports the delivery in its place.
+    fn push(&self, msg: Msg) -> Result<(), SimError> {
+        let dst = msg.dst;
+        let closed = move || SimError::TransportClosed(dst.to_string());
+        let queues = self.queues.read();
+        let mut q = queues.get(&dst).ok_or_else(closed)?.lock();
+        if q.closed {
+            return Err(closed());
+        }
+        q.msgs.push_back(msg);
+        Ok(())
+    }
+
+    fn notify(&self, dst: TileId) {
+        if let Some(h) = self.hook.get() {
+            h(dst);
+        }
+    }
+}
 
 /// A transport backend: mailbox registration plus fire-and-forget sends.
 ///
 /// This trait is object-safe; the simulator holds a `dyn Transport`.
 pub trait Transport: Send + Sync {
     /// Creates (or replaces) the mailbox for `tile` and returns the
-    /// receiving half. Replacing one disconnects the old mailbox and runs
-    /// the delivery hook for `tile`.
+    /// receiving half. Replacing one closes the old mailbox and runs the
+    /// delivery hook for `tile`.
     fn register(&self, tile: TileId) -> Mailbox;
 
     /// Installs the hook every delivery runs (see [`DeliveryHook`]); the
@@ -199,7 +249,7 @@ pub trait Transport: Send + Sync {
 
     /// Sends a message carrying a causal flow ID; the receiver observes it
     /// as [`Msg::flow`]. Backends must preserve the ID across every hop
-    /// (channel and wire alike).
+    /// (memory and wire alike).
     ///
     /// # Errors
     ///
@@ -217,39 +267,75 @@ pub trait Transport: Send + Sync {
     fn stats(&self) -> &TransportStats;
 }
 
-/// Where two tiles physically live relative to each other, for traffic
-/// classification.
-fn locality(cfg: &SimConfig, a: TileId, b: TileId) -> Locality {
-    let (pa, pb) = (cfg.process_of_tile(a.0), cfg.process_of_tile(b.0));
-    if pa == pb {
-        Locality::IntraProcess
-    } else if cfg.machine_of_process(pa) == cfg.machine_of_process(pb) {
-        Locality::InterProcess
-    } else {
-        Locality::InterMachine
+/// `struct pollfd` of poll(2).
+#[repr(C)]
+#[derive(Debug, Clone, Copy)]
+struct PollFd {
+    fd: RawFd,
+    events: i16,
+    revents: i16,
+}
+
+const POLLIN: i16 = 0x001;
+const POLLOUT: i16 = 0x004;
+
+impl PollFd {
+    fn new(fd: RawFd, events: i16) -> Self {
+        PollFd { fd, events, revents: 0 }
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Locality {
-    IntraProcess,
-    InterProcess,
-    InterMachine,
+/// Blocks until one of `fds` is ready (data, room, hang-up or error) or
+/// `timeout` passes (`None`: no limit); returns how many are ready, 0 on a
+/// timeout or a signal, after which every caller polls again. `ppoll` takes
+/// nanosecond deadlines.
+fn poll(fds: &mut [PollFd], timeout: Option<Duration>) -> usize {
+    #[repr(C)]
+    struct Timespec(i64, i64);
+    unsafe extern "C" {
+        fn ppoll(
+            fds: *mut PollFd,
+            nfds: std::ffi::c_ulong,
+            timeout: *const Timespec,
+            sigmask: *const std::ffi::c_void,
+        ) -> std::ffi::c_int;
+    }
+    let ts =
+        timeout.map(|d| Timespec(d.as_secs().min(i64::MAX as u64) as i64, d.subsec_nanos().into()));
+    let ts_ptr = ts.as_ref().map_or(std::ptr::null(), |t| t as *const Timespec);
+    // SAFETY: `fds` is a live, exclusively borrowed slice of `#[repr(C)]`
+    // `pollfd` records and `nfds` is its length, so the kernel reads and
+    // writes only inside it; `ts_ptr` is null or points at a `timespec`
+    // (two 64-bit words on the 64-bit Linux targets the scheduler's
+    // coroutines require) that outlives the call; a null signal mask leaves
+    // the mask unchanged. `ppoll` keeps no pointer past its return.
+    let n = unsafe {
+        ppoll(fds.as_mut_ptr(), fds.len() as std::ffi::c_ulong, ts_ptr, std::ptr::null())
+    };
+    n.max(0) as usize
 }
 
-/// In-memory channel transport: every tile gets an unbounded MPSC channel.
-/// This is the default backend.
+/// Blocks until `fd` reads ready or `timeout` passes (`None`: no limit),
+/// and says whether it is ready: an idle scheduler carrier's wait when no
+/// TCP transport is attached.
+pub fn wait_readable(fd: BorrowedFd<'_>, timeout: Option<Duration>) -> bool {
+    let mut fds = [PollFd::new(fd.as_raw_fd(), POLLIN)];
+    poll(&mut fds, timeout);
+    fds[0].revents != 0
+}
+
+/// In-memory transport: a send enqueues straight into the receiver's
+/// mailbox. This is the default backend.
 pub struct LocalTransport {
     cfg: SimConfig,
-    senders: RwLock<std::collections::HashMap<TileId, Sender<Msg>>>,
-    hook: OnceLock<DeliveryHook>,
+    boxes: Mailboxes,
     stats: TransportStats,
 }
 
 impl fmt::Debug for LocalTransport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("LocalTransport")
-            .field("endpoints", &self.senders.read().len())
+            .field("endpoints", &self.boxes.queues.read().len())
             .field("stats", &self.stats)
             .finish()
     }
@@ -260,8 +346,7 @@ impl LocalTransport {
     pub fn new(cfg: &SimConfig) -> Self {
         LocalTransport {
             cfg: cfg.clone(),
-            senders: RwLock::new(std::collections::HashMap::new()),
-            hook: OnceLock::new(),
+            boxes: Mailboxes::default(),
             stats: TransportStats::default(),
         }
     }
@@ -271,33 +356,19 @@ impl LocalTransport {
     pub fn with_obs(cfg: &SimConfig, obs: &Obs) -> Self {
         LocalTransport {
             cfg: cfg.clone(),
-            senders: RwLock::new(std::collections::HashMap::new()),
-            hook: OnceLock::new(),
+            boxes: Mailboxes::default(),
             stats: TransportStats::registered(&obs.metrics),
         }
     }
 }
 
-/// Runs `hook` (if installed) for `dst`.
-fn delivered(hook: &OnceLock<DeliveryHook>, dst: TileId) {
-    if let Some(h) = hook.get() {
-        h(dst);
-    }
-}
-
 impl Transport for LocalTransport {
     fn register(&self, tile: TileId) -> Mailbox {
-        let (tx, rx) = channel::unbounded();
-        let old = self.senders.write().insert(tile, tx);
-        if old.is_some() {
-            drop(old);
-            delivered(&self.hook, tile);
-        }
-        Mailbox { tile, rx }
+        self.boxes.register(tile)
     }
 
     fn set_delivery_hook(&self, hook: DeliveryHook) {
-        let _ = self.hook.set(hook);
+        let _ = self.boxes.hook.set(hook);
     }
 
     fn send_flow(
@@ -307,19 +378,10 @@ impl Transport for LocalTransport {
         payload: Vec<u8>,
         flow: u64,
     ) -> Result<(), SimError> {
-        let tx = {
-            let map = self.senders.read();
-            map.get(&dst).cloned().ok_or_else(|| SimError::TransportClosed(dst.to_string()))?
-        };
-        match locality(&self.cfg, src, dst) {
-            Locality::IntraProcess => self.stats.intra_process.incr(),
-            Locality::InterProcess => self.stats.inter_process.incr(),
-            Locality::InterMachine => self.stats.inter_machine.incr(),
-        }
-        self.stats.bytes.add(payload.len() as u64);
-        let msg = Msg { src, dst, flow, payload: Bytes::from(payload) };
-        tx.send(msg).map_err(|_| SimError::TransportClosed(dst.to_string()))?;
-        delivered(&self.hook, dst);
+        let bytes = payload.len();
+        self.boxes.push(Msg { src, dst, flow, payload })?;
+        self.stats.count(&self.cfg, src, dst, bytes);
+        self.boxes.notify(dst);
         Ok(())
     }
 
@@ -348,9 +410,9 @@ mod tests {
         let hub = LocalTransport::new(&cfg(4, 1, 1));
         let mb = hub.register(TileId(2));
         hub.send(TileId(0), TileId(2), vec![1, 2, 3]).unwrap();
-        let m = mb.recv().unwrap();
+        let m = mb.try_recv().unwrap();
         assert_eq!((m.src, m.dst), (TileId(0), TileId(2)));
-        assert_eq!(m.payload.as_ref(), &[1, 2, 3]);
+        assert_eq!(m.payload, [1, 2, 3]);
         assert_eq!(m.flow, 0); // plain send is flow-untracked
     }
 
@@ -360,7 +422,7 @@ mod tests {
         let mb = hub.register(TileId(3));
         for flow in [1u64, 42, u64::MAX] {
             hub.send_flow(TileId(0), TileId(3), vec![], flow).unwrap();
-            assert_eq!(mb.recv().unwrap().flow, flow);
+            assert_eq!(mb.try_recv().unwrap().flow, flow);
         }
     }
 
@@ -379,7 +441,7 @@ mod tests {
             hub.send(TileId(1), TileId(0), vec![i]).unwrap();
         }
         for i in 0..10u8 {
-            assert_eq!(mb.recv().unwrap().payload.as_ref(), &[i]);
+            assert_eq!(mb.try_recv().unwrap().payload, [i]);
         }
     }
 
@@ -415,15 +477,24 @@ mod tests {
     }
 
     #[test]
-    fn try_recv_and_timeout() {
+    fn try_recv_poll_and_len() {
         let hub = LocalTransport::new(&cfg(2, 1, 1));
         let mb = hub.register(TileId(1));
         assert!(mb.try_recv().is_none());
         assert!(mb.is_empty());
-        assert_eq!(mb.recv_timeout(Duration::from_millis(5)).unwrap(), None);
+        assert_eq!(mb.poll().unwrap(), None, "an open, empty mailbox polls empty");
         hub.send(TileId(0), TileId(1), vec![9]).unwrap();
         assert_eq!(mb.len(), 1);
         assert!(mb.try_recv().is_some());
+    }
+
+    #[test]
+    fn dropped_mailbox_refuses_sends() {
+        let hub = LocalTransport::new(&cfg(2, 1, 1));
+        drop(hub.register(TileId(1)));
+        let err = hub.send(TileId(0), TileId(1), vec![1]).unwrap_err();
+        assert!(matches!(err, SimError::TransportClosed(_)));
+        assert_eq!(hub.stats().total_messages(), 0, "a refused send is not counted");
     }
 
     #[test]

@@ -4,35 +4,51 @@
 //! (§3.3.1). This backend reproduces that wire path: each simulated host
 //! process owns a loopback TCP listener; messages whose source and
 //! destination live in different processes are framed, written to a real
-//! socket, read back by the destination process's reader thread, and only
-//! then delivered to the endpoint mailbox. Intra-process traffic short-cuts
+//! socket, read back on the destination process's side, and only then
+//! delivered to the tile's mailbox. Intra-process traffic short-cuts
 //! through memory, exactly as shared-memory delivery does in Graphite.
 //!
+//! The backend owns no thread. Listeners and streams are non-blocking, and
+//! whoever drives the inbound side reads it: the simulator's scheduler
+//! carriers ([`TcpTransport::sweep`] between two guest contexts,
+//! [`TcpTransport::wait`] when idle), or [`TcpTransport::pump`] without a
+//! scheduler. Outbound streams connect on the first send, with bounded
+//! backoff.
+//!
 //! The framing is a length-prefixed binary header:
-//! `len:u32 | src tile:u32 | dst tile:u32 | flow:u64 | payload`. The flow
-//! word carries the causal flow ID end-to-end so cross-process hops stay
-//! attributable to the flow that caused them.
+//! `len:u32 | src tile:u32 | dst tile:u32 | flow:u64 | payload`, with `len`
+//! (the rest of the frame) at most [`MAX_FRAME`]. The flow word carries the
+//! causal flow ID end-to-end so cross-process hops stay attributable to the
+//! flow that caused them.
 
-use std::collections::HashMap;
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::os::fd::{AsRawFd, BorrowedFd, RawFd};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, OnceLock};
+use std::time::Duration;
 
-use bytes::Bytes;
-use crossbeam::channel::{self, Sender};
 use graphite_base::{SimError, SimRng, TileId};
 use graphite_config::SimConfig;
 use parking_lot::{Mutex, RwLock};
 
-use crate::{delivered, DeliveryHook, Mailbox, Msg, Transport, TransportStats};
+use crate::{
+    poll, DeliveryHook, Mailbox, Mailboxes, Msg, PollFd, Transport, TransportStats, POLLIN, POLLOUT,
+};
 
+/// Largest frame body (header plus payload). A cross-process send with a
+/// larger payload fails; a length prefix above it closes the stream it
+/// arrived on. Same-process sends are never framed, so it does not bound
+/// them.
+pub const MAX_FRAME: usize = 16 << 20;
 /// Maximum connect attempts before a send gives up.
 const MAX_CONNECT_ATTEMPTS: u32 = 8;
 /// Base delay of the exponential backoff between connect attempts.
-const BACKOFF_BASE: std::time::Duration = std::time::Duration::from_millis(1);
+const BACKOFF_BASE: Duration = Duration::from_millis(1);
 /// Frame body header: source tile, destination tile, flow ID.
 const HEADER: usize = 4 + 4 + 8;
+/// Bytes one `read` of an inbound stream takes at most.
+const READ_CHUNK: usize = 32 << 10;
 
 /// Connects with bounded retries: exponential backoff (`BACKOFF_BASE * 2^n`)
 /// plus uniform jitter drawn from `rng` so competing senders do not retry in
@@ -47,7 +63,7 @@ fn connect_with_backoff(
         if attempt > 0 {
             let base = BACKOFF_BASE.saturating_mul(1 << (attempt - 1));
             let jitter_us = rng.lock().gen_range(base.as_micros() as u64 + 1);
-            std::thread::sleep(base + std::time::Duration::from_micros(jitter_us));
+            std::thread::sleep(base + Duration::from_micros(jitter_us));
         }
         match TcpStream::connect(addr) {
             Ok(stream) => {
@@ -80,8 +96,72 @@ fn decode(body: &[u8]) -> Option<Msg> {
         return None;
     }
     let flow = u64::from_le_bytes(body[8..HEADER].try_into().ok()?);
-    let payload = Bytes::copy_from_slice(&body[HEADER..]);
-    Some(Msg { src: TileId(word(0)), dst: TileId(word(4)), flow, payload })
+    Some(Msg { src: TileId(word(0)), dst: TileId(word(4)), flow, payload: body[HEADER..].to_vec() })
+}
+
+/// A length prefix above [`MAX_FRAME`]: nothing after it can be trusted.
+#[derive(Debug)]
+struct Oversize;
+
+/// Reassembles frames from a byte stream read in arbitrary chunks. It keeps
+/// only the incomplete tail of what was read, so a length prefix never
+/// sizes an allocation.
+#[derive(Debug, Default)]
+struct Frames {
+    tail: Vec<u8>,
+}
+
+impl Frames {
+    /// Consumes `bytes`, handing each complete frame body (the bytes after
+    /// its length prefix) to `frame`, in order.
+    fn feed(&mut self, bytes: &[u8], mut frame: impl FnMut(&[u8])) -> Result<(), Oversize> {
+        self.tail.extend_from_slice(bytes);
+        let mut at = 0;
+        while let Some(prefix) = self.tail.get(at..at + 4) {
+            let len = u32::from_le_bytes(prefix.try_into().expect("4 bytes")) as usize;
+            if len > MAX_FRAME {
+                return Err(Oversize);
+            }
+            let Some(body) = self.tail.get(at + 4..at + 4 + len) else { break };
+            frame(body);
+            at += 4 + len;
+        }
+        self.tail.drain(..at);
+        Ok(())
+    }
+}
+
+/// An accepted stream. Whoever reads it holds `reader`; it is closed, never
+/// removed, at end of file, on an error or on an oversize frame.
+struct Inbound {
+    fd: RawFd,
+    open: AtomicBool,
+    reader: Mutex<Reader>,
+}
+
+struct Reader {
+    stream: TcpStream,
+    frames: Frames,
+    chunk: Box<[u8]>,
+}
+
+/// A listener, and its accept failures in a row. After
+/// [`MAX_CONNECT_ATTEMPTS`] of them it leaves every poll set for good: a
+/// pending connection it cannot accept (EMFILE) keeps it readable, and every
+/// poll would return at once.
+struct Listener {
+    socket: TcpListener,
+    failures: AtomicU32,
+}
+
+/// How a pass over the wire takes a ready stream's reader lock.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Claim {
+    /// Skip a stream someone else is reading (they drain it), and leave it
+    /// out of the poll set, so the pass cannot spin on data it will not take.
+    Try,
+    /// Wait for the current reader, then read: nothing the poll saw is left.
+    Wait,
 }
 
 /// A transport whose inter-process hops travel over real loopback TCP
@@ -90,6 +170,7 @@ fn decode(body: &[u8]) -> Option<Msg> {
 /// # Examples
 ///
 /// ```
+/// use std::time::Duration;
 /// use graphite_base::TileId;
 /// use graphite_transport::{tcp::TcpTransport, Transport};
 ///
@@ -97,37 +178,45 @@ fn decode(body: &[u8]) -> Option<Msg> {
 /// cfg.num_processes = 2;
 /// let hub = TcpTransport::new(&cfg).unwrap();
 /// let mb = hub.register(TileId(1)); // tile1 lives in process 1
-/// // tile0 lives in process 0, so this send crosses a real socket.
+/// // tile0 lives in process 0, so this send crosses a real socket...
 /// hub.send(TileId(0), TileId(1), vec![7]).unwrap();
 /// assert_eq!(hub.stats().inter_process.get() + hub.stats().inter_machine.get(), 1);
-/// assert_eq!(mb.recv().unwrap().payload.as_ref(), &[7]);
+/// // ...and arrives once something reads the wire.
+/// while mb.is_empty() {
+///     hub.pump(Duration::from_secs(5));
+/// }
+/// assert_eq!(mb.try_recv().unwrap().payload, [7]);
 /// ```
 pub struct TcpTransport {
     cfg: SimConfig,
-    senders: Arc<RwLock<HashMap<TileId, Sender<Msg>>>>,
-    /// The delivery hook, shared with the reader threads.
-    hook: Arc<OnceLock<DeliveryHook>>,
-    /// One lazily-connected outbound stream per destination process.
-    outbound: Vec<Mutex<Option<TcpStream>>>,
+    boxes: Mailboxes,
+    /// One non-blocking listener per simulated process.
+    listeners: Vec<Listener>,
     addrs: Vec<SocketAddr>,
+    /// Accepted streams, in accept order.
+    inbound: RwLock<Vec<Arc<Inbound>>>,
+    /// One lazily-connected, non-blocking outbound stream per destination
+    /// process.
+    outbound: Vec<Mutex<Option<TcpStream>>>,
     /// Jitter source for connect backoff.
     rng: Mutex<SimRng>,
     stats: TransportStats,
-    shutdown: Arc<AtomicBool>,
+    /// Run after every accepted connection (see [`Self::set_accept_hook`]).
+    accept_hook: OnceLock<Box<dyn Fn() + Send + Sync>>,
 }
 
 impl std::fmt::Debug for TcpTransport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TcpTransport")
             .field("processes", &self.addrs.len())
+            .field("inbound", &self.inbound.read().len())
             .field("stats", &self.stats)
             .finish()
     }
 }
 
 impl TcpTransport {
-    /// Binds one loopback listener per simulated process and starts their
-    /// acceptor threads.
+    /// Binds one non-blocking loopback listener per simulated process.
     ///
     /// # Errors
     ///
@@ -147,110 +236,250 @@ impl TcpTransport {
     }
 
     fn build(cfg: &SimConfig, stats: TransportStats) -> Result<Self, SimError> {
-        let senders: Arc<RwLock<HashMap<TileId, Sender<Msg>>>> =
-            Arc::new(RwLock::new(HashMap::new()));
-        let hook: Arc<OnceLock<DeliveryHook>> = Arc::new(OnceLock::new());
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let mut addrs = Vec::new();
+        let bind = |e: io::Error| SimError::TransportClosed(format!("bind: {e}"));
+        let (mut listeners, mut addrs) = (Vec::new(), Vec::new());
         for _ in 0..cfg.num_processes {
-            let listener = TcpListener::bind("127.0.0.1:0")
-                .map_err(|e| SimError::TransportClosed(format!("bind: {e}")))?;
-            addrs.push(listener.local_addr().unwrap());
-            let inbound = Inbound { senders: Arc::clone(&senders), hook: Arc::clone(&hook) };
-            let shutdown = Arc::clone(&shutdown);
-            std::thread::Builder::new()
-                .name("graphite-tcp-accept".into())
-                .spawn(move || acceptor_loop(listener, inbound, shutdown))
-                .expect("spawn acceptor");
+            let listener = TcpListener::bind("127.0.0.1:0").map_err(bind)?;
+            listener.set_nonblocking(true).map_err(bind)?;
+            addrs.push(listener.local_addr().map_err(bind)?);
+            listeners.push(Listener { socket: listener, failures: AtomicU32::new(0) });
         }
         Ok(TcpTransport {
             cfg: cfg.clone(),
-            senders,
-            hook,
-            outbound: (0..cfg.num_processes).map(|_| Mutex::new(None)).collect(),
+            boxes: Mailboxes::default(),
+            listeners,
             addrs,
+            inbound: RwLock::new(Vec::new()),
+            outbound: (0..cfg.num_processes).map(|_| Mutex::new(None)).collect(),
             rng: Mutex::new(SimRng::new(cfg.seed ^ 0x7C9_7C9)),
             stats,
-            shutdown,
+            accept_hook: OnceLock::new(),
         })
     }
-}
 
-/// What a reader thread delivers into: the mailboxes and the delivery hook.
-#[derive(Clone)]
-struct Inbound {
-    senders: Arc<RwLock<HashMap<TileId, Sender<Msg>>>>,
-    hook: Arc<OnceLock<DeliveryHook>>,
-}
+    /// Installs the hook run after each accepted connection, whichever pass
+    /// accepted it. A [`Self::wait`] builds its poll set once, so a stream
+    /// accepted elsewhere meanwhile goes unwatched until the waiter is told
+    /// to wait again; the scheduler's hook tells its poller. Only the first
+    /// installation takes effect.
+    pub fn set_accept_hook(&self, hook: Box<dyn Fn() + Send + Sync>) {
+        let _ = self.accept_hook.set(hook);
+    }
 
-fn acceptor_loop(listener: TcpListener, inbound: Inbound, shutdown: Arc<AtomicBool>) {
-    let mut consecutive_errors = 0u32;
-    loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if shutdown.load(Ordering::Relaxed) {
-                    return;
-                }
-                consecutive_errors = 0;
-                let inbound = inbound.clone();
-                std::thread::Builder::new()
-                    .name("graphite-tcp-read".into())
-                    .spawn(move || reader_loop(stream, inbound))
-                    .expect("spawn reader");
+    /// Accepts and reads whatever the wire holds, without blocking and
+    /// skipping streams another thread is reading. Each delivered frame is
+    /// reported to `delivered` *instead of* the delivery hook, so the caller
+    /// decides where the woken receiver runs.
+    pub fn sweep(&self, delivered: &mut dyn FnMut(TileId)) {
+        self.pump_wire(None, Some(Duration::ZERO), Claim::Try, delivered);
+    }
+
+    /// Blocks until `wake` reads ready, the wire has data or a connection,
+    /// or `timeout` passes (`None`: no limit); then reads what is ready as
+    /// [`Self::sweep`] does, waiting for a stream another thread is reading.
+    /// Returns whether `wake` is ready.
+    pub fn wait(
+        &self,
+        wake: BorrowedFd<'_>,
+        timeout: Option<Duration>,
+        delivered: &mut dyn FnMut(TileId),
+    ) -> bool {
+        let wake = PollFd::new(wake.as_raw_fd(), POLLIN);
+        self.pump_wire(Some(wake), timeout, Claim::Wait, delivered).1
+    }
+
+    /// Waits up to `timeout` for the wire, then reads what is ready, running
+    /// the delivery hook for each frame; returns the messages delivered. For
+    /// use without a scheduler, whose carriers read the wire themselves.
+    pub fn pump(&self, timeout: Duration) -> usize {
+        self.pump_wire(None, Some(timeout), Claim::Wait, &mut |dst| self.boxes.notify(dst)).0
+    }
+
+    /// Polls `extra` (a wake pipe, or a blocked write's socket), every
+    /// working listener and every open stream for up to `timeout`, then
+    /// accepts and reads what is ready. Returns the messages delivered and
+    /// whether `extra` is ready.
+    fn pump_wire(
+        &self,
+        extra: Option<PollFd>,
+        timeout: Option<Duration>,
+        claim: Claim,
+        delivered: &mut dyn FnMut(TileId),
+    ) -> (usize, bool) {
+        let streams: Vec<Arc<Inbound>> = self
+            .inbound
+            .read()
+            .iter()
+            .filter(|s| s.open.load(Ordering::Acquire))
+            .filter(|s| claim == Claim::Wait || s.reader.try_lock().is_some())
+            .cloned()
+            .collect();
+        let listeners: Vec<&Listener> = self
+            .listeners
+            .iter()
+            .filter(|l| l.failures.load(Ordering::Relaxed) < MAX_CONNECT_ATTEMPTS)
+            .collect();
+        let mut fds: Vec<PollFd> = extra
+            .into_iter()
+            .chain(listeners.iter().map(|l| PollFd::new(l.socket.as_raw_fd(), POLLIN)))
+            .chain(streams.iter().map(|s| PollFd::new(s.fd, POLLIN)))
+            .collect();
+        if poll(&mut fds, timeout) == 0 {
+            return (0, false);
+        }
+        let extra_ready = extra.is_some() && fds[0].revents != 0;
+        let (at_listeners, at_streams) =
+            fds[usize::from(extra.is_some())..].split_at(listeners.len());
+        let mut n = 0;
+        for (listener, fd) in listeners.into_iter().zip(at_listeners) {
+            if fd.revents != 0 {
+                n += self.accept_all(listener, claim, delivered);
             }
-            Err(_) => {
-                // Transient accept failures (EMFILE, ECONNABORTED) should not
-                // kill the listener; back off briefly and retry, bounded so a
-                // hard failure still terminates the thread.
-                if shutdown.load(Ordering::Relaxed) {
-                    return;
-                }
-                consecutive_errors += 1;
-                if consecutive_errors > MAX_CONNECT_ATTEMPTS {
-                    return;
-                }
-                std::thread::sleep(BACKOFF_BASE.saturating_mul(1 << (consecutive_errors - 1)));
+        }
+        for (stream, fd) in streams.iter().zip(at_streams) {
+            if fd.revents != 0 {
+                n += self.read_stream(stream, claim, delivered);
             }
+        }
+        (n, extra_ready)
+    }
+
+    /// Accepts every pending connection, runs the accept hook for it and
+    /// reads what its peer already wrote (the stream was in no poll set yet).
+    fn accept_all(
+        &self,
+        listener: &Listener,
+        claim: Claim,
+        delivered: &mut dyn FnMut(TileId),
+    ) -> usize {
+        let mut n = 0;
+        loop {
+            let stream = match listener.socket.accept() {
+                Ok((stream, _)) => {
+                    listener.failures.store(0, Ordering::Relaxed);
+                    stream
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return n,
+                // A failure (ECONNABORTED, EMFILE) is retried by the next
+                // pass, a bounded number of times in a row.
+                Err(_) => {
+                    listener.failures.fetch_add(1, Ordering::Relaxed);
+                    return n;
+                }
+            };
+            if stream.set_nonblocking(true).is_err() {
+                continue;
+            }
+            stream.set_nodelay(true).ok();
+            let inbound = Arc::new(Inbound {
+                fd: stream.as_raw_fd(),
+                open: AtomicBool::new(true),
+                reader: Mutex::new(Reader {
+                    stream,
+                    frames: Frames::default(),
+                    chunk: vec![0; READ_CHUNK].into_boxed_slice(),
+                }),
+            });
+            self.inbound.write().push(Arc::clone(&inbound));
+            if let Some(hook) = self.accept_hook.get() {
+                hook();
+            }
+            n += self.read_stream(&inbound, claim, delivered);
         }
     }
-}
 
-fn reader_loop(mut stream: TcpStream, inbound: Inbound) {
-    let mut len_buf = [0u8; 4];
-    loop {
-        if stream.read_exact(&mut len_buf).is_err() {
-            return; // peer closed
-        }
-        let len = u32::from_le_bytes(len_buf) as usize;
-        let mut body = vec![0u8; len];
-        if stream.read_exact(&mut body).is_err() {
-            return;
-        }
-        if let Some(msg) = decode(&body) {
-            let dst = msg.dst;
-            let tx = inbound.senders.read().get(&dst).cloned();
-            if let Some(tx) = tx {
-                if tx.send(msg).is_ok() {
-                    delivered(&inbound.hook, dst);
+    /// Reads `stream` until it has nothing more, delivering every complete
+    /// frame with its reader lock held. No path takes a reader lock while
+    /// holding a lock that a delivery takes.
+    fn read_stream(
+        &self,
+        stream: &Inbound,
+        claim: Claim,
+        delivered: &mut dyn FnMut(TileId),
+    ) -> usize {
+        let mut reader = match claim {
+            Claim::Try => match stream.reader.try_lock() {
+                Some(r) => r,
+                None => return 0,
+            },
+            Claim::Wait => stream.reader.lock(),
+        };
+        let mut n = 0;
+        while stream.open.load(Ordering::Acquire) {
+            let Reader { stream: socket, frames, chunk } = &mut *reader;
+            let len = match socket.read(chunk) {
+                Ok(0) => 0, // the peer hung up
+                Ok(len) => len,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(_) => 0,
+            };
+            let fed = frames.feed(&chunk[..len], |body| match decode(body) {
+                Some(msg) => {
+                    let dst = msg.dst;
+                    if self.boxes.push(msg).is_ok() {
+                        delivered(dst);
+                        n += 1;
+                    }
                 }
+                None => self.stats.rejected_frames.incr(),
+            });
+            if len == 0 || fed.is_err() {
+                if fed.is_err() {
+                    self.stats.rejected_frames.incr();
+                }
+                // Shut down, so the peer's next write fails and it
+                // reconnects instead of filling a socket nobody reads.
+                stream.open.store(false, Ordering::Release);
+                reader.stream.shutdown(std::net::Shutdown::Both).ok();
+                reader.frames = Frames::default();
+                break;
+            }
+            if len < chunk.len() {
+                break; // a short read: the socket is empty for now
             }
         }
+        n
+    }
+
+    /// Writes all of `frame`. A write that would block first reads the wire
+    /// (the frames filling the peer's buffer may be waiting for this very
+    /// thread), then sleeps until there is room or more to read.
+    fn write_frame(&self, stream: &mut TcpStream, frame: &[u8]) -> io::Result<()> {
+        let mut sent = 0;
+        while sent < frame.len() {
+            match stream.write(&frame[sent..]) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => sent += n,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    let room = PollFd::new(stream.as_raw_fd(), POLLOUT);
+                    self.pump_wire(Some(room), None, Claim::Try, &mut |dst| self.boxes.notify(dst));
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(())
+    }
+
+    /// Connects a non-blocking outbound stream to process `dp`.
+    fn connect(&self, dp: usize, dst: TileId) -> Result<TcpStream, SimError> {
+        let stream = connect_with_backoff(self.addrs[dp], dst, &self.rng)?;
+        stream
+            .set_nonblocking(true)
+            .map_err(|e| SimError::TransportClosed(format!("connect {dst}: {e}")))?;
+        Ok(stream)
     }
 }
 
 impl Transport for TcpTransport {
     fn register(&self, tile: TileId) -> Mailbox {
-        let (tx, rx) = channel::unbounded();
-        let old = self.senders.write().insert(tile, tx);
-        if old.is_some() {
-            drop(old);
-            delivered(&self.hook, tile);
-        }
-        Mailbox { tile, rx }
+        self.boxes.register(tile)
     }
 
     fn set_delivery_hook(&self, hook: DeliveryHook) {
-        let _ = self.hook.set(hook);
+        let _ = self.boxes.hook.set(hook);
     }
 
     fn send_flow(
@@ -261,43 +490,36 @@ impl Transport for TcpTransport {
         flow: u64,
     ) -> Result<(), SimError> {
         let (sp, dp) = (self.cfg.process_of_tile(src.0), self.cfg.process_of_tile(dst.0));
-        self.stats.bytes.add(payload.len() as u64);
+        if sp != dp && HEADER + payload.len() > MAX_FRAME {
+            return Err(SimError::TransportClosed(format!(
+                "message to {dst}: {} payload bytes exceed the {MAX_FRAME}-byte frame limit",
+                payload.len()
+            )));
+        }
+        self.stats.count(&self.cfg, src, dst, payload.len());
         if sp == dp {
             // Intra-process: deliver through memory, like Graphite's
             // same-process shortcut.
-            self.stats.intra_process.incr();
-            let tx = self
-                .senders
-                .read()
-                .get(&dst)
-                .cloned()
-                .ok_or_else(|| SimError::TransportClosed(dst.to_string()))?;
-            let msg = Msg { src, dst, flow, payload: Bytes::from(payload) };
-            tx.send(msg).map_err(|_| SimError::TransportClosed(dst.to_string()))?;
-            delivered(&self.hook, dst);
+            self.boxes.push(Msg { src, dst, flow, payload })?;
+            self.boxes.notify(dst);
             return Ok(());
         }
-        if self.cfg.machine_of_process(sp) == self.cfg.machine_of_process(dp) {
-            self.stats.inter_process.incr();
-        } else {
-            self.stats.inter_machine.incr();
-        }
         let frame = encode(src, dst, flow, &payload);
-        let mut guard = self.outbound[dp as usize].lock();
+        let dp = dp as usize;
+        let mut guard = self.outbound[dp].lock();
         if guard.is_none() {
-            *guard = Some(connect_with_backoff(self.addrs[dp as usize], dst, &self.rng)?);
+            *guard = Some(self.connect(dp, dst)?);
         }
         let stream = guard.as_mut().expect("stream just connected");
-        if stream.write_all(&frame).is_ok() {
+        if self.write_frame(stream, &frame).is_ok() {
             return Ok(());
         }
         // The cached stream died (peer reset, half-closed socket). Drop it,
-        // reconnect with backoff, and retry the frame once.
+        // reconnect with backoff, and send the whole frame again.
         *guard = None;
         self.stats.reconnects.incr();
-        let mut fresh = connect_with_backoff(self.addrs[dp as usize], dst, &self.rng)?;
-        fresh
-            .write_all(&frame)
+        let mut fresh = self.connect(dp, dst)?;
+        self.write_frame(&mut fresh, &frame)
             .map_err(|e| SimError::TransportClosed(format!("write {dst}: {e}")))?;
         *guard = Some(fresh);
         Ok(())
@@ -308,26 +530,30 @@ impl Transport for TcpTransport {
     }
 }
 
-impl Drop for TcpTransport {
-    fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
-        // Unblock each acceptor with a dummy connection.
-        for addr in &self.addrs {
-            let _ = TcpStream::connect(*addr);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
+    use proptest::prelude::*;
+    use std::os::fd::AsFd;
+    use std::time::Instant;
 
     fn cfg(tiles: u32, procs: u32, machines: u32) -> SimConfig {
         let mut c = graphite_config::presets::paper_default(tiles);
         c.num_processes = procs;
         c.host.num_machines = machines;
         c
+    }
+
+    /// Pumps the wire until `mb` holds a message (5 s cap) and takes it.
+    fn recv(hub: &TcpTransport, mb: &Mailbox) -> Msg {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
+            if let Some(msg) = mb.try_recv() {
+                return msg;
+            }
+            let left = deadline.checked_duration_since(Instant::now()).expect("delivered in 5 s");
+            hub.pump(left);
+        }
     }
 
     #[test]
@@ -340,7 +566,7 @@ mod tests {
                     assert_eq!(frame[..4], ((frame.len() - 4) as u32).to_le_bytes());
                     let msg = decode(&frame[4..]).unwrap();
                     assert_eq!((msg.src, msg.dst, msg.flow), (src, dst, flow));
-                    assert_eq!(msg.payload.as_ref(), payload);
+                    assert_eq!(msg.payload, payload);
                 }
             }
         }
@@ -356,13 +582,20 @@ mod tests {
 
     #[test]
     fn cross_process_message_travels_socket() {
+        use std::sync::atomic::AtomicUsize;
         let hub = TcpTransport::new(&cfg(4, 2, 1)).unwrap();
+        let accepts = Arc::new(AtomicUsize::new(0));
+        let a = Arc::clone(&accepts);
+        hub.set_accept_hook(Box::new(move || {
+            a.fetch_add(1, Ordering::SeqCst);
+        }));
         let mb = hub.register(TileId(1));
         hub.send_flow(TileId(0), TileId(1), vec![42], 777).unwrap();
-        let msg = mb.recv_timeout(Duration::from_secs(5)).unwrap().expect("delivered");
-        assert_eq!(msg.payload.as_ref(), &[42]);
+        let msg = recv(&hub, &mb);
+        assert_eq!(msg.payload, [42]);
         assert_eq!(msg.flow, 777);
         assert_eq!(hub.stats().inter_process.get(), 1);
+        assert_eq!(accepts.load(Ordering::SeqCst), 1, "the accept ran the hook");
     }
 
     #[test]
@@ -388,8 +621,8 @@ mod tests {
         *hub.outbound[1].lock() = Some(dead);
 
         hub.send_flow(TileId(0), TileId(1), vec![9], 31).unwrap();
-        let msg = mb.recv_timeout(Duration::from_secs(5)).unwrap().expect("delivered");
-        assert_eq!(msg.payload.as_ref(), &[9]);
+        let msg = recv(&hub, &mb);
+        assert_eq!(msg.payload, [9]);
         assert_eq!(msg.flow, 31);
         assert_eq!(hub.stats().reconnects.get(), 1);
     }
@@ -422,13 +655,10 @@ mod tests {
         hub.send(t0, t2, vec![1]).unwrap(); // same process: memory
         assert_eq!(hits[2].load(Ordering::SeqCst), 1);
         hub.send(t0, t1, vec![2]).unwrap(); // across the socket
-        mb1.recv_timeout(Duration::from_secs(5)).unwrap().expect("delivered");
-        // The reader thread enqueues, then runs the hook.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while hits[1].load(Ordering::SeqCst) == 0 {
-            assert!(std::time::Instant::now() < deadline, "reader never ran the hook");
-            std::thread::yield_now();
-        }
+        assert_eq!(hits[1].load(Ordering::SeqCst), 0, "nothing reads the wire until a pump");
+        recv(&hub, &mb1);
+        // The pump that read the frame enqueued it, then ran the hook.
+        assert_eq!(hits[1].load(Ordering::SeqCst), 1);
     }
 
     #[test]
@@ -439,9 +669,166 @@ mod tests {
             hub.send(TileId(0), TileId(1), vec![i]).unwrap();
         }
         for i in 0..100u8 {
-            let m = mb.recv_timeout(Duration::from_secs(5)).unwrap().expect("msg");
-            assert_eq!(m.payload.as_ref(), &[i]);
+            let m = recv(&hub, &mb);
+            assert_eq!(m.payload, [i]);
         }
         assert_eq!(hub.stats().inter_machine.get(), 100);
+    }
+
+    #[test]
+    fn a_burst_larger_than_the_socket_buffers_drains_through_the_writer() {
+        // Nothing pumps the wire while the sender writes 16 MiB: each write
+        // that would block must read the wire itself, or this never returns.
+        let hub = TcpTransport::new(&cfg(2, 2, 1)).unwrap();
+        let mb = hub.register(TileId(1));
+        let count = (16 << 20) / 1024;
+        for i in 0..count {
+            hub.send(TileId(0), TileId(1), (i as u32).to_le_bytes().repeat(256)).unwrap();
+        }
+        for i in 0..count {
+            assert_eq!(recv(&hub, &mb).payload[..4], (i as u32).to_le_bytes(), "in order");
+        }
+        assert!(mb.is_empty());
+    }
+
+    #[test]
+    fn lying_length_prefix_closes_the_stream_without_allocating() {
+        let hub = TcpTransport::new(&cfg(4, 2, 1)).unwrap();
+        let mb = hub.register(TileId(1));
+        // A hostile peer announces a 4 GiB frame on process 1's listener.
+        let mut rogue = TcpStream::connect(hub.addrs[1]).unwrap();
+        rogue.write_all(&u32::MAX.to_le_bytes()).unwrap();
+        rogue.write_all(&[0; 64]).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while hub.stats().rejected_frames.get() == 0 {
+            assert!(Instant::now() < deadline, "the oversize prefix was never read");
+            hub.pump(Duration::from_millis(100));
+        }
+        let closed = hub.inbound.read().iter().filter(|s| !s.open.load(Ordering::Acquire)).count();
+        assert_eq!(closed, 1, "the lying stream is closed");
+        // The hub's own connection is unaffected.
+        hub.send(TileId(0), TileId(1), vec![3]).unwrap();
+        assert_eq!(recv(&hub, &mb).payload, [3]);
+        // A frame body shorter than its header is dropped and counted too.
+        let mut short = TcpStream::connect(hub.addrs[1]).unwrap();
+        short.write_all(&3u32.to_le_bytes()).unwrap();
+        short.write_all(&[1, 2, 3]).unwrap();
+        while hub.stats().rejected_frames.get() == 1 {
+            assert!(Instant::now() < deadline, "the short frame was never read");
+            hub.pump(Duration::from_millis(100));
+        }
+        assert!(mb.is_empty());
+    }
+
+    #[test]
+    fn oversized_payload_is_refused_before_the_wire() {
+        let hub = TcpTransport::new(&cfg(4, 2, 1)).unwrap();
+        let _mb = hub.register(TileId(1));
+        let err = hub.send(TileId(0), TileId(1), vec![0; MAX_FRAME]).unwrap_err();
+        assert!(matches!(err, SimError::TransportClosed(s) if s.contains("frame limit")));
+        assert_eq!(hub.stats().total_messages(), 0);
+        assert!(hub.outbound[1].lock().is_none(), "no connection was made");
+        // A same-process message is never framed: the limit does not apply,
+        // as on the in-memory transport.
+        let mb2 = hub.register(TileId(2));
+        hub.send(TileId(0), TileId(2), vec![0; MAX_FRAME]).unwrap();
+        assert_eq!(mb2.try_recv().unwrap().payload.len(), MAX_FRAME);
+    }
+
+    #[test]
+    fn a_listener_that_keeps_failing_leaves_the_poll_sets() {
+        let hub = TcpTransport::new(&cfg(4, 2, 1)).unwrap();
+        hub.listeners[1].failures.store(MAX_CONNECT_ATTEMPTS, Ordering::Relaxed);
+        // The pending connection keeps the listener readable: were it still
+        // polled, the pump would return at once.
+        let _pending = TcpStream::connect(hub.addrs[1]).unwrap();
+        let t0 = Instant::now();
+        assert_eq!(hub.pump(Duration::from_millis(50)), 0);
+        assert!(t0.elapsed() >= Duration::from_millis(50), "the pump waited out its timeout");
+        assert!(hub.inbound.read().is_empty(), "nothing was accepted");
+    }
+
+    #[test]
+    fn an_idle_wait_returns_for_its_wake_pipe() {
+        let hub = TcpTransport::new(&cfg(4, 2, 1)).unwrap();
+        let (rx, tx) = std::io::pipe().unwrap();
+        let t0 = Instant::now();
+        assert!(!hub.wait(rx.as_fd(), Some(Duration::from_millis(20)), &mut |_| {}));
+        assert!(t0.elapsed() >= Duration::from_millis(20), "nothing was ready: a timeout");
+        (&tx).write_all(&[1]).unwrap();
+        assert!(hub.wait(rx.as_fd(), None, &mut |_| {}), "the pipe ends the wait");
+    }
+
+    /// Frames as `(src, dst, flow, payload)`.
+    fn frames_strategy() -> impl Strategy<Value = Vec<(u32, u32, u64, Vec<u8>)>> {
+        proptest::collection::vec(
+            (
+                any::<u32>(),
+                any::<u32>(),
+                any::<u64>(),
+                proptest::collection::vec(any::<u8>(), 0..40),
+            ),
+            0..12,
+        )
+    }
+
+    /// Feeds `bytes` to a reassembler in the chunks `cuts` marks; returns
+    /// the frame bodies it gave back, or `None` once it reports an oversize
+    /// prefix. Checks on the way that it never holds more than it was fed.
+    fn reassemble(bytes: &[u8], cuts: &[usize]) -> Option<Vec<Vec<u8>>> {
+        let mut frames = Frames::default();
+        let mut bodies = Vec::new();
+        let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (bytes.len() + 1)).collect();
+        cuts.push(bytes.len());
+        cuts.sort_unstable();
+        let mut at = 0;
+        for cut in cuts {
+            let chunk = &bytes[at..cut];
+            let ok = frames.feed(chunk, |body| bodies.push(body.to_vec()));
+            assert!(frames.tail.len() <= cut, "holds {} of {cut} bytes fed", frames.tail.len());
+            ok.ok()?;
+            at = cut;
+        }
+        Some(bodies)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn reassembly_returns_exactly_the_encoded_frames(
+            msgs in frames_strategy(),
+            cuts in proptest::collection::vec(any::<usize>(), 0..16),
+        ) {
+            let wire: Vec<u8> = msgs.iter()
+                .flat_map(|(s, d, f, p)| encode(TileId(*s), TileId(*d), *f, p))
+                .collect();
+            let bodies = reassemble(&wire, &cuts).expect("valid frames are never oversize");
+            prop_assert_eq!(bodies.len(), msgs.len());
+            for (body, (s, d, f, p)) in bodies.iter().zip(&msgs) {
+                let msg = decode(body).expect("a whole frame decodes");
+                prop_assert_eq!((msg.src, msg.dst, msg.flow), (TileId(*s), TileId(*d), *f));
+                prop_assert_eq!(&msg.payload, p);
+            }
+        }
+
+        #[test]
+        fn reassembly_of_arbitrary_bytes_never_panics_or_overbuffers(
+            // Low byte values make plausible length prefixes, so frames are
+            // found and cut; full-range ones mostly make oversize prefixes.
+            bytes in prop_oneof![
+                proptest::collection::vec(any::<u8>(), 0..256),
+                proptest::collection::vec(0u8..3, 0..256),
+            ],
+            cuts in proptest::collection::vec(any::<usize>(), 0..16),
+        ) {
+            // Bodies found along the way may be anything; decoding them must
+            // not panic either.
+            if let Some(bodies) = reassemble(&bytes, &cuts) {
+                for body in bodies {
+                    let _ = decode(&body);
+                }
+            }
+        }
     }
 }

@@ -9,7 +9,10 @@
 //! "machines" with the real TCP loopback transport — and shows that the
 //! functional result is identical while the transport statistics reveal the
 //! distribution. Then compares the three synchronization models on the
-//! distributed configuration.
+//! distributed configuration, over TCP as well: LaxP2P's catch-up deadlines
+//! and LaxBarrier's quanta then share the scheduler's idle waits with the
+//! socket reads. The example panics if a run crosses no socket (and fmm
+//! checks its own forces), so it doubles as a smoke test.
 
 use std::sync::Arc;
 
@@ -48,6 +51,10 @@ fn main() {
         distributed.transport.inter_machine
     );
     println!("(the workload verified its numerical result in both runs)");
+    assert!(
+        distributed.transport.inter_process + distributed.transport.inter_machine > 0,
+        "the distributed run must cross sockets"
+    );
 
     println!("\n-- synchronization models on the distributed configuration --");
     for sync in [
@@ -55,7 +62,8 @@ fn main() {
         SyncModel::LaxP2P { slack: 100_000, check_interval: 10_000 },
         SyncModel::LaxBarrier { quantum: 1_000 },
     ] {
-        let r = run(4, 2, false, sync);
+        let r = run(4, 2, true, sync);
+        assert!(r.transport.inter_machine > 0, "{} crossed no socket", r.sync_model);
         println!(
             "{:<11}: {:>10} simulated cycles | barrier releases {:>5} | p2p sleeps {:>4}",
             r.sync_model, r.simulated_cycles.0, r.sync.barrier_releases, r.sync.p2p_sleeps
