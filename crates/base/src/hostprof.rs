@@ -66,14 +66,12 @@ pub enum HostStage {
     SchedSlotRun,
     /// The `detach` critical section that picks and grants the next context.
     SchedHandoff,
-    /// The work-stealing scan inside a handoff.
-    SchedSteal,
     /// A thread context (tile 0, an external `attach` caller) parked on the
     /// OS path until its unpark and a slot arrive.
     SchedPark,
     /// Waking a parked context.
     SchedUnpark,
-    /// Spawning a lazy carrier thread for a queued context.
+    /// Spawning a carrier thread (on demand, when no carrier is idle).
     SchedSpawn,
     /// A carrier switching contexts: storing the one that stopped, picking
     /// the next and passing the slot on.
@@ -111,7 +109,7 @@ pub enum HostStage {
 }
 
 /// Number of [`HostStage`] variants (the accumulator table's size).
-pub const NUM_STAGES: usize = 21;
+pub const NUM_STAGES: usize = 20;
 
 impl HostStage {
     /// Every stage, in declaration order (index = discriminant).
@@ -119,7 +117,6 @@ impl HostStage {
         HostStage::SchedSlotWait,
         HostStage::SchedSlotRun,
         HostStage::SchedHandoff,
-        HostStage::SchedSteal,
         HostStage::SchedPark,
         HostStage::SchedUnpark,
         HostStage::SchedSpawn,
@@ -146,7 +143,6 @@ impl HostStage {
             HostStage::SchedSlotWait => "sched.slot_wait",
             HostStage::SchedSlotRun => "sched.slot_run",
             HostStage::SchedHandoff => "sched.handoff",
-            HostStage::SchedSteal => "sched.steal",
             HostStage::SchedPark => "sched.park",
             HostStage::SchedUnpark => "sched.unpark",
             HostStage::SchedSpawn => "sched.spawn",

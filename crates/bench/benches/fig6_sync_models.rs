@@ -17,7 +17,7 @@ use graphite_config::SyncModel;
 use graphite_hostmodel::{project, ClusterSpec, HostCostParams, HostEvents};
 use graphite_workloads::{Lu, Ocean, Radix, Workload};
 
-const RUNS: usize = 5;
+const RUNS: usize = 50;
 const TILES: u32 = 8;
 const THREADS: u32 = 8;
 

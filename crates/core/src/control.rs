@@ -388,12 +388,9 @@ impl SimInner {
         // Thread creation is a true synchronization event: the child's clock
         // starts at the spawner's time (§3.6.1). The CPI stack mirrors the
         // reset: the cycles up to it were spent waiting to exist. The child
-        // counts toward the quantum from here, not from its first resume,
-        // so a spawner cannot run through quanta alone while its children
-        // wait for a carrier.
+        // counts toward the quantum from its submit.
         self.clocks[tile.index()].reset_to(parent_time);
         self.cpi.reset_tile(tile, parent_time);
-        self.sync.activate(tile);
         let inner = Arc::clone(self);
         self.sched.submit(tile, move || guest_thread_main(inner, tile, thread, entry, arg));
         Ok(thread)
@@ -464,13 +461,13 @@ fn guest_thread_main(
     // Thread exit: seal the tile's trace batch so everything it emitted is
     // orderable against later users of the tile.
     inner.obs.tracer.flush(tile);
-    inner.sync.deactivate(tile);
     if panicked {
         inner.guest_panicked.store(true, std::sync::atomic::Ordering::Relaxed);
     }
     inner.thread_exit(thread, tile, end, exit_value);
-    // Returning finishes the coroutine; its carrier keeps the execution slot
-    // for the next context — on the panic path too. The panic is not
+    // Returning finishes the coroutine; its carrier counts it out of the
+    // sync model's active set and keeps the execution slot for the next
+    // context — on the panic path too. The panic is not
     // re-raised: it has been reported, and unwinding must stop here, above
     // the stack switch.
 }

@@ -499,21 +499,16 @@ impl Ctx {
     fn join_thread(&mut self, thread: ThreadId) -> Result<u64, SimError> {
         self.execute_as(Instruction::Generic { cost: SYSCALL_COST }, CpiClass::SpawnCtrl);
         // About to block: seal this tile's pending trace batch so its events
-        // stay orderable against the joined thread's, and stop counting
-        // toward the barrier until the thread's exit releases the join.
+        // stay orderable against the joined thread's.
         self.sim.obs.tracer.flush(self.tile);
-        self.sim.sync.deactivate(self.tile);
-        let joined = self.sim.mcp().map(|mut mcp| mcp.join(thread, self.tile));
-        let got = match joined {
-            Ok(Some(done)) => done,
-            Ok(None) => match self.await_reply() {
-                McpReply::Exited(time, value) => Ok((time, value)),
-                _ => Err(SimError::TransportClosed("mcp".into())),
+        let joined = self.sim.mcp()?.join(thread, self.tile);
+        let (exit_time, value) = match joined {
+            Some(done) => done?,
+            None => match self.await_reply() {
+                McpReply::Exited(time, value) => (time, value),
+                _ => return Err(SimError::TransportClosed("mcp".into())),
             },
-            Err(e) => Err(e),
         };
-        self.sim.sync.activate(self.tile);
-        let (exit_time, value) = got?;
         self.forward_charged(exit_time, CpiClass::SyncWait);
         self.execute_as(Instruction::Generic { cost: Cycles(1) }, CpiClass::SpawnCtrl);
         Ok(value)
@@ -528,18 +523,12 @@ impl Ctx {
         self.trace(|| TraceEventKind::FutexWait { addr: addr.0 });
         // Seal the pending trace batch before parking this thread.
         self.sim.obs.tracer.flush(self.tile);
-        self.sim.sync.deactivate(self.tile);
         let blocked = self
             .sim
             .mcp()
             .is_ok_and(|mut mcp| mcp.futex_wait(&self.sim.mem, addr, expected, self.tile));
         // Shutdown ends a blocked wait like a value mismatch: no forwarding.
-        let woken = match blocked.then(|| self.await_reply()) {
-            Some(McpReply::Woken(waker_time)) => Some(waker_time),
-            _ => None,
-        };
-        self.sim.sync.activate(self.tile);
-        if let Some(waker_time) = woken {
+        if let Some(McpReply::Woken(waker_time)) = blocked.then(|| self.await_reply()) {
             self.forward_charged(waker_time + FUTEX_WAKE_LATENCY, CpiClass::SyncWait);
             self.execute_as(Instruction::Generic { cost: Cycles(1) }, CpiClass::SpawnCtrl);
         }
@@ -648,11 +637,9 @@ impl Ctx {
         let (src, arrival, flow, payload) = match stashed {
             Some(m) => m,
             None => loop {
-                self.sim.sync.deactivate(self.tile);
-                let msg = self.next_msg();
-                self.sim.sync.activate(self.tile);
-                let msg =
-                    msg.map_err(|_| SimError::TransportClosed("user message receive".into()))?;
+                let msg = self
+                    .next_msg()
+                    .map_err(|_| SimError::TransportClosed("user message receive".into()))?;
                 let (src, mut data) = (msg.src, msg.payload);
                 let arrival = Cycles(u64::from_le_bytes(
                     data[..8].try_into().expect("8-byte timestamp header"),

@@ -423,7 +423,8 @@ impl SimBuilder {
         });
         // The scheduler exists before the synchronizer: barrier waits and
         // P2P sleeps park through it so waiting tiles release their
-        // execution slots.
+        // execution slots. In turn, its context lifecycle drives the
+        // model's active set.
         let workers = self.workers.unwrap_or(cfg.scheduler.workers);
         let sched = sched::GuestScheduler::new(workers, cfg.target.num_tiles, &obs);
         let sync = build_synchronizer_sched(
@@ -434,6 +435,7 @@ impl SimBuilder {
             Arc::clone(&replay),
             Arc::clone(&sched) as Arc<dyn graphite_base::Blocker>,
         );
+        sched.attach_sync(&sync);
         let transport: Arc<dyn Transport> = if self.tcp_transport {
             let tcp = Arc::new(graphite_transport::tcp::TcpTransport::with_obs(&cfg, &obs)?);
             sched.attach_wire(Arc::clone(&tcp));
@@ -640,18 +642,16 @@ impl Sim {
             sampler
                 .spawn_periodic(std::time::Duration::from_micros(profile.skew_sample_interval_us))
         });
-        inner.sched.attach(TileId(0));
-        inner.sync.activate(TileId(0));
-        let mut ctx = Ctx::new(Arc::clone(&inner), TileId(0), ThreadId(0));
-        main_fn(&mut ctx);
-        let end_time = inner.clocks[0].now();
-        let exit_value = ctx.take_exit_value();
-        // Hands tile 0's core model home before the exit is announced, so the
-        // report finds every core model in its tile.
-        drop(ctx);
-        inner.sync.deactivate(TileId(0));
-        inner.thread_exit(ThreadId(0), TileId(0), end_time, exit_value);
-        inner.sched.detach(TileId(0));
+        inner.sched.run_thread(TileId(0), || {
+            let mut ctx = Ctx::new(Arc::clone(&inner), TileId(0), ThreadId(0));
+            main_fn(&mut ctx);
+            let end_time = inner.clocks[0].now();
+            let exit_value = ctx.take_exit_value();
+            // Hands tile 0's core model home before the exit is announced, so
+            // the report finds every core model in its tile.
+            drop(ctx);
+            inner.thread_exit(ThreadId(0), TileId(0), end_time, exit_value);
+        });
         self.shutdown();
         assert!(
             !inner.guest_panicked.load(std::sync::atomic::Ordering::Relaxed),

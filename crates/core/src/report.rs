@@ -115,7 +115,8 @@ pub struct SchedReport {
     pub parks: u64,
     /// Slot handoffs directly to a queued context.
     pub handoffs: u64,
-    /// Handoffs served from another worker lane's run-queue.
+    /// Always 0: the run-queue is one FIFO, so no handoff is a steal. Kept
+    /// because the benchmark ledger reads it.
     pub steals: u64,
     /// Cumulative run-queue depth sampled at each enqueue
     /// (`runq_depth / parks` = mean depth seen by a parking context).

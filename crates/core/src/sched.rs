@@ -9,7 +9,7 @@
 //! cores a context switch at a time.
 //!
 //! [`GuestScheduler`] inverts this. Only `workers` contexts hold an
-//! *execution slot* at any instant; the rest sit in per-worker run-queues,
+//! *execution slot* at any instant; the rest wait in one FIFO run-queue,
 //! unknown to the host kernel's run queue. Every spawned context runs as a
 //! stackful [`Coroutine`] on a **carrier**: a host thread that holds a slot
 //! and loops — resume the next runnable coroutine; when it suspends or
@@ -49,6 +49,13 @@
 //! A token left unconsumed would end the context's *next* wait early — a
 //! quantum park that returns before its release weakens the barrier.
 //!
+//! **The scheduler owns activity.** A context counts toward the sync model
+//! from its submit (or the main context's start) and from the unpark by the
+//! waker of its guest wait, until a guest wait suspends it or it finishes.
+//! The waker counts it in under the parker lock, before it can be queued; a
+//! wait whose unpark is already banked never counts out. Quantum parks and
+//! catch-up sleeps change nothing.
+//!
 //! The main context (tile 0, which runs [`crate::Sim::run`]'s closure on the
 //! caller's thread) and external [`GuestScheduler::attach`] /
 //! [`GuestScheduler::detach`] callers are plain threads: they wait on the OS
@@ -72,6 +79,7 @@ use std::time::{Duration, Instant};
 
 use graphite_base::coro::{self, Coroutine};
 use graphite_base::{Blocker, CachePadded, HostProf, HostStage, TileId};
+use graphite_sync::Synchronizer;
 use graphite_trace::{MetricsRegistry, Obs, ShardedMetric};
 use graphite_transport::tcp::TcpTransport;
 use parking_lot::{Condvar, Mutex, MutexGuard};
@@ -86,7 +94,8 @@ pub struct SchedStats {
     pub parks: ShardedMetric,
     /// Slot handoffs directly to a queued context on release.
     pub handoffs: ShardedMetric,
-    /// Handoffs served from *another* worker's run-queue.
+    /// Always 0: the run-queue is one FIFO, so no handoff is a steal. Kept
+    /// registered because the benchmark ledger reads it.
     pub steals: ShardedMetric,
     /// Cumulative queued-context count sampled at each enqueue
     /// (`runq_depth / parks` = mean run-queue depth seen by a parking
@@ -115,7 +124,7 @@ impl SchedStats {
     }
 }
 
-/// Slots, run-queues, carriers and sleep deadlines, under one lock.
+/// Slots, the run-queue, carriers and sleep deadlines, under one lock.
 #[derive(Debug)]
 struct SchedState {
     /// Execution slots not currently held by any context.
@@ -123,10 +132,8 @@ struct SchedState {
     /// When each free slot was freed (ns since the profiler epoch), feeding
     /// the `sched.idle` accounting; empty unless host profiling is on.
     free_since: Vec<u64>,
-    /// Per-worker run-queues; context `t` enqueues on lane `t % workers`.
-    runqs: Vec<VecDeque<u32>>,
-    /// Total contexts across all run-queues.
-    queued: usize,
+    /// Contexts waiting for a slot, oldest first.
+    runq: VecDeque<u32>,
     /// Every live carrier's mailbox, by carrier index.
     carriers: Vec<Arc<Mailbox>>,
     /// Carriers holding no slot and waiting for work. A carrier registers
@@ -266,6 +273,9 @@ struct CtxTokens {
     /// A suspending sleeper's wake-up time, moved onto the timer heap by
     /// its carrier once the coroutine is stored.
     deadline: Option<Instant>,
+    /// The context is in a guest wait and counted inactive: its unpark
+    /// counts it in again.
+    waiting: bool,
     /// A coroutine context that is suspended or not yet started.
     stack: Option<Coroutine>,
 }
@@ -286,6 +296,9 @@ pub struct GuestScheduler {
     prof: Arc<HostProf>,
     /// The TCP transport whose inbound sockets the carriers read, if any.
     wire: OnceLock<Arc<TcpTransport>>,
+    /// The sync model whose active set the context lifecycle drives, if
+    /// any. Weak: the model parks its waiters through this scheduler.
+    sync: OnceLock<Weak<dyn Synchronizer>>,
 }
 
 impl std::fmt::Debug for GuestScheduler {
@@ -294,7 +307,7 @@ impl std::fmt::Debug for GuestScheduler {
         f.debug_struct("GuestScheduler")
             .field("workers", &self.workers)
             .field("free", &s.free)
-            .field("queued", &s.queued)
+            .field("queued", &s.runq.len())
             .field("carriers", &s.carriers.len())
             .field("sleepers", &s.timers.len())
             .finish()
@@ -320,8 +333,7 @@ impl GuestScheduler {
             state: Mutex::new(SchedState {
                 free: workers,
                 free_since,
-                runqs: (0..workers).map(|_| VecDeque::new()).collect(),
-                queued: 0,
+                runq: VecDeque::new(),
                 carriers: Vec::new(),
                 idle: Vec::new(),
                 timers: BinaryHeap::new(),
@@ -334,6 +346,7 @@ impl GuestScheduler {
             stats: SchedStats::registered(&obs.metrics),
             prof,
             wire: OnceLock::new(),
+            sync: OnceLock::new(),
         })
     }
 
@@ -352,6 +365,23 @@ impl GuestScheduler {
             }
         }));
         let _ = self.wire.set(wire);
+    }
+
+    /// Makes the context lifecycle drive `sync`'s active set. Call it before
+    /// the first submit; only the first call takes effect.
+    pub(crate) fn attach_sync(&self, sync: &Arc<dyn Synchronizer>) {
+        let _ = self.sync.set(Arc::downgrade(sync));
+    }
+
+    /// Counts `tile` in or out of the sync model's active set: the one
+    /// place activity changes.
+    fn set_active(&self, tile: TileId, active: bool) {
+        let Some(sync) = self.sync.get().and_then(Weak::upgrade) else { return };
+        if active {
+            sync.activate(tile);
+        } else {
+            sync.deactivate(tile);
+        }
     }
 
     /// Stamps `tile` as holding a slot from now (host profiling only).
@@ -421,58 +451,36 @@ impl GuestScheduler {
     /// owning a slot — on an idle or new carrier right away if a slot is
     /// free, otherwise when a slot handoff reaches its run-queue entry. It
     /// must not call [`Self::attach`] first, and it passes its slot on by
-    /// finishing.
+    /// finishing. It counts as active from here, so a spawner cannot run
+    /// through quanta alone while its children wait for a carrier.
     pub fn submit(&self, tile: TileId, body: impl FnOnce() + Send + 'static) {
+        self.set_active(tile, true);
         let slot = &self.ctxs[tile.index()];
         {
             let mut p = slot.parker.lock.lock();
             p.stack = Some(Coroutine::new(body));
             slot.resumable.store(true, Ordering::Relaxed);
         }
-        let mut s = self.state.lock();
-        if s.free > 0 {
-            self.take_slot(&mut s);
-            let _sp = self.prof.span(HostStage::SchedSpawn);
-            self.hand_slot(s, tile.0);
-            return;
-        }
-        self.enqueue(&mut s, tile);
+        self.enqueue_for_slot(tile);
     }
 
-    /// Puts `tile` on its run-queue lane. The counters are written from
-    /// whichever thread queues the context, so they use the shared
+    /// Puts `tile` at the back of the run-queue. The counters are written
+    /// from whichever thread queues the context, so they use the shared
     /// (atomic) increment.
     fn enqueue(&self, s: &mut SchedState, tile: TileId) {
-        s.runqs[tile.index() % self.workers].push_back(tile.0);
-        s.queued += 1;
+        s.runq.push_back(tile.0);
         self.stats.parks.incr(tile.index());
-        self.stats.runq_depth.add(tile.index(), s.queued as u64);
+        self.stats.runq_depth.add(tile.index(), s.runq.len() as u64);
     }
 
-    /// Pops the context a slot released by `tile` goes to: `tile`'s own
-    /// worker lane first, then a steal scan over the other lanes.
+    /// Pops the oldest queued context, which the slot `tile` released goes
+    /// to.
     fn pop_next(&self, s: &mut SchedState, tile: TileId) -> Option<u32> {
-        let lane = tile.index() % self.workers;
-        let mut stolen = false;
-        let mut next = s.runqs[lane].pop_front();
-        if next.is_none() {
-            let _st = self.prof.span(HostStage::SchedSteal);
-            for off in 1..self.workers {
-                if let Some(t) = s.runqs[(lane + off) % self.workers].pop_front() {
-                    next = Some(t);
-                    stolen = true;
-                    break;
-                }
-            }
-        }
+        let next = s.runq.pop_front();
         if next.is_some() {
-            s.queued -= 1;
-            // Shared increments: a carrier counts here on behalf of a
+            // Shared increment: a carrier counts here on behalf of a
             // context that may already run again on another carrier.
             self.stats.handoffs.incr(tile.index());
-            if stolen {
-                self.stats.steals.incr(tile.index());
-            }
         }
         next
     }
@@ -553,6 +561,7 @@ impl GuestScheduler {
     /// it, or (`None`) an idle one that waits for sleepers' deadlines and
     /// the wire. `lane` is the metrics lane to count the spawn on.
     fn spawn_carrier(&self, mut s: MutexGuard<'_, SchedState>, lane: usize, first: Option<u32>) {
+        let _sp = self.prof.span(HostStage::SchedSpawn);
         let mailbox = Arc::new(Mailbox::new());
         s.carriers.push(Arc::clone(&mailbox));
         let (id, live) = (s.carriers.len() - 1, s.carriers.len() as u64);
@@ -662,6 +671,7 @@ impl GuestScheduler {
                 // A finished context does not detach: this carrier keeps the
                 // slot for whatever runs next.
                 drop(co);
+                self.set_active(tile, false);
                 break (false, None);
             }
             // Parked. Store the coroutine; it is advertised as parked only
@@ -786,9 +796,19 @@ impl GuestScheduler {
         }
     }
 
+    /// Runs `body` as `tile`'s context on the calling thread (the main
+    /// context): holding a slot and counted active until `body` returns.
+    pub(crate) fn run_thread(&self, tile: TileId, body: impl FnOnce()) {
+        self.attach(tile);
+        self.set_active(tile, true);
+        body();
+        self.set_active(tile, false);
+        self.detach(tile);
+    }
+
     /// Acquires an execution slot for `tile` on the calling thread, queueing
     /// until one is handed over if all are held. Called by thread contexts
-    /// when they start and after a wait on the OS path.
+    /// when they start and after a wait on the OS path. Activity stays as is.
     pub fn attach(&self, tile: TileId) {
         {
             let mut s = self.state.lock();
@@ -829,8 +849,8 @@ impl GuestScheduler {
         }
     }
 
-    /// Queues an unparked context for a slot on its waker's behalf, handing
-    /// it one immediately if one is free.
+    /// Queues `tile` for a slot — a new context, or an unparked one on its
+    /// waker's behalf — handing it one at once if one is free.
     fn enqueue_for_slot(&self, tile: TileId) {
         let mut s = self.state.lock();
         if s.free == 0 {
@@ -842,22 +862,30 @@ impl GuestScheduler {
     }
 
     /// Parks `tile` until its one unpark; returns whether the wait gave up
-    /// the slot (a banked token lets a coroutine keep it).
-    fn park_once(&self, tile: TileId) -> bool {
+    /// the slot (a banked token lets the context keep it). A `guest` wait
+    /// that does not find its unpark banked counts the context out of the
+    /// active set; its waker counts it in again (see [`Self::wake`]).
+    fn park_once(&self, tile: TileId, guest: bool) -> bool {
         let p = &self.ctxs[tile.index()].parker;
-        if coro::in_coroutine() {
+        {
             // A banked unpark (the waker beat us here) is consumed and the
-            // context keeps running with its slot. Otherwise suspend: the
-            // carrier stores the coroutine, passes the slot on, and the
-            // unpark queues the context again. No span may stay open across
-            // the suspend (hostprof frames are per host thread).
-            {
-                let mut t = p.lock.lock();
-                if t.unpark {
-                    t.unpark = false;
-                    return false;
-                }
+            // context keeps running with its slot.
+            let mut t = p.lock.lock();
+            if t.unpark {
+                t.unpark = false;
+                return false;
             }
+            t.waiting = guest;
+        }
+        if guest {
+            // Outside the parker lock: a release this triggers unparks other
+            // contexts. The models count calls, so the waker may go first.
+            self.set_active(tile, false);
+        }
+        if coro::in_coroutine() {
+            // Suspend: the carrier stores the coroutine, passes the slot on,
+            // and the unpark queues the context again. No span may stay open
+            // across the suspend (hostprof frames are per host thread).
             coro::suspend();
             return true;
         }
@@ -866,7 +894,8 @@ impl GuestScheduler {
             let _w = self.prof.span(HostStage::SchedPark);
             let mut t = p.lock.lock();
             if t.unpark {
-                // Banked unpark (the waker beat us here): reacquire normally.
+                // The unpark landed while the slot was being released:
+                // reacquire normally.
                 t.unpark = false;
                 drop(t);
                 drop(_w);
@@ -894,7 +923,7 @@ impl GuestScheduler {
     /// the park then consumes the banked token. Counts `sched.yields` when
     /// the slot was given up.
     pub(crate) fn wait(&self, tile: TileId) {
-        if self.park_once(tile) {
+        if self.park_once(tile, true) {
             self.stats.yields.incr_owned(tile.index());
         }
     }
@@ -913,10 +942,11 @@ impl GuestScheduler {
 
     /// Withdraws an [`Self::arm_delivery`] whose re-check found the mailbox
     /// ready. If a delivery already claimed the flag, its unpark is on the
-    /// way and is consumed here, so no token outlives this receive.
+    /// way and is consumed here, so no token outlives this receive. That
+    /// park is not a guest wait: the context stays active.
     pub(crate) fn disarm_delivery(&self, tile: TileId) {
         if !self.ctxs[tile.index()].delivery_armed.swap(false, Ordering::AcqRel) {
-            self.park_once(tile);
+            self.park_once(tile, false);
         }
     }
 
@@ -946,12 +976,18 @@ impl GuestScheduler {
         }
     }
 
-    /// Delivers `tile`'s unpark. Returns whether the context was parked
-    /// without a slot and must now be queued for one; otherwise the token is
-    /// banked for its park to consume.
+    /// Delivers `tile`'s unpark, counting a guest waiter in again. Returns
+    /// whether the context was parked without a slot and must now be queued
+    /// for one; otherwise the token is banked for its park to consume.
     fn wake(&self, tile: TileId) -> bool {
         let p = &self.ctxs[tile.index()].parker;
         let mut t = p.lock.lock();
+        if std::mem::take(&mut t.waiting) {
+            // Before the context can run again, so it never reaches a
+            // quantum boundary uncounted. Safe under the parker lock: no
+            // model holds a lock of its own across an unpark.
+            self.set_active(tile, true);
+        }
         if t.slot_parked {
             // A suspended coroutine needs nothing else; a sleeping thread
             // also gets its unpark token and wakes once, when the slot token
@@ -968,19 +1004,18 @@ impl GuestScheduler {
     }
 }
 
+/// The sync models' waits: a quantum park and a catch-up sleep leave the
+/// context active.
 impl Blocker for GuestScheduler {
     fn park(&self, tile: TileId) {
-        self.park_once(tile);
+        self.park_once(tile, false);
     }
 
     fn unpark(&self, tile: TileId) {
         let _u = self.prof.span(HostStage::SchedUnpark);
         if self.wake(tile) {
-            // Put the parked context straight on the run-queue (or hand it a
-            // free slot). Callers may hold their own model lock (barrier
-            // release): the scheduler state lock is taken only after the
-            // parker lock is dropped, and no scheduler path holds the state
-            // lock while taking a model lock.
+            // Straight onto the run-queue (or a free slot); the state lock is
+            // taken only after the parker lock is dropped.
             self.enqueue_for_slot(tile);
         }
     }
@@ -1194,23 +1229,36 @@ mod tests {
     }
 
     #[test]
-    fn detach_steals_from_other_lanes() {
-        // 2 workers; tiles 0 and 2 both map to lane 0, tile 3 to lane 1.
-        // Fill both slots, queue tile 3 (lane 1), then release from a
-        // lane-0 holder whose own queue is empty: it must steal from lane 1.
+    fn a_released_slot_goes_to_the_oldest_queued_context() {
+        // 2 slots, held by tiles 0 and 1. Tile 3 queues, then tile 2: tile
+        // 0's release goes to tile 3, the oldest, although tile 2 is the
+        // one `t % workers` would pair with tile 0.
         let s = sched(2, 4);
         s.attach(TileId(0));
-        s.attach(TileId(2));
-        let s3 = Arc::clone(&s);
-        let h = std::thread::spawn(move || {
-            s3.attach(TileId(3));
-            s3.detach(TileId(3));
-        });
-        std::thread::sleep(Duration::from_millis(5));
-        s.detach(TileId(0)); // own lane empty → steals tile 3 from lane 1
-        h.join().unwrap();
-        assert!(s.stats().steals.get() >= 1, "cross-lane handoff must count as a steal");
-        s.detach(TileId(2));
+        s.attach(TileId(1));
+        let order = Arc::new(Mutex::new(Vec::new()));
+        let queue = |t: u32| {
+            let parks = s.stats().parks.get();
+            let (s2, order) = (Arc::clone(&s), Arc::clone(&order));
+            let h = std::thread::spawn(move || {
+                s2.attach(TileId(t));
+                order.lock().push(t);
+                s2.detach(TileId(t));
+            });
+            while s.stats().parks.get() == parks {
+                std::thread::yield_now();
+            }
+            h
+        };
+        let queued = [queue(3), queue(2)];
+        s.detach(TileId(0));
+        for h in queued {
+            h.join().unwrap();
+        }
+        assert_eq!(*order.lock(), [3, 2], "slots go to queued contexts oldest first");
+        assert_eq!(s.stats().handoffs.get(), 2);
+        assert_eq!(s.stats().steals.get(), 0, "one run-queue: no handoff is a steal");
+        s.detach(TileId(1));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! receive and a LaxP2P catch-up sleep are stack switches, not a host thread
 //! sleeping and waking — so the carrier count stays at the pool width.
 
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
@@ -16,17 +16,9 @@ use parking_lot::Mutex;
 const TILES: u32 = 64;
 
 /// 64 contexts of pure compute under LaxBarrier(1000): ≈40 quantum parks
-/// each, and no guest blocking operation besides main's final joins.
-///
-/// A context is sync-active from its first resume, so on a loaded host the
-/// children could otherwise run one after another, each alone at every
-/// boundary, and never park. Main therefore holds a quantum open until
-/// every child has entered its body: it steps just past the boundary its
-/// spawns left it under (a child's 1,000-cycle spawn instruction parks it
-/// there, so main must release that one), then waits on the host without
-/// advancing its clock. No child can finish a quantum ahead of main, and
-/// from then on all 64 are active until they exit. Both steps add the same
-/// simulated time on every run.
+/// each, and no guest blocking operation besides main's final joins. Every
+/// child counts toward the quantum from its spawn, so however the host
+/// orders them, none runs through a boundary alone.
 fn barrier_kernel(workers: u32) -> SimReport {
     const QUANTUM: u64 = 1_000;
     let cfg = SimConfig::builder()
@@ -36,24 +28,14 @@ fn barrier_kernel(workers: u32) -> SimReport {
         .build()
         .unwrap();
     Sim::builder(cfg).workers(workers).build().unwrap().run(|ctx| {
-        let started = Arc::new(AtomicU32::new(0));
-        let entry: GuestEntry = {
-            let started = Arc::clone(&started);
-            Arc::new(move |ctx, arg| {
-                started.fetch_add(1, Ordering::Release);
-                for i in 0..4_000u64 {
-                    ctx.alu(10);
-                    ctx.branch(0x100, (i + arg) % 3 == 0);
-                }
-            })
-        };
+        let entry: GuestEntry = Arc::new(|ctx, arg| {
+            for i in 0..4_000u64 {
+                ctx.alu(10);
+                ctx.branch(0x100, (i + arg) % 3 == 0);
+            }
+        });
         let kids: Vec<_> =
             (1..TILES as u64).map(|t| ctx.spawn(Arc::clone(&entry), t).unwrap()).collect();
-        let boundary = (ctx.now().0 / QUANTUM + 1) * QUANTUM;
-        while ctx.now().0 < boundary {
-            ctx.alu(1);
-        }
-        host_wait_until(|| started.load(Ordering::Acquire) == TILES - 1);
         entry(ctx, 0);
         for k in kids {
             k.join(ctx).unwrap();

@@ -421,7 +421,7 @@ impl Telemetry {
 }
 
 /// Renders the shared host-cost profiler snapshot as a `graphite_host_*`
-/// section: one sample per active stage, labeled `stage="sched.steal"` etc.
+/// section: one sample per active stage, labeled `stage="sched.handoff"` etc.
 /// Appended to `/metrics` after the service families when `[serve] hostprof`
 /// is on — concatenation is safe because the family names are disjoint.
 pub fn host_prometheus(h: &graphite_base::HostProfSnapshot) -> String {

@@ -16,13 +16,15 @@
 //!   simulation progress rate (§3.6.3).
 //!
 //! All models implement [`Synchronizer`]; the simulator invokes
-//! [`Synchronizer::on_progress`] as tile clocks advance, and brackets any
-//! blocking guest operation with [`Synchronizer::deactivate`] /
-//! [`Synchronizer::activate`] so a barrier never waits on a blocked thread.
+//! [`Synchronizer::on_progress`] as tile clocks advance. Which contexts are
+//! *active* is the guest scheduler's call: it activates a context when it
+//! submits it and when the waker of a guest wait unparks it, and deactivates
+//! it when a guest wait suspends it and when it finishes. So a barrier never
+//! waits on a blocked thread, and counts a woken one from its wake.
 
 pub mod skew;
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -30,7 +32,7 @@ use graphite_base::{Blocker, CachePadded, Clock, InlineBlocker, SimRng, TileId};
 use graphite_ckpt::{stream, ReplayLog};
 use graphite_config::SyncModel;
 use graphite_trace::{MetricsRegistry, Obs, ShardedMetric, TraceEventKind, Tracer};
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 pub use skew::{SkewSample, SkewSampler};
 
@@ -77,11 +79,15 @@ pub trait Synchronizer: Send + Sync {
     /// or sleep (P2P).
     fn on_progress(&self, tile: TileId);
 
-    /// Marks a tile's thread as participating (spawned / resumed from a
-    /// blocking operation).
+    /// Counts `tile`'s context as participating: the guest scheduler calls
+    /// it on a submit and when a guest wait's waker unparks the context. It
+    /// may overtake the `deactivate` of the wait it ends (or of the tile's
+    /// finished previous context), so models count calls, not set a flag.
     fn activate(&self, tile: TileId);
 
-    /// Marks a tile's thread as not participating (blocked or exited).
+    /// Stops counting `tile`'s context: the guest scheduler calls it when a
+    /// guest wait suspends the context and when the context finishes.
+    /// Quantum parks and catch-up sleeps change nothing.
     fn deactivate(&self, tile: TileId);
 
     /// Statistics so far.
@@ -150,17 +156,12 @@ pub fn build_synchronizer_sched(
 
 /// Plain lax synchronization: a no-op scheduler hook. Clocks are reconciled
 /// only by message timestamps at true application events, handled elsewhere.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct LaxSync {
     stats: SyncStats,
 }
 
 impl LaxSync {
-    /// Creates the model.
-    pub fn new() -> Self {
-        LaxSync { stats: SyncStats::default() }
-    }
-
     /// Creates the model with its (always-zero) stats registered in
     /// `obs.metrics`, so reports and exports agree on the model's inactivity.
     pub fn with_obs(obs: &Obs) -> Self {
@@ -186,7 +187,7 @@ impl Synchronizer for LaxSync {
 
 #[derive(Debug)]
 struct BarrierState {
-    /// Threads currently participating.
+    /// Contexts the quantum waits for: activations minus deactivations.
     active: usize,
     /// Threads waiting at the current quantum boundary.
     arrived: usize,
@@ -219,30 +220,14 @@ pub struct BarrierSync {
 
 impl std::fmt::Debug for BarrierSync {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = self.state.lock();
-        f.debug_struct("BarrierSync")
-            .field("quantum", &self.quantum)
-            .field("active", &s.active)
-            .field("target", &s.target)
-            .finish()
+        f.debug_struct("BarrierSync").field("state", &*self.state.lock()).finish_non_exhaustive()
     }
 }
 
 impl BarrierSync {
-    /// Creates a barrier with the given quantum (cycles).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `quantum` is zero.
-    pub fn new(quantum: u64, clocks: Arc<Vec<Arc<Clock>>>) -> Self {
-        let tiles = clocks.len() as u32;
-        let obs = Obs::detached(tiles as usize);
-        Self::with_blocker(quantum, clocks, &obs, Arc::new(InlineBlocker::new(tiles)))
-    }
-
-    /// Like [`BarrierSync::new`], with observability wiring, parking waiters
-    /// through `blocker` so an M:N guest scheduler can reclaim their
-    /// execution slots.
+    /// Creates a barrier with the given quantum (cycles), with observability
+    /// wiring, parking waiters through `blocker` so an M:N guest scheduler
+    /// can reclaim their execution slots.
     ///
     /// # Panics
     ///
@@ -271,7 +256,11 @@ impl BarrierSync {
         }
     }
 
-    fn release_locked(&self, tile: TileId, s: &mut BarrierState) {
+    /// Opens the next quantum, then — the state lock dropped — wakes exactly
+    /// the recorded waiters; each consumes its token and requeues for an
+    /// execution slot. The lock is never held across an unpark: the guest
+    /// scheduler counts a woken context in from inside one.
+    fn release(&self, tile: TileId, mut s: MutexGuard<'_, BarrierState>) {
         let waiters = s.arrived as u64;
         s.generation += 1;
         s.arrived = 0;
@@ -283,10 +272,9 @@ impl BarrierSync {
         self.tracer.emit(tile, self.clocks[tile.index()].now(), || {
             TraceEventKind::BarrierRelease { waiters }
         });
-        // Wake exactly the recorded waiters ([`Blocker::unpark`] never
-        // blocks, so holding the state lock here is safe); each consumes its
-        // token and requeues for an execution slot.
-        for w in std::mem::take(&mut s.waiters) {
+        let woken = std::mem::take(&mut s.waiters);
+        drop(s);
+        for w in woken {
             self.blocker.unpark(w);
         }
     }
@@ -308,20 +296,21 @@ impl Synchronizer for BarrierSync {
         // out each boundary in turn.
         loop {
             let mut s = self.state.lock();
-            if clock.now().0 < s.target || s.active <= 1 {
-                // Alone (or under the boundary): advance the target lazily so
-                // a solo thread never self-blocks.
-                while s.active <= 1 && clock.now().0 >= s.target {
-                    self.release_locked(tile, &mut s);
-                }
+            if clock.now().0 < s.target {
                 return;
+            }
+            if s.active <= 1 {
+                // Alone: open the quantum lazily so a solo thread never
+                // self-blocks.
+                self.release(tile, s);
+                continue;
             }
             // A quantum park that returned before its release (a stray
             // unpark token) would count this tile's arrival twice.
             debug_assert!(!s.waiters.contains(&tile), "{tile} arrived while still waiting");
             s.arrived += 1;
             if s.arrived >= s.active {
-                self.release_locked(tile, &mut s);
+                self.release(tile, s);
             } else {
                 self.stats.barrier_waits.incr_owned(tile.index());
                 let quantum_target = s.target;
@@ -347,7 +336,7 @@ impl Synchronizer for BarrierSync {
         debug_assert!(s.active > 0, "deactivate without activate");
         s.active = s.active.saturating_sub(1);
         if s.active > 0 && s.arrived >= s.active {
-            self.release_locked(tile, &mut s);
+            self.release(tile, s);
         }
     }
 
@@ -378,7 +367,8 @@ impl Synchronizer for BarrierSync {
 
 #[derive(Debug, Default)]
 struct P2PTile {
-    active: AtomicBool,
+    /// Activations minus deactivations (see [`Synchronizer::activate`]).
+    active: AtomicU32,
     /// The tile's clock value at its last check.
     last_check: AtomicU64,
 }
@@ -415,21 +405,8 @@ impl std::fmt::Debug for P2PSync {
 }
 
 impl P2PSync {
-    /// Creates the model.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `check_interval` is zero.
-    pub fn new(slack: u64, check_interval: u64, clocks: Arc<Vec<Arc<Clock>>>, seed: u64) -> Self {
-        let tiles = clocks.len() as u32;
-        let obs = Obs::detached(tiles as usize);
-        let replay = Arc::new(ReplayLog::off());
-        let blocker = Arc::new(InlineBlocker::new(tiles));
-        Self::with_blocker(slack, check_interval, clocks, seed, &obs, replay, blocker)
-    }
-
-    /// Like [`P2PSync::new`], with observability wiring, routing partner
-    /// picks through `replay` so a recorded run's pairing decisions can be
+    /// Creates the model with observability wiring, routing partner picks
+    /// through `replay` so a recorded run's pairing decisions can be
     /// reproduced exactly, and running catch-up sleeps through `blocker` so
     /// an M:N guest scheduler can reclaim the sleeper's execution slot for a
     /// tile that is behind.
@@ -503,7 +480,7 @@ impl Synchronizer for P2PSync {
             }
             p
         };
-        if !self.tiles[partner].active.load(Ordering::Relaxed) {
+        if self.tiles[partner].active.load(Ordering::Relaxed) == 0 {
             return;
         }
         // Lane = the acting tile: only tile `me`'s own thread reaches these
@@ -533,11 +510,11 @@ impl Synchronizer for P2PSync {
     }
 
     fn activate(&self, tile: TileId) {
-        self.tiles[tile.index()].active.store(true, Ordering::Relaxed);
+        self.tiles[tile.index()].active.fetch_add(1, Ordering::Relaxed);
     }
 
     fn deactivate(&self, tile: TileId) {
-        self.tiles[tile.index()].active.store(false, Ordering::Relaxed);
+        self.tiles[tile.index()].active.fetch_sub(1, Ordering::Relaxed);
     }
 
     fn stats(&self) -> &SyncStats {
@@ -574,6 +551,28 @@ mod tests {
         Arc::new((0..n).map(|_| Arc::new(Clock::new())).collect())
     }
 
+    /// A barrier that blocks its waiters in place.
+    fn barrier(quantum: u64, clocks: Arc<Vec<Arc<Clock>>>) -> BarrierSync {
+        let n = clocks.len();
+        let blocker = Arc::new(InlineBlocker::new(n as u32));
+        BarrierSync::with_blocker(quantum, clocks, &Obs::detached(n), blocker)
+    }
+
+    /// A P2P model that sleeps in place and records nothing.
+    fn p2p(slack: u64, check_interval: u64, clocks: Arc<Vec<Arc<Clock>>>, seed: u64) -> P2PSync {
+        let (n, replay) = (clocks.len(), Arc::new(ReplayLog::off()));
+        let blocker = Arc::new(InlineBlocker::new(n as u32));
+        P2PSync::with_blocker(
+            slack,
+            check_interval,
+            clocks,
+            seed,
+            &Obs::detached(n),
+            replay,
+            blocker,
+        )
+    }
+
     #[test]
     fn builder_selects_model() {
         let c = clocks(2);
@@ -590,7 +589,7 @@ mod tests {
 
     #[test]
     fn lax_never_blocks() {
-        let s = LaxSync::new();
+        let s = LaxSync::with_obs(&Obs::detached(1));
         s.activate(TileId(0));
         s.on_progress(TileId(0));
         s.deactivate(TileId(0));
@@ -600,7 +599,7 @@ mod tests {
     #[test]
     fn solo_thread_never_blocks_at_barrier() {
         let c = clocks(1);
-        let b = BarrierSync::new(100, Arc::clone(&c));
+        let b = barrier(100, Arc::clone(&c));
         b.activate(TileId(0));
         c[0].advance(Cycles(10_000));
         b.on_progress(TileId(0)); // must return promptly
@@ -611,7 +610,7 @@ mod tests {
     #[test]
     fn barrier_keeps_two_threads_within_quantum() {
         let c = clocks(2);
-        let b = Arc::new(BarrierSync::new(1_000, Arc::clone(&c)));
+        let b = Arc::new(barrier(1_000, Arc::clone(&c)));
         b.activate(TileId(0));
         b.activate(TileId(1));
         let max_skew = Arc::new(AtomicU64::new(0));
@@ -666,7 +665,7 @@ mod tests {
     #[test]
     fn below_target_progress_never_takes_the_state_lock() {
         let c = clocks(2);
-        let b = Arc::new(BarrierSync::new(1_000, Arc::clone(&c)));
+        let b = Arc::new(barrier(1_000, Arc::clone(&c)));
         b.activate(TileId(0));
         b.activate(TileId(1));
         c[0].advance(Cycles(999));
@@ -692,7 +691,7 @@ mod tests {
     #[test]
     fn load_state_keeps_the_target_mirror_in_step() {
         let c = clocks(2);
-        let b = Arc::new(BarrierSync::new(100, Arc::clone(&c)));
+        let b = Arc::new(barrier(100, Arc::clone(&c)));
         assert_eq!(b.target.load(Ordering::Relaxed), 100);
         assert!(b.load_state(&[500, 4]));
         assert_eq!(b.target.load(Ordering::Relaxed), 500);
@@ -714,7 +713,7 @@ mod tests {
     #[test]
     fn barrier_deactivation_releases_waiters() {
         let c = clocks(2);
-        let b = Arc::new(BarrierSync::new(100, Arc::clone(&c)));
+        let b = Arc::new(barrier(100, Arc::clone(&c)));
         b.activate(TileId(0));
         b.activate(TileId(1));
         // Thread 0 reaches the boundary and waits.
@@ -730,10 +729,76 @@ mod tests {
         waiter.join().expect("waiter must be released");
     }
 
+    /// Parks in place, and at each unpark notes whether the barrier's state
+    /// lock was held: the guest scheduler activates a woken context from
+    /// inside an unpark, so a release must not unpark under that lock.
+    struct LockProbe {
+        inline: InlineBlocker,
+        barrier: std::sync::OnceLock<std::sync::Weak<BarrierSync>>,
+        unparks: AtomicU64,
+        under_lock: AtomicU64,
+    }
+
+    impl Blocker for LockProbe {
+        fn park(&self, tile: TileId) {
+            self.inline.park(tile);
+        }
+
+        fn unpark(&self, tile: TileId) {
+            let barrier = self.barrier.get().and_then(std::sync::Weak::upgrade).unwrap();
+            if barrier.state.try_lock().is_none() {
+                self.under_lock.fetch_add(1, Ordering::Relaxed);
+            }
+            self.unparks.fetch_add(1, Ordering::Relaxed);
+            self.inline.unpark(tile);
+        }
+
+        fn sleep(&self, _tile: TileId, _dur: Duration) {}
+    }
+
+    #[test]
+    fn a_release_unparks_with_the_state_lock_free() {
+        let c = clocks(2);
+        let probe = Arc::new(LockProbe {
+            inline: InlineBlocker::new(2),
+            barrier: std::sync::OnceLock::new(),
+            unparks: AtomicU64::new(0),
+            under_lock: AtomicU64::new(0),
+        });
+        let blocker = Arc::clone(&probe) as Arc<dyn Blocker>;
+        let b =
+            Arc::new(BarrierSync::with_blocker(100, Arc::clone(&c), &Obs::detached(2), blocker));
+        probe.barrier.set(Arc::downgrade(&b)).ok().unwrap();
+        b.activate(TileId(0));
+        b.activate(TileId(1));
+        // Tile 0 waits twice: tile 1's arrival at 100 releases the first
+        // wait, and its deactivation the second.
+        let waiting = |b: &BarrierSync| {
+            while b.state.lock().arrived == 0 {
+                std::thread::yield_now();
+            }
+        };
+        c[0].advance(Cycles(250));
+        let b0 = Arc::clone(&b);
+        let waiter = std::thread::spawn(move || b0.on_progress(TileId(0)));
+        waiting(&b);
+        c[1].advance(Cycles(150));
+        b.on_progress(TileId(1));
+        waiting(&b);
+        b.deactivate(TileId(1));
+        waiter.join().unwrap();
+        assert_eq!(probe.unparks.load(Ordering::Relaxed), 2);
+        assert_eq!(
+            probe.under_lock.load(Ordering::Relaxed),
+            0,
+            "a release unparked under its lock"
+        );
+    }
+
     #[test]
     fn p2p_sleeps_when_ahead() {
         let c = clocks(2);
-        let p = P2PSync::new(1_000, 1, Arc::clone(&c), 42);
+        let p = p2p(1_000, 1, Arc::clone(&c), 42);
         p.activate(TileId(0));
         p.activate(TileId(1));
         // Tile 0 races far ahead.
@@ -747,7 +812,7 @@ mod tests {
     #[test]
     fn p2p_within_slack_does_not_sleep() {
         let c = clocks(2);
-        let p = P2PSync::new(100_000, 1, Arc::clone(&c), 42);
+        let p = p2p(100_000, 1, Arc::clone(&c), 42);
         p.activate(TileId(0));
         p.activate(TileId(1));
         c[0].advance(Cycles(50_000));
@@ -759,7 +824,7 @@ mod tests {
     #[test]
     fn p2p_ignores_inactive_partners() {
         let c = clocks(2);
-        let p = P2PSync::new(10, 1, Arc::clone(&c), 7);
+        let p = p2p(10, 1, Arc::clone(&c), 7);
         p.activate(TileId(0));
         // Partner inactive: no check recorded, no sleep.
         c[0].advance(Cycles(1_000_000));
@@ -770,7 +835,7 @@ mod tests {
     #[test]
     fn p2p_check_interval_throttles() {
         let c = clocks(2);
-        let p = P2PSync::new(u64::MAX, 10_000, Arc::clone(&c), 7);
+        let p = p2p(u64::MAX, 10_000, Arc::clone(&c), 7);
         p.activate(TileId(0));
         p.activate(TileId(1));
         for _ in 0..100 {
@@ -786,7 +851,7 @@ mod tests {
     #[test]
     fn p2p_behind_thread_never_sleeps() {
         let c = clocks(2);
-        let p = P2PSync::new(100, 1, Arc::clone(&c), 9);
+        let p = p2p(100, 1, Arc::clone(&c), 9);
         p.activate(TileId(0));
         p.activate(TileId(1));
         c[1].advance(Cycles(1_000_000)); // partner is ahead; we are behind
@@ -798,19 +863,19 @@ mod tests {
     #[test]
     #[should_panic(expected = "positive")]
     fn barrier_zero_quantum_panics() {
-        let _ = BarrierSync::new(0, clocks(1));
+        let _ = barrier(0, clocks(1));
     }
 
     #[test]
     fn barrier_state_roundtrips() {
         let c = clocks(2);
-        let b = BarrierSync::new(100, Arc::clone(&c));
+        let b = barrier(100, Arc::clone(&c));
         b.activate(TileId(0));
         c[0].advance(Cycles(250));
         b.on_progress(TileId(0)); // sole thread: lazily releases up to target 300
         let state = b.save_state();
 
-        let b2 = BarrierSync::new(100, clocks(2));
+        let b2 = barrier(100, clocks(2));
         assert!(b2.load_state(&state), "valid state must load");
         assert_eq!(b2.save_state(), state, "re-save must be identical");
 
@@ -823,7 +888,7 @@ mod tests {
     #[test]
     fn p2p_state_roundtrips() {
         let c = clocks(3);
-        let p = P2PSync::new(1_000, 1, Arc::clone(&c), 42);
+        let p = p2p(1_000, 1, Arc::clone(&c), 42);
         for t in 0..3 {
             p.activate(TileId(t));
         }
@@ -832,7 +897,7 @@ mod tests {
         let state = p.save_state();
         assert_eq!(state.len(), 4);
 
-        let p2 = P2PSync::new(1_000, 1, clocks(3), 7);
+        let p2 = p2p(1_000, 1, clocks(3), 7);
         assert!(p2.load_state(&state), "valid state must load");
         assert_eq!(p2.save_state(), state, "re-save must be identical");
         assert!(!p2.load_state(&state[..2]), "wrong length must be rejected");

@@ -9,7 +9,7 @@ use std::sync::Arc;
 use graphite::{GuestEntry, Sim, SimConfig, SimReport, SyncModel};
 use graphite_base::TileId;
 use graphite_memory::Addr;
-use graphite_workloads::fork_join;
+use graphite_workloads::{fork_join, Ocean, Workload};
 
 const TILES: u32 = 256;
 
@@ -203,4 +203,117 @@ fn worker_pool_selection_and_counters() {
     let wide = run(1, Some(16));
     assert_eq!(wide.sched.parks, 0, "builder .workers(16) must override [scheduler] workers=1");
     assert_eq!(narrow.simulated_cycles, wide.simulated_cycles, "pool width leaked into sim time");
+}
+
+/// How the context `a_woken_context_holds_the_next_quantum_at_one_worker`
+/// wakes its main thread.
+#[derive(Clone, Copy, Debug)]
+enum Wake {
+    /// A child wakes main's futex wait.
+    Futex,
+    /// The child main joins exits, after spawning a grandchild.
+    Exit,
+    /// A child's message ends main's receive.
+    Delivery,
+}
+
+/// One quantum of ALU work per call, 20 quanta.
+fn twenty_quanta(ctx: &mut graphite::Ctx) {
+    for _ in 0..20 {
+        ctx.alu(1_000);
+    }
+}
+
+/// Under LaxBarrier, a context woken from a guest wait counts toward the
+/// quantum from its wake, not from its first resume. On one worker, main
+/// waits; another context wakes it and then computes across 20 quanta on
+/// the only slot. That context must park at the next boundary for main,
+/// which is active and behind, instead of running on alone. Nothing else
+/// in these runs waits at a boundary: main is inactive while the children
+/// start.
+#[test]
+fn a_woken_context_holds_the_next_quantum_at_one_worker() {
+    for wake in [Wake::Futex, Wake::Exit, Wake::Delivery] {
+        let cfg = SimConfig::builder()
+            .tiles(3)
+            .processes(1)
+            .sync(SyncModel::LaxBarrier { quantum: 1_000 })
+            .build()
+            .unwrap();
+        let r = Sim::builder(cfg).workers(1).build().unwrap().run(move |ctx| match wake {
+            Wake::Futex => {
+                let word = ctx.malloc(8).unwrap();
+                ctx.store(word, 0u32);
+                let waker: GuestEntry = Arc::new(move |ctx, _| {
+                    assert_eq!(ctx.futex_wake(word, 1), 1, "main waits on the word");
+                    twenty_quanta(ctx);
+                });
+                let child = ctx.spawn(waker, 0).unwrap();
+                ctx.futex_wait(word, 0);
+                child.join(ctx).unwrap();
+            }
+            Wake::Delivery => {
+                let sender: GuestEntry = Arc::new(|ctx, _| {
+                    ctx.send_msg(TileId(0), b"wake").unwrap();
+                    twenty_quanta(ctx);
+                });
+                let child = ctx.spawn(sender, 0).unwrap();
+                assert_eq!(ctx.recv_msg().unwrap(), (TileId(1), b"wake".to_vec()));
+                child.join(ctx).unwrap();
+            }
+            Wake::Exit => {
+                // The grandchild is queued before the exit wakes main, so it
+                // runs first and meets the boundary with main behind.
+                let grandchild = Arc::new(std::sync::Mutex::new(None));
+                let parent: GuestEntry = {
+                    let grandchild = Arc::clone(&grandchild);
+                    Arc::new(move |ctx, _| {
+                        let compute: GuestEntry = Arc::new(|ctx, _| twenty_quanta(ctx));
+                        *grandchild.lock().unwrap() = Some(ctx.spawn(compute, 0).unwrap());
+                    })
+                };
+                ctx.spawn(parent, 0).unwrap().join(ctx).unwrap();
+                let grandchild = grandchild.lock().unwrap().take().expect("the child spawned");
+                grandchild.join(ctx).unwrap();
+            }
+        });
+        assert!(
+            r.sync.barrier_waits > 0,
+            "{wake:?}: the context that woke main ran through the quantum alone"
+        );
+    }
+}
+
+/// The `ocean_barrier` shape at a small input under LaxBarrier(1000): the
+/// quantum rendezvous holds at every pool width. At 1 and 2 workers the
+/// tiles wait at boundaries at least half as often as at full width, and
+/// the simulated time stays within 10 % of it.
+#[test]
+fn laxbarrier_ocean_holds_below_full_width() {
+    const TILES: u32 = 64;
+    let run = |workers: u32| {
+        let cfg = SimConfig::builder()
+            .tiles(TILES)
+            .processes(1)
+            .sync(SyncModel::LaxBarrier { quantum: 1_000 })
+            .build()
+            .unwrap();
+        let ocean = Ocean { n: 66, iters: 2, contiguous: true, seed: 42 };
+        Sim::builder(cfg).workers(workers).build().unwrap().run(|ctx| ocean.run(ctx, TILES))
+    };
+    let wide = run(TILES);
+    for workers in [1, 2] {
+        let r = run(workers);
+        assert!(
+            r.sync.barrier_waits * 2 >= wide.sync.barrier_waits,
+            "{workers} worker(s): {} quantum waits against {} at full width",
+            r.sync.barrier_waits,
+            wide.sync.barrier_waits
+        );
+        let (cycles, full) = (r.simulated_cycles.0 as f64, wide.simulated_cycles.0 as f64);
+        assert!(
+            (cycles - full).abs() <= 0.1 * full,
+            "{workers} worker(s): {cycles} simulated cycles against {full} at full width"
+        );
+    }
 }
