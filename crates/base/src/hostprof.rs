@@ -78,21 +78,24 @@ pub enum HostStage {
     SchedSwitch,
     /// An execution slot held by no context (recorded per free interval).
     SchedIdle,
-    /// One whole `miss_transaction` (evictions + directory transaction).
+    /// One whole miss after its probe: evictions, claim, directory
+    /// transaction and fill.
     MissTotal,
     /// Acquiring a tile's `TileMem` mutex.
     TileLockWait,
-    /// Re-probing the local hierarchy after losing a miss race.
+    /// The locked probe of the tile's own hierarchy: a hit, or on a miss
+    /// the pick of the line the fill would evict.
     LocalProbe,
-    /// Claiming a line in the directory's line table, waiting out its
-    /// holder if it has one, and releasing the claim after the transaction.
+    /// A line-table claim (a miss's or an eviction's), waiting out the
+    /// line's holder if it has one, and the claim's release.
     MshrProbe,
     /// Acquiring a line-table shard's map lock (a claim or a release).
     DirLockWait,
     /// A claim's map work: shard selection, get-or-insert of the line's
     /// record and slot, and taking the slot if it is free.
     DirLookup,
-    /// Making room in the coherence cache: LRU victim scans + evictions.
+    /// Making room in the coherence cache: the evictions of the victim the
+    /// probe picked and of any victim each eviction's purge picks next.
     LruScan,
     /// The DRAM controller queue model.
     DramModel,
@@ -102,9 +105,8 @@ pub enum HostStage {
     MissFill,
     /// One directory transaction for a registered miss.
     DirTxn,
-    /// Registering a miss between eviction and its directory transaction:
-    /// the line claim (which resolves the directory record), and the
-    /// re-checks that the line is still absent and its set still has room.
+    /// Registering a miss between its evictions and its directory
+    /// transaction: the line claim, which resolves the directory record.
     MissRegister,
 }
 

@@ -1,7 +1,7 @@
 //! Restore equivalence on the miss path.
 //!
 //! A miss-heavy walk (capacity misses, evictions, dirty writebacks through
-//! the MSHR table, the sharded directory and the read probe) is checkpointed
+//! the line table, the directory arena and the read probe) is checkpointed
 //! mid-run and resumed: simulated cycles, guest output, and every modeled
 //! counter must equal the uninterrupted run, under every synchronization
 //! model. (The `_across_knobs` test names predate the removal of the

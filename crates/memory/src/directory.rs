@@ -32,9 +32,12 @@
 //! line's holder. So the map that finds a line's record also lets at most
 //! one transaction per line run at a time, as an MSHR would. A claim is one
 //! critical section under the shard lock (get-or-insert the slot, take it
-//! if free) and a release is a second. A thread that finds the line held
-//! sets the slot's waiter bit under the lock and sleeps on the shard's
-//! `Condvar`; a release notifies only when that bit is set.
+//! if free) and a release is a second. A claim that finds the line held
+//! sets the slot's waiter bit under the lock, sleeps on the shard's
+//! `Condvar` and, woken with the line free, takes it before it lets go of
+//! the lock; a release notifies only when that bit is set. Each tile runs
+//! one context, so the holder a tile's claim waits out is always another
+//! tile or a service claim.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering::Relaxed};
@@ -346,16 +349,6 @@ struct Shard {
     released: Condvar,
 }
 
-/// Why a miss's claim waited instead of taking the line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum LineWait {
-    /// Another thread of the *same* tile held the line: a coalesced
-    /// secondary miss, which the retry usually turns into a local hit.
-    SameTile,
-    /// A different tile's transaction held the line.
-    CrossTile,
-}
-
 /// Every line's directory record, and which lines have a transaction in
 /// flight (see the module docs). Lines are never removed while the
 /// simulation runs; [`LineTable::reset`] drops them all at once.
@@ -386,66 +379,63 @@ impl LineTable {
     }
 
     /// Claims `line` for a miss of `tile`, creating its record on first
-    /// touch. `Err(kind)` means another thread held the line: the call
-    /// **blocked until the line was free** and claimed nothing, and the
-    /// caller re-probes its own cache and, on a miss, retries.
-    pub(crate) fn claim(&self, line: u64, tile: TileId) -> Result<Claim<'_>, LineWait> {
+    /// touch and first waiting out another tile's transaction on the line;
+    /// the flag says whether the claim waited.
+    pub(crate) fn claim(&self, line: u64, tile: TileId) -> (Claim<'_>, bool) {
         debug_assert!(tile.0 + 1 < SERVICE, "tile id collides with the service holder");
-        self.attempt(line, tile.0 + 1, true).map(|c| c.expect("claims insert"))
+        self.acquire(line, tile.0 + 1, true).expect("claims insert")
     }
 
     /// Claims `line` for an eviction or a functional poke, waiting out any
     /// holder; creates the record on first touch.
     pub(crate) fn claim_service(&self, line: u64) -> Claim<'_> {
-        loop {
-            if let Ok(Some(claim)) = self.attempt(line, SERVICE, true) {
-                return claim;
-            }
-        }
+        self.acquire(line, SERVICE, true).expect("claims insert").0
     }
 
     /// Like [`LineTable::claim_service`], but a line without a record stays
     /// without one and yields `None`: peeking untouched memory must not
     /// grow the directory (it would change checkpoint bytes).
     pub(crate) fn claim_existing(&self, line: u64) -> Option<Claim<'_>> {
-        loop {
-            if let Ok(claim) = self.attempt(line, SERVICE, false) {
-                return claim;
-            }
-        }
+        self.acquire(line, SERVICE, false).map(|(claim, _)| claim)
     }
 
-    /// One claim attempt for `holder`: `Ok(None)` only when `insert` is
-    /// false and the line has no record.
-    fn attempt(&self, line: u64, holder: u32, insert: bool) -> Result<Option<Claim<'_>>, LineWait> {
+    /// Claims `line` for `holder`, waiting out the line's holder if it has
+    /// one; `None` only when `insert` is false and the line has no record.
+    /// The flag says whether the claim waited.
+    fn acquire(&self, line: u64, holder: u32, insert: bool) -> Option<(Claim<'_>, bool)> {
         let shard = self.shard(line);
         let lookup = self.hostprof.span(HostStage::DirLookup);
         let mut map = self.lock(shard);
         let slot = if insert {
             map.entry(line).or_insert_with(|| Slot { handle: self.dir.alloc(), holder: FREE })
         } else {
-            match map.get_mut(&line) {
-                Some(slot) => slot,
-                None => return Ok(None),
-            }
+            map.get_mut(&line)?
         };
-        let held = slot.holder & !WAITERS;
+        let (handle, held) = (slot.handle, slot.holder & !WAITERS);
+        debug_assert!(
+            held != holder || holder == SERVICE,
+            "tile {} claims line {line}, which it already holds: one context per tile",
+            holder - 1
+        );
+        let claim =
+            |waited| Some((Claim { table: self, line, record: self.dir.record(handle) }, waited));
         if held == FREE {
             slot.holder = holder;
-            return Ok(Some(Claim { table: self, line, record: self.dir.record(slot.handle) }));
+            return claim(false);
         }
         drop(lookup);
-        let kind = if held == holder { LineWait::SameTile } else { LineWait::CrossTile };
         // The waiter bit goes in under the shard lock that `wait` releases
         // atomically, so a release cannot slip between the two and skip the
         // notification. Notifications for other lines of the shard, and
-        // re-claims that beat this thread to the lock, just wait again.
+        // claims that beat this thread to the lock, just wait again.
         loop {
-            map.get_mut(&line).expect("held lines stay in the table").holder |= WAITERS;
-            shard.released.wait(&mut map);
-            if map[&line].holder == FREE {
-                return Err(kind);
+            let slot = map.get_mut(&line).expect("held lines stay in the table");
+            if slot.holder == FREE {
+                slot.holder = holder;
+                return claim(true);
             }
+            slot.holder |= WAITERS;
+            shard.released.wait(&mut map);
         }
     }
 
@@ -539,11 +529,12 @@ mod tests {
     #[test]
     fn acquire_release_reacquire() {
         let t = table();
-        let g = t.claim(42, TileId(0)).unwrap();
+        let (g, waited) = t.claim(42, TileId(0));
+        assert!(!waited);
         assert_eq!(t.in_flight(), 1);
         drop(g);
         assert_eq!(t.in_flight(), 0);
-        let _g2 = t.claim(42, TileId(1)).unwrap();
+        let _g2 = t.claim(42, TileId(1));
         assert_eq!(t.in_flight(), 1);
         assert_eq!(t.lines(), 1, "the second claim found the first one's record");
     }
@@ -551,38 +542,55 @@ mod tests {
     #[test]
     fn different_lines_do_not_conflict() {
         let t = table();
-        let _a = t.claim(1, TileId(0)).unwrap();
-        let _b = t.claim(2, TileId(0)).unwrap();
+        let _a = t.claim(1, TileId(0));
+        let _b = t.claim(2, TileId(0));
         assert_eq!(t.in_flight(), 2);
     }
 
     #[test]
-    fn waiter_blocks_until_release_and_sees_kind() {
+    fn a_cross_tile_waiter_blocks_until_release_then_claims() {
         let t = Arc::new(table());
         let released = Arc::new(AtomicBool::new(false));
-        let g = t.claim(7, TileId(2)).unwrap();
-        let waiter = |tile: u32, kind: LineWait| {
+        let (g, _) = t.claim(7, TileId(2));
+        let waiter = {
             let (t, released) = (Arc::clone(&t), Arc::clone(&released));
             std::thread::spawn(move || {
-                let r = t.claim(7, TileId(tile)).map(|_| ());
+                let (claim, waited) = t.claim(7, TileId(3));
                 assert!(released.load(Ordering::SeqCst), "waiter returned before release");
-                assert_eq!(r, Err(kind));
+                assert!(waited);
+                assert_eq!(t.in_flight(), 1, "the waiter holds the line");
+                drop(claim);
             })
         };
-        let same = waiter(2, LineWait::SameTile);
-        let cross = waiter(3, LineWait::CrossTile);
         std::thread::sleep(Duration::from_millis(50));
         released.store(true, Ordering::SeqCst);
         drop(g);
-        same.join().unwrap();
-        cross.join().unwrap();
+        waiter.join().unwrap();
         assert_eq!(t.in_flight(), 0);
+    }
+
+    /// Each tile runs one context, so a tile never waits for itself: a
+    /// claim of a line the tile already holds is a broken contract, not a
+    /// wait.
+    #[test]
+    #[cfg(debug_assertions)]
+    fn claiming_a_line_the_tile_holds_panics() {
+        let t = Arc::new(table());
+        let (_held, _) = t.claim(9, TileId(1));
+        let second = {
+            let t = Arc::clone(&t);
+            std::thread::spawn(move || drop(t.claim(9, TileId(1))))
+        };
+        let msg =
+            *second.join().expect_err("the second claim panics").downcast::<String>().unwrap();
+        assert!(msg.contains("which it already holds"), "{msg}");
+        assert_eq!(t.in_flight(), 1, "the holder keeps the line");
     }
 
     #[test]
     fn service_acquire_waits_out_misses() {
         let t = Arc::new(table());
-        let g = t.claim(5, TileId(0)).unwrap();
+        let (g, _) = t.claim(5, TileId(0));
         let released = Arc::new(AtomicBool::new(false));
         let h = {
             let (t, released) = (Arc::clone(&t), Arc::clone(&released));
@@ -603,21 +611,19 @@ mod tests {
     #[test]
     fn hammering_one_line_always_converges() {
         let t = Arc::new(table());
+        let inside = Arc::new(AtomicU32::new(0));
         let mut handles = Vec::new();
         for tid in 0..8u32 {
-            let t = Arc::clone(&t);
+            let (t, inside) = (Arc::clone(&t), Arc::clone(&inside));
             handles.push(std::thread::spawn(move || {
-                let mut wins = 0u32;
                 for _ in 0..200 {
-                    // A failed claim stands in for re-probe-and-retry.
-                    while t.claim(99, TileId(tid)).is_err() {}
-                    wins += 1;
+                    let _claim = t.claim(99, TileId(tid));
+                    assert_eq!(inside.fetch_add(1, Ordering::SeqCst), 0, "two holders");
+                    inside.fetch_sub(1, Ordering::SeqCst);
                 }
-                wins
             }));
         }
-        let total: u32 = handles.into_iter().map(|h| h.join().unwrap()).sum();
-        assert_eq!(total, 8 * 200);
+        handles.into_iter().for_each(|h| h.join().unwrap());
         assert_eq!(t.in_flight(), 0);
     }
 }

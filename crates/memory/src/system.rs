@@ -16,12 +16,11 @@
 //! * **A line's slot in the directory's line table is the top-level
 //!   per-line resource.** A transaction finds (or creates) its line's
 //!   record and claims the line in one shard-lock critical section, works
-//!   on the record lock-free, and releases the line in a second. Losers
-//!   wait *without claiming*, then re-probe their own cache and retry — a
-//!   secondary miss from the same tile usually resolves as a local hit
-//!   (coalescing). A thread holds at most one line at a time: evictions
-//!   complete (as their own claimed transactions) before the fill claims
-//!   its line, and waiters sleep holding nothing, so no cycle can form.
+//!   on the record lock-free, and releases the line in a second. A claim
+//!   that finds the line held waits for the release and then takes the line
+//!   itself. A thread holds at most one line at a time: evictions complete
+//!   (as their own claimed transactions) before the fill claims its line,
+//!   and waiters sleep holding nothing, so no cycle can form.
 //! * **Tile cache locks are leaves**, taken one at a time, never while a
 //!   shard lock is held. Read hits can skip the tile lock entirely via a
 //!   seqlock-validated probe ([`Cache::probe_read`]): writers bump the
@@ -30,14 +29,19 @@
 //!   racing probe reads stale-but-allocated bytes that validation then
 //!   rejects.
 //!
-//! A tile's cache only ever gains lines through its own thread(s); remote
-//! transactions can only remove or downgrade lines. Concurrent threads *of
-//! the same tile* are supported for races on the same line (the line claim
-//! coalesces them); like the lock-step design this replaces, simultaneous
-//! same-tile fills of distinct lines in one cache set remain outside the
-//! model's contract.
+//! **The contract: one context per tile.** At most one thread accesses
+//! memory on behalf of a tile at a time (the MCP maps at most one guest
+//! thread to a tile), so a tile never has two transactions in flight. A
+//! tile's cache only ever gains lines through its own context; other tiles'
+//! transactions can only remove or downgrade them. So once a miss has
+//! probed its cache, nothing can fill the line or the room its evictions
+//! made until its own fill does: a miss is five steps — probe (which also
+//! picks the first victim), evict, claim, directory transaction, fill —
+//! with no re-check between them. Debug builds catch a tile that claims a
+//! line it already holds.
 
 use std::ops::Range;
+use std::sync::atomic::{AtomicPtr, Ordering::Relaxed};
 use std::sync::Arc;
 
 use graphite_base::{CachePadded, Cycles, HostProf, HostStage, SeqCount, SimError, SimRng, TileId};
@@ -51,7 +55,7 @@ use parking_lot::{Mutex, MutexGuard};
 
 use crate::addr::Addr;
 use crate::cache::{Cache, Line, LineState};
-use crate::directory::{Claim, DirState, LineTable, LineWait, Record};
+use crate::directory::{Claim, DirState, LineTable, Record};
 use crate::dram::DramController;
 use crate::missclass::{MissClassifier, MissKind};
 
@@ -203,10 +207,6 @@ pub struct MemStats {
     /// Writes satisfied by a silent Exclusive→Modified upgrade (MESI only):
     /// no directory transaction needed.
     pub silent_upgrades: ShardedMetric,
-    /// Secondary misses coalesced onto the same tile's in-flight claim of
-    /// their line (the waiter re-probed and hit instead of re-running the
-    /// transaction).
-    pub mshr_coalesced: ShardedMetric,
     /// Misses that waited for a *different* tile's in-flight transaction on
     /// the same line before proceeding.
     pub mshr_conflict_waits: ShardedMetric,
@@ -243,7 +243,6 @@ impl MemStats {
             max_latency: metrics.sharded_max("mem.max_latency"),
             exclusive_grants: metrics.sharded_counter("mem.exclusive_grants"),
             silent_upgrades: metrics.sharded_counter("mem.silent_upgrades"),
-            mshr_coalesced: metrics.sharded_counter("mem.mshr.coalesced"),
             mshr_conflict_waits: metrics.sharded_counter("mem.mshr.conflict_waits"),
             probe_hits: metrics.sharded_counter("mem.probe_hits"),
         }
@@ -317,21 +316,17 @@ fn apply_rmw(data: &mut [u8], off: usize, old: &mut [u8], f: &mut dyn FnMut(&mut
     f(window);
 }
 
-/// Raw pointer to a tile's front data cache for the lock-free read probe,
-/// with the latency/attribution a locked hit would have produced.
+/// A tile's front data cache for the lock-free read probe, with the
+/// latency/attribution a locked hit would have produced.
 struct ProbeTarget {
-    cache: *const Cache,
+    /// Set once at construction and never changed; only
+    /// [`Cache::probe_read`] dereferences it.
+    cache: AtomicPtr<Cache>,
     lat: Cycles,
     /// Whether a probe hit counts as an L1D hit (L1 filter present) or a
     /// coherence-level hit (single-level hierarchy).
     is_l1: bool,
 }
-
-// Safety: the pointer targets a `Cache` inside `MemorySystem::tiles`, whose
-// heap allocation lives exactly as long as the `MemorySystem`; all racy
-// access goes through `Cache::probe_read`'s seqlock protocol.
-unsafe impl Send for ProbeTarget {}
-unsafe impl Sync for ProbeTarget {}
 
 /// Per-requesting-tile counters consumed by the host performance model: one
 /// lane per tile in each `mem.tile.*` family.
@@ -393,7 +388,7 @@ pub struct MemorySystem {
     /// blocks of its own: the lock word is written on every locked access.
     tiles: Vec<CachePadded<Mutex<TileMem>>>,
     /// Every line's directory record, and which lines have a transaction in
-    /// flight (per-line exclusivity + coalescing).
+    /// flight (per-line exclusivity).
     dir: LineTable,
     /// `mem.dir.lines`; see [`MemorySystem::publish_dir_lines`].
     dir_lines: Gauge,
@@ -474,7 +469,8 @@ impl MemorySystem {
                     (Some(l1d), Some(_)) => (l1d, true),
                     _ => (tm.coh(), false),
                 };
-                ProbeTarget { cache: c, lat: c.access_latency(), is_l1 }
+                let cache = AtomicPtr::new(c as *const Cache as *mut Cache);
+                ProbeTarget { cache, lat: c.access_latency(), is_l1 }
             })
             .collect();
         // A miss pays the coherence level's lookup, behind the L1 filter's.
@@ -742,8 +738,14 @@ impl MemorySystem {
         // locked read-hit path; `false` only ever means "take the slow path".
         let pt = &self.probes[lane];
         let probe_hit = match &mut op {
+            // SAFETY: `pt.cache` points at a `Cache` inside
+            // `MemorySystem::tiles`, whose heap buffer is allocated once and
+            // lives exactly as long as this `MemorySystem`; every mutation of
+            // that cache happens under its tile lock inside a write section
+            // of `tile_seq[lane]`, and `off + buf.len()` stays within the
+            // line (`access_line` gets one line segment).
             LineOp::Read(buf) => unsafe {
-                Cache::probe_read(pt.cache, &self.tile_seq[lane], line, off, buf)
+                Cache::probe_read(pt.cache.load(Relaxed), &self.tile_seq[lane], line, off, buf)
             },
             _ => false,
         };
@@ -754,11 +756,11 @@ impl MemorySystem {
             } else {
                 self.stats.l2_hits.incr_owned(lane);
             }
-            Some(pt.lat)
+            Ok(pt.lat)
         } else {
             // Fast path: local hit with sufficient permission.
             let _hp = self.hostprof.span(HostStage::LocalProbe);
-            self.try_local_hit(tile, line, off, &mut op)
+            self.probe(tile, line, off, &mut op)
         };
         // Hits and misses record the same metric set (latency sum, per-tile
         // latency, max, histogram), so per-tile means cover every access,
@@ -766,7 +768,7 @@ impl MemorySystem {
         // tracer-lane acquisition; misses keep separate endpoint events so
         // directory legs traced during the transaction land between them.
         let cost = match probed {
-            Some(lat) => {
+            Ok(lat) => {
                 if tracing {
                     self.tracer.emit_pair(tile, now, || {
                         (
@@ -782,23 +784,23 @@ impl MemorySystem {
                 }
                 MemCost::hit(lat)
             }
-            None => {
+            Err(victim) => {
                 if tracing {
                     self.tracer.emit(tile, now, || TraceEventKind::MemOpStart {
                         op: op_name,
                         addr: addr.0,
                     });
                 }
-                let (lat, net) = self.miss_transaction(tile, now, line, off, &mut op);
+                let cost = self.miss_transaction(tile, now, line, off, &mut op, victim);
                 if tracing {
                     self.tracer.emit(tile, now, || TraceEventKind::MemOpDone {
                         op: op_name,
                         addr: addr.0,
-                        latency: lat.0,
+                        latency: cost.latency.0,
                         hit: false,
                     });
                 }
-                MemCost::miss(lat, net)
+                cost
             }
         };
         if is_write && self.classifier.enabled() {
@@ -812,6 +814,22 @@ impl MemorySystem {
         cost
     }
 
+    /// The locked probe: a local hit's latency, or on a miss the line the
+    /// fill would evict (`None` when the set has room or the line is
+    /// resident without write permission), picked in the same critical
+    /// section.
+    fn probe(
+        &self,
+        tile: TileId,
+        line: u64,
+        off: usize,
+        op: &mut LineOp,
+    ) -> Result<Cycles, Option<u64>> {
+        let mut tm = self.lock_tile(tile);
+        self.try_local_hit(&mut tm, tile.index(), line, off, op)
+            .ok_or_else(|| tm.coh().victim_for(line))
+    }
+
     /// Attempts to satisfy the access from the tile's own hierarchy.
     ///
     /// This is the straight-line section the tile mutex protects on the hot
@@ -821,16 +839,15 @@ impl MemorySystem {
     /// and no heap allocation.
     fn try_local_hit(
         &self,
-        tile: TileId,
+        tm: &mut TileMem,
+        lane: usize,
         line: u64,
         off: usize,
         op: &mut LineOp,
     ) -> Option<Cycles> {
-        let lane = tile.index();
         let is_write = op.is_write();
         let seq = &self.tile_seq[lane];
-        let mut guard = self.lock_tile(tile);
-        let TileMem { l1d, l2, .. } = &mut *guard;
+        let TileMem { l1d, l2, .. } = tm;
         if let (Some(l1d), Some(l2)) = (l1d.as_mut(), l2.as_mut()) {
             let l1_lat = l1d.access_latency();
             if let Some(mut l1_line) = l1d.lookup(line) {
@@ -918,10 +935,11 @@ impl MemorySystem {
         }
     }
 
-    /// The slow path: evictions, then one directory transaction. Returns the
-    /// total latency and the share spent on interconnect legs of the
-    /// requester's critical path (request out, response back) — the memory
-    /// system's input to CPI attribution.
+    /// The slow path after the probe: evict `victim` (and any victim after
+    /// it), claim the line, run its directory transaction and fill. Returns
+    /// the total latency and the share spent on interconnect legs of the
+    /// requester's critical path (request out, response back), for CPI
+    /// attribution.
     fn miss_transaction(
         &self,
         tile: TileId,
@@ -929,108 +947,52 @@ impl MemorySystem {
         line: u64,
         off: usize,
         op: &mut LineOp,
-    ) -> (Cycles, Cycles) {
+        mut victim: Option<u64>,
+    ) -> MemCost {
         let _miss = self.hostprof.span(HostStage::MissTotal);
-        let lane = tile.index();
-        let mut first_attempt = true;
-        loop {
-            if !first_attempt {
-                // We waited out someone else's transaction on this line (or
-                // lost a race and released); their fill usually turned our
-                // miss into a local hit.
-                let retry_hit = {
-                    let _hp = self.hostprof.span(HostStage::LocalProbe);
-                    self.try_local_hit(tile, line, off, op)
-                };
-                if let Some(lat) = retry_hit {
-                    return (lat, Cycles::ZERO);
-                }
+        // Each eviction is its own claimed transaction, run *before* this
+        // line's claim: holding two lines at once could deadlock (tile A
+        // fills X evicting Y while tile B fills Y evicting X).
+        {
+            let _hp = self.hostprof.span(HostStage::LruScan);
+            while let Some(vline) = victim {
+                victim = self.evict_line(tile, now, vline, line);
             }
-            first_attempt = false;
-            // Phase 1: make room in the coherence cache. Each eviction is
-            // its own claimed transaction, run *before* this line's claim —
-            // holding two lines at once could deadlock (tile A fills X
-            // evicting Y while tile B fills Y evicting X).
-            {
-                let _hp = self.hostprof.span(HostStage::LruScan);
-                loop {
-                    let victim = {
-                        let tm = self.lock_tile(tile);
-                        tm.coh().victim_for(line)
-                    };
-                    match victim {
-                        None => break,
-                        Some(vline) => self.evict_line(tile, now, vline),
-                    }
-                }
-            }
-            // Phase 2: claim the line. A secondary miss on a line already
-            // in flight blocks here (without claiming) and retries; the
-            // retry's local probe coalesces it onto the finished fill.
-            let registered = 'register: {
-                let _hp = self.hostprof.span(HostStage::MissRegister);
-                let acquired = {
-                    let _hp = self.hostprof.span(HostStage::MshrProbe);
-                    self.dir.claim(line, tile)
-                };
-                let claim = match acquired {
-                    Ok(c) => c,
-                    Err(LineWait::SameTile) => {
-                        self.stats.mshr_coalesced.incr_owned(lane);
-                        break 'register None;
-                    }
-                    Err(LineWait::CrossTile) => {
-                        self.stats.mshr_conflict_waits.incr_owned(lane);
-                        break 'register None;
-                    }
-                };
-                // We hold the line, so no other transaction touches this
-                // record until the claim drops.
-                let entry = claim.record;
-                // A same-tile sibling may have filled the line between our
-                // probe and the claim; while we hold the line the directory
-                // is stable ground truth, so release and retry — the
-                // re-probe hits.
-                let already_ours = match entry.state() {
-                    DirState::Owned(o) => o == tile,
-                    DirState::Shared => !op.is_write() && entry.sharers().contains(tile),
-                    DirState::Uncached => false,
-                };
-                // A sibling fill may also have consumed the way Phase 1
-                // freed. Checking for room is part of the fill's host cost.
-                let has_room = !already_ours && {
-                    let _hp = self.hostprof.span(HostStage::MissFill);
-                    let tm = self.lock_tile(tile);
-                    tm.coh().victim_for(line).is_none()
-                };
-                has_room.then_some(claim)
-            };
-            let Some(claim) = registered else { continue };
-            let result = {
-                let _hp = self.hostprof.span(HostStage::DirTxn);
-                self.run_directory_transaction(tile, now, line, off, op, claim.record)
-            };
-            self.release(claim);
-            return result;
         }
+        let claim = {
+            let _hp = self.hostprof.span(HostStage::MissRegister);
+            let (claim, waited) = {
+                let _hp = self.hostprof.span(HostStage::MshrProbe);
+                self.dir.claim(line, tile)
+            };
+            if waited {
+                self.stats.mshr_conflict_waits.incr_owned(tile.index());
+            }
+            claim
+        };
+        let (cost, grant) = {
+            let _hp = self.hostprof.span(HostStage::DirTxn);
+            self.run_directory_transaction(tile, now, line, op.is_write(), claim.record)
+        };
+        self.fill(tile, line, off, op, claim.record, grant);
+        self.release(claim);
+        cost
     }
 
-    /// Runs one directory transaction for a registered miss. The caller
-    /// holds the line (granting exclusive use of `entry`) and
-    /// has guaranteed room in the requester's coherence cache. The fill
-    /// copies the home copy in `entry` straight into the chosen way; a
-    /// dirty owner writes its bytes back into `entry` first.
+    /// Runs one directory transaction for a registered miss; the caller
+    /// holds the line, granting exclusive use of `entry`. A dirty owner
+    /// writes its bytes back into `entry`. Returns the miss's cost and the
+    /// state the requester fills the line in, or `None` for an upgrade of a
+    /// resident Shared copy.
     fn run_directory_transaction(
         &self,
         tile: TileId,
         now: Cycles,
         line: u64,
-        off: usize,
-        op: &mut LineOp,
+        is_write: bool,
         entry: Record<'_>,
-    ) -> (Cycles, Cycles) {
+    ) -> (MemCost, Option<LineState>) {
         let home = self.home_of(line);
-        let is_write = op.is_write();
         self.per_tile.transactions.incr_owned(tile.index());
         if self.proc_of_tile[tile.index()] != self.proc_of_tile[home.index()] {
             self.per_tile.remote_home_transactions.incr_owned(tile.index());
@@ -1073,9 +1035,8 @@ impl MemorySystem {
         // would convert clock skew into phantom queueing delay.
         let est_now = self.network.progress().estimate();
         let mut data_ready = t_home;
-        let mut fill_state = if is_write { LineState::Modified } else { LineState::Shared };
+        let mut grant = Some(if is_write { LineState::Modified } else { LineState::Shared });
         let mut resp_bytes = self.line_size + DATA_HDR_BYTES;
-        let mut counted_upgrade = false;
 
         let sharers = entry.sharers();
         match (entry.state(), is_write) {
@@ -1089,7 +1050,7 @@ impl MemorySystem {
                     // MESI: the sole reader takes the line Exclusive and may
                     // later write it without another directory transaction.
                     self.stats.exclusive_grants.incr_owned(tile.index());
-                    fill_state = LineState::Exclusive;
+                    grant = Some(LineState::Exclusive);
                     DirState::Owned(tile)
                 } else {
                     sharers.insert(tile);
@@ -1133,7 +1094,7 @@ impl MemorySystem {
                     // Upgrade: data already resident, permission-only reply.
                     self.stats.upgrades.incr_owned(tile.index());
                     self.trace_leg(tile, t_home, "upgrade", line);
-                    counted_upgrade = true;
+                    grant = None;
                     resp_bytes = CTRL_MSG_BYTES;
                     data_ready = t_inv_done;
                 } else {
@@ -1143,7 +1104,7 @@ impl MemorySystem {
                 }
             }
             (DirState::Owned(owner), _) => {
-                debug_assert_ne!(owner, tile, "caller filters same-tile ownership");
+                debug_assert_ne!(owner, tile, "an owner's own probe hits");
                 // Forward to owner; owner supplies data (if dirty) and is
                 // downgraded (read) or invalidated (write). A dirty owner's
                 // bytes go straight into the home copy at owner-lock time; a
@@ -1198,7 +1159,6 @@ impl MemorySystem {
                     entry.set_state(DirState::Shared);
                     sharers.insert(owner);
                     sharers.insert(tile);
-                    fill_state = LineState::Shared;
                 }
             }
         }
@@ -1216,59 +1176,67 @@ impl MemorySystem {
             });
         }
 
-        // Response travels home -> tile; fill and apply the operation.
+        // Response travels home -> tile.
         let t_resp = self.route_derived_flow(home, tile, resp_bytes, data_ready, flow);
-        {
-            let _fill = self.hostprof.span(HostStage::MissFill);
-            let mut tm = self.lock_tile(tile);
-            let seq = &self.tile_seq[tile.index()];
-            let (coh, l1d) = tm.levels();
-            if counted_upgrade {
-                // Permission upgrade: the data is already resident; set
-                // Modified and apply the write at every level. The line
-                // cannot have been invalidated since the directory decided,
-                // because we hold the line from the decision to here.
-                let mut resident =
-                    coh.peek_mut(line).expect("upgraded line vanished while claimed");
-                let mut l1_line = l1d.and_then(|c| c.peek_mut(line));
-                seq.begin_write();
-                Self::write_through(&mut resident, l1_line.as_mut(), off, op);
-                seq.end_write();
-            } else {
-                self.stats.misses.incr_owned(tile.index());
-                if let Some(kind) =
-                    self.classifier.classify_fill(tile, line, off as u64, op.len() as u64)
-                {
-                    self.stats.record_kind(tile.index(), kind);
-                }
-                // Fill in place: the home copy goes straight into the way
-                // the cache chose, the operation applies there, and the L1
-                // filter (if any) copies the result.
-                seq.begin_write();
-                let (filled, evicted) = coh.place(line, fill_state);
-                assert!(evicted.is_none(), "miss fill found no room (unsupported same-tile race)");
-                entry.read_bytes(0, filled.data);
-                match op {
-                    LineOp::Write(bytes) => {
-                        filled.data[off..off + bytes.len()].copy_from_slice(bytes);
-                    }
-                    LineOp::Rmw { old, f } => apply_rmw(filled.data, off, old, *f),
-                    LineOp::Read(buf) => buf.copy_from_slice(&filled.data[off..off + buf.len()]),
-                }
-                if let Some(l1) = l1d.filter(|l1| l1.peek(line).is_none()) {
-                    // L1 victim needs no writeback (write-through).
-                    l1.insert(line, fill_state, filled.data);
-                }
-                seq.end_write();
-            }
-        }
         let latency = t_resp.saturating_sub(now).max(lookup_lat);
         let network = t_req.saturating_sub(t0) + t_resp.saturating_sub(data_ready);
         if flow != 0 {
             self.tracer
                 .emit(tile, t_resp, || TraceEventKind::FlowReply { flow, latency: latency.0 });
         }
-        (latency, network)
+        (MemCost::miss(latency, network), grant)
+    }
+
+    /// Applies a granted miss to the requester's hierarchy while it still
+    /// holds the line: `grant` is the state to fill the line in from the
+    /// home copy in `entry` (whose way the probe and the evictions freed),
+    /// or `None` to upgrade the resident copy in place.
+    fn fill(
+        &self,
+        tile: TileId,
+        line: u64,
+        off: usize,
+        op: &mut LineOp,
+        entry: Record<'_>,
+        grant: Option<LineState>,
+    ) {
+        let _fill = self.hostprof.span(HostStage::MissFill);
+        let mut tm = self.lock_tile(tile);
+        let seq = &self.tile_seq[tile.index()];
+        let (coh, l1d) = tm.levels();
+        let Some(fill_state) = grant else {
+            // Permission upgrade: set Modified and apply the write at every
+            // level. The line cannot have been invalidated since the
+            // directory decided, because we hold it from the decision to
+            // here.
+            let mut resident = coh.peek_mut(line).expect("upgraded line vanished while claimed");
+            let mut l1_line = l1d.and_then(|c| c.peek_mut(line));
+            seq.begin_write();
+            Self::write_through(&mut resident, l1_line.as_mut(), off, op);
+            seq.end_write();
+            return;
+        };
+        self.stats.misses.incr_owned(tile.index());
+        if let Some(kind) = self.classifier.classify_fill(tile, line, off as u64, op.len() as u64) {
+            self.stats.record_kind(tile.index(), kind);
+        }
+        // Fill in place: the home copy goes straight into the way the cache
+        // chose, the operation applies there, and the L1 filter (if any)
+        // copies the result.
+        seq.begin_write();
+        let (filled, evicted) = coh.place(line, fill_state);
+        assert!(evicted.is_none(), "miss fill found no room: two contexts on one tile?");
+        entry.read_bytes(0, filled.data);
+        match op {
+            LineOp::Write(bytes) => filled.data[off..off + bytes.len()].copy_from_slice(bytes),
+            LineOp::Rmw { old, f } => apply_rmw(filled.data, off, old, *f),
+            LineOp::Read(buf) => buf.copy_from_slice(&filled.data[off..off + buf.len()]),
+        }
+        if let Some(l1) = l1d.filter(|l1| l1.peek(line).is_none()) {
+            // L1 victim needs no writeback (write-through).
+            l1.insert(line, fill_state, filled.data);
+        }
+        seq.end_write();
     }
 
     /// Traces directory leg `leg` of `tile`'s transaction on `line`.
@@ -1311,17 +1279,19 @@ impl MemorySystem {
     }
 
     /// Evicts `vline` from `tile`'s hierarchy as its own directory
-    /// transaction (writeback if dirty, sharer removal otherwise). Waits out
-    /// any in-flight transaction on the victim line, then holds it for the
-    /// duration as a service claim.
-    fn evict_line(&self, tile: TileId, now: Cycles, vline: u64) {
+    /// transaction (writeback if dirty, sharer removal otherwise) to make
+    /// room for `line`. Waits out any in-flight transaction on the victim
+    /// line, then holds it for the duration as a service claim. Returns the
+    /// line a fill of `line` would still evict, picked in the purge's
+    /// critical section.
+    fn evict_line(&self, tile: TileId, now: Cycles, vline: u64, line: u64) -> Option<u64> {
         let lane = tile.index();
         let claim = {
             let _hp = self.hostprof.span(HostStage::MshrProbe);
             self.dir.claim_service(vline)
         };
         let entry = claim.record;
-        let purged = {
+        let (purged, next) = {
             let mut tm = self.lock_tile(tile);
             let seq = &self.tile_seq[lane];
             seq.begin_write();
@@ -1333,10 +1303,11 @@ impl MemorySystem {
                 state
             });
             seq.end_write();
-            purged
+            (purged, tm.coh().victim_for(line))
         };
         let Some(state) = purged else {
-            return self.release(claim); // invalidated while we waited
+            self.release(claim); // invalidated while we waited
+            return next;
         };
         self.classifier.on_departure(tile, vline, false);
         let home = self.home_of(vline);
@@ -1370,6 +1341,7 @@ impl MemorySystem {
         }
         debug_assert!(entry.invariants_hold());
         self.release(claim);
+        next
     }
 
     /// Atomically reads a little-endian `u32` at `addr` and replaces it with
@@ -1698,49 +1670,6 @@ mod tests {
             Arc::new(GlobalProgress::new(cfg.target.num_tiles as usize)),
         ));
         MemorySystem::new(cfg, net, classify)
-    }
-
-    /// Two host threads of the *same tile* racing on the same line: the MSHR
-    /// coalesces the secondary miss, so however the race lands, each line
-    /// costs exactly one directory transaction — `mem.misses` and the
-    /// classified-miss counters must never double-count.
-    #[test]
-    fn coalesced_secondary_misses_count_once() {
-        use std::sync::Barrier;
-        let cfg = presets::paper_default(4);
-        let m = Arc::new(system_with(&cfg, true));
-        const LINES: u64 = 300;
-        let barrier = Arc::new(Barrier::new(2));
-        let threads: Vec<_> = (0..2)
-            .map(|_| {
-                let (m, barrier) = (Arc::clone(&m), Arc::clone(&barrier));
-                std::thread::spawn(move || {
-                    let mut buf = [0u8; 8];
-                    let mut now = Cycles::ZERO;
-                    for l in 0..LINES {
-                        // Both threads release together, maximizing the
-                        // window where the second miss finds the first in
-                        // flight and coalesces.
-                        barrier.wait();
-                        now += m.read(TileId(1), now, Addr(l * 64), &mut buf);
-                    }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        let s = m.stats();
-        assert_eq!(s.misses.get(), LINES, "secondary misses must coalesce, not re-run");
-        let classified = s.miss_cold.get()
-            + s.miss_capacity.get()
-            + s.miss_true_sharing.get()
-            + s.miss_false_sharing.get();
-        assert_eq!(classified, s.misses.get(), "each fill classified exactly once");
-        // Same-tile waiters are coalesced secondaries, never cross-tile
-        // conflicts.
-        assert_eq!(s.mshr_conflict_waits.get(), 0);
-        m.verify_coherence_invariants().unwrap();
     }
 
     /// Two *different* tiles racing on one line: each needs its own copy, so
