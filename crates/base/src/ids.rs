@@ -7,8 +7,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A tile of the *target* architecture (compute core + network switch +
 /// memory-system node, paper §2).
 ///
@@ -20,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(t.index(), 7);
 /// assert_eq!(t.to_string(), "tile7");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TileId(pub u32);
 
 impl TileId {
@@ -46,7 +44,7 @@ impl From<u32> for TileId {
 /// A simulated *host process* participating in the distributed simulation
 /// (paper Figure 1: each process runs a subset of the target tiles plus one
 /// LCP; process 0 additionally hosts the MCP).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ProcId(pub u32);
 
 impl ProcId {
@@ -71,7 +69,7 @@ impl From<u32> for ProcId {
 
 /// A *host machine* of the (modeled) cluster. Several processes may share a
 /// machine; communication crossing a machine boundary pays network latency.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MachineId(pub u32);
 
 impl MachineId {
@@ -94,7 +92,7 @@ impl fmt::Display for MachineId {
 /// lifetime (threads are long-living, paper §3.5), so a `ThreadId` and the
 /// [`TileId`] it runs on are distinct concepts even though the mapping is
 /// one-to-one at any instant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ThreadId(pub u32);
 
 impl ThreadId {

@@ -13,8 +13,6 @@ use std::iter::Sum;
 use std::ops::{Add, AddAssign, Sub, SubAssign};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use serde::{Deserialize, Serialize};
-
 /// A duration or point in simulated time, measured in target clock cycles.
 ///
 /// `Cycles` is a transparent `u64` newtype with saturating subtraction (the
@@ -31,9 +29,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(b.saturating_sub(a), Cycles::ZERO);
 /// assert_eq!((a - b).0, 70);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Cycles(pub u64);
 
 impl Cycles {

@@ -11,7 +11,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use graphite::{Sim, SimConfig};
-use graphite_bench::{apply_obs_env, export_observability, print_table};
+use graphite_bench::{export_observability, print_table};
 use graphite_config::SyncModel;
 use graphite_sync::SkewSampler;
 use graphite_workloads::{Fmm, Workload};
@@ -28,7 +28,7 @@ fn main() {
         let w = Fmm { n: 768, cells: 6, seed: 43 };
         let cfg =
             SimConfig::builder().tiles(8).processes(2).sync(model).build().expect("bench config");
-        let sim = apply_obs_env(Sim::builder(cfg)).build().expect("simulator");
+        let sim = Sim::builder(cfg).build().expect("simulator");
         let sampler = Arc::new(SkewSampler::new(sim.clock_handles()));
         let handle = sampler.spawn_periodic(Duration::from_micros(500));
         let report = sim.run(move |ctx| w.run(ctx, 8));

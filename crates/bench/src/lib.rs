@@ -8,48 +8,19 @@
 //! ## Observability export
 //!
 //! Every harness that goes through [`run_workload`] (or calls
-//! [`apply_obs_env`] + [`export_observability`] itself) honours two
-//! environment variables:
-//!
-//! * `GRAPHITE_OBS_DIR=<dir>` — after each simulation, write
-//!   `<dir>/<NNN>_<label>.metrics.json` (the full metrics registry,
-//!   schema `graphite.metrics.v1`) and, when tracing or skew sampling
-//!   captured anything, `<dir>/<NNN>_<label>.trace.jsonl` (one structured
-//!   event per line) plus `<dir>/<NNN>_<label>.perfetto.json` (a Chrome
-//!   `trace_event` timeline for <https://ui.perfetto.dev>).
-//! * `GRAPHITE_TRACE=1` — switch on per-tile event tracing for the run
-//!   (`GRAPHITE_TRACE_CAPACITY=<n>` overrides the per-tile ring size).
-//!
-//! ## Checkpointing
-//!
-//! * `GRAPHITE_CKPT_DIR=<dir>` — after each workload completes (a natural
-//!   quiesce point: workloads join their threads), write
-//!   `<dir>/<NNN>_<label>.ckpt` in the `graphite.ckpt.v4` format, resumable
-//!   with `Sim::builder(cfg).resume(path)`.
-//! * `GRAPHITE_CKPT_EVERY=<n>` — for harnesses that call
-//!   [`maybe_checkpoint`] at their own quiesce points, keep only every
-//!   `n`-th request (default: every request).
+//! [`export_observability`] itself) honours `GRAPHITE_OBS_DIR=<dir>`: after
+//! each simulation it writes `<dir>/<NNN>_<label>.metrics.json` (the full
+//! metrics registry, schema `graphite.metrics.v1`) and, when tracing or skew
+//! sampling captured anything, `<dir>/<NNN>_<label>.trace.jsonl` (one
+//! structured event per line) plus `<dir>/<NNN>_<label>.perfetto.json` (a
+//! Chrome `trace_event` timeline for <https://ui.perfetto.dev>). Tracing is a
+//! builder switch: pass `|b| b.tracing(true)` as `run_workload`'s tweak.
 
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
-use graphite::{Ctx, Sim, SimBuilder, SimConfig, SimReport};
+use graphite::{Sim, SimBuilder, SimConfig, SimReport};
 use graphite_workloads::Workload;
-
-/// Applies the `GRAPHITE_TRACE` / `GRAPHITE_TRACE_CAPACITY` environment
-/// switches to a builder. A no-op when the variables are unset.
-pub fn apply_obs_env(mut b: SimBuilder) -> SimBuilder {
-    if std::env::var("GRAPHITE_TRACE").is_ok_and(|v| v == "1") {
-        b = b.tracing(true);
-    }
-    if let Some(cap) =
-        std::env::var("GRAPHITE_TRACE_CAPACITY").ok().and_then(|v| v.parse::<usize>().ok())
-    {
-        b = b.trace_capacity(cap);
-    }
-    b
-}
 
 /// Sequence number so repeated runs of the same workload in one harness get
 /// distinct artifact names.
@@ -87,43 +58,9 @@ pub fn export_observability(label: &str, report: &SimReport) {
     }
 }
 
-/// Sequence number for auto-checkpoint artifacts (separate from
-/// [`EXPORT_SEQ`] so metrics and checkpoint numbering stay independent).
-static CKPT_SEQ: AtomicU32 = AtomicU32::new(0);
-
-/// Requests a checkpoint at a quiesce point, honouring the environment:
-/// a no-op unless `GRAPHITE_CKPT_DIR` is set, and `GRAPHITE_CKPT_EVERY=<n>`
-/// keeps only every `n`-th numbered request (`step`). Returns the written
-/// path. A refused checkpoint (not quiesced) warns instead of failing the
-/// harness.
-pub fn maybe_checkpoint(ctx: &mut Ctx, label: &str, step: u64) -> Option<PathBuf> {
-    let dir = std::env::var("GRAPHITE_CKPT_DIR").ok().filter(|d| !d.is_empty())?;
-    let every = std::env::var("GRAPHITE_CKPT_EVERY")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(1);
-    if !step.is_multiple_of(every) {
-        return None;
-    }
-    let _ = std::fs::create_dir_all(&dir);
-    let clean: String =
-        label.chars().map(|c| if c.is_ascii_alphanumeric() { c } else { '_' }).collect();
-    let seq = CKPT_SEQ.fetch_add(1, Ordering::Relaxed);
-    let path = PathBuf::from(dir).join(format!("{seq:03}_{clean}.ckpt"));
-    match ctx.checkpoint(&path) {
-        Ok(()) => Some(path),
-        Err(e) => {
-            eprintln!("warning: checkpoint {} skipped: {e}", path.display());
-            None
-        }
-    }
-}
-
 /// Runs `workload` with `threads` application threads on a simulator built
 /// from `cfg` (after applying `tweak` to the builder), returning the report.
-/// Honours the observability and checkpoint environment switches (see the
-/// module docs).
+/// Honours `GRAPHITE_OBS_DIR` (see the module docs).
 pub fn run_workload(
     cfg: SimConfig,
     threads: u32,
@@ -131,13 +68,8 @@ pub fn run_workload(
     tweak: impl FnOnce(SimBuilder) -> SimBuilder,
 ) -> SimReport {
     let name = workload.name();
-    let sim = tweak(apply_obs_env(Sim::builder(cfg))).build().expect("valid bench config");
-    let label = name.to_owned();
-    let report = sim.run(move |ctx| {
-        workload.run(ctx, threads);
-        // The workload has joined its threads: a natural quiesce point.
-        maybe_checkpoint(ctx, &label, 0);
-    });
+    let sim = tweak(Sim::builder(cfg)).build().expect("valid bench config");
+    let report = sim.run(move |ctx| workload.run(ctx, threads));
     export_observability(name, &report);
     report
 }
@@ -208,12 +140,10 @@ mod tests {
     fn observability_export_writes_parseable_artifacts() {
         let dir = std::env::temp_dir().join(format!("graphite-obs-{}", std::process::id()));
         std::env::set_var("GRAPHITE_OBS_DIR", &dir);
-        std::env::set_var("GRAPHITE_TRACE", "1");
         let cfg = SimConfig::builder().tiles(2).build().unwrap();
-        let r = run_workload(cfg, 2, workload_by_name("radix").unwrap(), |b| b);
+        let r = run_workload(cfg, 2, workload_by_name("radix").unwrap(), |b| b.tracing(true));
         std::env::remove_var("GRAPHITE_OBS_DIR");
-        std::env::remove_var("GRAPHITE_TRACE");
-        assert!(!r.trace_events.is_empty(), "GRAPHITE_TRACE=1 must capture events");
+        assert!(!r.trace_events.is_empty(), "tracing(true) must capture events");
         let mut metrics = 0;
         let mut traces = 0;
         for entry in std::fs::read_dir(&dir).expect("obs dir created") {
@@ -235,36 +165,6 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         assert!(metrics >= 1, "metrics.json written");
         assert!(traces >= 1, "trace.jsonl written");
-    }
-
-    #[test]
-    fn ckpt_env_writes_resumable_checkpoint() {
-        // Unset, the hook is inert.
-        std::env::remove_var("GRAPHITE_CKPT_DIR");
-        let quiet = SimConfig::builder().tiles(1).build().unwrap();
-        Sim::builder(quiet).build().unwrap().run(|ctx| {
-            assert!(maybe_checkpoint(ctx, "noop", 0).is_none());
-        });
-
-        let dir = std::env::temp_dir().join(format!("graphite-ckpt-{}", std::process::id()));
-        std::env::set_var("GRAPHITE_CKPT_DIR", &dir);
-        let cfg = SimConfig::builder().tiles(2).build().unwrap();
-        run_workload(cfg, 2, workload_by_name("radix").unwrap(), |b| b);
-        std::env::remove_var("GRAPHITE_CKPT_DIR");
-        let mut ckpts = 0;
-        for entry in std::fs::read_dir(&dir).expect("ckpt dir created") {
-            let path = entry.unwrap().path();
-            if path.extension().is_some_and(|e| e == "ckpt") {
-                let r = graphite_ckpt::CkptReader::open(&path)
-                    .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-                for seg in ["meta", "clocks", "mem", "net", "metrics", "ctrl"] {
-                    assert!(r.has_segment(seg), "{}: missing segment {seg}", path.display());
-                }
-                ckpts += 1;
-            }
-        }
-        std::fs::remove_dir_all(&dir).ok();
-        assert!(ckpts >= 1, "a .ckpt artifact was written");
     }
 
     #[test]

@@ -28,10 +28,9 @@
 pub mod presets;
 
 use graphite_base::{Cycles, SimError};
-use serde::{Deserialize, Serialize};
 
 /// Geometry and latency of one cache level.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub size_bytes: u64,
@@ -92,7 +91,7 @@ impl CacheConfig {
 /// Exclusive state as a natural extension: a sole clean reader may upgrade
 /// to Modified silently, eliminating the upgrade transaction for
 /// private-then-written data).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CacheProtocol {
     /// Modified / Shared / Invalid (the paper's protocol).
     #[default]
@@ -103,7 +102,7 @@ pub enum CacheProtocol {
 }
 
 /// Cache-coherence scheme for the distributed directory (paper §3.2, §4.4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CoherenceScheme {
     /// Full-map directory-based MSI: one presence bit per tile
     /// (the paper's default, Table 1).
@@ -142,7 +141,7 @@ impl CoherenceScheme {
 /// *evenly splitting total off-chip bandwidth* (§4.4) — so per-controller
 /// bandwidth shrinks as the tile count grows, which drives the Figure 9
 /// scaling behaviour.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DramConfig {
     /// Total off-chip bandwidth shared by all controllers, in GB/s
     /// (Table 1: 5.13 GB/s).
@@ -156,7 +155,7 @@ pub struct DramConfig {
 
 /// Which on-chip network model carries a traffic class (paper §3.3:
 /// separate models for system, application and memory traffic).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NetworkKind {
     /// Forwards packets with zero modeled delay (system traffic).
     Basic,
@@ -172,7 +171,7 @@ pub enum NetworkKind {
 }
 
 /// Parameters of the mesh network models.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MeshConfig {
     /// Cycles per hop (switch traversal + link).
     pub hop_latency: Cycles,
@@ -184,7 +183,7 @@ pub struct MeshConfig {
 }
 
 /// The target (simulated) architecture.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TargetConfig {
     /// Number of target tiles; also the maximum number of live application
     /// threads (paper §3.5).
@@ -228,7 +227,7 @@ impl TargetConfig {
 
 /// The host cluster the simulation is distributed over (paper §4.1: dual
 /// quad-core Xeon machines on switched Gigabit ethernet).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HostConfig {
     /// Number of host machines.
     pub num_machines: u32,
@@ -244,7 +243,7 @@ pub struct HostConfig {
 }
 
 /// Synchronization model selection (paper §3.6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SyncModel {
     /// Plain lax synchronization: clocks meet only at application events.
     Lax,
@@ -279,7 +278,7 @@ impl SyncModel {
 /// mapping between tiles and processes is currently implemented by simply
 /// striping the tiles across the processes"; `Packed` is the ablation
 /// alternative: contiguous blocks of tiles per process).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TileMapping {
     /// tile → process = tile mod processes (the paper's policy).
     #[default]
@@ -293,8 +292,7 @@ pub enum TileMapping {
 /// Per-tile CPI attribution is always on (it rides the normal cost
 /// accounting), but the clock-skew sampler spawns a host thread that
 /// periodically reads every tile clock, so it is opt-in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProfileConfig {
     /// Enables the periodic clock-skew sampler (paper §6.3 timelines).
     pub skew_sampling: bool,
@@ -315,8 +313,7 @@ impl Default for ProfileConfig {
 /// (`Ctx::ckpt_poll`) after the boundary, so resume re-enters the driver at
 /// a point it can reconstruct. Off by default; requires the LaxBarrier
 /// synchronization model (quanta are its clock).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-#[serde(default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CkptConfig {
     /// Take an automatic checkpoint every N LaxBarrier quanta; `0` (the
     /// default) disables periodic auto-checkpointing.
@@ -330,8 +327,7 @@ pub struct CkptConfig {
 /// (`graphite_base::hostprof`). Off by default: when disabled every
 /// instrumentation point is a single relaxed atomic load. Purely
 /// observational — no setting changes modeled timing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HostProfConfig {
     /// Enables host-cost attribution.
     pub enabled: bool,
@@ -352,8 +348,7 @@ impl Default for HostProfConfig {
 /// Verbosity threshold for the job service's structured JSONL log
 /// (`[serve] log_level`). Levels are ordered: a record is written when its
 /// level is at or below the configured threshold.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize, Default)]
-#[serde(rename_all = "lowercase")]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub enum LogLevel {
     /// Failures only (persist errors, failed jobs).
     Error,
@@ -395,9 +390,8 @@ impl LogLevel {
 /// simulation workers drain the fair-share queue, the wall-clock scheduling
 /// quantum after which a running job is preempted via checkpoint, queue
 /// admission bounds, the graceful-shutdown drain window, and the
-/// observability layer (telemetry recording, structured-log verbosity).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(default)]
+/// observability layer (structured-log verbosity, host profiling).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeConfig {
     /// Number of simulation workers draining the job queue.
     pub workers: u32,
@@ -414,10 +408,6 @@ pub struct ServeConfig {
     /// SIGTERM waits for running jobs to park at a checkpoint before the
     /// process exits anyway. Also the `Retry-After` hint on drain 503s.
     pub drain_ms: u64,
-    /// Whether the service records telemetry (per-tenant latency histograms,
-    /// preemption-cost accounting, `GET /metrics`). On by default; turning
-    /// it off removes the recording cost for overhead measurements.
-    pub telemetry: bool,
     /// Structured-log verbosity for `DATA_DIR/serve.log.jsonl`.
     pub log_level: LogLevel,
     /// Size-based log rotation threshold in bytes: when a write would push
@@ -439,7 +429,6 @@ impl Default for ServeConfig {
             queue_depth: 1024,
             max_body_bytes: 1 << 20,
             drain_ms: 5_000,
-            telemetry: true,
             log_level: LogLevel::Info,
             log_max_bytes: 64 << 20,
             hostprof: false,
@@ -474,8 +463,7 @@ impl ServeConfig {
 /// slots; blocking operations (joins, futex waits, sync-model quanta) yield
 /// the slot cooperatively. `workers >= tiles` degenerates to thread-per-tile
 /// execution: no context ever waits for a slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-#[serde(default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SchedulerConfig {
     /// Number of host execution slots guest contexts multiplex over.
     /// `0` (the default) means auto: `min(host parallelism, tiles)`.
@@ -483,7 +471,7 @@ pub struct SchedulerConfig {
 }
 
 /// Complete configuration of one simulation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     /// Target architecture.
     pub target: TargetConfig,
@@ -502,17 +490,13 @@ pub struct SimConfig {
     /// RNG seed (LaxP2P partner choice, workload inputs).
     pub seed: u64,
     /// Profiler knobs; absent sections deserialize to the defaults.
-    #[serde(default)]
     pub profile: ProfileConfig,
     /// Guest-scheduler knobs; absent sections deserialize to the defaults.
-    #[serde(default)]
     pub scheduler: SchedulerConfig,
     /// Checkpoint knobs; absent sections deserialize to the defaults.
-    #[serde(default)]
     pub ckpt: CkptConfig,
     /// Host-cost profiler knobs; absent sections deserialize to the
     /// defaults.
-    #[serde(default)]
     pub hostprof: HostProfConfig,
 }
 
@@ -995,7 +979,6 @@ mod tests {
         assert_eq!(s.queue_depth, 1024);
         assert_eq!(s.max_body_bytes, 1 << 20);
         assert_eq!(s.drain_ms, 5_000);
-        assert!(s.telemetry, "telemetry defaults on");
         assert_eq!(s.log_level, LogLevel::Info);
         assert_eq!(s.log_max_bytes, 64 << 20);
         assert!(!s.hostprof, "host profiling defaults off in the service");

@@ -494,17 +494,12 @@ impl SimBuilder {
             guest_rng = SimRng::from_state(ckpt::load_guest_rng_state(r)?);
             stdout = ckpt::load_stdout(r)?;
             ckpt::parse_ctrl(r, &cfg, &mut mcp)?;
-            // Checkpoints written before CPI accounting existed restore
-            // clocks but no `prof.cpi.*` lanes; re-seed the shortfall as
-            // sync-wait so the stacks keep summing to each tile's clock.
-            for (i, clock) in clocks.iter().enumerate() {
-                let tile = TileId(i as u32);
-                let have = cpi.total(tile);
-                let now = clock.now().0;
-                if have < now {
-                    cpi.add(tile, CpiClass::SyncWait, Cycles(now - have));
-                }
-            }
+            // Every readable image carries the `prof.cpi.*` lanes, so the
+            // restored stacks already sum to each tile's clock.
+            debug_assert!(
+                clocks.iter().enumerate().all(|(i, c)| cpi.total(TileId(i as u32)) == c.now().0),
+                "restored CPI stacks must sum to their tile clocks"
+            );
         }
 
         // System-driven checkpoint schedule. The auto-checkpoint boundary

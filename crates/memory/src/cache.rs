@@ -346,12 +346,16 @@ impl Cache {
         *next
     }
 
-    /// Looks a line up, refreshing its LRU stamp on hit.
+    /// Looks a line up, refreshing its LRU stamp on hit. A miss leaves the
+    /// stamp counter alone.
     #[inline]
     pub fn lookup(&mut self, line: u64) -> Option<Line<'_>> {
-        let stamp = self.bump_stamp();
-        let (group, row, way) = self.locate_mut(line)?;
-        group.stamps[group.at(row, way)].store(stamp, Relaxed);
+        let set = self.set_of(line);
+        let (row, group) = (set % GROUP_SETS, self.groups[set / GROUP_SETS].get_mut()?);
+        let way = group.find(row, line)?;
+        let stamp = self.next_stamp.get_mut();
+        *stamp += 1;
+        group.stamps[group.at(row, way)].store(*stamp, Relaxed);
         Some(group.line(row, way))
     }
 

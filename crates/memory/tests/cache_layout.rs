@@ -75,11 +75,9 @@ impl RefCache {
         self.set(line).iter_mut().find(|l| l.line == line)
     }
 
-    /// `always_stamps`: a locked lookup consumes a stamp even on a miss,
-    /// a probe only on a hit.
-    fn lookup(&mut self, line: u64, always_stamps: bool) -> Option<&mut RefLine> {
-        let hit = self.peek(line).is_some();
-        self.next_stamp += (hit || always_stamps) as u64;
+    /// A locked lookup and a probe both consume a stamp on a hit only.
+    fn lookup(&mut self, line: u64) -> Option<&mut RefLine> {
+        self.next_stamp += self.peek(line).is_some() as u64;
         let stamp = self.next_stamp;
         let l = self.peek(line)?;
         l.stamp = stamp;
@@ -133,12 +131,12 @@ fn flat_layout_matches_the_per_set_vec_reference() {
                 2 => {
                     let mut buf = [0u8; 8];
                     let hit = unsafe { Cache::probe_read(&c, &seq, line, 24, &mut buf) };
-                    let want = r.lookup(line, false).map(|l| l.data[24..32].to_vec());
+                    let want = r.lookup(line).map(|l| l.data[24..32].to_vec());
                     assert_eq!(hit.then(|| buf.to_vec()), want, "{ctx}");
                 }
                 3 => {
                     let v = rng.next_u64().to_le_bytes();
-                    let (got, want) = (c.lookup(line), r.lookup(line, true));
+                    let (got, want) = (c.lookup(line), r.lookup(line));
                     assert_eq!(got.is_some(), want.is_some(), "{ctx}");
                     if let (Some(mut got), Some(want)) = (got, want) {
                         got.set_state(LineState::Modified);
@@ -148,7 +146,7 @@ fn flat_layout_matches_the_per_set_vec_reference() {
                     }
                 }
                 _ => {
-                    let want = r.lookup(line, true).map(|l| (l.state, l.data.clone()));
+                    let want = r.lookup(line).map(|l| (l.state, l.data.clone()));
                     let got = c.lookup(line).map(|l| (l.state(), l.data.to_vec()));
                     assert_eq!(got, want, "{ctx}");
                     if got.is_none() {

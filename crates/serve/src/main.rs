@@ -4,7 +4,7 @@
 //! graphite-serve [--addr 127.0.0.1:8080] [--data-dir DIR]
 //!                [--workers N] [--quantum-ms MS] [--queue-depth N]
 //!                [--drain-ms MS] [--log-level LEVEL] [--log-max-bytes N]
-//!                [--no-telemetry] [--hostprof]
+//!                [--hostprof]
 //! ```
 //!
 //! SIGINT/SIGTERM trigger a graceful drain: running jobs are checkpointed at
@@ -42,8 +42,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: graphite-serve [--addr HOST:PORT] [--data-dir DIR] [--workers N] \
          [--quantum-ms MS] [--queue-depth N] [--drain-ms MS] \
-         [--log-level error|warn|info|debug] [--log-max-bytes N] \
-         [--no-telemetry] [--hostprof]"
+         [--log-level error|warn|info|debug] [--log-max-bytes N] [--hostprof]"
     );
     std::process::exit(2)
 }
@@ -74,7 +73,6 @@ fn main() {
             "--log-max-bytes" => {
                 cfg.log_max_bytes = value("--log-max-bytes").parse().unwrap_or_else(|_| usage());
             }
-            "--no-telemetry" => cfg.telemetry = false,
             "--hostprof" => cfg.hostprof = true,
             "--help" | "-h" => usage(),
             other => {

@@ -113,7 +113,7 @@ impl Service {
             cfg.log_level,
             cfg.log_max_bytes,
         )?;
-        let telemetry = Telemetry::new(cfg.telemetry);
+        let telemetry = Telemetry::default();
         let hostprof = if cfg.hostprof {
             let hp = graphite_config::HostProfConfig::default();
             HostProf::new(hp.sample, hp.max_events as usize)
@@ -154,7 +154,6 @@ impl Service {
                 ("workers", u64::from(cfg.workers).into()),
                 ("quantum_ms", cfg.quantum_ms.into()),
                 ("queue_depth", u64::from(cfg.queue_depth).into()),
-                ("telemetry", cfg.telemetry.into()),
                 ("hostprof", cfg.hostprof.into()),
             ],
         );
@@ -443,7 +442,7 @@ impl Service {
             ("oldest_age_ms", oldest_queued_age_ms.into()),
             ("running_slice_age_ms", running_slice_age_ms.into()),
         ]);
-        let mut members = vec![
+        Json::Obj(vec![
             ("workers".to_owned(), Json::from(u64::from(self.cfg.workers))),
             ("quantum_ms".to_owned(), self.cfg.quantum_ms.into()),
             ("uptime_ms".to_owned(), (self.started.elapsed().as_millis() as u64).into()),
@@ -456,17 +455,10 @@ impl Service {
             ("draining".to_owned(), draining.into()),
             ("queue".to_owned(), queue),
             ("tenants".to_owned(), tenants),
-        ];
-        if let Some(latency) = self.telemetry.latency_json() {
-            members.push(("latency".to_owned(), latency));
-        }
-        if let Some(preempt) = self.telemetry.preempt_json() {
-            members.push(("preempt_cost".to_owned(), preempt));
-        }
-        if let Some(per_tenant) = self.telemetry.tenants_json() {
-            members.push(("tenant_latency".to_owned(), per_tenant));
-        }
-        Json::Obj(members)
+            ("latency".to_owned(), self.telemetry.latency_json()),
+            ("preempt_cost".to_owned(), self.telemetry.preempt_json()),
+            ("tenant_latency".to_owned(), self.telemetry.tenants_json()),
+        ])
     }
 
     /// Whether shutdown has been requested.
@@ -901,7 +893,6 @@ mod tests {
             queue_depth: 64,
             max_body_bytes: 1 << 20,
             drain_ms: 10_000,
-            telemetry: true,
             log_level: graphite_config::LogLevel::Debug,
             log_max_bytes: 0,
             hostprof: false,

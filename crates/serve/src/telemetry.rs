@@ -17,9 +17,6 @@
 //! give ~1 µs…~70 min span with power-of-two resolution, which is the right
 //! grain for sub-millisecond checkpoint serialize times and multi-second
 //! queue waits alike. `/stats` converts to milliseconds at the edge.
-//!
-//! Every record method is a no-op when the `[serve] telemetry` knob is off,
-//! so the hot path costs one branch.
 
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -134,7 +131,6 @@ const LIVE_GAUGES: &[(&str, &str)] = &[
 /// shared by workers and connection threads through the service `Arc`.
 #[derive(Debug)]
 pub struct Telemetry {
-    enabled: bool,
     reg: MetricsRegistry,
 }
 
@@ -142,19 +138,13 @@ fn us(d: Duration) -> u64 {
     d.as_micros() as u64
 }
 
+impl Default for Telemetry {
+    fn default() -> Telemetry {
+        Telemetry { reg: MetricsRegistry::new(1) }
+    }
+}
+
 impl Telemetry {
-    /// Creates the telemetry surface; `enabled = false` turns every record
-    /// method into a single-branch no-op (`/metrics` then exposes only the
-    /// live gauges).
-    pub fn new(enabled: bool) -> Telemetry {
-        Telemetry { enabled, reg: MetricsRegistry::new(1) }
-    }
-
-    /// Whether event recording is on.
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
     fn tkey(tenant: &str, leaf: &str) -> String {
         format!("serve.tenant.{tenant}.{leaf}")
     }
@@ -167,9 +157,6 @@ impl Telemetry {
 
     /// A job was accepted into the queue.
     pub fn record_submit(&self, tenant: &str) {
-        if !self.enabled {
-            return;
-        }
         self.reg.counter("serve.jobs.submitted").incr();
         self.reg.counter(&Self::tkey(tenant, "submitted")).incr();
     }
@@ -178,9 +165,6 @@ impl Telemetry {
     /// set when this dispatch resumes a preempted job, in which case the wait
     /// is also charged as requeue-to-redispatch preemption cost.
     pub fn record_dispatch(&self, tenant: &str, wait: Duration, resumed: bool) {
-        if !self.enabled {
-            return;
-        }
         let w = us(wait);
         self.record_hist("serve.queue_wait_us", w);
         self.record_hist(&Self::tkey(tenant, "queue_wait_us"), w);
@@ -194,9 +178,6 @@ impl Telemetry {
     /// A running slice was parked: the checkpoint took `serialize` wall-time
     /// and wrote `bytes`.
     pub fn record_park(&self, tenant: &str, serialize: Duration, bytes: u64) {
-        if !self.enabled {
-            return;
-        }
         let s = us(serialize);
         self.reg.counter("serve.preempt.count").incr();
         self.reg.counter("serve.preempt.serialize_us_total").add(s);
@@ -210,9 +191,6 @@ impl Telemetry {
 
     /// A parked job was rebuilt from its park file in `restore` wall-time.
     pub fn record_restore(&self, tenant: &str, restore: Duration) {
-        if !self.enabled {
-            return;
-        }
         let r = us(restore);
         self.reg.counter("serve.preempt.resumes").incr();
         self.reg.counter("serve.preempt.restore_us_total").add(r);
@@ -224,9 +202,6 @@ impl Telemetry {
     /// preempted slice ran past the preemption quantum — the scheduling
     /// latency cost of the cooperative safepoint.
     pub fn record_slice(&self, slice: Duration, overrun: Option<Duration>) {
-        if !self.enabled {
-            return;
-        }
         self.record_hist("serve.slice_us", us(slice));
         if let Some(o) = overrun {
             self.record_hist("serve.slice_overrun_us", us(o));
@@ -236,9 +211,6 @@ impl Telemetry {
     /// A job reached a terminal state with submit-to-terminal latency `e2e`
     /// and `run` total worker time across all slices.
     pub fn record_terminal(&self, tenant: &str, state: JobState, e2e: Duration, run: Duration) {
-        if !self.enabled {
-            return;
-        }
         let leaf = match state {
             JobState::Completed => "completed",
             JobState::Failed => "failed",
@@ -256,9 +228,6 @@ impl Telemetry {
     /// One HTTP exchange was served. `route` must come from the fixed
     /// route-class vocabulary (no user input — it would explode the registry).
     pub fn record_http(&self, route: &'static str, status: u16, dur: Duration) {
-        if !self.enabled {
-            return;
-        }
         self.reg.counter(&format!("serve.http.req.{route}.{status}")).incr();
         self.record_hist("serve.http.request_us", us(dur));
     }
@@ -266,9 +235,6 @@ impl Telemetry {
     /// Mirrors queue depth and running-slice count into registry gauges so
     /// the registry snapshot is self-contained.
     pub fn set_levels(&self, queued: u64, running: u64) {
-        if !self.enabled {
-            return;
-        }
         self.reg.gauge("serve.queue_depth").set(queued);
         self.reg.gauge("serve.running").set(running);
     }
@@ -291,9 +257,6 @@ impl Telemetry {
         for ((name, help), v) in LIVE_GAUGES.iter().zip(gauge_values) {
             doc.family(name, "gauge", help);
             doc.sample(name, &[], v);
-        }
-        if !self.enabled {
-            return doc.finish();
         }
         let snap = self.reg.snapshot();
 
@@ -351,49 +314,39 @@ impl Telemetry {
     }
 
     /// The `/stats` latency section: count/mean/p50/p95/p99 (milliseconds)
-    /// for the global queue-wait, run-time and end-to-end histograms. `None`
-    /// when telemetry is off.
-    pub fn latency_json(&self) -> Option<Json> {
-        if !self.enabled {
-            return None;
-        }
+    /// for the global queue-wait, run-time and end-to-end histograms.
+    pub fn latency_json(&self) -> Json {
         let snap = self.reg.snapshot();
         let section =
             |key: &str| hist_summary_json(snap.histograms.get(key).cloned().unwrap_or_default());
-        Some(obj([
+        obj([
             ("queue_wait", section("serve.queue_wait_us")),
             ("run", section("serve.run_us")),
             ("e2e", section("serve.e2e_us")),
-        ]))
+        ])
     }
 
     /// The `/stats` preemption-cost section: park/resume counts and the cost
-    /// totals (milliseconds / bytes). `None` when telemetry is off.
-    pub fn preempt_json(&self) -> Option<Json> {
-        if !self.enabled {
-            return None;
-        }
+    /// totals (milliseconds / bytes).
+    pub fn preempt_json(&self) -> Json {
         let snap = self.reg.snapshot();
         let ctr = |key: &str| snap.counters.get(key).copied().unwrap_or(0);
         let ms = |key: &str| Json::from(ctr(key) as f64 / 1e3);
-        Some(obj([
+        obj([
             ("parks", ctr("serve.preempt.count").into()),
             ("resumes", ctr("serve.preempt.resumes").into()),
             ("serialize_ms_total", ms("serve.preempt.serialize_us_total")),
             ("ckpt_bytes_total", ctr("serve.preempt.ckpt_bytes_total").into()),
             ("restore_ms_total", ms("serve.preempt.restore_us_total")),
             ("requeue_gap_ms_total", ms("serve.preempt.requeue_gap_us_total")),
-        ]))
+        ])
     }
 
     /// The `/stats` per-tenant section: an object keyed by tenant with job
-    /// counts and queue-wait / run / e2e summaries. `None` when telemetry is
-    /// off. Covers every tenant ever seen, unlike the scheduler's lane rows
-    /// which are garbage-collected when idle.
-    pub fn tenants_json(&self) -> Option<Json> {
-        if !self.enabled {
-            return None;
-        }
+    /// counts and queue-wait / run / e2e summaries. Covers every tenant ever
+    /// seen, unlike the scheduler's lane rows which are garbage-collected when
+    /// idle.
+    pub fn tenants_json(&self) -> Json {
         let snap = self.reg.snapshot();
         let mut per: BTreeMap<String, Vec<(String, Json)>> = BTreeMap::new();
         for (name, v) in &snap.counters {
@@ -416,7 +369,7 @@ impl Telemetry {
                 .or_default()
                 .push((section.to_owned(), hist_summary_json(h.clone())));
         }
-        Some(Json::Obj(per.into_iter().map(|(t, m)| (t, Json::Obj(m))).collect()))
+        Json::Obj(per.into_iter().map(|(t, m)| (t, Json::Obj(m))).collect())
     }
 }
 
@@ -481,7 +434,7 @@ mod tests {
     use graphite_trace::expo;
 
     fn exercised() -> Telemetry {
-        let t = Telemetry::new(true);
+        let t = Telemetry::default();
         t.record_submit("acme");
         t.record_submit("globex");
         t.record_dispatch("acme", Duration::from_millis(4), false);
@@ -528,25 +481,12 @@ mod tests {
     }
 
     #[test]
-    fn disabled_telemetry_renders_only_live_gauges() {
-        let t = Telemetry::new(false);
-        t.record_submit("acme"); // no-op
-        let text = t.prometheus(&LiveStats { draining: true, ..LiveStats::default() });
-        expo::validate(&text).unwrap();
-        assert!(text.contains("graphite_serve_draining 1"), "{text}");
-        assert!(!text.contains("tenant="), "{text}");
-        assert!(t.latency_json().is_none());
-        assert!(t.preempt_json().is_none());
-        assert!(t.tenants_json().is_none());
-    }
-
-    #[test]
     fn hostile_tenant_names_render_escaped_and_valid() {
         // The HTTP layer validates tenants to [A-Za-z0-9_-], but telemetry
         // must stay injection-safe on its own: quotes, backslashes, and
         // newlines in a tenant name may not break the exposition or let two
         // tenants collide into one series.
-        let t = Telemetry::new(true);
+        let t = Telemetry::default();
         let evil = r#"evil"ten\ant"#;
         let evil_nl = "two\nlines";
         t.record_submit(evil);
@@ -596,16 +536,16 @@ mod tests {
     #[test]
     fn stats_sections_summarize_in_milliseconds() {
         let t = exercised();
-        let latency = t.latency_json().unwrap();
+        let latency = t.latency_json();
         let e2e = latency.get("e2e").unwrap();
         assert_eq!(e2e.get("count").unwrap().as_u64(), Some(2));
         assert!(e2e.get("p99_ms").unwrap().as_f64().unwrap() >= 60.0);
-        let preempt = t.preempt_json().unwrap();
+        let preempt = t.preempt_json();
         assert_eq!(preempt.get("parks").unwrap().as_u64(), Some(1));
         assert_eq!(preempt.get("resumes").unwrap().as_u64(), Some(1));
         assert_eq!(preempt.get("ckpt_bytes_total").unwrap().as_u64(), Some(64 * 1024));
         assert!(preempt.get("serialize_ms_total").unwrap().as_f64().unwrap() > 0.0);
-        let tenants = t.tenants_json().unwrap();
+        let tenants = t.tenants_json();
         let acme = tenants.get("acme").unwrap();
         assert_eq!(acme.get("submitted").unwrap().as_u64(), Some(1));
         assert_eq!(acme.get("completed").unwrap().as_u64(), Some(1));

@@ -21,7 +21,6 @@ fn cfg(workers: u32, quantum_ms: u64) -> ServeConfig {
         queue_depth: 256,
         max_body_bytes: 1 << 20,
         drain_ms: 10_000,
-        telemetry: true,
         log_level: graphite_config::LogLevel::Info,
         log_max_bytes: 0,
         hostprof: false,
@@ -114,8 +113,8 @@ fn multi_tenant_preemption_is_fair_and_bit_identical() {
 
 /// With preemption *off*, the same mix leaves short jobs stuck behind the
 /// long one; with it on, they finish first. This is the fairness win the
-/// scheduler exists for (the full latency-distribution version runs in the
-/// `serve_load` bench).
+/// scheduler exists for (the ledger's `serve_mix` workload measures the
+/// latency distribution).
 #[test]
 fn preemption_unblocks_short_jobs_behind_a_long_one() {
     let run = |quantum_ms: u64, dir: &str| -> (Duration, u64) {

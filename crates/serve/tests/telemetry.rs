@@ -114,7 +114,6 @@ fn boot(
         queue_depth: 64,
         max_body_bytes: 1 << 20,
         drain_ms: 5_000,
-        telemetry: true,
         log_level: LogLevel::Debug,
         log_max_bytes: 0,
         hostprof: false,

@@ -5,9 +5,9 @@
 //! single relaxed atomic load and the closure is never run, so instrumented
 //! hot paths pay one predictable branch. When enabled, the event lands
 //! directly in the emitting tile's fixed-capacity ring under a per-tile
-//! spinlock that only the owning tile's thread normally touches, so the
-//! enabled path is one uncontended atomic swap plus a buffer push — no
-//! global sequence allocation per event.
+//! mutex that only the owning tile's thread normally touches, so the
+//! enabled path is one uncontended lock plus a buffer push — no global
+//! sequence allocation per event.
 //!
 //! Sequence numbers are instead allocated in *batches*: each lane seals a
 //! block of [`Tracer::batch`] events with one global `fetch_add`, recording
@@ -21,11 +21,11 @@
 //! wants — and drops are counted per tile ([`Tracer::dropped_per_tile`])
 //! with a one-time warning line on first overflow.
 
-use std::cell::UnsafeCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use graphite_base::{CachePadded, Cycles, TileId};
+use parking_lot::Mutex;
 
 use crate::json;
 
@@ -250,10 +250,11 @@ struct SeqMark {
     seq0: u64,
 }
 
-/// One tile's ring state, guarded by the lane spinlock. Events are stored
+/// One tile's ring state, guarded by its lane mutex. Events are stored
 /// without sequence numbers; `pushed`/`evicted` are monotone ordinals
 /// (`evicted` is the ordinal of the ring's front element) and `marks` holds
 /// the sealed sequence blocks that `drain` resolves against.
+#[derive(Default)]
 struct LaneInner {
     ring: VecDeque<(TileId, Cycles, TraceEventKind)>,
     pushed: u64,
@@ -302,71 +303,6 @@ impl LaneInner {
     }
 }
 
-/// A per-tile lane: a spinlock in front of the ring state. The lock is
-/// normally uncontended — only the owning tile's thread emits into it — so
-/// the fast path is one atomic swap and a release store.
-struct Lane {
-    locked: AtomicBool,
-    inner: UnsafeCell<LaneInner>,
-}
-
-// SAFETY: `inner` is only accessed through `Lane::lock`, which provides
-// mutual exclusion via the `locked` spinlock (acquire on entry, release on
-// exit), so `&mut LaneInner` never aliases across threads.
-unsafe impl Sync for Lane {}
-
-impl Lane {
-    fn new() -> Self {
-        Lane {
-            locked: AtomicBool::new(false),
-            inner: UnsafeCell::new(LaneInner {
-                ring: VecDeque::new(),
-                pushed: 0,
-                evicted: 0,
-                marked_upto: 0,
-                marks: VecDeque::new(),
-                dropped: 0,
-            }),
-        }
-    }
-
-    #[inline]
-    fn lock(&self) -> LaneGuard<'_> {
-        while self.locked.swap(true, Ordering::Acquire) {
-            std::hint::spin_loop();
-        }
-        LaneGuard { lane: self }
-    }
-}
-
-struct LaneGuard<'a> {
-    lane: &'a Lane,
-}
-
-impl std::ops::Deref for LaneGuard<'_> {
-    type Target = LaneInner;
-    #[inline]
-    fn deref(&self) -> &LaneInner {
-        // SAFETY: the guard holds the lane spinlock.
-        unsafe { &*self.lane.inner.get() }
-    }
-}
-
-impl std::ops::DerefMut for LaneGuard<'_> {
-    #[inline]
-    fn deref_mut(&mut self) -> &mut LaneInner {
-        // SAFETY: the guard holds the lane spinlock.
-        unsafe { &mut *self.lane.inner.get() }
-    }
-}
-
-impl Drop for LaneGuard<'_> {
-    #[inline]
-    fn drop(&mut self) {
-        self.lane.locked.store(false, Ordering::Release);
-    }
-}
-
 /// The event tracer: a runtime on/off switch in front of per-tile rings
 /// with batched global sequencing.
 ///
@@ -401,7 +337,9 @@ pub struct Tracer {
     seq: AtomicU64,
     /// One-shot latch for the first-overflow warning line.
     drop_warned: AtomicBool,
-    lanes: Vec<CachePadded<Lane>>,
+    /// One ring per tile. Only the owning tile's thread normally emits
+    /// into a lane, so its lock is uncontended.
+    lanes: Vec<CachePadded<Mutex<LaneInner>>>,
 }
 
 impl Tracer {
@@ -415,7 +353,7 @@ impl Tracer {
     /// threads always have somewhere to land.
     pub fn new(num_tiles: usize, enabled: bool, capacity: usize) -> Self {
         let capacity = capacity.max(1);
-        let lanes = (0..num_tiles.max(1)).map(|_| CachePadded::new(Lane::new())).collect();
+        let lanes = (0..num_tiles.max(1)).map(|_| CachePadded::new(Mutex::default())).collect();
         Tracer {
             enabled: AtomicBool::new(enabled),
             flows: AtomicBool::new(false),
@@ -490,7 +428,7 @@ impl Tracer {
     /// The closure builds the payload and only runs when tracing is on, so a
     /// disabled tracer costs one relaxed load and a predictable branch. When
     /// on, the event goes straight into the emitting tile's ring under the
-    /// lane spinlock — normally uncontended, since only the owning tile's
+    /// lane mutex — normally uncontended, since only the owning tile's
     /// thread emits there.
     #[inline]
     pub fn emit(&self, tile: TileId, now: Cycles, build: impl FnOnce() -> TraceEventKind) {
@@ -550,13 +488,13 @@ impl Tracer {
     /// Seals the lane's unmarked tail into a sequence block once it reaches
     /// the batch size: one global `fetch_add` for the whole block.
     #[inline]
-    fn seal_if_due(&self, g: &mut LaneGuard<'_>) {
+    fn seal_if_due(&self, g: &mut LaneInner) {
         if g.pushed - g.marked_upto >= self.batch as u64 {
             self.seal(g);
         }
     }
 
-    fn seal(&self, g: &mut LaneGuard<'_>) {
+    fn seal(&self, g: &mut LaneInner) {
         let n = g.pushed - g.marked_upto;
         if n == 0 {
             return;
@@ -575,8 +513,7 @@ impl Tracer {
         {
             eprintln!(
                 "graphite-trace: trace ring full on tile {idx}; dropping oldest events \
-                 (capacity {} per tile; raise TraceOptions::capacity or \
-                 GRAPHITE_TRACE_CAPACITY)",
+                 (capacity {} per tile; raise SimBuilder::trace_capacity)",
                 self.capacity
             );
         }
@@ -587,8 +524,13 @@ impl Tracer {
     /// The simulator calls this at natural synchronization points — barrier
     /// waits, futex blocks, thread exit — so the cross-tile event order in a
     /// drained trace is accurate at synchronization granularity without
-    /// paying per-event global sequencing on the hot path.
+    /// paying per-event global sequencing on the hot path. A disabled tracer
+    /// returns before taking the lane lock; [`Tracer::drain`] seals whatever
+    /// a lane still holds.
     pub fn flush(&self, tile: TileId) {
+        if !self.is_enabled() {
+            return;
+        }
         let idx = self.lane_index(tile);
         let mut g = self.lanes[idx].lock();
         self.seal(&mut g);

@@ -198,6 +198,13 @@ fn worker_pool_selection_and_counters() {
         narrow.sched.runq_depth >= narrow.sched.parks,
         "every park observes a queue depth of at least itself"
     );
+    // A queued context holds no host thread, and a finished context's
+    // carrier runs the next one: one slot never needs more than two carriers.
+    assert!(
+        narrow.sched.threads_peak <= 2,
+        "{} carriers for 1 slot: run-to-completion contexts held host threads",
+        narrow.sched.threads_peak
+    );
 
     // Builder override back to full width: thread-per-tile, no queueing.
     let wide = run(1, Some(16));
