@@ -8,7 +8,8 @@
 //! ## Observability export
 //!
 //! Every harness that goes through [`run_workload`] (or calls
-//! [`export_observability`] itself) honours `GRAPHITE_OBS_DIR=<dir>`: after
+//! [`export_observability`] itself) honours `GRAPHITE_OBS_DIR=<dir>` (and
+//! [`write_observability`] takes the directory as an argument): after
 //! each simulation it writes `<dir>/<NNN>_<label>.metrics.json` (the full
 //! metrics registry, schema `graphite.metrics.v1`) and, when tracing or skew
 //! sampling captured anything, `<dir>/<NNN>_<label>.trace.jsonl` (one
@@ -16,6 +17,7 @@
 //! Chrome `trace_event` timeline for <https://ui.perfetto.dev>). Tracing is a
 //! builder switch: pass `|b| b.tracing(true)` as `run_workload`'s tweak.
 
+use std::path::Path;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
@@ -26,20 +28,26 @@ use graphite_workloads::Workload;
 /// distinct artifact names.
 static EXPORT_SEQ: AtomicU32 = AtomicU32::new(0);
 
+/// Writes `label`'s artifacts (see [`write_observability`]) under
+/// `$GRAPHITE_OBS_DIR`; a no-op when the variable is unset or empty.
+pub fn export_observability(label: &str, report: &SimReport) {
+    match std::env::var_os("GRAPHITE_OBS_DIR") {
+        Some(dir) if !dir.is_empty() => write_observability(Path::new(&dir), label, report),
+        _ => {}
+    }
+}
+
 /// Writes `label`'s `metrics.json` (plus `trace.jsonl` and a Perfetto
 /// `perfetto.json` timeline when events or skew samples were captured)
-/// under `$GRAPHITE_OBS_DIR`; a no-op when the variable is unset.
-/// Non-alphanumeric label characters are folded to `_`.
-pub fn export_observability(label: &str, report: &SimReport) {
-    let Ok(dir) = std::env::var("GRAPHITE_OBS_DIR") else { return };
-    if dir.is_empty() {
-        return;
-    }
-    let _ = std::fs::create_dir_all(&dir);
+/// under `dir`, creating it if needed. Non-alphanumeric label characters
+/// are folded to `_`.
+pub fn write_observability(dir: &Path, label: &str, report: &SimReport) {
+    let _ = std::fs::create_dir_all(dir);
     let clean: String =
         label.chars().map(|c| if c.is_ascii_alphanumeric() { c } else { '_' }).collect();
     let seq = EXPORT_SEQ.fetch_add(1, Ordering::Relaxed);
     let stem = format!("{seq:03}_{clean}");
+    let dir = dir.display();
     let metrics_path = format!("{dir}/{stem}.metrics.json");
     if let Err(e) = std::fs::write(&metrics_path, report.metrics_json()) {
         eprintln!("warning: could not write {metrics_path}: {e}");
@@ -139,10 +147,9 @@ mod tests {
     #[test]
     fn observability_export_writes_parseable_artifacts() {
         let dir = std::env::temp_dir().join(format!("graphite-obs-{}", std::process::id()));
-        std::env::set_var("GRAPHITE_OBS_DIR", &dir);
         let cfg = SimConfig::builder().tiles(2).build().unwrap();
         let r = run_workload(cfg, 2, workload_by_name("radix").unwrap(), |b| b.tracing(true));
-        std::env::remove_var("GRAPHITE_OBS_DIR");
+        write_observability(&dir, "radix", &r);
         assert!(!r.trace_events.is_empty(), "tracing(true) must capture events");
         let mut metrics = 0;
         let mut traces = 0;

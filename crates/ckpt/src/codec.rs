@@ -202,7 +202,7 @@ impl<'a> Dec<'a> {
     pub fn words(&mut self) -> Result<Vec<u64>, SimError> {
         let n = self.u64()?;
         let n = usize::try_from(n).map_err(|_| SimError::CkptTruncated)?;
-        if n.checked_mul(8).is_none_or(|bytes| self.pos + bytes > self.data.len()) {
+        if n.checked_mul(8).is_none_or(|bytes| bytes > self.remaining()) {
             return Err(SimError::CkptTruncated);
         }
         (0..n).map(|_| self.u64()).collect()
@@ -310,6 +310,33 @@ mod tests {
         e.u64(u64::MAX / 2);
         let buf = e.finish();
         assert_eq!(Dec::new(&buf).words().unwrap_err(), SimError::CkptTruncated);
+        // A count whose byte size fits a usize but overruns the position.
+        let mut e = Enc::new();
+        e.u64(u64::MAX / 8);
+        let buf = e.finish();
+        assert_eq!(Dec::new(&buf).words().unwrap_err(), SimError::CkptTruncated);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn readers_never_panic_on_arbitrary_bytes(
+            data in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..64),
+            reads in proptest::collection::vec(0u8..8, 1..12),
+        ) {
+            let mut d = Dec::new(&data);
+            for read in reads {
+                let _ = match read {
+                    0 => d.u8().map(drop),
+                    1 => d.u32().map(drop),
+                    2 => d.u64().map(drop),
+                    3 => d.bytes().map(drop),
+                    4 => d.str().map(drop),
+                    5 => d.words().map(drop),
+                    6 => d.varint().map(drop),
+                    _ => d.delta_words().map(drop),
+                };
+            }
+        }
     }
 
     #[test]

@@ -146,7 +146,10 @@ impl CkptReader {
         }
         let count = u32::from_le_bytes(data[12..16].try_into().expect("4 bytes")) as usize;
         let mut pos = 16usize;
-        let mut entries: Vec<(String, usize, u64)> = Vec::with_capacity(count);
+        // Each manifest entry takes at least 20 bytes (name length, payload
+        // length, checksum): a count the image cannot hold sizes nothing.
+        let mut entries: Vec<(String, usize, u64)> =
+            Vec::with_capacity(count.min((data.len() - pos) / 20));
         for _ in 0..count {
             if pos + 4 > data.len() {
                 return Err(SimError::CkptTruncated);
@@ -293,6 +296,30 @@ mod tests {
                 ) => {}
                 other => panic!("prefix of {cut} bytes: unexpected {other:?}"),
             }
+        }
+    }
+
+    #[test]
+    fn a_lying_segment_count_is_truncation_without_reserving() {
+        let mut image = CKPT_MAGIC.to_vec();
+        image.extend_from_slice(&CKPT_VERSION.to_le_bytes());
+        image.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(CkptReader::from_bytes(image).unwrap_err(), SimError::CkptTruncated);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn arbitrary_images_never_panic(
+            tail in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..96),
+            header in proptest::prelude::any::<bool>(),
+        ) {
+            // With a valid magic and version the manifest parser is reached.
+            let mut image = if header { CKPT_MAGIC.to_vec() } else { Vec::new() };
+            if header {
+                image.extend_from_slice(&CKPT_VERSION.to_le_bytes());
+            }
+            image.extend_from_slice(&tail);
+            let _ = CkptReader::from_bytes(image);
         }
     }
 

@@ -35,14 +35,14 @@
 //!   sleeper is a timer entry, fired by the next carrier that switches
 //!   contexts or by an idle carrier waiting for the earliest deadline.
 //!
-//! **Carriers read the TCP wire.** The TCP transport has no thread of its
-//! own: the scheduler reads its inbound sockets. Each time a
-//! carrier passes its slot on, it first sweeps the wire without blocking,
-//! and a receiver woken by a frame it finds is queued for that very slot —
-//! so a cross-process hop between two coroutines costs no host wake. An
-//! idle carrier waits in `poll(2)` on its wake pipe; while a slot is free,
-//! one idle carrier (the *poller*) also watches the wire, and a receiver
-//! woken by what it reads runs on the poller itself.
+//! **Idle carriers wait together in one kernel wait set**: a wake pipe
+//! and, with the TCP transport, its sockets (the *wire*), each armed
+//! one-shot so one carrier takes it. The transport has no thread: a carrier
+//! passing its slot on first sweeps the wire without blocking, and a
+//! receiver woken by a frame it finds is queued for that very slot — so a
+//! cross-process hop between two coroutines costs no host wake. A handed
+//! coroutine goes to whichever idle carrier takes it first; a wake byte is
+//! written only when no awake idle carrier will see the work.
 //!
 //! The waiter always parks exactly once per wait, even when the result is
 //! already in: the park then consumes the banked token and returns at once.
@@ -71,8 +71,6 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
-use std::io::{PipeReader, PipeWriter, Read, Write};
-use std::os::fd::AsFd;
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::{Duration, Instant};
@@ -81,7 +79,7 @@ use graphite_base::coro::{self, Coroutine};
 use graphite_base::{Blocker, CachePadded, HostProf, HostStage, TileId};
 use graphite_sync::Synchronizer;
 use graphite_trace::{MetricsRegistry, Obs, ShardedMetric};
-use graphite_transport::tcp::TcpTransport;
+use graphite_transport::{tcp::TcpTransport, WaitSet};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
 /// Scheduler event counters (`sched.*`), one cache-padded lane per tile.
@@ -134,95 +132,34 @@ struct SchedState {
     free_since: Vec<u64>,
     /// Contexts waiting for a slot, oldest first.
     runq: VecDeque<u32>,
-    /// Every live carrier's mailbox, by carrier index.
-    carriers: Vec<Arc<Mailbox>>,
-    /// Carriers holding no slot and waiting for work. A carrier registers
+    /// Coroutines handed a slot, for the first idle carrier to take.
+    handed: VecDeque<u32>,
+    /// Live carriers.
+    carriers: usize,
+    /// Idle carriers that no handed coroutine has claimed. A carrier counts
     /// here under the same lock as the slot release that idles it, so a
     /// dispatch never spawns a carrier while one is about to go idle.
-    idle: Vec<usize>,
+    idle: usize,
+    /// Idle carriers blocked, or about to block, in the wait set.
+    sleeping: usize,
+    /// Wake bytes written to the pipe and not yet read.
+    wakes: usize,
     /// Suspended sleepers by wake-up deadline, earliest first.
     timers: BinaryHeap<Reverse<(Instant, u32)>>,
-    /// The idle carrier that watches the wire, if any. While a wire is
-    /// attached and a slot is free, some idle carrier holds this role, so a
-    /// frame never waits for a carrier to switch (one may be running a guest
-    /// that spins on memory, or none may be running at all).
-    poller: Option<usize>,
+    /// Every carrier exits (see [`GuestScheduler::retire_carriers`]).
+    retired: bool,
 }
 
-/// What an idle carrier is woken for.
-#[derive(Debug)]
-enum Work {
-    /// Run `tile`'s coroutine on the slot that comes with it.
-    Run(u32),
-    /// A sleeper was queued, or the poller role came to this carrier:
-    /// re-read the earliest deadline and the role.
-    Tick,
-    /// The simulation is over: exit.
-    Retire,
-}
-
-/// An idle carrier's wake-up channel: the posted work, and a pipe that a
-/// post writes only while the carrier sleeps in `poll`, so posting to a
-/// carrier that is awake costs no system call.
-#[derive(Debug)]
-struct Mailbox {
-    posted: Mutex<Posted>,
-    rx: PipeReader,
-    tx: PipeWriter,
-}
-
-#[derive(Debug, Default)]
-struct Posted {
-    work: Option<Work>,
-    /// The carrier is blocked (or about to block) in `poll` on the pipe.
-    sleeping: bool,
-    /// A wake byte is in the pipe.
-    signalled: bool,
-}
-
-impl Mailbox {
-    fn new() -> Self {
-        let (rx, tx) = std::io::pipe().expect("create a carrier's wake pipe");
-        Mailbox { posted: Mutex::new(Posted::default()), rx, tx }
-    }
-
-    /// Posts `work`. A `Tick` goes only to a carrier on the idle list and a
-    /// `Run` only to one just taken off it, so a `Run` is never overwritten.
-    fn post(&self, work: Work) {
-        let wake = {
-            let mut p = self.posted.lock();
-            p.work = Some(work);
-            let wake = p.sleeping && !p.signalled;
-            p.signalled |= wake;
-            wake
-        };
-        // Written after the lock is dropped: a carrier woken under it would
-        // run straight into it and sleep again (as `CtxParker::grant_slot`).
-        if wake {
-            (&self.tx).write_all(&[1]).expect("write a carrier's wake pipe");
-        }
-    }
-
-    /// Takes the posted work; with none, marks the carrier asleep, so a
-    /// later post writes the pipe.
-    fn take_or_sleep(&self) -> Option<Work> {
-        let mut p = self.posted.lock();
-        let work = p.work.take();
-        p.sleeping = work.is_none();
-        work
-    }
-
-    /// Marks the carrier awake after its `poll` and takes the posted work.
-    /// The wake byte is read only once `poll` saw it (`pipe_ready`): one
-    /// still on its way stays `signalled` and ends the next `poll` at once.
-    fn awake(&self, pipe_ready: bool) -> Option<Work> {
-        let mut p = self.posted.lock();
-        p.sleeping = false;
-        if pipe_ready {
-            (&self.rx).read_exact(&mut [0]).expect("read a carrier's wake pipe");
-            p.signalled = false;
-        }
-        p.work.take()
+impl SchedState {
+    /// Counts a wake byte for work just posted, which leaves `unclaimed`
+    /// idle carriers unclaimed: one is needed only when the work outnumbers
+    /// the awake idle carriers plus the bytes on their way, i.e. while
+    /// `sleeping > unclaimed + wakes`. The caller writes it after dropping
+    /// the lock, or the woken carrier would run into it and sleep again.
+    fn wake_one(&mut self, unclaimed: usize) -> bool {
+        let wake = self.sleeping > unclaimed + self.wakes;
+        self.wakes += usize::from(wake);
+        wake
     }
 }
 
@@ -296,6 +233,7 @@ pub struct GuestScheduler {
     prof: Arc<HostProf>,
     /// The TCP transport whose inbound sockets the carriers read, if any.
     wire: OnceLock<Arc<TcpTransport>>,
+    waits: OnceLock<Arc<WaitSet>>,
     /// The sync model whose active set the context lifecycle drives, if
     /// any. Weak: the model parks its waiters through this scheduler.
     sync: OnceLock<Weak<dyn Synchronizer>>,
@@ -308,7 +246,7 @@ impl std::fmt::Debug for GuestScheduler {
             .field("workers", &self.workers)
             .field("free", &s.free)
             .field("queued", &s.runq.len())
-            .field("carriers", &s.carriers.len())
+            .field("carriers", &s.carriers)
             .field("sleepers", &s.timers.len())
             .finish()
     }
@@ -334,10 +272,13 @@ impl GuestScheduler {
                 free: workers,
                 free_since,
                 runq: VecDeque::new(),
-                carriers: Vec::new(),
-                idle: Vec::new(),
+                handed: VecDeque::new(),
+                carriers: 0,
+                idle: 0,
+                sleeping: 0,
+                wakes: 0,
                 timers: BinaryHeap::new(),
-                poller: None,
+                retired: false,
             }),
             carrier_idle: Condvar::new(),
             ctxs: (0..tiles).map(|_| CachePadded::default()).collect(),
@@ -346,25 +287,26 @@ impl GuestScheduler {
             stats: SchedStats::registered(&obs.metrics),
             prof,
             wire: OnceLock::new(),
+            waits: OnceLock::new(),
             sync: OnceLock::new(),
         })
     }
 
-    /// Makes the carriers read `wire` (see the module docs). Call it before
-    /// the first context is submitted; only the first call takes effect.
+    /// Makes the carriers read `wire` and wait in its set (see the module
+    /// docs). Call it before the first context is submitted; only the first
+    /// call takes effect.
     pub(crate) fn attach_wire(&self, wire: Arc<TcpTransport>) {
-        // The poller's poll set lacks a stream accepted after it was built
-        // (a sweep, a blocked write or an old poller won the accept): a tick
-        // makes it poll again with the stream in.
-        let me = self.me.clone();
-        wire.set_accept_hook(Box::new(move || {
-            let Some(sched) = me.upgrade() else { return };
-            let s = sched.state.lock();
-            if let Some(c) = s.poller {
-                s.carriers[c].post(Work::Tick);
-            }
-        }));
+        debug_assert!(self.waits.get().is_none(), "the wire came after carriers chose a wait set");
         let _ = self.wire.set(wire);
+    }
+
+    /// The wait set idle carriers sleep in, made on first use: the wire's
+    /// (see [`Self::attach_wire`]), or one holding only the wake pipe.
+    fn waits(&self) -> &WaitSet {
+        self.waits.get_or_init(|| match self.wire.get() {
+            Some(wire) => Arc::clone(wire.waits()),
+            None => Arc::new(WaitSet::new().expect("create the carriers' wait set")),
+        })
     }
 
     /// Makes the context lifecycle drive `sync`'s active set. Call it before
@@ -513,7 +455,7 @@ impl GuestScheduler {
     }
 
     /// Gives the slot the caller has claimed for `t` (popped from a
-    /// run-queue, or taken from `free`) to `t`: a coroutine goes to an idle
+    /// run-queue, or taken from `free`) to `t`: a coroutine goes to any idle
     /// carrier — or a new one — and a thread gets its slot token.
     fn hand_slot(&self, mut s: MutexGuard<'_, SchedState>, t: u32) {
         if !self.ctxs[t as usize].resumable.load(Ordering::Relaxed) {
@@ -521,134 +463,90 @@ impl GuestScheduler {
             self.ctxs[t as usize].parker.grant_slot();
             return;
         }
-        if let Some(c) = s.idle.pop() {
-            let mailbox = Arc::clone(&s.carriers[c]);
-            if s.poller == Some(c) {
-                // The poller leaves the idle list: another idle carrier
-                // takes over the wire if a slot is still free.
-                s.poller = None;
-                self.watch_free_slot(s, t as usize);
-            } else {
-                drop(s);
-            }
-            mailbox.post(Work::Run(t));
-            return;
+        if s.idle == 0 {
+            return self.spawn_carrier(s, t as usize, Some(t));
         }
-        self.spawn_carrier(s, t as usize, Some(t));
+        s.idle -= 1;
+        s.handed.push_back(t);
+        let unclaimed = s.idle;
+        let wake = s.wake_one(unclaimed);
+        // If that was the last idle carrier, a free slot needs another.
+        self.watch_free_slot(s, t as usize);
+        if wake {
+            self.waits().wake();
+        }
     }
 
     /// If a slot is free that no switching carrier may pass on, makes sure
-    /// an idle carrier waits for whatever could claim it: the wire, when no
-    /// carrier polls it yet, and the earliest sleeper's deadline. Nudges the
-    /// most recently idled carrier, or starts one.
-    fn watch_free_slot(&self, mut s: MutexGuard<'_, SchedState>, lane: usize) {
-        let wire = self.wire.get().is_some() && s.poller.is_none();
-        if s.free == 0 || (!wire && s.timers.is_empty()) {
-            return;
-        }
-        match s.idle.last().copied() {
-            Some(c) => {
-                if wire {
-                    s.poller = Some(c);
-                }
-                s.carriers[c].post(Work::Tick);
-            }
-            None => self.spawn_carrier(s, lane, None),
+    /// some idle carrier waits in the set for whatever could claim it — a
+    /// frame on the wire, or a sleeper's deadline — starting one if none is
+    /// idle.
+    fn watch_free_slot(&self, s: MutexGuard<'_, SchedState>, lane: usize) {
+        if s.free > 0 && s.idle == 0 && (self.wire.get().is_some() || !s.timers.is_empty()) {
+            self.spawn_carrier(s, lane, None);
         }
     }
 
     /// Starts a carrier thread: one running `first` on the slot claimed for
-    /// it, or (`None`) an idle one that waits for sleepers' deadlines and
-    /// the wire. `lane` is the metrics lane to count the spawn on.
+    /// it, or (`None`) an idle one. `lane` is the metrics lane to count the
+    /// spawn on.
     fn spawn_carrier(&self, mut s: MutexGuard<'_, SchedState>, lane: usize, first: Option<u32>) {
         let _sp = self.prof.span(HostStage::SchedSpawn);
-        let mailbox = Arc::new(Mailbox::new());
-        s.carriers.push(Arc::clone(&mailbox));
-        let (id, live) = (s.carriers.len() - 1, s.carriers.len() as u64);
+        s.carriers += 1;
+        let live = s.carriers;
         if first.is_none() {
-            self.go_idle(&mut s, id);
+            self.go_idle(&mut s);
         }
         drop(s);
         self.stats.threads_spawned.incr(lane);
-        self.stats.threads_peak.observe_max(lane, live);
+        self.stats.threads_peak.observe_max(lane, live as u64);
         let me = self.me.upgrade().expect("a scheduler handing out slots is alive");
         let handle = std::thread::Builder::new()
-            .name(format!("graphite-carrier{id}"))
-            .spawn(move || me.carrier_main(id, &mailbox, first))
+            .name(format!("graphite-carrier{}", live - 1))
+            .spawn(move || me.carrier_main(first))
             .expect("spawn carrier thread");
         self.joins.lock().push(handle);
     }
 
-    /// A carrier's loop: run the coroutine it was started or woken for, keep
+    /// A carrier's loop: run the coroutine it was started or handed, keep
     /// the slot for the next queued coroutine while there is one, then wait
     /// idle for more work.
-    fn carrier_main(&self, id: usize, mailbox: &Mailbox, first: Option<u32>) {
+    fn carrier_main(&self, first: Option<u32>) {
         let mut next = first;
-        loop {
-            let tile = match next {
-                Some(t) => t,
-                None => match self.idle_wait(id, mailbox) {
-                    Some(t) => t,
-                    None => return,
-                },
-            };
-            next = self.run_coroutine(id, TileId(tile));
+        while let Some(tile) = next.or_else(|| self.idle_wait()) {
+            next = self.run_coroutine(TileId(tile));
         }
     }
 
-    /// An idle carrier's wait: returns the tile it is handed, or `None` once
-    /// retired. It sleeps in `poll` on its wake pipe — and on the wire, while
-    /// it is the poller, so its poll doubles as its sweep before blocking —
-    /// until the earliest sleeper's deadline, so a free slot never sits next
-    /// to an expired sleeper or an unread frame.
-    fn idle_wait(&self, id: usize, mailbox: &Mailbox) -> Option<u32> {
+    /// An idle carrier's wait: returns the coroutine it takes, or `None`
+    /// once retired. It sleeps in the wait set until a wake byte, a source on
+    /// the wire or the earliest sleeper's deadline. A receiver woken by a
+    /// frame it reads is queued while it is awake, so it likely runs it.
+    fn idle_wait(&self) -> Option<u32> {
+        let mut ready = Vec::new();
         loop {
-            let (deadline, poller) = {
-                let s = self.state.lock();
-                (s.timers.peek().map(|Reverse((d, _))| *d), s.poller == Some(id))
-            };
-            let work = match mailbox.take_or_sleep() {
-                Some(work) => Some(work),
-                None => {
-                    let timeout = deadline.map(|d| d.saturating_duration_since(Instant::now()));
-                    let mut ready = Vec::new();
-                    let pipe_ready = match self.wire.get() {
-                        Some(wire) if poller => {
-                            wire.wait(mailbox.rx.as_fd(), timeout, &mut |dst| {
-                                self.collect_delivery(dst, &mut ready)
-                            })
-                        }
-                        _ => graphite_transport::wait_readable(mailbox.rx.as_fd(), timeout),
-                    };
-                    let work = mailbox.awake(pipe_ready);
-                    if !ready.is_empty() {
-                        // The receivers this carrier woke take free slots
-                        // from the top of the idle stack: this carrier first
-                        // (its `Run` is taken on the next pass).
-                        {
-                            let mut s = self.state.lock();
-                            if let Some(at) = s.idle.iter().position(|&c| c == id) {
-                                s.idle.remove(at);
-                                s.idle.push(id);
-                            }
-                        }
-                        for t in ready {
-                            self.enqueue_for_slot(TileId(t));
-                        }
-                    }
-                    work
+            let mut s = self.lock_firing_timers();
+            if s.retired {
+                return None;
+            }
+            if let Some(t) = s.handed.pop_front() {
+                return Some(t);
+            }
+            s.sleeping += 1;
+            let timeout =
+                s.timers.peek().map(|Reverse((d, _))| d.saturating_duration_since(Instant::now()));
+            drop(s);
+            let woken = self.waits().wait(timeout, &mut |token| {
+                if let Some(wire) = self.wire.get() {
+                    wire.ready(token, &mut |dst| self.collect_delivery(dst, &mut ready));
                 }
-            };
-            match work {
-                Some(Work::Run(t)) => return Some(t),
-                Some(Work::Retire) => return None,
-                // Expired sleepers take the free slot (maybe via this
-                // carrier's own mailbox).
-                Some(Work::Tick) => drop(self.lock_firing_timers()),
-                None if deadline.is_some_and(|d| Instant::now() >= d) => {
-                    drop(self.lock_firing_timers())
-                }
-                None => {}
+            });
+            let mut s = self.state.lock();
+            s.sleeping -= 1;
+            s.wakes -= usize::from(woken);
+            drop(s);
+            for t in ready.drain(..) {
+                self.enqueue_for_slot(TileId(t));
             }
         }
     }
@@ -656,7 +554,7 @@ impl GuestScheduler {
     /// Resumes `tile`'s coroutine on this carrier's slot until it parks or
     /// finishes, then passes the slot on. Returns the next coroutine to run
     /// on the same slot, or `None` once the carrier is registered idle.
-    fn run_coroutine(&self, id: usize, tile: TileId) -> Option<u32> {
+    fn run_coroutine(&self, tile: TileId) -> Option<u32> {
         let slot = &self.ctxs[tile.index()];
         let mut co = {
             let mut p = slot.parker.lock.lock();
@@ -695,19 +593,16 @@ impl GuestScheduler {
         // slot this carrier is about to pass on.
         let mut ready = Vec::new();
         if let Some(wire) = self.wire.get() {
-            wire.sweep(&mut |dst| self.collect_delivery(dst, &mut ready));
-        }
-        if let Some(d) = deadline {
-            // The sleeper is stored: its deadline may fire from now on. An
-            // idle carrier may be waiting for a later deadline (or none).
-            let mut s = self.state.lock();
-            s.timers.push(Reverse((d, tile.0)));
-            if let Some(&c) = s.idle.last() {
-                s.carriers[c].post(Work::Tick);
+            for token in wire.waits().sweep() {
+                wire.ready(token, &mut |dst| self.collect_delivery(dst, &mut ready));
             }
         }
         let next = {
             let mut s = self.lock_firing_timers();
+            if let Some(d) = deadline {
+                // The sleeper is stored: its deadline may fire from now on.
+                s.timers.push(Reverse((d, tile.0)));
+            }
             for &t in &ready {
                 self.enqueue(&mut s, TileId(t));
             }
@@ -716,20 +611,28 @@ impl GuestScheduler {
                     (Some(t), None)
                 }
                 Some(t) => {
-                    self.go_idle(&mut s, id);
+                    self.go_idle(&mut s);
                     (None, Some(t))
                 }
                 None => {
                     self.put_slot(&mut s);
-                    self.go_idle(&mut s, id);
+                    self.go_idle(&mut s);
                     (None, None)
                 }
             };
+            // An idle carrier may be waiting for a later deadline than the
+            // new sleeper's (or none): a byte that claims no carrier makes
+            // one re-read the earliest.
+            let idle = s.idle;
+            let wake = deadline.is_some() && idle > 0 && s.wake_one(idle - 1);
             if ready.is_empty() {
                 drop(s);
             } else {
                 // More than one receiver woke: the others take free slots.
                 self.fill_free_slots(s, tile);
+            }
+            if wake {
+                self.waits().wake();
             }
             if let Some(t) = thread {
                 self.ctxs[t as usize].parker.grant_slot();
@@ -762,33 +665,30 @@ impl GuestScheduler {
         }
     }
 
-    /// Registers carrier `id` as idle (on top of the LIFO idle stack). With
-    /// a wire attached and no poller yet, it becomes the poller.
-    fn go_idle(&self, s: &mut SchedState, id: usize) {
-        s.idle.push(id);
-        if self.wire.get().is_some() && s.poller.is_none() {
-            s.poller = Some(id);
-        }
-        if s.idle.len() == s.carriers.len() {
+    /// Registers the calling carrier as idle.
+    fn go_idle(&self, s: &mut SchedState) {
+        s.idle += 1;
+        if s.idle == s.carriers {
             self.carrier_idle.notify_all();
         }
     }
 
-    /// Waits until every carrier is idle, then retires and joins them all.
-    /// Called once the simulation is over (every context has exited), so
-    /// the process's thread count returns to what it was before the run.
+    /// Waits until every carrier is idle, then retires them all (a flag and
+    /// a wake byte each) and joins them. Called once the simulation is over
+    /// (every context has exited), so the process's thread count returns to
+    /// what it was before the run.
     pub fn retire_carriers(&self) {
-        let mailboxes = {
+        let carriers = {
             let mut s = self.state.lock();
-            while s.idle.len() < s.carriers.len() {
+            while s.idle < s.carriers {
                 self.carrier_idle.wait(&mut s);
             }
-            s.idle.clear();
-            s.poller = None;
+            s.retired = true;
+            s.wakes += s.carriers;
             std::mem::take(&mut s.carriers)
         };
-        for m in mailboxes {
-            m.post(Work::Retire);
+        for _ in 0..carriers {
+            self.waits().wake();
         }
         let joins = std::mem::take(&mut *self.joins.lock());
         for h in joins {
@@ -842,7 +742,8 @@ impl GuestScheduler {
             Some(t) => self.hand_slot(s, t),
             None => {
                 // No carrier is switching, so none would fire the sleepers'
-                // deadlines or read the wire onto this free slot.
+                // deadlines or read the wire onto this free slot unless one
+                // is idle.
                 self.put_slot(&mut s);
                 self.watch_free_slot(s, tile.index());
             }

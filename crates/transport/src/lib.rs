@@ -16,7 +16,7 @@
 //! * [`tcp::TcpTransport`] — real length-prefixed TCP sockets over loopback,
 //!   exercising the paper's actual wire path ("the current transport layer
 //!   uses TCP/IP sockets"). It owns no thread: the simulator's scheduler
-//!   carriers read its sockets.
+//!   carriers wait for its sockets in a [`WaitSet`] and read them.
 //!
 //! The hub counts intra-process, inter-process and inter-machine traffic;
 //! the host performance model consumes those counters.
@@ -39,8 +39,10 @@
 pub mod tcp;
 
 use std::collections::{HashMap, VecDeque};
+use std::ffi::{c_int, c_void};
 use std::fmt;
-use std::os::fd::{AsRawFd, BorrowedFd, RawFd};
+use std::io::{self, PipeReader, PipeWriter, Read, Write};
+use std::os::fd::{AsFd, BorrowedFd, OwnedFd};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
@@ -194,7 +196,9 @@ struct Mailboxes {
 impl Mailboxes {
     fn register(&self, tile: TileId) -> Mailbox {
         let queue = Arc::new(Mutex::new(Queue::default()));
-        if let Some(old) = self.queues.write().insert(tile, Arc::clone(&queue)) {
+        // The guard goes before the hook runs: no lock is held across it.
+        let old = self.queues.write().insert(tile, Arc::clone(&queue));
+        if let Some(old) = old {
             old.lock().closed = true;
             self.notify(tile);
         }
@@ -267,61 +271,155 @@ pub trait Transport: Send + Sync {
     fn stats(&self) -> &TransportStats;
 }
 
-/// `struct pollfd` of poll(2).
+/// `struct epoll_event`, which the kernel packs on x86_64 (12 bytes).
 #[repr(C)]
-#[derive(Debug, Clone, Copy)]
-struct PollFd {
-    fd: RawFd,
-    events: i16,
-    revents: i16,
+#[cfg_attr(target_arch = "x86_64", repr(packed))]
+#[derive(Debug, Clone, Copy, Default)]
+struct EpollEvent {
+    events: u32,
+    token: u64,
 }
 
-const POLLIN: i16 = 0x001;
-const POLLOUT: i16 = 0x004;
+const EPOLLIN: u32 = 0x001;
+const EPOLLOUT: u32 = 0x004;
+const EPOLLONESHOT: u32 = 1 << 30;
+const ONCE: u32 = EPOLLIN | EPOLLONESHOT; // readable, reported once until re-armed
+const EPOLL_CLOEXEC: c_int = 0o2_000_000;
+const EPOLL_CTL_ADD: c_int = 1;
+const EPOLL_CTL_MOD: c_int = 3;
 
-impl PollFd {
-    fn new(fd: RawFd, events: i16) -> Self {
-        PollFd { fd, events, revents: 0 }
+// `epoll_create1` returns a fresh descriptor (`None` for -1), and
+// `epoll_ctl` takes live borrowed descriptors and only reads its event
+// record: both are safe to call.
+unsafe extern "C" {
+    safe fn epoll_create1(flags: c_int) -> Option<OwnedFd>;
+    safe fn epoll_ctl(ep: BorrowedFd, op: c_int, fd: BorrowedFd, ev: &mut EpollEvent) -> c_int;
+    fn epoll_pwait2(
+        ep: BorrowedFd,
+        events: *mut EpollEvent,
+        max: c_int,
+        timeout: *const [i64; 2], // `struct timespec` on 64-bit Linux
+        sigmask: *const c_void,
+    ) -> c_int;
+}
+
+fn ctl(ep: BorrowedFd, op: c_int, fd: BorrowedFd, events: u32, token: u64) -> io::Result<()> {
+    match epoll_ctl(ep, op, fd, &mut EpollEvent { events, token }) {
+        0 => Ok(()),
+        _ => Err(io::Error::last_os_error()),
     }
 }
 
-/// Blocks until one of `fds` is ready (data, room, hang-up or error) or
-/// `timeout` passes (`None`: no limit); returns how many are ready, 0 on a
-/// timeout or a signal, after which every caller polls again. `ppoll` takes
-/// nanosecond deadlines.
-fn poll(fds: &mut [PollFd], timeout: Option<Duration>) -> usize {
-    #[repr(C)]
-    struct Timespec(i64, i64);
-    unsafe extern "C" {
-        fn ppoll(
-            fds: *mut PollFd,
-            nfds: std::ffi::c_ulong,
-            timeout: *const Timespec,
-            sigmask: *const std::ffi::c_void,
-        ) -> std::ffi::c_int;
+/// Waits up to `timeout` (`None`: no limit) for at most `N` of `ep`'s
+/// sources and returns their tokens, none on a timeout or a signal.
+/// `epoll_pwait2` takes nanosecond deadlines: `epoll_wait`'s milliseconds
+/// would stretch every short LaxP2P catch-up sleep. Any other failure
+/// (`ENOSYS` before Linux 5.11) panics rather than spin the caller.
+fn pwait<const N: usize>(ep: BorrowedFd, timeout: Option<Duration>) -> impl Iterator<Item = u64> {
+    let mut events = [EpollEvent::default(); N];
+    let ts = timeout.map(|d| [d.as_secs().min(i64::MAX as u64) as i64, d.subsec_nanos().into()]);
+    let ts = ts.as_ref().map_or(std::ptr::null(), |t| t as *const [i64; 2]);
+    // SAFETY: `events` is a live, exclusively borrowed array of records laid
+    // out as the kernel's `struct epoll_event`, and `N` is its length (a
+    // handful), so the kernel writes only inside it; `ts` is null or points
+    // at a `timespec` that outlives the call; a null signal mask leaves the
+    // mask unchanged. `epoll_pwait2` keeps no pointer past its return.
+    let n = unsafe { epoll_pwait2(ep, events.as_mut_ptr(), N as c_int, ts, std::ptr::null()) };
+    if n < 0 {
+        let e = io::Error::last_os_error();
+        assert_eq!(e.kind(), io::ErrorKind::Interrupted, "epoll_pwait2: {e}");
     }
-    let ts =
-        timeout.map(|d| Timespec(d.as_secs().min(i64::MAX as u64) as i64, d.subsec_nanos().into()));
-    let ts_ptr = ts.as_ref().map_or(std::ptr::null(), |t| t as *const Timespec);
-    // SAFETY: `fds` is a live, exclusively borrowed slice of `#[repr(C)]`
-    // `pollfd` records and `nfds` is its length, so the kernel reads and
-    // writes only inside it; `ts_ptr` is null or points at a `timespec`
-    // (two 64-bit words on the 64-bit Linux targets the scheduler's
-    // coroutines require) that outlives the call; a null signal mask leaves
-    // the mask unchanged. `ppoll` keeps no pointer past its return.
-    let n = unsafe {
-        ppoll(fds.as_mut_ptr(), fds.len() as std::ffi::c_ulong, ts_ptr, std::ptr::null())
-    };
-    n.max(0) as usize
+    events.into_iter().take(n.max(0) as usize).map(|event| event.token)
 }
 
-/// Blocks until `fd` reads ready or `timeout` passes (`None`: no limit),
-/// and says whether it is ready: an idle scheduler carrier's wait when no
-/// TCP transport is attached.
-pub fn wait_readable(fd: BorrowedFd<'_>, timeout: Option<Duration>) -> bool {
-    let mut fds = [PollFd::new(fd.as_raw_fd(), POLLIN)];
-    poll(&mut fds, timeout);
-    fds[0].revents != 0
+/// The tokens the wake pipe and the wire are reported with.
+const WAKE: u64 = u64::MAX;
+const WIRE: u64 = u64::MAX - 1;
+
+/// A persistent kernel wait set (`epoll(7)`) for idle threads: a wake pipe
+/// and the *wire*, a second set nested in it that, once a
+/// [`tcp::TcpTransport`] owns this one, holds the transport's listeners and
+/// every stream they accepted. Every source is armed one-shot: a wait that
+/// reports one disarms it, so one of the threads waiting together takes it,
+/// and the taker re-arms it once drained. The simulator's idle scheduler
+/// carriers all wait here, with or without a TCP wire.
+#[derive(Debug)]
+pub struct WaitSet {
+    /// The wake pipe and the wire.
+    ep: OwnedFd,
+    /// The transport's sockets.
+    wire: OwnedFd,
+    rx: PipeReader,
+    tx: PipeWriter,
+}
+
+impl WaitSet {
+    /// A set holding only its wake pipe and an empty wire.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the kernel refuses a descriptor (`EMFILE`, `ENOMEM`).
+    pub fn new() -> io::Result<Self> {
+        let create = || epoll_create1(EPOLL_CLOEXEC).ok_or_else(io::Error::last_os_error);
+        let (ep, wire) = (create()?, create()?);
+        let (rx, tx) = std::io::pipe()?;
+        ctl(ep.as_fd(), EPOLL_CTL_ADD, rx.as_fd(), ONCE, WAKE)?;
+        ctl(ep.as_fd(), EPOLL_CTL_ADD, wire.as_fd(), ONCE, WIRE)?;
+        Ok(WaitSet { ep, wire, rx, tx })
+    }
+
+    /// Adds `fd` to the wire, armed one-shot for reading as `token`.
+    fn add(&self, fd: BorrowedFd, token: u64) -> io::Result<()> {
+        ctl(self.wire.as_fd(), EPOLL_CTL_ADD, fd, ONCE, token)
+    }
+
+    /// Re-arms a drained wire source (in the set, so it cannot fail); data
+    /// still there is reported at once.
+    fn rearm(&self, fd: BorrowedFd, token: u64) {
+        let _ = ctl(self.wire.as_fd(), EPOLL_CTL_MOD, fd, ONCE, token);
+    }
+
+    /// Writes one byte to the wake pipe: it ends one [`Self::wait`].
+    pub fn wake(&self) {
+        (&self.tx).write_all(&[1]).expect("write the wake pipe");
+    }
+
+    /// Blocks until a wake byte, a wire source or `timeout` (`None`: no
+    /// limit), then reports each ready wire source's token to `ready`.
+    /// Returns whether it read a wake byte.
+    pub fn wait(&self, timeout: Option<Duration>, ready: &mut dyn FnMut(u64)) -> bool {
+        let mut woken = false;
+        for token in pwait::<2>(self.ep.as_fd(), timeout) {
+            if token == WAKE {
+                (&self.rx).read_exact(&mut [0]).expect("read the wake pipe");
+                woken = true;
+                let _ = ctl(self.ep.as_fd(), EPOLL_CTL_MOD, self.rx.as_fd(), ONCE, WAKE);
+            } else {
+                // Taken before the re-arm: a thread it wakes finds the rest.
+                let taken = self.sweep();
+                let _ = ctl(self.ep.as_fd(), EPOLL_CTL_MOD, self.wire.as_fd(), ONCE, WIRE);
+                taken.for_each(&mut *ready);
+            }
+        }
+        woken
+    }
+
+    /// Takes, and so disarms, up to 8 wire sources that are ready now and
+    /// returns their tokens, without blocking; wake bytes stay for sleepers.
+    pub fn sweep(&self) -> impl Iterator<Item = u64> {
+        pwait::<8>(self.wire.as_fd(), Some(Duration::ZERO))
+    }
+
+    /// Blocks until `fd` has room to write or a wire source is ready,
+    /// through a second, short-lived set that holds both. Not the wake
+    /// pipe: a byte left for a sleeper would end every such wait at once.
+    fn wait_writable(&self, fd: BorrowedFd) -> io::Result<()> {
+        let room = epoll_create1(EPOLL_CLOEXEC).ok_or_else(io::Error::last_os_error)?;
+        ctl(room.as_fd(), EPOLL_CTL_ADD, fd, EPOLLOUT, 0)?;
+        ctl(room.as_fd(), EPOLL_CTL_ADD, self.wire.as_fd(), EPOLLIN, 0)?;
+        let _ = pwait::<2>(room.as_fd(), None);
+        Ok(())
+    }
 }
 
 /// In-memory transport: a send enqueues straight into the receiver's
@@ -519,6 +617,79 @@ mod tests {
             n += 1;
         }
         assert_eq!(n, 2000);
+    }
+
+    #[test]
+    fn a_one_shot_source_goes_to_one_waiter_until_rearmed() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let set = Arc::new(WaitSet::new().unwrap());
+        let (rx, tx) = std::io::pipe().unwrap();
+        set.add(rx.as_fd(), 7).unwrap();
+        let reports = Arc::new(AtomicUsize::new(0));
+        let waiters: Vec<_> = (0..2)
+            .map(|_| {
+                let (set, reports) = (Arc::clone(&set), Arc::clone(&reports));
+                // Waits until the source is reported (true) or a wake byte
+                // ends the wait (false).
+                std::thread::spawn(move || loop {
+                    let mut got = false;
+                    let woken = set.wait(Some(Duration::from_secs(10)), &mut |token| {
+                        assert_eq!(token, 7);
+                        reports.fetch_add(1, Ordering::SeqCst);
+                        got = true;
+                    });
+                    if got || woken {
+                        return got;
+                    }
+                })
+            })
+            .collect();
+        std::thread::sleep(Duration::from_millis(20)); // both are waiting
+        (&tx).write_all(&[1]).unwrap();
+        while reports.load(Ordering::SeqCst) == 0 {
+            std::thread::yield_now();
+        }
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(reports.load(Ordering::SeqCst), 1, "one waiter takes a one-shot source");
+        set.wake(); // ends the other waiter's wait
+        let mut got: Vec<bool> = waiters.into_iter().map(|h| h.join().unwrap()).collect();
+        got.sort();
+        assert_eq!(got, [false, true]);
+        // Still readable, but disarmed until its taker re-arms it.
+        let none = &mut |_| panic!("reported before it was re-armed");
+        assert!(!set.wait(Some(Duration::from_millis(20)), none));
+        set.rearm(rx.as_fd(), 7);
+        let mut again = Vec::new();
+        set.wait(Some(Duration::ZERO), &mut |token| again.push(token));
+        assert_eq!(again, [7], "re-armed, the still-ready source is reported at once");
+    }
+
+    #[test]
+    fn a_wake_byte_leaves_a_blocked_writer_waiting() {
+        use std::net::{TcpListener, TcpStream};
+        let set = Arc::new(WaitSet::new().unwrap());
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let writer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut peer, _) = listener.accept().unwrap();
+        writer.set_nonblocking(true).unwrap();
+        while (&writer).write(&[0; 64 << 10]).is_ok() {} // full: nobody reads the peer
+        set.wake(); // a byte no thread takes
+        let (done_tx, done) = std::sync::mpsc::channel();
+        let blocked = Arc::clone(&set);
+        let waiter = std::thread::spawn(move || {
+            blocked.wait_writable(writer.as_fd()).unwrap();
+            done_tx.send(()).unwrap();
+        });
+        let spun = done.recv_timeout(Duration::from_millis(50));
+        assert!(spun.is_err(), "the wake byte ended the writer's wait");
+        peer.set_read_timeout(Some(Duration::from_millis(10))).unwrap();
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while done.try_recv().is_err() {
+            assert!(std::time::Instant::now() < deadline, "room never ended the wait");
+            let _ = peer.read(&mut [0; 64 << 10]);
+        }
+        waiter.join().unwrap();
+        assert!(set.wait(Some(Duration::ZERO), &mut |_| {}), "the byte is still there");
     }
 
     #[test]

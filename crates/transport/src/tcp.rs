@@ -8,12 +8,13 @@
 //! delivered to the tile's mailbox. Intra-process traffic short-cuts
 //! through memory, exactly as shared-memory delivery does in Graphite.
 //!
-//! The backend owns no thread. Listeners and streams are non-blocking, and
-//! whoever drives the inbound side reads it: the simulator's scheduler
-//! carriers ([`TcpTransport::sweep`] between two guest contexts,
-//! [`TcpTransport::wait`] when idle), or [`TcpTransport::pump`] without a
-//! scheduler. Outbound streams connect on the first send, with bounded
-//! backoff.
+//! The backend owns no thread. Listeners and streams are non-blocking and
+//! sit in the wire of one [`WaitSet`] from their bind or accept on, armed
+//! one-shot so one reader takes each at a time. The simulator's scheduler
+//! carriers read them: [`TcpTransport::ready`] takes each source that
+//! their idle wait reports, or that a [`WaitSet::sweep`] between two guest
+//! contexts finds. Outbound streams connect on the first send, with
+//! bounded backoff.
 //!
 //! The framing is a length-prefixed binary header:
 //! `len:u32 | src tile:u32 | dst tile:u32 | flow:u64 | payload`, with `len`
@@ -23,8 +24,8 @@
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::os::fd::{AsRawFd, BorrowedFd, RawFd};
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::os::fd::AsFd;
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
@@ -32,9 +33,7 @@ use graphite_base::{SimError, SimRng, TileId};
 use graphite_config::SimConfig;
 use parking_lot::{Mutex, RwLock};
 
-use crate::{
-    poll, DeliveryHook, Mailbox, Mailboxes, Msg, PollFd, Transport, TransportStats, POLLIN, POLLOUT,
-};
+use crate::{DeliveryHook, Mailbox, Mailboxes, Msg, Transport, TransportStats, WaitSet};
 
 /// Largest frame body (header plus payload). A cross-process send with a
 /// larger payload fails; a length prefix above it closes the stream it
@@ -50,9 +49,9 @@ const HEADER: usize = 4 + 4 + 8;
 /// Bytes one `read` of an inbound stream takes at most.
 const READ_CHUNK: usize = 32 << 10;
 
-/// Connects with bounded retries: exponential backoff (`BACKOFF_BASE * 2^n`)
-/// plus uniform jitter drawn from `rng` so competing senders do not retry in
-/// lock-step.
+/// Connects a non-blocking stream with bounded retries: exponential backoff
+/// (`BACKOFF_BASE * 2^n`) plus uniform jitter drawn from `rng` so competing
+/// senders do not retry in lock-step.
 fn connect_with_backoff(
     addr: SocketAddr,
     dst: TileId,
@@ -65,7 +64,7 @@ fn connect_with_backoff(
             let jitter_us = rng.lock().gen_range(base.as_micros() as u64 + 1);
             std::thread::sleep(base + Duration::from_micros(jitter_us));
         }
-        match TcpStream::connect(addr) {
+        match TcpStream::connect(addr).and_then(|s| s.set_nonblocking(true).map(|()| s)) {
             Ok(stream) => {
                 stream.set_nodelay(true).ok();
                 return Ok(stream);
@@ -131,37 +130,21 @@ impl Frames {
     }
 }
 
-/// An accepted stream. Whoever reads it holds `reader`; it is closed, never
+/// An accepted stream and its reassembly state. It is closed, never
 /// removed, at end of file, on an error or on an oversize frame.
 struct Inbound {
-    fd: RawFd,
-    open: AtomicBool,
-    reader: Mutex<Reader>,
-}
-
-struct Reader {
     stream: TcpStream,
     frames: Frames,
     chunk: Box<[u8]>,
+    open: bool,
 }
 
 /// A listener, and its accept failures in a row. After
-/// [`MAX_CONNECT_ATTEMPTS`] of them it leaves every poll set for good: a
-/// pending connection it cannot accept (EMFILE) keeps it readable, and every
-/// poll would return at once.
+/// [`MAX_CONNECT_ATTEMPTS`] it is not re-armed: a connection it cannot
+/// accept (EMFILE) keeps it readable, and every wait would return at once.
 struct Listener {
     socket: TcpListener,
     failures: AtomicU32,
-}
-
-/// How a pass over the wire takes a ready stream's reader lock.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Claim {
-    /// Skip a stream someone else is reading (they drain it), and leave it
-    /// out of the poll set, so the pass cannot spin on data it will not take.
-    Try,
-    /// Wait for the current reader, then read: nothing the poll saw is left.
-    Wait,
 }
 
 /// A transport whose inter-process hops travel over real loopback TCP
@@ -170,7 +153,6 @@ enum Claim {
 /// # Examples
 ///
 /// ```
-/// use std::time::Duration;
 /// use graphite_base::TileId;
 /// use graphite_transport::{tcp::TcpTransport, Transport};
 ///
@@ -181,28 +163,31 @@ enum Claim {
 /// // tile0 lives in process 0, so this send crosses a real socket...
 /// hub.send(TileId(0), TileId(1), vec![7]).unwrap();
 /// assert_eq!(hub.stats().inter_process.get() + hub.stats().inter_machine.get(), 1);
-/// // ...and arrives once something reads the wire.
+/// // ...and arrives once something reads the wire: here, this thread.
 /// while mb.is_empty() {
-///     hub.pump(Duration::from_secs(5));
+///     hub.waits().wait(None, &mut |token| {
+///         hub.ready(token, &mut |_| {});
+///     });
 /// }
 /// assert_eq!(mb.try_recv().unwrap().payload, [7]);
 /// ```
 pub struct TcpTransport {
     cfg: SimConfig,
     boxes: Mailboxes,
-    /// One non-blocking listener per simulated process.
+    /// One non-blocking listener per simulated process; listener `i` is in
+    /// the wait set as token `i`.
     listeners: Vec<Listener>,
     addrs: Vec<SocketAddr>,
-    /// Accepted streams, in accept order.
-    inbound: RwLock<Vec<Arc<Inbound>>>,
+    /// Accepted streams, in accept order; stream `i` is in the wait set as
+    /// token `listeners.len() + i` from its accept on.
+    inbound: RwLock<Vec<Arc<Mutex<Inbound>>>>,
     /// One lazily-connected, non-blocking outbound stream per destination
     /// process.
     outbound: Vec<Mutex<Option<TcpStream>>>,
     /// Jitter source for connect backoff.
     rng: Mutex<SimRng>,
     stats: TransportStats,
-    /// Run after every accepted connection (see [`Self::set_accept_hook`]).
-    accept_hook: OnceLock<Box<dyn Fn() + Send + Sync>>,
+    waits: OnceLock<Arc<WaitSet>>,
 }
 
 impl std::fmt::Debug for TcpTransport {
@@ -253,164 +238,84 @@ impl TcpTransport {
             outbound: (0..cfg.num_processes).map(|_| Mutex::new(None)).collect(),
             rng: Mutex::new(SimRng::new(cfg.seed ^ 0x7C9_7C9)),
             stats,
-            accept_hook: OnceLock::new(),
+            waits: OnceLock::new(),
         })
     }
 
-    /// Installs the hook run after each accepted connection, whichever pass
-    /// accepted it. A [`Self::wait`] builds its poll set once, so a stream
-    /// accepted elsewhere meanwhile goes unwatched until the waiter is told
-    /// to wait again; the scheduler's hook tells its poller. Only the first
-    /// installation takes effect.
-    pub fn set_accept_hook(&self, hook: Box<dyn Fn() + Send + Sync>) {
-        let _ = self.accept_hook.set(hook);
-    }
-
-    /// Accepts and reads whatever the wire holds, without blocking and
-    /// skipping streams another thread is reading. Each delivered frame is
-    /// reported to `delivered` *instead of* the delivery hook, so the caller
-    /// decides where the woken receiver runs.
-    pub fn sweep(&self, delivered: &mut dyn FnMut(TileId)) {
-        self.pump_wire(None, Some(Duration::ZERO), Claim::Try, delivered);
-    }
-
-    /// Blocks until `wake` reads ready, the wire has data or a connection,
-    /// or `timeout` passes (`None`: no limit); then reads what is ready as
-    /// [`Self::sweep`] does, waiting for a stream another thread is reading.
-    /// Returns whether `wake` is ready.
-    pub fn wait(
-        &self,
-        wake: BorrowedFd<'_>,
-        timeout: Option<Duration>,
-        delivered: &mut dyn FnMut(TileId),
-    ) -> bool {
-        let wake = PollFd::new(wake.as_raw_fd(), POLLIN);
-        self.pump_wire(Some(wake), timeout, Claim::Wait, delivered).1
-    }
-
-    /// Waits up to `timeout` for the wire, then reads what is ready, running
-    /// the delivery hook for each frame; returns the messages delivered. For
-    /// use without a scheduler, whose carriers read the wire themselves.
-    pub fn pump(&self, timeout: Duration) -> usize {
-        self.pump_wire(None, Some(timeout), Claim::Wait, &mut |dst| self.boxes.notify(dst)).0
-    }
-
-    /// Polls `extra` (a wake pipe, or a blocked write's socket), every
-    /// working listener and every open stream for up to `timeout`, then
-    /// accepts and reads what is ready. Returns the messages delivered and
-    /// whether `extra` is ready.
-    fn pump_wire(
-        &self,
-        extra: Option<PollFd>,
-        timeout: Option<Duration>,
-        claim: Claim,
-        delivered: &mut dyn FnMut(TileId),
-    ) -> (usize, bool) {
-        let streams: Vec<Arc<Inbound>> = self
-            .inbound
-            .read()
-            .iter()
-            .filter(|s| s.open.load(Ordering::Acquire))
-            .filter(|s| claim == Claim::Wait || s.reader.try_lock().is_some())
-            .cloned()
-            .collect();
-        let listeners: Vec<&Listener> = self
-            .listeners
-            .iter()
-            .filter(|l| l.failures.load(Ordering::Relaxed) < MAX_CONNECT_ATTEMPTS)
-            .collect();
-        let mut fds: Vec<PollFd> = extra
-            .into_iter()
-            .chain(listeners.iter().map(|l| PollFd::new(l.socket.as_raw_fd(), POLLIN)))
-            .chain(streams.iter().map(|s| PollFd::new(s.fd, POLLIN)))
-            .collect();
-        if poll(&mut fds, timeout) == 0 {
-            return (0, false);
-        }
-        let extra_ready = extra.is_some() && fds[0].revents != 0;
-        let (at_listeners, at_streams) =
-            fds[usize::from(extra.is_some())..].split_at(listeners.len());
-        let mut n = 0;
-        for (listener, fd) in listeners.into_iter().zip(at_listeners) {
-            if fd.revents != 0 {
-                n += self.accept_all(listener, claim, delivered);
+    /// The wait set whose wire holds the listeners and streams; what it
+    /// reports goes to [`Self::ready`]. Made on first use, so a built `Sim`
+    /// that never runs pays nothing for it; panics if the kernel refuses
+    /// its descriptors (`EMFILE`).
+    pub fn waits(&self) -> &Arc<WaitSet> {
+        self.waits.get_or_init(|| {
+            let set = WaitSet::new().expect("create the wire's wait set");
+            for (token, listener) in self.listeners.iter().enumerate() {
+                set.add(listener.socket.as_fd(), token as u64).expect("watch a listener");
             }
-        }
-        for (stream, fd) in streams.iter().zip(at_streams) {
-            if fd.revents != 0 {
-                n += self.read_stream(stream, claim, delivered);
-            }
-        }
-        (n, extra_ready)
+            Arc::new(set)
+        })
     }
 
-    /// Accepts every pending connection, runs the accept hook for it and
-    /// reads what its peer already wrote (the stream was in no poll set yet).
-    fn accept_all(
-        &self,
-        listener: &Listener,
-        claim: Claim,
-        delivered: &mut dyn FnMut(TileId),
-    ) -> usize {
-        let mut n = 0;
-        loop {
-            let stream = match listener.socket.accept() {
+    /// Takes the source the wait set reported as `token`: accepts on a
+    /// listener, or reads a stream, until it has nothing more, then re-arms
+    /// it. Each delivered frame is reported to `delivered` *instead of* the
+    /// delivery hook.
+    pub fn ready(&self, token: u64, delivered: &mut dyn FnMut(TileId)) {
+        let at = token as usize;
+        if let Some(listener) = self.listeners.get(at) {
+            return self.accept_all(token, listener);
+        }
+        if let Some(stream) = self.inbound.read().get(at - self.listeners.len()).cloned() {
+            self.read_stream(token, &mut stream.lock(), delivered);
+        }
+    }
+
+    /// Accepts every pending connection, then re-arms the listener unless
+    /// it has failed [`MAX_CONNECT_ATTEMPTS`] times in a row.
+    fn accept_all(&self, token: u64, listener: &Listener) {
+        let failing = || listener.failures.load(Ordering::Relaxed) >= MAX_CONNECT_ATTEMPTS;
+        while !failing() {
+            match listener.socket.accept() {
                 Ok((stream, _)) => {
                     listener.failures.store(0, Ordering::Relaxed);
-                    stream
+                    self.adopt(stream);
                 }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return n,
-                // A failure (ECONNABORTED, EMFILE) is retried by the next
-                // pass, a bounded number of times in a row.
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                // A failure (ECONNABORTED, EMFILE) is retried when the
+                // re-armed listener is reported again.
                 Err(_) => {
                     listener.failures.fetch_add(1, Ordering::Relaxed);
-                    return n;
+                    break;
                 }
-            };
-            if stream.set_nonblocking(true).is_err() {
-                continue;
             }
-            stream.set_nodelay(true).ok();
-            let inbound = Arc::new(Inbound {
-                fd: stream.as_raw_fd(),
-                open: AtomicBool::new(true),
-                reader: Mutex::new(Reader {
-                    stream,
-                    frames: Frames::default(),
-                    chunk: vec![0; READ_CHUNK].into_boxed_slice(),
-                }),
-            });
-            self.inbound.write().push(Arc::clone(&inbound));
-            if let Some(hook) = self.accept_hook.get() {
-                hook();
-            }
-            n += self.read_stream(&inbound, claim, delivered);
         }
+        if !failing() {
+            self.waits().rearm(listener.socket.as_fd(), token);
+        }
+    }
+
+    /// Adds an accepted stream to the set; data already there is reported.
+    fn adopt(&self, stream: TcpStream) {
+        let Ok(()) = stream.set_nonblocking(true) else { return };
+        let chunk = vec![0; READ_CHUNK].into_boxed_slice();
+        let inbound = Inbound { stream, frames: Frames::default(), chunk, open: true };
+        let inbound = Arc::new(Mutex::new(inbound));
+        // In the list before it is in the set: the token must resolve.
+        let mut all = self.inbound.write();
+        all.push(Arc::clone(&inbound));
+        let token = (self.listeners.len() + all.len() - 1) as u64;
+        self.waits().add(inbound.lock().stream.as_fd(), token).expect("watch an accepted stream");
     }
 
     /// Reads `stream` until it has nothing more, delivering every complete
-    /// frame with its reader lock held. No path takes a reader lock while
-    /// holding a lock that a delivery takes.
-    fn read_stream(
-        &self,
-        stream: &Inbound,
-        claim: Claim,
-        delivered: &mut dyn FnMut(TileId),
-    ) -> usize {
-        let mut reader = match claim {
-            Claim::Try => match stream.reader.try_lock() {
-                Some(r) => r,
-                None => return 0,
-            },
-            Claim::Wait => stream.reader.lock(),
-        };
-        let mut n = 0;
-        while stream.open.load(Ordering::Acquire) {
-            let Reader { stream: socket, frames, chunk } = &mut *reader;
+    /// frame, then re-arms it if it is still open. Its one reader holds its
+    /// lock; no path takes that lock while holding a lock a delivery takes.
+    fn read_stream(&self, token: u64, stream: &mut Inbound, delivered: &mut dyn FnMut(TileId)) {
+        while stream.open {
+            let Inbound { stream: socket, frames, chunk, .. } = &mut *stream;
             let len = match socket.read(chunk) {
-                Ok(0) => 0, // the peer hung up
-                Ok(len) => len,
+                Ok(len) => len, // 0: the peer hung up
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(_) => 0,
@@ -420,7 +325,6 @@ impl TcpTransport {
                     let dst = msg.dst;
                     if self.boxes.push(msg).is_ok() {
                         delivered(dst);
-                        n += 1;
                     }
                 }
                 None => self.stats.rejected_frames.incr(),
@@ -431,21 +335,25 @@ impl TcpTransport {
                 }
                 // Shut down, so the peer's next write fails and it
                 // reconnects instead of filling a socket nobody reads.
-                stream.open.store(false, Ordering::Release);
-                reader.stream.shutdown(std::net::Shutdown::Both).ok();
-                reader.frames = Frames::default();
+                stream.open = false;
+                stream.stream.shutdown(std::net::Shutdown::Both).ok();
+                stream.frames = Frames::default();
                 break;
             }
             if len < chunk.len() {
-                break; // a short read: the socket is empty for now
+                // A short read: the socket is empty for now. Data that
+                // lands before the re-arm is reported by the re-arm.
+                break;
             }
         }
-        n
+        if stream.open {
+            self.waits().rearm(stream.stream.as_fd(), token);
+        }
     }
 
-    /// Writes all of `frame`. A write that would block first reads the wire
-    /// (the frames filling the peer's buffer may be waiting for this very
-    /// thread), then sleeps until there is room or more to read.
+    /// Writes all of `frame`. A write that would block sleeps until there
+    /// is room or the wire has something, and reads the wire (the frames
+    /// filling the peer's buffer may be waiting for this very thread).
     fn write_frame(&self, stream: &mut TcpStream, frame: &[u8]) -> io::Result<()> {
         let mut sent = 0;
         while sent < frame.len() {
@@ -453,23 +361,16 @@ impl TcpTransport {
                 Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
                 Ok(n) => sent += n,
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    let room = PollFd::new(stream.as_raw_fd(), POLLOUT);
-                    self.pump_wire(Some(room), None, Claim::Try, &mut |dst| self.boxes.notify(dst));
+                    self.waits().wait_writable(stream.as_fd())?;
+                    for token in self.waits().sweep() {
+                        self.ready(token, &mut |dst| self.boxes.notify(dst));
+                    }
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
             }
         }
         Ok(())
-    }
-
-    /// Connects a non-blocking outbound stream to process `dp`.
-    fn connect(&self, dp: usize, dst: TileId) -> Result<TcpStream, SimError> {
-        let stream = connect_with_backoff(self.addrs[dp], dst, &self.rng)?;
-        stream
-            .set_nonblocking(true)
-            .map_err(|e| SimError::TransportClosed(format!("connect {dst}: {e}")))?;
-        Ok(stream)
     }
 }
 
@@ -508,7 +409,7 @@ impl Transport for TcpTransport {
         let dp = dp as usize;
         let mut guard = self.outbound[dp].lock();
         if guard.is_none() {
-            *guard = Some(self.connect(dp, dst)?);
+            *guard = Some(connect_with_backoff(self.addrs[dp], dst, &self.rng)?);
         }
         let stream = guard.as_mut().expect("stream just connected");
         if self.write_frame(stream, &frame).is_ok() {
@@ -518,7 +419,7 @@ impl Transport for TcpTransport {
         // reconnect with backoff, and send the whole frame again.
         *guard = None;
         self.stats.reconnects.incr();
-        let mut fresh = self.connect(dp, dst)?;
+        let mut fresh = connect_with_backoff(self.addrs[dp], dst, &self.rng)?;
         self.write_frame(&mut fresh, &frame)
             .map_err(|e| SimError::TransportClosed(format!("write {dst}: {e}")))?;
         *guard = Some(fresh);
@@ -534,7 +435,6 @@ impl Transport for TcpTransport {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use std::os::fd::AsFd;
     use std::time::Instant;
 
     fn cfg(tiles: u32, procs: u32, machines: u32) -> SimConfig {
@@ -542,6 +442,26 @@ mod tests {
         c.num_processes = procs;
         c.host.num_machines = machines;
         c
+    }
+
+    /// Reads the wire as a caller with no scheduler would: waits in the set
+    /// until a message is delivered (running the delivery hook) or
+    /// `timeout` passes; returns the messages delivered.
+    fn pump(hub: &TcpTransport, timeout: Duration) -> usize {
+        let deadline = Instant::now() + timeout;
+        let mut n = 0;
+        loop {
+            let left = deadline.saturating_duration_since(Instant::now());
+            hub.waits().wait(Some(left), &mut |token| {
+                hub.ready(token, &mut |dst| {
+                    hub.boxes.notify(dst);
+                    n += 1;
+                });
+            });
+            if n > 0 || left.is_zero() {
+                return n;
+            }
+        }
     }
 
     /// Pumps the wire until `mb` holds a message (5 s cap) and takes it.
@@ -552,7 +472,7 @@ mod tests {
                 return msg;
             }
             let left = deadline.checked_duration_since(Instant::now()).expect("delivered in 5 s");
-            hub.pump(left);
+            pump(hub, left);
         }
     }
 
@@ -582,20 +502,14 @@ mod tests {
 
     #[test]
     fn cross_process_message_travels_socket() {
-        use std::sync::atomic::AtomicUsize;
         let hub = TcpTransport::new(&cfg(4, 2, 1)).unwrap();
-        let accepts = Arc::new(AtomicUsize::new(0));
-        let a = Arc::clone(&accepts);
-        hub.set_accept_hook(Box::new(move || {
-            a.fetch_add(1, Ordering::SeqCst);
-        }));
         let mb = hub.register(TileId(1));
         hub.send_flow(TileId(0), TileId(1), vec![42], 777).unwrap();
         let msg = recv(&hub, &mb);
         assert_eq!(msg.payload, [42]);
         assert_eq!(msg.flow, 777);
         assert_eq!(hub.stats().inter_process.get(), 1);
-        assert_eq!(accepts.load(Ordering::SeqCst), 1, "the accept ran the hook");
+        assert_eq!(hub.inbound.read().len(), 1, "the accept added one stream to the set");
     }
 
     #[test]
@@ -702,9 +616,9 @@ mod tests {
         let deadline = Instant::now() + Duration::from_secs(5);
         while hub.stats().rejected_frames.get() == 0 {
             assert!(Instant::now() < deadline, "the oversize prefix was never read");
-            hub.pump(Duration::from_millis(100));
+            pump(&hub, Duration::from_millis(100));
         }
-        let closed = hub.inbound.read().iter().filter(|s| !s.open.load(Ordering::Acquire)).count();
+        let closed = hub.inbound.read().iter().filter(|s| !s.lock().open).count();
         assert_eq!(closed, 1, "the lying stream is closed");
         // The hub's own connection is unaffected.
         hub.send(TileId(0), TileId(1), vec![3]).unwrap();
@@ -715,7 +629,7 @@ mod tests {
         short.write_all(&[1, 2, 3]).unwrap();
         while hub.stats().rejected_frames.get() == 1 {
             assert!(Instant::now() < deadline, "the short frame was never read");
-            hub.pump(Duration::from_millis(100));
+            pump(&hub, Duration::from_millis(100));
         }
         assert!(mb.is_empty());
     }
@@ -739,24 +653,30 @@ mod tests {
     fn a_listener_that_keeps_failing_leaves_the_poll_sets() {
         let hub = TcpTransport::new(&cfg(4, 2, 1)).unwrap();
         hub.listeners[1].failures.store(MAX_CONNECT_ATTEMPTS, Ordering::Relaxed);
-        // The pending connection keeps the listener readable: were it still
-        // polled, the pump would return at once.
+        // The pending connection keeps the listener readable: were it
+        // re-armed after the report it was armed for at bind, the next wait
+        // would report it again at once.
         let _pending = TcpStream::connect(hub.addrs[1]).unwrap();
+        let mut reported = Vec::new();
+        hub.waits().wait(Some(Duration::from_secs(5)), &mut |token| reported.push(token));
+        assert_eq!(reported, [1]);
+        hub.ready(1, &mut |_| {});
         let t0 = Instant::now();
-        assert_eq!(hub.pump(Duration::from_millis(50)), 0);
-        assert!(t0.elapsed() >= Duration::from_millis(50), "the pump waited out its timeout");
+        hub.waits().wait(Some(Duration::from_millis(50)), &mut |t| panic!("{t} reported again"));
+        assert!(t0.elapsed() >= Duration::from_millis(50), "the wait ran out its timeout");
         assert!(hub.inbound.read().is_empty(), "nothing was accepted");
     }
 
     #[test]
     fn an_idle_wait_returns_for_its_wake_pipe() {
         let hub = TcpTransport::new(&cfg(4, 2, 1)).unwrap();
-        let (rx, tx) = std::io::pipe().unwrap();
+        let set = hub.waits();
         let t0 = Instant::now();
-        assert!(!hub.wait(rx.as_fd(), Some(Duration::from_millis(20)), &mut |_| {}));
+        let quiet = &mut |_| panic!("nothing is on the wire");
+        assert!(!set.wait(Some(Duration::from_millis(20)), quiet));
         assert!(t0.elapsed() >= Duration::from_millis(20), "nothing was ready: a timeout");
-        (&tx).write_all(&[1]).unwrap();
-        assert!(hub.wait(rx.as_fd(), None, &mut |_| {}), "the pipe ends the wait");
+        set.wake();
+        assert!(set.wait(None, &mut |_| {}), "the wake byte ends the wait");
     }
 
     /// Frames as `(src, dst, flow, payload)`.
