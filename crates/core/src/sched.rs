@@ -677,6 +677,11 @@ impl GuestScheduler {
     /// a wake byte each) and joins them. Called once the simulation is over
     /// (every context has exited), so the process's thread count returns to
     /// what it was before the run.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises the first carrier's panic, unless this thread is already
+    /// unwinding.
     pub fn retire_carriers(&self) {
         let carriers = {
             let mut s = self.state.lock();
@@ -691,8 +696,14 @@ impl GuestScheduler {
             self.waits().wake();
         }
         let joins = std::mem::take(&mut *self.joins.lock());
+        let mut first_panic = None;
         for h in joins {
-            let _ = h.join();
+            if let Err(payload) = h.join() {
+                first_panic.get_or_insert(payload);
+            }
+        }
+        if let Some(payload) = first_panic.filter(|_| !std::thread::panicking()) {
+            std::panic::resume_unwind(payload);
         }
     }
 
@@ -1098,6 +1109,18 @@ mod tests {
         s.detach(TileId(0));
         let fired = done_rx.recv_timeout(Duration::from_secs(20));
         assert!(fired.is_ok(), "the sleeper's deadline never fired onto the free slot");
+        s.retire_carriers();
+    }
+
+    #[test]
+    #[should_panic(expected = "a carrier died")]
+    fn retiring_re_raises_a_carrier_panic() {
+        let s = sched(1, 1);
+        let dead = std::thread::spawn(|| panic!("a carrier died"));
+        while !dead.is_finished() {
+            std::thread::yield_now();
+        }
+        s.joins.lock().push(dead);
         s.retire_carriers();
     }
 

@@ -445,15 +445,17 @@ impl Cache {
     ///
     /// # Safety
     ///
-    /// `cache` must point to a live `Cache` whose owner upholds the seqlock
+    /// `cache` must point to a live `Cache` whose writers uphold the seqlock
     /// protocol around `seq`: every mutation of this cache (insert, remove,
-    /// restore, in-place data writes) happens inside a
-    /// `begin_write`/`end_write` section of the same `SeqCount`, and
-    /// `off + buf.len()` must not exceed the line size. Nothing else is asked
-    /// of the owner: a group or plane, once published, is neither moved nor
-    /// freed before the cache drops, so every address the probe forms stays
-    /// inside a live allocation; bytes copied while a writer was active are
-    /// discarded by validation.
+    /// restore, in-place data writes) by a thread other than the probing one
+    /// happens inside a `begin_write`/`end_write` section of the same
+    /// `SeqCount`, and the probing thread's own mutations never run alongside
+    /// its probe (they are ordered before or after it). `off + buf.len()`
+    /// must not exceed the line size. Nothing else is asked: a group or
+    /// plane, once published, is neither moved nor freed before the cache
+    /// drops, so every address the probe forms stays inside a live
+    /// allocation; bytes copied while another thread wrote are discarded by
+    /// validation.
     pub unsafe fn probe_read(
         cache: *const Cache,
         seq: &SeqCount,
@@ -760,18 +762,23 @@ mod tests {
         let mut c = cache(256, 2, 64);
         let seq = SeqCount::new();
         let mut buf = [0u8; 8];
+        // SAFETY: `c` is live and only this thread touches it; bytes 8..16 fit its lines.
         assert!(!unsafe { Cache::probe_read(&c, &seq, 1, 8, &mut buf) }, "unallocated group");
         c.insert(1, LineState::Shared, &[5u8; 64]).0.data[8..16]
             .copy_from_slice(&99u64.to_le_bytes());
         // Hit: reads the written bytes without the (absent) tile lock.
+        // SAFETY: `c` is live and only this thread touches it; bytes 8..16 fit its lines.
         assert!(unsafe { Cache::probe_read(&c, &seq, 1, 8, &mut buf) });
         assert_eq!(u64::from_le_bytes(buf), 99);
         // Miss: absent line.
+        // SAFETY: `c` is live and only this thread touches it; bytes 8..16 fit its lines.
         assert!(!unsafe { Cache::probe_read(&c, &seq, 3, 8, &mut buf) });
         // Writer in progress: probe must decline.
         seq.begin_write();
+        // SAFETY: `c` is live and only this thread touches it; bytes 8..16 fit its lines.
         assert!(!unsafe { Cache::probe_read(&c, &seq, 1, 8, &mut buf) });
         seq.end_write();
+        // SAFETY: `c` is live and only this thread touches it; bytes 8..16 fit its lines.
         assert!(unsafe { Cache::probe_read(&c, &seq, 1, 8, &mut buf) });
     }
 
@@ -783,6 +790,7 @@ mod tests {
         c.insert(2, LineState::Shared, &[0; 64]);
         let mut buf = [0u8; 1];
         // Probe touches 0, making 2 the LRU victim.
+        // SAFETY: `c` is live and only this thread touches it; byte 0 fits its lines.
         assert!(unsafe { Cache::probe_read(&c, &seq, 0, 0, &mut buf) });
         let (_, ev) = c.insert(4, LineState::Shared, &[0; 64]);
         assert_eq!(ev.unwrap().line, 2, "probe hit must refresh LRU like a locked lookup");
@@ -794,6 +802,7 @@ mod tests {
         let seq = SeqCount::new();
         c.insert(7, LineState::Shared, &[]);
         let mut buf = [0u8; 1];
+        // SAFETY: `c` is live and only this thread touches it; byte 0 fits its lines.
         assert!(!unsafe { Cache::probe_read(&c, &seq, 7, 0, &mut buf) });
     }
 }

@@ -23,11 +23,13 @@
 //!   and waiters sleep holding nothing, so no cycle can form.
 //! * **Tile cache locks are leaves**, taken one at a time, never while a
 //!   shard lock is held. Read hits can skip the tile lock entirely via a
-//!   seqlock-validated probe ([`Cache::probe_read`]): writers bump the
-//!   tile's [`SeqCount`] around every structural or data mutation, and a
-//!   cache's line storage never moves or shrinks while the cache lives, so a
-//!   racing probe reads stale-but-allocated bytes that validation then
-//!   rejects.
+//!   seqlock-validated probe ([`Cache::probe_read`]) that only the tile's own
+//!   context runs. That context never runs alongside its own writes, so only
+//!   another thread's write to the tile's caches opens a write section of
+//!   the tile's [`SeqCount`]: a forward that purges the owner, an
+//!   invalidation that purges a sharer, and `poke_bytes`. A cache's line
+//!   storage never moves or shrinks while the cache lives, so a racing probe
+//!   reads stale-but-allocated bytes that validation then rejects.
 //!
 //! **The contract: one context per tile.** At most one thread accesses
 //! memory on behalf of a tile at a time (the MCP maps at most one guest
@@ -40,31 +42,23 @@
 //! with no re-check between them. Debug builds catch a tile that claims a
 //! line it already holds.
 
-use std::ops::Range;
-use std::sync::atomic::{AtomicPtr, Ordering::Relaxed};
+use std::sync::atomic::AtomicPtr;
 use std::sync::Arc;
 
-use graphite_base::{CachePadded, Cycles, HostProf, HostStage, SeqCount, SimError, SimRng, TileId};
-use graphite_ckpt::{corrupted, Checkpointable, Dec, Enc};
+use graphite_base::{CachePadded, Cycles, HostProf, HostStage, SeqCount, TileId};
 use graphite_config::{CacheProtocol, CoherenceScheme, SimConfig};
 use graphite_network::{Network, Packet, TrafficClass};
-use graphite_trace::{
-    Gauge, MetricsRegistry, Obs, ShardedHistogram, ShardedMetric, TraceEventKind, Tracer,
-};
+use graphite_trace::{Gauge, MetricsRegistry, Obs, ShardedHistogram, ShardedMetric, Tracer};
 use parking_lot::{Mutex, MutexGuard};
 
-use crate::addr::Addr;
-use crate::cache::{Cache, Line, LineState};
-use crate::directory::{Claim, DirState, LineTable, Record};
+use crate::cache::{Cache, LineState};
+use crate::directory::LineTable;
 use crate::dram::DramController;
 use crate::missclass::{MissClassifier, MissKind};
 
-/// Directory processing latency per request (cycles).
-const DIR_LATENCY: Cycles = Cycles(10);
-/// Size in bytes of a control packet (request/ack/invalidate).
-const CTRL_MSG_BYTES: u32 = 8;
-/// Header bytes added to a data-carrying packet.
-const DATA_HDR_BYTES: u32 = 8;
+mod access;
+mod ckpt;
+mod miss;
 
 /// How one modeled memory access spent its latency — the memory system's
 /// contribution to per-tile cycle attribution (CPI stacks).
@@ -100,10 +94,6 @@ impl MemCost {
         self.latency += seg.latency;
         self.network += seg.network;
         self.hit &= seg.hit;
-    }
-
-    fn folded_start() -> Self {
-        MemCost { latency: Cycles::ZERO, hit: true, network: Cycles::ZERO }
     }
 }
 
@@ -283,39 +273,6 @@ impl MemStats {
     }
 }
 
-enum LineOp<'a> {
-    Read(&'a mut [u8]),
-    Write(&'a [u8]),
-    /// Atomic read-modify-write: `old` receives the previous bytes, then `f`
-    /// rewrites the window in place. Applied while the line is held with
-    /// write permission under the protocol locks, so it is atomic with
-    /// respect to every other tile.
-    Rmw {
-        old: &'a mut [u8],
-        f: &'a mut dyn FnMut(&mut [u8]),
-    },
-}
-
-impl LineOp<'_> {
-    fn is_write(&self) -> bool {
-        !matches!(self, LineOp::Read(_))
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            LineOp::Read(b) => b.len(),
-            LineOp::Write(b) => b.len(),
-            LineOp::Rmw { old, .. } => old.len(),
-        }
-    }
-}
-
-fn apply_rmw(data: &mut [u8], off: usize, old: &mut [u8], f: &mut dyn FnMut(&mut [u8])) {
-    let window = &mut data[off..off + old.len()];
-    old.copy_from_slice(window);
-    f(window);
-}
-
 /// A tile's front data cache for the lock-free read probe, with the
 /// latency/attribution a locked hit would have produced.
 struct ProbeTarget {
@@ -393,7 +350,8 @@ pub struct MemorySystem {
     /// `mem.dir.lines`; see [`MemorySystem::publish_dir_lines`].
     dir_lines: Gauge,
     /// Per-tile seqlock counters; bumped (under the tile lock) around every
-    /// structural or data mutation of that tile's caches.
+    /// mutation of that tile's caches by another thread
+    /// ([`MemorySystem::write_remote`]).
     tile_seq: Vec<SeqCount>,
     probes: Vec<ProbeTarget>,
     /// The tag-lookup latency charged before a miss leaves the tile
@@ -573,12 +531,8 @@ impl MemorySystem {
     }
 
     /// Routes a protocol leg stamped with a tile's real clock (requests,
-    /// writebacks); feeds the global-progress window.
-    fn route(&self, src: TileId, dst: TileId, bytes: u32, t: Cycles) -> Cycles {
-        self.route_flow(src, dst, bytes, t, 0)
-    }
-
-    /// Like [`MemorySystem::route`], attributing the leg to a causal flow.
+    /// writebacks); feeds the global-progress window. The leg is attributed
+    /// to causal flow `flow` (0 = untracked).
     fn route_flow(&self, src: TileId, dst: TileId, bytes: u32, t: Cycles, flow: u64) -> Cycles {
         let _hp = self.hostprof.span(HostStage::NetModel);
         self.network
@@ -611,1052 +565,33 @@ impl MemorySystem {
             .arrival
     }
 
-    /// Reads `buf.len()` bytes at `addr` on behalf of `tile`, returning the
-    /// modeled latency. Splits accesses that span cache lines.
-    ///
-    /// The dominant case — a `Ctx::load` of an aligned scalar (≤ 8 bytes,
-    /// always within one line) — takes the single-segment path: no splitting
-    /// loop, line and offset computed once by shift/mask.
-    #[inline]
-    pub fn read(&self, tile: TileId, now: Cycles, addr: Addr, buf: &mut [u8]) -> Cycles {
-        self.read_classified(tile, now, addr, buf).latency
-    }
-
-    /// Like [`MemorySystem::read`], but also reports how the latency splits
-    /// between local hierarchy and interconnect time (for CPI attribution).
-    #[inline]
-    pub fn read_classified(
-        &self,
-        tile: TileId,
-        now: Cycles,
-        addr: Addr,
-        buf: &mut [u8],
-    ) -> MemCost {
-        let len = buf.len();
-        if len > 0 && (addr.0 & self.line_mask) as usize + len <= self.line_size as usize {
-            return self.access_line(tile, now, addr, LineOp::Read(buf));
-        }
-        self.access_multi(tile, now, addr, LineOp::Read(buf))
-    }
-
-    /// Writes `bytes` at `addr` on behalf of `tile`, returning the modeled
-    /// latency. Splits accesses that span cache lines; single-line accesses
-    /// (every aligned `Ctx::store` of ≤ 8 bytes) skip the splitting loop.
-    #[inline]
-    pub fn write(&self, tile: TileId, now: Cycles, addr: Addr, bytes: &[u8]) -> Cycles {
-        self.write_classified(tile, now, addr, bytes).latency
-    }
-
-    /// Like [`MemorySystem::write`], but also reports how the latency splits
-    /// between local hierarchy and interconnect time (for CPI attribution).
-    #[inline]
-    pub fn write_classified(&self, tile: TileId, now: Cycles, addr: Addr, bytes: &[u8]) -> MemCost {
-        let len = bytes.len();
-        if len > 0 && (addr.0 & self.line_mask) as usize + len <= self.line_size as usize {
-            return self.access_line(tile, now, addr, LineOp::Write(bytes));
-        }
-        self.access_multi(tile, now, addr, LineOp::Write(bytes))
-    }
-
-    /// Splits a read or write that spans lines into one access per line
-    /// segment, each starting when the one before it finished.
-    fn access_multi(&self, tile: TileId, now: Cycles, addr: Addr, mut op: LineOp) -> MemCost {
-        let mut total = MemCost::folded_start();
-        for (a, r) in self.segments(addr, op.len()) {
-            let seg = match &mut op {
-                LineOp::Read(buf) => LineOp::Read(&mut buf[r]),
-                LineOp::Write(bytes) => LineOp::Write(&bytes[r]),
-                LineOp::Rmw { .. } => unreachable!("an atomic access stays within one line"),
-            };
-            total.fold(self.access_line(tile, now + total.latency, a, seg));
-        }
-        total
-    }
-
-    /// Splits the `len` bytes at `addr` at line boundaries into each
-    /// segment's address and its byte range within the access.
-    fn segments(&self, addr: Addr, len: usize) -> impl Iterator<Item = (Addr, Range<usize>)> {
-        let (line_size, line_mask) = (self.line_size as usize, self.line_mask);
-        let mut done = 0;
-        std::iter::from_fn(move || {
-            (done < len).then(|| {
-                let a = addr.offset(done as u64);
-                let n = (line_size - (a.0 & line_mask) as usize).min(len - done);
-                done += n;
-                (a, done - n..done)
-            })
-        })
-    }
-
-    /// Models an instruction fetch through the (tag-only) L1I; misses charge
-    /// the L2 hit latency, assuming code is resident on chip. Miss latency is
-    /// charged to the tile's `mem.tile.latency_sum` lane like data accesses.
-    pub fn ifetch(&self, tile: TileId, now: Cycles, addr: Addr) -> Cycles {
-        let lane = tile.index();
-        self.stats.ifetches.incr_owned(lane);
-        let mut tm = self.lock_tile(tile);
-        let Some(l1i) = tm.l1i.as_mut() else {
-            return Cycles(1);
-        };
-        let l1i_lat = l1i.access_latency();
-        let line = addr.line(l1i.line_size());
-        if l1i.lookup(line).is_some() {
-            return l1i_lat;
-        }
-        self.stats.ifetch_misses.incr_owned(lane);
-        l1i.insert(line, LineState::Shared, &[]);
-        let l2_lat = tm.l2.as_ref().map(|c| c.access_latency()).unwrap_or(Cycles(8));
-        drop(tm);
-        let total = l1i_lat + l2_lat;
-        self.per_tile.latency_sum.add_owned(lane, total.0);
-        self.tracer.emit(tile, now, || TraceEventKind::MemOpDone {
-            op: "ifetch",
-            addr: addr.0,
-            latency: total.0,
-            hit: false,
-        });
-        total
-    }
-
-    fn access_line(&self, tile: TileId, now: Cycles, addr: Addr, mut op: LineOp) -> MemCost {
-        let line = addr.0 >> self.line_shift;
-        let off = (addr.0 & self.line_mask) as usize;
-        let lane = tile.index();
-        let is_write = op.is_write();
-        let op_name = if is_write { "store" } else { "load" };
-        if is_write {
-            self.stats.stores.incr_owned(lane);
-        } else {
-            self.stats.loads.incr_owned(lane);
-        }
-        self.per_tile.accesses.incr_owned(lane);
-        // One tracer gate for both endpoint events; disabled tracing costs a
-        // single predictable branch per access.
-        let tracing = self.tracer.is_enabled();
-        // Lock-free read-hit probe: a seqlock-validated scan of the front
-        // data cache. Counters, latency, and LRU effect are identical to the
-        // locked read-hit path; `false` only ever means "take the slow path".
-        let pt = &self.probes[lane];
-        let probe_hit = match &mut op {
-            // SAFETY: `pt.cache` points at a `Cache` inside
-            // `MemorySystem::tiles`, whose heap buffer is allocated once and
-            // lives exactly as long as this `MemorySystem`; every mutation of
-            // that cache happens under its tile lock inside a write section
-            // of `tile_seq[lane]`, and `off + buf.len()` stays within the
-            // line (`access_line` gets one line segment).
-            LineOp::Read(buf) => unsafe {
-                Cache::probe_read(pt.cache.load(Relaxed), &self.tile_seq[lane], line, off, buf)
-            },
-            _ => false,
-        };
-        let probed = if probe_hit {
-            self.stats.probe_hits.incr_owned(lane);
-            if pt.is_l1 {
-                self.stats.l1d_hits.incr_owned(lane);
-            } else {
-                self.stats.l2_hits.incr_owned(lane);
-            }
-            Ok(pt.lat)
-        } else {
-            // Fast path: local hit with sufficient permission.
-            let _hp = self.hostprof.span(HostStage::LocalProbe);
-            self.probe(tile, line, off, &mut op)
-        };
-        // Hits and misses record the same metric set (latency sum, per-tile
-        // latency, max, histogram), so per-tile means cover every access,
-        // not just misses. Hits emit their start/done pair under one
-        // tracer-lane acquisition; misses keep separate endpoint events so
-        // directory legs traced during the transaction land between them.
-        let cost = match probed {
-            Ok(lat) => {
-                if tracing {
-                    self.tracer.emit_pair(tile, now, || {
-                        (
-                            TraceEventKind::MemOpStart { op: op_name, addr: addr.0 },
-                            TraceEventKind::MemOpDone {
-                                op: op_name,
-                                addr: addr.0,
-                                latency: lat.0,
-                                hit: true,
-                            },
-                        )
-                    });
-                }
-                MemCost::hit(lat)
-            }
-            Err(victim) => {
-                if tracing {
-                    self.tracer.emit(tile, now, || TraceEventKind::MemOpStart {
-                        op: op_name,
-                        addr: addr.0,
-                    });
-                }
-                let cost = self.miss_transaction(tile, now, line, off, &mut op, victim);
-                if tracing {
-                    self.tracer.emit(tile, now, || TraceEventKind::MemOpDone {
-                        op: op_name,
-                        addr: addr.0,
-                        latency: cost.latency.0,
-                        hit: false,
-                    });
-                }
-                cost
-            }
-        };
-        if is_write && self.classifier.enabled() {
-            self.classifier.on_write(tile, line, off as u64, op.len() as u64);
-        }
-        let lat = cost.latency;
-        self.stats.latency_sum.add_owned(lane, lat.0);
-        self.per_tile.latency_sum.add_owned(lane, lat.0);
-        self.stats.max_latency.observe_max(lane, lat.0);
-        self.latency_hist.record_owned(lane, lat.0);
-        cost
-    }
-
-    /// The locked probe: a local hit's latency, or on a miss the line the
-    /// fill would evict (`None` when the set has room or the line is
-    /// resident without write permission), picked in the same critical
-    /// section.
-    fn probe(
-        &self,
-        tile: TileId,
-        line: u64,
-        off: usize,
-        op: &mut LineOp,
-    ) -> Result<Cycles, Option<u64>> {
-        let mut tm = self.lock_tile(tile);
-        self.try_local_hit(&mut tm, tile.index(), line, off, op)
-            .ok_or_else(|| tm.coh().victim_for(line))
-    }
-
-    /// Attempts to satisfy the access from the tile's own hierarchy.
-    ///
-    /// This is the straight-line section the tile mutex protects on the hot
-    /// path: one split borrow of the hierarchy (no repeated
-    /// `as_ref().unwrap()` re-probes), a single tag scan per level (`lookup`
-    /// returns the line, so no second `peek_mut` scan to apply the data op),
-    /// and no heap allocation.
-    fn try_local_hit(
-        &self,
-        tm: &mut TileMem,
-        lane: usize,
-        line: u64,
-        off: usize,
-        op: &mut LineOp,
-    ) -> Option<Cycles> {
-        let is_write = op.is_write();
-        let seq = &self.tile_seq[lane];
-        let TileMem { l1d, l2, .. } = tm;
-        if let (Some(l1d), Some(l2)) = (l1d.as_mut(), l2.as_mut()) {
-            let l1_lat = l1d.access_latency();
-            if let Some(mut l1_line) = l1d.lookup(line) {
-                let state = l1_line.state();
-                if is_write && !state.writable() {
-                    return None; // upgrade required
-                }
-                if let LineOp::Read(buf) = op {
-                    buf.copy_from_slice(&l1_line.data[off..off + buf.len()]);
-                } else {
-                    if state == LineState::Exclusive {
-                        self.stats.silent_upgrades.incr_owned(lane);
-                    }
-                    let mut l2_line = l2.peek_mut(line).expect("inclusion: L1 ⊆ L2");
-                    seq.begin_write();
-                    Self::write_through(&mut l2_line, Some(&mut l1_line), off, op);
-                    seq.end_write();
-                }
-                self.stats.l1d_hits.incr_owned(lane);
-                return Some(l1_lat);
-            }
-            let l2_lat = l2.access_latency();
-            let mut l2_line = l2.lookup(line)?;
-            let state = l2_line.state();
-            if is_write && !state.writable() {
-                return None;
-            }
-            // Apply on the authoritative L2 copy, then refill L1 with the
-            // resulting line (write-through keeps L2 current, so the L1
-            // victim is dropped silently). The refill mutates L1
-            // structurally, so the whole block is one probe-excluding write
-            // section.
-            seq.begin_write();
-            if let LineOp::Read(buf) = op {
-                buf.copy_from_slice(&l2_line.data[off..off + buf.len()]);
-            } else {
-                if state == LineState::Exclusive {
-                    self.stats.silent_upgrades.incr_owned(lane);
-                }
-                Self::write_through(&mut l2_line, None, off, op);
-            }
-            l1d.insert(line, l2_line.state(), l2_line.data);
-            seq.end_write();
-            self.stats.l2_hits.incr_owned(lane);
-            Some(l1_lat + l2_lat)
-        } else {
-            let coh = l2.as_mut().or(l1d.as_mut()).expect("validated: some cache level");
-            let lat = coh.access_latency();
-            let mut entry = coh.lookup(line)?;
-            let state = entry.state();
-            if is_write && !state.writable() {
-                return None;
-            }
-            if let LineOp::Read(buf) = op {
-                buf.copy_from_slice(&entry.data[off..off + buf.len()]);
-            } else {
-                if state == LineState::Exclusive {
-                    self.stats.silent_upgrades.incr_owned(lane);
-                }
-                seq.begin_write();
-                Self::write_through(&mut entry, None, off, op);
-                seq.end_write();
-            }
-            self.stats.l2_hits.incr_owned(lane);
-            Some(lat)
-        }
-    }
-
-    /// Applies a write (or RMW) to the coherence-level copy of a line the
-    /// tile may write, marking it Modified; with an L1 filter the
-    /// coherence-level copy is authoritative and the resulting window
-    /// propagates into the L1 copy (an RMW closure must not run twice).
-    #[inline(always)]
-    fn write_through(coh: &mut Line, l1: Option<&mut Line>, off: usize, op: &mut LineOp) {
-        let n = op.len();
-        coh.set_state(LineState::Modified);
-        match op {
-            LineOp::Write(bytes) => coh.data[off..off + n].copy_from_slice(bytes),
-            LineOp::Rmw { old, f } => apply_rmw(coh.data, off, old, *f),
-            LineOp::Read(_) => unreachable!("reads never write through"),
-        }
-        if let Some(l1) = l1 {
-            l1.set_state(LineState::Modified);
-            l1.data[off..off + n].copy_from_slice(&coh.data[off..off + n]);
-        }
-    }
-
-    /// The slow path after the probe: evict `victim` (and any victim after
-    /// it), claim the line, run its directory transaction and fill. Returns
-    /// the total latency and the share spent on interconnect legs of the
-    /// requester's critical path (request out, response back), for CPI
-    /// attribution.
-    fn miss_transaction(
-        &self,
-        tile: TileId,
-        now: Cycles,
-        line: u64,
-        off: usize,
-        op: &mut LineOp,
-        mut victim: Option<u64>,
-    ) -> MemCost {
-        let _miss = self.hostprof.span(HostStage::MissTotal);
-        // Each eviction is its own claimed transaction, run *before* this
-        // line's claim: holding two lines at once could deadlock (tile A
-        // fills X evicting Y while tile B fills Y evicting X).
-        {
-            let _hp = self.hostprof.span(HostStage::LruScan);
-            while let Some(vline) = victim {
-                victim = self.evict_line(tile, now, vline, line);
-            }
-        }
-        let claim = {
-            let _hp = self.hostprof.span(HostStage::MissRegister);
-            let (claim, waited) = {
-                let _hp = self.hostprof.span(HostStage::MshrProbe);
-                self.dir.claim(line, tile)
-            };
-            if waited {
-                self.stats.mshr_conflict_waits.incr_owned(tile.index());
-            }
-            claim
-        };
-        let (cost, grant) = {
-            let _hp = self.hostprof.span(HostStage::DirTxn);
-            self.run_directory_transaction(tile, now, line, op.is_write(), claim.record)
-        };
-        self.fill(tile, line, off, op, claim.record, grant);
-        self.release(claim);
-        cost
-    }
-
-    /// Runs one directory transaction for a registered miss; the caller
-    /// holds the line, granting exclusive use of `entry`. A dirty owner
-    /// writes its bytes back into `entry`. Returns the miss's cost and the
-    /// state the requester fills the line in, or `None` for an upgrade of a
-    /// resident Shared copy.
-    fn run_directory_transaction(
-        &self,
-        tile: TileId,
-        now: Cycles,
-        line: u64,
-        is_write: bool,
-        entry: Record<'_>,
-    ) -> (MemCost, Option<LineState>) {
-        let home = self.home_of(line);
-        self.per_tile.transactions.incr_owned(tile.index());
-        if self.proc_of_tile[tile.index()] != self.proc_of_tile[home.index()] {
-            self.per_tile.remote_home_transactions.incr_owned(tile.index());
-        }
-        let lookup_lat = self.miss_lookup_lat;
-        let t0 = now + lookup_lat;
-
-        // Mint a causal flow ID for this transaction; every protocol leg it
-        // generates carries the ID, so the profiler can reassemble the whole
-        // remote access as one span tree. Flow 0 means tracing is off.
-        let flow = if self.tracer.flows_enabled() { self.tracer.next_flow_id() } else { 0 };
-        if flow != 0 {
-            self.tracer.emit(tile, now, || TraceEventKind::FlowSend {
-                flow,
-                dst: home.0,
-                kind: "mem_miss",
-            });
-        }
-
-        debug_assert!(entry.invariants_hold());
-
-        // Request travels tile -> home.
-        let t_req = self.route_flow(tile, home, CTRL_MSG_BYTES, t0, flow);
-        let mut t_home = t_req + DIR_LATENCY;
-        self.trace_leg(tile, t0, "request", line);
-
-        // LimitLESS: overflowing the hardware pointers traps to software.
-        if let CoherenceScheme::Limitless { sharers: hw, trap_cycles } = self.scheme {
-            let overflowed = entry.state() == DirState::Shared && entry.sharers().count() >= hw;
-            if overflowed {
-                self.stats.limitless_traps.incr_owned(tile.index());
-                t_home += Cycles(trap_cycles);
-                self.trace_leg(tile, t_home, "limitless_trap", line);
-            }
-        }
-
-        // Queue models are referenced against the *global-progress estimate*,
-        // not this requester's own (possibly far-skewed) timestamp — the
-        // paper's queue-modeling rule (§3.6.1). Using the requester's clock
-        // would convert clock skew into phantom queueing delay.
-        let est_now = self.network.progress().estimate();
-        let mut data_ready = t_home;
-        let mut grant = Some(if is_write { LineState::Modified } else { LineState::Shared });
-        let mut resp_bytes = self.line_size + DATA_HDR_BYTES;
-
-        let sharers = entry.sharers();
-        match (entry.state(), is_write) {
-            (DirState::Uncached, _) => {
-                let dram_lat = self.dram_access(home, est_now);
-                self.stats.dram_reads.incr_owned(tile.index());
-                data_ready = t_home + dram_lat;
-                entry.set_state(if is_write {
-                    DirState::Owned(tile)
-                } else if self.protocol == CacheProtocol::Mesi {
-                    // MESI: the sole reader takes the line Exclusive and may
-                    // later write it without another directory transaction.
-                    self.stats.exclusive_grants.incr_owned(tile.index());
-                    grant = Some(LineState::Exclusive);
-                    DirState::Owned(tile)
-                } else {
-                    sharers.insert(tile);
-                    DirState::Shared
-                });
-            }
-            (DirState::Shared, false) => {
-                // DirNB: a full pointer set forces eviction of one sharer.
-                // The victim is chosen in ring order after the requester so
-                // victimization spreads over tiles (a fixed choice would
-                // thrash one tile and leave the rest permanently cached,
-                // hiding the protocol's serialization).
-                if let CoherenceScheme::DirNB { sharers: limit } = self.scheme {
-                    if !sharers.contains(tile) && sharers.count() >= limit {
-                        let victim = sharers
-                            .iter()
-                            .find(|&s| s > tile)
-                            .or_else(|| sharers.iter().find(|&s| s != tile))
-                            .expect("non-empty");
-                        sharers.remove(victim);
-                        self.stats.forced_evictions.incr_owned(tile.index());
-                        let t_ack = self.invalidate(tile, victim, line, t_home, flow);
-                        data_ready = data_ready.max(t_ack);
-                    }
-                }
-                let dram_lat = self.dram_access(home, est_now);
-                self.stats.dram_reads.incr_owned(tile.index());
-                data_ready = data_ready.max(t_home + dram_lat);
-                sharers.insert(tile);
-            }
-            (DirState::Shared, true) => {
-                let was_sharer = sharers.contains(tile);
-                // Invalidate every other sharer; latency is the slowest ack.
-                let mut t_inv_done = t_home;
-                for s in sharers.iter().filter(|&s| s != tile) {
-                    t_inv_done = t_inv_done.max(self.invalidate(tile, s, line, t_home, flow));
-                }
-                sharers.clear();
-                entry.set_state(DirState::Owned(tile));
-                if was_sharer {
-                    // Upgrade: data already resident, permission-only reply.
-                    self.stats.upgrades.incr_owned(tile.index());
-                    self.trace_leg(tile, t_home, "upgrade", line);
-                    grant = None;
-                    resp_bytes = CTRL_MSG_BYTES;
-                    data_ready = t_inv_done;
-                } else {
-                    let dram_lat = self.dram_access(home, est_now);
-                    self.stats.dram_reads.incr_owned(tile.index());
-                    data_ready = t_inv_done.max(t_home + dram_lat);
-                }
-            }
-            (DirState::Owned(owner), _) => {
-                debug_assert_ne!(owner, tile, "an owner's own probe hits");
-                // Forward to owner; owner supplies data (if dirty) and is
-                // downgraded (read) or invalidated (write). A dirty owner's
-                // bytes go straight into the home copy at owner-lock time; a
-                // clean owner's equal it already. Either way the requester
-                // then fills from the home copy like any other miss.
-                self.stats.remote_fills.incr_owned(tile.index());
-                self.trace_leg(tile, t_home, "remote_fill", line);
-                let was_dirty = {
-                    let mut ot = self.lock_tile(owner);
-                    if is_write {
-                        self.stats.invalidations.incr_owned(tile.index());
-                        let seq = &self.tile_seq[owner.index()];
-                        seq.begin_write();
-                        let (st, data) = ot.purge(line).expect("owner holds the line");
-                        let was_dirty = st == LineState::Modified;
-                        if was_dirty {
-                            entry.write_bytes(0, data);
-                        }
-                        seq.end_write();
-                        self.classifier.on_departure(owner, line, true);
-                        was_dirty
-                    } else {
-                        // Downgrade owner to Shared at every level. State
-                        // changes leave data bytes and placement intact, so
-                        // no probe-excluding write section is needed.
-                        let (coh, l1d) = ot.levels();
-                        let mut l = coh.peek_mut(line).expect("owner holds the line");
-                        let was_dirty = l.state() == LineState::Modified;
-                        l.set_state(LineState::Shared);
-                        if was_dirty {
-                            entry.write_bytes(0, l.data);
-                        }
-                        if let Some(mut l1) = l1d.and_then(|c| c.peek_mut(line)) {
-                            l1.set_state(LineState::Shared);
-                        }
-                        was_dirty
-                    }
-                };
-                if was_dirty {
-                    self.stats.writebacks.incr_owned(tile.index());
-                    // Home memory is updated in parallel with the response;
-                    // the write occupies the controller off the critical path.
-                    let _ = self.dram_access(home, est_now);
-                }
-                let t_fwd = self.route_derived_flow(home, owner, CTRL_MSG_BYTES, t_home, flow);
-                let xfer = if was_dirty { self.line_size + DATA_HDR_BYTES } else { CTRL_MSG_BYTES };
-                let t_data = self.route_derived_flow(owner, home, xfer, t_fwd + Cycles(2), flow);
-                data_ready = t_data + DIR_LATENCY;
-                if is_write {
-                    entry.set_state(DirState::Owned(tile));
-                } else {
-                    entry.set_state(DirState::Shared);
-                    sharers.insert(owner);
-                    sharers.insert(tile);
-                }
-            }
-        }
-        debug_assert!(entry.invariants_hold());
-
-        if flow != 0 {
-            // The directory-service span: starts when the request arrived at
-            // the home tile, ends when the data (or permission) is ready to
-            // ship back.
-            let ready = data_ready;
-            self.tracer.emit(home, t_req, || TraceEventKind::FlowService {
-                flow,
-                home: home.0,
-                ready: ready.0,
-            });
-        }
-
-        // Response travels home -> tile.
-        let t_resp = self.route_derived_flow(home, tile, resp_bytes, data_ready, flow);
-        let latency = t_resp.saturating_sub(now).max(lookup_lat);
-        let network = t_req.saturating_sub(t0) + t_resp.saturating_sub(data_ready);
-        if flow != 0 {
-            self.tracer
-                .emit(tile, t_resp, || TraceEventKind::FlowReply { flow, latency: latency.0 });
-        }
-        (MemCost::miss(latency, network), grant)
-    }
-
-    /// Applies a granted miss to the requester's hierarchy while it still
-    /// holds the line: `grant` is the state to fill the line in from the
-    /// home copy in `entry` (whose way the probe and the evictions freed),
-    /// or `None` to upgrade the resident copy in place.
-    fn fill(
-        &self,
-        tile: TileId,
-        line: u64,
-        off: usize,
-        op: &mut LineOp,
-        entry: Record<'_>,
-        grant: Option<LineState>,
-    ) {
-        let _fill = self.hostprof.span(HostStage::MissFill);
-        let mut tm = self.lock_tile(tile);
-        let seq = &self.tile_seq[tile.index()];
-        let (coh, l1d) = tm.levels();
-        let Some(fill_state) = grant else {
-            // Permission upgrade: set Modified and apply the write at every
-            // level. The line cannot have been invalidated since the
-            // directory decided, because we hold it from the decision to
-            // here.
-            let mut resident = coh.peek_mut(line).expect("upgraded line vanished while claimed");
-            let mut l1_line = l1d.and_then(|c| c.peek_mut(line));
-            seq.begin_write();
-            Self::write_through(&mut resident, l1_line.as_mut(), off, op);
-            seq.end_write();
-            return;
-        };
-        self.stats.misses.incr_owned(tile.index());
-        if let Some(kind) = self.classifier.classify_fill(tile, line, off as u64, op.len() as u64) {
-            self.stats.record_kind(tile.index(), kind);
-        }
-        // Fill in place: the home copy goes straight into the way the cache
-        // chose, the operation applies there, and the L1 filter (if any)
-        // copies the result.
-        seq.begin_write();
-        let (filled, evicted) = coh.place(line, fill_state);
-        assert!(evicted.is_none(), "miss fill found no room: two contexts on one tile?");
-        entry.read_bytes(0, filled.data);
-        match op {
-            LineOp::Write(bytes) => filled.data[off..off + bytes.len()].copy_from_slice(bytes),
-            LineOp::Rmw { old, f } => apply_rmw(filled.data, off, old, *f),
-            LineOp::Read(buf) => buf.copy_from_slice(&filled.data[off..off + buf.len()]),
-        }
-        if let Some(l1) = l1d.filter(|l1| l1.peek(line).is_none()) {
-            // L1 victim needs no writeback (write-through).
-            l1.insert(line, fill_state, filled.data);
-        }
-        seq.end_write();
-    }
-
-    /// Traces directory leg `leg` of `tile`'s transaction on `line`.
-    fn trace_leg(&self, tile: TileId, t: Cycles, leg: &'static str, line: u64) {
-        let addr = line * self.line_size as u64;
-        self.tracer.emit(tile, t, || TraceEventKind::DirLeg {
-            leg,
-            addr,
-            home: self.home_of(line).0,
-        });
-    }
-
-    /// Drops `sharer`'s copy of `line` for `tile`'s transaction and prices
-    /// the invalidation leaving the home at `t`; returns when its ack is
-    /// back at the home.
-    fn invalidate(&self, tile: TileId, sharer: TileId, line: u64, t: Cycles, flow: u64) -> Cycles {
-        self.stats.invalidations.incr_owned(tile.index());
-        {
-            let mut st = self.lock_tile(sharer);
-            let seq = &self.tile_seq[sharer.index()];
-            seq.begin_write();
-            st.purge(line);
-            seq.end_write();
-        }
-        self.classifier.on_departure(sharer, line, true);
-        let home = self.home_of(line);
-        let t_inv = self.route_derived_flow(home, sharer, CTRL_MSG_BYTES, t, flow);
-        self.route_derived_flow(sharer, home, CTRL_MSG_BYTES, t_inv + Cycles(1), flow)
-    }
-
     fn lock_tile(&self, t: TileId) -> MutexGuard<'_, TileMem> {
         let _hp = self.hostprof.span(HostStage::TileLockWait);
         self.tiles[t.index()].lock()
     }
 
-    /// Releases a transaction's line, waking whoever waits for it.
-    fn release(&self, claim: Claim<'_>) {
-        let _hp = self.hostprof.span(HostStage::MshrProbe);
-        drop(claim);
-    }
-
-    /// Evicts `vline` from `tile`'s hierarchy as its own directory
-    /// transaction (writeback if dirty, sharer removal otherwise) to make
-    /// room for `line`. Waits out any in-flight transaction on the victim
-    /// line, then holds it for the duration as a service claim. Returns the
-    /// line a fill of `line` would still evict, picked in the purge's
-    /// critical section.
-    fn evict_line(&self, tile: TileId, now: Cycles, vline: u64, line: u64) -> Option<u64> {
-        let lane = tile.index();
-        let claim = {
-            let _hp = self.hostprof.span(HostStage::MshrProbe);
-            self.dir.claim_service(vline)
-        };
-        let entry = claim.record;
-        let (purged, next) = {
-            let mut tm = self.lock_tile(tile);
-            let seq = &self.tile_seq[lane];
-            seq.begin_write();
-            // A dirty victim's bytes go straight into the home copy.
-            let purged = tm.purge(vline).map(|(state, data)| {
-                if state == LineState::Modified {
-                    entry.write_bytes(0, data);
-                }
-                state
-            });
-            seq.end_write();
-            (purged, tm.coh().victim_for(line))
-        };
-        let Some(state) = purged else {
-            self.release(claim); // invalidated while we waited
-            return next;
-        };
-        self.classifier.on_departure(tile, vline, false);
-        let home = self.home_of(vline);
-        match state {
-            LineState::Modified => {
-                debug_assert_eq!(entry.state(), DirState::Owned(tile));
-                entry.set_state(DirState::Uncached);
-                self.stats.writebacks.incr_owned(lane);
-                self.trace_leg(tile, now, "writeback", vline);
-                // Writeback traffic: data to home, then a DRAM write. Off the
-                // requester's critical path, but it loads the network links
-                // and the controller queue.
-                let _ = self.route(tile, home, self.line_size + DATA_HDR_BYTES, now);
-                let est = self.network.progress().estimate();
-                let _ = self.dram_access(home, est);
-            }
-            LineState::Exclusive => {
-                // Clean sole copy: notify the directory, no data transfer.
-                debug_assert_eq!(entry.state(), DirState::Owned(tile));
-                entry.set_state(DirState::Uncached);
-                let _ = self.route(tile, home, CTRL_MSG_BYTES, now);
-            }
-            LineState::Shared => {
-                // Notify the directory so the sharer set stays exact.
-                entry.sharers().remove(tile);
-                if entry.sharers().is_empty() && entry.state() == DirState::Shared {
-                    entry.set_state(DirState::Uncached);
-                }
-                let _ = self.route(tile, home, CTRL_MSG_BYTES, now);
-            }
-        }
-        debug_assert!(entry.invariants_hold());
-        self.release(claim);
-        next
-    }
-
-    /// Atomically reads a little-endian `u32` at `addr` and replaces it with
-    /// `f(old)`, holding the line with write permission for the whole
-    /// operation — the simulated equivalent of a locked RMW instruction.
-    /// Returns the previous value and the modeled cost (latency plus its
-    /// network share, for CPI attribution).
-    ///
-    /// Used by the futex emulation and the guest synchronization primitives.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the access crosses a cache-line boundary.
-    pub fn fetch_update_u32<F>(
-        &self,
-        tile: TileId,
-        now: Cycles,
-        addr: Addr,
-        mut f: F,
-    ) -> (u32, MemCost)
-    where
-        F: FnMut(u32) -> u32,
-    {
-        let (old, cost) =
-            self.fetch_update_le(tile, now, addr, |w| f(u32::from_le_bytes(w)).to_le_bytes());
-        (u32::from_le_bytes(old), cost)
-    }
-
-    /// 64-bit variant of [`MemorySystem::fetch_update_u32`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the access crosses a cache-line boundary.
-    pub fn fetch_update_u64<F>(
-        &self,
-        tile: TileId,
-        now: Cycles,
-        addr: Addr,
-        mut f: F,
-    ) -> (u64, MemCost)
-    where
-        F: FnMut(u64) -> u64,
-    {
-        let (old, cost) =
-            self.fetch_update_le(tile, now, addr, |w| f(u64::from_le_bytes(w)).to_le_bytes());
-        (u64::from_le_bytes(old), cost)
-    }
-
-    /// The body of the `fetch_update_*` family: an atomic read-modify-write
-    /// of the `N` little-endian bytes at `addr`.
-    fn fetch_update_le<const N: usize>(
-        &self,
-        tile: TileId,
-        now: Cycles,
-        addr: Addr,
-        mut f: impl FnMut([u8; N]) -> [u8; N],
-    ) -> ([u8; N], MemCost) {
-        assert!(
-            (addr.0 & self.line_mask) as usize + N <= self.line_size as usize,
-            "atomic access must not cross a line boundary"
-        );
-        let mut old = [0u8; N];
-        let mut apply = |window: &mut [u8]| {
-            let new = f(window.try_into().expect("an N-byte window"));
-            window.copy_from_slice(&new);
-        };
-        let cost = self.access_line(tile, now, addr, LineOp::Rmw { old: &mut old, f: &mut apply });
-        (old, cost)
-    }
-
-    /// Functional read bypassing all timing (used by the MCP for syscall
-    /// emulation and by tests). Returns zeros for untouched memory.
-    pub fn peek_bytes(&self, addr: Addr, buf: &mut [u8]) {
-        for (a, r) in self.segments(addr, buf.len()) {
-            let (line, off) = (a.line(self.line_size), (a.0 & self.line_mask) as usize);
-            let dst = &mut buf[r];
-            // Wait out any in-flight transaction on this line, then hold it
-            // so the owner/home copy cannot move mid-read.
-            match self.dir.claim_existing(line) {
-                None => dst.fill(0),
-                Some(claim) => match claim.record.state() {
-                    DirState::Owned(owner) => {
-                        let ot = self.lock_tile(owner);
-                        let (_, data) = ot.coh().peek(line).expect("owner holds line");
-                        dst.copy_from_slice(&data[off..off + dst.len()]);
-                    }
-                    _ => claim.record.read_bytes(off, dst),
-                },
-            }
-        }
-    }
-
-    /// Functional write bypassing all timing; keeps every cached copy
-    /// coherent by updating sharers in place.
-    pub fn poke_bytes(&self, addr: Addr, bytes: &[u8]) {
-        for (a, r) in self.segments(addr, bytes.len()) {
-            let (line, off) = (a.line(self.line_size), (a.0 & self.line_mask) as usize);
-            // Hold the line so no transaction moves copies around while we
-            // patch every cached copy in place.
-            let claim = self.dir.claim_service(line);
-            let entry = claim.record;
-            let src = &bytes[r];
-            // The home copy stays current even under an owner: an Exclusive
-            // owner evicts silently without a writeback.
-            entry.write_bytes(off, src);
-            let patch = |t: TileId| {
-                let mut tm = self.lock_tile(t);
-                let seq = &self.tile_seq[t.index()];
-                seq.begin_write();
-                let held = tm.poke(line, off, src);
-                seq.end_write();
-                debug_assert!(held, "directory lists tile{} for line {line}", t.0);
-            };
-            match entry.state() {
-                DirState::Owned(owner) => patch(owner),
-                DirState::Shared => entry.sharers().iter().for_each(patch),
-                DirState::Uncached => {}
-            }
-        }
-    }
-
-    /// Walks every directory entry and checks that directory state and cache
-    /// contents agree exactly (the MSI invariant set). Intended for tests
-    /// while the system is quiescent.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first violated invariant.
-    pub fn verify_coherence_invariants(&self) -> Result<(), String> {
-        for (line, entry) in self.dir.sorted() {
-            if !entry.invariants_hold() {
-                return Err(format!("line {line}: directory invariants violated"));
-            }
-            let state = entry.state();
-            for t in (0..self.num_tiles).map(TileId) {
-                let held = self.tiles[t.index()].lock().coh().peek(line).map(|(s, _)| s);
-                let ok = match state {
-                    DirState::Owned(owner) if t == owner => match self.protocol {
-                        CacheProtocol::Msi => held == Some(LineState::Modified),
-                        CacheProtocol::Mesi => {
-                            matches!(held, Some(LineState::Modified | LineState::Exclusive))
-                        }
-                    },
-                    DirState::Shared if entry.sharers().contains(t) => {
-                        held == Some(LineState::Shared)
-                    }
-                    _ => held.is_none(),
-                };
-                if !ok {
-                    return Err(format!("line {line}: {t:?} holds {held:?} while {state:?}"));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Test/bench helper: performs `n` random single-word accesses from one
-    /// tile and returns total latency. Exercises the full protocol.
-    pub fn random_access_storm(&self, tile: TileId, seed: u64, span: u64, n: u64) -> Cycles {
-        let mut rng = SimRng::new(seed);
-        let mut now = Cycles::ZERO;
-        let mut buf = [0u8; 8];
-        for _ in 0..n {
-            let addr = Addr(rng.gen_range(span) & !7);
-            if rng.gen_bool(0.3) {
-                now += self.write(tile, now, addr, &buf);
-            } else {
-                now += self.read(tile, now, addr, &mut buf);
-            }
-        }
-        now
-    }
-}
-
-/// Checkpointing the memory subsystem captures everything the functional
-/// simulation depends on — every cache array (tags, MSI/MESI state, LRU
-/// stamps, and the application's real bytes), every directory entry (the DRAM
-/// home copies), the DRAM controller queue clocks, and the miss-classifier
-/// history — so that a restored simulation observes identical contents *and*
-/// identical timing.
-///
-/// The system must be quiescent (no in-flight transactions) during both save
-/// and restore; the core orchestrator guarantees this, and debug builds
-/// check that no line is claimed. A failed restore may
-/// leave the system partially overwritten — callers discard the instance on
-/// error.
-impl Checkpointable for MemorySystem {
-    fn segment_name(&self) -> &'static str {
-        "mem"
-    }
-
-    fn save(&self, out: &mut Enc) {
-        debug_assert_eq!(self.dir.in_flight(), 0, "checkpoint save during a transaction");
-        out.u32(self.line_size);
-        out.u32(self.num_tiles);
-        for tile in &self.tiles {
-            let tm = tile.lock();
-            for cache in [&tm.l1i, &tm.l1d, &tm.l2] {
-                match cache {
-                    Some(c) => {
-                        out.u8(1);
-                        c.save(out);
-                    }
-                    None => out.u8(0),
-                }
-            }
-        }
-        // The directory serializes as ONE globally line-sorted stream so the
-        // bytes are independent of the shard count, the shard hash and
-        // HashMap iteration order: identical states always serialize to
-        // identical bytes.
-        out.u32(self.dir.lines());
-        let mut data = vec![0u8; self.line_size as usize];
-        for (line, e) in self.dir.sorted() {
-            out.u64(line);
-            match e.state() {
-                DirState::Uncached => out.u8(0),
-                DirState::Shared => out.u8(1),
-                DirState::Owned(t) => {
-                    out.u8(2);
-                    out.u32(t.0);
-                }
-            }
-            out.u32(e.sharers().count());
-            for s in e.sharers().iter() {
-                out.u32(s.0);
-            }
-            e.read_bytes(0, &mut data);
-            out.bytes(&data);
-        }
-        out.u32(self.dram.len() as u32);
-        for c in &self.dram {
-            for w in c.export_state() {
-                out.u64(w);
-            }
-        }
-        self.classifier.save(out);
-    }
-
-    fn restore(&self, dec: &mut Dec<'_>) -> Result<(), SimError> {
-        debug_assert_eq!(self.dir.in_flight(), 0, "checkpoint restore during a transaction");
-        let bad = || corrupted("mem");
-        if dec.u32()? != self.line_size || dec.u32()? != self.num_tiles {
-            return Err(bad());
-        }
-        for tile in &self.tiles {
-            let mut tm = tile.lock();
-            let tm = &mut *tm;
-            for cache in [&mut tm.l1i, &mut tm.l1d, &mut tm.l2] {
-                let present = dec.u8()? != 0;
-                match (present, cache.as_mut()) {
-                    (true, Some(c)) => c.restore(dec)?,
-                    (false, None) => {}
-                    _ => return Err(bad()),
-                }
-            }
-        }
-        // The directory stream is one strictly line-ordered sequence (see
-        // `save`), redistributed across the shards. The system is quiescent,
-        // so nobody holds a record the reset voids.
-        let n = dec.u32()?;
-        self.dir.reset();
-        let mut prev: Option<u64> = None;
-        for _ in 0..n {
-            let line = dec.u64()?;
-            if prev.is_some_and(|p| p >= line) {
-                return Err(bad()); // not strictly increasing
-            }
-            prev = Some(line);
-            let state = match dec.u8()? {
-                0 => DirState::Uncached,
-                1 => DirState::Shared,
-                2 => {
-                    let t = dec.u32()?;
-                    if t >= self.num_tiles {
-                        return Err(bad());
-                    }
-                    DirState::Owned(TileId(t))
-                }
-                _ => return Err(bad()),
-            };
-            let entry = self.dir.insert(line);
-            entry.set_state(state);
-            let ns = dec.u32()?;
-            for _ in 0..ns {
-                let t = dec.u32()?;
-                if t >= self.num_tiles || !entry.sharers().insert(TileId(t)) {
-                    return Err(bad());
-                }
-            }
-            let data = dec.bytes()?;
-            if data.len() != self.line_size as usize || !entry.invariants_hold() {
-                return Err(bad());
-            }
-            entry.write_bytes(0, data);
-        }
-        if dec.u32()? as usize != self.dram.len() {
-            return Err(bad());
-        }
-        for c in &self.dram {
-            c.import_state([dec.u64()?, dec.u64()?, dec.u64()?]);
-        }
-        self.classifier.restore(dec)?;
-        // Caches and directory were restored independently; check they agree
-        // before letting the protocol run against them.
-        self.verify_coherence_invariants().map_err(|_| bad())?;
-        Ok(())
+    /// Runs `f` on another tile's hierarchy: under that tile's lock, inside a
+    /// write section of its seqlock, so its context's lock-free probe rejects
+    /// any copy the write overlaps. A tile's own writes need no section: its
+    /// probe never runs alongside them.
+    fn write_remote<R>(&self, t: TileId, f: impl FnOnce(&mut TileMem) -> R) -> R {
+        let mut tm = self.lock_tile(t);
+        let seq = &self.tile_seq[t.index()];
+        seq.begin_write();
+        let r = f(&mut tm);
+        seq.end_write();
+        r
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use graphite_base::GlobalProgress;
+    use graphite_base::{GlobalProgress, SimError, SimRng};
+    use graphite_ckpt::{Checkpointable, Dec, Enc};
     use graphite_config::presets;
+
+    use super::*;
+    use crate::addr::Addr;
 
     fn system(tiles: u32) -> MemorySystem {
         let cfg = presets::paper_default(tiles);
@@ -2319,6 +1254,54 @@ mod tests {
         // The full payload still restores into another fresh instance.
         let fresh2 = system(4);
         fresh2.restore(&mut Dec::new(&buf)).unwrap();
+    }
+
+    /// The probe's seqlock guards against other threads only: a tile's own
+    /// accesses never open a write section on its counter, while another
+    /// tile's write miss that takes one of its lines, and a poke of one it
+    /// holds, each open one.
+    #[test]
+    fn only_another_threads_writes_move_a_tiles_seqlock() {
+        let cache = |size_bytes, access_latency| graphite_config::CacheConfig {
+            size_bytes,
+            associativity: 2,
+            line_size: 64,
+            access_latency: Cycles(access_latency),
+        };
+        let mut cfg = presets::paper_default(2);
+        // A 2-line L1D in front of a 4-line, 2-set L2: the fourth line a set
+        // takes evicts.
+        cfg.target.l1d = Some(cache(128, 1));
+        cfg.target.l2 = Some(cache(256, 8));
+        let m = system_with(&cfg, false);
+        let seq = |t: usize| m.tile_seq[t].read_begin().expect("no write section is open");
+        let (t0, t1) = (TileId(0), TileId(1));
+        let at = |line: u64| Addr(line * 64);
+        let mut buf = [0u8; 8];
+        let before = seq(0);
+        m.read(t0, Cycles(0), at(0), &mut buf); // miss
+        m.read(t0, Cycles(0), at(0), &mut buf); // L1 read hit
+        m.write(t0, Cycles(0), at(0), &1u64.to_le_bytes()); // upgrade
+        m.write(t0, Cycles(0), at(0), &2u64.to_le_bytes()); // L1 write hit
+        m.fetch_update_u64(t0, Cycles(0), at(0), |v| v + 1); // L1 RMW hit
+        m.write(t0, Cycles(0), at(1), &3u64.to_le_bytes()); // miss
+        m.write(t0, Cycles(0), at(3), &4u64.to_le_bytes()); // miss; L1 drops line 0
+        m.read(t0, Cycles(0), at(0), &mut buf); // L2 read hit
+        m.write(t0, Cycles(0), at(1), &5u64.to_le_bytes()); // L2 write hit
+        m.write(t0, Cycles(0), at(5), &6u64.to_le_bytes()); // miss evicting a dirty line
+        let s = m.stats();
+        assert_eq!((s.upgrades.get(), s.writebacks.get()), (1, 1));
+        assert_eq!((s.l1d_hits.get(), s.l2_hits.get()), (3, 2));
+        assert_eq!(seq(0), before, "tile 0's own accesses opened a write section");
+        m.read(t0, Cycles(0), at(4), &mut buf); // tile 0 shares line 4
+        let before = seq(0);
+        m.write(t1, Cycles(0), at(5), &7u64.to_le_bytes()); // purges the owner
+        assert_eq!(seq(0), before + 2, "a forward that purges the owner");
+        m.write(t1, Cycles(0), at(4), &8u64.to_le_bytes()); // invalidates a sharer
+        assert_eq!(seq(0), before + 4, "an invalidation that purges a sharer");
+        m.poke_bytes(at(0), &9u64.to_le_bytes());
+        assert_eq!(seq(0), before + 6, "a poke of a held line");
+        m.verify_coherence_invariants().unwrap();
     }
 
     #[test]

@@ -130,6 +130,9 @@ fn flat_layout_matches_the_per_set_vec_reference() {
                 }
                 2 => {
                     let mut buf = [0u8; 8];
+                    // SAFETY: `c` is a live cache only this thread touches, so
+                    // no write runs alongside the probe; bytes 24..32 lie
+                    // within its 64-byte lines.
                     let hit = unsafe { Cache::probe_read(&c, &seq, line, 24, &mut buf) };
                     let want = r.lookup(line).map(|l| l.data[24..32].to_vec());
                     assert_eq!(hit.then(|| buf.to_vec()), want, "{ctx}");

@@ -32,6 +32,9 @@ fn install_signal_handlers() {
     unsafe extern "C" {
         fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
     }
+    // SAFETY: `signal` is the C library's, declared with its C signature;
+    // `on_signal` is an `extern "C"` function that only stores to an atomic,
+    // which is async-signal-safe.
     unsafe {
         signal(2, on_signal);
         signal(15, on_signal);
